@@ -9,6 +9,7 @@ from .dynamics import (
     FinitePermutation,
     MeanSeries,
     Observable,
+    OrbitIndex,
     apply_power,
     cycle_decomposition,
     ergodic_means_prefix,

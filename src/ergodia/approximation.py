@@ -213,27 +213,15 @@ class ApproximationReport:
     thickening_errors: dict = field(default_factory=dict)
     map_mismatch: dict = field(default_factory=dict)
     cycle_lengths: list = field(default_factory=list)
-    transitivity_mismatch: int | None = None
-    mismatch_set: list | None = None
-
-    MISMATCH_SET_CAP = 10_000
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "weak_star_errors": self.weak_star_errors,
             "thickening_errors": {str(k): v for k, v in self.thickening_errors.items()},
             "map_mismatch": {str(k): v for k, v in self.map_mismatch.items()},
             "cycle_count": len(self.cycle_lengths),
             "cycle_lengths": self.cycle_lengths[:100],
         }
-        if self.transitivity_mismatch is not None:
-            out["transitivity_mismatch"] = self.transitivity_mismatch
-        if self.mismatch_set is not None:
-            if len(self.mismatch_set) > self.MISMATCH_SET_CAP:
-                out["mismatch_count"] = len(self.mismatch_set)
-            else:
-                out["mismatch_set"] = self.mismatch_set
-        return out
 
 
 # -- quality metrics -------------------------------------------------------
@@ -481,7 +469,7 @@ def make_transitive(T: FinitePermutation) -> tuple[FinitePermutation, list[int]]
     cycles of T except when a concatenation seam happens to agree with T,
     so |B| <= b always.
     """
-    order = np.concatenate(T.cycles)
+    order = T.orbit_index.order
     image = np.empty(T.size, dtype=np.int64)
     image[order] = np.roll(order, -1)
     C = FinitePermutation(image, validate=False)

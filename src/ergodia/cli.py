@@ -115,6 +115,11 @@ def _resolve_start_points(spec: dict, M: int, seed: int) -> list[int]:
     raise ConfigError("start_points needs one of: explicit, random, stratified")
 
 
+def _seed(config: dict, args) -> int:
+    """--seed wins over the config's "seed", which wins over 0."""
+    return int(args.seed if args.seed is not None else config.get("seed", 0))
+
+
 def _thread_count(args) -> int:
     if args.threads is not None:
         return max(1, args.threads)
@@ -178,7 +183,7 @@ def _write_svg(path: Path, points: np.ndarray, k: float, title: str, timestamp: 
 def cmd_gamma(config: dict, args) -> int:
     T, _, meta = _build_system(config.get("system", {}))
     F = _build_observable(config.get("observable", {}), T.size)
-    seed = int(config.get("seed", args.seed or 0))
+    seed = _seed(config, args)
     starts = _resolve_start_points(config.get("start_points", {}), T.size, seed)
     gspec = config.get("gamma", {})
     k = float(gspec.get("k", 1.0))
@@ -213,7 +218,7 @@ def cmd_gamma(config: dict, args) -> int:
 def cmd_stab(config: dict, args) -> int:
     T, _, meta = _build_system(config.get("system", {}))
     F = _build_observable(config.get("observable", {}), T.size)
-    seed = int(config.get("seed", args.seed or 0))
+    seed = _seed(config, args)
     spec = config.get("stab", {})
     if "epsilon" not in spec or "eta" not in spec:
         raise ConfigError("stab config must pin epsilon and eta explicitly")
@@ -226,27 +231,32 @@ def cmd_stab(config: dict, args) -> int:
 
     starts = _resolve_start_points(config.get("start_points", {"stratified": 100, "extras": 25}),
                                    T.size, seed)
-    segments = []
-    for y in starts[: int(spec.get("per_point_limit", 16))]:
-        seg = stabilization_segment(F, T, y, n_min, eps, scan_limit)
-        segments.append({"y": y, "K_star": seg.K_star, "witness": seg.witness,
-                         "capped": seg.capped})
-    report["per_point_segments"] = segments
+    # the library checks n_min, epsilon, eta, scan_limit and the pairs;
+    # a ValueError from it is a bad stab spec
+    try:
+        segments = []
+        for y in starts[: int(spec.get("per_point_limit", 16))]:
+            seg = stabilization_segment(F, T, y, n_min, eps, scan_limit)
+            segments.append({"y": y, "K_star": seg.K_star, "witness": seg.witness,
+                             "capped": seg.capped})
+        report["per_point_segments"] = segments
 
-    common = common_stabilization_segment(F, T, n_min, eps, eta, scan_limit, starts)
-    report["common_segment"] = {
-        "K_star": common.K_star, "witness": common.witness, "capped": common.capped,
-        "excluded_fraction": common.excluded_fraction, "sample_size": len(starts),
-    }
+        common = common_stabilization_segment(F, T, n_min, eps, eta, scan_limit, starts)
+        report["common_segment"] = {
+            "K_star": common.K_star, "witness": common.witness, "capped": common.capped,
+            "excluded_fraction": common.excluded_fraction, "sample_size": len(starts),
+        }
 
-    pairs = []
-    for K, L in spec.get("pairs", []):
-        rep = sup_discrepancy(F, T, int(K), int(L))
-        entry = {"K": int(K), "L": int(L), "sup_disc": rep.sup_disc}
-        for e in spec.get("exceedance_epsilons", [eps]):
-            entry[f"exceedance@{e}"] = rep.exceedance(float(e))
-        pairs.append(entry)
-    report["discrepancies"] = pairs
+        pairs = []
+        for K, L in spec.get("pairs", []):
+            rep = sup_discrepancy(F, T, int(K), int(L))
+            entry = {"K": int(K), "L": int(L), "sup_disc": rep.sup_disc}
+            for e in spec.get("exceedance_epsilons", [eps]):
+                entry[f"exceedance@{e}"] = rep.exceedance(float(e))
+            pairs.append(entry)
+        report["discrepancies"] = pairs
+    except ValueError as e:
+        raise ConfigError(f"bad stab spec: {e}") from e
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -268,8 +278,9 @@ def cmd_approx(config: dict, args) -> int:
 
     if mode == "metrics":
         T, emb, meta = _build_system(config.get("system", {}))
-        if emb is None:
-            raise ConfigError("metrics mode needs an embedded system")
+        if emb.space.kind == "symbolic":
+            # the test functions, closed intervals and target maps live on [0, 1)
+            raise ConfigError("metrics mode needs a drift or rotation system")
         report.weak_star_errors = weak_star_error(emb, _monomial_tests(int(spec.get("degree", 3))))
         for iv in spec.get("closed_intervals", []):
             C = ClosedSet(kind="intervals", intervals=(tuple(iv),))
@@ -280,7 +291,7 @@ def cmd_approx(config: dict, args) -> int:
             tau = _target_map(target, meta)
             for eps in spec.get("mismatch_epsilons", [2.0 / T.size]):
                 report.map_mismatch[eps] = map_mismatch_fraction(emb, T, tau, float(eps))
-        report.cycle_lengths = [len(c) for c in T.cycles]
+        report.cycle_lengths = T.orbit_index.lengths.tolist()
         _write_json(out / "approx_report.json", {**meta, **report.to_dict()})
         return EXIT_OK
 

@@ -19,6 +19,7 @@ import numpy as np
 
 __all__ = [
     "FinitePermutation",
+    "OrbitIndex",
     "Observable",
     "MeanSeries",
     "apply_power",
@@ -30,15 +31,52 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True)
+class OrbitIndex:
+    """The cycles of a permutation laid end to end in canonical order.
+
+    Canonical order: descending length, ties broken by smallest element,
+    each cycle starting at its minimum.  Cycle c is
+    order[starts[c] : starts[c] + lengths[c]], and point y sits at
+    order[starts[cycle_id[y]] + pos[y]].  Equal-length cycles are
+    contiguous, so every length class is a (count, p) block of order.
+    """
+
+    order: np.ndarray
+    starts: np.ndarray
+    lengths: np.ndarray
+    cycle_id: np.ndarray
+    pos: np.ndarray
+
+    def __post_init__(self):
+        for a in (self.order, self.starts, self.lengths, self.cycle_id, self.pos):
+            a.setflags(write=False)
+
+    def length_classes(self) -> list[tuple[int, int, int]]:
+        """(offset into order, cycle count, length p) per length class, longest first."""
+        lengths = self.lengths
+        first = np.flatnonzero(np.diff(lengths, prepend=0))
+        counts = np.diff(first, append=lengths.size)
+        return [(int(self.starts[c]), int(k), int(lengths[c])) for c, k in zip(first, counts)]
+
+
+def _cycle_starts(lengths: np.ndarray) -> np.ndarray:
+    """Offset of each cycle in the concatenated order."""
+    starts = np.zeros(lengths.size, dtype=np.int64)
+    np.cumsum(lengths[:-1], out=starts[1:])
+    return starts
+
+
 class FinitePermutation:
     """A bijection T of {0, ..., M-1}, stored as its image array.
 
-    Cycle metadata (cycle id, position within cycle, cycle length per point)
-    is computed lazily and memoized; all orbit queries after that are O(1)
-    per step via array gathers.
+    The orbit index (OrbitIndex) is either supplied by the constructor that
+    knows the cycles (from_cycle_order) or found once by a generic cycle
+    walk and memoized; all orbit queries after that are O(1) per step via
+    array gathers.
     """
 
-    __slots__ = ("image", "size", "_cycles", "_cycle_id", "_cycle_pos", "_cycle_len")
+    __slots__ = ("image", "size", "_index", "_cycles")
 
     def __init__(self, image: Sequence[int] | np.ndarray, *, validate: bool = True):
         image = np.asarray(image, dtype=np.int64)
@@ -49,10 +87,8 @@ class FinitePermutation:
         self.image = image
         self.image.setflags(write=False)
         self.size = int(image.size)
+        self._index = None
         self._cycles = None
-        self._cycle_id = None
-        self._cycle_pos = None
-        self._cycle_len = None
 
     @classmethod
     def identity(cls, size: int) -> "FinitePermutation":
@@ -67,6 +103,49 @@ class FinitePermutation:
                 image[a] = b
         return cls(image)
 
+    @classmethod
+    def from_cycle_order(cls, order, lengths) -> "FinitePermutation":
+        """T and its orbit index from cycles laid end to end in canonical order.
+
+        order lists every point once, cycle after cycle, each cycle in
+        T-order; lengths are the cycle lengths.  The canonical-order rules
+        are checked (vectorized), so the index is exactly what the generic
+        cycle walk would find.  O(M) numpy, no Python loop over points.
+        """
+        order = np.asarray(order, dtype=np.int64)
+        lengths = np.asarray(lengths, dtype=np.int64)
+        if order.ndim != 1 or order.size == 0 or not _is_permutation(order):
+            raise ValueError("cycle order is not a permutation of 0..M-1")
+        if lengths.ndim != 1 or lengths.size == 0 or lengths.min() < 1 or lengths.sum() != order.size:
+            raise ValueError("cycle lengths must be positive and sum to M")
+        if (np.diff(lengths) > 0).any():
+            raise ValueError("cycles must be listed by descending length")
+        starts = _cycle_starts(lengths)
+        heads = order[starts]
+        tie = lengths[1:] == lengths[:-1]
+        if (heads[1:][tie] <= heads[:-1][tie]).any():
+            raise ValueError("equal-length cycles must be listed by smallest element")
+        if (np.minimum.reduceat(order, starts) != heads).any():
+            raise ValueError("every cycle must start at its smallest element")
+        M = order.size
+        ids = np.repeat(np.arange(lengths.size, dtype=np.int64), lengths)
+        cycle_id = np.empty(M, dtype=np.int64)
+        cycle_id[order] = ids
+        slot = np.arange(M, dtype=np.int64)
+        pos = np.empty(M, dtype=np.int64)
+        pos[order] = slot - starts[ids]
+        del ids
+        # T maps the point in each slot to the point in the next slot,
+        # wrapping at the end of its cycle
+        slot += 1
+        slot[starts + lengths - 1] = starts
+        image = np.empty(M, dtype=np.int64)
+        image[order] = order[slot]
+        del slot
+        T = cls(image, validate=False)
+        T._index = OrbitIndex(order, starts, lengths, cycle_id, pos)
+        return T
+
     def __call__(self, y: int) -> int:
         return int(self.image[y])
 
@@ -79,7 +158,8 @@ class FinitePermutation:
     # -- cycle structure ---------------------------------------------------
 
     def _ensure_cycles(self) -> None:
-        if self._cycles is not None:
+        """Generic cycle walk: the orbit index of an arbitrary permutation."""
+        if self._index is not None:
             return
         image = self.image
         M = self.size
@@ -104,25 +184,35 @@ class FinitePermutation:
         remap = np.empty(len(cycles), dtype=np.int64)
         for new, old in enumerate(order):
             remap[old] = new
-        self._cycles = [cycles[i] for i in order]
-        self._cycle_id = remap[cycle_id]
-        self._cycle_pos = cycle_pos
-        self._cycle_len = np.asarray([len(c) for c in self._cycles], dtype=np.int64)[self._cycle_id]
+        lengths = np.asarray([len(cycles[i]) for i in order], dtype=np.int64)
+        self._index = OrbitIndex(np.concatenate([cycles[i] for i in order]), _cycle_starts(lengths),
+                                 lengths, remap[cycle_id], cycle_pos)
+
+    @property
+    def orbit_index(self) -> OrbitIndex:
+        self._ensure_cycles()
+        return self._index
 
     @property
     def cycles(self) -> list[np.ndarray]:
-        """Disjoint cycles partitioning Y, lengths descending."""
-        self._ensure_cycles()
+        """Disjoint cycles partitioning Y in canonical order (views into the orbit index)."""
+        if self._cycles is None:
+            index = self.orbit_index
+            self._cycles = []
+            for offset, count, p in index.length_classes():
+                self._cycles.extend(index.order[offset : offset + count * p].reshape(count, p))
         return self._cycles
 
     def cycle_of(self, y: int) -> tuple[np.ndarray, int]:
         """The cycle through y and the position of y in it."""
-        self._ensure_cycles()
-        return self._cycles[self._cycle_id[y]], int(self._cycle_pos[y])
+        index = self.orbit_index
+        c = index.cycle_id[y]
+        start = index.starts[c]
+        return index.order[start : start + index.lengths[c]], int(index.pos[y])
 
     def period(self, y: int) -> int:
-        self._ensure_cycles()
-        return int(self._cycle_len[y])
+        index = self.orbit_index
+        return int(index.lengths[index.cycle_id[y]])
 
     def trajectory(self, y: int, n: int) -> np.ndarray:
         """[y, T(y), ..., T^{n-1}(y)] in O(n) via the memoized cycle order."""
@@ -199,7 +289,6 @@ class MeanSeries:
     start: int
     n_max: int
     means: np.ndarray
-    scale: float = 1.0
     exact_means: tuple[Fraction, ...] | None = None
 
     def __post_init__(self):
@@ -247,7 +336,6 @@ def ergodic_means_prefix(
     n_max: int,
     *,
     exact: bool = False,
-    scale: float = 1.0,
 ) -> MeanSeries:
     """A_1..A_{n_max} along the T-orbit of y, in a single O(n_max) pass.
 
@@ -268,8 +356,7 @@ def ergodic_means_prefix(
             out.append(acc / n)
         exact_means = tuple(out)
         means = np.asarray([float(q) for q in exact_means])
-    return MeanSeries(size=T.size, start=y, n_max=n_max, means=means,
-                      scale=scale, exact_means=exact_means)
+    return MeanSeries(size=T.size, start=y, n_max=n_max, means=means, exact_means=exact_means)
 
 
 def orbit_average(F: Observable, T: FinitePermutation, y: int) -> float:
@@ -301,7 +388,7 @@ def gamma_series(
         stride = max(1, n_total // 100_000)
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    series = ergodic_means_prefix(F, T, y, n_total, scale=k)
+    series = ergodic_means_prefix(F, T, y, n_total)
     ns = np.arange(stride, n_total + 1, stride, dtype=np.int64)
     points = np.column_stack([ns.astype(np.float64), ns / M, series.means[ns - 1]])
     return points, stride

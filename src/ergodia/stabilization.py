@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import FinitePermutation, Observable
+from .dynamics import FinitePermutation, Observable, ergodic_means_prefix
 from .rng import SplitMix64
 
 __all__ = [
@@ -85,27 +85,37 @@ class StabilizationSegment:
     excluded_fraction: float | None = None
 
 
+# points per block of equal-length cycles that means_at_horizon handles at
+# once, so its temporaries stay bounded however many cycles share a length
+CHUNK_POINTS = 1 << 16
+
+
 def means_at_horizon(F: Observable, T: FinitePermutation, n: int) -> np.ndarray:
     """A_n(F, T, y) for every y, in O(M) total via per-cycle window sums.
 
     The window of length n along a cycle of length p contributes
     floor(n/p) full cycle sums plus a cyclic window of length n mod p.
+    Equal-length cycles are contiguous in the orbit index, so each length
+    class is handled as (cycles, p) rows, a chunk of rows at a time; every
+    row gets the same arithmetic as a lone cycle would.
     """
     if n < 1:
         raise ValueError("horizon must be >= 1")
+    index = T.orbit_index
     out = np.empty(T.size, dtype=np.float64)
-    for cyc in T.cycles:
-        vals = F.values[cyc]
-        p = len(cyc)
+    for offset, count, p in index.length_classes():
         q, r = divmod(n, p)
-        total = q * float(np.sum(vals))
-        if r:
-            ext = np.concatenate([vals, vals[: r]])
-            pref = np.concatenate([[0.0], np.cumsum(ext)])
-            window = pref[r : r + p] - pref[:p]
-        else:
-            window = np.zeros(p)
-        out[cyc] = (total + window) / n
+        rows = max(1, CHUNK_POINTS // p)
+        for first in range(0, count, rows):
+            cyc = index.order[offset + first * p : offset + min(count, first + rows) * p]
+            vals = F.values[cyc].reshape(-1, p)
+            total = q * vals.sum(axis=1, keepdims=True)
+            window = 0.0
+            if r:
+                pref = np.zeros((vals.shape[0], p + r + 1))
+                np.cumsum(np.concatenate([vals, vals[:, :r]], axis=1), axis=1, out=pref[:, 1:])
+                window = pref[:, r : r + p] - pref[:, :p]
+            out[cyc] = np.broadcast_to((total + window) / n, vals.shape).ravel()
     return out
 
 
@@ -119,7 +129,9 @@ def sup_discrepancy(
     """Exact max over all y of |A_K - A_L| plus the U/V proof terms on a sample."""
     if not 1 <= L < K:
         raise ValueError("require 1 <= L < K")
-    diffs = np.abs(means_at_horizon(F, T, K) - means_at_horizon(F, T, L))
+    diffs = means_at_horizon(F, T, K)
+    diffs -= means_at_horizon(F, T, L)
+    np.abs(diffs, out=diffs)
     if sample is None:
         sample = stratified_start_points(T.size, strata=min(T.size, 32), extras=0, seed=0)
     sample = np.asarray(sample, dtype=np.int64)
@@ -127,7 +139,7 @@ def sup_discrepancy(
     absL = means_at_horizon(absF, T, L)  # (1/L) sum_{k<L} |F(T^k y)|
     absK = means_at_horizon(absF, T, K)
     u = (1.0 / L - 1.0 / K) * absL[sample] * L
-    v = absK[sample] * K / K - absL[sample] * L / K  # (1/K) sum_{k=L}^{K-1} |F|
+    v = absK[sample] - absL[sample] * L / K  # (1/K) sum_{k=L}^{K-1} |F|
     return DiscrepancyReport(
         K=K,
         L=L,
@@ -145,8 +157,18 @@ def exceedance_fraction(F: Observable, T: FinitePermutation, K: int, L: int, eps
         raise ValueError("require 1 <= L < K")
     if eps <= 0:
         raise ValueError("epsilon must be positive")
-    diffs = np.abs(means_at_horizon(F, T, K) - means_at_horizon(F, T, L))
-    return float(np.mean(diffs >= eps))
+    diffs = means_at_horizon(F, T, K)
+    diffs -= means_at_horizon(F, T, L)
+    return float(np.mean(np.abs(diffs, out=diffs) >= eps))
+
+
+def _check_band(n_min: int, eps: float, scan_limit: int) -> None:
+    if n_min < 1:
+        raise ValueError("n_min must be >= 1")
+    if eps <= 0:
+        raise ValueError("epsilon must be positive")
+    if n_min > scan_limit:
+        raise ValueError("n_min exceeds scan_limit")
 
 
 def _band_end(means: np.ndarray, n_min: int, eps: float, scan_limit: int) -> tuple[int, float, bool]:
@@ -184,13 +206,7 @@ def stabilization_segment(
     scan_limit: int,
 ) -> StabilizationSegment:
     """Maximal eps-band segment [n_min, K_star] for one start point."""
-    if n_min < 1:
-        raise ValueError("n_min must be >= 1")
-    if eps <= 0:
-        raise ValueError("epsilon must be positive")
-    if n_min > scan_limit:
-        raise ValueError("n_min exceeds scan_limit")
-    from .dynamics import ergodic_means_prefix
+    _check_band(n_min, eps, scan_limit)
 
     means = ergodic_means_prefix(F, T, y, scan_limit).means
     k_star, witness, capped = _band_end(means, n_min, eps, scan_limit)
@@ -208,12 +224,12 @@ def common_stabilization_segment(
     sample: Sequence[int],
 ) -> StabilizationSegment:
     """Largest K_star whose band holds for >= (1 - eta) of the sampled points."""
+    _check_band(n_min, eps, scan_limit)
     if not 0 < eta < 1:
         raise ValueError("eta must be in (0, 1)")
     sample = list(sample)
     if not sample:
         raise ValueError("sample is empty")
-    from .dynamics import ergodic_means_prefix
 
     per_point: list[tuple[int, float]] = []
     for y in sample:

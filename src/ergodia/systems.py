@@ -13,6 +13,7 @@ significant.  Decoding scripts must use the same convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import gcd
 
@@ -50,8 +51,8 @@ def build_drift_system(M: int) -> tuple[FinitePermutation, PointEmbedding]:
     """T = +1 mod M with the grid embedding; approximates the identity map."""
     if M < 2:
         raise ValueError("need M >= 2")
-    image = np.roll(np.arange(M, dtype=np.int64), -1)
-    return FinitePermutation(image, validate=False), grid_embedding(M, interval_space())
+    T = FinitePermutation.from_cycle_order(np.arange(M, dtype=np.int64), [M])
+    return T, grid_embedding(M, interval_space())
 
 
 @dataclass(frozen=True)
@@ -63,10 +64,13 @@ class RotationSystem:
     t: float
     defect: float
 
-    @property
+    @cached_property
     def permutation(self) -> FinitePermutation:
-        return FinitePermutation((np.arange(self.M, dtype=np.int64) + self.P) % self.M,
-                                 validate=False)
+        """gcd(P, M) cycles; the r-th visits r, r + P, r + 2P, ... (mod M)."""
+        g = gcd(self.P, self.M)
+        steps = np.arange(self.M // g, dtype=np.int64) * self.P % self.M
+        order = (np.arange(g, dtype=np.int64)[:, None] + steps) % self.M
+        return FinitePermutation.from_cycle_order(order.ravel(), np.full(g, self.M // g))
 
     @property
     def embedding(self) -> PointEmbedding:
@@ -145,11 +149,7 @@ def debruijn_sequence(m: int, n: int) -> np.ndarray:
                 a[t] = j
                 db(t + 1, t)
 
-    import sys
-
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, n + 100))
-    db(1, 1)
+    db(1, 1)  # recursion depth n + 1, at most 27 under the memory budget
     return np.asarray(seq, dtype=np.int64)
 
 
@@ -165,14 +165,15 @@ def debruijn_window_permutation(m: int, n: int, s: np.ndarray | None = None) -> 
     """The window-successor map on all length-n words, a single m^n-cycle.
 
     Word at window position i maps to the word at position i+1 of the de
-    Bruijn sequence; distinctness of windows makes this a permutation.
+    Bruijn sequence; distinctness of windows makes this a permutation.  The
+    window indices in sequence order are the cycle itself, rotated to start
+    at window 0 (where debruijn_sequence already starts).
     """
     if s is None:
         s = debruijn_sequence(m, n)
     idx = _window_indices(s, n, m)
-    image = np.empty(m**n, dtype=np.int64)
-    image[idx] = np.roll(idx, -1)
-    return FinitePermutation(image)
+    idx = np.roll(idx, -int(np.argmin(idx)))
+    return FinitePermutation.from_cycle_order(idx, [idx.size])
 
 
 @dataclass(frozen=True)
@@ -207,6 +208,42 @@ class SymbolicSystem:
         return PointEmbedding(size=self.M, space=space, embed=self.word)
 
 
+def _rotate(words: np.ndarray, j: int, m: int, L: int) -> np.ndarray:
+    """Each length-L word rotated left by j symbols: y'(i) = y(i + j mod L).
+
+    On little-endian indices this is index // m^j + (index % m^j) * m^(L-j);
+    j = 1 is one step of the naive shift.
+    """
+    return words // m**j + words % m**j * m ** (L - j)
+
+
+def _necklace_cycles(m: int, L: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cycles of the naive shift on length-L words, in canonical order.
+
+    The cycle through a word is its necklace, the set of its rotations, and
+    its period divides L.  L - 1 vectorized passes keep the words no larger
+    than their j-th rotation, which leaves the cycle heads (each necklace's
+    minimum, ascending); the divisors of L give each head's period; each
+    length class is then filled as a (heads, p) block whose column j is the
+    heads rotated by j.
+    """
+    heads = np.arange(m**L, dtype=np.int64)
+    for j in range(1, L):
+        heads = heads[heads <= _rotate(heads, j, m, L)]
+    period = np.full(heads.size, L, dtype=np.int64)
+    for d in sorted((d for d in range(1, L) if L % d == 0), reverse=True):
+        period[_rotate(heads, d, m, L) == heads] = d
+    order, lengths = [], []
+    for p in sorted(set(period.tolist()), reverse=True):
+        h = heads[period == p]
+        block = np.empty((h.size, p), dtype=np.int64)
+        for j in range(p):
+            block[:, j] = _rotate(h, j, m, L)
+        order.append(block.ravel())
+        lengths.append(np.full(h.size, p, dtype=np.int64))
+    return np.concatenate(order), np.concatenate(lengths)
+
+
 def build_bernoulli(m: int, N: int, mode: str = "debruijn") -> SymbolicSystem:
     """The naive cyclic index shift or the de Bruijn window successor.
 
@@ -218,11 +255,9 @@ def build_bernoulli(m: int, N: int, mode: str = "debruijn") -> SymbolicSystem:
     if m**L > 1 << 26:
         raise ValueError("word space exceeds the memory budget")
     if mode == "naive":
-        idx = np.arange(m**L, dtype=np.int64)
-        # left rotation of the word: y'(j) = y(j+1 mod L) in coordinates,
-        # i.e. index' = index // m + (index % m) * m^(L-1)
-        image = idx // m + (idx % m) * m ** (L - 1)
-        return SymbolicSystem(m=m, N=N, mode=mode, permutation=FinitePermutation(image))
+        order, lengths = _necklace_cycles(m, L)
+        return SymbolicSystem(m=m, N=N, mode=mode,
+                              permutation=FinitePermutation.from_cycle_order(order, lengths))
     if mode == "debruijn":
         s = debruijn_sequence(m, L)
         return SymbolicSystem(m=m, N=N, mode=mode,

@@ -171,6 +171,47 @@ def test_approx_metrics_report(tmp_path):
     assert rep["cycle_count"] == 1
 
 
+def test_seed_flag_overrides_config_seed(tmp_path):
+    payload = small_gamma_config()
+    payload["start_points"] = {"random": 2}
+    cfg = write_config(tmp_path, payload)
+    drawn = {}
+    for flag in (None, 1, 2):
+        out = tmp_path / f"seed{flag}"
+        argv = ["gamma", "--config", cfg, "--out", str(out)]
+        if flag is not None:
+            argv += ["--seed", str(flag)]
+        assert main(argv) == 0
+        meta = json.loads((out / "gamma_meta.json").read_text())
+        assert meta["seed"] == (0 if flag is None else flag)
+        drawn[flag] = meta["start_points"]
+    assert drawn[1] != drawn[2]
+
+
+def assert_config_error(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+
+
+def test_stab_n_min_above_scan_limit_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "system": {"name": "drift", "M": 100},
+        "observable": {"name": "linear"},
+        "stab": {"epsilon": 0.05, "eta": 0.1, "n_min": 50, "scan_limit": 20},
+    })
+    assert_config_error(capsys, ["stab", "--config", cfg, "--out", str(tmp_path / "o")])
+
+
+def test_approx_metrics_on_bernoulli_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "system": {"name": "bernoulli", "m": 2, "N": 2, "mode": "naive"},
+        "approx": {"mode": "metrics"},
+    })
+    assert_config_error(capsys, ["approx", "--config", cfg, "--out", str(tmp_path / "o")])
+
+
 def test_approx_pipeline_report(tmp_path):
     cfg = write_config(tmp_path, {
         "approx": {"mode": "pipeline", "M": 500,

@@ -1,0 +1,146 @@
+"""The orbit index: constructor-built cycle structure against the generic walk.
+
+Built-in systems hand their cycles to FinitePermutation.from_cycle_order;
+a permutation built from the bare image array finds them with the generic
+cycle walk.  Both must give the same index, and every kernel must give the
+same answer on a system and on a relabelled copy of it.
+"""
+
+import numpy as np
+import pytest
+
+from ergodia.dynamics import FinitePermutation, Observable, ergodic_means_prefix
+from ergodia.integrability import integrability_profile
+from ergodia.stabilization import means_at_horizon, stabilization_segment, sup_discrepancy
+from ergodia.systems import (
+    build_bernoulli,
+    build_drift_system,
+    build_rotation,
+    debruijn_sequence,
+    paper_observable,
+)
+
+
+def drift(M):
+    return build_drift_system(M)[0], np.roll(np.arange(M), -1)
+
+
+def rotation(M, t):
+    rot = build_rotation(M, t)
+    return rot.permutation, (np.arange(M) + rot.P) % M
+
+
+def naive(m, N):
+    L = 2 * N + 1
+    words = np.arange(m**L)
+    # left rotation of the word, as arithmetic on its little-endian index
+    return build_bernoulli(m, N, "naive").permutation, words // m + words % m * m ** (L - 1)
+
+
+def debruijn(m, N):
+    L = 2 * N + 1
+    s = debruijn_sequence(m, L)
+    windows = sum(np.roll(s, -j) * m**j for j in range(L))
+    image = np.empty(m**L, dtype=np.int64)
+    image[windows] = np.roll(windows, -1)
+    return build_bernoulli(m, N, "debruijn").permutation, image
+
+
+SYSTEMS = {
+    "drift": lambda: drift(1000),
+    # fig5: P = 22225 and M = 33334 share the factor 7, so 7 cycles
+    "rotation-fig5": lambda: rotation(33334, 2.0 / 3.0),
+    "rotation-coprime": lambda: rotation(1009, 0.3),
+    "debruijn": lambda: debruijn(2, 4),
+    "naive-prime-L": lambda: naive(2, 3),      # L = 7: periods 1 and 7
+    "naive-composite-L": lambda: naive(2, 4),  # L = 9: periods 1, 3 and 9
+    "naive-ternary": lambda: naive(3, 1),      # L = 3 over three symbols
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_constructor_index_equals_generic_walk(name):
+    T, image = SYSTEMS[name]()
+    assert np.array_equal(T.image, image)
+    walked = FinitePermutation(image)
+    assert T.orbit_index is not None and walked._index is None
+    walked._ensure_cycles()
+    built, ref = T.orbit_index, walked.orbit_index
+    assert len(T.cycles) == len(walked.cycles)
+    assert all(np.array_equal(a, b) for a, b in zip(T.cycles, walked.cycles))
+    for field in ("order", "starts", "lengths", "cycle_id", "pos"):
+        assert np.array_equal(getattr(built, field), getattr(ref, field)), field
+    for y in range(0, T.size, max(1, T.size // 50)):
+        assert T.period(y) == walked.period(y)
+
+
+def test_expected_cycle_counts():
+    assert len(SYSTEMS["rotation-fig5"]()[0].cycles) == 7
+    assert len(SYSTEMS["rotation-coprime"]()[0].cycles) == 1
+    T = SYSTEMS["naive-composite-L"]()[0]
+    assert sorted(set(len(c) for c in T.cycles)) == [1, 3, 9]
+    # binary necklaces of length 9: (2^9 + 2 * 2^3 + 6 * 2) / 9
+    assert len(T.cycles) == 60
+
+
+def test_rotation_permutation_is_cached():
+    rot = build_rotation(1000, 0.3)
+    assert rot.permutation is rot.permutation
+
+
+@pytest.mark.parametrize("order,lengths", [
+    ([0, 1, 1], [3]),              # not a permutation
+    ([0, 1, 2], [2]),              # lengths do not sum to M
+    ([0, 1, 2], [1, 2]),           # ascending lengths
+    ([1, 0, 2], [2, 1]),           # cycle does not start at its minimum
+    ([2, 0, 1], [1, 1, 1]),        # equal-length cycles out of order
+    ([0, 1, 2], [3, 0]),           # empty cycle
+])
+def test_from_cycle_order_rejects_non_canonical(order, lengths):
+    with pytest.raises(ValueError):
+        FinitePermutation.from_cycle_order(order, lengths)
+
+
+# -- metamorphic: relabelling Y changes no answer ---------------------------
+
+
+def relabel(F, T, sigma):
+    """(F o sigma^-1, sigma T sigma^-1) as plain arrays: the generic-walk path."""
+    image = np.empty(T.size, dtype=np.int64)
+    image[sigma] = sigma[T.image]
+    values = np.empty(T.size)
+    values[sigma] = F.values
+    return Observable.from_values(values), FinitePermutation(image)
+
+
+RELABELLED = {
+    "drift-ex03": lambda: (build_drift_system(600)[0], paper_observable("ex03", 600, K=50)),
+    "rotation-fig5-ex01": lambda: (build_rotation(33334, 2.0 / 3.0).permutation,
+                                   paper_observable("ex01", 33334)),
+    "debruijn-chi0": lambda: (build_bernoulli(2, 4, "debruijn").permutation,
+                              paper_observable("chi0", 512, N=4)),
+    "naive-chi0": lambda: (build_bernoulli(2, 4, "naive").permutation,
+                           paper_observable("chi0", 512, N=4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RELABELLED))
+def test_relabelling_preserves_means_discrepancies_segments_and_tails(name):
+    T, F = RELABELLED[name]()
+    sigma = np.random.default_rng(len(name)).permutation(T.size)
+    F2, T2 = relabel(F, T, sigma)
+    assert T2._index is None  # the relabelled copy takes the generic walk
+    for n in (1, 2, 7, T.size // 3, T.size + 5):
+        assert np.array_equal(means_at_horizon(F2, T2, n)[sigma], means_at_horizon(F, T, n))
+    K, L = T.size // 2 + 3, T.size // 5 + 1
+    rep, rep2 = sup_discrepancy(F, T, K, L), sup_discrepancy(F2, T2, K, L)
+    assert np.array_equal(rep2.diffs[sigma], rep.diffs)
+    assert rep2.sup_disc == rep.sup_disc
+    assert np.array_equal(integrability_profile(F2).tail_masses,
+                          integrability_profile(F).tail_masses)
+    for y in (0, 1, T.size // 2, T.size - 1):
+        assert np.array_equal(ergodic_means_prefix(F2, T2, int(sigma[y]), 300).means,
+                              ergodic_means_prefix(F, T, y, 300).means)
+        seg = stabilization_segment(F, T, y, 3, 0.05, 300)
+        seg2 = stabilization_segment(F2, T2, int(sigma[y]), 3, 0.05, 300)
+        assert (seg2.K_star, seg2.witness, seg2.capped) == (seg.K_star, seg.witness, seg.capped)

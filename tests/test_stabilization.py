@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ergodia.dynamics import FinitePermutation, Observable, ergodic_means_prefix
+from ergodia import stabilization
 from ergodia.rng import SplitMix64
 from ergodia.stabilization import (
     common_stabilization_segment,
@@ -15,6 +16,7 @@ from ergodia.stabilization import (
     stratified_start_points,
     sup_discrepancy,
 )
+from ergodia.systems import build_bernoulli
 
 
 def random_system(M, seed, lo=-50, hi=50):
@@ -39,6 +41,37 @@ def test_means_at_horizon_matches_prefix(M, seed, n):
     for y in {0, M // 2, M - 1}:
         expect = ergodic_means_prefix(F, T, y, n).mean_at(n)
         assert out[y] == pytest.approx(expect, abs=1e-9)
+
+
+def per_cycle_means(F, T, n):
+    """Reference: one cycle at a time, with the per-cycle arithmetic of the kernel."""
+    out = np.empty(T.size)
+    for cyc in T.cycles:
+        vals = F.values[cyc]
+        p = len(cyc)
+        q, r = divmod(n, p)
+        total = q * float(np.sum(vals))
+        window = np.zeros(p)
+        if r:
+            pref = np.concatenate([[0.0], np.cumsum(np.concatenate([vals, vals[:r]]))])
+            window = pref[r : r + p] - pref[:p]
+        out[cyc] = (total + window) / n
+    return out
+
+
+@pytest.mark.parametrize("chunk", [1, 7, stabilization.CHUNK_POINTS])
+def test_means_at_horizon_bitwise_equals_per_cycle_loop(monkeypatch, chunk):
+    # many equal-length cycles (necklaces of length 1, 3 and 9) and a
+    # non-integral observable; chunk = 1 and 7 split length classes into
+    # one-row and several-row chunks
+    monkeypatch.setattr(stabilization, "CHUNK_POINTS", chunk)
+    T = build_bernoulli(2, 4, "naive").permutation
+    F = Observable.from_values(np.random.default_rng(5).standard_normal(T.size))
+    for n in (1, 2, 3, 8, 9, 10, 31, 1000):
+        assert np.array_equal(means_at_horizon(F, T, n), per_cycle_means(F, T, n))
+    F, T = random_system(300, 17)
+    for n in (1, 5, 299, 1234):
+        assert np.array_equal(means_at_horizon(F, T, n), per_cycle_means(F, T, n))
 
 
 def test_means_at_horizon_beyond_period():
@@ -200,6 +233,10 @@ def test_common_segment_validation():
         common_stabilization_segment(F, T, 1, 0.1, 0.0, 5, [0])
     with pytest.raises(ValueError):
         common_stabilization_segment(F, T, 1, 0.1, 0.5, 5, [])
+    # the same n_min / epsilon / scan_limit checks as the per-point segment
+    for n_min, eps, scan_limit in [(0, 0.1, 5), (1, 0.0, 5), (6, 0.1, 5)]:
+        with pytest.raises(ValueError):
+            common_stabilization_segment(F, T, n_min, eps, 0.5, scan_limit, [0, 1])
 
 
 # -- reference profile and sampling ----------------------------------------
