@@ -69,26 +69,31 @@ def _load_config(path: str) -> dict:
 def _build_system(spec: dict):
     """Returns (permutation, embedding-or-None, meta dict)."""
     name = spec.get("name")
-    if name == "drift":
-        M = int(spec["M"])
-        T, emb = build_drift_system(M)
-        return T, emb, {"system": "drift", "M": M}
-    if name == "rotation":
-        M = int(spec["M"])
-        t = spec["t"]
-        if t == "1/sqrt2":
-            t = float(1.0 / np.sqrt(2.0))
-        elif t == "2/3":
-            t = 2.0 / 3.0
-        rot = build_rotation(M, float(t))
-        return rot.permutation, rot.embedding, {
-            "system": "rotation", "M": M, "P": rot.P, "t": rot.t, "defect": rot.defect,
-        }
-    if name == "bernoulli":
-        sys_ = build_bernoulli(int(spec["m"]), int(spec["N"]), spec.get("mode", "debruijn"))
-        return sys_.permutation, sys_.embedding, {
-            "system": "bernoulli", "m": sys_.m, "N": sys_.N, "mode": sys_.mode, "M": sys_.M,
-        }
+    try:
+        if name == "drift":
+            M = int(spec["M"])
+            T, emb = build_drift_system(M)
+            return T, emb, {"system": "drift", "M": M}
+        if name == "rotation":
+            M = int(spec["M"])
+            t = spec["t"]
+            if t == "1/sqrt2":
+                t = float(1.0 / np.sqrt(2.0))
+            elif t == "2/3":
+                t = 2.0 / 3.0
+            rot = build_rotation(M, float(t))
+            return rot.permutation, rot.embedding, {
+                "system": "rotation", "M": M, "P": rot.P, "t": rot.t, "defect": rot.defect,
+            }
+        if name == "bernoulli":
+            sys_ = build_bernoulli(int(spec["m"]), int(spec["N"]), spec.get("mode", "debruijn"))
+            return sys_.permutation, sys_.embedding, {
+                "system": "bernoulli", "m": sys_.m, "N": sys_.N, "mode": sys_.mode, "M": sys_.M,
+            }
+    except KeyError as e:
+        raise ConfigError(f"bad system spec: missing {e}") from e
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"bad system spec: {e}") from e
     raise ConfigError(f"unknown system {name!r}")
 
 
@@ -130,11 +135,23 @@ def _thread_count(args) -> int:
 # -- output writers --------------------------------------------------------
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+# rows formatted and written per call, so the text in memory stays small
+WRITE_CHUNK_ROWS = 8192
+
+
+def _write_csv(path: Path, header: list[str], rows: np.ndarray) -> None:
+    """rows: a 2-d array, its first column integer-valued, the rest floats.
+
+    Bytes as _fmt writes each value; "%.12g" and format(x, ".12g") share
+    one float-to-string routine.
+    """
+    line = "%d" + ",%.12g" * (rows.shape[1] - 1) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for first in range(0, len(rows), WRITE_CHUNK_ROWS):
+            chunk = rows[first : first + WRITE_CHUNK_ROWS]
+            cols = [chunk[:, 0].astype(np.int64).tolist()] + [c.tolist() for c in chunk.T[1:]]
+            fh.write("".join(map(line.__mod__, zip(*cols))))
 
 
 def _write_json(path: Path, obj) -> None:
@@ -149,12 +166,6 @@ def _write_svg(path: Path, points: np.ndarray, k: float, title: str, timestamp: 
     if yhi - ylo < 1e-12:
         ylo, yhi = ylo - 0.5, yhi + 0.5
     span = yhi - ylo
-
-    def sx(x):
-        return pad + (x / k) * (width - 2 * pad)
-
-    def sy(y):
-        return height - pad - ((y - ylo) / span) * (height - 2 * pad)
 
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">']
     if timestamp:
@@ -171,10 +182,16 @@ def _write_svg(path: Path, points: np.ndarray, k: float, title: str, timestamp: 
     parts.append(f'<text x="{width - pad}" y="{height - pad + 20}" font-size="11">{_fmt(k)}</text>')
     parts.append(f'<text x="4" y="{height - pad}" font-size="11">{_fmt(ylo)}</text>')
     parts.append(f'<text x="4" y="{pad}" font-size="11">{_fmt(yhi)}</text>')
-    for x, y in zip(points[:, 1], ys):
-        parts.append(f'<circle cx="{_fmt(sx(x))}" cy="{_fmt(sy(float(y)))}" r="1.2" fill="navy"/>')
-    parts.append("</svg>")
-    path.write_text("\n".join(parts) + "\n", encoding="utf-8")
+    circle = '<circle cx="%.12g" cy="%.12g" r="1.2" fill="navy"/>\n'
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(parts) + "\n")
+        for first in range(0, len(points), WRITE_CHUNK_ROWS):
+            chunk = points[first : first + WRITE_CHUNK_ROWS]
+            # the plot transform, elementwise in the same IEEE operations per point
+            cx = pad + (chunk[:, 1] / k) * (width - 2 * pad)
+            cy = (height - pad) - ((chunk[:, 2] - ylo) / span) * (height - 2 * pad)
+            fh.write("".join(map(circle.__mod__, zip(cx.tolist(), cy.tolist()))))
+        fh.write("</svg>\n")
 
 
 # -- subcommands -----------------------------------------------------------
@@ -186,25 +203,29 @@ def cmd_gamma(config: dict, args) -> int:
     seed = _seed(config, args)
     starts = _resolve_start_points(config.get("start_points", {}), T.size, seed)
     gspec = config.get("gamma", {})
-    k = float(gspec.get("k", 1.0))
     stride = gspec.get("stride")
+    workers = _thread_count(args)
+    # the library checks k and stride; a ValueError from it is a bad gamma spec
+    try:
+        k = float(gspec.get("k", 1.0))
+
+        def run_one(y: int):
+            return y, gamma_series(F, T, y, k, stride)
+
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(run_one, starts))
+        else:
+            results = [run_one(y) for y in starts]
+    except ValueError as e:
+        raise ConfigError(f"bad gamma spec: {e}") from e
+
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    def run_one(y: int):
-        return y, gamma_series(F, T, y, k, stride)
-
-    workers = _thread_count(args)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_one, starts))
-    else:
-        results = [run_one(y) for y in starts]
-
     for y, (points, used_stride) in results:
         base = out / f"gamma_{F.name.replace('/', '_')}_y{y}"
-        _write_csv(base.with_suffix(".csv"), ["n", "n_over_M", "mean"],
-                   ((int(n), float(x), float(a)) for n, x, a in points))
+        _write_csv(base.with_suffix(".csv"), ["n", "n_over_M", "mean"], points)
         if args.svg:
             _write_svg(base.with_suffix(".svg"), points, k,
                        f"Gamma series, y={y}, stride={used_stride}", timestamp=not args.no_timestamp)

@@ -215,11 +215,25 @@ class FinitePermutation:
         return int(index.lengths[index.cycle_id[y]])
 
     def trajectory(self, y: int, n: int) -> np.ndarray:
-        """[y, T(y), ..., T^{n-1}(y)] in O(n) via the memoized cycle order."""
+        """[y, T(y), ..., T^{n-1}(y)] in O(n) via the memoized cycle order.
+
+        One period from y is copied out of the cycle, then repeated by
+        doubling copies, so there is no per-step index arithmetic and no
+        temporary beside the result.
+        """
         if not 0 <= y < self.size:
             raise IndexError(f"start point {y} out of range for size {self.size}")
         cyc, pos = self.cycle_of(y)
-        return cyc[(pos + np.arange(n, dtype=np.int64)) % len(cyc)]
+        out = np.empty(n, dtype=np.int64)
+        filled = min(n, cyc.size)
+        head = cyc[pos : pos + filled]
+        out[: head.size] = head
+        out[head.size : filled] = cyc[: filled - head.size]
+        while filled < n:
+            step = min(filled, n - filled)
+            out[filled : filled + step] = out[:step]
+            filled += step
+        return out
 
 
 def _is_permutation(image: np.ndarray) -> bool:
@@ -234,14 +248,12 @@ class Observable:
     """A real-valued function F on {0, ..., M-1}.
 
     Stored densely as float64; an optional exact rule gives Fraction values
-    for rational-arithmetic evaluation, and an optional closed-form `rule`
-    mirrors the dense values (test hook: both must agree pointwise).
+    for rational-arithmetic evaluation.
     """
 
     size: int
     values: np.ndarray
     name: str = "observable"
-    rule: Callable[[int], float] | None = field(default=None, compare=False)
     exact_rule: Callable[[int], Fraction] | None = field(default=None, compare=False)
 
     def __post_init__(self):
@@ -260,7 +272,7 @@ class Observable:
     def from_rule(cls, size: int, rule: Callable[[int], float], name: str,
                   exact_rule: Callable[[int], Fraction] | None = None) -> "Observable":
         values = np.fromiter((rule(y) for y in range(size)), dtype=np.float64, count=size)
-        return cls(size=size, values=values, name=name, rule=rule, exact_rule=exact_rule)
+        return cls(size=size, values=values, name=name, exact_rule=exact_rule)
 
     def __call__(self, y: int) -> float:
         return float(self.values[y])
@@ -378,7 +390,9 @@ def gamma_series(
 
     Returns (array of shape (count, 3) with columns [n, n/M, A_n], stride).
     The default stride caps the output at ~1e5 points; the stride actually
-    used is returned so output metadata can record it.
+    used is returned so output metadata can record it.  Only the prefix sums
+    run over all n_total steps; the means are divided out at the stride
+    points alone, each as the same quotient ergodic_means_prefix forms.
     """
     M = T.size
     n_total = int(np.floor(k * M))
@@ -388,7 +402,8 @@ def gamma_series(
         stride = max(1, n_total // 100_000)
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    series = ergodic_means_prefix(F, T, y, n_total)
+    sums = F.values[T.trajectory(y, n_total)]
+    np.cumsum(sums, out=sums)
     ns = np.arange(stride, n_total + 1, stride, dtype=np.int64)
-    points = np.column_stack([ns.astype(np.float64), ns / M, series.means[ns - 1]])
+    points = np.column_stack([ns.astype(np.float64), ns / M, sums[ns - 1] / ns])
     return points, stride

@@ -90,7 +90,26 @@ class StabilizationSegment:
 CHUNK_POINTS = 1 << 16
 
 
-def means_at_horizon(F: Observable, T: FinitePermutation, n: int) -> np.ndarray:
+def _row_means(F: Observable, cyc: np.ndarray, n: int) -> np.ndarray:
+    """A_n at every point of cyc, a (rows, p) block of whole cycles."""
+    p = cyc.shape[1]
+    q, r = divmod(n, p)
+    vals = F.values[cyc]
+    total = q * vals.sum(axis=1, keepdims=True)
+    window = 0.0
+    if r:
+        pref = np.zeros((vals.shape[0], p + r + 1))
+        np.cumsum(np.concatenate([vals, vals[:, :r]], axis=1), axis=1, out=pref[:, 1:])
+        window = pref[:, r : r + p] - pref[:, :p]
+    return np.broadcast_to((total + window) / n, vals.shape)
+
+
+def means_at_horizon(
+    F: Observable,
+    T: FinitePermutation,
+    n: int,
+    points: Sequence[int] | np.ndarray | None = None,
+) -> np.ndarray:
     """A_n(F, T, y) for every y, in O(M) total via per-cycle window sums.
 
     The window of length n along a cycle of length p contributes
@@ -98,25 +117,33 @@ def means_at_horizon(F: Observable, T: FinitePermutation, n: int) -> np.ndarray:
     Equal-length cycles are contiguous in the orbit index, so each length
     class is handled as (cycles, p) rows, a chunk of rows at a time; every
     row gets the same arithmetic as a lone cycle would.
+
+    With points given, only the cycles holding them are processed and
+    A_n at those points is returned, in their order; each value is
+    bitwise the one the full call gives.
     """
     if n < 1:
         raise ValueError("horizon must be >= 1")
     index = T.orbit_index
     out = np.empty(T.size, dtype=np.float64)
-    for offset, count, p in index.length_classes():
-        q, r = divmod(n, p)
+    if points is None:
+        for offset, count, p in index.length_classes():
+            rows = max(1, CHUNK_POINTS // p)
+            for first in range(0, count, rows):
+                cyc = index.order[offset + first * p : offset + min(count, first + rows) * p]
+                cyc = cyc.reshape(-1, p)
+                out[cyc] = _row_means(F, cyc, n)
+        return out
+    points = np.asarray(points, dtype=np.int64)
+    cycles = np.unique(index.cycle_id[points])
+    lengths = index.lengths[cycles]
+    for p in np.unique(lengths).tolist():
+        heads = index.starts[cycles[lengths == p]]
         rows = max(1, CHUNK_POINTS // p)
-        for first in range(0, count, rows):
-            cyc = index.order[offset + first * p : offset + min(count, first + rows) * p]
-            vals = F.values[cyc].reshape(-1, p)
-            total = q * vals.sum(axis=1, keepdims=True)
-            window = 0.0
-            if r:
-                pref = np.zeros((vals.shape[0], p + r + 1))
-                np.cumsum(np.concatenate([vals, vals[:, :r]], axis=1), axis=1, out=pref[:, 1:])
-                window = pref[:, r : r + p] - pref[:, :p]
-            out[cyc] = np.broadcast_to((total + window) / n, vals.shape).ravel()
-    return out
+        for first in range(0, heads.size, rows):
+            cyc = index.order[heads[first : first + rows, None] + np.arange(p)]
+            out[cyc] = _row_means(F, cyc, n)
+    return out[points]
 
 
 def sup_discrepancy(
@@ -136,10 +163,10 @@ def sup_discrepancy(
         sample = stratified_start_points(T.size, strata=min(T.size, 32), extras=0, seed=0)
     sample = np.asarray(sample, dtype=np.int64)
     absF = Observable.from_values(np.abs(F.values), name=f"abs({F.name})")
-    absL = means_at_horizon(absF, T, L)  # (1/L) sum_{k<L} |F(T^k y)|
-    absK = means_at_horizon(absF, T, K)
-    u = (1.0 / L - 1.0 / K) * absL[sample] * L
-    v = absK[sample] - absL[sample] * L / K  # (1/K) sum_{k=L}^{K-1} |F|
+    absL = means_at_horizon(absF, T, L, points=sample)  # (1/L) sum_{k<L} |F(T^k y)|
+    absK = means_at_horizon(absF, T, K, points=sample)
+    u = (1.0 / L - 1.0 / K) * absL * L
+    v = absK - absL * L / K  # (1/K) sum_{k=L}^{K-1} |F|
     return DiscrepancyReport(
         K=K,
         L=L,

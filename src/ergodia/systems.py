@@ -274,6 +274,13 @@ def tent_function(x: float) -> float:
     return 10.0 * x / 9.0 if x < 0.9 else 10.0 * (1.0 - x)
 
 
+def _int_param(value, key: str, minimum: int) -> int:
+    """value as an int >= minimum; integral floats such as 10.0 pass."""
+    if value != int(value) or value < minimum:
+        raise ValueError(f"{key} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
 def paper_observable(name: str, M: int, **params) -> Observable:
     """The named closed-form observable on {0, ..., M-1}.
 
@@ -281,58 +288,76 @@ def paper_observable(name: str, M: int, **params) -> Observable:
     "ex03" (alternating 0/1 blocks of length K, needs K), "linear" (y/M),
     "tent" (tent_function at y/M), "chi0" (symbolic: 1 iff the symbol at
     position 0 is 1, needs N), "constant" (needs value).
+
+    The values are written with numpy, in place, so the only M-sized array
+    is the values array itself; each value is the same IEEE expression as
+    the closed form evaluated at one point.
     """
     if name == "ex01":
-        def rule(y):
-            return float(M) if y % 2 == 0 else -float(M)
-
-        return Observable.from_rule(M, rule, name="ex01",
-                                    exact_rule=lambda y: Fraction(M if y % 2 == 0 else -M))
+        vals = np.empty(M)
+        vals[0::2] = M
+        vals[1::2] = -M
+        return Observable(M, vals, name="ex01",
+                          exact_rule=lambda y: Fraction(M if y % 2 == 0 else -M))
     if name == "delta":
-        return Observable.from_rule(M, lambda y: float(M) if y == 0 else 0.0, name="delta",
-                                    exact_rule=lambda y: Fraction(M if y == 0 else 0))
+        vals = np.zeros(M)
+        vals[0] = M
+        return Observable(M, vals, name="delta",
+                          exact_rule=lambda y: Fraction(M if y == 0 else 0))
     if name == "ex03":
         K = params.get("K")
         if K is None:
             raise ValueError("ex03 needs the block length K")
-        # R is floor(M/K) rounded down to even; blocks at m >= R are zero
-        R = (M // K) // 2 * 2
+        k = _int_param(K, "K", 1)
+        # R is floor(M/K) rounded down to even; blocks at m >= R are zero,
+        # and below R each pair of blocks is K ones then K zeros
+        R = (M // k) // 2 * 2
+        vals = np.zeros(M)
+        vals[: R * k].reshape(-1, 2 * k)[:, :k] = 1.0
 
-        def rule(y):
-            blk = y // K
-            return 1.0 if blk < R and blk % 2 == 0 else 0.0
+        def exact_ex03(y):
+            blk = y // k
+            return Fraction(int(blk < R and blk % 2 == 0))
 
-        return Observable.from_rule(M, rule, name=f"ex03(K={K})",
-                                    exact_rule=lambda y: Fraction(int(rule(y))))
+        return Observable(M, vals, name=f"ex03(K={K})", exact_rule=exact_ex03)
     if name == "linear":
-        return Observable.from_rule(M, lambda y: y / M, name="linear",
-                                    exact_rule=lambda y: Fraction(y, M))
+        vals = np.arange(M, dtype=np.float64)
+        vals /= M
+        return Observable(M, vals, name="linear", exact_rule=lambda y: Fraction(y, M))
     if name == "tent":
         def exact_tent(y):
             x = Fraction(y, M)
             return Fraction(10, 9) * x if x < Fraction(9, 10) else 10 * (1 - x)
 
-        return Observable.from_rule(M, lambda y: tent_function(y / M), name="tent",
-                                    exact_rule=exact_tent)
+        vals = np.arange(M, dtype=np.float64)
+        vals /= M
+        split = int(np.searchsorted(vals, 0.9))
+        lo, hi = vals[:split], vals[split:]
+        lo *= 10.0
+        lo /= 9.0
+        np.subtract(1.0, hi, out=hi)
+        hi *= 10.0
+        return Observable(M, vals, name="tent", exact_rule=exact_tent)
     if name == "chi0":
         N = params.get("N")
-        m = params.get("m", 2)
         if N is None:
             raise ValueError("chi0 needs the half-window N")
+        N = _int_param(N, "N", 0)
+        m = _int_param(params.get("m", 2), "m", 2)
         L = 2 * N + 1
         if M != m**L:
             raise ValueError(f"chi0 expects M = {m}^{L}")
-        # symbol at position 0 is digit N of the little-endian index
-        def rule(y):
-            return 1.0 if (y // m**N) % m == 1 else 0.0
-
-        return Observable.from_rule(M, rule, name="chi0",
-                                    exact_rule=lambda y: Fraction(int(rule(y))))
+        # the symbol at position 0 is digit N of the little-endian index:
+        # y = (a*m + d)*m^N + b with d that digit
+        vals = np.zeros(M)
+        vals.reshape(-1, m, m**N)[:, 1, :] = 1.0
+        return Observable(M, vals, name="chi0",
+                          exact_rule=lambda y: Fraction(int((y // m**N) % m == 1)))
     if name == "constant":
         c = params.get("value")
         if c is None:
             raise ValueError("constant needs a value")
-        return Observable.from_rule(M, lambda y: float(c), name=f"constant({c})")
+        return Observable(M, np.full(M, float(c)), name=f"constant({c})")
     raise ValueError(f"unknown observable {name!r}")
 
 

@@ -212,6 +212,25 @@ def test_approx_metrics_on_bernoulli_is_config_error(tmp_path, capsys):
     assert_config_error(capsys, ["approx", "--config", cfg, "--out", str(tmp_path / "o")])
 
 
+@pytest.mark.parametrize("section,spec", [
+    ("gamma", {"k": 0}),
+    ("gamma", {"k": 1.0, "stride": 0}),
+    ("system", {"name": "drift"}),
+    ("system", {"name": "rotation", "t": "2/3"}),
+    ("system", {"name": "bernoulli", "N": 2, "mode": "naive"}),
+    ("system", {"name": "bernoulli", "m": 2, "mode": "naive"}),
+    ("observable", {"name": "ex03", "K": 0}),
+], ids=["k-zero", "stride-zero", "drift-no-M", "rotation-no-M", "bernoulli-no-m",
+        "bernoulli-no-N", "ex03-K-zero"])
+def test_malformed_gamma_config_is_config_error(tmp_path, capsys, section, spec):
+    payload = small_gamma_config()
+    payload[section] = spec
+    if section == "system":
+        payload["observable"] = {"name": "constant", "value": 1.0}
+    cfg = write_config(tmp_path, payload)
+    assert_config_error(capsys, ["gamma", "--config", cfg, "--out", str(tmp_path / "o")])
+
+
 def test_approx_pipeline_report(tmp_path):
     cfg = write_config(tmp_path, {
         "approx": {"mode": "pipeline", "M": 500,

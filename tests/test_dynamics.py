@@ -94,6 +94,16 @@ def test_trajectory_wraps():
     assert T.trajectory(1, 7).tolist() == [1, 2, 0, 1, 2, 0, 1]
 
 
+def test_trajectory_equals_modular_index():
+    # fixed points, short and long cycles; horizons below, at and far past the period
+    T = FinitePermutation.from_cycles([[0, 5, 3, 8, 1], [2, 7], [4, 9, 6, 10, 11, 12, 13]], size=15)
+    for y in range(T.size):
+        cyc, pos = T.cycle_of(y)
+        for n in (0, 1, 2, 4, 5, 6, 7, 33, 1000):
+            expect = cyc[(pos + np.arange(n)) % len(cyc)]
+            assert T.trajectory(y, n).tolist() == expect.tolist()
+
+
 def test_out_of_range_start_rejected():
     T = FinitePermutation.identity(4)
     with pytest.raises(IndexError):
@@ -203,6 +213,31 @@ def test_gamma_series_k_beyond_one():
     pts, _ = gamma_series(F, T, 3, 2.0)
     assert pts[-1, 0] == 100
     assert pts[-1, 1] == pytest.approx(2.0)
+
+
+def test_gamma_series_bitwise_equals_prefix_means():
+    # the means at the stride points are the quotients ergodic_means_prefix forms
+    from ergodia.systems import build_bernoulli, build_rotation
+
+    rng = np.random.default_rng(4)
+    cases = [(build_rotation(1000, 2.0 / 3.0, coprime_required=False).permutation, 3),
+             (build_bernoulli(2, 3, "naive").permutation, 5), (random_permutation(500, 9), 0)]
+    for T, y in cases:
+        F = Observable.from_values(rng.standard_normal(T.size) * 1e3)
+        for k, stride in ((1.0, None), (2.7, 7), (0.5, 1)):
+            pts, stride = gamma_series(F, T, y, k, stride)
+            n_total = int(np.floor(k * T.size))
+            ns = np.arange(stride, n_total + 1, stride)
+            means = ergodic_means_prefix(F, T, y, n_total).means
+            assert pts[:, 0].tolist() == ns.tolist()
+            assert pts[:, 2].tobytes() == means[ns - 1].tobytes()
+
+
+def test_gamma_series_rejects_out_of_range_start():
+    T = FinitePermutation.identity(10)
+    F = Observable.from_values(np.zeros(10))
+    with pytest.raises(IndexError):
+        gamma_series(F, T, 10, 1.0)
 
 
 def test_gamma_series_rejects_empty():

@@ -74,6 +74,36 @@ def test_means_at_horizon_bitwise_equals_per_cycle_loop(monkeypatch, chunk):
         assert np.array_equal(means_at_horizon(F, T, n), per_cycle_means(F, T, n))
 
 
+@pytest.mark.parametrize("chunk", [1, 7, stabilization.CHUNK_POINTS])
+def test_means_at_horizon_on_points_bitwise_equals_full_call(monkeypatch, chunk):
+    monkeypatch.setattr(stabilization, "CHUNK_POINTS", chunk)
+    rng = np.random.default_rng(11)
+    systems = [build_bernoulli(2, 4, "naive").permutation, build_bernoulli(3, 2, "naive").permutation,
+               random_system(300, 17)[1], FinitePermutation.from_cycles([[0, 1], [2, 3, 4]], size=7)]
+    for T in systems:
+        F = Observable.from_values(rng.standard_normal(T.size))
+        # duplicates, unsorted order, several points on one cycle, and every point
+        samples = [rng.integers(0, T.size, 12), [T.size - 1, 0, 0, T.size - 1], np.arange(T.size)]
+        for n in (1, 2, 3, 9, 10, 299, 1234):
+            full = means_at_horizon(F, T, n)
+            for S in samples:
+                got = means_at_horizon(F, T, n, points=S)
+                assert got.shape == (len(S),)
+                assert got.tobytes() == full[np.asarray(S)].tobytes()
+
+
+def test_sup_discrepancy_bounds_equal_full_horizon_means():
+    T = build_bernoulli(2, 4, "naive").permutation
+    F = Observable.from_values(np.random.default_rng(2).standard_normal(T.size))
+    K, L = 40, 17
+    rep = sup_discrepancy(F, T, K, L)
+    absF = Observable.from_values(np.abs(F.values))
+    absL = means_at_horizon(absF, T, L)[rep.sample_points]
+    absK = means_at_horizon(absF, T, K)[rep.sample_points]
+    assert rep.u_bounds.tobytes() == ((1.0 / L - 1.0 / K) * absL * L).tobytes()
+    assert rep.v_bounds.tobytes() == (absK - absL * L / K).tobytes()
+
+
 def test_means_at_horizon_beyond_period():
     # horizon spanning the cycle many times collapses to the orbit average
     T = FinitePermutation.from_cycles([[0, 1], [2, 3, 4]], size=5)

@@ -225,6 +225,80 @@ def test_observable_validation():
         paper_observable("chi0", 100, N=1)
     with pytest.raises(ValueError):
         paper_observable("nope", 10)
+    with pytest.raises(ValueError):
+        paper_observable("ex03", 100, K=0)
+    with pytest.raises(ValueError):
+        paper_observable("ex03", 100, K=2.5)
+    with pytest.raises(ValueError):
+        paper_observable("chi0", 1, N=1, m=1)
+
+
+def point_rule(name, M, **params):
+    """The closed form of each paper observable, one Python call per point.
+
+    This is how the values were once built (Observable.from_rule); it is
+    kept here as the oracle for the array construction in paper_observable.
+    """
+    if name == "ex01":
+        return lambda y: float(M) if y % 2 == 0 else -float(M)
+    if name == "delta":
+        return lambda y: float(M) if y == 0 else 0.0
+    if name == "ex03":
+        K = params["K"]
+        R = (M // K) // 2 * 2
+
+        def rule(y):
+            blk = y // K
+            return 1.0 if blk < R and blk % 2 == 0 else 0.0
+
+        return rule
+    if name == "linear":
+        return lambda y: y / M
+    if name == "tent":
+        return lambda y: tent_function(y / M)
+    if name == "chi0":
+        N, m = params["N"], params.get("m", 2)
+        return lambda y: 1.0 if (y // m**N) % m == 1 else 0.0
+    if name == "constant":
+        return lambda y: float(params["value"])
+    raise ValueError(name)
+
+
+@pytest.mark.parametrize("name,M,params", [
+    ("ex01", 6, {}), ("ex01", 7, {}), ("ex01", 1, {}),
+    ("delta", 5, {}), ("delta", 1, {}),
+    ("ex03", 100, {"K": 10}), ("ex03", 95, {"K": 10}),  # M a multiple of 2K, and not
+    ("ex03", 15, {"K": 10}), ("ex03", 25, {"K": 10}),  # M < 2K, and 2K < M < 4K
+    ("ex03", 100_003, {"K": 1000}), ("ex03", 40, {"K": 10.0}),
+    ("linear", 1000, {}), ("linear", 33_334, {}),
+    ("tent", 10, {}), ("tent", 33_334, {}), ("tent", 1_000_003, {}),
+    ("chi0", 2**3, {"N": 1}), ("chi0", 2**9, {"N": 4}), ("chi0", 3**5, {"N": 2, "m": 3}),
+    ("constant", 7, {"value": 0.1}),
+])
+def test_paper_observable_bitwise_equals_point_rule(name, M, params):
+    F = paper_observable(name, M, **params)
+    rule = point_rule(name, M, **params)
+    expect = np.fromiter((rule(y) for y in range(M)), dtype=np.float64, count=M)
+    assert F.values.dtype == np.float64 and F.values.shape == (M,)
+    assert F.values.tobytes() == expect.tobytes()
+
+
+def test_tent_branches_meet_at_the_split():
+    # y/M = 0.9 exactly at M = 10: the point takes the 10(1-x) branch
+    F = paper_observable("tent", 10)
+    assert F(8) == 10.0 * 0.8 / 9.0
+    assert F(9) == 10.0 * (1.0 - 0.9)
+    assert F.exact(9) == Fraction(1)
+
+
+@pytest.mark.parametrize("name,M,params", [
+    ("ex01", 7, {}), ("delta", 5, {}), ("ex03", 95, {"K": 10}), ("linear", 90, {}),
+    ("tent", 90, {}), ("chi0", 3**3, {"N": 1, "m": 3}),
+])
+def test_exact_rules_agree_with_values(name, M, params):
+    F = paper_observable(name, M, **params)
+    assert [F.exact(y) for y in range(M)] == [Fraction(v).limit_denominator(9 * M)
+                                             for v in F.values.tolist()]
 
 
 # -- helpers ---------------------------------------------------------------

@@ -1,0 +1,102 @@
+"""The chunked CSV/SVG writers against the per-row writers they replace."""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from ergodia import cli
+from ergodia.cli import _fmt, _write_csv, _write_svg
+
+
+def per_row_csv(path: Path, header, points) -> None:
+    """One Python format call per value, as the gamma CSV was once written."""
+    lines = [",".join(header)]
+    for row in ((int(n), float(x), float(a)) for n, x, a in points):
+        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+
+
+def per_point_svg(path: Path, points, k, title) -> None:
+    """The untimestamped scatter plot, one <circle> formatted per point, as once written."""
+    width, height, pad = 640, 480, 50
+    ys = points[:, 2]
+    ylo, yhi = float(np.min(ys)), float(np.max(ys))
+    if yhi - ylo < 1e-12:
+        ylo, yhi = ylo - 0.5, yhi + 0.5
+    span = yhi - ylo
+
+    def sx(x):
+        return pad + (x / k) * (width - 2 * pad)
+
+    def sy(y):
+        return height - pad - ((y - ylo) / span) * (height - 2 * pad)
+
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">']
+    parts.append(f'<rect width="{width}" height="{height}" fill="white"/>')
+    parts.append(
+        f'<line x1="{pad}" y1="{height - pad}" x2="{width - pad}" y2="{height - pad}" stroke="black"/>'
+        f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{height - pad}" stroke="black"/>'
+    )
+    parts.append(f'<text x="{width // 2}" y="20" text-anchor="middle" font-size="14">{title}</text>')
+    parts.append(f'<text x="{pad}" y="{height - pad + 20}" font-size="11">0</text>')
+    parts.append(f'<text x="{width - pad}" y="{height - pad + 20}" font-size="11">{_fmt(k)}</text>')
+    parts.append(f'<text x="4" y="{height - pad}" font-size="11">{_fmt(ylo)}</text>')
+    parts.append(f'<text x="4" y="{pad}" font-size="11">{_fmt(yhi)}</text>')
+    for x, y in zip(points[:, 1], ys):
+        parts.append(f'<circle cx="{_fmt(sx(x))}" cy="{_fmt(sy(float(y)))}" r="1.2" fill="navy"/>')
+    parts.append("</svg>")
+    path.write_text("\n".join(parts) + "\n", encoding="utf-8")
+
+
+def gamma_points(count: int, M: int, seed: int) -> np.ndarray:
+    """Rows (n, n/M, mean) whose means span signs and many magnitudes."""
+    rng = np.random.default_rng(seed)
+    ns = np.arange(1, count + 1, dtype=np.int64) * 3
+    means = rng.standard_normal(count) * 10.0 ** rng.integers(-12, 18, count)
+    specials = [-0.0, 0.0, 1e-7, -1e-7, 1e17, -1e17, 0.1, 1.0 / 3.0, 5e-324, 123456789012.5]
+    means[: min(count, len(specials))] = specials[:count]
+    means[count // 2] = -0.0
+    return np.column_stack([ns.astype(np.float64), ns / M, means])
+
+
+@pytest.mark.parametrize("count", [1, 3, 8192, 20_000])
+def test_csv_bytes_equal_the_per_row_writer(tmp_path, count):
+    points = gamma_points(count, 7919, count)
+    header = ["n", "n_over_M", "mean"]
+    _write_csv(tmp_path / "new.csv", header, points)
+    per_row_csv(tmp_path / "old.csv", header, points)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_csv_chunk_size_does_not_change_bytes(tmp_path, monkeypatch):
+    points = gamma_points(1000, 33_334, 1)
+    header = ["n", "n_over_M", "mean"]
+    per_row_csv(tmp_path / "old.csv", header, points)
+    for rows in (1, 7, 999, 1000):
+        monkeypatch.setattr(cli, "WRITE_CHUNK_ROWS", rows)
+        _write_csv(tmp_path / f"new{rows}.csv", header, points)
+        assert (tmp_path / f"new{rows}.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_csv_of_no_rows_is_the_header(tmp_path):
+    _write_csv(tmp_path / "e.csv", ["n", "n_over_M", "mean"], np.empty((0, 3)))
+    assert (tmp_path / "e.csv").read_bytes() == b"n,n_over_M,mean\n"
+
+
+@pytest.mark.parametrize("count,k", [(1, 1.0), (20_000, 1.0), (9000, 2.5)])
+def test_svg_bytes_equal_the_per_point_writer(tmp_path, count, k):
+    points = gamma_points(count, 1000, 100 + count)
+    points[:, 1] *= k * 1000 / points[-1, 0]  # abscissae up to k
+    _write_svg(tmp_path / "new.svg", points, k, "Gamma series, y=3, stride=1", timestamp=False)
+    per_point_svg(tmp_path / "old.svg", points, k, "Gamma series, y=3, stride=1")
+    assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "old.svg").read_bytes()
+
+
+def test_svg_of_a_flat_series(tmp_path, monkeypatch):
+    # equal means widen the y range by 1/2 either side
+    monkeypatch.setattr(cli, "WRITE_CHUNK_ROWS", 4)
+    points = np.column_stack([np.arange(1.0, 11.0), np.arange(1, 11) / 10, np.full(10, -0.0)])
+    _write_svg(tmp_path / "new.svg", points, 1.0, "flat", timestamp=False)
+    per_point_svg(tmp_path / "old.svg", points, 1.0, "flat")
+    assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "old.svg").read_bytes()
