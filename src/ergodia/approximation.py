@@ -122,9 +122,6 @@ class PointEmbedding:
     space: MetricSpaceModel
     embed: Callable[[int], object]
 
-    def points(self) -> list:
-        return [self.embed(y) for y in range(self.size)]
-
 
 @dataclass(frozen=True)
 class TestFunction:

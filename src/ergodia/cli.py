@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -106,30 +104,26 @@ def _build_observable(spec: dict, M: int):
 
 
 def _resolve_start_points(spec: dict, M: int, seed: int) -> list[int]:
-    if "explicit" in spec:
-        pts = [int(y) for y in spec["explicit"]]
-        if any(not 0 <= y < M for y in pts):
-            raise ConfigError("explicit start point out of range")
-        return pts
-    if "random" in spec:
-        rng = SplitMix64(seed)
-        return rng.sample_points(M, int(spec["random"]))
-    if "stratified" in spec:
-        return stratified_start_points(M, int(spec["stratified"]),
-                                       int(spec.get("extras", 0)), seed)
+    try:
+        if "explicit" in spec:
+            pts = [int(y) for y in spec["explicit"]]
+            if any(not 0 <= y < M for y in pts):
+                raise ConfigError("explicit start point out of range")
+            return pts
+        if "random" in spec:
+            rng = SplitMix64(seed)
+            return rng.sample_points(M, int(spec["random"]))
+        if "stratified" in spec:
+            return stratified_start_points(M, int(spec["stratified"]),
+                                           int(spec.get("extras", 0)), seed)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"bad start_points spec: {e}") from e
     raise ConfigError("start_points needs one of: explicit, random, stratified")
 
 
 def _seed(config: dict, args) -> int:
     """--seed wins over the config's "seed", which wins over 0."""
     return int(args.seed if args.seed is not None else config.get("seed", 0))
-
-
-def _thread_count(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("ERGODIA_THREADS")
-    return max(1, int(env)) if env else 1
 
 
 # -- output writers --------------------------------------------------------
@@ -203,21 +197,14 @@ def cmd_gamma(config: dict, args) -> int:
     seed = _seed(config, args)
     starts = _resolve_start_points(config.get("start_points", {}), T.size, seed)
     gspec = config.get("gamma", {})
-    stride = gspec.get("stride")
-    workers = _thread_count(args)
-    # the library checks k and stride; a ValueError from it is a bad gamma spec
+    # k and stride are converted here and range-checked by the library;
+    # either failing is a bad gamma spec
     try:
         k = float(gspec.get("k", 1.0))
-
-        def run_one(y: int):
-            return y, gamma_series(F, T, y, k, stride)
-
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(run_one, starts))
-        else:
-            results = [run_one(y) for y in starts]
-    except ValueError as e:
+        stride = gspec.get("stride")
+        stride = None if stride is None else int(stride)
+        results = [(y, gamma_series(F, T, y, k, stride)) for y in starts]
+    except (TypeError, ValueError) as e:
         raise ConfigError(f"bad gamma spec: {e}") from e
 
     out = Path(args.out)
@@ -378,19 +365,13 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=False, help="JSON config file")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="64-bit seed override")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker count (falls back to ERGODIA_THREADS)")
     parser.add_argument("--svg", action="store_true", help="also emit SVG plots")
     parser.add_argument("--no-timestamp", action="store_true",
                         help="suppress the timestamp comment in SVG output")
-    parser.add_argument("--exact", action="store_true",
-                        help="force exact rational arithmetic where supported")
     args = parser.parse_args(argv)
 
     try:
         config = _load_config(args.config) if args.config else {}
-        if args.exact:
-            config["arithmetic"] = "exact"
         if args.command == "gamma":
             return cmd_gamma(config, args)
         if args.command == "stab":

@@ -11,9 +11,10 @@ may evaluate means for disjoint start points in parallel without coordination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from itertools import accumulate
+from typing import Sequence
 
 import numpy as np
 
@@ -247,46 +248,57 @@ def _is_permutation(image: np.ndarray) -> bool:
 class Observable:
     """A real-valued function F on {0, ..., M-1}.
 
-    Stored densely as float64; an optional exact rule gives Fraction values
-    for rational-arithmetic evaluation.
+    Stored densely as float64.  Its exact value is the rational
+    F(y) = n(y) / denominator, where n(y) is the integer nearest
+    values[y] * denominator; the default denominator 1 makes integral
+    values exact.
     """
 
     size: int
     values: np.ndarray
     name: str = "observable"
-    exact_rule: Callable[[int], Fraction] | None = field(default=None, compare=False)
+    denominator: int = 1
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
         if values.shape != (self.size,):
             raise ValueError(f"values must have shape ({self.size},)")
+        if self.denominator != int(self.denominator) or self.denominator < 1:
+            raise ValueError(f"denominator must be a positive integer, got {self.denominator!r}")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "denominator", int(self.denominator))
 
     @classmethod
     def from_values(cls, values, name: str = "observable") -> "Observable":
         values = np.asarray(values, dtype=np.float64)
         return cls(size=values.size, values=values, name=name)
 
-    @classmethod
-    def from_rule(cls, size: int, rule: Callable[[int], float], name: str,
-                  exact_rule: Callable[[int], Fraction] | None = None) -> "Observable":
-        values = np.fromiter((rule(y) for y in range(size)), dtype=np.float64, count=size)
-        return cls(size=size, values=values, name=name, exact_rule=exact_rule)
-
     def __call__(self, y: int) -> float:
         return float(self.values[y])
 
-    def exact(self, y: int) -> Fraction:
-        if self.exact_rule is not None:
-            return self.exact_rule(int(y))
-        v = float(self.values[y])
-        if v != int(v):
-            raise ValueError(f"observable {self.name!r} has no exact rule and value {v} is not integral")
-        return Fraction(int(v))
+    def numerators(self, points=None) -> np.ndarray:
+        """n(y) at points (default: all of Y), as int64.
 
-    def constant(self) -> bool:
-        return bool((self.values == self.values[0]).all())
+        A value is accepted only when values[y] * denominator lies within
+        64 * 2**-52 * denominator * max(1, |values[y]|) of an integer, the
+        float64 rounding a closed-form rational can carry; any other value
+        raises ValueError.
+        """
+        vals = self.values if points is None else self.values[points]
+        D = self.denominator
+        scaled = vals * D
+        nums = np.rint(scaled)
+        tol = np.maximum(1.0, np.abs(vals))
+        tol *= 64 * 2.0**-52 * D
+        bad = ~((np.abs(scaled - nums) <= tol) & (np.abs(nums) < 2.0**63))
+        if bad.any():
+            v = float(vals[np.argmax(bad)])
+            raise ValueError(f"observable {self.name!r}: value {v} is not a multiple of 1/{D}")
+        return nums.astype(np.int64)
+
+    def exact(self, y: int) -> Fraction:
+        return Fraction(int(self.numerators([y])[0]), self.denominator)
 
 
 @dataclass(frozen=True)
@@ -351,8 +363,9 @@ def ergodic_means_prefix(
 ) -> MeanSeries:
     """A_1..A_{n_max} along the T-orbit of y, in a single O(n_max) pass.
 
-    Double mode uses a float64 cumulative sum; exact mode carries Fractions
-    (intended for oracle tests at M <= 1e4).
+    Double mode uses a float64 cumulative sum; exact mode sums the
+    observable's integer numerators as Python ints, so A_n is the Fraction
+    (sum of numerators) / (denominator * n) with no overflow.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -361,12 +374,9 @@ def ergodic_means_prefix(
     means = np.cumsum(vals) / np.arange(1, n_max + 1, dtype=np.float64)
     exact_means = None
     if exact:
-        acc = Fraction(0)
-        out = []
-        for n, z in enumerate(traj, start=1):
-            acc += F.exact(int(z))
-            out.append(acc / n)
-        exact_means = tuple(out)
+        D = F.denominator
+        sums = accumulate(F.numerators(traj).tolist())
+        exact_means = tuple(Fraction(s, D * n) for n, s in enumerate(sums, start=1))
         means = np.asarray([float(q) for q in exact_means])
     return MeanSeries(size=T.size, start=y, n_max=n_max, means=means, exact_means=exact_means)
 

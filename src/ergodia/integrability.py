@@ -45,9 +45,6 @@ class IntegrabilityProfile:
         object.__setattr__(self, "thresholds", ks)
         object.__setattr__(self, "tail_masses", tm)
 
-    def rows(self) -> list[tuple[float, float]]:
-        return list(zip(self.thresholds.tolist(), self.tail_masses.tolist()))
-
 
 def average(F: Observable) -> float:
     """Av(F) = (1/M) * sum F(y); numpy pairwise summation."""

@@ -126,24 +126,20 @@ def means_at_horizon(
         raise ValueError("horizon must be >= 1")
     index = T.orbit_index
     out = np.empty(T.size, dtype=np.float64)
-    if points is None:
-        for offset, count, p in index.length_classes():
-            rows = max(1, CHUNK_POINTS // p)
-            for first in range(0, count, rows):
-                cyc = index.order[offset + first * p : offset + min(count, first + rows) * p]
-                cyc = cyc.reshape(-1, p)
-                out[cyc] = _row_means(F, cyc, n)
-        return out
-    points = np.asarray(points, dtype=np.int64)
-    cycles = np.unique(index.cycle_id[points])
-    lengths = index.lengths[cycles]
-    for p in np.unique(lengths).tolist():
-        heads = index.starts[cycles[lengths == p]]
-        rows = max(1, CHUNK_POINTS // p)
-        for first in range(0, heads.size, rows):
-            cyc = index.order[heads[first : first + rows, None] + np.arange(p)]
+    if points is not None:
+        points = np.asarray(points, dtype=np.int64)
+        wanted = np.zeros(index.lengths.size, dtype=bool)
+        wanted[index.cycle_id[points]] = True
+    for offset, count, p in index.length_classes():
+        rows = index.order[offset : offset + count * p].reshape(count, p)
+        if points is not None:
+            first_cycle = index.cycle_id[index.order[offset]]
+            rows = rows[wanted[first_cycle : first_cycle + count]]
+        step = max(1, CHUNK_POINTS // p)
+        for first in range(0, len(rows), step):
+            cyc = rows[first : first + step]
             out[cyc] = _row_means(F, cyc, n)
-    return out[points]
+    return out if points is None else out[points]
 
 
 def sup_discrepancy(

@@ -76,9 +76,6 @@ class RotationSystem:
     def embedding(self) -> PointEmbedding:
         return grid_embedding(self.M)
 
-    def tau(self, x: float) -> float:
-        return (x + self.t) % 1.0
-
 
 # (M, t) pairs published with the experiments this library reproduces.  The
 # published steps are kept verbatim: they are close to t but are NOT the
@@ -184,7 +181,6 @@ class SymbolicSystem:
     N: int
     mode: str  # "naive" | "debruijn"
     permutation: FinitePermutation
-    sequence: np.ndarray | None = None  # underlying de Bruijn sequence
 
     @property
     def M(self) -> int:
@@ -259,9 +255,7 @@ def build_bernoulli(m: int, N: int, mode: str = "debruijn") -> SymbolicSystem:
         return SymbolicSystem(m=m, N=N, mode=mode,
                               permutation=FinitePermutation.from_cycle_order(order, lengths))
     if mode == "debruijn":
-        s = debruijn_sequence(m, L)
-        return SymbolicSystem(m=m, N=N, mode=mode,
-                              permutation=debruijn_window_permutation(m, L, s), sequence=s)
+        return SymbolicSystem(m=m, N=N, mode=mode, permutation=debruijn_window_permutation(m, L))
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -291,19 +285,18 @@ def paper_observable(name: str, M: int, **params) -> Observable:
 
     The values are written with numpy, in place, so the only M-sized array
     is the values array itself; each value is the same IEEE expression as
-    the closed form evaluated at one point.
+    the closed form evaluated at one point.  For exact values linear
+    declares Observable.denominator M and tent 9M; the others keep 1.
     """
     if name == "ex01":
         vals = np.empty(M)
         vals[0::2] = M
         vals[1::2] = -M
-        return Observable(M, vals, name="ex01",
-                          exact_rule=lambda y: Fraction(M if y % 2 == 0 else -M))
+        return Observable(M, vals, name="ex01")
     if name == "delta":
         vals = np.zeros(M)
         vals[0] = M
-        return Observable(M, vals, name="delta",
-                          exact_rule=lambda y: Fraction(M if y == 0 else 0))
+        return Observable(M, vals, name="delta")
     if name == "ex03":
         K = params.get("K")
         if K is None:
@@ -314,21 +307,12 @@ def paper_observable(name: str, M: int, **params) -> Observable:
         R = (M // k) // 2 * 2
         vals = np.zeros(M)
         vals[: R * k].reshape(-1, 2 * k)[:, :k] = 1.0
-
-        def exact_ex03(y):
-            blk = y // k
-            return Fraction(int(blk < R and blk % 2 == 0))
-
-        return Observable(M, vals, name=f"ex03(K={K})", exact_rule=exact_ex03)
+        return Observable(M, vals, name=f"ex03(K={K})")
     if name == "linear":
         vals = np.arange(M, dtype=np.float64)
         vals /= M
-        return Observable(M, vals, name="linear", exact_rule=lambda y: Fraction(y, M))
+        return Observable(M, vals, name="linear", denominator=M)
     if name == "tent":
-        def exact_tent(y):
-            x = Fraction(y, M)
-            return Fraction(10, 9) * x if x < Fraction(9, 10) else 10 * (1 - x)
-
         vals = np.arange(M, dtype=np.float64)
         vals /= M
         split = int(np.searchsorted(vals, 0.9))
@@ -337,7 +321,7 @@ def paper_observable(name: str, M: int, **params) -> Observable:
         lo /= 9.0
         np.subtract(1.0, hi, out=hi)
         hi *= 10.0
-        return Observable(M, vals, name="tent", exact_rule=exact_tent)
+        return Observable(M, vals, name="tent", denominator=9 * M)
     if name == "chi0":
         N = params.get("N")
         if N is None:
@@ -351,8 +335,7 @@ def paper_observable(name: str, M: int, **params) -> Observable:
         # y = (a*m + d)*m^N + b with d that digit
         vals = np.zeros(M)
         vals.reshape(-1, m, m**N)[:, 1, :] = 1.0
-        return Observable(M, vals, name="chi0",
-                          exact_rule=lambda y: Fraction(int((y // m**N) % m == 1)))
+        return Observable(M, vals, name="chi0")
     if name == "constant":
         c = params.get("value")
         if c is None:

@@ -80,25 +80,6 @@ def test_gamma_svg_timestamp_comment(tmp_path):
     assert "<!-- generated" in (out / "gamma_ex01_y7.svg").read_text()
 
 
-def test_gamma_threads_equivalent(tmp_path):
-    payload = small_gamma_config()
-    payload["start_points"] = {"explicit": [3, 50, 101]}
-    cfg = write_config(tmp_path, payload)
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    main(["gamma", "--config", cfg, "--out", str(out1), "--threads", "1"])
-    main(["gamma", "--config", cfg, "--out", str(out2), "--threads", "3"])
-    for y in (3, 50, 101):
-        f = f"gamma_ex01_y{y}.csv"
-        assert (out1 / f).read_bytes() == (out2 / f).read_bytes()
-
-
-def test_threads_env_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv("ERGODIA_THREADS", "2")
-    cfg = write_config(tmp_path, small_gamma_config())
-    out = tmp_path / "out"
-    assert main(["gamma", "--config", cfg, "--out", str(out)]) == 0
-
-
 def test_fig_configs_run(tmp_path):
     # the two cheap reference figure configs run end to end
     for fig in ("fig1", "fig2"):
@@ -220,8 +201,11 @@ def test_approx_metrics_on_bernoulli_is_config_error(tmp_path, capsys):
     ("system", {"name": "bernoulli", "N": 2, "mode": "naive"}),
     ("system", {"name": "bernoulli", "m": 2, "mode": "naive"}),
     ("observable", {"name": "ex03", "K": 0}),
+    ("gamma", {"k": 1.0, "stride": "x"}),
+    ("gamma", {"k": 1.0, "stride": [7]}),
+    ("start_points", {"random": "x"}),
 ], ids=["k-zero", "stride-zero", "drift-no-M", "rotation-no-M", "bernoulli-no-m",
-        "bernoulli-no-N", "ex03-K-zero"])
+        "bernoulli-no-N", "ex03-K-zero", "stride-not-int", "stride-list", "random-not-int"])
 def test_malformed_gamma_config_is_config_error(tmp_path, capsys, section, spec):
     payload = small_gamma_config()
     payload[section] = spec
@@ -229,6 +213,19 @@ def test_malformed_gamma_config_is_config_error(tmp_path, capsys, section, spec)
         payload["observable"] = {"name": "constant", "value": 1.0}
     cfg = write_config(tmp_path, payload)
     assert_config_error(capsys, ["gamma", "--config", cfg, "--out", str(tmp_path / "o")])
+
+
+def test_gamma_stride_is_converted_like_M(tmp_path):
+    # a numeric string stride is read with int(), as system.M is
+    outs = []
+    for stride in (7, "7"):
+        payload = small_gamma_config()
+        payload["gamma"]["stride"] = stride
+        out = tmp_path / f"o{type(stride).__name__}"
+        assert main(["gamma", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
+        outs.append((out / "gamma_ex01_y7.csv").read_bytes())
+        assert json.loads((out / "gamma_meta.json").read_text())["stride"] == 7
+    assert outs[0] == outs[1]
 
 
 def test_approx_pipeline_report(tmp_path):

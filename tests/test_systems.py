@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import gcd
 from hypothesis import given, settings, strategies as st
 
-from ergodia.dynamics import ergodic_means_prefix, orbit_average
+from ergodia.dynamics import FinitePermutation, Observable, ergodic_means_prefix, orbit_average
 from ergodia.systems import (
     block_density,
     build_bernoulli,
@@ -264,7 +264,7 @@ def point_rule(name, M, **params):
     raise ValueError(name)
 
 
-@pytest.mark.parametrize("name,M,params", [
+RATIONAL_CASES = [
     ("ex01", 6, {}), ("ex01", 7, {}), ("ex01", 1, {}),
     ("delta", 5, {}), ("delta", 1, {}),
     ("ex03", 100, {"K": 10}), ("ex03", 95, {"K": 10}),  # M a multiple of 2K, and not
@@ -273,8 +273,10 @@ def point_rule(name, M, **params):
     ("linear", 1000, {}), ("linear", 33_334, {}),
     ("tent", 10, {}), ("tent", 33_334, {}), ("tent", 1_000_003, {}),
     ("chi0", 2**3, {"N": 1}), ("chi0", 2**9, {"N": 4}), ("chi0", 3**5, {"N": 2, "m": 3}),
-    ("constant", 7, {"value": 0.1}),
-])
+]
+
+
+@pytest.mark.parametrize("name,M,params", RATIONAL_CASES + [("constant", 7, {"value": 0.1})])
 def test_paper_observable_bitwise_equals_point_rule(name, M, params):
     F = paper_observable(name, M, **params)
     rule = point_rule(name, M, **params)
@@ -299,6 +301,80 @@ def test_exact_rules_agree_with_values(name, M, params):
     F = paper_observable(name, M, **params)
     assert [F.exact(y) for y in range(M)] == [Fraction(v).limit_denominator(9 * M)
                                              for v in F.values.tolist()]
+
+
+def exact_closed_form(name, M, **params):
+    """(numerators, denominator) of each rational paper observable, in integers.
+
+    These are the closed forms the exact-arithmetic paths once evaluated
+    one Fraction at a time; here they are int64 numpy expressions, kept as
+    the oracle for Observable.numerators.
+    """
+    y = np.arange(M, dtype=np.int64)
+    if name == "ex01":
+        return np.where(y % 2 == 0, M, -M), 1
+    if name == "delta":
+        return np.where(y == 0, M, 0), 1
+    if name == "ex03":
+        K = int(params["K"])
+        R = (M // K) // 2 * 2
+        blk = y // K
+        return ((blk < R) & (blk % 2 == 0)).astype(np.int64), 1
+    if name == "linear":
+        return y, M
+    if name == "tent":
+        # 10x/9 = 10y/(9M) for x = y/M < 9/10, else 10(1-x) = 90(M-y)/(9M)
+        return np.where(10 * y < 9 * M, 10 * y, 90 * (M - y)), 9 * M
+    if name == "chi0":
+        N, m = params["N"], params.get("m", 2)
+        return ((y // m**N) % m == 1).astype(np.int64), 1
+    raise ValueError(name)
+
+
+@pytest.mark.parametrize("name,M,params", RATIONAL_CASES)
+def test_numerators_equal_exact_closed_form(name, M, params):
+    F = paper_observable(name, M, **params)
+    nums, D = exact_closed_form(name, M, **params)
+    assert F.denominator == D
+    got = F.numerators()
+    assert got.dtype == np.int64 and np.array_equal(got, nums)
+    for y in sorted({0, M // 2, (9 * M) // 10, M - 1}):
+        assert F.exact(y) == Fraction(int(nums[y]), D)
+    pts = np.arange(M - 1, -1, -max(1, M // 7))
+    assert np.array_equal(F.numerators(pts), nums[pts])
+
+
+@pytest.mark.parametrize("name", ["linear", "tent", "ex01"])
+def test_exact_prefix_means_equal_fraction_loop(name):
+    # a rotation, so the orbit visits Y out of index order
+    M = 10_000
+    T = build_rotation(M, 0.3).permutation
+    F = paper_observable(name, M)
+    nums, D = exact_closed_form(name, M)
+    y = 4321
+    series = ergodic_means_prefix(F, T, y, M + 17, exact=True)
+    acc, expect = Fraction(0), []
+    z = y
+    for n in range(1, M + 18):
+        acc += Fraction(int(nums[z]), D)
+        expect.append(acc / n)
+        z = T(z)
+    assert series.exact_means == tuple(expect)
+    assert series.means.tolist() == [float(q) for q in expect]
+
+
+@pytest.mark.parametrize("F", [
+    paper_observable("constant", 7, value=0.1),
+    Observable.from_values([0.5]),
+    Observable.from_values([1.0 + 1e-9]),
+], ids=["constant-0.1", "half", "1+1e-9"])
+def test_off_lattice_values_raise(F):
+    with pytest.raises(ValueError):
+        F.numerators()
+    with pytest.raises(ValueError):
+        F.exact(0)
+    with pytest.raises(ValueError):
+        ergodic_means_prefix(F, FinitePermutation.identity(F.size), 0, 3, exact=True)
 
 
 # -- helpers ---------------------------------------------------------------
