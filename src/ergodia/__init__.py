@@ -54,7 +54,6 @@ from .approximation import (
 from .systems import (
     RotationSystem,
     SymbolicSystem,
-    block_density,
     build_bernoulli,
     build_drift_system,
     build_rotation,
@@ -62,7 +61,6 @@ from .systems import (
     debruijn_window_permutation,
     paper_observable,
     tent_function,
-    three_point_average,
 )
 
 __version__ = "0.1.0"

@@ -34,9 +34,7 @@ __all__ = [
     "thickening_measure_error",
     "map_mismatch_fraction",
     "synthesize_permutation",
-    "interval_matcher",
-    "augmenting_path_matcher",
-    "hall_deficiency_oracle",
+    "arc_matcher",
     "make_transitive",
     "split_into_n_cycles",
 ]
@@ -265,123 +263,157 @@ def map_mismatch_fraction(
 # -- permutation synthesis by matching ------------------------------------
 
 
-def _target_ranges(M: int, targets: np.ndarray, delta: float, circle: bool) -> list[tuple[int, int]]:
-    """Per source, the grid-index range (lo, hi) inside the open delta-interval.
+def _target_ranges(M: int, targets: np.ndarray, delta: float, circle: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Per source, the grid-index range [lo, hi] inside the open delta-interval.
 
     Grid point g sits at g/M; admissible g satisfy |g/M - target| < delta
-    (circle distance when circle=True).  hi may exceed M - 1 to encode a
-    wrapped circular range; an empty range is (1, 0)-style with hi < lo.
+    (circle distance when circle=True).  Returns int64 arrays; lo < 0 or
+    hi > M - 1 encodes a wrapped circular range, hi < lo an empty one.
+    Each target goes through the same IEEE operations as in a loop over
+    Python floats.  Targets that are not finite or put (target +- delta) * M
+    at 2^52 or beyond raise ValueError.
     """
-    ranges = []
-    for t in targets:
-        t = float(t)
-        lo = int(np.floor((t - delta) * M)) + 1
-        hi = int(np.ceil((t + delta) * M)) - 1
-        # strict inequality: drop endpoints that land exactly at distance delta
-        if lo / M <= t - delta:
-            lo += 1
-        if hi / M >= t + delta:
-            hi -= 1
-        if not circle:
-            lo = max(lo, 0)
-            hi = min(hi, M - 1)
-        else:
-            if hi - lo + 1 >= M:
-                lo, hi = 0, M - 1
-        ranges.append((lo, hi))
-    return ranges
+    t = np.asarray(targets, dtype=np.float64)
+    below = (t - delta) * M
+    above = (t + delta) * M
+    if not ((np.abs(below) < 2.0**52) & (np.abs(above) < 2.0**52)).all():
+        raise ValueError("target images must be finite, with |target +- delta| * M < 2^52")
+    lo = np.floor(below).astype(np.int64) + 1
+    hi = np.ceil(above).astype(np.int64) - 1
+    # strict inequality: drop endpoints that land exactly at distance delta
+    lo += lo / M <= t - delta
+    hi -= hi / M >= t + delta
+    if circle:
+        full = hi - lo + 1 >= M
+        lo[full] = 0
+        hi[full] = M - 1
+    else:
+        np.maximum(lo, 0, out=lo)
+        np.minimum(hi, M - 1, out=hi)
+    return lo, hi
 
 
-def interval_matcher(M: int, ranges: Sequence[tuple[int, int]]) -> np.ndarray:
-    """Exact greedy maximum matching for non-wrapping interval neighborhoods.
+def arc_matcher(M: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Exact maximum matching of sources to grid points on arcs of the circle.
 
-    Sources are processed in order of increasing right endpoint and take
-    the smallest free grid point >= their left endpoint (optimal for
-    interval bipartite graphs).  Returns match[y] = grid index or -1.
+    Source i may take any grid point g mod M with lo[i] <= g <= hi[i]:
+    lo < 0 or hi > M - 1 encodes an arc through 0, hi < lo an empty arc
+    and hi - lo + 1 >= M the whole circle.  Returns match[i] = grid point
+    or -1.
+
+    The circle is cut where the arcs' left ends fall furthest behind the
+    grid points.  From the cut, the sources in order of (hi, lo) each take
+    max(lo_i, g + 1), g the point given out last, if that is <= hi_i and
+    less than one turn past the first point (Glover's greedy for interval
+    graphs; one maximum.accumulate where no source is skipped).  A Berge
+    repair then searches an augmenting path from each source left free,
+    which makes the matching maximum for any arcs.
     """
-    nxt = np.arange(M + 1, dtype=np.int64)  # union-find "next free >= i"
-
-    def find(i: int) -> int:
-        root = i
-        while nxt[root] != root:
-            root = nxt[root]
-        while nxt[i] != root:
-            nxt[i], i = root, nxt[i]
-        return root
-
-    match = np.full(M, -1, dtype=np.int64)
-    order = sorted(range(M), key=lambda y: ranges[y][1])
-    for y in order:
-        lo, hi = ranges[y]
-        if hi < lo:
-            continue
-        g = find(max(lo, 0))
-        if g <= hi:
-            match[y] = g
-            nxt[g] = g + 1
+    lo = np.asarray(lo, dtype=np.int64)
+    hi = np.asarray(hi, dtype=np.int64)
+    match = np.full(lo.size, -1, dtype=np.int64)
+    src = np.flatnonzero(hi >= lo)
+    if src.size == 0:
+        return match
+    # one representative per arc: lo in [0, M), hi in [lo, lo + M)
+    span = np.minimum(hi[src] - lo[src], M - 1)
+    a = np.where(span == M - 1, 0, lo[src] % M)
+    cut = 1 + int(np.argmin(np.cumsum(np.bincount(a, minlength=M)) - np.arange(1, M + 1)))
+    a = (a - cut) % M
+    order = np.lexsort((a, a + span))
+    src, a, span = src[order], a[order], span[order]
+    b = a + span
+    k = np.arange(src.size)
+    g = k + np.maximum.accumulate(a - k)
+    over = np.flatnonzero(g > b)
+    if over.size:
+        # a source that g overshot still advanced g; redo each run (from one
+        # g_i == a_i to the next) holding such a source one source at a
+        # time, where an overshot source takes no point
+        starts = np.flatnonzero(g == a)
+        ends = np.append(starts[1:], src.size)
+        for r in np.unique(np.searchsorted(starts, over, side="right") - 1).tolist():
+            run, last = [], -1
+            for x, y in zip(a[starts[r]:ends[r]].tolist(), b[starts[r]:ends[r]].tolist()):
+                x = max(x, last + 1)
+                if x <= y:
+                    last = x
+                run.append(x)
+            g[starts[r]:ends[r]] = run
+    keep = (g <= b) & (g < g[0] + M)
+    mate = np.where(keep, (g + cut) % M, -1)
+    if not keep.all():
+        a = (a + cut) % M
+        mate = _berge_repair(M, a.tolist(), (a + span).tolist(), mate.tolist())
+    match[src] = mate
     return match
 
 
-def augmenting_path_matcher(M: int, neighbors: Sequence[Sequence[int]]) -> np.ndarray:
-    """Hopcroft-Karp maximum matching for arbitrary neighborhood systems."""
-    INF = np.iinfo(np.int64).max
-    match_src = np.full(M, -1, dtype=np.int64)
-    match_tgt = np.full(M, -1, dtype=np.int64)
+def _berge_repair(M: int, lo: list, hi: list, mate: list) -> list:
+    """mate (grid point per source, -1 if free) made maximum on arcs [lo, hi].
 
-    def bfs() -> bool:
-        dist = np.full(M, INF, dtype=np.int64)
-        queue = [y for y in range(M) if match_src[y] == -1]
-        for y in queue:
-            dist[y] = 0
-        found = False
-        qi = 0
-        while qi < len(queue):
-            y = queue[qi]
-            qi += 1
-            for g in neighbors[y]:
-                w = match_tgt[g]
-                if w == -1:
-                    found = True
-                elif dist[w] == INF:
-                    dist[w] = dist[y] + 1
-                    queue.append(int(w))
-        self_dist[0] = dist
-        return found
+    One breadth-first search per free source; within it a skip map sends
+    each visited grid point on to the next unvisited one, so no point is
+    scanned twice.  A search that reaches a free grid point flips its
+    path.  One that fails leaves a Hungarian tree whose sources see only
+    its own matched points, so no later augmenting path can use them and
+    they are retired for good.  With no augmenting path left the matching
+    is maximum (Berge).  Each grid point is retired at most once, so failed
+    searches cost O(M log M) in all (path compression); a successful one
+    costs the size of its tree.
+    """
+    owner = [-1] * M
+    for i, g in enumerate(mate):
+        if g >= 0:
+            owner[g] = i
+    retired = list(range(M + 1))  # retired[g] != g: g is retired, look further on
+    parent = [0] * M  # source whose arc reached grid point g in this search
 
-    self_dist = [None]
+    def next_live(g: int) -> int:
+        root = g
+        while retired[root] != root:
+            root = retired[root]
+        while retired[g] != root:
+            retired[g], g = root, retired[g]
+        return root
 
-    def dfs(y: int) -> bool:
-        dist = self_dist[0]
-        stack = [(y, iter(neighbors[y]))]
+    seen: dict[int, int] = {}  # grid point visited in this search -> next candidate
+
+    def unvisited(g: int) -> int:
+        g = next_live(g)
         path = []
-        while stack:
-            u, it = stack[-1]
-            advanced = False
-            for g in it:
-                w = match_tgt[g]
-                if w == -1:
-                    path.append((u, g))
-                    for uu, gg in path:
-                        match_src[uu] = gg
-                        match_tgt[gg] = uu
-                    return True
-                if dist[w] == dist[u] + 1:
-                    path.append((u, g))
-                    stack.append((int(w), iter(neighbors[int(w)])))
-                    advanced = True
-                    break
-            if not advanced:
-                dist[u] = INF
-                stack.pop()
-                if path:
-                    path.pop()
-        return False
+        while g in seen:
+            path.append(g)
+            g = next_live(seen[g])
+        for p in path:
+            seen[p] = g
+        return g
 
-    while bfs():
-        for y in range(M):
-            if match_src[y] == -1:
-                dfs(y)
-    return match_src
+    for s in [i for i, g in enumerate(mate) if g < 0]:
+        seen.clear()
+        queue, found = [s], -1
+        for u in queue:
+            for first, last in ((lo[u], min(hi[u], M - 1)), (0, hi[u] - M)):
+                g = unvisited(first)
+                while g <= last and found < 0:
+                    seen[g] = g + 1
+                    parent[g] = u
+                    if owner[g] < 0:
+                        found = g
+                    else:
+                        queue.append(owner[g])
+                        g = unvisited(g + 1)
+            if found >= 0:
+                break
+        if found < 0:
+            for g in seen:
+                retired[g] = g + 1
+            continue
+        g, u = found, -1
+        while u != s:
+            u = parent[g]
+            mate[u], owner[g], g = g, u, mate[u]
+    return mate
 
 
 def synthesize_permutation(
@@ -396,26 +428,18 @@ def synthesize_permutation(
     target_images[y] is the intended image of grid point y/M in [0, 1).
     For all but mismatch_count points, the circle (or interval) distance
     between T_delta(y)/M and target_images[y] is < delta; mismatch_count is
-    minimized by exact maximum matching.  Unmatched sources are closed into
-    a permutation by pairing them with the leftover grid points in index
-    order (the deterministic slack bijection), so the result is always a
-    valid permutation even when delta is too small for some neighborhoods.
+    minimized by exact maximum matching (arc_matcher).  Unmatched sources
+    are closed into a permutation by pairing them with the leftover grid
+    points in index order (the deterministic slack bijection), so the
+    result is always a valid permutation even when delta is too small for
+    some neighborhoods.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     targets = np.asarray(target_images, dtype=np.float64)
     if targets.shape != (M,):
         raise ValueError(f"need one target per grid point, got shape {targets.shape}")
-    ranges = _target_ranges(M, targets, delta, circle)
-    wraps = circle and any(lo < 0 or hi >= M for lo, hi in ranges)
-    if wraps:
-        neighbors = [
-            [g % M for g in range(lo, hi + 1)] if hi >= lo else []
-            for lo, hi in ranges
-        ]
-        match = augmenting_path_matcher(M, neighbors)
-    else:
-        match = interval_matcher(M, ranges)
+    match = arc_matcher(M, *_target_ranges(M, targets, delta, circle))
     mismatch_count = int(np.sum(match == -1))
     image = match.copy()
     if mismatch_count:
@@ -424,36 +448,6 @@ def synthesize_permutation(
         leftovers = np.flatnonzero(~used)
         image[match == -1] = leftovers
     return FinitePermutation(image), mismatch_count
-
-
-def hall_deficiency_oracle(M: int, ranges: Sequence[tuple[int, int]]) -> int:
-    """Brute-force minimum number of unmatchable sources, for oracle tests.
-
-    For non-wrapping interval neighborhoods the Hall condition only needs
-    checking on unions of disjoint grid windows; def(a, b) counts sources
-    whose whole neighborhood sits inside window [a, b] minus the window
-    size, and a quadratic DP maximizes the total deficiency of a disjoint
-    window family.  Intended for M <= a few hundred.
-    """
-    empty = sum(1 for lo, hi in ranges if hi < lo)
-    spans = [(lo, hi) for lo, hi in ranges if hi >= lo]
-    if any(lo < 0 or hi >= M for lo, hi in spans):
-        raise ValueError("oracle handles non-wrapping ranges only")
-    # deficiency[a][b+1] for the window [a, b]; best[i] then maximizes the
-    # total over disjoint windows using grid points < i
-    deficiency = np.zeros((M + 1, M + 1), dtype=np.int64)
-    for a in range(M):
-        for b in range(a, M):
-            contained = sum(1 for lo, hi in spans if lo >= a and hi <= b)
-            deficiency[a][b + 1] = max(0, contained - (b - a + 1))
-    best = np.zeros(M + 1, dtype=np.int64)
-    for b in range(1, M + 1):
-        best[b] = best[b - 1]
-        for a in range(b):
-            cand = best[a] + deficiency[a][b]
-            if cand > best[b]:
-                best[b] = cand
-    return int(best[M]) + empty
 
 
 # -- cycle surgery ---------------------------------------------------------

@@ -280,57 +280,71 @@ def _monomial_tests(degree: int = 3) -> list[TestFunction]:
 def cmd_approx(config: dict, args) -> int:
     spec = config.get("approx", {})
     mode = spec.get("mode", "metrics")
+    if mode not in ("metrics", "pipeline"):
+        raise ConfigError(f"unknown approx mode {mode!r}")
+    # the library checks the epsilons, deltas and targets; a missing key or
+    # a TypeError or ValueError while reading or using the spec is a bad
+    # approx spec
+    try:
+        report = _approx_metrics(config, spec) if mode == "metrics" else _approx_pipeline(spec)
+    except KeyError as e:
+        raise ConfigError(f"bad approx spec: missing {e}") from e
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"bad approx spec: {e}") from e
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    _write_json(out / "approx_report.json", report)
+    return EXIT_OK
+
+
+def _approx_metrics(config: dict, spec: dict) -> dict:
+    T, emb, meta = _build_system(config.get("system", {}))
+    if emb.space.kind == "symbolic":
+        # the test functions, closed intervals and target maps live on [0, 1)
+        raise ConfigError("metrics mode needs a drift or rotation system")
     report = ApproximationReport()
-
-    if mode == "metrics":
-        T, emb, meta = _build_system(config.get("system", {}))
-        if emb.space.kind == "symbolic":
-            # the test functions, closed intervals and target maps live on [0, 1)
-            raise ConfigError("metrics mode needs a drift or rotation system")
-        report.weak_star_errors = weak_star_error(emb, _monomial_tests(int(spec.get("degree", 3))))
-        for iv in spec.get("closed_intervals", []):
-            C = ClosedSet(kind="intervals", intervals=(tuple(iv),))
-            eps = float(spec.get("thickening_epsilon", 2.0 / T.size))
-            report.thickening_errors[tuple(iv)] = thickening_measure_error(emb, C, eps)
-        target = spec.get("target")
-        if target:
-            tau = _target_map(target, meta)
-            for eps in spec.get("mismatch_epsilons", [2.0 / T.size]):
-                report.map_mismatch[eps] = map_mismatch_fraction(emb, T, tau, float(eps))
-        report.cycle_lengths = T.orbit_index.lengths.tolist()
-        _write_json(out / "approx_report.json", {**meta, **report.to_dict()})
-        return EXIT_OK
-
-    if mode == "pipeline":
-        M = int(spec["M"])
-        target = spec.get("target", {"name": "rotation", "t": 0.618033988749895})
-        tau = _target_map(target, {"M": M})
-        grid = np.arange(M) / M
-        targets = np.asarray([tau(x) for x in grid])
-        curve = []
-        for delta in spec.get("deltas", [2.0 / M]):
-            T_delta, mismatches = synthesize_permutation(M, targets, float(delta))
-            C, B = make_transitive(T_delta)
-            emb = grid_embedding(M)
-            eps = float(spec.get("mismatch_epsilon", 10.0 * float(delta)))
-            curve.append({
-                "delta": float(delta),
-                "matcher_mismatch_count": mismatches,
-                "cycle_count_before_merge": len(T_delta.cycles),
-                "transitivity_mismatch": len(B),
-                "map_mismatch_fraction": map_mismatch_fraction(emb, C, tau, eps),
-                "mismatch_epsilon": eps,
-            })
-        _write_json(out / "approx_report.json",
-                    {"M": M, "target": target, "pipeline": curve})
-        return EXIT_OK
-
-    raise ConfigError(f"unknown approx mode {mode!r}")
+    report.weak_star_errors = weak_star_error(emb, _monomial_tests(int(spec.get("degree", 3))))
+    for iv in spec.get("closed_intervals", []):
+        if len(iv) != 2:
+            raise ValueError(f"closed interval {iv!r} is not a pair [a, b]")
+        C = ClosedSet(kind="intervals", intervals=(tuple(iv),))
+        eps = float(spec.get("thickening_epsilon", 2.0 / T.size))
+        report.thickening_errors[tuple(iv)] = thickening_measure_error(emb, C, eps)
+    target = spec.get("target")
+    if target:
+        tau = _target_map(target)
+        for eps in spec.get("mismatch_epsilons", [2.0 / T.size]):
+            report.map_mismatch[eps] = map_mismatch_fraction(emb, T, tau, float(eps))
+    report.cycle_lengths = T.orbit_index.lengths.tolist()
+    return {**meta, **report.to_dict()}
 
 
-def _target_map(spec: dict, meta: dict):
+def _approx_pipeline(spec: dict) -> dict:
+    M = int(spec["M"])
+    if M < 1:
+        raise ValueError(f"M must be >= 1, got {M}")
+    target = spec.get("target", {"name": "rotation", "t": 0.618033988749895})
+    tau = _target_map(target)
+    targets = tau(np.arange(M) / M)
+    emb = grid_embedding(M)
+    curve = []
+    for delta in spec.get("deltas", [2.0 / M]):
+        T_delta, mismatches = synthesize_permutation(M, targets, float(delta))
+        C, B = make_transitive(T_delta)
+        eps = float(spec.get("mismatch_epsilon", 10.0 * float(delta)))
+        curve.append({
+            "delta": float(delta),
+            "matcher_mismatch_count": mismatches,
+            "cycle_count_before_merge": len(T_delta.cycles),
+            "transitivity_mismatch": len(B),
+            "map_mismatch_fraction": map_mismatch_fraction(emb, C, tau, eps),
+            "mismatch_epsilon": eps,
+        })
+    return {"M": M, "target": target, "pipeline": curve}
+
+
+def _target_map(spec: dict):
+    """The target map tau on [0, 1); elementwise on floats and float arrays alike."""
     name = spec.get("name")
     if name == "identity":
         return lambda x: x

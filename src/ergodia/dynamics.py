@@ -32,7 +32,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+# eq=False here and below: == is identity, as a field-wise == would take
+# the truth value of arrays
+@dataclass(frozen=True, eq=False)
 class OrbitIndex:
     """The cycles of a permutation laid end to end in canonical order.
 
@@ -244,7 +246,7 @@ def _is_permutation(image: np.ndarray) -> bool:
     return bool((counts == 1).all())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Observable:
     """A real-valued function F on {0, ..., M-1}.
 
@@ -301,7 +303,7 @@ class Observable:
         return Fraction(int(self.numerators([y])[0]), self.denominator)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeanSeries:
     """Prefix ergodic means A_1..A_n for one start point.
 

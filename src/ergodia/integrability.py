@@ -28,7 +28,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+# eq=False: == is identity; a field-wise == would take the truth value of arrays
+@dataclass(frozen=True, eq=False)
 class IntegrabilityProfile:
     """Tail masses of |F| over an increasing threshold grid."""
 

@@ -38,7 +38,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+# eq=False: == is identity; a field-wise == would take the truth value of arrays
+@dataclass(frozen=True, eq=False)
 class DiscrepancyReport:
     """|A_K - A_L| over all start points, plus the proof's U+V split on a sample.
 

@@ -31,8 +31,6 @@ __all__ = [
     "debruijn_window_permutation",
     "build_bernoulli",
     "paper_observable",
-    "block_density",
-    "three_point_average",
     "PUBLISHED_ROTATIONS",
 ]
 
@@ -343,30 +341,3 @@ def paper_observable(name: str, M: int, **params) -> Observable:
         return Observable(M, np.full(M, float(c)), name=f"constant({c})")
     raise ValueError(f"unknown observable {name!r}")
 
-
-def block_density(word, mmax: int) -> list[float]:
-    """Densities of the symbol 1 over the prefixes y(0..m-1), m = 1..mmax.
-
-    Requires mmax <= N (the word only carries positions up to N).  In the
-    de Bruijn system this equals A_m(chi0, T, y) for m < N.
-    """
-    word = np.asarray(word)
-    L = word.size
-    N = (L - 1) // 2
-    if mmax > N:
-        raise ValueError("prefix length exceeds the half-window")
-    ones = 0
-    out = []
-    for m in range(1, mmax + 1):
-        ones += int(word[N + m - 1] == 1)  # position m-1 is index N+m-1
-        out.append(ones / m)
-    return out
-
-
-def three_point_average(f, x: float) -> float:
-    """(1/3)[f(x - 1/3) + f(x) + f(x + 1/3)] with circle wraparound.
-
-    The orbit closure of a near-2/3 rotation consists of three points a
-    third apart, so this is the limiting ergodic mean of f started at x.
-    """
-    return (f((x - 1.0 / 3.0) % 1.0) + f(x % 1.0) + f((x + 1.0 / 3.0) % 1.0)) / 3.0

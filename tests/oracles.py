@@ -1,0 +1,149 @@
+"""Slow reference implementations that pin the library's fast paths.
+
+Nothing in the library calls these; tests import them with
+`from oracles import ...`.
+"""
+
+import numpy as np
+
+
+def target_ranges_loop(M, targets, delta, circle):
+    """_target_ranges one target at a time in Python floats and ints."""
+    ranges = []
+    for t in targets:
+        t = float(t)
+        lo = int(np.floor((t - delta) * M)) + 1
+        hi = int(np.ceil((t + delta) * M)) - 1
+        # strict inequality: drop endpoints that land exactly at distance delta
+        if lo / M <= t - delta:
+            lo += 1
+        if hi / M >= t + delta:
+            hi -= 1
+        if not circle:
+            lo = max(lo, 0)
+            hi = min(hi, M - 1)
+        else:
+            if hi - lo + 1 >= M:
+                lo, hi = 0, M - 1
+        ranges.append((lo, hi))
+    return ranges
+
+
+def augmenting_path_matcher(M, neighbors):
+    """Hopcroft-Karp maximum matching for arbitrary neighborhood systems."""
+    INF = np.iinfo(np.int64).max
+    match_src = np.full(M, -1, dtype=np.int64)
+    match_tgt = np.full(M, -1, dtype=np.int64)
+
+    def bfs() -> bool:
+        dist = np.full(M, INF, dtype=np.int64)
+        queue = [y for y in range(M) if match_src[y] == -1]
+        for y in queue:
+            dist[y] = 0
+        found = False
+        qi = 0
+        while qi < len(queue):
+            y = queue[qi]
+            qi += 1
+            for g in neighbors[y]:
+                w = match_tgt[g]
+                if w == -1:
+                    found = True
+                elif dist[w] == INF:
+                    dist[w] = dist[y] + 1
+                    queue.append(int(w))
+        self_dist[0] = dist
+        return found
+
+    self_dist = [None]
+
+    def dfs(y: int) -> bool:
+        dist = self_dist[0]
+        stack = [(y, iter(neighbors[y]))]
+        path = []
+        while stack:
+            u, it = stack[-1]
+            advanced = False
+            for g in it:
+                w = match_tgt[g]
+                if w == -1:
+                    path.append((u, g))
+                    for uu, gg in path:
+                        match_src[uu] = gg
+                        match_tgt[gg] = uu
+                    return True
+                if dist[w] == dist[u] + 1:
+                    path.append((u, g))
+                    stack.append((int(w), iter(neighbors[int(w)])))
+                    advanced = True
+                    break
+            if not advanced:
+                dist[u] = INF
+                stack.pop()
+                if path:
+                    path.pop()
+        return False
+
+    while bfs():
+        for y in range(M):
+            if match_src[y] == -1:
+                dfs(y)
+    return match_src
+
+
+def hall_deficiency_oracle(M, ranges):
+    """Brute-force minimum number of unmatchable sources.
+
+    For non-wrapping interval neighborhoods the Hall condition only needs
+    checking on unions of disjoint grid windows; def(a, b) counts sources
+    whose whole neighborhood sits inside window [a, b] minus the window
+    size, and a quadratic DP maximizes the total deficiency of a disjoint
+    window family.  Intended for M <= a few hundred.
+    """
+    empty = sum(1 for lo, hi in ranges if hi < lo)
+    spans = [(lo, hi) for lo, hi in ranges if hi >= lo]
+    if any(lo < 0 or hi >= M for lo, hi in spans):
+        raise ValueError("oracle handles non-wrapping ranges only")
+    # deficiency[a][b+1] for the window [a, b]; best[i] then maximizes the
+    # total over disjoint windows using grid points < i
+    deficiency = np.zeros((M + 1, M + 1), dtype=np.int64)
+    for a in range(M):
+        for b in range(a, M):
+            contained = sum(1 for lo, hi in spans if lo >= a and hi <= b)
+            deficiency[a][b + 1] = max(0, contained - (b - a + 1))
+    best = np.zeros(M + 1, dtype=np.int64)
+    for b in range(1, M + 1):
+        best[b] = best[b - 1]
+        for a in range(b):
+            cand = best[a] + deficiency[a][b]
+            if cand > best[b]:
+                best[b] = cand
+    return int(best[M]) + empty
+
+
+def block_density(word, mmax):
+    """Densities of the symbol 1 over the prefixes y(0..m-1), m = 1..mmax.
+
+    Requires mmax <= N (the word only carries positions up to N).  In the
+    de Bruijn system this equals A_m(chi0, T, y) for m < N.
+    """
+    word = np.asarray(word)
+    L = word.size
+    N = (L - 1) // 2
+    if mmax > N:
+        raise ValueError("prefix length exceeds the half-window")
+    ones = 0
+    out = []
+    for m in range(1, mmax + 1):
+        ones += int(word[N + m - 1] == 1)  # position m-1 is index N+m-1
+        out.append(ones / m)
+    return out
+
+
+def three_point_average(f, x):
+    """(1/3)[f(x - 1/3) + f(x) + f(x + 1/3)] with circle wraparound.
+
+    The orbit closure of a near-2/3 rotation consists of three points a
+    third apart, so this is the limiting ergodic mean of f started at x.
+    """
+    return (f((x - 1.0 / 3.0) % 1.0) + f(x % 1.0) + f((x + 1.0 / 3.0) % 1.0)) / 3.0

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import ergodia
-from ergodia.approximation import _target_ranges, hall_deficiency_oracle, interval_matcher
+from ergodia.approximation import _target_ranges, arc_matcher
 from ergodia.cli import main as cli_main
 from ergodia.dynamics import ergodic_means_prefix, gamma_series
 from ergodia.integrability import family_profile, tail_mass
@@ -26,8 +26,8 @@ from ergodia.systems import (
     grid_embedding,
     paper_observable,
     tent_function,
-    three_point_average,
 )
+from oracles import hall_deficiency_oracle, three_point_average
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -161,9 +161,9 @@ def test_criterion_07_matching_pipeline():
         m = 50 + rng.next_below(151)
         tg = np.array([0.15 + 0.7 * rng.next_below(10**6) / 10**6 for _ in range(m)])
         delta = (1 + rng.next_below(4)) / m
-        ranges = _target_ranges(m, tg, delta, circle=False)
-        match = interval_matcher(m, ranges)
-        if int(np.sum(match == -1)) != hall_deficiency_oracle(m, ranges):
+        lo, hi = _target_ranges(m, tg, delta, circle=False)
+        match = arc_matcher(m, lo, hi)
+        if int(np.sum(match == -1)) != hall_deficiency_oracle(m, list(zip(lo.tolist(), hi.tolist()))):
             ok = False
     ok = ok and (time.time() - t0) < 20.0
     report("matching pipeline and Hall oracle", ok)

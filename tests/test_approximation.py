@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ergodia.approximation as approximation
 from ergodia.approximation import (
     ClosedSet,
     PointEmbedding,
     TestFunction,
     _target_ranges,
-    augmenting_path_matcher,
+    arc_matcher,
     circle_space,
-    hall_deficiency_oracle,
-    interval_matcher,
     interval_space,
     make_transitive,
     map_mismatch_fraction,
@@ -25,6 +24,7 @@ from ergodia.approximation import (
 from ergodia.dynamics import FinitePermutation
 from ergodia.rng import SplitMix64
 from ergodia.systems import grid_embedding
+from oracles import augmenting_path_matcher, hall_deficiency_oracle, target_ranges_loop
 
 
 # -- metric space models ---------------------------------------------------
@@ -142,7 +142,7 @@ def test_interval_matcher_is_maximum(M, seed, width):
         lo = rng.next_below(M)
         hi = min(M - 1, lo + rng.next_below(width))
         ranges.append((lo, hi))
-    match = interval_matcher(M, ranges)
+    match = arc_matcher(M, *np.array(ranges).T)
     # validity: matched targets are distinct and inside the range
     used = [g for g in match if g >= 0]
     assert len(used) == len(set(used))
@@ -177,16 +177,94 @@ def test_matcher_mismatch_equals_hall_deficiency(M, seed):
     # targets kept away from the edges so no range wraps or clips
     targets = np.array([0.15 + 0.7 * rng.next_below(10**6) / 10**6 for _ in range(M)])
     delta = (1 + rng.next_below(4)) / M
-    ranges = _target_ranges(M, targets, delta, circle=False)
-    match = interval_matcher(M, ranges)
-    assert int(np.sum(match == -1)) == hall_deficiency_oracle(M, ranges)
+    lo, hi = _target_ranges(M, targets, delta, circle=False)
+    match = arc_matcher(M, lo, hi)
+    assert int(np.sum(match == -1)) == hall_deficiency_oracle(M, list(zip(lo.tolist(), hi.tolist())))
 
 
 def test_target_ranges_strict_inequality():
     # target exactly on a grid point: endpoints at distance delta excluded
     ranges = _target_ranges(10, np.array([0.5]* 1 + [0.0] * 9), 0.1, circle=False)
-    lo, hi = ranges[0]
+    lo, hi = (int(r[0]) for r in ranges)
     assert (lo, hi) == (5, 5) or (lo / 10 > 0.4 and hi / 10 < 0.6)
+
+
+def random_arcs(M, seed):
+    """Up to M + 1 arcs on Z/M: wrapped, whole-circle, empty and one-point ones."""
+    rng = SplitMix64(seed)
+    lo, hi = [], []
+    for _ in range(rng.next_below(M + 2)):
+        a = rng.next_below(3 * M) - M
+        lo.append(a)
+        hi.append(a + rng.next_below(M + 3) - 2)
+    return np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64)
+
+
+@given(st.integers(1, 12), st.integers(0, 2**32))
+@settings(max_examples=300, deadline=None)
+def test_arc_matcher_matches_hopcroft_karp(M, seed):
+    lo, hi = random_arcs(M, seed)
+    match = arc_matcher(M, lo, hi)
+    assert match.shape == lo.shape
+    neighbors = [sorted({g % M for g in range(a, b + 1)}) for a, b in zip(lo.tolist(), hi.tolist())]
+    used = match[match >= 0].tolist()
+    assert len(used) == len(set(used))
+    for y, g in enumerate(match.tolist()):
+        assert g == -1 or g in neighbors[y]
+    # the oracle takes one source per grid point; pad with sources that see nothing
+    n = max(M, lo.size)
+    ref = augmenting_path_matcher(n, neighbors + [[]] * (n - lo.size))
+    assert len(used) == int(np.sum(ref >= 0))
+
+
+def test_arc_matcher_repair_augments(monkeypatch):
+    # arcs [1, 3] and [-2, 0] cover the whole circle, [-2, -2] is {1}: the
+    # greedy hands out 1 and 2 in increasing order and strands a
+    # whole-circle source, which only the repair gives 0
+    M, lo, hi = 3, np.array([1, -2, -2]), np.array([3, -2, 0])
+    match = arc_matcher(M, lo, hi)
+    assert sorted(match.tolist()) == [0, 1, 2]
+    assert match[1] == 1
+    monkeypatch.setattr(approximation, "_berge_repair", lambda M, lo, hi, mate: mate)
+    assert int(np.sum(arc_matcher(M, lo, hi) >= 0)) == 2
+
+
+def test_arc_matcher_wide_rotation_needs_no_repair(monkeypatch):
+    # a rotation target with delta = 1e-2 wraps through 0 at every phase; its
+    # arcs are proper, and the greedy alone matches every source
+    def no_repair(*args):
+        raise AssertionError("greedy left a source free")
+
+    monkeypatch.setattr(approximation, "_berge_repair", no_repair)
+    M = 2000
+    targets = (np.arange(M) / M + 0.3819660112501051) % 1.0
+    lo, hi = _target_ranges(M, targets, 1e-2, circle=True)
+    assert (lo < 0).any() or (hi >= M).any()
+    assert (arc_matcher(M, lo, hi) >= 0).all()
+
+
+@given(st.integers(1, 300), st.integers(0, 2**32), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_target_ranges_match_loop_oracle(M, seed, circle):
+    rng = SplitMix64(seed)
+    delta = (1 + rng.next_below(5)) / M if seed % 2 else (1 + rng.next_below(10**6)) / 10**6
+    grid = np.arange(M) / M
+    # grid points, points exactly delta from a grid point, and strays off [0, 1)
+    strays = np.array([rng.next_below(4 * 10**6) / 10**6 - 1.5 for _ in range(M)])
+    targets = np.concatenate([grid, grid + delta, grid - delta, strays])
+    lo, hi = _target_ranges(M, targets, delta, circle)
+    assert lo.dtype == hi.dtype == np.int64
+    assert list(zip(lo.tolist(), hi.tolist())) == target_ranges_loop(M, targets, delta, circle)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_targets_raise(bad):
+    targets = np.linspace(0.0, 0.9, 10)
+    targets[3] = bad
+    with pytest.raises(ValueError):
+        synthesize_permutation(10, targets, 0.1)
+    with pytest.raises(ValueError):
+        synthesize_permutation(10, targets, 0.1, circle=False)
 
 
 def test_synthesize_permutation_always_bijective():

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from ergodia.cli import main
@@ -240,6 +241,33 @@ def test_approx_pipeline_report(tmp_path):
     stage = rep["pipeline"][0]
     assert stage["matcher_mismatch_count"] == 0
     assert stage["transitivity_mismatch"] <= stage["cycle_count_before_merge"]
+
+
+@pytest.mark.parametrize("approx", [
+    {"mode": "pipeline"},
+    {"mode": "pipeline", "M": "abc"},
+    {"mode": "pipeline", "M": 0},
+    {"mode": "pipeline", "M": 100, "deltas": [0]},
+    {"mode": "pipeline", "M": 100, "target": {"name": "rotation"}},
+    {"mode": "metrics", "closed_intervals": [[0.1]]},
+    {"mode": "metrics", "target": {"name": "identity"}, "mismatch_epsilons": [0]},
+], ids=["pipeline-no-M", "M-not-int", "M-zero", "delta-zero", "rotation-no-t",
+        "interval-not-pair", "mismatch-epsilon-zero"])
+def test_malformed_approx_config_is_config_error(tmp_path, capsys, approx):
+    cfg = write_config(tmp_path, {"system": {"name": "drift", "M": 100}, "approx": approx})
+    assert_config_error(capsys, ["approx", "--config", cfg, "--out", str(tmp_path / "o")])
+
+
+@pytest.mark.parametrize("target", [
+    {"name": "identity"}, {"name": "rotation", "t": 0.7071067811865476}, {"name": "doubling"},
+])
+def test_pipeline_targets_equal_per_point_map(target):
+    from ergodia.cli import _target_map
+
+    tau = _target_map(target)
+    grid = np.arange(997) / 997
+    per_point = np.asarray([tau(x) for x in grid.tolist()])
+    assert tau(grid).tobytes() == per_point.tobytes()
 
 
 def test_check_subcommand_passes():

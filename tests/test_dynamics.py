@@ -245,3 +245,25 @@ def test_gamma_series_rejects_empty():
     F = Observable.from_values(np.zeros(10))
     with pytest.raises(ValueError):
         gamma_series(F, T, 0, 0.01)
+
+
+def test_array_dataclasses_compare_by_identity():
+    from ergodia.integrability import integrability_profile
+    from ergodia.stabilization import sup_discrepancy
+
+    T = FinitePermutation(np.roll(np.arange(4), -1), validate=False)
+    F = Observable.from_values([1.0, 2.0, 3.0, 4.0])
+    G = Observable.from_values([1.0, 2.0, 3.0, 4.0])
+    pairs = [
+        (F, G),
+        (ergodic_means_prefix(F, T, 0, 3), ergodic_means_prefix(F, T, 0, 3)),
+        (T.orbit_index, FinitePermutation(T.image).orbit_index),
+        (integrability_profile(F, [0.5, 2.5]), integrability_profile(F, [0.5, 2.5])),
+        (sup_discrepancy(F, T, 3, 2), sup_discrepancy(F, T, 3, 2)),
+    ]
+    for a, b in pairs:
+        # equal fields, distinct objects: == is identity and never raises
+        assert a == a
+        assert not a == b
+        assert a != b
+        assert len({a, b}) == 2

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from ergodia.dynamics import FinitePermutation, Observable, ergodic_means_prefix, orbit_average
 from ergodia.systems import (
-    block_density,
     build_bernoulli,
     build_drift_system,
     build_rotation,
@@ -16,8 +15,8 @@ from ergodia.systems import (
     debruijn_window_permutation,
     paper_observable,
     tent_function,
-    three_point_average,
 )
+from oracles import block_density, three_point_average
 
 
 # -- drift and rotation ----------------------------------------------------
