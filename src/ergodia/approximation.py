@@ -15,6 +15,7 @@ points.  Cycle surgery turns any permutation into a single cycle
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -48,13 +49,14 @@ class MetricSpaceModel:
     """A compact metric space with a reference probability measure.
 
     kind is one of "circle", "interval", "symbolic".  Points are floats for
-    circle/interval and integer arrays (symbols at positions -W..W) for
-    symbolic.  ball_measure gives the closed-form reference measure of an
+    circle/interval and integer words (symbols at positions -W..W, along
+    the last axis) for symbolic.  distance works elementwise on arrays of
+    points.  ball_measure gives the closed-form reference measure of an
     open ball.
     """
 
     kind: str
-    distance: Callable[[object, object], float]
+    distance: Callable[[np.ndarray, np.ndarray], np.ndarray]
     ball_measure: Callable[[object, float], float]
     alphabet: int = 0
     window: int = 0
@@ -62,8 +64,8 @@ class MetricSpaceModel:
 
 def circle_space() -> MetricSpaceModel:
     def dist(a, b):
-        d = abs(float(a) - float(b)) % 1.0
-        return min(d, 1.0 - d)
+        d = np.abs(np.subtract(a, b, dtype=np.float64)) % 1.0
+        return np.minimum(d, 1.0 - d)
 
     def ball(_center, r):
         return float(min(max(2.0 * r, 0.0), 1.0))
@@ -73,7 +75,7 @@ def circle_space() -> MetricSpaceModel:
 
 def interval_space() -> MetricSpaceModel:
     def dist(a, b):
-        return abs(float(a) - float(b))
+        return np.abs(np.subtract(a, b, dtype=np.float64))
 
     def ball(center, r):
         lo = max(0.0, float(center) - r)
@@ -90,15 +92,11 @@ def symbolic_space(alphabet: int, window: int) -> MetricSpaceModel:
     disagree, 0 if they agree on the whole window.
     """
     W = window
-    order = np.argsort(np.abs(np.arange(-W, W + 1)), kind="stable")
+    radius = np.abs(np.arange(-W, W + 1))
 
     def dist(a, b):
-        a = np.asarray(a)
-        b = np.asarray(b)
-        for j in order:
-            if a[j] != b[j]:
-                return 2.0 ** (-abs(int(j) - W))
-        return 0.0
+        j = np.where(np.not_equal(a, b), radius, W + 1).min(axis=-1)
+        return np.where(j <= W, np.ldexp(1.0, -j), 0.0)
 
     def ball(_center, r):
         if r <= 0:
@@ -114,19 +112,30 @@ def symbolic_space(alphabet: int, window: int) -> MetricSpaceModel:
 
 @dataclass(frozen=True)
 class PointEmbedding:
-    """An injective map from {0, ..., M-1} into a metric space model."""
+    """An injective map phi from {0, ..., M-1} into a metric space model.
+
+    coordinates[y] is phi(y): a float for circle and interval spaces, the
+    word at positions -W..W for a symbolic space.  make_coordinates builds
+    the array on first read, so an embedding no metric reads costs nothing.
+    """
 
     size: int
     space: MetricSpaceModel
-    embed: Callable[[int], object]
+    make_coordinates: Callable[[], np.ndarray] = field(repr=False)
+
+    @cached_property
+    def coordinates(self) -> np.ndarray:
+        coords = self.make_coordinates()
+        coords.setflags(write=False)
+        return coords
 
 
 @dataclass(frozen=True)
 class TestFunction:
-    """A continuous test function with its known integral against the reference measure."""
+    """A continuous test function, elementwise on arrays of points, with its reference integral."""
 
     name: str
-    fn: Callable[[object], float]
+    fn: Callable[[np.ndarray], np.ndarray]
     integral: float
 
 
@@ -137,14 +146,20 @@ TestFunction.__test__ = False  # keep pytest collection away from the dataclass
 class ClosedSet:
     """A closed set descriptor: a finite union of intervals or of cylinders.
 
-    intervals: [(a, b), ...] closed subintervals (circle intervals may wrap,
-    i.e. a > b).  cylinders: [{position: symbol, ...}, ...] with positions
-    in -W..W.  measure is the reference measure of the set.
+    intervals: [(a, b), ...] closed subintervals with finite endpoints in
+    [0, 1] (circle intervals may wrap, i.e. a > b).  cylinders:
+    [{position: symbol, ...}, ...] with positions in -W..W.  measure is the
+    reference measure of the set.
     """
 
     kind: str  # "intervals" | "cylinders" | "all"
     intervals: tuple = ()
     cylinders: tuple = ()
+
+    def __post_init__(self):
+        if any(len(iv) != 2 or not all(0.0 <= e <= 1.0 for e in iv) for iv in self.intervals):
+            raise ValueError(f"closed intervals must be pairs of finite endpoints in [0, 1], "
+                             f"got {self.intervals!r}")
 
     def measure(self, space: MetricSpaceModel) -> float:
         if self.kind == "all":
@@ -156,47 +171,42 @@ class ClosedSet:
                 total += (b - a) if a <= b else (1.0 - a + b)
             return min(total, 1.0)
         if self.kind == "cylinders":
-            domains = set()
+            # exact measure of the union: one column per assignment of the constrained positions
+            domains = sorted(set().union(*self.cylinders))
+            k = len(domains)
+            grid = np.indices([space.alphabet] * k).reshape(k, space.alphabet**k)
+            inside = np.zeros(grid.shape[1], dtype=bool)
             for cyl in self.cylinders:
-                domains |= set(cyl)
-            domains = sorted(domains)
-            m = space.alphabet
-            count = 0
-            # exact measure of the union by enumerating the constrained coordinates
-            for assignment in np.ndindex(*([m] * len(domains))):
-                point = dict(zip(domains, assignment))
-                if any(all(point[n] == s for n, s in cyl.items()) for cyl in self.cylinders):
-                    count += 1
-            return count / float(m) ** len(domains)
+                inside |= np.all([grid[domains.index(n)] == s for n, s in cyl.items()], axis=0)
+            return np.count_nonzero(inside) / float(space.alphabet) ** k
         raise ValueError(f"unsupported set descriptor kind {self.kind!r}")
 
-    def distance_to(self, x, space: MetricSpaceModel) -> float:
+    def distance_to(self, x, space: MetricSpaceModel) -> np.ndarray:
+        """Distance from each point of x (floats, or words along the last axis) to the set."""
+        x = np.asarray(x)
+        shape = x.shape[:-1] if space.kind == "symbolic" else x.shape
         if self.kind == "all":
-            return 0.0
+            return np.zeros(shape)
         if self.kind == "intervals":
-            best = np.inf
+            if space.kind == "circle":
+                x = x % 1.0
+            best = np.full(shape, np.inf)
             for a, b in self.intervals:
-                if space.kind == "circle":
-                    xa = float(x) % 1.0
-                    inside = (a <= xa <= b) if a <= b else (xa >= a or xa <= b)
-                    if inside:
-                        return 0.0
-                    da = min(abs(xa - a) % 1.0, 1.0 - abs(xa - a) % 1.0)
-                    db = min(abs(xa - b) % 1.0, 1.0 - abs(xa - b) % 1.0)
-                    best = min(best, da, db)
+                if a > b and space.kind == "circle":
+                    inside = (x >= a) | (x <= b)
                 else:
-                    if a <= float(x) <= b:
-                        return 0.0
-                    best = min(best, abs(float(x) - a), abs(float(x) - b))
-            return float(best)
+                    inside = (a <= x) & (x <= b)
+                near = np.minimum(space.distance(x, a), space.distance(x, b))
+                best = np.where(inside, 0.0, np.minimum(best, near))
+            return best
         if self.kind == "cylinders":
-            W = space.window
-            best = np.inf
-            word = np.asarray(x)
+            best = np.full(shape, np.inf)
             for cyl in self.cylinders:
-                mism = [abs(n) for n, s in cyl.items() if word[n + W] != s]
-                best = min(best, 2.0 ** (-min(mism)) if mism else 0.0)
-            return float(best)
+                # the cylinder's nearest point: x with the constrained symbols set
+                nearest = x.copy()
+                nearest[..., [n + space.window for n in cyl]] = list(cyl.values())
+                best = np.minimum(best, space.distance(x, nearest))
+            return best
         raise ValueError(f"unsupported set descriptor kind {self.kind!r}")
 
 
@@ -228,35 +238,27 @@ def weak_star_error(embedding: PointEmbedding, tests: Sequence[TestFunction]) ->
     for t in tests:
         if t.integral is None:
             raise ValueError(f"test function {t.name!r} has no reference integral")
-        emp = np.mean([t.fn(embedding.embed(y)) for y in range(embedding.size)])
+        emp = np.mean(t.fn(embedding.coordinates))
         out[t.name] = float(abs(emp - t.integral))
     return out
 
 
 def thickening_measure_error(embedding: PointEmbedding, C: ClosedSet, eps: float) -> float:
     """|(1/M) |{y : dist(phi(y), C) < eps}| - nu(C)|."""
-    if eps <= 0:
-        raise ValueError("epsilon must be positive")
+    if not eps > 0:
+        raise ValueError(f"epsilon must be positive, got {eps!r}")
     space = embedding.space
-    hits = sum(1 for y in range(embedding.size)
-               if C.distance_to(embedding.embed(y), space) < eps)
+    hits = np.count_nonzero(C.distance_to(embedding.coordinates, space) < eps)
     return abs(hits / embedding.size - C.measure(space))
 
 
-def map_mismatch_fraction(
-    embedding: PointEmbedding,
-    T: FinitePermutation,
-    tau: Callable[[object], object],
-    eps: float,
-) -> float:
-    """Fraction of y with rho(phi(T(y)), tau(phi(y))) > eps."""
-    if eps <= 0:
-        raise ValueError("epsilon must be positive")
-    space = embedding.space
-    bad = 0
-    for y in range(embedding.size):
-        if space.distance(embedding.embed(int(T.image[y])), tau(embedding.embed(y))) > eps:
-            bad += 1
+def map_mismatch_fraction(embedding: PointEmbedding, T: FinitePermutation,
+                          tau: Callable[[np.ndarray], np.ndarray], eps: float) -> float:
+    """Fraction of y with rho(phi(T(y)), tau(phi(y))) > eps; tau acts on the coordinate array."""
+    if not eps > 0:
+        raise ValueError(f"epsilon must be positive, got {eps!r}")
+    x = embedding.coordinates
+    bad = np.count_nonzero(embedding.space.distance(x[T.image], tau(x)) > eps)
     return bad / embedding.size
 
 
@@ -481,11 +483,7 @@ def split_into_n_cycles(T: FinitePermutation, n: int) -> tuple[list[int], dict[i
     kept: list[int] = []
     image: dict[int, int] = {}
     for cyc in T.cycles:
-        q = len(cyc) // n
-        body = cyc[: q * n]
-        kept.extend(body.tolist())
-        for j in range(q):
-            block = body[j * n : (j + 1) * n]
-            for a, b in zip(block, np.roll(block, -1)):
-                image[int(a)] = int(b)
+        blocks = cyc[: len(cyc) // n * n].reshape(-1, n)
+        kept.extend(blocks.ravel().tolist())
+        image.update(zip(blocks.ravel().tolist(), np.roll(blocks, -1, axis=1).ravel().tolist()))
     return kept, image

@@ -36,7 +36,8 @@ from .stabilization import (
     stratified_start_points,
     sup_discrepancy,
 )
-from .systems import build_bernoulli, build_drift_system, build_rotation, grid_embedding, paper_observable
+from .systems import (_int_param, build_bernoulli, build_drift_system, build_rotation,
+                      grid_embedding, paper_observable)
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -273,7 +274,7 @@ def cmd_stab(config: dict, args) -> int:
 
 
 def _monomial_tests(degree: int = 3) -> list[TestFunction]:
-    return [TestFunction(name=f"x^{d}", fn=lambda x, d=d: float(x) ** d,
+    return [TestFunction(name=f"x^{d}", fn=lambda x, d=d: x ** d,
                          integral=1.0 / (d + 1)) for d in range(degree + 1)]
 
 
@@ -303,10 +304,9 @@ def _approx_metrics(config: dict, spec: dict) -> dict:
         # the test functions, closed intervals and target maps live on [0, 1)
         raise ConfigError("metrics mode needs a drift or rotation system")
     report = ApproximationReport()
-    report.weak_star_errors = weak_star_error(emb, _monomial_tests(int(spec.get("degree", 3))))
+    degree = _int_param(spec.get("degree", 3), "degree", 0)
+    report.weak_star_errors = weak_star_error(emb, _monomial_tests(degree))
     for iv in spec.get("closed_intervals", []):
-        if len(iv) != 2:
-            raise ValueError(f"closed interval {iv!r} is not a pair [a, b]")
         C = ClosedSet(kind="intervals", intervals=(tuple(iv),))
         eps = float(spec.get("thickening_epsilon", 2.0 / T.size))
         report.thickening_errors[tuple(iv)] = thickening_measure_error(emb, C, eps)

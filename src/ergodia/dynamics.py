@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Sequence
 
 import numpy as np
@@ -68,6 +68,17 @@ def _cycle_starts(lengths: np.ndarray) -> np.ndarray:
     starts = np.zeros(lengths.size, dtype=np.int64)
     np.cumsum(lengths[:-1], out=starts[1:])
     return starts
+
+
+def _orbit_index(order: np.ndarray, lengths: np.ndarray) -> OrbitIndex:
+    """The orbit index of cycles laid end to end in canonical order."""
+    starts = _cycle_starts(lengths)
+    ids = np.repeat(np.arange(lengths.size, dtype=np.int64), lengths)
+    cycle_id = np.empty(order.size, dtype=np.int64)
+    cycle_id[order] = ids
+    pos = np.empty(order.size, dtype=np.int64)
+    pos[order] = np.arange(order.size, dtype=np.int64) - starts[ids]
+    return OrbitIndex(order, starts, lengths, cycle_id, pos)
 
 
 class FinitePermutation:
@@ -130,23 +141,17 @@ class FinitePermutation:
             raise ValueError("equal-length cycles must be listed by smallest element")
         if (np.minimum.reduceat(order, starts) != heads).any():
             raise ValueError("every cycle must start at its smallest element")
-        M = order.size
-        ids = np.repeat(np.arange(lengths.size, dtype=np.int64), lengths)
-        cycle_id = np.empty(M, dtype=np.int64)
-        cycle_id[order] = ids
-        slot = np.arange(M, dtype=np.int64)
-        pos = np.empty(M, dtype=np.int64)
-        pos[order] = slot - starts[ids]
-        del ids
+        index = _orbit_index(order, lengths)
         # T maps the point in each slot to the point in the next slot,
         # wrapping at the end of its cycle
-        slot += 1
-        slot[starts + lengths - 1] = starts
-        image = np.empty(M, dtype=np.int64)
-        image[order] = order[slot]
-        del slot
+        succ = np.empty_like(order)
+        succ[:-1] = order[1:]
+        succ[starts + lengths - 1] = order[starts]
+        image = np.empty(order.size, dtype=np.int64)
+        image[order] = succ
+        del succ
         T = cls(image, validate=False)
-        T._index = OrbitIndex(order, starts, lengths, cycle_id, pos)
+        T._index = index
         return T
 
     def __call__(self, y: int) -> int:
@@ -161,35 +166,29 @@ class FinitePermutation:
     # -- cycle structure ---------------------------------------------------
 
     def _ensure_cycles(self) -> None:
-        """Generic cycle walk: the orbit index of an arbitrary permutation."""
+        """Generic cycle walk over the image as a Python list: any permutation's orbit index."""
         if self._index is not None:
             return
-        image = self.image
-        M = self.size
-        cycle_id = np.full(M, -1, dtype=np.int64)
-        cycle_pos = np.empty(M, dtype=np.int64)
-        cycles: list[np.ndarray] = []
-        for start in range(M):
-            if cycle_id[start] >= 0:
+        image = self.image.tolist()
+        seen = [False] * self.size
+        cycles: list[list[int]] = []
+        for start in range(self.size):
+            if seen[start]:
                 continue
             cyc = [start]
-            cycle_id[start] = len(cycles)
-            cycle_pos[start] = 0
-            z = int(image[start])
+            seen[start] = True
+            z = image[start]
             while z != start:
-                cycle_id[z] = len(cycles)
-                cycle_pos[z] = len(cyc)
+                seen[z] = True
                 cyc.append(z)
-                z = int(image[z])
-            cycles.append(np.asarray(cyc, dtype=np.int64))
-        # descending length, ties broken by smallest contained element
-        order = sorted(range(len(cycles)), key=lambda i: (-len(cycles[i]), int(cycles[i][0])))
-        remap = np.empty(len(cycles), dtype=np.int64)
-        for new, old in enumerate(order):
-            remap[old] = new
-        lengths = np.asarray([len(cycles[i]) for i in order], dtype=np.int64)
-        self._index = OrbitIndex(np.concatenate([cycles[i] for i in order]), _cycle_starts(lengths),
-                                 lengths, remap[cycle_id], cycle_pos)
+                z = image[z]
+            cycles.append(cyc)
+        # cycles were found by ascending smallest element (their start), so a
+        # stable sort by descending length gives the canonical order
+        cycles.sort(key=len, reverse=True)
+        order = np.fromiter(chain.from_iterable(cycles), dtype=np.int64, count=self.size)
+        lengths = np.fromiter(map(len, cycles), dtype=np.int64, count=len(cycles))
+        self._index = _orbit_index(order, lengths)
 
     @property
     def orbit_index(self) -> OrbitIndex:

@@ -39,10 +39,9 @@ __all__ = [
 
 
 def grid_embedding(M: int, space: MetricSpaceModel | None = None) -> PointEmbedding:
-    """phi(y) = y/M into the circle (default) or unit interval."""
-    if space is None:
-        space = circle_space()
-    return PointEmbedding(size=M, space=space, embed=lambda y: y / M)
+    """phi(y) = y/M into the circle (default) or unit interval; coordinates on first use."""
+    return PointEmbedding(size=M, space=space or circle_space(),
+                          make_coordinates=lambda: np.arange(M) / M)
 
 
 def build_drift_system(M: int) -> tuple[FinitePermutation, PointEmbedding]:
@@ -198,8 +197,10 @@ class SymbolicSystem:
 
     @property
     def embedding(self) -> PointEmbedding:
-        space = symbolic_space(self.m, self.N)
-        return PointEmbedding(size=self.M, space=space, embed=self.word)
+        """Coordinate row y is word(y), the base-m digits of y; built on first use."""
+        powers = self.m ** np.arange(2 * self.N + 1)
+        return PointEmbedding(size=self.M, space=symbolic_space(self.m, self.N),
+                              make_coordinates=lambda: np.arange(self.M)[:, None] // powers % self.m)
 
 
 def _rotate(words: np.ndarray, j: int, m: int, L: int) -> np.ndarray:

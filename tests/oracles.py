@@ -147,3 +147,92 @@ def three_point_average(f, x):
     third apart, so this is the limiting ergodic mean of f started at x.
     """
     return (f((x - 1.0 / 3.0) % 1.0) + f(x % 1.0) + f((x + 1.0 / 3.0) % 1.0)) / 3.0
+
+
+# -- approximation metrics, one point at a time ------------------------------
+# These are the per-point bodies the array metrics in ergodia.approximation
+# replaced: embed(y) is the point of grid index y, tests are (name, f, integral)
+# with f on one point, and tau maps one point.
+
+
+def point_distance(kind, a, b, window=0):
+    """The metric of a circle, interval or symbolic space on two points."""
+    if kind == "circle":
+        d = abs(float(a) - float(b)) % 1.0
+        return min(d, 1.0 - d)
+    if kind == "interval":
+        return abs(float(a) - float(b))
+    a = np.asarray(a)
+    b = np.asarray(b)
+    # positions checked center out: 0, -1, +1, -2, +2, ...
+    for j in np.argsort(np.abs(np.arange(-window, window + 1)), kind="stable"):
+        if a[j] != b[j]:
+            return 2.0 ** (-abs(int(j) - window))
+    return 0.0
+
+
+def point_set_distance(C, x, space):
+    """ClosedSet.distance_to for one point."""
+    if C.kind == "all":
+        return 0.0
+    if C.kind == "intervals":
+        best = np.inf
+        for a, b in C.intervals:
+            if space.kind == "circle":
+                xa = float(x) % 1.0
+                inside = (a <= xa <= b) if a <= b else (xa >= a or xa <= b)
+                if inside:
+                    return 0.0
+                da = min(abs(xa - a) % 1.0, 1.0 - abs(xa - a) % 1.0)
+                db = min(abs(xa - b) % 1.0, 1.0 - abs(xa - b) % 1.0)
+                best = min(best, da, db)
+            else:
+                if a <= float(x) <= b:
+                    return 0.0
+                best = min(best, abs(float(x) - a), abs(float(x) - b))
+        return float(best)
+    W = space.window
+    best = np.inf
+    word = np.asarray(x)
+    for cyl in C.cylinders:
+        mism = [abs(n) for n, s in cyl.items() if word[n + W] != s]
+        best = min(best, 2.0 ** (-min(mism)) if mism else 0.0)
+    return float(best)
+
+
+def weak_star_error_loop(embed, size, tests):
+    """weak_star_error with the test functions called once per point."""
+    out = {}
+    for name, f, integral in tests:
+        emp = np.mean([f(embed(y)) for y in range(size)])
+        out[name] = float(abs(emp - integral))
+    return out
+
+
+def thickening_measure_error_loop(embed, size, space, C, eps):
+    """thickening_measure_error with one set distance per point."""
+    hits = sum(1 for y in range(size) if point_set_distance(C, embed(y), space) < eps)
+    return abs(hits / size - C.measure(space))
+
+
+def map_mismatch_fraction_loop(embed, size, space, image, tau, eps):
+    """map_mismatch_fraction with one distance per point."""
+    bad = 0
+    for y in range(size):
+        if point_distance(space.kind, embed(int(image[y])), tau(embed(y)), space.window) > eps:
+            bad += 1
+    return bad / size
+
+
+def cylinder_measure_loop(cylinders, alphabet):
+    """The reference measure of a union of cylinders, one assignment at a time."""
+    domains = set()
+    for cyl in cylinders:
+        domains |= set(cyl)
+    domains = sorted(domains)
+    count = 0
+    for assignment in np.ndindex(*([alphabet] * len(domains))):
+        point = dict(zip(domains, assignment))
+        if any(all(point[n] == s for n, s in cyl.items()) for cyl in cylinders):
+            count += 1
+    return count / float(alphabet) ** len(domains)

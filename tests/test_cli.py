@@ -251,11 +251,46 @@ def test_approx_pipeline_report(tmp_path):
     {"mode": "pipeline", "M": 100, "target": {"name": "rotation"}},
     {"mode": "metrics", "closed_intervals": [[0.1]]},
     {"mode": "metrics", "target": {"name": "identity"}, "mismatch_epsilons": [0]},
+    {"mode": "metrics", "closed_intervals": [[0.2, 0.4]], "thickening_epsilon": float("nan")},
+    {"mode": "metrics", "target": {"name": "identity"}, "mismatch_epsilons": [float("nan")]},
+    {"mode": "pipeline", "M": 100, "mismatch_epsilon": float("nan")},
+    {"mode": "metrics", "closed_intervals": [[0.25, float("nan")]]},
+    {"mode": "metrics", "closed_intervals": [[0.25, 1.5]]},
+    {"mode": "metrics", "closed_intervals": [[-0.1, 0.25]]},
+    {"mode": "metrics", "degree": 2.5},
+    {"mode": "metrics", "degree": -2},
 ], ids=["pipeline-no-M", "M-not-int", "M-zero", "delta-zero", "rotation-no-t",
-        "interval-not-pair", "mismatch-epsilon-zero"])
+        "interval-not-pair", "mismatch-epsilon-zero", "thickening-epsilon-nan",
+        "mismatch-epsilons-nan", "pipeline-mismatch-epsilon-nan", "interval-nan-endpoint",
+        "interval-endpoint-above-1", "interval-endpoint-below-0", "degree-fraction",
+        "degree-negative"])
 def test_malformed_approx_config_is_config_error(tmp_path, capsys, approx):
     cfg = write_config(tmp_path, {"system": {"name": "drift", "M": 100}, "approx": approx})
     assert_config_error(capsys, ["approx", "--config", cfg, "--out", str(tmp_path / "o")])
+
+
+@pytest.mark.parametrize("degree,keys", [(0, ["x^0"]), (2.0, ["x^0", "x^1", "x^2"])])
+def test_approx_degree_takes_integral_values(tmp_path, degree, keys):
+    cfg = write_config(tmp_path, {"system": {"name": "drift", "M": 100},
+                                  "approx": {"mode": "metrics", "degree": degree}})
+    assert main(["approx", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    rep = json.loads((tmp_path / "o" / "approx_report.json").read_text())
+    assert sorted(rep["weak_star_errors"]) == keys
+
+
+def test_approx_metrics_wrapped_interval_and_mismatch_values(tmp_path):
+    # the configuration the CI's console-script step runs
+    cfg = write_config(tmp_path, {
+        "system": {"name": "rotation", "M": 20000, "t": 0.3819660112501051},
+        "approx": {"mode": "metrics", "closed_intervals": [[0.9, 0.1]],
+                   "target": {"name": "rotation", "t": 0.3819660112501051},
+                   "mismatch_epsilons": [1e-4, 1e-5]},
+    })
+    assert main(["approx", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    rep = json.loads((tmp_path / "o" / "approx_report.json").read_text())
+    assert len(rep["weak_star_errors"]) == 4
+    assert rep["map_mismatch"] == {"0.0001": 0.0, "1e-05": 1.0}
+    assert rep["thickening_errors"] == {"(0.9, 0.1)": 0.000250000000000028}
 
 
 @pytest.mark.parametrize("target", [

@@ -26,7 +26,7 @@ def test_drift_is_transitive():
     T, emb = build_drift_system(50)
     assert len(T.cycles) == 1
     assert T(49) == 0
-    assert emb.embed(25) == pytest.approx(0.5)
+    assert emb.coordinates[25] == pytest.approx(0.5)
 
 
 def test_build_rotation_coprime_search():
