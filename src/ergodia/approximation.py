@@ -165,11 +165,15 @@ class ClosedSet:
         if self.kind == "all":
             return 1.0
         if self.kind == "intervals":
-            # assumes the given intervals are pairwise disjoint
-            total = 0.0
-            for a, b in self.intervals:
-                total += (b - a) if a <= b else (1.0 - a + b)
-            return min(total, 1.0)
+            # the union: wrapped intervals split at 1, then sorted and merged
+            pieces = sorted(piece for a, b in self.intervals
+                            for piece in ([(a, b)] if a <= b else [(0.0, b), (a, 1.0)]))
+            total = lo = hi = 0.0
+            for a, b in pieces:
+                if a > hi:
+                    total, lo = total + (hi - lo), a
+                hi = max(hi, b)
+            return min(total + (hi - lo), 1.0)
         if self.kind == "cylinders":
             # exact measure of the union: one column per assignment of the constrained positions
             domains = sorted(set().union(*self.cylinders))

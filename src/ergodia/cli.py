@@ -70,11 +70,11 @@ def _build_system(spec: dict):
     name = spec.get("name")
     try:
         if name == "drift":
-            M = int(spec["M"])
+            M = _int_param(spec["M"], "M", 2)
             T, emb = build_drift_system(M)
             return T, emb, {"system": "drift", "M": M}
         if name == "rotation":
-            M = int(spec["M"])
+            M = _int_param(spec["M"], "M", 2)
             t = spec["t"]
             if t == "1/sqrt2":
                 t = float(1.0 / np.sqrt(2.0))
@@ -85,7 +85,8 @@ def _build_system(spec: dict):
                 "system": "rotation", "M": M, "P": rot.P, "t": rot.t, "defect": rot.defect,
             }
         if name == "bernoulli":
-            sys_ = build_bernoulli(int(spec["m"]), int(spec["N"]), spec.get("mode", "debruijn"))
+            sys_ = build_bernoulli(_int_param(spec["m"], "m", 2), _int_param(spec["N"], "N", 0),
+                                   spec.get("mode", "debruijn"))
             return sys_.permutation, sys_.embedding, {
                 "system": "bernoulli", "m": sys_.m, "N": sys_.N, "mode": sys_.mode, "M": sys_.M,
             }
@@ -107,7 +108,7 @@ def _build_observable(spec: dict, M: int):
 def _resolve_start_points(spec: dict, M: int, seed: int) -> list[int]:
     try:
         if "explicit" in spec:
-            pts = [int(y) for y in spec["explicit"]]
+            pts = [_int_param(y, "explicit start point", 0) for y in spec["explicit"]]
             if any(not 0 <= y < M for y in pts):
                 raise ConfigError("explicit start point out of range")
             return pts
@@ -320,9 +321,7 @@ def _approx_metrics(config: dict, spec: dict) -> dict:
 
 
 def _approx_pipeline(spec: dict) -> dict:
-    M = int(spec["M"])
-    if M < 1:
-        raise ValueError(f"M must be >= 1, got {M}")
+    M = _int_param(spec["M"], "M", 1)
     target = spec.get("target", {"name": "rotation", "t": 0.618033988749895})
     tau = _target_map(target)
     targets = tau(np.arange(M) / M)

@@ -73,11 +73,10 @@ def _cycle_starts(lengths: np.ndarray) -> np.ndarray:
 def _orbit_index(order: np.ndarray, lengths: np.ndarray) -> OrbitIndex:
     """The orbit index of cycles laid end to end in canonical order."""
     starts = _cycle_starts(lengths)
-    ids = np.repeat(np.arange(lengths.size, dtype=np.int64), lengths)
     cycle_id = np.empty(order.size, dtype=np.int64)
-    cycle_id[order] = ids
+    cycle_id[order] = np.repeat(np.arange(lengths.size, dtype=np.int64), lengths)
     pos = np.empty(order.size, dtype=np.int64)
-    pos[order] = np.arange(order.size, dtype=np.int64) - starts[ids]
+    pos[order] = np.arange(order.size, dtype=np.int64) - np.repeat(starts, lengths)
     return OrbitIndex(order, starts, lengths, cycle_id, pos)
 
 
@@ -406,9 +405,9 @@ def gamma_series(
     points alone, each as the same quotient ergodic_means_prefix forms.
     """
     M = T.size
+    if not (np.isfinite(k) and k * M >= 1):
+        raise ValueError(f"k*M must be finite and >= 1, got k={k!r}")
     n_total = int(np.floor(k * M))
-    if n_total < 1:
-        raise ValueError("k*M must be >= 1")
     if stride is None:
         stride = max(1, n_total // 100_000)
     if stride < 1:

@@ -39,12 +39,10 @@ class IntegrabilityProfile:
     max_abs: float
 
     def __post_init__(self):
-        ks = np.asarray(self.thresholds, dtype=np.float64)
-        tm = np.asarray(self.tail_masses, dtype=np.float64)
-        ks.setflags(write=False)
-        tm.setflags(write=False)
-        object.__setattr__(self, "thresholds", ks)
-        object.__setattr__(self, "tail_masses", tm)
+        for name in ("thresholds", "tail_masses"):
+            values = np.asarray(getattr(self, name), dtype=np.float64)
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
 
 
 def average(F: Observable) -> float:

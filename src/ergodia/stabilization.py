@@ -143,6 +143,15 @@ def means_at_horizon(
     return out if points is None else out[points]
 
 
+def _abs_discrepancies(F: Observable, T: FinitePermutation, K: int, L: int) -> np.ndarray:
+    """|A_K - A_L| at every point of Y, for 1 <= L < K."""
+    if not 1 <= L < K:
+        raise ValueError("require 1 <= L < K")
+    diffs = means_at_horizon(F, T, K)
+    diffs -= means_at_horizon(F, T, L)
+    return np.abs(diffs, out=diffs)
+
+
 def sup_discrepancy(
     F: Observable,
     T: FinitePermutation,
@@ -151,11 +160,7 @@ def sup_discrepancy(
     sample: Sequence[int] | None = None,
 ) -> DiscrepancyReport:
     """Exact max over all y of |A_K - A_L| plus the U/V proof terms on a sample."""
-    if not 1 <= L < K:
-        raise ValueError("require 1 <= L < K")
-    diffs = means_at_horizon(F, T, K)
-    diffs -= means_at_horizon(F, T, L)
-    np.abs(diffs, out=diffs)
+    diffs = _abs_discrepancies(F, T, K, L)
     if sample is None:
         sample = stratified_start_points(T.size, strata=min(T.size, 32), extras=0, seed=0)
     sample = np.asarray(sample, dtype=np.int64)
@@ -177,13 +182,10 @@ def sup_discrepancy(
 
 def exceedance_fraction(F: Observable, T: FinitePermutation, K: int, L: int, eps: float) -> float:
     """(1/M) * |{y : |A_K - A_L| >= eps}|, exact over all of Y."""
-    if not 1 <= L < K:
-        raise ValueError("require 1 <= L < K")
+    diffs = _abs_discrepancies(F, T, K, L)
     if eps <= 0:
         raise ValueError("epsilon must be positive")
-    diffs = means_at_horizon(F, T, K)
-    diffs -= means_at_horizon(F, T, L)
-    return float(np.mean(np.abs(diffs, out=diffs) >= eps))
+    return float(np.mean(diffs >= eps))
 
 
 def _check_band(n_min: int, eps: float, scan_limit: int) -> None:
@@ -206,8 +208,8 @@ def _band_end(means: np.ndarray, n_min: int, eps: float, scan_limit: int) -> tup
     hi = np.maximum.accumulate(window)
     lo = np.minimum.accumulate(window)
     bad = (hi - lo) > eps
-    idx = int(np.argmax(bad)) if bad.any() else -1
-    if idx == -1 or not bad[idx]:
+    idx = int(np.argmax(bad))
+    if not bad[idx]:
         k_star = scan_limit
         capped = True
         last = len(window) - 1
@@ -255,16 +257,13 @@ def common_stabilization_segment(
     if not sample:
         raise ValueError("sample is empty")
 
-    per_point: list[tuple[int, float]] = []
-    for y in sample:
-        means = ergodic_means_prefix(F, T, y, scan_limit).means
-        k, w, _ = _band_end(means, n_min, eps, scan_limit)
-        per_point.append((k, w))
-    ks = np.asarray([k for k, _ in per_point])
+    ends = [_band_end(ergodic_means_prefix(F, T, y, scan_limit).means, n_min, eps, scan_limit)
+            for y in sample]
+    ks = np.asarray([k for k, _, _ in ends])
     needed = int(np.ceil((1.0 - eta) * len(sample)))
     k_star = int(np.sort(ks)[::-1][needed - 1])
     included = ks >= k_star
-    witnesses = np.asarray([w for _, w in per_point])[included]
+    witnesses = np.asarray([w for _, w, _ in ends])[included]
     return StabilizationSegment(
         start=-1,
         n_min=n_min,
@@ -301,12 +300,7 @@ def stratified_start_points(M: int, strata: int, extras: int, seed: int) -> list
     """
     if strata < 1 or M < 1:
         raise ValueError("need strata >= 1 and M >= 1")
-    stride = max(1, M // strata)
-    points = list(range(0, M, stride))
-    rng = SplitMix64(seed)
-    seen = set(points)
-    for y in rng.sample_points(M, extras):
-        if y not in seen:
-            seen.add(y)
-            points.append(y)
-    return points
+    points = list(range(0, M, max(1, M // strata)))
+    strided = set(points)
+    # sample_points already drops repeats among the extras
+    return points + [y for y in SplitMix64(seed).sample_points(M, extras) if y not in strided]

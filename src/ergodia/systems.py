@@ -120,38 +120,34 @@ def build_rotation(M: int, t: float, coprime_required: bool = True) -> RotationS
 
 
 def debruijn_sequence(m: int, n: int) -> np.ndarray:
-    """An (m, n)-de Bruijn sequence of length m^n by Lyndon-word concatenation.
+    """The lex-least (m, n)-de Bruijn sequence, of length m^n; it starts at window 0.
 
-    Deterministic; the rotation is fixed by starting at the all-zeros
-    window.  All m^n cyclic windows of length n are pairwise distinct.
+    Fredricksen-Kessler-Maiorana: the aperiodic prefixes of the length-n
+    necklaces, concatenated in lex order.  The heads of _necklaces, read as
+    big-endian words, are those necklaces in lex order; a masked (heads, n)
+    digit matrix keeps each head's first period digits.
     """
     if m < 2 or n < 1:
         raise ValueError("need alphabet size >= 2 and window length >= 1")
     if m ** n > 1 << 26:
         raise ValueError("sequence length exceeds the memory budget")
-    seq: list[int] = []
-    a = [0] * (n + 1)
-
-    def db(t: int, p: int) -> None:
-        if t > n:
-            if n % p == 0:
-                seq.extend(a[1 : p + 1])
-        else:
-            a[t] = a[t - p]
-            db(t + 1, p)
-            for j in range(a[t - p] + 1, m):
-                a[t] = j
-                db(t + 1, t)
-
-    db(1, 1)  # recursion depth n + 1, at most 27 under the memory budget
-    return np.asarray(seq, dtype=np.int64)
+    heads, period = _necklaces(m, n)
+    digits = heads[:, None] // m ** np.arange(n - 1, -1, -1, dtype=np.int64) % m
+    return digits[np.arange(n) < period[:, None]]
 
 
 def _window_indices(s: np.ndarray, n: int, m: int) -> np.ndarray:
-    """Little-endian base-m index of every cyclic length-n window of s."""
-    idx = np.zeros(s.size, dtype=np.int64)
-    for j in range(n):
-        idx += np.roll(s, -j) * m**j
+    """Little-endian base-m index of every cyclic length-n window of s.
+
+    Horner's rule, in place, over shifted views of s extended by its first
+    n - 1 symbols.
+    """
+    s = np.asarray(s, dtype=np.int64)
+    ext = np.concatenate([s, s[: n - 1]])
+    idx = ext[n - 1 :].copy()
+    for j in range(n - 2, -1, -1):
+        idx *= m
+        idx += ext[j : j + s.size]
     return idx
 
 
@@ -159,9 +155,8 @@ def debruijn_window_permutation(m: int, n: int, s: np.ndarray | None = None) -> 
     """The window-successor map on all length-n words, a single m^n-cycle.
 
     Word at window position i maps to the word at position i+1 of the de
-    Bruijn sequence; distinctness of windows makes this a permutation.  The
-    window indices in sequence order are the cycle itself, rotated to start
-    at window 0 (where debruijn_sequence already starts).
+    Bruijn sequence.  The window indices in sequence order are the cycle,
+    rotated to start at window 0 (where debruijn_sequence already starts).
     """
     if s is None:
         s = debruijn_sequence(m, n)
@@ -184,23 +179,17 @@ class SymbolicSystem:
         return self.m ** (2 * self.N + 1)
 
     def word(self, index: int) -> np.ndarray:
-        """Decode an index to the word (y(-N), ..., y(N))."""
-        L = 2 * self.N + 1
-        out = np.empty(L, dtype=np.int64)
-        for i in range(L):
-            index, out[i] = divmod(index, self.m)
-        return out
+        """Decode an index to the word (y(-N), ..., y(N)); a column of indices gives one per row."""
+        return index // self.m ** np.arange(2 * self.N + 1, dtype=np.int64) % self.m
 
     def index(self, word) -> int:
-        word = np.asarray(word, dtype=np.int64)
         return int(sum(int(w) * self.m**i for i, w in enumerate(word)))
 
     @property
     def embedding(self) -> PointEmbedding:
         """Coordinate row y is word(y), the base-m digits of y; built on first use."""
-        powers = self.m ** np.arange(2 * self.N + 1)
         return PointEmbedding(size=self.M, space=symbolic_space(self.m, self.N),
-                              make_coordinates=lambda: np.arange(self.M)[:, None] // powers % self.m)
+                              make_coordinates=lambda: self.word(np.arange(self.M)[:, None]))
 
 
 def _rotate(words: np.ndarray, j: int, m: int, L: int) -> np.ndarray:
@@ -209,34 +198,47 @@ def _rotate(words: np.ndarray, j: int, m: int, L: int) -> np.ndarray:
     On little-endian indices this is index // m^j + (index % m^j) * m^(L-j);
     j = 1 is one step of the naive shift.
     """
-    return words // m**j + words % m**j * m ** (L - j)
+    # the remainder by multiply-subtract: numpy's % by a scalar is slower than its //
+    q = words // m**j
+    return q + (words - q * m**j) * m ** (L - j)
 
 
-def _necklace_cycles(m: int, L: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cycles of the naive shift on length-L words, in canonical order.
+def _necklaces(m: int, L: int) -> tuple[np.ndarray, np.ndarray]:
+    """Heads (ascending) and periods of the necklaces of length-L words over m symbols.
 
-    The cycle through a word is its necklace, the set of its rotations, and
-    its period divides L.  L - 1 vectorized passes keep the words no larger
-    than their j-th rotation, which leaves the cycle heads (each necklace's
-    minimum, ascending); the divisors of L give each head's period; each
-    length class is then filled as a (heads, p) block whose column j is the
-    heads rotated by j.
+    A head is the smallest index among a word's rotations: the same set
+    whether indices are read little- or big-endian, as a left rotation in
+    one reading is a right rotation in the other.  L - 1 vectorized passes
+    keep the indices no larger than their j-th rotation; a head's period is
+    the smallest divisor d of L whose rotation maps it to itself.  The
+    passes run in int32, exact under the 2^26 word budget of the callers.
     """
-    heads = np.arange(m**L, dtype=np.int64)
+    heads = np.arange(m**L, dtype=np.int32)
     for j in range(1, L):
         heads = heads[heads <= _rotate(heads, j, m, L)]
     period = np.full(heads.size, L, dtype=np.int64)
     for d in sorted((d for d in range(1, L) if L % d == 0), reverse=True):
         period[_rotate(heads, d, m, L) == heads] = d
-    order, lengths = [], []
+    return heads.astype(np.int64), period
+
+
+def _necklace_cycles(m: int, L: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cycles of the naive shift on length-L words, in canonical order.
+
+    The cycle through a word is its necklace, the set of its rotations,
+    headed by its minimum.  Each length class is a (heads, p) block whose
+    column j is the heads rotated by j.
+    """
+    heads, period = _necklaces(m, L)
+    order = []
     for p in sorted(set(period.tolist()), reverse=True):
         h = heads[period == p]
+        # a column at a time: whole-block rotation temporaries raise peak RSS
         block = np.empty((h.size, p), dtype=np.int64)
         for j in range(p):
             block[:, j] = _rotate(h, j, m, L)
         order.append(block.ravel())
-        lengths.append(np.full(h.size, p, dtype=np.int64))
-    return np.concatenate(order), np.concatenate(lengths)
+    return np.concatenate(order), np.sort(period)[::-1].copy()
 
 
 def build_bernoulli(m: int, N: int, mode: str = "debruijn") -> SymbolicSystem:
@@ -250,9 +252,8 @@ def build_bernoulli(m: int, N: int, mode: str = "debruijn") -> SymbolicSystem:
     if m**L > 1 << 26:
         raise ValueError("word space exceeds the memory budget")
     if mode == "naive":
-        order, lengths = _necklace_cycles(m, L)
-        return SymbolicSystem(m=m, N=N, mode=mode,
-                              permutation=FinitePermutation.from_cycle_order(order, lengths))
+        T = FinitePermutation.from_cycle_order(*_necklace_cycles(m, L))
+        return SymbolicSystem(m=m, N=N, mode=mode, permutation=T)
     if mode == "debruijn":
         return SymbolicSystem(m=m, N=N, mode=mode, permutation=debruijn_window_permutation(m, L))
     raise ValueError(f"unknown mode {mode!r}")
@@ -268,8 +269,12 @@ def tent_function(x: float) -> float:
 
 
 def _int_param(value, key: str, minimum: int) -> int:
-    """value as an int >= minimum; integral floats such as 10.0 pass."""
-    if value != int(value) or value < minimum:
+    """value as an int >= minimum; integral floats such as 10.0 pass, strings and inf do not."""
+    try:
+        ok = value == int(value) and value >= minimum
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
         raise ValueError(f"{key} must be an integer >= {minimum}, got {value!r}")
     return int(value)
 

@@ -236,3 +236,81 @@ def cylinder_measure_loop(cylinders, alphabet):
         if any(all(point[n] == s for n, s in cyl.items()) for cyl in cylinders):
             count += 1
     return count / float(alphabet) ** len(domains)
+
+
+# -- de Bruijn sequences and necklaces ---------------------------------------
+
+
+def debruijn_lyndon(m, n):
+    """The (m, n)-de Bruijn sequence by the recursive Lyndon-word generator.
+
+    The generator of Fredricksen, Kessler and Maiorana as written by Ruskey:
+    a[1..n] runs over the necklaces in lex order, and each one's aperiodic
+    prefix a[1..p] is emitted when p divides n.
+    """
+    seq = []
+    a = [0] * (n + 1)
+
+    def db(t, p):
+        if t > n:
+            if n % p == 0:
+                seq.extend(a[1 : p + 1])
+        else:
+            a[t] = a[t - p]
+            db(t + 1, p)
+            for j in range(a[t - p] + 1, m):
+                a[t] = j
+                db(t + 1, t)
+
+    db(1, 1)
+    return np.asarray(seq, dtype=np.int64)
+
+
+def window_indices_roll(s, n, m):
+    """Little-endian index of every cyclic length-n window, one np.roll per symbol."""
+    idx = np.zeros(s.size, dtype=np.int64)
+    for j in range(n):
+        idx += np.roll(s, -j) * m**j
+    return idx
+
+
+def necklaces_brute(m, L, big_endian):
+    """(heads, periods) of the length-L necklaces, one word at a time.
+
+    Each index is decoded to its digit tuple in the given reading; it is a
+    head when no rotation of the tuple encodes a smaller index, and its
+    period is the smallest shift that maps the tuple to itself.
+    """
+    def encode(digits):
+        order = reversed(digits) if big_endian else digits
+        return sum(d * m**i for i, d in enumerate(order))
+
+    heads, periods = [], []
+    for y in range(m**L):
+        digits = [y // m**i % m for i in range(L)]
+        if big_endian:
+            digits.reverse()
+        rotations = [digits[j:] + digits[:j] for j in range(L)]
+        if min(encode(r) for r in rotations) == y:
+            heads.append(y)
+            periods.append(next(j for j in range(1, L + 1) if rotations[j % L] == digits))
+    return np.asarray(heads, dtype=np.int64), np.asarray(periods, dtype=np.int64)
+
+
+def prefer_largest_debruijn(m, n):
+    """A de Bruijn sequence that is not the lex-least one: the greedy prefer-largest rule.
+
+    Start from n zeros and append the largest symbol whose window is new;
+    the first m^n symbols are a de Bruijn sequence (Martin 1934).
+    """
+    seq = [0] * n
+    seen = {tuple(seq)}
+    while True:
+        for c in range(m - 1, -1, -1):
+            w = tuple(seq[len(seq) - n + 1 :]) + (c,)
+            if w not in seen:
+                seen.add(w)
+                seq.append(c)
+                break
+        else:
+            return np.asarray(seq[: m**n], dtype=np.int64)

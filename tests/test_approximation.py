@@ -90,6 +90,39 @@ def test_thickening_wrapped_circle_interval():
     assert err <= 3.0 / M
 
 
+def test_interval_measure_of_overlapping_union():
+    C = ClosedSet(kind="intervals", intervals=((0.2, 0.4), (0.3, 0.5)))
+    assert C.measure(interval_space()) == pytest.approx(0.3)
+    # the M = 1000 grid matches this set to within 1/M, so its thickening error is small
+    assert thickening_measure_error(grid_embedding(1000, interval_space()), C, 1e-4) <= 2e-3
+    # a wrapped interval that covers another, and one that meets it at 0
+    assert ClosedSet(kind="intervals", intervals=((0.8, 0.3), (0.1, 0.2))).measure(
+        interval_space()) == pytest.approx(0.5)
+    assert ClosedSet(kind="intervals", intervals=((0.0, 0.1), (0.9, 0.0))).measure(
+        interval_space()) == pytest.approx(0.2)
+
+
+@pytest.mark.parametrize("a,b", [(0.25, 0.5), (0.9, 0.1), (0.0, 1.0), (1.0, 0.0), (0.3, 0.3),
+                                 (0.1, 0.7000000000000001), (0.95, 0.05)])
+def test_single_interval_measure_is_its_length(a, b):
+    # the same float as the length formula, wrapped or not
+    expected = (b - a) if a <= b else (1.0 - a + b)
+    assert ClosedSet(kind="intervals", intervals=((a, b),)).measure(interval_space()) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=1, max_size=6))
+def test_interval_measure_matches_fine_grid_count(intervals):
+    G = 200_000
+    x = (np.arange(G) + 0.5) / G
+    inside = np.zeros(G, dtype=bool)
+    for a, b in intervals:
+        inside |= ((a <= x) & (x <= b)) if a <= b else ((x >= a) | (x <= b))
+    measure = ClosedSet(kind="intervals", intervals=tuple(intervals)).measure(interval_space())
+    # each of the at most 2 * 6 piece ends moves the count by at most one grid cell
+    assert abs(measure - np.count_nonzero(inside) / G) <= 2 * len(intervals) / G
+
+
 def test_cylinder_measure_union():
     sp = symbolic_space(2, 1)
     # {x : x(0)=1} union {x : x(0)=1} (same set twice)

@@ -205,8 +205,21 @@ def test_approx_metrics_on_bernoulli_is_config_error(tmp_path, capsys):
     ("gamma", {"k": 1.0, "stride": "x"}),
     ("gamma", {"k": 1.0, "stride": [7]}),
     ("start_points", {"random": "x"}),
+    ("system", {"name": "drift", "M": 1000.5}),
+    ("system", {"name": "rotation", "M": 1000.5, "t": 0.3}),
+    ("system", {"name": "bernoulli", "m": 2, "N": 2.5, "mode": "naive"}),
+    ("system", {"name": "bernoulli", "m": 2.5, "N": 1, "mode": "debruijn"}),
+    ("system", {"name": "drift", "M": "200"}),
+    ("start_points", {"explicit": "698"}),
+    ("start_points", {"explicit": [69.7]}),
+    ("start_points", {"explicit": ["7"]}),
+    ("gamma", {"k": "inf"}),
+    ("gamma", {"k": "-inf"}),
 ], ids=["k-zero", "stride-zero", "drift-no-M", "rotation-no-M", "bernoulli-no-m",
-        "bernoulli-no-N", "ex03-K-zero", "stride-not-int", "stride-list", "random-not-int"])
+        "bernoulli-no-N", "ex03-K-zero", "stride-not-int", "stride-list", "random-not-int",
+        "drift-M-fraction", "rotation-M-fraction", "bernoulli-N-fraction", "bernoulli-m-fraction",
+        "drift-M-string", "explicit-string", "explicit-fraction", "explicit-string-item",
+        "k-inf", "k-minus-inf"])
 def test_malformed_gamma_config_is_config_error(tmp_path, capsys, section, spec):
     payload = small_gamma_config()
     payload[section] = spec
@@ -216,8 +229,22 @@ def test_malformed_gamma_config_is_config_error(tmp_path, capsys, section, spec)
     assert_config_error(capsys, ["gamma", "--config", cfg, "--out", str(tmp_path / "o")])
 
 
+def test_integral_floats_pass_as_integers(tmp_path):
+    # "M": 200.0 and "explicit": [7.0] run exactly as 200 and [7]
+    outs = []
+    for M, y in ((200, 7), (200.0, 7.0)):
+        payload = small_gamma_config()
+        payload["system"]["M"] = M
+        payload["start_points"]["explicit"] = [y]
+        out = tmp_path / f"o{type(M).__name__}"
+        assert main(["gamma", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
+        outs.append(((out / "gamma_ex01_y7.csv").read_bytes(),
+                     (out / "gamma_meta.json").read_bytes()))
+    assert outs[0] == outs[1]
+
+
 def test_gamma_stride_is_converted_like_M(tmp_path):
-    # a numeric string stride is read with int(), as system.M is
+    # a numeric string stride is read with int()
     outs = []
     for stride in (7, "7"):
         payload = small_gamma_config()
@@ -259,11 +286,12 @@ def test_approx_pipeline_report(tmp_path):
     {"mode": "metrics", "closed_intervals": [[-0.1, 0.25]]},
     {"mode": "metrics", "degree": 2.5},
     {"mode": "metrics", "degree": -2},
+    {"mode": "pipeline", "M": 500.5},
 ], ids=["pipeline-no-M", "M-not-int", "M-zero", "delta-zero", "rotation-no-t",
         "interval-not-pair", "mismatch-epsilon-zero", "thickening-epsilon-nan",
         "mismatch-epsilons-nan", "pipeline-mismatch-epsilon-nan", "interval-nan-endpoint",
         "interval-endpoint-above-1", "interval-endpoint-below-0", "degree-fraction",
-        "degree-negative"])
+        "degree-negative", "pipeline-M-fraction"])
 def test_malformed_approx_config_is_config_error(tmp_path, capsys, approx):
     cfg = write_config(tmp_path, {"system": {"name": "drift", "M": 100}, "approx": approx})
     assert_config_error(capsys, ["approx", "--config", cfg, "--out", str(tmp_path / "o")])

@@ -8,6 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from ergodia.dynamics import FinitePermutation, Observable, ergodic_means_prefix, orbit_average
 from ergodia.systems import (
+    _necklace_cycles,
+    _necklaces,
+    _window_indices,
     build_bernoulli,
     build_drift_system,
     build_rotation,
@@ -16,7 +19,14 @@ from ergodia.systems import (
     paper_observable,
     tent_function,
 )
-from oracles import block_density, three_point_average
+from oracles import (
+    block_density,
+    debruijn_lyndon,
+    necklaces_brute,
+    prefer_largest_debruijn,
+    three_point_average,
+    window_indices_roll,
+)
 
 
 # -- drift and rotation ----------------------------------------------------
@@ -107,6 +117,60 @@ def test_window_permutation_follows_sequence():
 
     for i in range(8):
         assert T(widx(i)) == widx(i + 1)
+
+
+@pytest.mark.parametrize("m,n", [(2, 1), (2, 3), (3, 4), (2, 9), (5, 5), (4, 2), (7, 1),
+                                 (2, 21), (3, 13)])
+def test_debruijn_sequence_matches_lyndon_generator(m, n):
+    s = debruijn_sequence(m, n)
+    assert s.dtype == np.int64
+    assert np.array_equal(s, debruijn_lyndon(m, n))
+
+
+@pytest.mark.parametrize("m,L", [(2, 1), (3, 1), (2, 2), (2, 5), (2, 6), (3, 4), (2, 9), (5, 3),
+                                 (4, 4), (2, 12)])
+def test_necklaces_match_brute_force_in_both_readings(m, L):
+    heads, period = _necklaces(m, L)
+    for big_endian in (False, True):
+        h, p = necklaces_brute(m, L, big_endian)
+        assert np.array_equal(heads, h)
+        assert np.array_equal(period, p)
+
+
+def _debruijn_variants(m, n):
+    """The lex-least sequence, a greedy one, and relabelled, reversed and rotated copies."""
+    s = debruijn_sequence(m, n)
+    greedy = prefer_largest_debruijn(m, n)
+    return {"fkm": s, "prefer-largest": greedy, "complement": m - 1 - s,
+            "reversed": greedy[::-1].copy(), "rotated": np.roll(s, s.size // 3 + 1)}
+
+
+@pytest.mark.parametrize("m,n", [(2, 1), (2, 4), (3, 3), (2, 7), (4, 3), (2, 11)])
+def test_window_indices_match_roll_loop(m, n):
+    for name, s in _debruijn_variants(m, n).items():
+        assert all_windows_distinct(s.tolist(), n, m), name
+        idx = _window_indices(s, n, m)
+        windows = window_indices_roll(s, n, m)
+        assert idx.dtype == np.int64
+        assert np.array_equal(idx, windows), name
+        # the successor map of a supplied sequence: window i goes to window i + 1
+        T = debruijn_window_permutation(m, n, s)
+        image = np.empty(m**n, dtype=np.int64)
+        image[windows] = np.roll(windows, -1)
+        assert np.array_equal(T.image, image), name
+        assert len(T.cycles) == 1
+
+
+@pytest.mark.parametrize("m,L", [(2, 1), (2, 5), (3, 4), (2, 9), (4, 3), (2, 12), (3, 5)])
+def test_naive_cycles_match_the_generic_walk(m, L):
+    order, lengths = _necklace_cycles(m, L)
+    words = np.arange(m**L)
+    walked = FinitePermutation(words // m + words % m * m ** (L - 1)).orbit_index
+    assert np.array_equal(order, walked.order)
+    assert np.array_equal(lengths, walked.lengths)
+    index = FinitePermutation.from_cycle_order(order, lengths).orbit_index
+    for field in ("order", "starts", "lengths", "cycle_id", "pos"):
+        assert np.array_equal(getattr(index, field), getattr(walked, field)), field
 
 
 # -- Bernoulli approximations ----------------------------------------------
