@@ -196,7 +196,7 @@ class ClosedSet:
                 x = x % 1.0
             best = np.full(shape, np.inf)
             for a, b in self.intervals:
-                if a > b and space.kind == "circle":
+                if a > b:  # wraps through 0, as measure counts it, on the interval too
                     inside = (x >= a) | (x <= b)
                 else:
                     inside = (a <= x) & (x <= b)

@@ -113,19 +113,21 @@ def _resolve_start_points(spec: dict, M: int, seed: int) -> list[int]:
                 raise ConfigError("explicit start point out of range")
             return pts
         if "random" in spec:
-            rng = SplitMix64(seed)
-            return rng.sample_points(M, int(spec["random"]))
+            return SplitMix64(seed).sample_points(M, _int_param(spec["random"], "random", 0))
         if "stratified" in spec:
-            return stratified_start_points(M, int(spec["stratified"]),
-                                           int(spec.get("extras", 0)), seed)
+            return stratified_start_points(M, _int_param(spec["stratified"], "stratified", 1),
+                                           _int_param(spec.get("extras", 0), "extras", 0), seed)
     except (TypeError, ValueError) as e:
         raise ConfigError(f"bad start_points spec: {e}") from e
     raise ConfigError("start_points needs one of: explicit, random, stratified")
 
 
 def _seed(config: dict, args) -> int:
-    """--seed wins over the config's "seed", which wins over 0."""
-    return int(args.seed if args.seed is not None else config.get("seed", 0))
+    """--seed wins over the config's "seed", which wins over 0; any integer, used mod 2^64."""
+    try:
+        return _int_param(args.seed if args.seed is not None else config.get("seed", 0), "seed", -np.inf)
+    except ValueError as e:
+        raise ConfigError(f"bad seed: {e}") from e
 
 
 # -- output writers --------------------------------------------------------
@@ -203,8 +205,7 @@ def cmd_gamma(config: dict, args) -> int:
     # either failing is a bad gamma spec
     try:
         k = float(gspec.get("k", 1.0))
-        stride = gspec.get("stride")
-        stride = None if stride is None else int(stride)
+        stride = None if gspec.get("stride") is None else _int_param(gspec["stride"], "stride", 1)
         results = [(y, gamma_series(F, T, y, k, stride)) for y in starts]
     except (TypeError, ValueError) as e:
         raise ConfigError(f"bad gamma spec: {e}") from e
@@ -232,20 +233,19 @@ def cmd_stab(config: dict, args) -> int:
     spec = config.get("stab", {})
     if "epsilon" not in spec or "eta" not in spec:
         raise ConfigError("stab config must pin epsilon and eta explicitly")
-    eps = float(spec["epsilon"])
-    eta = float(spec["eta"])
-    n_min = int(spec.get("n_min", 1))
-    scan_limit = int(spec.get("scan_limit", T.size))
-    report: dict = {**meta, "observable": F.name, "epsilon": eps, "eta": eta,
-                    "n_min": n_min, "scan_limit": scan_limit, "seed": seed}
-
     starts = _resolve_start_points(config.get("start_points", {"stratified": 100, "extras": 25}),
                                    T.size, seed)
-    # the library checks n_min, epsilon, eta, scan_limit and the pairs;
-    # a ValueError from it is a bad stab spec
+    # the integer keys are read here, and the library checks epsilon, eta,
+    # n_min <= scan_limit and L < K; a TypeError or ValueError from either
+    # is a bad stab spec
     try:
+        eps, eta = float(spec["epsilon"]), float(spec["eta"])
+        n_min = _int_param(spec.get("n_min", 1), "n_min", 1)
+        scan_limit = _int_param(spec.get("scan_limit", T.size), "scan_limit", 1)
+        report: dict = {**meta, "observable": F.name, "epsilon": eps, "eta": eta,
+                        "n_min": n_min, "scan_limit": scan_limit, "seed": seed}
         segments = []
-        for y in starts[: int(spec.get("per_point_limit", 16))]:
+        for y in starts[: _int_param(spec.get("per_point_limit", 16), "per_point_limit", 0)]:
             seg = stabilization_segment(F, T, y, n_min, eps, scan_limit)
             segments.append({"y": y, "K_star": seg.K_star, "witness": seg.witness,
                              "capped": seg.capped})
@@ -258,14 +258,15 @@ def cmd_stab(config: dict, args) -> int:
         }
 
         pairs = []
-        for K, L in spec.get("pairs", []):
-            rep = sup_discrepancy(F, T, int(K), int(L))
-            entry = {"K": int(K), "L": int(L), "sup_disc": rep.sup_disc}
+        for pair in spec.get("pairs", []):
+            K, L = (_int_param(h, "pair horizon", 1) for h in pair)
+            rep = sup_discrepancy(F, T, K, L)
+            entry = {"K": K, "L": L, "sup_disc": rep.sup_disc}
             for e in spec.get("exceedance_epsilons", [eps]):
                 entry[f"exceedance@{e}"] = rep.exceedance(float(e))
             pairs.append(entry)
         report["discrepancies"] = pairs
-    except ValueError as e:
+    except (TypeError, ValueError) as e:
         raise ConfigError(f"bad stab spec: {e}") from e
 
     out = Path(args.out)

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import FinitePermutation, Observable, ergodic_means_prefix
+from .dynamics import FinitePermutation, Observable, OrbitIndex
 from .rng import SplitMix64
 
 __all__ = [
@@ -61,9 +61,9 @@ class DiscrepancyReport:
     v_bounds: np.ndarray
 
     def exceedance(self, eps: float) -> float:
-        if eps <= 0:
+        if not eps > 0:
             raise ValueError("epsilon must be positive")
-        return float(np.mean(self.diffs >= eps))
+        return np.count_nonzero(self.diffs >= eps) / self.diffs.size
 
 
 @dataclass(frozen=True)
@@ -86,23 +86,62 @@ class StabilizationSegment:
     excluded_fraction: float | None = None
 
 
-# points per block of equal-length cycles that means_at_horizon handles at
-# once, so its temporaries stay bounded however many cycles share a length
+# values per chunk the kernels handle at once (rows of equal-length cycles,
+# or a tile of orbit rows), so their temporaries stay bounded
 CHUNK_POINTS = 1 << 16
 
 
-def _row_means(F: Observable, cyc: np.ndarray, n: int) -> np.ndarray:
-    """A_n at every point of cyc, a (rows, p) block of whole cycles."""
-    p = cyc.shape[1]
-    q, r = divmod(n, p)
-    vals = F.values[cyc]
-    total = q * vals.sum(axis=1, keepdims=True)
-    window = 0.0
-    if r:
-        pref = np.zeros((vals.shape[0], p + r + 1))
-        np.cumsum(np.concatenate([vals, vals[:, :r]], axis=1), axis=1, out=pref[:, 1:])
-        window = pref[:, r : r + p] - pref[:, :p]
-    return np.broadcast_to((total + window) / n, vals.shape)
+def _row_means(F: Observable, index: OrbitIndex, horizons: Sequence[int],
+               points: np.ndarray | None = None, absolute: bool = False):
+    """(cyc, [A_n on cyc for n in horizons]) per chunk of whole equal-length cycles.
+
+    cyc is a (rows, p) block of order, a cycle per row (with points, only the
+    cycles holding them, by cycle id).  One gather, row sum and cumsum of
+    length p + max(n mod p) serve every horizon, of |F| if absolute:
+    add.accumulate along a row is sequential, so a shorter window's prefix
+    sums are the same floats.
+    """
+    if points is not None:
+        wanted = np.zeros(index.lengths.size, dtype=bool)
+        wanted[index.cycle_id[points]] = True
+    for offset, count, p in index.length_classes():
+        rows = index.order[offset : offset + count * p].reshape(count, p)
+        if points is not None:
+            first_cycle = index.cycle_id[index.order[offset]]
+            rows = rows[wanted[first_cycle : first_cycle + count]]
+        step, width = max(1, CHUNK_POINTS // p), max(n % p for n in horizons)
+        for cyc in (rows[first : first + step] for first in range(0, len(rows), step)):
+            vals = np.abs(F.values[cyc]) if absolute else F.values[cyc]
+            sums = vals.sum(axis=1, keepdims=True)
+            if width:
+                pref = np.zeros((len(cyc), p + width + 1))
+                pref[:, 1 : p + 1], pref[:, p + 1 :] = vals, vals[:, :width]
+                np.cumsum(pref[:, 1:], axis=1, out=pref[:, 1:])
+            means = []
+            for n in horizons:
+                q, r = divmod(n, p)
+                window = pref[:, r : r + p] - pref[:, :p] if r else np.zeros((len(cyc), 1))
+                window += q * sums
+                window /= n
+                means.append(np.broadcast_to(window, cyc.shape))
+            yield cyc, means
+
+
+def _means_at_points(F: Observable, index: OrbitIndex, horizons: Sequence[int],
+                     points: np.ndarray, absolute: bool = False) -> np.ndarray:
+    """A_n at points for each n in horizons, shape (len(horizons), len(points)).
+
+    Each point's mean is read out of its cycle's block at (row, pos[y]).
+    """
+    cid = index.cycle_id[points]
+    out = np.empty((len(horizons), points.size))
+    for cyc, means in _row_means(F, index, horizons, points, absolute):
+        ids = index.cycle_id[cyc[:, 0]]
+        here = np.flatnonzero((cid >= ids[0]) & (cid <= ids[-1]))
+        row, col = np.searchsorted(ids, cid[here]), index.pos[points[here]]
+        for i, A in enumerate(means):
+            out[i, here] = A[row, col]
+    return out
 
 
 def means_at_horizon(
@@ -114,42 +153,20 @@ def means_at_horizon(
     """A_n(F, T, y) for every y, in O(M) total via per-cycle window sums.
 
     The window of length n along a cycle of length p contributes
-    floor(n/p) full cycle sums plus a cyclic window of length n mod p.
-    Equal-length cycles are contiguous in the orbit index, so each length
-    class is handled as (cycles, p) rows, a chunk of rows at a time; every
-    row gets the same arithmetic as a lone cycle would.
-
-    With points given, only the cycles holding them are processed and
-    A_n at those points is returned, in their order; each value is
-    bitwise the one the full call gives.
+    floor(n/p) full cycle sums plus a cyclic window of length n mod p; the
+    cycles of one length are handled as rows of one block.  With points
+    given, only the cycles holding them are processed and A_n at those
+    points is returned, in their order; each value is bitwise the one the
+    full call gives.
     """
     if n < 1:
         raise ValueError("horizon must be >= 1")
-    index = T.orbit_index
-    out = np.empty(T.size, dtype=np.float64)
     if points is not None:
-        points = np.asarray(points, dtype=np.int64)
-        wanted = np.zeros(index.lengths.size, dtype=bool)
-        wanted[index.cycle_id[points]] = True
-    for offset, count, p in index.length_classes():
-        rows = index.order[offset : offset + count * p].reshape(count, p)
-        if points is not None:
-            first_cycle = index.cycle_id[index.order[offset]]
-            rows = rows[wanted[first_cycle : first_cycle + count]]
-        step = max(1, CHUNK_POINTS // p)
-        for first in range(0, len(rows), step):
-            cyc = rows[first : first + step]
-            out[cyc] = _row_means(F, cyc, n)
-    return out if points is None else out[points]
-
-
-def _abs_discrepancies(F: Observable, T: FinitePermutation, K: int, L: int) -> np.ndarray:
-    """|A_K - A_L| at every point of Y, for 1 <= L < K."""
-    if not 1 <= L < K:
-        raise ValueError("require 1 <= L < K")
-    diffs = means_at_horizon(F, T, K)
-    diffs -= means_at_horizon(F, T, L)
-    return np.abs(diffs, out=diffs)
+        return _means_at_points(F, T.orbit_index, (n,), np.asarray(points, dtype=np.int64))[0]
+    out = np.empty(T.size, dtype=np.float64)
+    for cyc, (A,) in _row_means(F, T.orbit_index, (n,)):
+        out[cyc] = A
+    return out
 
 
 def sup_discrepancy(
@@ -160,13 +177,16 @@ def sup_discrepancy(
     sample: Sequence[int] | None = None,
 ) -> DiscrepancyReport:
     """Exact max over all y of |A_K - A_L| plus the U/V proof terms on a sample."""
-    diffs = _abs_discrepancies(F, T, K, L)
+    if not 1 <= L < K:
+        raise ValueError("require 1 <= L < K")
+    diffs = np.empty(T.size, dtype=np.float64)
+    for cyc, (A_K, A_L) in _row_means(F, T.orbit_index, (K, L)):
+        diffs[cyc] = np.abs(A_K - A_L)
     if sample is None:
         sample = stratified_start_points(T.size, strata=min(T.size, 32), extras=0, seed=0)
     sample = np.asarray(sample, dtype=np.int64)
-    absF = Observable.from_values(np.abs(F.values), name=f"abs({F.name})")
-    absL = means_at_horizon(absF, T, L, points=sample)  # (1/L) sum_{k<L} |F(T^k y)|
-    absK = means_at_horizon(absF, T, K, points=sample)
+    # (1/L) sum_{k<L} |F(T^k y)| and (1/K) sum_{k<K} |F(T^k y)|
+    absL, absK = _means_at_points(F, T.orbit_index, (L, K), sample, absolute=True)
     u = (1.0 / L - 1.0 / K) * absL * L
     v = absK - absL * L / K  # (1/K) sum_{k=L}^{K-1} |F|
     return DiscrepancyReport(
@@ -182,45 +202,69 @@ def sup_discrepancy(
 
 def exceedance_fraction(F: Observable, T: FinitePermutation, K: int, L: int, eps: float) -> float:
     """(1/M) * |{y : |A_K - A_L| >= eps}|, exact over all of Y."""
-    diffs = _abs_discrepancies(F, T, K, L)
-    if eps <= 0:
-        raise ValueError("epsilon must be positive")
-    return float(np.mean(diffs >= eps))
+    return sup_discrepancy(F, T, K, L, sample=[]).exceedance(eps)
 
 
-def _check_band(n_min: int, eps: float, scan_limit: int) -> None:
+def _band_ends(F: Observable, T: FinitePermutation, points: np.ndarray, n_min: int,
+               eps: float, scan_limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(K_star, band midpoint at K_star, capped) per point: K_star is the largest
+    K <= scan_limit with max - min of A_{n_min..K} <= eps (pairwise over the
+    range, not between consecutive means).
+
+    One orbit per row, in tiles of at most CHUNK_POINTS values: the prefix
+    sum and the band's max and min carry over, and a chunk stops once no
+    row is left in its band.  A row's orbit-order slots step by 1, and back
+    by p where it wraps, so a cumsum gives them with no % per step.
+    add.accumulate along a row is sequential, so every mean is bitwise
+    ergodic_means_prefix's.
+    """
     if n_min < 1:
         raise ValueError("n_min must be >= 1")
-    if eps <= 0:
+    if not eps > 0:  # NaN is refused too
         raise ValueError("epsilon must be positive")
     if n_min > scan_limit:
         raise ValueError("n_min exceeds scan_limit")
-
-
-def _band_end(means: np.ndarray, n_min: int, eps: float, scan_limit: int) -> tuple[int, float, bool]:
-    """Largest K in [n_min, scan_limit] with max-min of A_{n_min..K} <= eps.
-
-    The band criterion is pairwise over the whole range (running min/max),
-    not a local consecutive-difference test.  Returns (K_star, band
-    midpoint at K_star, capped flag).
-    """
-    window = means[n_min - 1 : scan_limit]
-    hi = np.maximum.accumulate(window)
-    lo = np.minimum.accumulate(window)
-    bad = (hi - lo) > eps
-    idx = int(np.argmax(bad))
-    if not bad[idx]:
-        k_star = scan_limit
-        capped = True
-        last = len(window) - 1
-    else:
-        # idx is the first violating offset; idx == 0 cannot happen (a
-        # single point has band width 0), so K_star = n_min + idx - 1.
-        k_star = n_min + idx - 1
-        capped = False
-        last = idx - 1
-    witness = float((hi[last] + lo[last]) / 2.0)
-    return k_star, witness, capped
+    outside = points[(points < 0) | (points >= T.size)]
+    if outside.size:
+        raise IndexError(f"start point {outside[0]} out of range for size {T.size}")
+    index = T.orbit_index
+    k_star, witness = np.full(points.size, scan_limit), np.empty(points.size)
+    cols = min(scan_limit, CHUNK_POINTS)
+    for first in range(0, points.size, CHUNK_POINTS // cols):
+        y = points[first : first + CHUNK_POINTS // cols]
+        c, rows = index.cycle_id[y], np.arange(y.size)
+        p = index.lengths[c]
+        total, hi, lo = np.zeros(y.size), np.full((y.size, 1), -np.inf), np.full((y.size, 1), np.inf)
+        inside = np.ones(y.size, dtype=bool)
+        # tiles double from an eighth of a chunk, so rows that leave their band early stop early
+        a, width = 0, max(1, CHUNK_POINTS // 8 // y.size)
+        while a < scan_limit and inside.any():
+            n = min(width, cols, scan_limit - a)
+            pos = (index.pos[y] + a) % p
+            slots = np.ones((y.size, n), dtype=np.int64)
+            slots[:, 0] = index.starts[c] + pos
+            wraps = (p - pos)[:, None] + p[:, None] * np.arange((n - 1) // p.min() + 1)
+            i, k = (wraps < n).nonzero()
+            slots[i, wraps[i, k]] = 1 - p[i]
+            sums = F.values[index.order[slots.cumsum(axis=1, out=slots)]]
+            if a:  # only past the first tile: 0.0 + -0.0 would lose the sign of a zero
+                sums[:, 0] += total
+            total = sums.cumsum(axis=1, out=sums)[:, -1].copy()
+            skip = min(max(n_min - 1 - a, 0), n)  # columns before the band starts
+            means = sums[:, skip:] / np.arange(a + skip + 1, a + n + 1, dtype=np.float64)
+            # column 0 carries the band's max and min from the tiles before
+            band_hi = np.maximum.accumulate(np.concatenate([hi, means], axis=1), axis=1)
+            band_lo = np.minimum.accumulate(np.concatenate([lo, means], axis=1), axis=1)
+            broke = (band_hi - band_lo > eps) & inside[:, None]
+            last = broke.argmax(axis=1) - 1  # column 1 of the first band tile never breaks
+            done = broke[rows, last + 1].nonzero()[0]
+            k_star[first + done] = a + skip + last[done]
+            witness[first + done] = (band_hi[done, last[done]] + band_lo[done, last[done]]) / 2.0
+            inside[done] = False
+            hi, lo = band_hi[:, -1:], band_lo[:, -1:]
+            a, width = a + n, 2 * width
+        witness[first + np.flatnonzero(inside)] = (hi[inside, 0] + lo[inside, 0]) / 2.0
+    return k_star, witness, k_star == scan_limit
 
 
 def stabilization_segment(
@@ -232,12 +276,10 @@ def stabilization_segment(
     scan_limit: int,
 ) -> StabilizationSegment:
     """Maximal eps-band segment [n_min, K_star] for one start point."""
-    _check_band(n_min, eps, scan_limit)
-
-    means = ergodic_means_prefix(F, T, y, scan_limit).means
-    k_star, witness, capped = _band_end(means, n_min, eps, scan_limit)
-    return StabilizationSegment(start=y, n_min=n_min, K_star=k_star, eps=eps,
-                                witness=witness, capped=capped)
+    (k_star,), (witness,), (capped,) = _band_ends(F, T, np.asarray([y], dtype=np.int64),
+                                                  n_min, eps, scan_limit)
+    return StabilizationSegment(start=y, n_min=n_min, K_star=int(k_star), eps=eps,
+                                witness=float(witness), capped=bool(capped))
 
 
 def common_stabilization_segment(
@@ -250,26 +292,22 @@ def common_stabilization_segment(
     sample: Sequence[int],
 ) -> StabilizationSegment:
     """Largest K_star whose band holds for >= (1 - eta) of the sampled points."""
-    _check_band(n_min, eps, scan_limit)
     if not 0 < eta < 1:
         raise ValueError("eta must be in (0, 1)")
-    sample = list(sample)
-    if not sample:
+    sample = np.asarray(list(sample), dtype=np.int64)
+    if not sample.size:
         raise ValueError("sample is empty")
 
-    ends = [_band_end(ergodic_means_prefix(F, T, y, scan_limit).means, n_min, eps, scan_limit)
-            for y in sample]
-    ks = np.asarray([k for k, _, _ in ends])
+    ks, witnesses, _ = _band_ends(F, T, sample, n_min, eps, scan_limit)
     needed = int(np.ceil((1.0 - eta) * len(sample)))
     k_star = int(np.sort(ks)[::-1][needed - 1])
     included = ks >= k_star
-    witnesses = np.asarray([w for _, w, _ in ends])[included]
     return StabilizationSegment(
         start=-1,
         n_min=n_min,
         K_star=k_star,
         eps=eps,
-        witness=float(np.median(witnesses)),
+        witness=float(np.median(witnesses[included])),
         capped=k_star >= scan_limit,
         eta=eta,
         excluded_fraction=float(np.mean(~included)),

@@ -6,6 +6,8 @@ Nothing in the library calls these; tests import them with
 
 import numpy as np
 
+from ergodia.dynamics import Observable, ergodic_means_prefix
+
 
 def target_ranges_loop(M, targets, delta, circle):
     """_target_ranges one target at a time in Python floats and ints."""
@@ -187,7 +189,8 @@ def point_set_distance(C, x, space):
                 db = min(abs(xa - b) % 1.0, 1.0 - abs(xa - b) % 1.0)
                 best = min(best, da, db)
             else:
-                if a <= float(x) <= b:
+                inside = (a <= float(x) <= b) if a <= b else (float(x) >= a or float(x) <= b)
+                if inside:
                     return 0.0
                 best = min(best, abs(float(x) - a), abs(float(x) - b))
         return float(best)
@@ -314,3 +317,57 @@ def prefer_largest_debruijn(m, n):
                 break
         else:
             return np.asarray(seq[: m**n], dtype=np.int64)
+
+
+# -- horizon means, discrepancies and band segments, one cycle or point at a time
+
+
+def horizon_means_loop(F, T, n):
+    """A_n at every point, one cycle at a time, each with its own gather, sum and cumsum."""
+    out = np.empty(T.size)
+    for cyc in T.cycles:
+        vals = F.values[cyc]
+        p = len(cyc)
+        q, r = divmod(n, p)
+        total = q * float(np.sum(vals))
+        window = np.zeros(p)
+        if r:
+            pref = np.concatenate([[0.0], np.cumsum(np.concatenate([vals, vals[:r]]))])
+            window = pref[r : r + p] - pref[:p]
+        out[cyc] = (total + window) / n
+    return out
+
+
+def sup_discrepancy_two_pass(F, T, K, L, sample):
+    """(diffs, u, v) of sup_discrepancy from separate passes: A_K, A_L, |F| at L and at K."""
+    diffs = horizon_means_loop(F, T, K)
+    diffs -= horizon_means_loop(F, T, L)
+    np.abs(diffs, out=diffs)
+    absF = Observable.from_values(np.abs(F.values))
+    absL = horizon_means_loop(absF, T, L)[sample]
+    absK = horizon_means_loop(absF, T, K)[sample]
+    return diffs, (1.0 / L - 1.0 / K) * absL * L, absK - absL * L / K
+
+
+def band_end_loop(F, T, y, n_min, eps, scan_limit):
+    """(K_star, witness, capped) of one start point, from its own prefix means."""
+    window = ergodic_means_prefix(F, T, y, scan_limit).means[n_min - 1 :]
+    hi = np.maximum.accumulate(window)
+    lo = np.minimum.accumulate(window)
+    bad = (hi - lo) > eps
+    idx = int(np.argmax(bad))
+    if not bad[idx]:
+        return scan_limit, float((hi[-1] + lo[-1]) / 2.0), True
+    # idx is the first violating offset, never 0: a single mean has band width 0
+    return n_min + idx - 1, float((hi[idx - 1] + lo[idx - 1]) / 2.0), False
+
+
+def common_segment_loop(F, T, n_min, eps, eta, scan_limit, sample):
+    """(K_star, witness, capped, excluded_fraction) of the common segment, point by point."""
+    ends = [band_end_loop(F, T, y, n_min, eps, scan_limit) for y in sample]
+    ks = np.asarray([k for k, _, _ in ends])
+    needed = int(np.ceil((1.0 - eta) * len(sample)))
+    k_star = int(np.sort(ks)[::-1][needed - 1])
+    included = ks >= k_star
+    witness = float(np.median(np.asarray([w for _, w, _ in ends])[included]))
+    return k_star, witness, k_star >= scan_limit, float(np.mean(~included))

@@ -90,6 +90,16 @@ def test_thickening_wrapped_circle_interval():
     assert err <= 3.0 / M
 
 
+def test_wrapped_interval_on_the_interval_space_matches_the_circle():
+    # [0.9, 0.1] is [0.9, 1] with [0, 0.1] on the interval too, as measure counts it
+    M = 1000
+    C = ClosedSet(kind="intervals", intervals=((0.9, 0.1),))
+    on_interval = thickening_measure_error(grid_embedding(M, interval_space()), C, 0.002)
+    on_circle = thickening_measure_error(grid_embedding(M), C, 0.002)
+    assert on_interval <= 5.0 / M and on_circle <= 5.0 / M
+    assert abs(on_interval - on_circle) <= 2.0 / M
+
+
 def test_interval_measure_of_overlapping_union():
     C = ClosedSet(kind="intervals", intervals=((0.2, 0.4), (0.3, 0.5)))
     assert C.measure(interval_space()) == pytest.approx(0.3)

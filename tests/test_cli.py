@@ -186,6 +186,76 @@ def test_stab_n_min_above_scan_limit_is_config_error(tmp_path, capsys):
     assert_config_error(capsys, ["stab", "--config", cfg, "--out", str(tmp_path / "o")])
 
 
+def small_stab_config():
+    return {
+        "system": {"name": "drift", "M": 1000},
+        "observable": {"name": "ex03", "K": 10},
+        "start_points": {"random": 20},
+        "stab": {"epsilon": 0.05, "eta": 0.1, "n_min": 5, "scan_limit": 200,
+                 "pairs": [[40, 20]]},
+        "seed": 3,
+    }
+
+
+@pytest.mark.parametrize("key,value", [
+    ("epsilon", float("nan")),
+    ("exceedance_epsilons", [float("nan")]),
+    ("epsilon", "x"),
+    ("eta", "x"),
+    ("scan_limit", 100.7),
+    ("n_min", 2.5),
+    ("per_point_limit", 1.5),
+    ("pairs", [[40.9, 20]]),
+    ("pairs", [[40, 20.5]]),
+    ("pairs", [40]),
+    ("seed", "abc"),
+    ("random", 2.5),
+], ids=["epsilon-nan", "exceedance-epsilon-nan", "epsilon-string", "eta-string",
+        "scan-limit-fraction", "n-min-fraction", "per-point-limit-fraction", "pair-K-fraction",
+        "pair-L-fraction", "pair-not-a-pair", "seed-string", "random-fraction"])
+def test_malformed_stab_config_is_config_error(tmp_path, capsys, key, value):
+    payload = small_stab_config()
+    if key == "seed":
+        payload["seed"] = value
+    elif key == "random":
+        payload["start_points"] = {"random": value}
+    else:
+        payload["stab"][key] = value
+    cfg = write_config(tmp_path, payload)
+    assert_config_error(capsys, ["stab", "--config", cfg, "--out", str(tmp_path / "o")])
+
+
+def test_stab_integral_floats_pass_as_integers(tmp_path):
+    # integral floats in every integer stab key give the same report as ints
+    reports = []
+    for kind in (int, float):
+        payload = small_stab_config()
+        payload["start_points"] = {"stratified": kind(8), "extras": kind(4)}
+        payload["stab"].update(n_min=kind(5), scan_limit=kind(200), per_point_limit=kind(3),
+                               pairs=[[kind(40), kind(20)]])
+        payload["seed"] = kind(3)
+        out = tmp_path / kind.__name__
+        assert main(["stab", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
+        reports.append((out / "stab_report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_stab_report_of_the_ci_config_is_pinned(tmp_path):
+    # the configuration the CI's stab step runs, and the SHA-256 it checks
+    import hashlib
+
+    cfg = write_config(tmp_path, {
+        "system": {"name": "bernoulli", "m": 2, "N": 4, "mode": "naive"},
+        "observable": {"name": "chi0", "N": 4},
+        "start_points": {"random": 50},
+        "stab": {"epsilon": 0.2, "eta": 0.1, "n_min": 5, "scan_limit": 100,
+                 "pairs": [[40, 20], [9, 4]]},
+    })
+    assert main(["stab", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    digest = hashlib.sha256((tmp_path / "o" / "stab_report.json").read_bytes()).hexdigest()
+    assert digest == "d2f3583f4aa8d56a61ee8ab111425b68fb915132bde66c4a88c51d60ca775be2"
+
+
 def test_approx_metrics_on_bernoulli_is_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "system": {"name": "bernoulli", "m": 2, "N": 2, "mode": "naive"},
@@ -215,11 +285,19 @@ def test_approx_metrics_on_bernoulli_is_config_error(tmp_path, capsys):
     ("start_points", {"explicit": ["7"]}),
     ("gamma", {"k": "inf"}),
     ("gamma", {"k": "-inf"}),
+    ("gamma", {"k": 1.0, "stride": "7"}),
+    ("gamma", {"k": 1.0, "stride": 2.5}),
+    ("start_points", {"random": 2.5}),
+    ("start_points", {"stratified": 2.5}),
+    ("start_points", {"stratified": 4, "extras": 2.5}),
+    ("seed", "abc"),
+    ("seed", 1.5),
 ], ids=["k-zero", "stride-zero", "drift-no-M", "rotation-no-M", "bernoulli-no-m",
         "bernoulli-no-N", "ex03-K-zero", "stride-not-int", "stride-list", "random-not-int",
         "drift-M-fraction", "rotation-M-fraction", "bernoulli-N-fraction", "bernoulli-m-fraction",
         "drift-M-string", "explicit-string", "explicit-fraction", "explicit-string-item",
-        "k-inf", "k-minus-inf"])
+        "k-inf", "k-minus-inf", "stride-string", "stride-fraction", "random-fraction",
+        "stratified-fraction", "extras-fraction", "seed-string", "seed-fraction"])
 def test_malformed_gamma_config_is_config_error(tmp_path, capsys, section, spec):
     payload = small_gamma_config()
     payload[section] = spec
@@ -244,9 +322,9 @@ def test_integral_floats_pass_as_integers(tmp_path):
 
 
 def test_gamma_stride_is_converted_like_M(tmp_path):
-    # a numeric string stride is read with int()
+    # an integral float stride runs as the int; a string is refused (stride-string above)
     outs = []
-    for stride in (7, "7"):
+    for stride in (7, 7.0):
         payload = small_gamma_config()
         payload["gamma"]["stride"] = stride
         out = tmp_path / f"o{type(stride).__name__}"

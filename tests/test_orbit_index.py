@@ -11,7 +11,8 @@ import pytest
 
 from ergodia.dynamics import FinitePermutation, Observable, ergodic_means_prefix
 from ergodia.integrability import integrability_profile
-from ergodia.stabilization import means_at_horizon, stabilization_segment, sup_discrepancy
+from ergodia.stabilization import (common_stabilization_segment, means_at_horizon,
+                                   stabilization_segment, sup_discrepancy)
 from ergodia.systems import (
     build_bernoulli,
     build_drift_system,
@@ -121,6 +122,10 @@ RELABELLED = {
                               paper_observable("chi0", 512, N=4)),
     "naive-chi0": lambda: (build_bernoulli(2, 4, "naive").permutation,
                            paper_observable("chi0", 512, N=4)),
+    # cycles of lengths 1 to 40, with an integer-valued F so the sums are exact
+    "mixed-cycles": lambda: (FinitePermutation.from_cycles(
+        np.split(np.random.default_rng(3).permutation(107), np.cumsum([40, 19, 12, 7, 7, 7, 5, 3, 3, 2, 1])), 107),
+        Observable.from_values(np.random.default_rng(4).integers(-9, 10, 107))),
 }
 
 
@@ -136,6 +141,13 @@ def test_relabelling_preserves_means_discrepancies_segments_and_tails(name):
     rep, rep2 = sup_discrepancy(F, T, K, L), sup_discrepancy(F2, T2, K, L)
     assert np.array_equal(rep2.diffs[sigma], rep.diffs)
     assert rep2.sup_disc == rep.sup_disc
+    for eps in (1e-3, 0.05, 0.5):
+        assert rep2.exceedance(eps) == rep.exceedance(eps)
+    sample = np.random.default_rng(5).integers(0, T.size, 40)
+    for n_min, eps, scan_limit in ((1, 1e-9, 50), (3, 0.05, 300), (2, 0.5, T.size + 9)):
+        common = common_stabilization_segment(F, T, n_min, eps, 0.2, scan_limit, sample)
+        common2 = common_stabilization_segment(F2, T2, n_min, eps, 0.2, scan_limit, sigma[sample])
+        assert common2 == common
     assert np.array_equal(integrability_profile(F2).tail_masses,
                           integrability_profile(F).tail_masses)
     for y in (0, 1, T.size // 2, T.size - 1):

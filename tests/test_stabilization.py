@@ -16,7 +16,8 @@ from ergodia.stabilization import (
     stratified_start_points,
     sup_discrepancy,
 )
-from ergodia.systems import build_bernoulli
+from ergodia.systems import build_bernoulli, build_drift_system, build_rotation, paper_observable
+from oracles import band_end_loop, common_segment_loop, horizon_means_loop, sup_discrepancy_two_pass
 
 
 def random_system(M, seed, lo=-50, hi=50):
@@ -43,22 +44,6 @@ def test_means_at_horizon_matches_prefix(M, seed, n):
         assert out[y] == pytest.approx(expect, abs=1e-9)
 
 
-def per_cycle_means(F, T, n):
-    """Reference: one cycle at a time, with the per-cycle arithmetic of the kernel."""
-    out = np.empty(T.size)
-    for cyc in T.cycles:
-        vals = F.values[cyc]
-        p = len(cyc)
-        q, r = divmod(n, p)
-        total = q * float(np.sum(vals))
-        window = np.zeros(p)
-        if r:
-            pref = np.concatenate([[0.0], np.cumsum(np.concatenate([vals, vals[:r]]))])
-            window = pref[r : r + p] - pref[:p]
-        out[cyc] = (total + window) / n
-    return out
-
-
 @pytest.mark.parametrize("chunk", [1, 7, stabilization.CHUNK_POINTS])
 def test_means_at_horizon_bitwise_equals_per_cycle_loop(monkeypatch, chunk):
     # many equal-length cycles (necklaces of length 1, 3 and 9) and a
@@ -68,10 +53,14 @@ def test_means_at_horizon_bitwise_equals_per_cycle_loop(monkeypatch, chunk):
     T = build_bernoulli(2, 4, "naive").permutation
     F = Observable.from_values(np.random.default_rng(5).standard_normal(T.size))
     for n in (1, 2, 3, 8, 9, 10, 31, 1000):
-        assert np.array_equal(means_at_horizon(F, T, n), per_cycle_means(F, T, n))
+        assert np.array_equal(means_at_horizon(F, T, n), horizon_means_loop(F, T, n))
     F, T = random_system(300, 17)
     for n in (1, 5, 299, 1234):
-        assert np.array_equal(means_at_horizon(F, T, n), per_cycle_means(F, T, n))
+        assert np.array_equal(means_at_horizon(F, T, n), horizon_means_loop(F, T, n))
+    # -0.0 values: bitwise the loop's means, the signs of zeros included
+    F, T = mixed_cycles(2, zeros=True)
+    for n in (1, 2, 3, 40, 41, 80):
+        assert means_at_horizon(F, T, n).tobytes() == horizon_means_loop(F, T, n).tobytes()
 
 
 @pytest.mark.parametrize("chunk", [1, 7, stabilization.CHUNK_POINTS])
@@ -267,6 +256,142 @@ def test_common_segment_validation():
     for n_min, eps, scan_limit in [(0, 0.1, 5), (1, 0.0, 5), (6, 0.1, 5)]:
         with pytest.raises(ValueError):
             common_stabilization_segment(F, T, n_min, eps, 0.5, scan_limit, [0, 1])
+
+
+# -- the one-pass kernels against the loop oracles ---------------------------
+
+
+def naive_system(N, normal=False):
+    T = build_bernoulli(2, N, "naive").permutation
+    if normal:
+        return Observable.from_values(np.random.default_rng(N).standard_normal(T.size)), T
+    return paper_observable("chi0", T.size, N=N), T
+
+
+def mixed_cycles(seed, zeros=False):
+    """Randomly labelled cycles of lengths 1 to 40 and a non-integral F.
+
+    With zeros, F is -0.0 off the longest cycle, so every point off it has
+    -0.0 means, and a lost zero sign would show in its witness.
+    """
+    rng = np.random.default_rng(seed)
+    lengths = [40, 19, 12, 7, 7, 7, 5, 3, 3, 2, 1, 1]
+    labels = rng.permutation(sum(lengths))
+    cuts = np.cumsum([0] + lengths)
+    cycles = [labels[a:b].tolist() for a, b in zip(cuts[:-1], cuts[1:])]
+    T = FinitePermutation.from_cycles(cycles, labels.size)
+    values = rng.standard_normal(labels.size) * 3
+    if zeros:
+        values[np.setdiff1d(labels, cycles[0])] = -0.0
+    return Observable.from_values(values), T
+
+
+KERNEL_SYSTEMS = {
+    "naive1": lambda: naive_system(1),
+    "naive2": lambda: naive_system(2),
+    "naive2-normal": lambda: naive_system(2, normal=True),
+    "mixed": lambda: mixed_cycles(1),
+    "mixed-zeros": lambda: mixed_cycles(2, zeros=True),
+    "drift": lambda: (paper_observable("ex03", 60, K=4), build_drift_system(60)[0]),
+    "rotation": lambda: (paper_observable("tent", 61), build_rotation(61, 0.3).permutation),
+}
+# larger systems, run at the default chunk size only
+LARGE_SYSTEMS = {
+    "naive5": lambda: naive_system(5),
+    "naive5-normal": lambda: naive_system(5, normal=True),
+    "naive8": lambda: naive_system(8),
+    "drift1000": lambda: (paper_observable("ex03", 1000, K=10), build_drift_system(1000)[0]),
+    "rotation997": lambda: (paper_observable("tent", 997), build_rotation(997, 0.3).permutation),
+}
+# chunk 256: a few rows per chunk, each chunk in tiles of 8, 16, 32, ... columns
+CASES = [(chunk, name) for chunk in (1, 7, 256, stabilization.CHUNK_POINTS) for name in KERNEL_SYSTEMS]
+CASES += [(stabilization.CHUNK_POINTS, name) for name in LARGE_SYSTEMS]
+
+
+def kernel_system(name):
+    return {**KERNEL_SYSTEMS, **LARGE_SYSTEMS}[name]()
+
+
+def awkward_sample(T, seed):
+    """Random points, a point three times, and several points of the longest cycle."""
+    rng = np.random.default_rng(seed)
+    y = int(rng.integers(T.size))
+    return np.r_[rng.integers(0, T.size, 12), [y, y, y], T.cycles[0][:4], [T.size - 1, 0]]
+
+
+def horizon_pairs(T):
+    """(K, L) with K a multiple of the longest period P, with K < P, and with L < P < K."""
+    P = int(T.orbit_index.lengths[0])
+    return [(2 * P, P), (max(P - 1, 2), 1), (P + 3, max(1, P // 2)), (40, 20)]
+
+
+def bits(*values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("chunk,name", CASES)
+def test_sup_discrepancy_bitwise_equals_two_pass_oracle(monkeypatch, chunk, name):
+    monkeypatch.setattr(stabilization, "CHUNK_POINTS", chunk)
+    F, T = kernel_system(name)
+    sample = awkward_sample(T, len(name))
+    pairs = horizon_pairs(T)[:2] if name == "naive8" else horizon_pairs(T)
+    for K, L in pairs:
+        rep = sup_discrepancy(F, T, K, L, sample)
+        diffs, u, v = sup_discrepancy_two_pass(F, T, K, L, sample)
+        assert rep.diffs.tobytes() == diffs.tobytes(), (K, L)
+        assert rep.u_bounds.tobytes() == u.tobytes(), (K, L)
+        assert rep.v_bounds.tobytes() == v.tobytes(), (K, L)
+        assert bits(rep.sup_disc) == bits(np.max(diffs))
+        for eps in (1e-3, 0.05, 0.5):
+            assert rep.exceedance(eps) == exceedance_fraction(F, T, K, L, eps)
+            assert rep.exceedance(eps) == float(np.mean(diffs >= eps))
+
+
+@pytest.mark.parametrize("chunk,name", CASES)
+def test_segments_bitwise_equal_point_loop(monkeypatch, chunk, name):
+    monkeypatch.setattr(stabilization, "CHUNK_POINTS", chunk)
+    F, T = kernel_system(name)
+    M = T.size
+    sample = awkward_sample(T, len(name))
+    # (n_min, eps, scan_limit): violations at the second step, scans below,
+    # at and above M, n_min = scan_limit, and every row capped
+    cases = [(1, 1e-12, M // 2 + 1), (3, 0.05, M), (5, 0.3, M + 37),
+             (M // 3 + 1, 0.1, M // 3 + 1), (2, 1e6, M + 5)]
+    for n_min, eps, scan_limit in cases:
+        per_point = [band_end_loop(F, T, int(y), n_min, eps, scan_limit) for y in sample]
+        got = [stabilization_segment(F, T, int(y), n_min, eps, scan_limit) for y in sample]
+        assert [(s.K_star, s.capped) for s in got] == [(k, c) for k, _, c in per_point]
+        assert bits(*[s.witness for s in got]) == bits(*[w for _, w, _ in per_point])
+        if eps == 1e-12:  # some row leaves its band at the second step
+            assert any(s.K_star == n_min and not s.capped for s in got)
+        for eta in (0.1, 0.5):
+            common = common_stabilization_segment(F, T, n_min, eps, eta, scan_limit, sample)
+            k, w, capped, excluded = common_segment_loop(F, T, n_min, eps, eta, scan_limit, sample)
+            assert (common.K_star, common.capped, common.excluded_fraction) == (k, capped, excluded)
+            assert bits(common.witness) == bits(w)
+    if name == "mixed-zeros":
+        # the points off the longest cycle keep the sign of their -0.0 means
+        assert any(np.signbit(s.witness) and s.capped for s in got)
+
+
+def test_segment_start_point_out_of_range():
+    F, T = random_system(10, 1)
+    for y in (-1, 10):
+        with pytest.raises(IndexError):
+            stabilization_segment(F, T, y, 1, 0.1, 5)
+        with pytest.raises(IndexError):
+            common_stabilization_segment(F, T, 1, 0.1, 0.5, 5, [0, y])
+
+
+@pytest.mark.parametrize("eps", [float("nan"), 0.0, -1.0])
+def test_nan_and_nonpositive_epsilons_are_refused(eps):
+    F, T = random_system(10, 1)
+    rep = sup_discrepancy(F, T, 5, 2)
+    for call in (lambda: rep.exceedance(eps), lambda: exceedance_fraction(F, T, 5, 2, eps),
+                 lambda: stabilization_segment(F, T, 0, 1, eps, 5),
+                 lambda: common_stabilization_segment(F, T, 1, eps, 0.5, 5, [0, 1])):
+        with pytest.raises(ValueError):
+            call()
 
 
 # -- reference profile and sampling ----------------------------------------
