@@ -63,7 +63,7 @@ class DiscrepancyReport:
     def exceedance(self, eps: float) -> float:
         if not eps > 0:
             raise ValueError("epsilon must be positive")
-        return np.count_nonzero(self.diffs >= eps) / self.diffs.size
+        return float(np.mean(self.diffs >= eps))
 
 
 @dataclass(frozen=True)
@@ -139,8 +139,7 @@ def _means_at_points(F: Observable, index: OrbitIndex, horizons: Sequence[int],
         ids = index.cycle_id[cyc[:, 0]]
         here = np.flatnonzero((cid >= ids[0]) & (cid <= ids[-1]))
         row, col = np.searchsorted(ids, cid[here]), index.pos[points[here]]
-        for i, A in enumerate(means):
-            out[i, here] = A[row, col]
+        out[:, here] = [A[row, col] for A in means]
     return out
 
 
@@ -211,12 +210,12 @@ def _band_ends(F: Observable, T: FinitePermutation, points: np.ndarray, n_min: i
     K <= scan_limit with max - min of A_{n_min..K} <= eps (pairwise over the
     range, not between consecutive means).
 
-    One orbit per row, in tiles of at most CHUNK_POINTS values: the prefix
-    sum and the band's max and min carry over, and a chunk stops once no
-    row is left in its band.  A row's orbit-order slots step by 1, and back
-    by p where it wraps, so a cumsum gives them with no % per step.
-    add.accumulate along a row is sequential, so every mean is bitwise
-    ergodic_means_prefix's.
+    One orbit per row, max(1, CHUNK_POINTS // scan_limit) rows at a time; a
+    scan longer than CHUNK_POINTS runs in tiles of CHUNK_POINTS columns that
+    carry the prefix sum and the band's max and min.  A row's orbit-order
+    slots step by 1, and back by p where it wraps, so a cumsum gives them
+    with no % per step.  add.accumulate along a row is sequential, so every
+    mean is bitwise ergodic_means_prefix's.
     """
     if n_min < 1:
         raise ValueError("n_min must be >= 1")
@@ -232,14 +231,11 @@ def _band_ends(F: Observable, T: FinitePermutation, points: np.ndarray, n_min: i
     cols = min(scan_limit, CHUNK_POINTS)
     for first in range(0, points.size, CHUNK_POINTS // cols):
         y = points[first : first + CHUNK_POINTS // cols]
-        c, rows = index.cycle_id[y], np.arange(y.size)
+        c = index.cycle_id[y]
         p = index.lengths[c]
         total, hi, lo = np.zeros(y.size), np.full((y.size, 1), -np.inf), np.full((y.size, 1), np.inf)
-        inside = np.ones(y.size, dtype=bool)
-        # tiles double from an eighth of a chunk, so rows that leave their band early stop early
-        a, width = 0, max(1, CHUNK_POINTS // 8 // y.size)
-        while a < scan_limit and inside.any():
-            n = min(width, cols, scan_limit - a)
+        for a in range(0, scan_limit, cols):
+            n = min(cols, scan_limit - a)
             pos = (index.pos[y] + a) % p
             slots = np.ones((y.size, n), dtype=np.int64)
             slots[:, 0] = index.starts[c] + pos
@@ -255,15 +251,15 @@ def _band_ends(F: Observable, T: FinitePermutation, points: np.ndarray, n_min: i
             # column 0 carries the band's max and min from the tiles before
             band_hi = np.maximum.accumulate(np.concatenate([hi, means], axis=1), axis=1)
             band_lo = np.minimum.accumulate(np.concatenate([lo, means], axis=1), axis=1)
-            broke = (band_hi - band_lo > eps) & inside[:, None]
-            last = broke.argmax(axis=1) - 1  # column 1 of the first band tile never breaks
-            done = broke[rows, last + 1].nonzero()[0]
+            # -1: no break here, or the carried column 0 breaks (the row left
+            # its band in a tile before); column 1 of the first tile never breaks
+            last = (band_hi - band_lo > eps).argmax(axis=1) - 1
+            done = (last >= 0).nonzero()[0]
             k_star[first + done] = a + skip + last[done]
             witness[first + done] = (band_hi[done, last[done]] + band_lo[done, last[done]]) / 2.0
-            inside[done] = False
             hi, lo = band_hi[:, -1:], band_lo[:, -1:]
-            a, width = a + n, 2 * width
-        witness[first + np.flatnonzero(inside)] = (hi[inside, 0] + lo[inside, 0]) / 2.0
+        held = (k_star[first : first + y.size] == scan_limit).nonzero()[0]
+        witness[first + held] = (hi[held, 0] + lo[held, 0]) / 2.0
     return k_star, witness, k_star == scan_limit
 
 

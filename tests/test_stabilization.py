@@ -303,7 +303,7 @@ LARGE_SYSTEMS = {
     "drift1000": lambda: (paper_observable("ex03", 1000, K=10), build_drift_system(1000)[0]),
     "rotation997": lambda: (paper_observable("tent", 997), build_rotation(997, 0.3).permutation),
 }
-# chunk 256: a few rows per chunk, each chunk in tiles of 8, 16, 32, ... columns
+# chunk 256: a few rows per chunk; chunks 1 and 7: one row per chunk, in tiles of 1 or 7 columns
 CASES = [(chunk, name) for chunk in (1, 7, 256, stabilization.CHUNK_POINTS) for name in KERNEL_SYSTEMS]
 CASES += [(stabilization.CHUNK_POINTS, name) for name in LARGE_SYSTEMS]
 
@@ -354,9 +354,12 @@ def test_segments_bitwise_equal_point_loop(monkeypatch, chunk, name):
     M = T.size
     sample = awkward_sample(T, len(name))
     # (n_min, eps, scan_limit): violations at the second step, scans below,
-    # at and above M, n_min = scan_limit, and every row capped
+    # at and above M, n_min = scan_limit, every row capped, and a row whose
+    # first break is at K = scan_limit (K_star = last, uncapped)
+    last = min((k for k, _, capped in (band_end_loop(F, T, int(y), 2, 0.05, M) for y in sample)
+                if not capped), default=M)
     cases = [(1, 1e-12, M // 2 + 1), (3, 0.05, M), (5, 0.3, M + 37),
-             (M // 3 + 1, 0.1, M // 3 + 1), (2, 1e6, M + 5)]
+             (M // 3 + 1, 0.1, M // 3 + 1), (2, 1e6, M + 5), (2, 0.05, last + 1)]
     for n_min, eps, scan_limit in cases:
         per_point = [band_end_loop(F, T, int(y), n_min, eps, scan_limit) for y in sample]
         got = [stabilization_segment(F, T, int(y), n_min, eps, scan_limit) for y in sample]
@@ -364,6 +367,8 @@ def test_segments_bitwise_equal_point_loop(monkeypatch, chunk, name):
         assert bits(*[s.witness for s in got]) == bits(*[w for _, w, _ in per_point])
         if eps == 1e-12:  # some row leaves its band at the second step
             assert any(s.K_star == n_min and not s.capped for s in got)
+        if (n_min, eps, scan_limit) == (2, 0.05, last + 1) and last < M:
+            assert any(s.K_star == last and not s.capped for s in got)
         for eta in (0.1, 0.5):
             common = common_stabilization_segment(F, T, n_min, eps, eta, scan_limit, sample)
             k, w, capped, excluded = common_segment_loop(F, T, n_min, eps, eta, scan_limit, sample)
