@@ -65,69 +65,82 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {e}") from e
 
 
+# the keys each config section may hold; "config" is the top level
+KEYS = {section: set(keys.split()) for section, keys in {
+    "config": "system observable start_points gamma stab approx fixtures seed",
+    "system": "name M t m N mode",
+    "observable": "name K N m value",
+    "start_points": "explicit random stratified extras",
+    "gamma": "k stride",
+    "stab": "epsilon eta n_min scan_limit per_point_limit pairs exceedance_epsilons",
+    "approx": "mode M target deltas mismatch_epsilon closed_intervals thickening_epsilon "
+              "mismatch_epsilons degree",
+    "approx.target": "name t",
+    "fixtures": "permutation_image",
+}.items()}
+
+
+def _section(spec, name: str) -> dict:
+    """spec as the config section `name`: a JSON object holding only keys that KEYS[name] lists."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{name} must be a JSON object, not {type(spec).__name__}")
+    unknown = sorted(set(spec) - KEYS[name])
+    if unknown:
+        raise ConfigError(f"unknown key {unknown[0]!r} in {name}")
+    return spec
+
+
 def _build_system(spec: dict):
     """Returns (permutation, embedding-or-None, meta dict)."""
-    name = spec.get("name")
-    try:
-        if name == "drift":
-            M = _int_param(spec["M"], "M", 2)
-            T, emb = build_drift_system(M)
-            return T, emb, {"system": "drift", "M": M}
-        if name == "rotation":
-            M = _int_param(spec["M"], "M", 2)
-            t = spec["t"]
-            if t == "1/sqrt2":
-                t = float(1.0 / np.sqrt(2.0))
-            elif t == "2/3":
-                t = 2.0 / 3.0
-            rot = build_rotation(M, float(t))
-            return rot.permutation, rot.embedding, {
-                "system": "rotation", "M": M, "P": rot.P, "t": rot.t, "defect": rot.defect,
-            }
-        if name == "bernoulli":
-            sys_ = build_bernoulli(_int_param(spec["m"], "m", 2), _int_param(spec["N"], "N", 0),
-                                   spec.get("mode", "debruijn"))
-            return sys_.permutation, sys_.embedding, {
-                "system": "bernoulli", "m": sys_.m, "N": sys_.N, "mode": sys_.mode, "M": sys_.M,
-            }
-    except KeyError as e:
-        raise ConfigError(f"bad system spec: missing {e}") from e
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad system spec: {e}") from e
+    name = _section(spec, "system").get("name")
+    if name == "drift":
+        M = _int_param(spec["M"], "M", 2)
+        T, emb = build_drift_system(M)
+        return T, emb, {"system": "drift", "M": M}
+    if name == "rotation":
+        M = _int_param(spec["M"], "M", 2)
+        t = spec["t"]
+        if t == "1/sqrt2":
+            t = float(1.0 / np.sqrt(2.0))
+        elif t == "2/3":
+            t = 2.0 / 3.0
+        rot = build_rotation(M, float(t))
+        return rot.permutation, rot.embedding, {
+            "system": "rotation", "M": M, "P": rot.P, "t": rot.t, "defect": rot.defect,
+        }
+    if name == "bernoulli":
+        sys_ = build_bernoulli(_int_param(spec["m"], "m", 2), _int_param(spec["N"], "N", 0),
+                               spec.get("mode", "debruijn"))
+        return sys_.permutation, sys_.embedding, {
+            "system": "bernoulli", "m": sys_.m, "N": sys_.N, "mode": sys_.mode, "M": sys_.M,
+        }
     raise ConfigError(f"unknown system {name!r}")
 
 
 def _build_observable(spec: dict, M: int):
-    try:
-        return paper_observable(spec["name"], M,
-                                **{k: v for k, v in spec.items() if k != "name"})
-    except (KeyError, ValueError) as e:
-        raise ConfigError(f"bad observable spec: {e}") from e
+    spec = _section(spec, "observable")
+    return paper_observable(spec["name"], M, **{k: v for k, v in spec.items() if k != "name"})
 
 
 def _resolve_start_points(spec: dict, M: int, seed: int) -> list[int]:
-    try:
-        if "explicit" in spec:
-            pts = [_int_param(y, "explicit start point", 0) for y in spec["explicit"]]
-            if any(not 0 <= y < M for y in pts):
-                raise ConfigError("explicit start point out of range")
-            return pts
-        if "random" in spec:
-            return SplitMix64(seed).sample_points(M, _int_param(spec["random"], "random", 0))
-        if "stratified" in spec:
-            return stratified_start_points(M, _int_param(spec["stratified"], "stratified", 1),
-                                           _int_param(spec.get("extras", 0), "extras", 0), seed)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad start_points spec: {e}") from e
-    raise ConfigError("start_points needs one of: explicit, random, stratified")
+    mode = set(_section(spec, "start_points")) - {"extras"}
+    if len(mode) != 1 or ("extras" in spec and mode != {"stratified"}):
+        raise ConfigError("start_points takes exactly one of explicit, random, stratified; "
+                          "extras goes only with stratified")
+    if "explicit" in spec:
+        pts = [_int_param(y, "explicit start point", 0) for y in spec["explicit"]]
+        if any(not 0 <= y < M for y in pts):
+            raise ConfigError("explicit start point out of range")
+        return pts
+    if "random" in spec:
+        return SplitMix64(seed).sample_points(M, _int_param(spec["random"], "random", 0))
+    return stratified_start_points(M, _int_param(spec["stratified"], "stratified", 1),
+                                   _int_param(spec.get("extras", 0), "extras", 0), seed)
 
 
 def _seed(config: dict, args) -> int:
     """--seed wins over the config's "seed", which wins over 0; any integer, used mod 2^64."""
-    try:
-        return _int_param(args.seed if args.seed is not None else config.get("seed", 0), "seed", -np.inf)
-    except ValueError as e:
-        raise ConfigError(f"bad seed: {e}") from e
+    return _int_param(args.seed if args.seed is not None else config.get("seed", 0), "seed", -np.inf)
 
 
 # -- output writers --------------------------------------------------------
@@ -200,15 +213,11 @@ def cmd_gamma(config: dict, args) -> int:
     F = _build_observable(config.get("observable", {}), T.size)
     seed = _seed(config, args)
     starts = _resolve_start_points(config.get("start_points", {}), T.size, seed)
-    gspec = config.get("gamma", {})
-    # k and stride are converted here and range-checked by the library;
-    # either failing is a bad gamma spec
-    try:
-        k = float(gspec.get("k", 1.0))
-        stride = None if gspec.get("stride") is None else _int_param(gspec["stride"], "stride", 1)
-        results = [(y, gamma_series(F, T, y, k, stride)) for y in starts]
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad gamma spec: {e}") from e
+    gspec = _section(config.get("gamma", {}), "gamma")
+    # k and stride are converted here and range-checked by the library
+    k = float(gspec.get("k", 1.0))
+    stride = None if gspec.get("stride") is None else _int_param(gspec["stride"], "stride", 1)
+    results = [(y, gamma_series(F, T, y, k, stride)) for y in starts]
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -230,44 +239,38 @@ def cmd_stab(config: dict, args) -> int:
     T, _, meta = _build_system(config.get("system", {}))
     F = _build_observable(config.get("observable", {}), T.size)
     seed = _seed(config, args)
-    spec = config.get("stab", {})
-    if "epsilon" not in spec or "eta" not in spec:
-        raise ConfigError("stab config must pin epsilon and eta explicitly")
+    spec = _section(config.get("stab", {}), "stab")
     starts = _resolve_start_points(config.get("start_points", {"stratified": 100, "extras": 25}),
                                    T.size, seed)
-    # the integer keys are read here, and the library checks epsilon, eta,
-    # n_min <= scan_limit and L < K; a TypeError or ValueError from either
-    # is a bad stab spec
-    try:
-        eps, eta = float(spec["epsilon"]), float(spec["eta"])
-        n_min = _int_param(spec.get("n_min", 1), "n_min", 1)
-        scan_limit = _int_param(spec.get("scan_limit", T.size), "scan_limit", 1)
-        report: dict = {**meta, "observable": F.name, "epsilon": eps, "eta": eta,
-                        "n_min": n_min, "scan_limit": scan_limit, "seed": seed}
-        segments = []
-        for y in starts[: _int_param(spec.get("per_point_limit", 16), "per_point_limit", 0)]:
-            seg = stabilization_segment(F, T, y, n_min, eps, scan_limit)
-            segments.append({"y": y, "K_star": seg.K_star, "witness": seg.witness,
-                             "capped": seg.capped})
-        report["per_point_segments"] = segments
+    # epsilon and eta are required; the integer keys are read here, and the
+    # library checks epsilon, eta, n_min <= scan_limit and L < K
+    eps, eta = float(spec["epsilon"]), float(spec["eta"])
+    n_min = _int_param(spec.get("n_min", 1), "n_min", 1)
+    scan_limit = _int_param(spec.get("scan_limit", T.size), "scan_limit", 1)
+    report: dict = {**meta, "observable": F.name, "epsilon": eps, "eta": eta,
+                    "n_min": n_min, "scan_limit": scan_limit, "seed": seed}
+    segments = []
+    for y in starts[: _int_param(spec.get("per_point_limit", 16), "per_point_limit", 0)]:
+        seg = stabilization_segment(F, T, y, n_min, eps, scan_limit)
+        segments.append({"y": y, "K_star": seg.K_star, "witness": seg.witness,
+                         "capped": seg.capped})
+    report["per_point_segments"] = segments
 
-        common = common_stabilization_segment(F, T, n_min, eps, eta, scan_limit, starts)
-        report["common_segment"] = {
-            "K_star": common.K_star, "witness": common.witness, "capped": common.capped,
-            "excluded_fraction": common.excluded_fraction, "sample_size": len(starts),
-        }
+    common = common_stabilization_segment(F, T, n_min, eps, eta, scan_limit, starts)
+    report["common_segment"] = {
+        "K_star": common.K_star, "witness": common.witness, "capped": common.capped,
+        "excluded_fraction": common.excluded_fraction, "sample_size": len(starts),
+    }
 
-        pairs = []
-        for pair in spec.get("pairs", []):
-            K, L = (_int_param(h, "pair horizon", 1) for h in pair)
-            rep = sup_discrepancy(F, T, K, L)
-            entry = {"K": K, "L": L, "sup_disc": rep.sup_disc}
-            for e in spec.get("exceedance_epsilons", [eps]):
-                entry[f"exceedance@{e}"] = rep.exceedance(float(e))
-            pairs.append(entry)
-        report["discrepancies"] = pairs
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad stab spec: {e}") from e
+    pairs = []
+    for pair in spec.get("pairs", []):
+        K, L = (_int_param(h, "pair horizon", 1) for h in pair)
+        rep = sup_discrepancy(F, T, K, L)
+        entry = {"K": K, "L": L, "sup_disc": rep.sup_disc}
+        for e in spec.get("exceedance_epsilons", [eps]):
+            entry[f"exceedance@{e}"] = rep.exceedance(float(e))
+        pairs.append(entry)
+    report["discrepancies"] = pairs
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -281,19 +284,12 @@ def _monomial_tests(degree: int = 3) -> list[TestFunction]:
 
 
 def cmd_approx(config: dict, args) -> int:
-    spec = config.get("approx", {})
+    # the library checks the epsilons, deltas and targets
+    spec = _section(config.get("approx", {}), "approx")
     mode = spec.get("mode", "metrics")
     if mode not in ("metrics", "pipeline"):
         raise ConfigError(f"unknown approx mode {mode!r}")
-    # the library checks the epsilons, deltas and targets; a missing key or
-    # a TypeError or ValueError while reading or using the spec is a bad
-    # approx spec
-    try:
-        report = _approx_metrics(config, spec) if mode == "metrics" else _approx_pipeline(spec)
-    except KeyError as e:
-        raise ConfigError(f"bad approx spec: missing {e}") from e
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad approx spec: {e}") from e
+    report = _approx_metrics(config, spec) if mode == "metrics" else _approx_pipeline(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "approx_report.json", report)
@@ -345,7 +341,7 @@ def _approx_pipeline(spec: dict) -> dict:
 
 def _target_map(spec: dict):
     """The target map tau on [0, 1); elementwise on floats and float arrays alike."""
-    name = spec.get("name")
+    name = _section(spec, "approx.target").get("name")
     if name == "identity":
         return lambda x: x
     if name == "rotation":
@@ -357,9 +353,10 @@ def _target_map(spec: dict):
 
 
 def cmd_check(config: dict, args) -> int:
-    fixture = None
-    if config.get("fixtures", {}).get("permutation_image"):
-        fixture = np.asarray(config["fixtures"]["permutation_image"], dtype=np.int64)
+    image = _section(config.get("fixtures", {}), "fixtures").get("permutation_image")
+    # entries must be integers; a negative one is left to the bijection check
+    fixture = None if not image else np.asarray(
+        [_int_param(v, "permutation_image entry", -np.inf) for v in image], dtype=np.int64)
     results = checks.run_all(fixture)
     failed = [r for r in results if not r[1]]
     for name, ok, detail in results:
@@ -384,16 +381,16 @@ def main(argv=None) -> int:
                         help="suppress the timestamp comment in SVG output")
     args = parser.parse_args(argv)
 
+    # the one place where a bad config value becomes exit 2; OverflowError is a
+    # value too large for an int64 or a float-to-int conversion
     try:
-        config = _load_config(args.config) if args.config else {}
-        if args.command == "gamma":
-            return cmd_gamma(config, args)
-        if args.command == "stab":
-            return cmd_stab(config, args)
-        if args.command == "approx":
-            return cmd_approx(config, args)
-        return cmd_check(config, args)
-    except ConfigError as e:
+        config = _section(_load_config(args.config), "config") if args.config else {}
+        command = {"gamma": cmd_gamma, "stab": cmd_stab, "approx": cmd_approx, "check": cmd_check}
+        return command[args.command](config, args)
+    except KeyError as e:
+        print(f"config error: missing key {e}", file=sys.stderr)
+        return EXIT_CONFIG
+    except (ConfigError, TypeError, ValueError, OverflowError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as e:

@@ -42,6 +42,8 @@ class SplitMix64:
         seen: set[int] = set()
         out: list[int] = []
         for _ in range(count):
+            if len(out) == M:  # every point is drawn; later draws add none
+                break
             y = self.next_below(M)
             if y not in seen:
                 seen.add(y)

@@ -1,5 +1,6 @@
 """CLI behavior: configs, outputs, determinism, exit codes."""
 
+import copy
 import json
 import os
 import subprocess
@@ -210,9 +211,11 @@ def small_stab_config():
     ("pairs", [40]),
     ("seed", "abc"),
     ("random", 2.5),
+    ("epsilson", 0.1),
 ], ids=["epsilon-nan", "exceedance-epsilon-nan", "epsilon-string", "eta-string",
         "scan-limit-fraction", "n-min-fraction", "per-point-limit-fraction", "pair-K-fraction",
-        "pair-L-fraction", "pair-not-a-pair", "seed-string", "random-fraction"])
+        "pair-L-fraction", "pair-not-a-pair", "seed-string", "random-fraction",
+        "unknown-key"])
 def test_malformed_stab_config_is_config_error(tmp_path, capsys, key, value):
     payload = small_stab_config()
     if key == "seed":
@@ -292,12 +295,30 @@ def test_approx_metrics_on_bernoulli_is_config_error(tmp_path, capsys):
     ("start_points", {"stratified": 4, "extras": 2.5}),
     ("seed", "abc"),
     ("seed", 1.5),
+    ("system", [1]),
+    ("gamma", [1]),
+    ("observable", "ex01"),
+    ("start_points", None),
+    ("system", {"name": "drift", "M": 200, "typo": 1}),
+    ("gamma", {"k": 1.0, "strid": 7}),
+    ("volume", 1),
+    ("observable", {"name": "constant", "value": [1]}),
+    ("start_points", {"stratified": 5, "random": 3}),
+    ("start_points", {"explicit": [7], "random": 3}),
+    ("start_points", {"explicit": [7], "stratified": 5}),
+    ("start_points", {"random": 3, "extras": 2}),
+    ("start_points", {"explicit": [7], "extras": 2}),
+    ("gamma", {"k": 1e308}),
 ], ids=["k-zero", "stride-zero", "drift-no-M", "rotation-no-M", "bernoulli-no-m",
         "bernoulli-no-N", "ex03-K-zero", "stride-not-int", "stride-list", "random-not-int",
         "drift-M-fraction", "rotation-M-fraction", "bernoulli-N-fraction", "bernoulli-m-fraction",
         "drift-M-string", "explicit-string", "explicit-fraction", "explicit-string-item",
         "k-inf", "k-minus-inf", "stride-string", "stride-fraction", "random-fraction",
-        "stratified-fraction", "extras-fraction", "seed-string", "seed-fraction"])
+        "stratified-fraction", "extras-fraction", "seed-string", "seed-fraction",
+        "system-list", "gamma-list", "observable-string", "start-points-null",
+        "system-unknown-key", "gamma-unknown-key", "top-level-unknown-key", "constant-value-list",
+        "stratified-and-random", "explicit-and-random", "explicit-and-stratified",
+        "extras-with-random", "extras-with-explicit", "k-overflows-horizon"])
 def test_malformed_gamma_config_is_config_error(tmp_path, capsys, section, spec):
     payload = small_gamma_config()
     payload[section] = spec
@@ -365,11 +386,17 @@ def test_approx_pipeline_report(tmp_path):
     {"mode": "metrics", "degree": 2.5},
     {"mode": "metrics", "degree": -2},
     {"mode": "pipeline", "M": 500.5},
+    [1],
+    {"mode": "metrics", "target": "identity"},
+    {"mode": "pipeline", "M": 100, "target": "identity"},
+    {"mode": "metrics", "target": {"name": "identity", "typo": 1}},
+    {"mode": "metrics", "degre": 2},
 ], ids=["pipeline-no-M", "M-not-int", "M-zero", "delta-zero", "rotation-no-t",
         "interval-not-pair", "mismatch-epsilon-zero", "thickening-epsilon-nan",
         "mismatch-epsilons-nan", "pipeline-mismatch-epsilon-nan", "interval-nan-endpoint",
         "interval-endpoint-above-1", "interval-endpoint-below-0", "degree-fraction",
-        "degree-negative", "pipeline-M-fraction"])
+        "degree-negative", "pipeline-M-fraction", "approx-list", "metrics-target-string",
+        "pipeline-target-string", "target-unknown-key", "unknown-key"])
 def test_malformed_approx_config_is_config_error(tmp_path, capsys, approx):
     cfg = write_config(tmp_path, {"system": {"name": "drift", "M": 100}, "approx": approx})
     assert_config_error(capsys, ["approx", "--config", cfg, "--out", str(tmp_path / "o")])
@@ -384,14 +411,20 @@ def test_approx_degree_takes_integral_values(tmp_path, degree, keys):
     assert sorted(rep["weak_star_errors"]) == keys
 
 
+# the two approx configs the CI's console-script steps run
+CI_APPROX_CONFIGS = {
+    "approx-pipeline": {"approx": {"mode": "pipeline", "M": 20000,
+                                   "target": {"name": "rotation", "t": 0.3819660112501051},
+                                   "deltas": [0.01]}},
+    "approx-metrics": {"system": {"name": "rotation", "M": 20000, "t": 0.3819660112501051},
+                       "approx": {"mode": "metrics", "closed_intervals": [[0.9, 0.1]],
+                                  "target": {"name": "rotation", "t": 0.3819660112501051},
+                                  "mismatch_epsilons": [1e-4, 1e-5]}},
+}
+
+
 def test_approx_metrics_wrapped_interval_and_mismatch_values(tmp_path):
-    # the configuration the CI's console-script step runs
-    cfg = write_config(tmp_path, {
-        "system": {"name": "rotation", "M": 20000, "t": 0.3819660112501051},
-        "approx": {"mode": "metrics", "closed_intervals": [[0.9, 0.1]],
-                   "target": {"name": "rotation", "t": 0.3819660112501051},
-                   "mismatch_epsilons": [1e-4, 1e-5]},
-    })
+    cfg = write_config(tmp_path, CI_APPROX_CONFIGS["approx-metrics"])
     assert main(["approx", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     rep = json.loads((tmp_path / "o" / "approx_report.json").read_text())
     assert len(rep["weak_star_errors"]) == 4
@@ -442,6 +475,89 @@ def test_bad_start_point_is_config_error(tmp_path):
     payload["start_points"] = {"explicit": [9999]}
     cfg = write_config(tmp_path, payload)
     assert main(["gamma", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("command,config", [
+    ("gamma", [small_gamma_config()]),
+    ("gamma", "config"),
+    ("check", {"fixtures": [1]}),
+    ("check", {"fixtures": {"permutation_image": "abc"}}),
+    ("check", {"fixtures": {"permutation_image": [0.5, 1]}}),
+    ("check", {"fixtures": {"permutation_image": [1e30, 0]}}),
+], ids=["config-list", "config-string", "fixtures-list", "permutation-image-string",
+        "permutation-image-fraction", "permutation-image-beyond-int64"])
+def test_malformed_config_or_fixture_is_config_error(tmp_path, capsys, command, config):
+    cfg = write_config(tmp_path, config)
+    assert_config_error(capsys, [command, "--config", cfg, "--out", str(tmp_path / "o")])
+
+
+@pytest.mark.parametrize("section,spec,message", [
+    ("system", {"name": "drift"}, "missing key 'M'"),
+    ("gamma", {"k": 1.0, "strid": 7}, "unknown key 'strid' in gamma"),
+    ("gamma", [1], "gamma must be a JSON object, not list"),
+], ids=["missing", "unknown", "not-an-object"])
+def test_config_error_names_the_key_or_section(tmp_path, capsys, section, spec, message):
+    cfg = write_config(tmp_path, {**small_gamma_config(), section: spec})
+    assert main(["gamma", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_check_fixture_entries_are_integers(tmp_path):
+    # integral floats pass as ints; a negative entry reaches the bijection check
+    ok = write_config(tmp_path, {"fixtures": {"permutation_image": [1.0, 2, 0]}}, "ok.json")
+    assert main(["check", "--config", ok]) == 0
+    negative = write_config(tmp_path, {"fixtures": {"permutation_image": [-1, 0, 1]}}, "neg.json")
+    assert main(["check", "--config", negative]) == 1
+
+
+# no large positives, so no mutant asks for a huge system
+MUTANTS = (float("nan"), float("inf"), float("-inf"), -1, 0, 0.5, 2.5, "x", "", [], {}, None,
+           True, [1])
+DELETE = object()
+
+
+def mutation_inputs():
+    for fig in ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6"):
+        with open(os.path.join(CONFIG_DIR, f"{fig}.json"), encoding="utf-8") as fh:
+            yield pytest.param("stab" if fig == "fig4" else "gamma", json.load(fh), id=fig)
+    for name, config in CI_APPROX_CONFIGS.items():
+        yield pytest.param("approx", config, id=name)
+
+
+def key_paths(spec, prefix=()):
+    """Every key path through the nested objects of spec, parents first."""
+    for key, value in spec.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from key_paths(value, prefix + (key,))
+
+
+def mutated(config, path, value):
+    config = copy.deepcopy(config)
+    node = config
+    for key in path[:-1]:
+        node = node[key]
+    if value is DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return config
+
+
+@pytest.mark.parametrize("command,config", mutation_inputs())
+def test_one_key_mutations_exit_0_or_2(tmp_path, command, config):
+    # each key path deleted or replaced by each mutant: main returns 0 or 2 and raises nothing
+    escaped = []
+    for path in key_paths(config):
+        for value in (DELETE, *MUTANTS):
+            cfg = write_config(tmp_path, mutated(config, path, value))
+            try:
+                code = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+            except Exception as e:
+                code = repr(e)
+            if code not in (0, 2):
+                escaped.append((".".join(path), "delete" if value is DELETE else value, code))
+    assert escaped == []
 
 
 def test_console_entry_point(tmp_path):

@@ -439,3 +439,10 @@ def test_stratified_start_points_deterministic():
 def test_stratified_start_points_extras_in_range():
     pts = stratified_start_points(97, 5, 20, 7)
     assert all(0 <= y < 97 for y in pts)
+
+
+def test_sample_points_stops_once_every_point_is_drawn():
+    # draws after all M points are in cannot add one, so a huge count returns at once
+    assert SplitMix64(9).sample_points(5, 10**30) == SplitMix64(9).sample_points(5, 200)
+    assert sorted(SplitMix64(9).sample_points(5, 200)) == list(range(5))
+    assert stratified_start_points(10, 2, 10**30, 3) == stratified_start_points(10, 2, 200, 3)
