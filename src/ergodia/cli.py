@@ -346,6 +346,8 @@ def _target_map(spec: dict):
         return lambda x: x
     if name == "rotation":
         t = float(spec["t"])
+        if not np.isfinite(t):
+            raise ConfigError(f"rotation t must be finite, got {t!r}")
         return lambda x: (x + t) % 1.0
     if name == "doubling":
         return lambda x: (2.0 * x) % 1.0

@@ -7,6 +7,9 @@ real-valued observables F; the central quantity is the prefix ergodic mean
 
 Everything in this module is a pure function over immutable inputs, so callers
 may evaluate means for disjoint start points in parallel without coordination.
+A permutation's memos (its image, orbit index and the values of one
+observable in orbit order) are written once per (T, F) and are safe to race:
+two writers store equal read-only arrays, and a reader sees one or the other.
 """
 
 from __future__ import annotations
@@ -40,20 +43,23 @@ class OrbitIndex:
 
     Canonical order: descending length, ties broken by smallest element,
     each cycle starting at its minimum.  Cycle c is
-    order[starts[c] : starts[c] + lengths[c]], and point y sits at
-    order[starts[cycle_id[y]] + pos[y]].  Equal-length cycles are
-    contiguous, so every length class is a (count, p) block of order.
+    order[starts[c] : starts[c] + lengths[c]], and slot is the inverse of
+    order: order[slot[y]] == y.  Equal-length cycles are contiguous, so
+    every length class is a (count, p) block of order.
     """
 
     order: np.ndarray
     starts: np.ndarray
     lengths: np.ndarray
-    cycle_id: np.ndarray
-    pos: np.ndarray
+    slot: np.ndarray
 
     def __post_init__(self):
-        for a in (self.order, self.starts, self.lengths, self.cycle_id, self.pos):
+        for a in (self.order, self.starts, self.lengths, self.slot):
             a.setflags(write=False)
+
+    def cycle_ids(self, points):
+        """The cycle of each point: the last cycle starting at or before its slot."""
+        return np.searchsorted(self.starts, self.slot[points], side="right") - 1
 
     def length_classes(self) -> list[tuple[int, int, int]]:
         """(offset into order, cycle count, length p) per length class, longest first."""
@@ -63,45 +69,59 @@ class OrbitIndex:
         return [(int(self.starts[c]), int(k), int(lengths[c])) for c, k in zip(first, counts)]
 
 
-def _cycle_starts(lengths: np.ndarray) -> np.ndarray:
-    """Offset of each cycle in the concatenated order."""
-    starts = np.zeros(lengths.size, dtype=np.int64)
-    np.cumsum(lengths[:-1], out=starts[1:])
-    return starts
+def _slots(points: np.ndarray, what: str) -> np.ndarray:
+    """The inverse of points, slot[points[i]] == i; ValueError unless a permutation of 0..M-1."""
+    # the range first, as the scatter would wrap a negative entry; after it,
+    # a slot left at -1 is a value that a repeated entry displaced
+    if points.ndim != 1 or points.size == 0 or points.min() < 0 or points.max() >= points.size:
+        raise ValueError(f"{what} is not a permutation of 0..M-1")
+    slot = np.full(points.size, -1, dtype=np.int64)
+    slot[points] = np.arange(points.size, dtype=np.int64)
+    if (slot < 0).any():
+        raise ValueError(f"{what} is not a permutation of 0..M-1")
+    return slot
 
 
-def _orbit_index(order: np.ndarray, lengths: np.ndarray) -> OrbitIndex:
-    """The orbit index of cycles laid end to end in canonical order."""
-    starts = _cycle_starts(lengths)
-    cycle_id = np.empty(order.size, dtype=np.int64)
-    cycle_id[order] = np.repeat(np.arange(lengths.size, dtype=np.int64), lengths)
-    pos = np.empty(order.size, dtype=np.int64)
-    pos[order] = np.arange(order.size, dtype=np.int64) - np.repeat(starts, lengths)
-    return OrbitIndex(order, starts, lengths, cycle_id, pos)
+def _cyclic_run(cyc: np.ndarray, pos: int, n: int) -> np.ndarray:
+    """[cyc[pos], cyc[pos + 1], ...] read cyclically, n entries.
+
+    One period from pos is copied out of cyc, then repeated by doubling
+    copies, so there is no per-step index arithmetic and no temporary
+    beside the result.
+    """
+    out = np.empty(n, dtype=cyc.dtype)
+    filled = min(n, cyc.size)
+    head = cyc[pos : pos + filled]
+    out[: head.size] = head
+    out[head.size : filled] = cyc[: filled - head.size]
+    while filled < n:
+        step = min(filled, n - filled)
+        out[filled : filled + step] = out[:step]
+        filled += step
+    return out
 
 
 class FinitePermutation:
-    """A bijection T of {0, ..., M-1}, stored as its image array.
+    """A bijection T of {0, ..., M-1}: its image array, its orbit index, or both.
 
     The orbit index (OrbitIndex) is either supplied by the constructor that
-    knows the cycles (from_cycle_order) or found once by a generic cycle
-    walk and memoized; all orbit queries after that are O(1) per step via
-    array gathers.
+    knows the cycles (from_cycle_order), which leaves the image to first
+    use, or found once by a generic cycle walk over the image and memoized.
+    along(F) memoizes one observable's values in orbit order.
     """
 
-    __slots__ = ("image", "size", "_index", "_cycles")
+    __slots__ = ("_image", "size", "_index", "_cycles", "_along")
 
     def __init__(self, image: Sequence[int] | np.ndarray, *, validate: bool = True):
         image = np.asarray(image, dtype=np.int64)
         if image.ndim != 1 or image.size == 0:
             raise ValueError("image must be a non-empty 1-d array")
-        if validate and not _is_permutation(image):
-            raise ValueError("image array is not a permutation of 0..M-1")
-        self.image = image
-        self.image.setflags(write=False)
+        if validate:
+            _slots(image, "image array")
+        image.setflags(write=False)
+        self._image = image
         self.size = int(image.size)
-        self._index = None
-        self._cycles = None
+        self._index = self._cycles = self._along = None
 
     @classmethod
     def identity(cls, size: int) -> "FinitePermutation":
@@ -123,35 +143,49 @@ class FinitePermutation:
         order lists every point once, cycle after cycle, each cycle in
         T-order; lengths are the cycle lengths.  The canonical-order rules
         are checked (vectorized), so the index is exactly what the generic
-        cycle walk would find.  O(M) numpy, no Python loop over points.
+        cycle walk would find.  O(M) numpy; the image is left to first use.
         """
         order = np.asarray(order, dtype=np.int64)
         lengths = np.asarray(lengths, dtype=np.int64)
-        if order.ndim != 1 or order.size == 0 or not _is_permutation(order):
-            raise ValueError("cycle order is not a permutation of 0..M-1")
+        slot = _slots(order, "cycle order")
         if lengths.ndim != 1 or lengths.size == 0 or lengths.min() < 1 or lengths.sum() != order.size:
             raise ValueError("cycle lengths must be positive and sum to M")
         if (np.diff(lengths) > 0).any():
             raise ValueError("cycles must be listed by descending length")
-        starts = _cycle_starts(lengths)
+        starts = np.cumsum(lengths) - lengths
         heads = order[starts]
         tie = lengths[1:] == lengths[:-1]
         if (heads[1:][tie] <= heads[:-1][tie]).any():
             raise ValueError("equal-length cycles must be listed by smallest element")
         if (np.minimum.reduceat(order, starts) != heads).any():
             raise ValueError("every cycle must start at its smallest element")
-        index = _orbit_index(order, lengths)
-        # T maps the point in each slot to the point in the next slot,
-        # wrapping at the end of its cycle
-        succ = np.empty_like(order)
-        succ[:-1] = order[1:]
-        succ[starts + lengths - 1] = order[starts]
-        image = np.empty(order.size, dtype=np.int64)
-        image[order] = succ
-        del succ
-        T = cls(image, validate=False)
-        T._index = index
+        T = cls.__new__(cls)
+        T._image, T.size, T._cycles, T._along = None, order.size, None, None
+        T._index = OrbitIndex(order, starts, lengths, slot)
         return T
+
+    @property
+    def image(self) -> np.ndarray:
+        """T as an array, read-only; built from the orbit index on first use."""
+        if self._image is None:
+            order, starts = self._index.order, self._index.starts
+            # T maps the point in each slot to the point in the next slot,
+            # and the last point of each cycle to its first
+            image = np.empty(self.size, dtype=np.int64)
+            image[order[:-1]] = order[1:]
+            image[order[starts + self._index.lengths - 1]] = order[starts]
+            image.setflags(write=False)
+            self._image = image
+        return self._image
+
+    def along(self, F: Observable) -> np.ndarray:
+        """F.values in orbit order, F.values[order], read-only; memoized for the last F."""
+        memo = self._along
+        if memo is None or memo[0] is not F:
+            values = F.values[self.orbit_index.order]
+            values.setflags(write=False)
+            memo = self._along = (F, values)
+        return memo[1]
 
     def __call__(self, y: int) -> int:
         return int(self.image[y])
@@ -187,7 +221,7 @@ class FinitePermutation:
         cycles.sort(key=len, reverse=True)
         order = np.fromiter(chain.from_iterable(cycles), dtype=np.int64, count=self.size)
         lengths = np.fromiter(map(len, cycles), dtype=np.int64, count=len(cycles))
-        self._index = _orbit_index(order, lengths)
+        self._index = OrbitIndex(order, np.cumsum(lengths) - lengths, lengths, _slots(order, "cycle order"))
 
     @property
     def orbit_index(self) -> OrbitIndex:
@@ -198,50 +232,26 @@ class FinitePermutation:
     def cycles(self) -> list[np.ndarray]:
         """Disjoint cycles partitioning Y in canonical order (views into the orbit index)."""
         if self._cycles is None:
-            index = self.orbit_index
-            self._cycles = []
-            for offset, count, p in index.length_classes():
-                self._cycles.extend(index.order[offset : offset + count * p].reshape(count, p))
+            order = self.orbit_index.order
+            self._cycles = [row for offset, count, p in self.orbit_index.length_classes()
+                            for row in order[offset : offset + count * p].reshape(count, p)]
         return self._cycles
 
     def cycle_of(self, y: int) -> tuple[np.ndarray, int]:
-        """The cycle through y and the position of y in it."""
+        """The cycle through y (a slice of the orbit order) and the position of y in it."""
+        if not 0 <= y < self.size:
+            raise IndexError(f"point {y} out of range for size {self.size}")
         index = self.orbit_index
-        c = index.cycle_id[y]
+        c = index.cycle_ids(y)
         start = index.starts[c]
-        return index.order[start : start + index.lengths[c]], int(index.pos[y])
+        return index.order[start : start + index.lengths[c]], int(index.slot[y] - start)
 
     def period(self, y: int) -> int:
-        index = self.orbit_index
-        return int(index.lengths[index.cycle_id[y]])
+        return self.cycle_of(y)[0].size
 
     def trajectory(self, y: int, n: int) -> np.ndarray:
-        """[y, T(y), ..., T^{n-1}(y)] in O(n) via the memoized cycle order.
-
-        One period from y is copied out of the cycle, then repeated by
-        doubling copies, so there is no per-step index arithmetic and no
-        temporary beside the result.
-        """
-        if not 0 <= y < self.size:
-            raise IndexError(f"start point {y} out of range for size {self.size}")
-        cyc, pos = self.cycle_of(y)
-        out = np.empty(n, dtype=np.int64)
-        filled = min(n, cyc.size)
-        head = cyc[pos : pos + filled]
-        out[: head.size] = head
-        out[head.size : filled] = cyc[: filled - head.size]
-        while filled < n:
-            step = min(filled, n - filled)
-            out[filled : filled + step] = out[:step]
-            filled += step
-        return out
-
-
-def _is_permutation(image: np.ndarray) -> bool:
-    if image.min(initial=0) < 0 or image.max(initial=-1) >= image.size:
-        return False
-    counts = np.bincount(image, minlength=image.size)
-    return bool((counts == 1).all())
+        """[y, T(y), ..., T^{n-1}(y)] in O(n), copied out of y's cycle in the orbit index."""
+        return _cyclic_run(*self.cycle_of(y), n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,8 +352,6 @@ def apply_power(T: FinitePermutation, y: int, n: int) -> int:
 
 def orbit_and_period(T: FinitePermutation, y: int) -> tuple[list[int], int]:
     """The T-orbit of y starting at y, and its period p(y)."""
-    if not 0 <= y < T.size:
-        raise IndexError(f"point {y} out of range for size {T.size}")
     cyc, pos = T.cycle_of(y)
     return np.roll(cyc, -pos).tolist(), len(cyc)
 
@@ -383,8 +391,6 @@ def ergodic_means_prefix(
 
 def orbit_average(F: Observable, T: FinitePermutation, y: int) -> float:
     """The orbit mean: (1/|Orb(y)|) * sum of F over the T-orbit of y."""
-    if not 0 <= y < T.size:
-        raise IndexError(f"point {y} out of range for size {T.size}")
     cyc, _ = T.cycle_of(y)
     return float(np.mean(F.values[cyc]))
 
@@ -400,9 +406,11 @@ def gamma_series(
 
     Returns (array of shape (count, 3) with columns [n, n/M, A_n], stride).
     The default stride caps the output at ~1e5 points; the stride actually
-    used is returned so output metadata can record it.  Only the prefix sums
-    run over all n_total steps; the means are divided out at the stride
-    points alone, each as the same quotient ergodic_means_prefix forms.
+    used is returned so output metadata can record it.  The values along
+    the orbit are copied out of y's cycle in T.along(F), so F is never
+    gathered at random.  Only the prefix sums run over all n_total steps;
+    the means are divided out at the stride points alone, each as the same
+    quotient ergodic_means_prefix forms.
     """
     M = T.size
     if not (np.isfinite(k) and k * M >= 1):
@@ -412,7 +420,9 @@ def gamma_series(
         stride = max(1, n_total // 100_000)
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    sums = F.values[T.trajectory(y, n_total)]
+    cyc, pos = T.cycle_of(y)
+    start = T.orbit_index.slot[y] - pos
+    sums = _cyclic_run(T.along(F)[start : start + cyc.size], pos, n_total)
     np.cumsum(sums, out=sums)
     ns = np.arange(stride, n_total + 1, stride, dtype=np.int64)
     points = np.column_stack([ns.astype(np.float64), ns / M, sums[ns - 1] / ns])

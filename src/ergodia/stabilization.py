@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import FinitePermutation, Observable, OrbitIndex
+from .dynamics import FinitePermutation, Observable
 from .rng import SplitMix64
 
 __all__ = [
@@ -91,27 +91,31 @@ class StabilizationSegment:
 CHUNK_POINTS = 1 << 16
 
 
-def _row_means(F: Observable, index: OrbitIndex, horizons: Sequence[int],
+def _row_means(F: Observable, T: FinitePermutation, horizons: Sequence[int],
                points: np.ndarray | None = None, absolute: bool = False):
     """(cyc, [A_n on cyc for n in horizons]) per chunk of whole equal-length cycles.
 
     cyc is a (rows, p) block of order, a cycle per row (with points, only the
-    cycles holding them, by cycle id).  One gather, row sum and cumsum of
-    length p + max(n mod p) serve every horizon, of |F| if absolute:
-    add.accumulate along a row is sequential, so a shorter window's prefix
-    sums are the same floats.
+    cycles holding them), and its values the same block of T.along(F), so
+    no gather.  One row sum and cumsum of length p + max(n mod p) serve
+    every horizon, of |F| if absolute: add.accumulate along a row is
+    sequential, so a shorter window's prefix sums are the same floats.
     """
+    index, along = T.orbit_index, T.along(F)
     if points is not None:
         wanted = np.zeros(index.lengths.size, dtype=bool)
-        wanted[index.cycle_id[points]] = True
+        wanted[index.cycle_ids(points)] = True
     for offset, count, p in index.length_classes():
         rows = index.order[offset : offset + count * p].reshape(count, p)
+        values = along[offset : offset + count * p].reshape(count, p)
         if points is not None:
-            first_cycle = index.cycle_id[index.order[offset]]
-            rows = rows[wanted[first_cycle : first_cycle + count]]
+            first_cycle = np.searchsorted(index.starts, offset)
+            keep = wanted[first_cycle : first_cycle + count]
+            rows, values = rows[keep], values[keep]
         step, width = max(1, CHUNK_POINTS // p), max(n % p for n in horizons)
-        for cyc in (rows[first : first + step] for first in range(0, len(rows), step)):
-            vals = np.abs(F.values[cyc]) if absolute else F.values[cyc]
+        for first in range(0, len(rows), step):
+            cyc, vals = rows[first : first + step], values[first : first + step]
+            vals = np.abs(vals) if absolute else vals
             sums = vals.sum(axis=1, keepdims=True)
             if width:
                 pref = np.zeros((len(cyc), p + width + 1))
@@ -127,19 +131,21 @@ def _row_means(F: Observable, index: OrbitIndex, horizons: Sequence[int],
             yield cyc, means
 
 
-def _means_at_points(F: Observable, index: OrbitIndex, horizons: Sequence[int],
+def _means_at_points(F: Observable, T: FinitePermutation, horizons: Sequence[int],
                      points: np.ndarray, absolute: bool = False) -> np.ndarray:
     """A_n at points for each n in horizons, shape (len(horizons), len(points)).
 
-    Each point's mean is read out of its cycle's block at (row, pos[y]).
+    Each point y on cycle c is read out of its cycle's block at (row, slot[y] - starts[c]).
     """
-    cid = index.cycle_id[points]
+    index = T.orbit_index
+    cid = index.cycle_ids(points)
+    pos = index.slot[points] - index.starts[cid]
     out = np.empty((len(horizons), points.size))
-    for cyc, means in _row_means(F, index, horizons, points, absolute):
-        ids = index.cycle_id[cyc[:, 0]]
+    for cyc, means in _row_means(F, T, horizons, points, absolute):
+        ids = index.cycle_ids(cyc[:, 0])
         here = np.flatnonzero((cid >= ids[0]) & (cid <= ids[-1]))
-        row, col = np.searchsorted(ids, cid[here]), index.pos[points[here]]
-        out[:, here] = [A[row, col] for A in means]
+        row = np.searchsorted(ids, cid[here])
+        out[:, here] = [A[row, pos[here]] for A in means]
     return out
 
 
@@ -161,9 +167,9 @@ def means_at_horizon(
     if n < 1:
         raise ValueError("horizon must be >= 1")
     if points is not None:
-        return _means_at_points(F, T.orbit_index, (n,), np.asarray(points, dtype=np.int64))[0]
+        return _means_at_points(F, T, (n,), np.asarray(points, dtype=np.int64))[0]
     out = np.empty(T.size, dtype=np.float64)
-    for cyc, (A,) in _row_means(F, T.orbit_index, (n,)):
+    for cyc, (A,) in _row_means(F, T, (n,)):
         out[cyc] = A
     return out
 
@@ -179,13 +185,13 @@ def sup_discrepancy(
     if not 1 <= L < K:
         raise ValueError("require 1 <= L < K")
     diffs = np.empty(T.size, dtype=np.float64)
-    for cyc, (A_K, A_L) in _row_means(F, T.orbit_index, (K, L)):
+    for cyc, (A_K, A_L) in _row_means(F, T, (K, L)):
         diffs[cyc] = np.abs(A_K - A_L)
     if sample is None:
         sample = stratified_start_points(T.size, strata=min(T.size, 32), extras=0, seed=0)
     sample = np.asarray(sample, dtype=np.int64)
     # (1/L) sum_{k<L} |F(T^k y)| and (1/K) sum_{k<K} |F(T^k y)|
-    absL, absK = _means_at_points(F, T.orbit_index, (L, K), sample, absolute=True)
+    absL, absK = _means_at_points(F, T, (L, K), sample, absolute=True)
     u = (1.0 / L - 1.0 / K) * absL * L
     v = absK - absL * L / K  # (1/K) sum_{k=L}^{K-1} |F|
     return DiscrepancyReport(
@@ -214,8 +220,9 @@ def _band_ends(F: Observable, T: FinitePermutation, points: np.ndarray, n_min: i
     scan longer than CHUNK_POINTS runs in tiles of CHUNK_POINTS columns that
     carry the prefix sum and the band's max and min.  A row's orbit-order
     slots step by 1, and back by p where it wraps, so a cumsum gives them
-    with no % per step.  add.accumulate along a row is sequential, so every
-    mean is bitwise ergodic_means_prefix's.
+    with no % per step, and one gather from T.along(F) reads the values.
+    add.accumulate along a row is sequential, so every mean is bitwise
+    ergodic_means_prefix's.
     """
     if n_min < 1:
         raise ValueError("n_min must be >= 1")
@@ -226,23 +233,23 @@ def _band_ends(F: Observable, T: FinitePermutation, points: np.ndarray, n_min: i
     outside = points[(points < 0) | (points >= T.size)]
     if outside.size:
         raise IndexError(f"start point {outside[0]} out of range for size {T.size}")
-    index = T.orbit_index
+    index, along = T.orbit_index, T.along(F)
     k_star, witness = np.full(points.size, scan_limit), np.empty(points.size)
     cols = min(scan_limit, CHUNK_POINTS)
     for first in range(0, points.size, CHUNK_POINTS // cols):
         y = points[first : first + CHUNK_POINTS // cols]
-        c = index.cycle_id[y]
+        c = index.cycle_ids(y)
         p = index.lengths[c]
         total, hi, lo = np.zeros(y.size), np.full((y.size, 1), -np.inf), np.full((y.size, 1), np.inf)
         for a in range(0, scan_limit, cols):
             n = min(cols, scan_limit - a)
-            pos = (index.pos[y] + a) % p
+            pos = (index.slot[y] - index.starts[c] + a) % p
             slots = np.ones((y.size, n), dtype=np.int64)
             slots[:, 0] = index.starts[c] + pos
             wraps = (p - pos)[:, None] + p[:, None] * np.arange((n - 1) // p.min() + 1)
             i, k = (wraps < n).nonzero()
             slots[i, wraps[i, k]] = 1 - p[i]
-            sums = F.values[index.order[slots.cumsum(axis=1, out=slots)]]
+            sums = along[slots.cumsum(axis=1, out=slots)]
             if a:  # only past the first tile: 0.0 + -0.0 would lose the sign of a zero
                 sums[:, 0] += total
             total = sums.cumsum(axis=1, out=sums)[:, -1].copy()

@@ -391,12 +391,16 @@ def test_approx_pipeline_report(tmp_path):
     {"mode": "pipeline", "M": 100, "target": "identity"},
     {"mode": "metrics", "target": {"name": "identity", "typo": 1}},
     {"mode": "metrics", "degre": 2},
+    {"mode": "metrics", "target": {"name": "rotation", "t": float("nan")}},
+    {"mode": "metrics", "target": {"name": "rotation", "t": float("inf")}},
+    {"mode": "metrics", "target": {"name": "rotation", "t": float("-inf")}},
 ], ids=["pipeline-no-M", "M-not-int", "M-zero", "delta-zero", "rotation-no-t",
         "interval-not-pair", "mismatch-epsilon-zero", "thickening-epsilon-nan",
         "mismatch-epsilons-nan", "pipeline-mismatch-epsilon-nan", "interval-nan-endpoint",
         "interval-endpoint-above-1", "interval-endpoint-below-0", "degree-fraction",
         "degree-negative", "pipeline-M-fraction", "approx-list", "metrics-target-string",
-        "pipeline-target-string", "target-unknown-key", "unknown-key"])
+        "pipeline-target-string", "target-unknown-key", "unknown-key", "rotation-t-nan",
+        "rotation-t-inf", "rotation-t-minus-inf"])
 def test_malformed_approx_config_is_config_error(tmp_path, capsys, approx):
     cfg = write_config(tmp_path, {"system": {"name": "drift", "M": 100}, "approx": approx})
     assert_config_error(capsys, ["approx", "--config", cfg, "--out", str(tmp_path / "o")])

@@ -185,6 +185,6 @@ def test_list_walk_equals_index_from_cycles(name):
     assert T._index is None
     ref = canonical_index(cycles)
     assert np.array_equal(ref.image, T.image)
-    for field in ("order", "starts", "lengths", "cycle_id", "pos"):
+    for field in ("order", "starts", "lengths", "slot"):
         got, want = getattr(T.orbit_index, field), getattr(ref.orbit_index, field)
         assert got.dtype == want.dtype and np.array_equal(got, want), field

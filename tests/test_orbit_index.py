@@ -6,10 +6,13 @@ cycle walk.  Both must give the same index, and every kernel must give the
 same answer on a system and on a relabelled copy of it.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from ergodia.dynamics import FinitePermutation, Observable, ergodic_means_prefix
+from ergodia.dynamics import FinitePermutation, Observable, ergodic_means_prefix, gamma_series
 from ergodia.integrability import integrability_profile
 from ergodia.stabilization import (common_stabilization_segment, means_at_horizon,
                                    stabilization_segment, sup_discrepancy)
@@ -69,7 +72,7 @@ def test_constructor_index_equals_generic_walk(name):
     built, ref = T.orbit_index, walked.orbit_index
     assert len(T.cycles) == len(walked.cycles)
     assert all(np.array_equal(a, b) for a, b in zip(T.cycles, walked.cycles))
-    for field in ("order", "starts", "lengths", "cycle_id", "pos"):
+    for field in ("order", "starts", "lengths", "slot"):
         assert np.array_equal(getattr(built, field), getattr(ref, field)), field
     for y in range(0, T.size, max(1, T.size // 50)):
         assert T.period(y) == walked.period(y)
@@ -96,6 +99,9 @@ def test_rotation_permutation_is_cached():
     ([1, 0, 2], [2, 1]),           # cycle does not start at its minimum
     ([2, 0, 1], [1, 1, 1]),        # equal-length cycles out of order
     ([0, 1, 2], [3, 0]),           # empty cycle
+    ([-1, 0, 1], [3]),             # a negative entry, which a scatter would wrap to M - 1
+    ([0, 1, 3], [3]),              # an entry equal to M
+    ([0, 2, 1, 2], [4]),           # 2 repeated within the one cycle, 3 missing
 ])
 def test_from_cycle_order_rejects_non_canonical(order, lengths):
     with pytest.raises(ValueError):
@@ -156,3 +162,143 @@ def test_relabelling_preserves_means_discrepancies_segments_and_tails(name):
         seg = stabilization_segment(F, T, y, 3, 0.05, 300)
         seg2 = stabilization_segment(F2, T2, int(sigma[y]), 3, 0.05, 300)
         assert (seg2.K_star, seg2.witness, seg2.capped) == (seg.K_star, seg.witness, seg.capped)
+
+
+# -- the orbit-order layout: slots, the lazy image and the observable memo ----
+
+
+def mixed_cycles():
+    """Cycles of lengths 1 to 40 on 107 points, and a non-integral F."""
+    rng = np.random.default_rng(3)
+    cycles = np.split(rng.permutation(107), np.cumsum([40, 19, 12, 7, 7, 7, 5, 3, 3, 2, 1]))
+    return FinitePermutation.from_cycles(cycles, 107), Observable.from_values(rng.normal(size=107))
+
+
+LAYOUTS = {
+    "random": lambda: FinitePermutation(np.random.default_rng(11).permutation(2000)),
+    "identity": lambda: FinitePermutation.identity(300),
+    "single-cycle": lambda: FinitePermutation.from_cycles(
+        [np.random.default_rng(7).permutation(1500).tolist()], 1500),
+    "naive": lambda: naive(2, 4)[0],
+    "naive-ternary": lambda: naive(3, 1)[0],
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUTS))
+def test_cycle_ids_and_positions_match_the_walks_cycles(name):
+    T = LAYOUTS[name]()
+    walked = FinitePermutation(T.image)
+    want_cycle, want_pos = np.full(T.size, -1), np.full(T.size, -1)
+    for c, cyc in enumerate(walked.cycles):
+        for pos, y in enumerate(cyc.tolist()):
+            want_cycle[y], want_pos[y] = c, pos
+    index, points = T.orbit_index, np.arange(T.size)
+    cid = index.cycle_ids(points)
+    assert np.array_equal(cid, want_cycle)
+    assert np.array_equal(index.slot[points] - index.starts[cid], want_pos)
+    assert np.array_equal(index.order[index.slot], points)
+    for y in range(0, T.size, max(1, T.size // 40)):
+        cyc, pos = T.cycle_of(y)
+        assert np.array_equal(cyc, walked.cycles[want_cycle[y]]) and pos == want_pos[y]
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_lazy_image_equals_the_successor_image_and_is_read_only(name):
+    T, image = SYSTEMS[name]()
+    assert T._image is None
+    assert np.array_equal(T.image, image) and T.image.dtype == np.int64
+    assert T.image is T.image
+    assert not T.image.flags.writeable
+    with pytest.raises(ValueError):
+        T.image[0] = 0
+    with pytest.raises(AttributeError):
+        T.image = image
+
+
+def kernel_results(F, T):
+    """Every kernel that reads T.along(F), as plain arrays and tuples."""
+    gamma, _ = gamma_series(F, T, 5, 2.7, 1)
+    rep = sup_discrepancy(F, T, 40, 17, sample=[0, 5, 60, 106])
+    seg = stabilization_segment(F, T, 5, 2, 0.05, 150)
+    common = common_stabilization_segment(F, T, 2, 0.05, 0.2, 150, [0, 5, 33, 60, 106])
+    return (gamma, rep.diffs, rep.u_bounds, rep.v_bounds, rep.sup_disc,
+            (seg.K_star, seg.witness, seg.capped),
+            (common.K_star, common.witness, common.capped, common.excluded_fraction))
+
+
+def assert_bitwise(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert np.array_equal(a, b), (a, b)
+
+
+def test_the_memo_gives_each_observable_its_own_values():
+    T, F = mixed_cycles()
+    G = Observable.from_values(np.random.default_rng(8).integers(-9, 10, T.size))
+    first_f, on_g, again_f = kernel_results(F, T), kernel_results(G, T), kernel_results(F, T)
+    assert T.along(F) is T.along(F)
+    assert not T.along(F).flags.writeable
+    assert np.array_equal(T.along(G), G.values[T.orbit_index.order])
+    assert_bitwise(first_f, kernel_results(F, mixed_cycles()[0]))
+    assert_bitwise(again_f, first_f)
+    assert_bitwise(on_g, kernel_results(G, mixed_cycles()[0]))
+    assert not np.array_equal(on_g[0], first_f[0])
+
+
+def test_racing_observables_on_one_permutation_keep_their_own_values():
+    T, F = mixed_cycles()
+    G = Observable.from_values(np.random.default_rng(8).integers(-9, 10, T.size))
+    want = {id(H): gamma_series(H, mixed_cycles()[0], 5, 2.7, 1)[0] for H in (F, G)}
+    failures = []
+
+    def worker(first, second):
+        for _ in range(1000):
+            for H in (first, second):
+                try:
+                    assert np.array_equal(gamma_series(H, T, 5, 2.7, 1)[0], want[id(H)])
+                except Exception as e:  # a thread's exception would not fail the test
+                    failures.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(F, G) if i % 2 else (G, F)) for i in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not failures, failures[:3]
+
+
+BUILT = {
+    "drift": lambda: (build_drift_system(5000)[0], paper_observable("ex03", 5000, K=50)),
+    "rotation": lambda: (build_rotation(33334, 2.0 / 3.0).permutation, paper_observable("tent", 33334)),
+    "naive": lambda: (build_bernoulli(2, 4, "naive").permutation, paper_observable("chi0", 512, N=4)),
+    "debruijn": lambda: (build_bernoulli(2, 4, "debruijn").permutation,
+                         paper_observable("chi0", 512, N=4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILT))
+def test_the_kernels_build_no_image(name):
+    T, F = BUILT[name]()
+    for y in (0, 3, T.size - 1):
+        gamma_series(F, T, y, 2.5)
+    stabilization_segment(F, T, 3, 2, 0.05, 300)
+    common_stabilization_segment(F, T, 2, 0.05, 0.2, 300, [0, 3, 77, T.size - 1])
+    sup_discrepancy(F, T, 40, 17)
+    means_at_horizon(F, T, 9)
+    assert T._image is None
+
+
+@pytest.mark.parametrize("k", [0.5, 1, 2.7, 5])
+def test_gamma_from_a_short_cycle_is_the_prefix_means(k):
+    T, F = mixed_cycles()
+    for p in (3, 7, 1):
+        y = int(next(c[-1] for c in T.cycles if len(c) == p))
+        n_total = int(np.floor(k * T.size))
+        points, stride = gamma_series(F, T, y, k, 1)
+        assert stride == 1 and points.shape == (n_total, 3)
+        assert np.array_equal(points[:, 2], ergodic_means_prefix(F, T, y, n_total).means)

@@ -169,7 +169,7 @@ def test_naive_cycles_match_the_generic_walk(m, L):
     assert np.array_equal(order, walked.order)
     assert np.array_equal(lengths, walked.lengths)
     index = FinitePermutation.from_cycle_order(order, lengths).orbit_index
-    for field in ("order", "starts", "lengths", "cycle_id", "pos"):
+    for field in ("order", "starts", "lengths", "slot"):
         assert np.array_equal(getattr(index, field), getattr(walked, field)), field
 
 
