@@ -31,13 +31,11 @@ from .stabilization import (
     common_stabilization_segment,
     exceedance_fraction,
     means_at_horizon,
-    reference_psi,
     stabilization_segment,
     stratified_start_points,
     sup_discrepancy,
 )
 from .approximation import (
-    ApproximationReport,
     ClosedSet,
     PointEmbedding,
     TestFunction,
@@ -60,7 +58,6 @@ from .systems import (
     debruijn_sequence,
     debruijn_window_permutation,
     paper_observable,
-    tent_function,
 )
 
 __version__ = "0.1.0"

@@ -30,7 +30,6 @@ __all__ = [
     "PointEmbedding",
     "TestFunction",
     "ClosedSet",
-    "ApproximationReport",
     "weak_star_error",
     "thickening_measure_error",
     "map_mismatch_fraction",
@@ -51,13 +50,11 @@ class MetricSpaceModel:
     kind is one of "circle", "interval", "symbolic".  Points are floats for
     circle/interval and integer words (symbols at positions -W..W, along
     the last axis) for symbolic.  distance works elementwise on arrays of
-    points.  ball_measure gives the closed-form reference measure of an
-    open ball.
+    points.
     """
 
     kind: str
     distance: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    ball_measure: Callable[[object, float], float]
     alphabet: int = 0
     window: int = 0
 
@@ -67,22 +64,14 @@ def circle_space() -> MetricSpaceModel:
         d = np.abs(np.subtract(a, b, dtype=np.float64)) % 1.0
         return np.minimum(d, 1.0 - d)
 
-    def ball(_center, r):
-        return float(min(max(2.0 * r, 0.0), 1.0))
-
-    return MetricSpaceModel(kind="circle", distance=dist, ball_measure=ball)
+    return MetricSpaceModel(kind="circle", distance=dist)
 
 
 def interval_space() -> MetricSpaceModel:
     def dist(a, b):
         return np.abs(np.subtract(a, b, dtype=np.float64))
 
-    def ball(center, r):
-        lo = max(0.0, float(center) - r)
-        hi = min(1.0, float(center) + r)
-        return max(0.0, hi - lo)
-
-    return MetricSpaceModel(kind="interval", distance=dist, ball_measure=ball)
+    return MetricSpaceModel(kind="interval", distance=dist)
 
 
 def symbolic_space(alphabet: int, window: int) -> MetricSpaceModel:
@@ -98,16 +87,7 @@ def symbolic_space(alphabet: int, window: int) -> MetricSpaceModel:
         j = np.where(np.not_equal(a, b), radius, W + 1).min(axis=-1)
         return np.where(j <= W, np.ldexp(1.0, -j), 0.0)
 
-    def ball(_center, r):
-        if r <= 0:
-            return 0.0
-        # membership in the ball constrains exactly the positions n with
-        # 2^(-|n|) >= r (those must agree with the center)
-        constrained = sum(1 for n in range(-W, W + 1) if 2.0 ** (-abs(n)) >= r)
-        return float(alphabet) ** (-constrained)
-
-    return MetricSpaceModel(kind="symbolic", distance=dist, ball_measure=ball,
-                            alphabet=alphabet, window=W)
+    return MetricSpaceModel(kind="symbolic", distance=dist, alphabet=alphabet, window=W)
 
 
 @dataclass(frozen=True)
@@ -152,7 +132,7 @@ class ClosedSet:
     reference measure of the set.
     """
 
-    kind: str  # "intervals" | "cylinders" | "all"
+    kind: str  # "intervals" | "cylinders"
     intervals: tuple = ()
     cylinders: tuple = ()
 
@@ -162,8 +142,6 @@ class ClosedSet:
                              f"got {self.intervals!r}")
 
     def measure(self, space: MetricSpaceModel) -> float:
-        if self.kind == "all":
-            return 1.0
         if self.kind == "intervals":
             # the union: wrapped intervals split at 1, then sorted and merged
             pieces = sorted(piece for a, b in self.intervals
@@ -189,8 +167,6 @@ class ClosedSet:
         """Distance from each point of x (floats, or words along the last axis) to the set."""
         x = np.asarray(x)
         shape = x.shape[:-1] if space.kind == "symbolic" else x.shape
-        if self.kind == "all":
-            return np.zeros(shape)
         if self.kind == "intervals":
             if space.kind == "circle":
                 x = x % 1.0
@@ -212,25 +188,6 @@ class ClosedSet:
                 best = np.minimum(best, space.distance(x, nearest))
             return best
         raise ValueError(f"unsupported set descriptor kind {self.kind!r}")
-
-
-@dataclass
-class ApproximationReport:
-    """Quantitative record of how well a finite system approximates a target."""
-
-    weak_star_errors: dict = field(default_factory=dict)
-    thickening_errors: dict = field(default_factory=dict)
-    map_mismatch: dict = field(default_factory=dict)
-    cycle_lengths: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "weak_star_errors": self.weak_star_errors,
-            "thickening_errors": {str(k): v for k, v in self.thickening_errors.items()},
-            "map_mismatch": {str(k): v for k, v in self.map_mismatch.items()},
-            "cycle_count": len(self.cycle_lengths),
-            "cycle_lengths": self.cycle_lengths[:100],
-        }
 
 
 # -- quality metrics -------------------------------------------------------

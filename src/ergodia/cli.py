@@ -19,7 +19,6 @@ import numpy as np
 
 from . import checks
 from .approximation import (
-    ApproximationReport,
     ClosedSet,
     TestFunction,
     make_transitive,
@@ -301,20 +300,25 @@ def _approx_metrics(config: dict, spec: dict) -> dict:
     if emb.space.kind == "symbolic":
         # the test functions, closed intervals and target maps live on [0, 1)
         raise ConfigError("metrics mode needs a drift or rotation system")
-    report = ApproximationReport()
     degree = _int_param(spec.get("degree", 3), "degree", 0)
-    report.weak_star_errors = weak_star_error(emb, _monomial_tests(degree))
+    # keyed by the raw config values, so 1 and 1.0 are one entry; strings only in the report
+    thickening, mismatch = {}, {}
     for iv in spec.get("closed_intervals", []):
         C = ClosedSet(kind="intervals", intervals=(tuple(iv),))
         eps = float(spec.get("thickening_epsilon", 2.0 / T.size))
-        report.thickening_errors[tuple(iv)] = thickening_measure_error(emb, C, eps)
+        thickening[tuple(iv)] = thickening_measure_error(emb, C, eps)
     target = spec.get("target")
     if target:
         tau = _target_map(target)
         for eps in spec.get("mismatch_epsilons", [2.0 / T.size]):
-            report.map_mismatch[eps] = map_mismatch_fraction(emb, T, tau, float(eps))
-    report.cycle_lengths = T.orbit_index.lengths.tolist()
-    return {**meta, **report.to_dict()}
+            mismatch[eps] = map_mismatch_fraction(emb, T, tau, float(eps))
+    lengths = T.orbit_index.lengths
+    return {**meta,
+            "weak_star_errors": weak_star_error(emb, _monomial_tests(degree)),
+            "thickening_errors": {str(k): v for k, v in thickening.items()},
+            "map_mismatch": {str(k): v for k, v in mismatch.items()},
+            "cycle_count": lengths.size,
+            "cycle_lengths": lengths[:100].tolist()}
 
 
 def _approx_pipeline(spec: dict) -> dict:
@@ -331,7 +335,7 @@ def _approx_pipeline(spec: dict) -> dict:
         curve.append({
             "delta": float(delta),
             "matcher_mismatch_count": mismatches,
-            "cycle_count_before_merge": len(T_delta.cycles),
+            "cycle_count_before_merge": T_delta.orbit_index.lengths.size,
             "transitivity_mismatch": len(B),
             "map_mismatch_fraction": map_mismatch_fraction(emb, C, tau, eps),
             "mismatch_epsilon": eps,

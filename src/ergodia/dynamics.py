@@ -34,6 +34,11 @@ __all__ = [
     "gamma_series",
 ]
 
+# The most means one start point's series may run to: gamma_series holds
+# floor(k*M) float64 prefix sums at once (2 GiB at the bound), and the band
+# scan of stabilization walks scan_limit means per point.
+SERIES_BUDGET = 1 << 28
+
 
 # eq=False here and below: == is identity, as a field-wise == would take
 # the truth value of arrays
@@ -110,7 +115,7 @@ class FinitePermutation:
     along(F) memoizes one observable's values in orbit order.
     """
 
-    __slots__ = ("_image", "size", "_index", "_cycles", "_along")
+    __slots__ = ("_image", "size", "_index", "_along")
 
     def __init__(self, image: Sequence[int] | np.ndarray, *, validate: bool = True):
         image = np.asarray(image, dtype=np.int64)
@@ -121,20 +126,11 @@ class FinitePermutation:
         image.setflags(write=False)
         self._image = image
         self.size = int(image.size)
-        self._index = self._cycles = self._along = None
+        self._index = self._along = None
 
     @classmethod
     def identity(cls, size: int) -> "FinitePermutation":
         return cls(np.arange(size, dtype=np.int64), validate=False)
-
-    @classmethod
-    def from_cycles(cls, cycles: Sequence[Sequence[int]], size: int) -> "FinitePermutation":
-        """Build from a list of cycles; points not mentioned are fixed."""
-        image = np.arange(size, dtype=np.int64)
-        for cyc in cycles:
-            for a, b in zip(cyc, list(cyc[1:]) + [cyc[0]]):
-                image[a] = b
-        return cls(image)
 
     @classmethod
     def from_cycle_order(cls, order, lengths) -> "FinitePermutation":
@@ -160,7 +156,7 @@ class FinitePermutation:
         if (np.minimum.reduceat(order, starts) != heads).any():
             raise ValueError("every cycle must start at its smallest element")
         T = cls.__new__(cls)
-        T._image, T.size, T._cycles, T._along = None, order.size, None, None
+        T._image, T.size, T._along = None, order.size, None
         T._index = OrbitIndex(order, starts, lengths, slot)
         return T
 
@@ -230,12 +226,10 @@ class FinitePermutation:
 
     @property
     def cycles(self) -> list[np.ndarray]:
-        """Disjoint cycles partitioning Y in canonical order (views into the orbit index)."""
-        if self._cycles is None:
-            order = self.orbit_index.order
-            self._cycles = [row for offset, count, p in self.orbit_index.length_classes()
-                            for row in order[offset : offset + count * p].reshape(count, p)]
-        return self._cycles
+        """Disjoint cycles in canonical order, views into the orbit index; rebuilt on every read."""
+        order = self.orbit_index.order
+        return [row for offset, count, p in self.orbit_index.length_classes()
+                for row in order[offset : offset + count * p].reshape(count, p)]
 
     def cycle_of(self, y: int) -> tuple[np.ndarray, int]:
         """The cycle through y (a slice of the orbit order) and the position of y in it."""
@@ -416,6 +410,8 @@ def gamma_series(
     if not (np.isfinite(k) and k * M >= 1):
         raise ValueError(f"k*M must be finite and >= 1, got k={k!r}")
     n_total = int(np.floor(k * M))
+    if n_total > SERIES_BUDGET:
+        raise ValueError(f"k*M = {n_total} exceeds the budget of {SERIES_BUDGET} means per start point")
     if stride is None:
         stride = max(1, n_total // 100_000)
     if stride < 1:

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import FinitePermutation, Observable
+from .dynamics import SERIES_BUDGET, FinitePermutation, Observable
 from .rng import SplitMix64
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "exceedance_fraction",
     "stabilization_segment",
     "common_stabilization_segment",
-    "reference_psi",
     "stratified_start_points",
 ]
 
@@ -230,6 +229,8 @@ def _band_ends(F: Observable, T: FinitePermutation, points: np.ndarray, n_min: i
         raise ValueError("epsilon must be positive")
     if n_min > scan_limit:
         raise ValueError("n_min exceeds scan_limit")
+    if scan_limit > SERIES_BUDGET:
+        raise ValueError(f"scan_limit exceeds the budget of {SERIES_BUDGET} means per start point")
     outside = points[(points < 0) | (points >= T.size)]
     if outside.size:
         raise IndexError(f"start point {outside[0]} out of range for size {T.size}")
@@ -315,21 +316,6 @@ def common_stabilization_segment(
         eta=eta,
         excluded_fraction=float(np.mean(~included)),
     )
-
-
-def reference_psi(a: float, t: float) -> float:
-    """Closed-form limit profile of prefix means of the linear observable y/M.
-
-    psi(a, t) = t + a/2                       for t <= 1 - a,
-              = t + a/2 - 1 + (1/a)(1 - t)    for t > 1 - a (requires a > 0).
-    """
-    if not (0.0 <= a <= 1.0 and 0.0 <= t <= 1.0):
-        raise ValueError("arguments must lie in [0, 1]")
-    if t <= 1.0 - a:
-        return t + a / 2.0
-    if a == 0.0:
-        raise ValueError("second branch undefined at a = 0")
-    return t + a / 2.0 - 1.0 + (1.0 - t) / a
 
 
 def stratified_start_points(M: int, strata: int, extras: int, seed: int) -> list[int]:

@@ -84,8 +84,8 @@ PUBLISHED_ROTATIONS: dict[tuple[int, float], int] = {
 }
 
 
-def build_rotation(M: int, t: float, coprime_required: bool = True) -> RotationSystem:
-    """Rotation step P closest to t*M, coprime with M when required.
+def build_rotation(M: int, t: float) -> RotationSystem:
+    """Rotation step P closest to t*M, coprime with M.
 
     Published experiment pairs take precedence over the search so that the
     reference figures reproduce exactly; see PUBLISHED_ROTATIONS.
@@ -101,9 +101,7 @@ def build_rotation(M: int, t: float, coprime_required: bool = True) -> RotationS
     best = None
     for k in range(M):
         for P in (p0 - k, p0 + k) if k else (p0,):
-            if not 1 <= P <= M - 1:
-                continue
-            if coprime_required and gcd(P, M) != 1:
+            if not 1 <= P <= M - 1 or gcd(P, M) != 1:
                 continue
             d = abs(P / M - t)
             if best is None or d < best[1]:
@@ -262,12 +260,6 @@ def build_bernoulli(m: int, N: int, mode: str = "debruijn") -> SymbolicSystem:
 # -- observables -----------------------------------------------------------
 
 
-def tent_function(x: float) -> float:
-    """Continuous circle function: 10x/9 on [0, 0.9), 10(1-x) on [0.9, 1)."""
-    x = x % 1.0
-    return 10.0 * x / 9.0 if x < 0.9 else 10.0 * (1.0 - x)
-
-
 def _int_param(value, key: str, minimum: int) -> int:
     """value as an int >= minimum; integral floats such as 10.0 pass, strings and inf do not."""
     try:
@@ -284,8 +276,9 @@ def paper_observable(name: str, M: int, **params) -> Observable:
 
     Names: "ex01" (+-M by parity), "delta" (spike of height M at 0),
     "ex03" (alternating 0/1 blocks of length K, needs K), "linear" (y/M),
-    "tent" (tent_function at y/M), "chi0" (symbolic: 1 iff the symbol at
-    position 0 is 1, needs N), "constant" (needs value).
+    "tent" (at x = y/M: 10x/9 on [0, 0.9), 10(1 - x) on [0.9, 1)), "chi0"
+    (symbolic: 1 iff the symbol at position 0 is 1, needs N), "constant"
+    (needs value).
 
     The values are written with numpy, in place, so the only M-sized array
     is the values array itself; each value is the same IEEE expression as

@@ -1,4 +1,4 @@
-"""Slow reference implementations that pin the library's fast paths.
+"""Slow reference implementations and closed forms that pin the library's fast paths.
 
 Nothing in the library calls these; tests import them with
 `from oracles import ...`.
@@ -6,7 +6,37 @@ Nothing in the library calls these; tests import them with
 
 import numpy as np
 
-from ergodia.dynamics import Observable, ergodic_means_prefix
+from ergodia.dynamics import FinitePermutation, Observable, ergodic_means_prefix
+
+
+def permutation_from_cycles(cycles, size):
+    """The permutation with the given cycles, an image entry at a time; other points are fixed."""
+    image = np.arange(size, dtype=np.int64)
+    for cyc in cycles:
+        for a, b in zip(cyc, list(cyc[1:]) + [cyc[0]]):
+            image[a] = b
+    return FinitePermutation(image)
+
+
+def tent_function(x):
+    """The tent observable at one point of the circle: 10x/9 on [0, 0.9), 10(1-x) on [0.9, 1)."""
+    x = x % 1.0
+    return 10.0 * x / 9.0 if x < 0.9 else 10.0 * (1.0 - x)
+
+
+def reference_psi(a, t):
+    """Closed-form limit profile of prefix means of the linear observable y/M.
+
+    psi(a, t) = t + a/2                       for t <= 1 - a,
+              = t + a/2 - 1 + (1/a)(1 - t)    for t > 1 - a (requires a > 0).
+    """
+    if not (0.0 <= a <= 1.0 and 0.0 <= t <= 1.0):
+        raise ValueError("arguments must lie in [0, 1]")
+    if t <= 1.0 - a:
+        return t + a / 2.0
+    if a == 0.0:
+        raise ValueError("second branch undefined at a = 0")
+    return t + a / 2.0 - 1.0 + (1.0 - t) / a
 
 
 def target_ranges_loop(M, targets, delta, circle):
@@ -175,8 +205,6 @@ def point_distance(kind, a, b, window=0):
 
 def point_set_distance(C, x, space):
     """ClosedSet.distance_to for one point."""
-    if C.kind == "all":
-        return 0.0
     if C.kind == "intervals":
         best = np.inf
         for a, b in C.intervals:

@@ -25,9 +25,8 @@ from ergodia.systems import (
     debruijn_window_permutation,
     grid_embedding,
     paper_observable,
-    tent_function,
 )
-from oracles import hall_deficiency_oracle, three_point_average
+from oracles import hall_deficiency_oracle, tent_function, three_point_average
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 

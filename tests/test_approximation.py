@@ -24,7 +24,8 @@ from ergodia.approximation import (
 from ergodia.dynamics import FinitePermutation
 from ergodia.rng import SplitMix64
 from ergodia.systems import grid_embedding
-from oracles import augmenting_path_matcher, hall_deficiency_oracle, target_ranges_loop
+from oracles import (augmenting_path_matcher, hall_deficiency_oracle, permutation_from_cycles,
+                     target_ranges_loop)
 
 
 # -- metric space models ---------------------------------------------------
@@ -49,15 +50,6 @@ def test_symbolic_distance_center_out():
     assert sp.distance(a, [0, 1, 0, 0, 0]) == 0.5       # position -1
     assert sp.distance(a, [1, 0, 0, 0, 1]) == 0.25      # positions +-2
     assert sp.distance(a, a) == 0.0
-
-
-def test_symbolic_ball_measure():
-    sp = symbolic_space(2, 2)
-    # r = 0.6 constrains only position 0 (2^0 >= 0.6 > 2^-1)
-    assert sp.ball_measure(None, 0.6) == pytest.approx(0.5)
-    # r = 0.5 constrains positions -1, 0, 1
-    assert sp.ball_measure(None, 0.5) == pytest.approx(1.0 / 8.0)
-    assert sp.ball_measure(None, 0.0) == 0.0
 
 
 # -- quality metrics -------------------------------------------------------
@@ -351,7 +343,7 @@ def test_hall_oracle_counts_empty_ranges():
 
 
 def test_make_transitive_merges_cycles():
-    T = FinitePermutation.from_cycles([[0, 1, 2], [3, 4], [5]], size=6)
+    T = permutation_from_cycles([[0, 1, 2], [3, 4], [5]], size=6)
     C, B = make_transitive(T)
     assert len(C.cycles) == 1
     assert len(B) == 3
@@ -390,7 +382,7 @@ def test_make_transitive_bound(M, seed):
 
 
 def test_split_into_n_cycles():
-    T = FinitePermutation.from_cycles([[0, 1, 2, 3, 4, 5, 6]], size=7)
+    T = permutation_from_cycles([[0, 1, 2, 3, 4, 5, 6]], size=7)
     kept, image = split_into_n_cycles(T, 3)
     assert len(kept) == 6  # 7 = 2*3 + 1, one point dropped
     # every orbit of the new map has length exactly 3
@@ -403,7 +395,7 @@ def test_split_into_n_cycles():
 
 
 def test_split_drops_short_cycles():
-    T = FinitePermutation.from_cycles([[0, 1], [2, 3, 4]], size=5)
+    T = permutation_from_cycles([[0, 1], [2, 3, 4]], size=5)
     kept, image = split_into_n_cycles(T, 4)
     assert kept == []
     assert image == {}

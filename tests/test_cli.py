@@ -212,10 +212,11 @@ def small_stab_config():
     ("seed", "abc"),
     ("random", 2.5),
     ("epsilson", 0.1),
+    ("scan_limit", 1e30),
 ], ids=["epsilon-nan", "exceedance-epsilon-nan", "epsilon-string", "eta-string",
         "scan-limit-fraction", "n-min-fraction", "per-point-limit-fraction", "pair-K-fraction",
         "pair-L-fraction", "pair-not-a-pair", "seed-string", "random-fraction",
-        "unknown-key"])
+        "unknown-key", "scan-limit-over-budget"])
 def test_malformed_stab_config_is_config_error(tmp_path, capsys, key, value):
     payload = small_stab_config()
     if key == "seed":
@@ -309,6 +310,7 @@ def test_approx_metrics_on_bernoulli_is_config_error(tmp_path, capsys):
     ("start_points", {"random": 3, "extras": 2}),
     ("start_points", {"explicit": [7], "extras": 2}),
     ("gamma", {"k": 1e308}),
+    ("gamma", {"k": 1e12}),
 ], ids=["k-zero", "stride-zero", "drift-no-M", "rotation-no-M", "bernoulli-no-m",
         "bernoulli-no-N", "ex03-K-zero", "stride-not-int", "stride-list", "random-not-int",
         "drift-M-fraction", "rotation-M-fraction", "bernoulli-N-fraction", "bernoulli-m-fraction",
@@ -318,7 +320,7 @@ def test_approx_metrics_on_bernoulli_is_config_error(tmp_path, capsys):
         "system-list", "gamma-list", "observable-string", "start-points-null",
         "system-unknown-key", "gamma-unknown-key", "top-level-unknown-key", "constant-value-list",
         "stratified-and-random", "explicit-and-random", "explicit-and-stratified",
-        "extras-with-random", "extras-with-explicit", "k-overflows-horizon"])
+        "extras-with-random", "extras-with-explicit", "k-overflows-horizon", "k-over-budget"])
 def test_malformed_gamma_config_is_config_error(tmp_path, capsys, section, spec):
     payload = small_gamma_config()
     payload[section] = spec
@@ -427,6 +429,19 @@ CI_APPROX_CONFIGS = {
 }
 
 
+@pytest.mark.parametrize("name,digest", [
+    ("approx-pipeline", "6446c52a2929180fc2287d1004a5f9a6e246c9f8a4a70c2287fbe9f2473f0179"),
+    ("approx-metrics", "86571d07f0943186ba12c240e60d584ae72394244223bca5d50d9b165d1dc940"),
+])
+def test_approx_report_of_the_ci_configs_is_pinned(tmp_path, name, digest):
+    # the SHA-256 the CI's approx steps check
+    import hashlib
+
+    cfg = write_config(tmp_path, CI_APPROX_CONFIGS[name])
+    assert main(["approx", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert hashlib.sha256((tmp_path / "o" / "approx_report.json").read_bytes()).hexdigest() == digest
+
+
 def test_approx_metrics_wrapped_interval_and_mismatch_values(tmp_path):
     cfg = write_config(tmp_path, CI_APPROX_CONFIGS["approx-metrics"])
     assert main(["approx", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
@@ -434,6 +449,24 @@ def test_approx_metrics_wrapped_interval_and_mismatch_values(tmp_path):
     assert len(rep["weak_star_errors"]) == 4
     assert rep["map_mismatch"] == {"0.0001": 0.0, "1e-05": 1.0}
     assert rep["thickening_errors"] == {"(0.9, 0.1)": 0.000250000000000028}
+
+
+def test_approx_report_keys_that_compare_equal_are_one_entry(tmp_path):
+    # 1 == 1.0 and (0, 1) == (0.0, 1.0): one entry each, under the first key's string
+    import hashlib
+
+    cfg = write_config(tmp_path, {
+        "system": {"name": "drift", "M": 1000},
+        "approx": {"mode": "metrics", "closed_intervals": [[0, 1], [0.0, 1.0]],
+                   "target": {"name": "identity"}, "mismatch_epsilons": [1, 1.0, 0.001]},
+    })
+    assert main(["approx", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    raw = (tmp_path / "o" / "approx_report.json").read_bytes()
+    rep = json.loads(raw)
+    assert list(rep["map_mismatch"]) == ["0.001", "1"]
+    assert list(rep["thickening_errors"]) == ["(0, 1)"]
+    assert hashlib.sha256(raw).hexdigest() == \
+        "8d5f30d4da620fe7a1daa6c1b512e05d9bd265bc64a1d0dcc067e6dae87e75f7"
 
 
 @pytest.mark.parametrize("target", [

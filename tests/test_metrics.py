@@ -22,6 +22,7 @@ from ergodia.systems import build_bernoulli, build_drift_system, build_rotation,
 from oracles import (
     cylinder_measure_loop,
     map_mismatch_fraction_loop,
+    permutation_from_cycles,
     thickening_measure_error_loop,
     weak_star_error_loop,
 )
@@ -181,7 +182,7 @@ WALK_CASES = {
 def test_list_walk_equals_index_from_cycles(name):
     M, cycles = WALK_CASES[name]
     cycles = [list(map(int, c)) for c in cycles]  # every case covers all M points
-    T = FinitePermutation.from_cycles(cycles, M)
+    T = permutation_from_cycles(cycles, M)
     assert T._index is None
     ref = canonical_index(cycles)
     assert np.array_equal(ref.image, T.image)

@@ -23,6 +23,7 @@ from ergodia.systems import (
     debruijn_sequence,
     paper_observable,
 )
+from oracles import permutation_from_cycles
 
 
 def drift(M):
@@ -129,7 +130,7 @@ RELABELLED = {
     "naive-chi0": lambda: (build_bernoulli(2, 4, "naive").permutation,
                            paper_observable("chi0", 512, N=4)),
     # cycles of lengths 1 to 40, with an integer-valued F so the sums are exact
-    "mixed-cycles": lambda: (FinitePermutation.from_cycles(
+    "mixed-cycles": lambda: (permutation_from_cycles(
         np.split(np.random.default_rng(3).permutation(107), np.cumsum([40, 19, 12, 7, 7, 7, 5, 3, 3, 2, 1])), 107),
         Observable.from_values(np.random.default_rng(4).integers(-9, 10, 107))),
 }
@@ -171,13 +172,13 @@ def mixed_cycles():
     """Cycles of lengths 1 to 40 on 107 points, and a non-integral F."""
     rng = np.random.default_rng(3)
     cycles = np.split(rng.permutation(107), np.cumsum([40, 19, 12, 7, 7, 7, 5, 3, 3, 2, 1]))
-    return FinitePermutation.from_cycles(cycles, 107), Observable.from_values(rng.normal(size=107))
+    return permutation_from_cycles(cycles, 107), Observable.from_values(rng.normal(size=107))
 
 
 LAYOUTS = {
     "random": lambda: FinitePermutation(np.random.default_rng(11).permutation(2000)),
     "identity": lambda: FinitePermutation.identity(300),
-    "single-cycle": lambda: FinitePermutation.from_cycles(
+    "single-cycle": lambda: permutation_from_cycles(
         [np.random.default_rng(7).permutation(1500).tolist()], 1500),
     "naive": lambda: naive(2, 4)[0],
     "naive-ternary": lambda: naive(3, 1)[0],

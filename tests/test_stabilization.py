@@ -11,13 +11,13 @@ from ergodia.stabilization import (
     common_stabilization_segment,
     exceedance_fraction,
     means_at_horizon,
-    reference_psi,
     stabilization_segment,
     stratified_start_points,
     sup_discrepancy,
 )
 from ergodia.systems import build_bernoulli, build_drift_system, build_rotation, paper_observable
-from oracles import band_end_loop, common_segment_loop, horizon_means_loop, sup_discrepancy_two_pass
+from oracles import (band_end_loop, common_segment_loop, horizon_means_loop, permutation_from_cycles,
+                     reference_psi, sup_discrepancy_two_pass)
 
 
 def random_system(M, seed, lo=-50, hi=50):
@@ -68,7 +68,7 @@ def test_means_at_horizon_on_points_bitwise_equals_full_call(monkeypatch, chunk)
     monkeypatch.setattr(stabilization, "CHUNK_POINTS", chunk)
     rng = np.random.default_rng(11)
     systems = [build_bernoulli(2, 4, "naive").permutation, build_bernoulli(3, 2, "naive").permutation,
-               random_system(300, 17)[1], FinitePermutation.from_cycles([[0, 1], [2, 3, 4]], size=7)]
+               random_system(300, 17)[1], permutation_from_cycles([[0, 1], [2, 3, 4]], size=7)]
     for T in systems:
         F = Observable.from_values(rng.standard_normal(T.size))
         # duplicates, unsorted order, several points on one cycle, and every point
@@ -95,7 +95,7 @@ def test_sup_discrepancy_bounds_equal_full_horizon_means():
 
 def test_means_at_horizon_beyond_period():
     # horizon spanning the cycle many times collapses to the orbit average
-    T = FinitePermutation.from_cycles([[0, 1], [2, 3, 4]], size=5)
+    T = permutation_from_cycles([[0, 1], [2, 3, 4]], size=5)
     F = Observable.from_values([2.0, 4.0, 0.0, 3.0, 6.0])
     out = means_at_horizon(F, T, 6)
     assert out[0] == pytest.approx(3.0)
@@ -279,7 +279,7 @@ def mixed_cycles(seed, zeros=False):
     labels = rng.permutation(sum(lengths))
     cuts = np.cumsum([0] + lengths)
     cycles = [labels[a:b].tolist() for a, b in zip(cuts[:-1], cuts[1:])]
-    T = FinitePermutation.from_cycles(cycles, labels.size)
+    T = permutation_from_cycles(cycles, labels.size)
     values = rng.standard_normal(labels.size) * 3
     if zeros:
         values[np.setdiff1d(labels, cycles[0])] = -0.0

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from ergodia.dynamics import FinitePermutation, Observable, ergodic_means_prefix, orbit_average
 from ergodia.systems import (
+    RotationSystem,
     _necklace_cycles,
     _necklaces,
     _window_indices,
@@ -17,13 +18,13 @@ from ergodia.systems import (
     debruijn_sequence,
     debruijn_window_permutation,
     paper_observable,
-    tent_function,
 )
 from oracles import (
     block_density,
     debruijn_lyndon,
     necklaces_brute,
     prefer_largest_debruijn,
+    tent_function,
     three_point_average,
     window_indices_roll,
 )
@@ -54,9 +55,8 @@ def test_build_rotation_even_tie():
 
 
 def test_rotation_orbits_have_period_m_over_gcd():
-    rot = build_rotation(12, 0.25, coprime_required=False)
-    T = rot.permutation
-    assert rot.P == 3
+    T = RotationSystem(M=12, P=3, t=0.25, defect=0.0).permutation
+    assert len(T.cycles) == gcd(3, 12)
     assert all(len(c) == 4 for c in T.cycles)
 
 
