@@ -26,6 +26,7 @@ from .integrability import (
     tail_mass,
 )
 from .stabilization import (
+    CommonSegment,
     DiscrepancyReport,
     StabilizationSegment,
     common_stabilization_segment,

@@ -165,7 +165,9 @@ def _write_csv(path: Path, header: list[str], rows: np.ndarray) -> None:
 
 
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    # a NaN or infinity, which JSON has no token for, is a ValueError before the file opens
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def _write_svg(path: Path, points: np.ndarray, k: float, title: str, timestamp: bool) -> None:
@@ -248,14 +250,15 @@ def cmd_stab(config: dict, args) -> int:
     scan_limit = _int_param(spec.get("scan_limit", T.size), "scan_limit", 1)
     report: dict = {**meta, "observable": F.name, "epsilon": eps, "eta": eta,
                     "n_min": n_min, "scan_limit": scan_limit, "seed": seed}
-    segments = []
-    for y in starts[: _int_param(spec.get("per_point_limit", 16), "per_point_limit", 0)]:
-        seg = stabilization_segment(F, T, y, n_min, eps, scan_limit)
-        segments.append({"y": y, "K_star": seg.K_star, "witness": seg.witness,
-                         "capped": seg.capped})
-    report["per_point_segments"] = segments
+    limit = _int_param(spec.get("per_point_limit", 16), "per_point_limit", 0)
+    # one scan over every start point; the report lists the first `limit` of them
+    seg = stabilization_segment(F, T, starts, n_min, eps, scan_limit)
+    report["per_point_segments"] = [
+        {"y": y, "K_star": k, "witness": w, "capped": c}
+        for y, k, w, c in zip(starts[:limit], seg.K_star[:limit].tolist(),
+                              seg.witness[:limit].tolist(), seg.capped[:limit].tolist())]
 
-    common = common_stabilization_segment(F, T, n_min, eps, eta, scan_limit, starts)
+    common = common_stabilization_segment(seg, eta)
     report["common_segment"] = {
         "K_star": common.K_star, "witness": common.witness, "capped": common.capped,
         "excluded_fraction": common.excluded_fraction, "sample_size": len(starts),

@@ -414,8 +414,8 @@ def gamma_series(
         raise ValueError(f"k*M = {n_total} exceeds the budget of {SERIES_BUDGET} means per start point")
     if stride is None:
         stride = max(1, n_total // 100_000)
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
+    if not 1 <= stride <= n_total:
+        raise ValueError(f"stride must be in [1, floor(k*M)] = [1, {n_total}], got {stride}")
     cyc, pos = T.cycle_of(y)
     start = T.orbit_index.slot[y] - pos
     sums = _cyclic_run(T.along(F)[start : start + cyc.size], pos, n_total)

@@ -8,7 +8,8 @@ Two complementary diagnostics:
 
 * initial-segment stabilization: the largest horizon range [n_min, K*] on
   which all prefix means of a start point stay within a band of width
-  epsilon, per point or for all but an eta-fraction of a sample of points.
+  epsilon, per point, and for all but an eta-fraction of those points as
+  an order statistic of the per-point segments.
 
 The tolerances epsilon and eta are deliberately mandatory: "approximately
 equal" and "almost all" have no canonical finite thresholds, so every
@@ -28,6 +29,7 @@ from .rng import SplitMix64
 __all__ = [
     "DiscrepancyReport",
     "StabilizationSegment",
+    "CommonSegment",
     "means_at_horizon",
     "sup_discrepancy",
     "exceedance_fraction",
@@ -65,24 +67,37 @@ class DiscrepancyReport:
         return float(np.mean(self.diffs >= eps))
 
 
-@dataclass(frozen=True)
+# eq=False, as for DiscrepancyReport
+@dataclass(frozen=True, eq=False)
 class StabilizationSegment:
-    """A horizon range [n_min, K_star] on which means stay in an eps-band.
+    """Per start point, the largest horizon range [n_min, K_star] on which
+    all A_n lie within a band of width eps.
 
-    Per-point mode: all A_n for n in the range lie within a band of width
-    eps.  Common mode (start < 0): the same holds for at least a (1 - eta)
-    fraction of the sampled start points; excluded_fraction reports the rest.
-    capped means K_star hit the scan limit rather than a band violation.
+    Entry i of K_star, witness (the band's midpoint at K_star) and capped
+    (K_star hit scan_limit rather than a band violation) belongs to points[i].
     """
 
-    start: int  # -1 for common mode
+    points: np.ndarray
+    K_star: np.ndarray
+    witness: np.ndarray
+    capped: np.ndarray
     n_min: int
-    K_star: int
     eps: float
+    scan_limit: int
+
+
+@dataclass(frozen=True)
+class CommonSegment:
+    """[n_min, K_star] holds for at least a (1 - eta) fraction of a segment's
+    points; excluded_fraction reports the rest, and witness is the median
+    midpoint of the points it holds for.
+    """
+
+    K_star: int
     witness: float
     capped: bool
-    eta: float | None = None
-    excluded_fraction: float | None = None
+    eta: float
+    excluded_fraction: float
 
 
 # values per chunk the kernels handle at once (rows of equal-length cycles,
@@ -148,25 +163,15 @@ def _means_at_points(F: Observable, T: FinitePermutation, horizons: Sequence[int
     return out
 
 
-def means_at_horizon(
-    F: Observable,
-    T: FinitePermutation,
-    n: int,
-    points: Sequence[int] | np.ndarray | None = None,
-) -> np.ndarray:
+def means_at_horizon(F: Observable, T: FinitePermutation, n: int) -> np.ndarray:
     """A_n(F, T, y) for every y, in O(M) total via per-cycle window sums.
 
     The window of length n along a cycle of length p contributes
     floor(n/p) full cycle sums plus a cyclic window of length n mod p; the
-    cycles of one length are handled as rows of one block.  With points
-    given, only the cycles holding them are processed and A_n at those
-    points is returned, in their order; each value is bitwise the one the
-    full call gives.
+    cycles of one length are handled as rows of one block.
     """
     if n < 1:
         raise ValueError("horizon must be >= 1")
-    if points is not None:
-        return _means_at_points(F, T, (n,), np.asarray(points, dtype=np.int64))[0]
     out = np.empty(T.size, dtype=np.float64)
     for cyc, (A,) in _row_means(F, T, (n,)):
         out[cyc] = A
@@ -274,48 +279,31 @@ def _band_ends(F: Observable, T: FinitePermutation, points: np.ndarray, n_min: i
 def stabilization_segment(
     F: Observable,
     T: FinitePermutation,
-    y: int,
+    points: Sequence[int],
     n_min: int,
     eps: float,
     scan_limit: int,
 ) -> StabilizationSegment:
-    """Maximal eps-band segment [n_min, K_star] for one start point."""
-    (k_star,), (witness,), (capped,) = _band_ends(F, T, np.asarray([y], dtype=np.int64),
-                                                  n_min, eps, scan_limit)
-    return StabilizationSegment(start=y, n_min=n_min, K_star=int(k_star), eps=eps,
-                                witness=float(witness), capped=bool(capped))
+    """Maximal eps-band segment [n_min, K_star] of every start point, in one scan."""
+    points = np.asarray(points, dtype=np.int64)
+    k_star, witness, capped = _band_ends(F, T, points, n_min, eps, scan_limit)
+    return StabilizationSegment(points=points, K_star=k_star, witness=witness, capped=capped,
+                                n_min=n_min, eps=eps, scan_limit=scan_limit)
 
 
-def common_stabilization_segment(
-    F: Observable,
-    T: FinitePermutation,
-    n_min: int,
-    eps: float,
-    eta: float,
-    scan_limit: int,
-    sample: Sequence[int],
-) -> StabilizationSegment:
-    """Largest K_star whose band holds for >= (1 - eta) of the sampled points."""
+def common_stabilization_segment(seg: StabilizationSegment, eta: float) -> CommonSegment:
+    """Largest K_star whose band holds for >= (1 - eta) of seg's points: the
+    ceil((1 - eta) * n)-th largest of their K_star."""
     if not 0 < eta < 1:
         raise ValueError("eta must be in (0, 1)")
-    sample = np.asarray(list(sample), dtype=np.int64)
-    if not sample.size:
+    if not seg.points.size:
         raise ValueError("sample is empty")
-
-    ks, witnesses, _ = _band_ends(F, T, sample, n_min, eps, scan_limit)
-    needed = int(np.ceil((1.0 - eta) * len(sample)))
-    k_star = int(np.sort(ks)[::-1][needed - 1])
-    included = ks >= k_star
-    return StabilizationSegment(
-        start=-1,
-        n_min=n_min,
-        K_star=k_star,
-        eps=eps,
-        witness=float(np.median(witnesses[included])),
-        capped=k_star >= scan_limit,
-        eta=eta,
-        excluded_fraction=float(np.mean(~included)),
-    )
+    needed = int(np.ceil((1.0 - eta) * seg.points.size))
+    k_star = int(np.sort(seg.K_star)[::-1][needed - 1])
+    included = seg.K_star >= k_star
+    return CommonSegment(K_star=k_star, witness=float(np.median(seg.witness[included])),
+                         capped=k_star >= seg.scan_limit, eta=eta,
+                         excluded_fraction=float(np.mean(~included)))
 
 
 def stratified_start_points(M: int, strata: int, extras: int, seed: int) -> list[int]:

@@ -335,8 +335,8 @@ def paper_observable(name: str, M: int, **params) -> Observable:
         return Observable(M, vals, name="chi0")
     if name == "constant":
         c = params.get("value")
-        if c is None:
-            raise ValueError("constant needs a value")
+        if c is None or not np.isfinite(float(c)):
+            raise ValueError(f"constant needs a finite value, got {c!r}")
         return Observable(M, np.full(M, float(c)), name=f"constant({c})")
     raise ValueError(f"unknown observable {name!r}")
 

@@ -78,7 +78,8 @@ def test_criterion_03_block_observable_phenomenon():
     F = paper_observable("ex03", M, K=K)
     exc = ergodia.exceedance_fraction(F, T, K, K // 2, 0.25)
     sample = ergodia.stratified_start_points(M, 100, 25, 0)
-    common = ergodia.common_stabilization_segment(F, T, 50, 0.05, 0.05, K, sample)
+    common = ergodia.common_stabilization_segment(
+        ergodia.stabilization_segment(F, T, sample, 50, 0.05, K), 0.05)
     ok = (exc >= 0.4
           and 0.15 * K <= common.K_star < 0.45 * K
           and (time.time() - t0) < 30.0)

@@ -213,10 +213,11 @@ def small_stab_config():
     ("random", 2.5),
     ("epsilson", 0.1),
     ("scan_limit", 1e30),
+    ("epsilon", float("inf")),
 ], ids=["epsilon-nan", "exceedance-epsilon-nan", "epsilon-string", "eta-string",
         "scan-limit-fraction", "n-min-fraction", "per-point-limit-fraction", "pair-K-fraction",
         "pair-L-fraction", "pair-not-a-pair", "seed-string", "random-fraction",
-        "unknown-key", "scan-limit-over-budget"])
+        "unknown-key", "scan-limit-over-budget", "epsilon-inf"])
 def test_malformed_stab_config_is_config_error(tmp_path, capsys, key, value):
     payload = small_stab_config()
     if key == "seed":
@@ -258,6 +259,33 @@ def test_stab_report_of_the_ci_config_is_pinned(tmp_path):
     assert main(["stab", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     digest = hashlib.sha256((tmp_path / "o" / "stab_report.json").read_bytes()).hexdigest()
     assert digest == "d2f3583f4aa8d56a61ee8ab111425b68fb915132bde66c4a88c51d60ca775be2"
+
+
+def test_stab_report_of_fig4_is_pinned(tmp_path):
+    # the SHA-256 the CI's fig4 step checks
+    import hashlib
+
+    cfg = os.path.join(CONFIG_DIR, "fig4.json")
+    assert main(["stab", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    digest = hashlib.sha256((tmp_path / "o" / "stab_report.json").read_bytes()).hexdigest()
+    assert digest == "cc094a8ba7cacef67cb7d65cc203c3549fcb60330048c50419a0cd49763888bb"
+
+
+def test_stab_scans_every_start_point_once(tmp_path, monkeypatch):
+    # one band scan covers the per-point rows and the common segment alike
+    from ergodia import stabilization
+
+    rows = []
+    band_ends = stabilization._band_ends
+
+    def counting(F, T, points, *rest):
+        rows.append(points.size)
+        return band_ends(F, T, points, *rest)
+
+    monkeypatch.setattr(stabilization, "_band_ends", counting)
+    cfg = os.path.join(CONFIG_DIR, "fig4.json")
+    assert main(["stab", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert rows == [125]
 
 
 def test_approx_metrics_on_bernoulli_is_config_error(tmp_path, capsys):
@@ -311,6 +339,10 @@ def test_approx_metrics_on_bernoulli_is_config_error(tmp_path, capsys):
     ("start_points", {"explicit": [7], "extras": 2}),
     ("gamma", {"k": 1e308}),
     ("gamma", {"k": 1e12}),
+    ("observable", {"name": "constant", "value": float("nan")}),
+    ("observable", {"name": "constant", "value": float("inf")}),
+    ("observable", {"name": "constant", "value": float("-inf")}),
+    ("gamma", {"k": 1, "stride": 201}),
 ], ids=["k-zero", "stride-zero", "drift-no-M", "rotation-no-M", "bernoulli-no-m",
         "bernoulli-no-N", "ex03-K-zero", "stride-not-int", "stride-list", "random-not-int",
         "drift-M-fraction", "rotation-M-fraction", "bernoulli-N-fraction", "bernoulli-m-fraction",
@@ -320,7 +352,8 @@ def test_approx_metrics_on_bernoulli_is_config_error(tmp_path, capsys):
         "system-list", "gamma-list", "observable-string", "start-points-null",
         "system-unknown-key", "gamma-unknown-key", "top-level-unknown-key", "constant-value-list",
         "stratified-and-random", "explicit-and-random", "explicit-and-stratified",
-        "extras-with-random", "extras-with-explicit", "k-overflows-horizon", "k-over-budget"])
+        "extras-with-random", "extras-with-explicit", "k-overflows-horizon", "k-over-budget",
+        "constant-nan", "constant-inf", "constant-minus-inf", "stride-above-horizon"])
 def test_malformed_gamma_config_is_config_error(tmp_path, capsys, section, spec):
     payload = small_gamma_config()
     payload[section] = spec
@@ -396,13 +429,14 @@ def test_approx_pipeline_report(tmp_path):
     {"mode": "metrics", "target": {"name": "rotation", "t": float("nan")}},
     {"mode": "metrics", "target": {"name": "rotation", "t": float("inf")}},
     {"mode": "metrics", "target": {"name": "rotation", "t": float("-inf")}},
+    {"mode": "pipeline", "M": 100, "mismatch_epsilon": float("inf")},
 ], ids=["pipeline-no-M", "M-not-int", "M-zero", "delta-zero", "rotation-no-t",
         "interval-not-pair", "mismatch-epsilon-zero", "thickening-epsilon-nan",
         "mismatch-epsilons-nan", "pipeline-mismatch-epsilon-nan", "interval-nan-endpoint",
         "interval-endpoint-above-1", "interval-endpoint-below-0", "degree-fraction",
         "degree-negative", "pipeline-M-fraction", "approx-list", "metrics-target-string",
         "pipeline-target-string", "target-unknown-key", "unknown-key", "rotation-t-nan",
-        "rotation-t-inf", "rotation-t-minus-inf"])
+        "rotation-t-inf", "rotation-t-minus-inf", "pipeline-mismatch-epsilon-inf"])
 def test_malformed_approx_config_is_config_error(tmp_path, capsys, approx):
     cfg = write_config(tmp_path, {"system": {"name": "drift", "M": 100}, "approx": approx})
     assert_config_error(capsys, ["approx", "--config", cfg, "--out", str(tmp_path / "o")])

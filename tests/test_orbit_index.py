@@ -152,17 +152,18 @@ def test_relabelling_preserves_means_discrepancies_segments_and_tails(name):
         assert rep2.exceedance(eps) == rep.exceedance(eps)
     sample = np.random.default_rng(5).integers(0, T.size, 40)
     for n_min, eps, scan_limit in ((1, 1e-9, 50), (3, 0.05, 300), (2, 0.5, T.size + 9)):
-        common = common_stabilization_segment(F, T, n_min, eps, 0.2, scan_limit, sample)
-        common2 = common_stabilization_segment(F2, T2, n_min, eps, 0.2, scan_limit, sigma[sample])
-        assert common2 == common
+        seg = stabilization_segment(F, T, sample, n_min, eps, scan_limit)
+        seg2 = stabilization_segment(F2, T2, sigma[sample], n_min, eps, scan_limit)
+        assert_bitwise((seg2.K_star, seg2.witness, seg2.capped), (seg.K_star, seg.witness, seg.capped))
+        assert common_stabilization_segment(seg2, 0.2) == common_stabilization_segment(seg, 0.2)
     assert np.array_equal(integrability_profile(F2).tail_masses,
                           integrability_profile(F).tail_masses)
     for y in (0, 1, T.size // 2, T.size - 1):
         assert np.array_equal(ergodic_means_prefix(F2, T2, int(sigma[y]), 300).means,
                               ergodic_means_prefix(F, T, y, 300).means)
-        seg = stabilization_segment(F, T, y, 3, 0.05, 300)
-        seg2 = stabilization_segment(F2, T2, int(sigma[y]), 3, 0.05, 300)
-        assert (seg2.K_star, seg2.witness, seg2.capped) == (seg.K_star, seg.witness, seg.capped)
+        seg = stabilization_segment(F, T, [y], 3, 0.05, 300)
+        seg2 = stabilization_segment(F2, T2, [sigma[y]], 3, 0.05, 300)
+        assert_bitwise((seg2.K_star, seg2.witness, seg2.capped), (seg.K_star, seg.witness, seg.capped))
 
 
 # -- the orbit-order layout: slots, the lazy image and the observable memo ----
@@ -220,10 +221,10 @@ def kernel_results(F, T):
     """Every kernel that reads T.along(F), as plain arrays and tuples."""
     gamma, _ = gamma_series(F, T, 5, 2.7, 1)
     rep = sup_discrepancy(F, T, 40, 17, sample=[0, 5, 60, 106])
-    seg = stabilization_segment(F, T, 5, 2, 0.05, 150)
-    common = common_stabilization_segment(F, T, 2, 0.05, 0.2, 150, [0, 5, 33, 60, 106])
+    seg = stabilization_segment(F, T, [0, 5, 33, 60, 106], 2, 0.05, 150)
+    common = common_stabilization_segment(seg, 0.2)
     return (gamma, rep.diffs, rep.u_bounds, rep.v_bounds, rep.sup_disc,
-            (seg.K_star, seg.witness, seg.capped),
+            seg.K_star, seg.witness, seg.capped,
             (common.K_star, common.witness, common.capped, common.excluded_fraction))
 
 
@@ -287,8 +288,7 @@ def test_the_kernels_build_no_image(name):
     T, F = BUILT[name]()
     for y in (0, 3, T.size - 1):
         gamma_series(F, T, y, 2.5)
-    stabilization_segment(F, T, 3, 2, 0.05, 300)
-    common_stabilization_segment(F, T, 2, 0.05, 0.2, 300, [0, 3, 77, T.size - 1])
+    common_stabilization_segment(stabilization_segment(F, T, [0, 3, 77, T.size - 1], 2, 0.05, 300), 0.2)
     sup_discrepancy(F, T, 40, 17)
     means_at_horizon(F, T, 9)
     assert T._image is None

@@ -65,6 +65,7 @@ def test_means_at_horizon_bitwise_equals_per_cycle_loop(monkeypatch, chunk):
 
 @pytest.mark.parametrize("chunk", [1, 7, stabilization.CHUNK_POINTS])
 def test_means_at_horizon_on_points_bitwise_equals_full_call(monkeypatch, chunk):
+    # the pass sup_discrepancy's proof terms take over the cycles holding the sample
     monkeypatch.setattr(stabilization, "CHUNK_POINTS", chunk)
     rng = np.random.default_rng(11)
     systems = [build_bernoulli(2, 4, "naive").permutation, build_bernoulli(3, 2, "naive").permutation,
@@ -72,13 +73,14 @@ def test_means_at_horizon_on_points_bitwise_equals_full_call(monkeypatch, chunk)
     for T in systems:
         F = Observable.from_values(rng.standard_normal(T.size))
         # duplicates, unsorted order, several points on one cycle, and every point
-        samples = [rng.integers(0, T.size, 12), [T.size - 1, 0, 0, T.size - 1], np.arange(T.size)]
+        samples = [rng.integers(0, T.size, 12), np.array([T.size - 1, 0, 0, T.size - 1]),
+                   np.arange(T.size)]
         for n in (1, 2, 3, 9, 10, 299, 1234):
             full = means_at_horizon(F, T, n)
             for S in samples:
-                got = means_at_horizon(F, T, n, points=S)
-                assert got.shape == (len(S),)
-                assert got.tobytes() == full[np.asarray(S)].tobytes()
+                got = stabilization._means_at_points(F, T, (n,), S)
+                assert got.shape == (1, len(S))
+                assert got[0].tobytes() == full[S].tobytes()
 
 
 def test_sup_discrepancy_bounds_equal_full_horizon_means():
@@ -178,33 +180,34 @@ def test_segment_matches_brute_force(M, seed):
     y = seed % M
     n_min, scan = 2, 3 * M
     eps = 0.25
-    seg = stabilization_segment(F, T, y, n_min, eps, scan)
+    seg = stabilization_segment(F, T, [y], n_min, eps, scan)
+    (k_star,), (capped,) = seg.K_star, seg.capped
     means = ergodic_means_prefix(F, T, y, scan).means
     brute = brute_band_end(means, n_min, eps, scan)
     if brute is None:
         # band already violated at the very start of the range
-        assert seg.K_star < n_min
+        assert k_star < n_min
     else:
-        assert seg.K_star == brute
-        assert seg.capped == (brute == scan)
+        assert k_star == brute
+        assert capped == (brute == scan)
 
 
 def test_segment_witness_inside_band():
     F, T = random_system(50, 4, lo=0, hi=10)
-    seg = stabilization_segment(F, T, 7, 3, 0.5, 100)
+    seg = stabilization_segment(F, T, [7], 3, 0.5, 100)
     means = ergodic_means_prefix(F, T, 7, 100).means
-    window = means[2 : seg.K_star]
-    assert window.min() - 1e-12 <= seg.witness <= window.max() + 1e-12
+    window = means[2 : seg.K_star[0]]
+    assert window.min() - 1e-12 <= seg.witness[0] <= window.max() + 1e-12
 
 
 def test_segment_validation():
     F, T = random_system(10, 1)
     with pytest.raises(ValueError):
-        stabilization_segment(F, T, 0, 0, 0.1, 5)
+        stabilization_segment(F, T, [0], 0, 0.1, 5)
     with pytest.raises(ValueError):
-        stabilization_segment(F, T, 0, 2, -0.1, 5)
+        stabilization_segment(F, T, [0], 2, -0.1, 5)
     with pytest.raises(ValueError):
-        stabilization_segment(F, T, 0, 6, 0.1, 5)
+        stabilization_segment(F, T, [0], 6, 0.1, 5)
 
 
 def test_common_segment_quantile():
@@ -212,7 +215,7 @@ def test_common_segment_quantile():
     M = 30
     T = FinitePermutation(np.roll(np.arange(M), -1), validate=False)
     F = Observable.from_values(np.full(M, 2.5))
-    seg = common_stabilization_segment(F, T, 2, 0.01, 0.1, 50, list(range(M)))
+    seg = common_stabilization_segment(stabilization_segment(F, T, list(range(M)), 2, 0.01, 50), 0.1)
     assert seg.K_star == 50
     assert seg.capped
     assert seg.witness == pytest.approx(2.5)
@@ -227,7 +230,7 @@ def test_common_segment_drops_eta_fraction():
     F = Observable.from_values(vals)
     means_break = Observable.from_values(np.r_[np.zeros(M - 1), 100.0])
     # fixed points: A_n is constant in n, so every K_star is the cap
-    seg = common_stabilization_segment(F, T, 1, 0.1, 0.15, 20, list(range(M)))
+    seg = common_stabilization_segment(stabilization_segment(F, T, list(range(M)), 1, 0.1, 20), 0.15)
     assert seg.K_star == 20
     del means_break
 
@@ -238,8 +241,8 @@ def test_common_segment_order_statistic():
     F, T = random_system(40, 11, lo=0, hi=8)
     sample = list(range(0, 40, 2))
     eta = 0.25
-    seg = common_stabilization_segment(F, T, 2, 0.3, eta, 80, sample)
-    per = [stabilization_segment(F, T, y, 2, 0.3, 80).K_star for y in sample]
+    seg = common_stabilization_segment(stabilization_segment(F, T, sample, 2, 0.3, 80), eta)
+    per = [int(stabilization_segment(F, T, [y], 2, 0.3, 80).K_star[0]) for y in sample]
     needed = int(np.ceil((1 - eta) * len(sample)))
     assert seg.K_star == sorted(per, reverse=True)[needed - 1]
     assert seg.excluded_fraction == pytest.approx(
@@ -249,13 +252,13 @@ def test_common_segment_order_statistic():
 def test_common_segment_validation():
     F, T = random_system(10, 1)
     with pytest.raises(ValueError):
-        common_stabilization_segment(F, T, 1, 0.1, 0.0, 5, [0])
+        common_stabilization_segment(stabilization_segment(F, T, [0], 1, 0.1, 5), 0.0)
     with pytest.raises(ValueError):
-        common_stabilization_segment(F, T, 1, 0.1, 0.5, 5, [])
-    # the same n_min / epsilon / scan_limit checks as the per-point segment
+        common_stabilization_segment(stabilization_segment(F, T, [], 1, 0.1, 5), 0.5)
+    # the n_min / epsilon / scan_limit checks run in the scan, for a sample as for one point
     for n_min, eps, scan_limit in [(0, 0.1, 5), (1, 0.0, 5), (6, 0.1, 5)]:
         with pytest.raises(ValueError):
-            common_stabilization_segment(F, T, n_min, eps, 0.5, scan_limit, [0, 1])
+            common_stabilization_segment(stabilization_segment(F, T, [0, 1], n_min, eps, scan_limit), 0.5)
 
 
 # -- the one-pass kernels against the loop oracles ---------------------------
@@ -362,30 +365,30 @@ def test_segments_bitwise_equal_point_loop(monkeypatch, chunk, name):
              (M // 3 + 1, 0.1, M // 3 + 1), (2, 1e6, M + 5), (2, 0.05, last + 1)]
     for n_min, eps, scan_limit in cases:
         per_point = [band_end_loop(F, T, int(y), n_min, eps, scan_limit) for y in sample]
-        got = [stabilization_segment(F, T, int(y), n_min, eps, scan_limit) for y in sample]
-        assert [(s.K_star, s.capped) for s in got] == [(k, c) for k, _, c in per_point]
-        assert bits(*[s.witness for s in got]) == bits(*[w for _, w, _ in per_point])
+        got = stabilization_segment(F, T, sample, n_min, eps, scan_limit)
+        assert list(zip(got.K_star.tolist(), got.capped.tolist())) == [(k, c) for k, _, c in per_point]
+        assert got.witness.tobytes() == bits(*[w for _, w, _ in per_point])
         if eps == 1e-12:  # some row leaves its band at the second step
-            assert any(s.K_star == n_min and not s.capped for s in got)
+            assert np.any((got.K_star == n_min) & ~got.capped)
         if (n_min, eps, scan_limit) == (2, 0.05, last + 1) and last < M:
-            assert any(s.K_star == last and not s.capped for s in got)
+            assert np.any((got.K_star == last) & ~got.capped)
         for eta in (0.1, 0.5):
-            common = common_stabilization_segment(F, T, n_min, eps, eta, scan_limit, sample)
+            common = common_stabilization_segment(got, eta)
             k, w, capped, excluded = common_segment_loop(F, T, n_min, eps, eta, scan_limit, sample)
             assert (common.K_star, common.capped, common.excluded_fraction) == (k, capped, excluded)
             assert bits(common.witness) == bits(w)
     if name == "mixed-zeros":
         # the points off the longest cycle keep the sign of their -0.0 means
-        assert any(np.signbit(s.witness) and s.capped for s in got)
+        assert np.any(np.signbit(got.witness) & got.capped)
 
 
 def test_segment_start_point_out_of_range():
     F, T = random_system(10, 1)
     for y in (-1, 10):
         with pytest.raises(IndexError):
-            stabilization_segment(F, T, y, 1, 0.1, 5)
+            stabilization_segment(F, T, [y], 1, 0.1, 5)
         with pytest.raises(IndexError):
-            common_stabilization_segment(F, T, 1, 0.1, 0.5, 5, [0, y])
+            stabilization_segment(F, T, [0, y], 1, 0.1, 5)
 
 
 @pytest.mark.parametrize("eps", [float("nan"), 0.0, -1.0])
@@ -393,8 +396,8 @@ def test_nan_and_nonpositive_epsilons_are_refused(eps):
     F, T = random_system(10, 1)
     rep = sup_discrepancy(F, T, 5, 2)
     for call in (lambda: rep.exceedance(eps), lambda: exceedance_fraction(F, T, 5, 2, eps),
-                 lambda: stabilization_segment(F, T, 0, 1, eps, 5),
-                 lambda: common_stabilization_segment(F, T, 1, eps, 0.5, 5, [0, 1])):
+                 lambda: stabilization_segment(F, T, [0], 1, eps, 5),
+                 lambda: stabilization_segment(F, T, [0, 1], 1, eps, 5)):
         with pytest.raises(ValueError):
             call()
 
