@@ -98,8 +98,8 @@ def check_proof_bound() -> CheckResult:
     M = 2_000
     T = _random_permutation(M, rng)
     F = Observable.from_values([rng.next_below(200) - 100 for _ in range(M)])
-    rep = sup_discrepancy(F, T, K=800, L=500)
-    diffs = rep.diffs[rep.sample_points]
+    (rep,) = sup_discrepancy(F, T, [(800, 500)])
+    diffs = rep.diffs[T.orbit_index.slot[rep.sample_points]]
     ok = bool((diffs <= rep.u_bounds + rep.v_bounds + 1e-9).all())
     return ("discrepancy-proof-bound", ok, f"max slack={float(np.max(diffs - rep.u_bounds - rep.v_bounds))}")
 

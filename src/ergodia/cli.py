@@ -137,6 +137,14 @@ def _resolve_start_points(spec: dict, M: int, seed: int) -> list[int]:
                                    _int_param(spec.get("extras", 0), "extras", 0), seed)
 
 
+def _check_sums(F, n) -> None:
+    """Refuse F if max|F| * max(n, 2) overflows: it bounds every partial sum up to horizon n,
+    band midpoint sum and mean difference.  An infinite n is left to the library."""
+    top = float(max(F.values.max(), -F.values.min()))
+    if top and n != np.inf and max(n, 2) > sys.float_info.max / top:
+        raise ConfigError(f"observable {F.name}: sums over horizon {int(n)} overflow float64")
+
+
 def _seed(config: dict, args) -> int:
     """--seed wins over the config's "seed", which wins over 0; any integer, used mod 2^64."""
     return _int_param(args.seed if args.seed is not None else config.get("seed", 0), "seed", -np.inf)
@@ -218,6 +226,7 @@ def cmd_gamma(config: dict, args) -> int:
     # k and stride are converted here and range-checked by the library
     k = float(gspec.get("k", 1.0))
     stride = None if gspec.get("stride") is None else _int_param(gspec["stride"], "stride", 1)
+    _check_sums(F, np.floor(k * T.size))
     results = [(y, gamma_series(F, T, y, k, stride)) for y in starts]
 
     out = Path(args.out)
@@ -251,6 +260,8 @@ def cmd_stab(config: dict, args) -> int:
     report: dict = {**meta, "observable": F.name, "epsilon": eps, "eta": eta,
                     "n_min": n_min, "scan_limit": scan_limit, "seed": seed}
     limit = _int_param(spec.get("per_point_limit", 16), "per_point_limit", 0)
+    pairs = [[_int_param(h, "pair horizon", 1) for h in pair] for pair in spec.get("pairs", [])]
+    _check_sums(F, max([scan_limit] + [K for K, _ in pairs]))
     # one scan over every start point; the report lists the first `limit` of them
     seg = stabilization_segment(F, T, starts, n_min, eps, scan_limit)
     report["per_point_segments"] = [
@@ -264,15 +275,11 @@ def cmd_stab(config: dict, args) -> int:
         "excluded_fraction": common.excluded_fraction, "sample_size": len(starts),
     }
 
-    pairs = []
-    for pair in spec.get("pairs", []):
-        K, L = (_int_param(h, "pair horizon", 1) for h in pair)
-        rep = sup_discrepancy(F, T, K, L)
-        entry = {"K": K, "L": L, "sup_disc": rep.sup_disc}
-        for e in spec.get("exceedance_epsilons", [eps]):
-            entry[f"exceedance@{e}"] = rep.exceedance(float(e))
-        pairs.append(entry)
-    report["discrepancies"] = pairs
+    epsilons = spec.get("exceedance_epsilons", [eps])
+    report["discrepancies"] = [  # one pass serves every pair
+        {"K": rep.K, "L": rep.L, "sup_disc": rep.sup_disc,
+         **{f"exceedance@{e}": rep.exceedance(float(e)) for e in epsilons}}
+        for rep in sup_discrepancy(F, T, pairs)]
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -51,6 +51,7 @@ class DiscrepancyReport:
         V = (1/K) * sum_{k = L}^{K-1} |F(T^k y)|,
 
     and u_bounds/v_bounds record both terms at each sampled start point.
+    diffs is in orbit order: diffs[i] belongs to the point T.orbit_index.order[i].
     """
 
     K: int
@@ -100,8 +101,8 @@ class CommonSegment:
     excluded_fraction: float
 
 
-# values per chunk the kernels handle at once (rows of equal-length cycles,
-# or a tile of orbit rows), so their temporaries stay bounded
+# values per chunk the kernels handle at once, per horizon (rows of
+# equal-length cycles, or a tile of orbit rows), so their temporaries stay bounded
 CHUNK_POINTS = 1 << 16
 
 
@@ -126,7 +127,7 @@ def _row_means(F: Observable, T: FinitePermutation, horizons: Sequence[int],
             first_cycle = np.searchsorted(index.starts, offset)
             keep = wanted[first_cycle : first_cycle + count]
             rows, values = rows[keep], values[keep]
-        step, width = max(1, CHUNK_POINTS // p), max(n % p for n in horizons)
+        step, width = max(1, CHUNK_POINTS // (p * len(horizons))), max(n % p for n in horizons)
         for first in range(0, len(rows), step):
             cyc, vals = rows[first : first + step], values[first : first + step]
             vals = np.abs(vals) if absolute else vals
@@ -178,40 +179,36 @@ def means_at_horizon(F: Observable, T: FinitePermutation, n: int) -> np.ndarray:
     return out
 
 
-def sup_discrepancy(
-    F: Observable,
-    T: FinitePermutation,
-    K: int,
-    L: int,
-    sample: Sequence[int] | None = None,
-) -> DiscrepancyReport:
-    """Exact max over all y of |A_K - A_L| plus the U/V proof terms on a sample."""
-    if not 1 <= L < K:
+def sup_discrepancy(F: Observable, T: FinitePermutation, pairs: Sequence[tuple[int, int]],
+                    sample: Sequence[int] | None = None) -> list[DiscrepancyReport]:
+    """Per (K, L) in pairs, the exact max over all y of |A_K - A_L| plus the U/V proof
+    terms on a sample, all from one cycle pass over K1, L1, K2, L2, ...; each pair's
+    diffs are written in orbit order.  [(K, L)] is the one-pair form."""
+    if any(not 1 <= L < K for K, L in pairs):
         raise ValueError("require 1 <= L < K")
-    diffs = np.empty(T.size, dtype=np.float64)
-    for cyc, (A_K, A_L) in _row_means(F, T, (K, L)):
-        diffs[cyc] = np.abs(A_K - A_L)
+    if not pairs:
+        return []
+    horizons = [n for pair in pairs for n in pair]
+    diffs, at = [np.empty(T.size) for _ in pairs], 0
+    for cyc, means in _row_means(F, T, horizons):
+        for d, A_K, A_L in zip(diffs, means[::2], means[1::2]):
+            block = d[at : at + cyc.size].reshape(cyc.shape)
+            np.abs(np.subtract(A_K, A_L, out=block), out=block)
+        at += cyc.size
     if sample is None:
         sample = stratified_start_points(T.size, strata=min(T.size, 32), extras=0, seed=0)
     sample = np.asarray(sample, dtype=np.int64)
-    # (1/L) sum_{k<L} |F(T^k y)| and (1/K) sum_{k<K} |F(T^k y)|
-    absL, absK = _means_at_points(F, T, (L, K), sample, absolute=True)
-    u = (1.0 / L - 1.0 / K) * absL * L
-    v = absK - absL * L / K  # (1/K) sum_{k=L}^{K-1} |F|
-    return DiscrepancyReport(
-        K=K,
-        L=L,
-        sup_disc=float(np.max(diffs)),
-        diffs=diffs,
-        sample_points=sample,
-        u_bounds=u,
-        v_bounds=v,
-    )
+    # per pair (1/K) sum_{k<K} |F(T^k y)| and (1/L) sum_{k<L} |F(T^k y)|
+    absolute = _means_at_points(F, T, horizons, sample, absolute=True)
+    return [DiscrepancyReport(K=K, L=L, sup_disc=float(np.max(d)), diffs=d, sample_points=sample,
+                              u_bounds=(1.0 / L - 1.0 / K) * absL * L,
+                              v_bounds=absK - absL * L / K)  # (1/K) sum_{k=L}^{K-1} |F|
+            for (K, L), d, absK, absL in zip(pairs, diffs, absolute[::2], absolute[1::2])]
 
 
 def exceedance_fraction(F: Observable, T: FinitePermutation, K: int, L: int, eps: float) -> float:
     """(1/M) * |{y : |A_K - A_L| >= eps}|, exact over all of Y."""
-    return sup_discrepancy(F, T, K, L, sample=[]).exceedance(eps)
+    return sup_discrepancy(F, T, [(K, L)], sample=[])[0].exceedance(eps)
 
 
 def _band_ends(F: Observable, T: FinitePermutation, points: np.ndarray, n_min: int,
@@ -220,13 +217,13 @@ def _band_ends(F: Observable, T: FinitePermutation, points: np.ndarray, n_min: i
     K <= scan_limit with max - min of A_{n_min..K} <= eps (pairwise over the
     range, not between consecutive means).
 
-    One orbit per row, max(1, CHUNK_POINTS // scan_limit) rows at a time; a
-    scan longer than CHUNK_POINTS runs in tiles of CHUNK_POINTS columns that
-    carry the prefix sum and the band's max and min.  A row's orbit-order
-    slots step by 1, and back by p where it wraps, so a cumsum gives them
-    with no % per step, and one gather from T.along(F) reads the values.
-    add.accumulate along a row is sequential, so every mean is bitwise
-    ergodic_means_prefix's.
+    One orbit per row, max(1, CHUNK_POINTS // scan_limit) rows at a time, in
+    tiles of 32, 64, 128, ... columns (at most CHUNK_POINTS) that carry the
+    prefix sum and the band's max and min; a row is dropped after the tile
+    where it leaves its band.  A row's orbit-order slots step by 1, and back
+    by p where it wraps, so a cumsum gives them with no % per step, and one
+    gather from T.along(F) reads the values.  add.accumulate along a row is
+    sequential, so every mean is bitwise ergodic_means_prefix's.
     """
     if n_min < 1:
         raise ValueError("n_min must be >= 1")
@@ -243,12 +240,14 @@ def _band_ends(F: Observable, T: FinitePermutation, points: np.ndarray, n_min: i
     k_star, witness = np.full(points.size, scan_limit), np.empty(points.size)
     cols = min(scan_limit, CHUNK_POINTS)
     for first in range(0, points.size, CHUNK_POINTS // cols):
-        y = points[first : first + CHUNK_POINTS // cols]
+        rows = np.arange(first, min(first + CHUNK_POINTS // cols, points.size))
+        y = points[rows]
         c = index.cycle_ids(y)
         p = index.lengths[c]
         total, hi, lo = np.zeros(y.size), np.full((y.size, 1), -np.inf), np.full((y.size, 1), np.inf)
-        for a in range(0, scan_limit, cols):
-            n = min(cols, scan_limit - a)
+        a, n = 0, 32
+        while rows.size and a < scan_limit:
+            n = min(n, cols, scan_limit - a)
             pos = (index.slot[y] - index.starts[c] + a) % p
             slots = np.ones((y.size, n), dtype=np.int64)
             slots[:, 0] = index.starts[c] + pos
@@ -264,26 +263,21 @@ def _band_ends(F: Observable, T: FinitePermutation, points: np.ndarray, n_min: i
             # column 0 carries the band's max and min from the tiles before
             band_hi = np.maximum.accumulate(np.concatenate([hi, means], axis=1), axis=1)
             band_lo = np.minimum.accumulate(np.concatenate([lo, means], axis=1), axis=1)
-            # -1: no break here, or the carried column 0 breaks (the row left
-            # its band in a tile before); column 1 of the first tile never breaks
+            # -1: no break in this tile; column 1 of the first tile never breaks
             last = (band_hi - band_lo > eps).argmax(axis=1) - 1
             done = (last >= 0).nonzero()[0]
-            k_star[first + done] = a + skip + last[done]
-            witness[first + done] = (band_hi[done, last[done]] + band_lo[done, last[done]]) / 2.0
-            hi, lo = band_hi[:, -1:], band_lo[:, -1:]
-        held = (k_star[first : first + y.size] == scan_limit).nonzero()[0]
-        witness[first + held] = (hi[held, 0] + lo[held, 0]) / 2.0
+            k_star[rows[done]] = a + skip + last[done]
+            witness[rows[done]] = (band_hi[done, last[done]] + band_lo[done, last[done]]) / 2.0
+            live = last < 0
+            rows, y, c, p, total = rows[live], y[live], c[live], p[live], total[live]
+            hi, lo = band_hi[live, -1:], band_lo[live, -1:]
+            a, n = a + n, 2 * n
+        witness[rows] = (hi[:, 0] + lo[:, 0]) / 2.0  # the rows that held to scan_limit
     return k_star, witness, k_star == scan_limit
 
 
-def stabilization_segment(
-    F: Observable,
-    T: FinitePermutation,
-    points: Sequence[int],
-    n_min: int,
-    eps: float,
-    scan_limit: int,
-) -> StabilizationSegment:
+def stabilization_segment(F: Observable, T: FinitePermutation, points: Sequence[int], n_min: int,
+                          eps: float, scan_limit: int) -> StabilizationSegment:
     """Maximal eps-band segment [n_min, K_star] of every start point, in one scan."""
     points = np.asarray(points, dtype=np.int64)
     k_star, witness, capped = _band_ends(F, T, points, n_min, eps, scan_limit)

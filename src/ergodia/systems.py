@@ -210,8 +210,17 @@ def _necklaces(m: int, L: int) -> tuple[np.ndarray, np.ndarray]:
     keep the indices no larger than their j-th rotation; a head's period is
     the smallest divisor d of L whose rotation maps it to itself.  The
     passes run in int32, exact under the 2^26 word budget of the callers.
+    They start from the zero word, the words with top digit 0 and bottom digit
+    not 0, and those with no 0 digit (a quarter of all for m = 2): read
+    big-endian, the least rotation of a word holding a 0 but not all 0s starts
+    with its longest run of 0s, and cannot end in 0 (moving that 0 to the
+    front gives a smaller rotation).
     """
-    heads = np.arange(m**L, dtype=np.int32)
+    nonzero = digits = np.arange(1, m, dtype=np.int32)
+    for _ in range(L - 1):
+        nonzero = (nonzero[:, None] * m + digits).ravel()
+    bottom = (np.arange(m ** (L - 1) // m, dtype=np.int32)[:, None] * m + digits).ravel()
+    heads = np.concatenate([np.zeros(1, dtype=np.int32), bottom, nonzero])
     for j in range(1, L):
         heads = heads[heads <= _rotate(heads, j, m, L)]
     period = np.full(heads.size, L, dtype=np.int64)

@@ -63,8 +63,8 @@ def test_criterion_02_discrepancy_theorem_finite_form():
     rot = build_rotation(M, 0.5)
     F = paper_observable("tent", M)
     K, L = 50_500, 50_000
-    rep = ergodia.sup_discrepancy(F, rot.permutation, K, L)
-    d = rep.diffs[rep.sample_points]
+    (rep,) = ergodia.sup_discrepancy(F, rot.permutation, [(K, L)])
+    d = rep.diffs[rot.permutation.orbit_index.slot[rep.sample_points]]
     ok = (rep.sup_disc <= 0.02
           and bool((d <= rep.u_bounds + rep.v_bounds + 1e-12).all())
           and (time.time() - t0) < 10.0)

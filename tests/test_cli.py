@@ -176,6 +176,17 @@ def assert_config_error(capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert "Traceback" not in err
+    return err
+
+
+# its sums overflow float64 within any horizon of 2 or more
+OVERFLOWING = {"name": "constant", "value": 1e308}
+
+
+def assert_refused_before_any_kernel(err, recwarn):
+    # the CLI names the observable, and no kernel ran into an overflow
+    assert "constant(1e+308)" in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_stab_n_min_above_scan_limit_is_config_error(tmp_path, capsys):
@@ -214,20 +225,23 @@ def small_stab_config():
     ("epsilson", 0.1),
     ("scan_limit", 1e30),
     ("epsilon", float("inf")),
+    ("observable", OVERFLOWING),
 ], ids=["epsilon-nan", "exceedance-epsilon-nan", "epsilon-string", "eta-string",
         "scan-limit-fraction", "n-min-fraction", "per-point-limit-fraction", "pair-K-fraction",
         "pair-L-fraction", "pair-not-a-pair", "seed-string", "random-fraction",
-        "unknown-key", "scan-limit-over-budget", "epsilon-inf"])
-def test_malformed_stab_config_is_config_error(tmp_path, capsys, key, value):
+        "unknown-key", "scan-limit-over-budget", "epsilon-inf", "constant-sums-overflow"])
+def test_malformed_stab_config_is_config_error(tmp_path, capsys, recwarn, key, value):
     payload = small_stab_config()
-    if key == "seed":
-        payload["seed"] = value
+    if key in ("seed", "observable"):
+        payload[key] = value
     elif key == "random":
         payload["start_points"] = {"random": value}
     else:
         payload["stab"][key] = value
     cfg = write_config(tmp_path, payload)
-    assert_config_error(capsys, ["stab", "--config", cfg, "--out", str(tmp_path / "o")])
+    err = assert_config_error(capsys, ["stab", "--config", cfg, "--out", str(tmp_path / "o")])
+    if value == OVERFLOWING:
+        assert_refused_before_any_kernel(err, recwarn)
 
 
 def test_stab_integral_floats_pass_as_integers(tmp_path):
@@ -271,6 +285,25 @@ def test_stab_report_of_fig4_is_pinned(tmp_path):
     assert digest == "cc094a8ba7cacef67cb7d65cc203c3549fcb60330048c50419a0cd49763888bb"
 
 
+@pytest.mark.parametrize("payload,digest", [
+    ({"system": {"name": "bernoulli", "m": 2, "N": 8, "mode": "naive"},
+      "observable": {"name": "chi0", "N": 8}, "start_points": {"random": 200}, "seed": 5,
+      "stab": {"epsilon": 0.05, "eta": 0.05, "n_min": 5, "scan_limit": 400,
+               "pairs": [[40, 20], [400, 200]]}},
+     "fae3aff5c3f0ec6eaab689aae013c7510321e141efbd92e7d53c0f47aa0dfe0b"),
+    ({"system": {"name": "drift", "M": 1000000}, "observable": {"name": "ex03", "K": 1000},
+      "stab": {"epsilon": 0.05, "eta": 0.05, "n_min": 50, "pairs": [[1000, 500]]}},
+     "461f2abe699641e1f765e152f4f6fed1a8e193d72f5ad5fae3b76892096cfa3c"),
+], ids=["cycles-many", "default-scan-limit"])
+def test_stab_reports_of_the_scan_ci_configs_are_pinned(tmp_path, payload, digest):
+    # the CI steps for a stab job whose rows all leave early, and one that scans to M
+    import hashlib
+
+    cfg = write_config(tmp_path, payload)
+    assert main(["stab", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert hashlib.sha256((tmp_path / "o" / "stab_report.json").read_bytes()).hexdigest() == digest
+
+
 def test_stab_scans_every_start_point_once(tmp_path, monkeypatch):
     # one band scan covers the per-point rows and the common segment alike
     from ergodia import stabilization
@@ -286,6 +319,30 @@ def test_stab_scans_every_start_point_once(tmp_path, monkeypatch):
     cfg = os.path.join(CONFIG_DIR, "fig4.json")
     assert main(["stab", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     assert rows == [125]
+
+
+def test_stab_serves_every_pair_from_one_cycle_pass(tmp_path, monkeypatch):
+    # the CI stab config has two pairs; one pass over all cycles serves both
+    from ergodia import stabilization
+
+    full_passes = []
+    row_means = stabilization._row_means
+
+    def counting(F, T, horizons, points=None, absolute=False):
+        if points is None:
+            full_passes.append(tuple(horizons))
+        return row_means(F, T, horizons, points, absolute)
+
+    monkeypatch.setattr(stabilization, "_row_means", counting)
+    cfg = write_config(tmp_path, {
+        "system": {"name": "bernoulli", "m": 2, "N": 4, "mode": "naive"},
+        "observable": {"name": "chi0", "N": 4},
+        "start_points": {"random": 50},
+        "stab": {"epsilon": 0.2, "eta": 0.1, "n_min": 5, "scan_limit": 100,
+                 "pairs": [[40, 20], [9, 4]]},
+    })
+    assert main(["stab", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert full_passes == [(40, 20, 9, 4)]
 
 
 def test_approx_metrics_on_bernoulli_is_config_error(tmp_path, capsys):
@@ -343,6 +400,7 @@ def test_approx_metrics_on_bernoulli_is_config_error(tmp_path, capsys):
     ("observable", {"name": "constant", "value": float("inf")}),
     ("observable", {"name": "constant", "value": float("-inf")}),
     ("gamma", {"k": 1, "stride": 201}),
+    ("observable", OVERFLOWING),
 ], ids=["k-zero", "stride-zero", "drift-no-M", "rotation-no-M", "bernoulli-no-m",
         "bernoulli-no-N", "ex03-K-zero", "stride-not-int", "stride-list", "random-not-int",
         "drift-M-fraction", "rotation-M-fraction", "bernoulli-N-fraction", "bernoulli-m-fraction",
@@ -353,14 +411,17 @@ def test_approx_metrics_on_bernoulli_is_config_error(tmp_path, capsys):
         "system-unknown-key", "gamma-unknown-key", "top-level-unknown-key", "constant-value-list",
         "stratified-and-random", "explicit-and-random", "explicit-and-stratified",
         "extras-with-random", "extras-with-explicit", "k-overflows-horizon", "k-over-budget",
-        "constant-nan", "constant-inf", "constant-minus-inf", "stride-above-horizon"])
-def test_malformed_gamma_config_is_config_error(tmp_path, capsys, section, spec):
+        "constant-nan", "constant-inf", "constant-minus-inf", "stride-above-horizon",
+        "constant-sums-overflow"])
+def test_malformed_gamma_config_is_config_error(tmp_path, capsys, recwarn, section, spec):
     payload = small_gamma_config()
     payload[section] = spec
     if section == "system":
         payload["observable"] = {"name": "constant", "value": 1.0}
     cfg = write_config(tmp_path, payload)
-    assert_config_error(capsys, ["gamma", "--config", cfg, "--out", str(tmp_path / "o")])
+    err = assert_config_error(capsys, ["gamma", "--config", cfg, "--out", str(tmp_path / "o")])
+    if spec == OVERFLOWING:
+        assert_refused_before_any_kernel(err, recwarn)
 
 
 def test_integral_floats_pass_as_integers(tmp_path):

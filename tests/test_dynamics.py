@@ -260,7 +260,7 @@ def test_array_dataclasses_compare_by_identity():
         (ergodic_means_prefix(F, T, 0, 3), ergodic_means_prefix(F, T, 0, 3)),
         (T.orbit_index, FinitePermutation(T.image).orbit_index),
         (integrability_profile(F, [0.5, 2.5]), integrability_profile(F, [0.5, 2.5])),
-        (sup_discrepancy(F, T, 3, 2), sup_discrepancy(F, T, 3, 2)),
+        (sup_discrepancy(F, T, [(3, 2)])[0], sup_discrepancy(F, T, [(3, 2)])[0]),
     ]
     for a, b in pairs:
         # equal fields, distinct objects: == is identity and never raises

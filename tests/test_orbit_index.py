@@ -145,8 +145,8 @@ def test_relabelling_preserves_means_discrepancies_segments_and_tails(name):
     for n in (1, 2, 7, T.size // 3, T.size + 5):
         assert np.array_equal(means_at_horizon(F2, T2, n)[sigma], means_at_horizon(F, T, n))
     K, L = T.size // 2 + 3, T.size // 5 + 1
-    rep, rep2 = sup_discrepancy(F, T, K, L), sup_discrepancy(F2, T2, K, L)
-    assert np.array_equal(rep2.diffs[sigma], rep.diffs)
+    (rep,), (rep2,) = sup_discrepancy(F, T, [(K, L)]), sup_discrepancy(F2, T2, [(K, L)])
+    assert np.array_equal(rep2.diffs[T2.orbit_index.slot][sigma], rep.diffs[T.orbit_index.slot])
     assert rep2.sup_disc == rep.sup_disc
     for eps in (1e-3, 0.05, 0.5):
         assert rep2.exceedance(eps) == rep.exceedance(eps)
@@ -220,10 +220,10 @@ def test_lazy_image_equals_the_successor_image_and_is_read_only(name):
 def kernel_results(F, T):
     """Every kernel that reads T.along(F), as plain arrays and tuples."""
     gamma, _ = gamma_series(F, T, 5, 2.7, 1)
-    rep = sup_discrepancy(F, T, 40, 17, sample=[0, 5, 60, 106])
+    (rep,) = sup_discrepancy(F, T, [(40, 17)], sample=[0, 5, 60, 106])
     seg = stabilization_segment(F, T, [0, 5, 33, 60, 106], 2, 0.05, 150)
     common = common_stabilization_segment(seg, 0.2)
-    return (gamma, rep.diffs, rep.u_bounds, rep.v_bounds, rep.sup_disc,
+    return (gamma, rep.diffs[T.orbit_index.slot], rep.u_bounds, rep.v_bounds, rep.sup_disc,
             seg.K_star, seg.witness, seg.capped,
             (common.K_star, common.witness, common.capped, common.excluded_fraction))
 
@@ -289,7 +289,7 @@ def test_the_kernels_build_no_image(name):
     for y in (0, 3, T.size - 1):
         gamma_series(F, T, y, 2.5)
     common_stabilization_segment(stabilization_segment(F, T, [0, 3, 77, T.size - 1], 2, 0.05, 300), 0.2)
-    sup_discrepancy(F, T, 40, 17)
+    sup_discrepancy(F, T, [(40, 17)])
     means_at_horizon(F, T, 9)
     assert T._image is None
 

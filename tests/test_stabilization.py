@@ -87,7 +87,7 @@ def test_sup_discrepancy_bounds_equal_full_horizon_means():
     T = build_bernoulli(2, 4, "naive").permutation
     F = Observable.from_values(np.random.default_rng(2).standard_normal(T.size))
     K, L = 40, 17
-    rep = sup_discrepancy(F, T, K, L)
+    (rep,) = sup_discrepancy(F, T, [(K, L)])
     absF = Observable.from_values(np.abs(F.values))
     absL = means_at_horizon(absF, T, L)[rep.sample_points]
     absK = means_at_horizon(absF, T, K)[rep.sample_points]
@@ -109,7 +109,7 @@ def test_means_at_horizon_beyond_period():
 
 def test_sup_discrepancy_brute_force():
     F, T = random_system(40, 3)
-    rep = sup_discrepancy(F, T, K=25, L=10)
+    (rep,) = sup_discrepancy(F, T, [(25, 10)])
     brute = max(
         abs(ergodic_means_prefix(F, T, y, 25).mean_at(25)
             - ergodic_means_prefix(F, T, y, 10).mean_at(10))
@@ -121,13 +121,13 @@ def test_sup_discrepancy_brute_force():
 def test_proof_bound_terms_exact():
     F, T = random_system(60, 9)
     K, L = 30, 12
-    rep = sup_discrepancy(F, T, K, L)
+    (rep,) = sup_discrepancy(F, T, [(K, L)])
     for y, u, v in zip(rep.sample_points, rep.u_bounds, rep.v_bounds):
         traj = T.trajectory(int(y), K)
         absvals = np.abs(F.values[traj])
         assert u == pytest.approx((1 / L - 1 / K) * absvals[:L].sum(), abs=1e-9)
         assert v == pytest.approx(absvals[L:].sum() / K, abs=1e-9)
-        assert rep.diffs[y] <= u + v + 1e-9
+        assert rep.diffs[T.orbit_index.slot[y]] <= u + v + 1e-9
 
 
 @given(st.integers(4, 60), st.integers(0, 2**32))
@@ -138,8 +138,8 @@ def test_proof_bound_always_holds(M, seed):
     L = 1 + seed % K if K > 1 else 1
     if L >= K:
         L = K - 1
-    rep = sup_discrepancy(F, T, K, L)
-    assert (rep.diffs[rep.sample_points] <= rep.u_bounds + rep.v_bounds + 1e-9).all()
+    (rep,) = sup_discrepancy(F, T, [(K, L)])
+    assert (rep.diffs[T.orbit_index.slot[rep.sample_points]] <= rep.u_bounds + rep.v_bounds + 1e-9).all()
 
 
 def test_exceedance_fraction_counts():
@@ -154,7 +154,7 @@ def test_exceedance_fraction_counts():
 def test_discrepancy_validation():
     F, T = random_system(10, 1)
     with pytest.raises(ValueError):
-        sup_discrepancy(F, T, 5, 5)
+        sup_discrepancy(F, T, [(5, 5)])
     with pytest.raises(ValueError):
         exceedance_fraction(F, T, 5, 2, 0.0)
 
@@ -339,15 +339,118 @@ def test_sup_discrepancy_bitwise_equals_two_pass_oracle(monkeypatch, chunk, name
     sample = awkward_sample(T, len(name))
     pairs = horizon_pairs(T)[:2] if name == "naive8" else horizon_pairs(T)
     for K, L in pairs:
-        rep = sup_discrepancy(F, T, K, L, sample)
+        (rep,) = sup_discrepancy(F, T, [(K, L)], sample)
         diffs, u, v = sup_discrepancy_two_pass(F, T, K, L, sample)
-        assert rep.diffs.tobytes() == diffs.tobytes(), (K, L)
+        assert rep.diffs[T.orbit_index.slot].tobytes() == diffs.tobytes(), (K, L)
         assert rep.u_bounds.tobytes() == u.tobytes(), (K, L)
         assert rep.v_bounds.tobytes() == v.tobytes(), (K, L)
         assert bits(rep.sup_disc) == bits(np.max(diffs))
         for eps in (1e-3, 0.05, 0.5):
             assert rep.exceedance(eps) == exceedance_fraction(F, T, K, L, eps)
             assert rep.exceedance(eps) == float(np.mean(diffs >= eps))
+
+
+# none, one, two and three pairs; the last repeats a pair and shares a horizon
+PAIR_LISTS = [[], [(40, 20)], [(9, 4), (40, 20)], [(40, 20), (40, 20), (20, 7)]]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 256, stabilization.CHUNK_POINTS])
+@pytest.mark.parametrize("name", ["naive2", "naive2-normal", "mixed-zeros", "drift", "rotation"])
+def test_fused_pairs_bitwise_equal_two_pass_oracle(monkeypatch, chunk, name):
+    # small chunks split a length class between chunks, and the four
+    # horizons of two pairs split it at other rows than one horizon would
+    monkeypatch.setattr(stabilization, "CHUNK_POINTS", chunk)
+    F, T = kernel_system(name)
+    sample = awkward_sample(T, len(name))
+    for pairs in PAIR_LISTS:
+        reports = sup_discrepancy(F, T, pairs, sample)
+        assert [(rep.K, rep.L) for rep in reports] == pairs
+        for rep, (K, L) in zip(reports, pairs):
+            diffs, u, v = sup_discrepancy_two_pass(F, T, K, L, sample)
+            # diffs is in orbit order: slot[y] is the entry of point y
+            assert rep.diffs[T.orbit_index.slot].tobytes() == diffs.tobytes(), (pairs, K, L)
+            assert rep.u_bounds.tobytes() == u.tobytes(), (pairs, K, L)
+            assert rep.v_bounds.tobytes() == v.tobytes(), (pairs, K, L)
+            assert bits(rep.sup_disc) == bits(np.max(diffs))
+            for eps in (1e-3, 0.05, 0.5):
+                assert rep.exceedance(eps) == float(np.mean(diffs >= eps))
+        # a repeated pair gets its own arrays with the same values
+        if len(reports) == 3:
+            assert reports[0].diffs is not reports[1].diffs
+            assert reports[0].diffs.tobytes() == reports[1].diffs.tobytes()
+
+
+def test_fused_pairs_take_one_pass_and_check_every_pair_first(monkeypatch):
+    F, T = naive_system(4)
+    calls = []
+    row_means = stabilization._row_means
+
+    def counting(F, T, horizons, points=None, absolute=False):
+        calls.append((tuple(horizons), points is None))
+        return row_means(F, T, horizons, points, absolute)
+
+    monkeypatch.setattr(stabilization, "_row_means", counting)
+    sup_discrepancy(F, T, [(40, 20), (400, 200)])
+    # one pass over every cycle, and one over the cycles of the sample for U and V
+    assert calls == [((40, 20, 400, 200), True), ((40, 20, 400, 200), False)]
+    calls.clear()
+    assert sup_discrepancy(F, T, []) == []
+    for bad in ([(40, 20), (5, 5)], [(3, 0)], [(40, 20), (20, 40)]):
+        with pytest.raises(ValueError):
+            sup_discrepancy(F, T, bad)
+    assert calls == []
+
+
+def spike_drift(M=2000, z=1000, seed=3):
+    """Drift with noise below 0.01 and a spike of 100 at z.
+
+    Every prefix mean from z - K on stays within 0.02 of 0 up to n = K and
+    jumps at K + 1, so with n_min <= K and eps = 0.05 that row's band ends
+    at K_star = K; rows from z + 1 on see no spike within M - 1 steps.
+    """
+    values = np.random.default_rng(seed).uniform(-0.01, 0.01, M)
+    values[z] = 100.0
+    return Observable.from_values(values), build_drift_system(M)[0]
+
+
+def band_rows_equal_loop(F, T, points, n_min, eps, scan_limit):
+    k_star, witness, capped = stabilization._band_ends(F, T, points, n_min, eps, scan_limit)
+    per_point = [band_end_loop(F, T, int(y), n_min, eps, scan_limit) for y in points]
+    assert list(zip(k_star.tolist(), capped.tolist())) == [(k, c) for k, _, c in per_point]
+    assert witness.tobytes() == bits(*[w for _, w, _ in per_point])
+    return k_star, capped
+
+
+# rows that leave their band on either side of the 32- and 96-column tile edges
+TILE_EDGES = [31, 32, 33, 95, 96, 97]
+
+
+@pytest.mark.parametrize("chunk", [7, 256, stabilization.CHUNK_POINTS])
+def test_band_scan_early_stop_bitwise_equals_point_loop(monkeypatch, chunk):
+    monkeypatch.setattr(stabilization, "CHUNK_POINTS", chunk)
+    F, T = spike_drift()
+    z = 1000
+    leavers = np.array([z - K for K in TILE_EDGES + [10, 19, 150, 200, 249, 250, 251]])
+    held = np.arange(z + 1, z + 40, 3)  # capped rows, mixed into the same chunks
+    points = np.r_[leavers[:3], held[:5], leavers[3:], held[5:]]
+    # (n_min, scan_limit): one and several tiles; n_min past the first two
+    # tiles; scan_limit below 32; and 250, inside the fourth tile (224..480)
+    for n_min, scan_limit in [(1, 300), (5, 1000), (150, 400), (3, 20), (1, 250)]:
+        k_star, capped = band_rows_equal_loop(F, T, points, n_min, 0.05, scan_limit)
+        if n_min == 1:
+            edges = k_star[np.isin(points, z - np.array(TILE_EDGES))]
+            assert edges.tolist() == TILE_EDGES
+        assert capped[np.isin(points, held)].all()
+        assert not capped.all()
+
+
+@pytest.mark.parametrize("name", ["naive8", "naive5-normal", "drift1000", "mixed-zeros"])
+def test_band_scan_early_stop_on_built_systems(name):
+    # the cycles-many shape (every row leaves early) and rows that never leave
+    F, T = kernel_system(name)
+    points = np.r_[SplitMix64(5).sample_points(T.size, 200), awkward_sample(T, 4)].astype(np.int64)
+    for n_min, eps, scan_limit in [(5, 0.05, 400), (2, 0.3, 97), (30, 1e-3, 33), (100, 0.5, 1100)]:
+        band_rows_equal_loop(F, T, points, n_min, eps, scan_limit)
 
 
 @pytest.mark.parametrize("chunk,name", CASES)
@@ -394,7 +497,7 @@ def test_segment_start_point_out_of_range():
 @pytest.mark.parametrize("eps", [float("nan"), 0.0, -1.0])
 def test_nan_and_nonpositive_epsilons_are_refused(eps):
     F, T = random_system(10, 1)
-    rep = sup_discrepancy(F, T, 5, 2)
+    (rep,) = sup_discrepancy(F, T, [(5, 2)])
     for call in (lambda: rep.exceedance(eps), lambda: exceedance_fraction(F, T, 5, 2, eps),
                  lambda: stabilization_segment(F, T, [0], 1, eps, 5),
                  lambda: stabilization_segment(F, T, [0, 1], 1, eps, 5)):

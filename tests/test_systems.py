@@ -128,7 +128,7 @@ def test_debruijn_sequence_matches_lyndon_generator(m, n):
 
 
 @pytest.mark.parametrize("m,L", [(2, 1), (3, 1), (2, 2), (2, 5), (2, 6), (3, 4), (2, 9), (5, 3),
-                                 (4, 4), (2, 12)])
+                                 (4, 4), (2, 12), (3, 7), (4, 5), (2, 13), (6, 3)])
 def test_necklaces_match_brute_force_in_both_readings(m, L):
     heads, period = _necklaces(m, L)
     for big_endian in (False, True):
