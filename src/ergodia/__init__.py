@@ -32,6 +32,7 @@ from .stabilization import (
     common_stabilization_segment,
     exceedance_fraction,
     means_at_horizon,
+    proof_terms,
     stabilization_segment,
     stratified_start_points,
     sup_discrepancy,

@@ -233,10 +233,10 @@ def cmd_gamma(config: dict, args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     for y, (points, used_stride) in results:
-        base = out / f"gamma_{F.name.replace('/', '_')}_y{y}"
-        _write_csv(base.with_suffix(".csv"), ["n", "n_over_M", "mean"], points)
+        base = f"gamma_{F.name.replace('/', '_')}_y{y}"  # a name may hold a '.'
+        _write_csv(out / f"{base}.csv", ["n", "n_over_M", "mean"], points)
         if args.svg:
-            _write_svg(base.with_suffix(".svg"), points, k,
+            _write_svg(out / f"{base}.svg", points, k,
                        f"Gamma series, y={y}, stride={used_stride}", timestamp=not args.no_timestamp)
     _write_json(out / "gamma_meta.json",
                 {**meta, "observable": F.name, "k": k,

@@ -2,9 +2,9 @@
 
 Two complementary diagnostics:
 
-* discrepancies |A_K - A_L| at comparable horizons K > L, with the exact
-  two-term proof bound U + V per start point, the sup over all of Y, and
-  the fraction of start points exceeding a tolerance;
+* discrepancies |A_K - A_L| at comparable horizons K > L, their sup over
+  all of Y and the fraction of start points exceeding a tolerance, with
+  the exact two-term proof bound U + V per start point;
 
 * initial-segment stabilization: the largest horizon range [n_min, K*] on
   which all prefix means of a start point stay within a band of width
@@ -32,6 +32,7 @@ __all__ = [
     "CommonSegment",
     "means_at_horizon",
     "sup_discrepancy",
+    "proof_terms",
     "exceedance_fraction",
     "stabilization_segment",
     "common_stabilization_segment",
@@ -42,25 +43,16 @@ __all__ = [
 # eq=False: == is identity; a field-wise == would take the truth value of arrays
 @dataclass(frozen=True, eq=False)
 class DiscrepancyReport:
-    """|A_K - A_L| over all start points, plus the proof's U+V split on a sample.
+    """|A_K - A_L| over all start points, and its max.
 
-    For K > L the discrepancy decomposes as
-
-        |A_K - A_L| <= U + V,
-        U = (1/L - 1/K) * sum_{k < L} |F(T^k y)|,
-        V = (1/K) * sum_{k = L}^{K-1} |F(T^k y)|,
-
-    and u_bounds/v_bounds record both terms at each sampled start point.
     diffs is in orbit order: diffs[i] belongs to the point T.orbit_index.order[i].
+    proof_terms gives the bound U + V at each point, in point order.
     """
 
     K: int
     L: int
     sup_disc: float
     diffs: np.ndarray
-    sample_points: np.ndarray
-    u_bounds: np.ndarray
-    v_bounds: np.ndarray
 
     def exceedance(self, eps: float) -> float:
         if not eps > 0:
@@ -106,31 +98,21 @@ class CommonSegment:
 CHUNK_POINTS = 1 << 16
 
 
-def _row_means(F: Observable, T: FinitePermutation, horizons: Sequence[int],
-               points: np.ndarray | None = None, absolute: bool = False):
+def _row_means(F: Observable, T: FinitePermutation, horizons: Sequence[int]):
     """(cyc, [A_n on cyc for n in horizons]) per chunk of whole equal-length cycles.
 
-    cyc is a (rows, p) block of order, a cycle per row (with points, only the
-    cycles holding them), and its values the same block of T.along(F), so
-    no gather.  One row sum and cumsum of length p + max(n mod p) serve
-    every horizon, of |F| if absolute: add.accumulate along a row is
+    cyc is a (rows, p) block of order, a cycle per row, and its values the
+    same block of T.along(F), so no gather.  One row sum and cumsum of length
+    p + max(n mod p) serve every horizon: add.accumulate along a row is
     sequential, so a shorter window's prefix sums are the same floats.
     """
     index, along = T.orbit_index, T.along(F)
-    if points is not None:
-        wanted = np.zeros(index.lengths.size, dtype=bool)
-        wanted[index.cycle_ids(points)] = True
     for offset, count, p in index.length_classes():
         rows = index.order[offset : offset + count * p].reshape(count, p)
         values = along[offset : offset + count * p].reshape(count, p)
-        if points is not None:
-            first_cycle = np.searchsorted(index.starts, offset)
-            keep = wanted[first_cycle : first_cycle + count]
-            rows, values = rows[keep], values[keep]
         step, width = max(1, CHUNK_POINTS // (p * len(horizons))), max(n % p for n in horizons)
-        for first in range(0, len(rows), step):
+        for first in range(0, count, step):
             cyc, vals = rows[first : first + step], values[first : first + step]
-            vals = np.abs(vals) if absolute else vals
             sums = vals.sum(axis=1, keepdims=True)
             if width:
                 pref = np.zeros((len(cyc), p + width + 1))
@@ -144,24 +126,6 @@ def _row_means(F: Observable, T: FinitePermutation, horizons: Sequence[int],
                 window /= n
                 means.append(np.broadcast_to(window, cyc.shape))
             yield cyc, means
-
-
-def _means_at_points(F: Observable, T: FinitePermutation, horizons: Sequence[int],
-                     points: np.ndarray, absolute: bool = False) -> np.ndarray:
-    """A_n at points for each n in horizons, shape (len(horizons), len(points)).
-
-    Each point y on cycle c is read out of its cycle's block at (row, slot[y] - starts[c]).
-    """
-    index = T.orbit_index
-    cid = index.cycle_ids(points)
-    pos = index.slot[points] - index.starts[cid]
-    out = np.empty((len(horizons), points.size))
-    for cyc, means in _row_means(F, T, horizons, points, absolute):
-        ids = index.cycle_ids(cyc[:, 0])
-        here = np.flatnonzero((cid >= ids[0]) & (cid <= ids[-1]))
-        row = np.searchsorted(ids, cid[here])
-        out[:, here] = [A[row, pos[here]] for A in means]
-    return out
 
 
 def means_at_horizon(F: Observable, T: FinitePermutation, n: int) -> np.ndarray:
@@ -179,11 +143,11 @@ def means_at_horizon(F: Observable, T: FinitePermutation, n: int) -> np.ndarray:
     return out
 
 
-def sup_discrepancy(F: Observable, T: FinitePermutation, pairs: Sequence[tuple[int, int]],
-                    sample: Sequence[int] | None = None) -> list[DiscrepancyReport]:
-    """Per (K, L) in pairs, the exact max over all y of |A_K - A_L| plus the U/V proof
-    terms on a sample, all from one cycle pass over K1, L1, K2, L2, ...; each pair's
-    diffs are written in orbit order.  [(K, L)] is the one-pair form."""
+def sup_discrepancy(F: Observable, T: FinitePermutation,
+                    pairs: Sequence[tuple[int, int]]) -> list[DiscrepancyReport]:
+    """Per (K, L) in pairs, the exact max over all y of |A_K - A_L|, all from one
+    cycle pass over K1, L1, K2, L2, ...; each pair's diffs are written in orbit
+    order.  [(K, L)] is the one-pair form."""
     if any(not 1 <= L < K for K, L in pairs):
         raise ValueError("require 1 <= L < K")
     if not pairs:
@@ -195,20 +159,26 @@ def sup_discrepancy(F: Observable, T: FinitePermutation, pairs: Sequence[tuple[i
             block = d[at : at + cyc.size].reshape(cyc.shape)
             np.abs(np.subtract(A_K, A_L, out=block), out=block)
         at += cyc.size
-    if sample is None:
-        sample = stratified_start_points(T.size, strata=min(T.size, 32), extras=0, seed=0)
-    sample = np.asarray(sample, dtype=np.int64)
-    # per pair (1/K) sum_{k<K} |F(T^k y)| and (1/L) sum_{k<L} |F(T^k y)|
-    absolute = _means_at_points(F, T, horizons, sample, absolute=True)
-    return [DiscrepancyReport(K=K, L=L, sup_disc=float(np.max(d)), diffs=d, sample_points=sample,
-                              u_bounds=(1.0 / L - 1.0 / K) * absL * L,
-                              v_bounds=absK - absL * L / K)  # (1/K) sum_{k=L}^{K-1} |F|
-            for (K, L), d, absK, absL in zip(pairs, diffs, absolute[::2], absolute[1::2])]
+    return [DiscrepancyReport(K=K, L=L, sup_disc=float(np.max(d)), diffs=d)
+            for (K, L), d in zip(pairs, diffs)]
+
+
+def proof_terms(F: Observable, T: FinitePermutation, K: int, L: int) -> tuple[np.ndarray, np.ndarray]:
+    """(U, V) at every y, in point order, with |A_K - A_L| <= U + V for
+    U = (1/L - 1/K) * sum_{k<L} |F(T^k y)| and V = (1/K) * sum_{k=L}^{K-1} |F(T^k y)|.
+
+    Both come from the horizon means of |F| at K and L, so the call replaces
+    the T.along memo with |F|."""
+    if not 1 <= L < K:
+        raise ValueError("require 1 <= L < K")
+    absF = Observable.from_values(np.abs(F.values))
+    absK, absL = means_at_horizon(absF, T, K), means_at_horizon(absF, T, L)
+    return (1.0 / L - 1.0 / K) * absL * L, absK - absL * L / K
 
 
 def exceedance_fraction(F: Observable, T: FinitePermutation, K: int, L: int, eps: float) -> float:
     """(1/M) * |{y : |A_K - A_L| >= eps}|, exact over all of Y."""
-    return sup_discrepancy(F, T, [(K, L)], sample=[])[0].exceedance(eps)
+    return sup_discrepancy(F, T, [(K, L)])[0].exceedance(eps)
 
 
 def _band_ends(F: Observable, T: FinitePermutation, points: np.ndarray, n_min: int,

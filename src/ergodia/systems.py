@@ -270,9 +270,9 @@ def build_bernoulli(m: int, N: int, mode: str = "debruijn") -> SymbolicSystem:
 
 
 def _int_param(value, key: str, minimum: int) -> int:
-    """value as an int >= minimum; integral floats such as 10.0 pass, strings and inf do not."""
+    """value as an int >= minimum; integral floats such as 10.0 pass, booleans, strings and inf do not."""
     try:
-        ok = value == int(value) and value >= minimum
+        ok = not isinstance(value, bool) and value == int(value) and value >= minimum
     except (TypeError, ValueError, OverflowError):
         ok = False
     if not ok:
@@ -313,7 +313,7 @@ def paper_observable(name: str, M: int, **params) -> Observable:
         R = (M // k) // 2 * 2
         vals = np.zeros(M)
         vals[: R * k].reshape(-1, 2 * k)[:, :k] = 1.0
-        return Observable(M, vals, name=f"ex03(K={K})")
+        return Observable(M, vals, name=f"ex03(K={k})")
     if name == "linear":
         vals = np.arange(M, dtype=np.float64)
         vals /= M

@@ -366,14 +366,15 @@ def horizon_means_loop(F, T, n):
     return out
 
 
-def sup_discrepancy_two_pass(F, T, K, L, sample):
-    """(diffs, u, v) of sup_discrepancy from separate passes: A_K, A_L, |F| at L and at K."""
+def sup_discrepancy_two_pass(F, T, K, L):
+    """(diffs, U, V) of sup_discrepancy and proof_terms in point order, from separate
+    passes: A_K, A_L, |F| at L and at K."""
     diffs = horizon_means_loop(F, T, K)
     diffs -= horizon_means_loop(F, T, L)
     np.abs(diffs, out=diffs)
     absF = Observable.from_values(np.abs(F.values))
-    absL = horizon_means_loop(absF, T, L)[sample]
-    absK = horizon_means_loop(absF, T, K)[sample]
+    absL = horizon_means_loop(absF, T, L)
+    absK = horizon_means_loop(absF, T, K)
     return diffs, (1.0 / L - 1.0 / K) * absL * L, absK - absL * L / K
 
 

@@ -64,9 +64,10 @@ def test_criterion_02_discrepancy_theorem_finite_form():
     F = paper_observable("tent", M)
     K, L = 50_500, 50_000
     (rep,) = ergodia.sup_discrepancy(F, rot.permutation, [(K, L)])
-    d = rep.diffs[rot.permutation.orbit_index.slot[rep.sample_points]]
+    U, V = ergodia.proof_terms(F, rot.permutation, K, L)
+    d = rep.diffs[rot.permutation.orbit_index.slot]
     ok = (rep.sup_disc <= 0.02
-          and bool((d <= rep.u_bounds + rep.v_bounds + 1e-12).all())
+          and bool((d <= U + V + 1e-12).all())
           and (time.time() - t0) < 10.0)
     report("sup discrepancy bound at a=0.5", ok)
 

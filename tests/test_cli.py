@@ -226,10 +226,14 @@ def small_stab_config():
     ("scan_limit", 1e30),
     ("epsilon", float("inf")),
     ("observable", OVERFLOWING),
+    ("random", True),
+    ("n_min", True),
+    ("pairs", [[40, True]]),
 ], ids=["epsilon-nan", "exceedance-epsilon-nan", "epsilon-string", "eta-string",
         "scan-limit-fraction", "n-min-fraction", "per-point-limit-fraction", "pair-K-fraction",
         "pair-L-fraction", "pair-not-a-pair", "seed-string", "random-fraction",
-        "unknown-key", "scan-limit-over-budget", "epsilon-inf", "constant-sums-overflow"])
+        "unknown-key", "scan-limit-over-budget", "epsilon-inf", "constant-sums-overflow",
+        "random-bool", "n-min-bool", "pair-L-bool"])
 def test_malformed_stab_config_is_config_error(tmp_path, capsys, recwarn, key, value):
     payload = small_stab_config()
     if key in ("seed", "observable"):
@@ -325,13 +329,12 @@ def test_stab_serves_every_pair_from_one_cycle_pass(tmp_path, monkeypatch):
     # the CI stab config has two pairs; one pass over all cycles serves both
     from ergodia import stabilization
 
-    full_passes = []
+    passes = []
     row_means = stabilization._row_means
 
-    def counting(F, T, horizons, points=None, absolute=False):
-        if points is None:
-            full_passes.append(tuple(horizons))
-        return row_means(F, T, horizons, points, absolute)
+    def counting(F, T, horizons):
+        passes.append(tuple(horizons))
+        return row_means(F, T, horizons)
 
     monkeypatch.setattr(stabilization, "_row_means", counting)
     cfg = write_config(tmp_path, {
@@ -342,7 +345,7 @@ def test_stab_serves_every_pair_from_one_cycle_pass(tmp_path, monkeypatch):
                  "pairs": [[40, 20], [9, 4]]},
     })
     assert main(["stab", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-    assert full_passes == [(40, 20, 9, 4)]
+    assert passes == [(40, 20, 9, 4)]
 
 
 def test_approx_metrics_on_bernoulli_is_config_error(tmp_path, capsys):
@@ -401,6 +404,9 @@ def test_approx_metrics_on_bernoulli_is_config_error(tmp_path, capsys):
     ("observable", {"name": "constant", "value": float("-inf")}),
     ("gamma", {"k": 1, "stride": 201}),
     ("observable", OVERFLOWING),
+    ("start_points", {"explicit": [True]}),
+    ("gamma", {"k": 1.0, "stride": True}),
+    ("observable", {"name": "ex03", "K": True}),
 ], ids=["k-zero", "stride-zero", "drift-no-M", "rotation-no-M", "bernoulli-no-m",
         "bernoulli-no-N", "ex03-K-zero", "stride-not-int", "stride-list", "random-not-int",
         "drift-M-fraction", "rotation-M-fraction", "bernoulli-N-fraction", "bernoulli-m-fraction",
@@ -412,7 +418,7 @@ def test_approx_metrics_on_bernoulli_is_config_error(tmp_path, capsys):
         "stratified-and-random", "explicit-and-random", "explicit-and-stratified",
         "extras-with-random", "extras-with-explicit", "k-overflows-horizon", "k-over-budget",
         "constant-nan", "constant-inf", "constant-minus-inf", "stride-above-horizon",
-        "constant-sums-overflow"])
+        "constant-sums-overflow", "explicit-bool", "stride-bool", "ex03-K-bool"])
 def test_malformed_gamma_config_is_config_error(tmp_path, capsys, recwarn, section, spec):
     payload = small_gamma_config()
     payload[section] = spec
@@ -425,17 +431,36 @@ def test_malformed_gamma_config_is_config_error(tmp_path, capsys, recwarn, secti
 
 
 def test_integral_floats_pass_as_integers(tmp_path):
-    # "M": 200.0 and "explicit": [7.0] run exactly as 200 and [7]
+    # "M": 2000.0, "explicit": [7.0] and "K": 1000.0 run exactly as 2000, [7] and 1000,
+    # and the observable is named from the int
     outs = []
-    for M, y in ((200, 7), (200.0, 7.0)):
+    for kind in (int, float):
         payload = small_gamma_config()
-        payload["system"]["M"] = M
-        payload["start_points"]["explicit"] = [y]
-        out = tmp_path / f"o{type(M).__name__}"
+        payload["system"]["M"] = kind(2000)
+        payload["observable"] = {"name": "ex03", "K": kind(1000)}
+        payload["start_points"]["explicit"] = [kind(7)]
+        out = tmp_path / f"o{kind.__name__}"
         assert main(["gamma", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
-        outs.append(((out / "gamma_ex01_y7.csv").read_bytes(),
+        assert sorted(p.name for p in out.iterdir()) == ["gamma_ex03(K=1000)_y7.csv", "gamma_meta.json"]
+        outs.append(((out / "gamma_ex03(K=1000)_y7.csv").read_bytes(),
                      (out / "gamma_meta.json").read_bytes()))
     assert outs[0] == outs[1]
+
+
+def test_gamma_outputs_of_a_dotted_observable_name_keep_their_start_points(tmp_path):
+    # "constant(0.5)" holds a '.', and each start point still gets its own CSV and SVG
+    payload = small_gamma_config()
+    payload["system"] = {"name": "rotation", "M": 200, "t": 0.3}
+    payload["observable"] = {"name": "constant", "value": 0.5}
+    payload["start_points"] = {"explicit": [5, 17]}
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, payload)
+    assert main(["gamma", "--config", cfg, "--out", str(out), "--svg", "--no-timestamp"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "gamma_constant(0.5)_y17.csv", "gamma_constant(0.5)_y17.svg",
+        "gamma_constant(0.5)_y5.csv", "gamma_constant(0.5)_y5.svg", "gamma_meta.json"]
+    for y in (5, 17):
+        assert f"y={y}," in (out / f"gamma_constant(0.5)_y{y}.svg").read_text()
 
 
 def test_gamma_stride_is_converted_like_M(tmp_path):

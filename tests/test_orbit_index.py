@@ -14,7 +14,7 @@ import pytest
 
 from ergodia.dynamics import FinitePermutation, Observable, ergodic_means_prefix, gamma_series
 from ergodia.integrability import integrability_profile
-from ergodia.stabilization import (common_stabilization_segment, means_at_horizon,
+from ergodia.stabilization import (common_stabilization_segment, means_at_horizon, proof_terms,
                                    stabilization_segment, sup_discrepancy)
 from ergodia.systems import (
     build_bernoulli,
@@ -220,10 +220,11 @@ def test_lazy_image_equals_the_successor_image_and_is_read_only(name):
 def kernel_results(F, T):
     """Every kernel that reads T.along(F), as plain arrays and tuples."""
     gamma, _ = gamma_series(F, T, 5, 2.7, 1)
-    (rep,) = sup_discrepancy(F, T, [(40, 17)], sample=[0, 5, 60, 106])
+    (rep,) = sup_discrepancy(F, T, [(40, 17)])
+    U, V = proof_terms(F, T, 40, 17)
     seg = stabilization_segment(F, T, [0, 5, 33, 60, 106], 2, 0.05, 150)
     common = common_stabilization_segment(seg, 0.2)
-    return (gamma, rep.diffs[T.orbit_index.slot], rep.u_bounds, rep.v_bounds, rep.sup_disc,
+    return (gamma, rep.diffs[T.orbit_index.slot], U, V, rep.sup_disc,
             seg.K_star, seg.witness, seg.capped,
             (common.K_star, common.witness, common.capped, common.excluded_fraction))
 
@@ -290,6 +291,7 @@ def test_the_kernels_build_no_image(name):
         gamma_series(F, T, y, 2.5)
     common_stabilization_segment(stabilization_segment(F, T, [0, 3, 77, T.size - 1], 2, 0.05, 300), 0.2)
     sup_discrepancy(F, T, [(40, 17)])
+    proof_terms(F, T, 40, 17)
     means_at_horizon(F, T, 9)
     assert T._image is None
 

@@ -11,6 +11,7 @@ from ergodia.stabilization import (
     common_stabilization_segment,
     exceedance_fraction,
     means_at_horizon,
+    proof_terms,
     stabilization_segment,
     stratified_start_points,
     sup_discrepancy,
@@ -63,36 +64,16 @@ def test_means_at_horizon_bitwise_equals_per_cycle_loop(monkeypatch, chunk):
         assert means_at_horizon(F, T, n).tobytes() == horizon_means_loop(F, T, n).tobytes()
 
 
-@pytest.mark.parametrize("chunk", [1, 7, stabilization.CHUNK_POINTS])
-def test_means_at_horizon_on_points_bitwise_equals_full_call(monkeypatch, chunk):
-    # the pass sup_discrepancy's proof terms take over the cycles holding the sample
-    monkeypatch.setattr(stabilization, "CHUNK_POINTS", chunk)
-    rng = np.random.default_rng(11)
-    systems = [build_bernoulli(2, 4, "naive").permutation, build_bernoulli(3, 2, "naive").permutation,
-               random_system(300, 17)[1], permutation_from_cycles([[0, 1], [2, 3, 4]], size=7)]
-    for T in systems:
-        F = Observable.from_values(rng.standard_normal(T.size))
-        # duplicates, unsorted order, several points on one cycle, and every point
-        samples = [rng.integers(0, T.size, 12), np.array([T.size - 1, 0, 0, T.size - 1]),
-                   np.arange(T.size)]
-        for n in (1, 2, 3, 9, 10, 299, 1234):
-            full = means_at_horizon(F, T, n)
-            for S in samples:
-                got = stabilization._means_at_points(F, T, (n,), S)
-                assert got.shape == (1, len(S))
-                assert got[0].tobytes() == full[S].tobytes()
-
-
 def test_sup_discrepancy_bounds_equal_full_horizon_means():
     T = build_bernoulli(2, 4, "naive").permutation
     F = Observable.from_values(np.random.default_rng(2).standard_normal(T.size))
     K, L = 40, 17
-    (rep,) = sup_discrepancy(F, T, [(K, L)])
+    U, V = proof_terms(F, T, K, L)
     absF = Observable.from_values(np.abs(F.values))
-    absL = means_at_horizon(absF, T, L)[rep.sample_points]
-    absK = means_at_horizon(absF, T, K)[rep.sample_points]
-    assert rep.u_bounds.tobytes() == ((1.0 / L - 1.0 / K) * absL * L).tobytes()
-    assert rep.v_bounds.tobytes() == (absK - absL * L / K).tobytes()
+    absL = means_at_horizon(absF, T, L)
+    absK = means_at_horizon(absF, T, K)
+    assert U.tobytes() == ((1.0 / L - 1.0 / K) * absL * L).tobytes()
+    assert V.tobytes() == (absK - absL * L / K).tobytes()
 
 
 def test_means_at_horizon_beyond_period():
@@ -122,8 +103,10 @@ def test_proof_bound_terms_exact():
     F, T = random_system(60, 9)
     K, L = 30, 12
     (rep,) = sup_discrepancy(F, T, [(K, L)])
-    for y, u, v in zip(rep.sample_points, rep.u_bounds, rep.v_bounds):
-        traj = T.trajectory(int(y), K)
+    U, V = proof_terms(F, T, K, L)
+    assert U.shape == V.shape == (T.size,)
+    for y, u, v in zip(range(T.size), U, V):
+        traj = T.trajectory(y, K)
         absvals = np.abs(F.values[traj])
         assert u == pytest.approx((1 / L - 1 / K) * absvals[:L].sum(), abs=1e-9)
         assert v == pytest.approx(absvals[L:].sum() / K, abs=1e-9)
@@ -139,7 +122,8 @@ def test_proof_bound_always_holds(M, seed):
     if L >= K:
         L = K - 1
     (rep,) = sup_discrepancy(F, T, [(K, L)])
-    assert (rep.diffs[T.orbit_index.slot[rep.sample_points]] <= rep.u_bounds + rep.v_bounds + 1e-9).all()
+    U, V = proof_terms(F, T, K, L)
+    assert (rep.diffs[T.orbit_index.slot] <= U + V + 1e-9).all()
 
 
 def test_exceedance_fraction_counts():
@@ -157,6 +141,13 @@ def test_discrepancy_validation():
         sup_discrepancy(F, T, [(5, 5)])
     with pytest.raises(ValueError):
         exceedance_fraction(F, T, 5, 2, 0.0)
+
+
+@pytest.mark.parametrize("K,L", [(5, 5), (3, 0), (20, 40), (1, 0), (0, -1)])
+def test_proof_terms_refuse_bad_horizons(K, L):
+    F, T = random_system(10, 1)
+    with pytest.raises(ValueError, match="1 <= L < K"):
+        proof_terms(F, T, K, L)
 
 
 # -- stabilization segments ------------------------------------------------
@@ -336,14 +327,15 @@ def bits(*values):
 def test_sup_discrepancy_bitwise_equals_two_pass_oracle(monkeypatch, chunk, name):
     monkeypatch.setattr(stabilization, "CHUNK_POINTS", chunk)
     F, T = kernel_system(name)
-    sample = awkward_sample(T, len(name))
     pairs = horizon_pairs(T)[:2] if name == "naive8" else horizon_pairs(T)
     for K, L in pairs:
-        (rep,) = sup_discrepancy(F, T, [(K, L)], sample)
-        diffs, u, v = sup_discrepancy_two_pass(F, T, K, L, sample)
+        (rep,) = sup_discrepancy(F, T, [(K, L)])
+        diffs, u, v = sup_discrepancy_two_pass(F, T, K, L)
         assert rep.diffs[T.orbit_index.slot].tobytes() == diffs.tobytes(), (K, L)
-        assert rep.u_bounds.tobytes() == u.tobytes(), (K, L)
-        assert rep.v_bounds.tobytes() == v.tobytes(), (K, L)
+        # the proof terms at every point, in point order
+        U, V = proof_terms(F, T, K, L)
+        assert U.tobytes() == u.tobytes(), (K, L)
+        assert V.tobytes() == v.tobytes(), (K, L)
         assert bits(rep.sup_disc) == bits(np.max(diffs))
         for eps in (1e-3, 0.05, 0.5):
             assert rep.exceedance(eps) == exceedance_fraction(F, T, K, L, eps)
@@ -361,16 +353,16 @@ def test_fused_pairs_bitwise_equal_two_pass_oracle(monkeypatch, chunk, name):
     # horizons of two pairs split it at other rows than one horizon would
     monkeypatch.setattr(stabilization, "CHUNK_POINTS", chunk)
     F, T = kernel_system(name)
-    sample = awkward_sample(T, len(name))
     for pairs in PAIR_LISTS:
-        reports = sup_discrepancy(F, T, pairs, sample)
+        reports = sup_discrepancy(F, T, pairs)
         assert [(rep.K, rep.L) for rep in reports] == pairs
         for rep, (K, L) in zip(reports, pairs):
-            diffs, u, v = sup_discrepancy_two_pass(F, T, K, L, sample)
+            diffs, u, v = sup_discrepancy_two_pass(F, T, K, L)
             # diffs is in orbit order: slot[y] is the entry of point y
             assert rep.diffs[T.orbit_index.slot].tobytes() == diffs.tobytes(), (pairs, K, L)
-            assert rep.u_bounds.tobytes() == u.tobytes(), (pairs, K, L)
-            assert rep.v_bounds.tobytes() == v.tobytes(), (pairs, K, L)
+            U, V = proof_terms(F, T, K, L)
+            assert U.tobytes() == u.tobytes(), (pairs, K, L)
+            assert V.tobytes() == v.tobytes(), (pairs, K, L)
             assert bits(rep.sup_disc) == bits(np.max(diffs))
             for eps in (1e-3, 0.05, 0.5):
                 assert rep.exceedance(eps) == float(np.mean(diffs >= eps))
@@ -385,14 +377,14 @@ def test_fused_pairs_take_one_pass_and_check_every_pair_first(monkeypatch):
     calls = []
     row_means = stabilization._row_means
 
-    def counting(F, T, horizons, points=None, absolute=False):
-        calls.append((tuple(horizons), points is None))
-        return row_means(F, T, horizons, points, absolute)
+    def counting(F, T, horizons):
+        calls.append(tuple(horizons))
+        return row_means(F, T, horizons)
 
     monkeypatch.setattr(stabilization, "_row_means", counting)
     sup_discrepancy(F, T, [(40, 20), (400, 200)])
-    # one pass over every cycle, and one over the cycles of the sample for U and V
-    assert calls == [((40, 20, 400, 200), True), ((40, 20, 400, 200), False)]
+    # one pass over every cycle serves both pairs
+    assert calls == [(40, 20, 400, 200)]
     calls.clear()
     assert sup_discrepancy(F, T, []) == []
     for bad in ([(40, 20), (5, 5)], [(3, 0)], [(40, 20), (20, 40)]):
