@@ -10,11 +10,8 @@ from .dynamics import (
     MeanSeries,
     Observable,
     OrbitIndex,
-    apply_power,
-    cycle_decomposition,
     ergodic_means_prefix,
     gamma_series,
-    orbit_and_period,
     orbit_average,
 )
 from .integrability import (

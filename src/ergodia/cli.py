@@ -35,8 +35,8 @@ from .stabilization import (
     stratified_start_points,
     sup_discrepancy,
 )
-from .systems import (_int_param, build_bernoulli, build_drift_system, build_rotation,
-                      grid_embedding, paper_observable)
+from .systems import (_float_param, _int_param, build_bernoulli, build_drift_system,
+                      build_rotation, grid_embedding, paper_observable)
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -103,7 +103,7 @@ def _build_system(spec: dict):
             t = float(1.0 / np.sqrt(2.0))
         elif t == "2/3":
             t = 2.0 / 3.0
-        rot = build_rotation(M, float(t))
+        rot = build_rotation(M, _float_param(t, "t"))
         return rot.permutation, rot.embedding, {
             "system": "rotation", "M": M, "P": rot.P, "t": rot.t, "defect": rot.defect,
         }
@@ -224,7 +224,7 @@ def cmd_gamma(config: dict, args) -> int:
     starts = _resolve_start_points(config.get("start_points", {}), T.size, seed)
     gspec = _section(config.get("gamma", {}), "gamma")
     # k and stride are converted here and range-checked by the library
-    k = float(gspec.get("k", 1.0))
+    k = _float_param(gspec.get("k", 1.0), "k")
     stride = None if gspec.get("stride") is None else _int_param(gspec["stride"], "stride", 1)
     _check_sums(F, np.floor(k * T.size))
     results = [(y, gamma_series(F, T, y, k, stride)) for y in starts]
@@ -254,7 +254,7 @@ def cmd_stab(config: dict, args) -> int:
                                    T.size, seed)
     # epsilon and eta are required; the integer keys are read here, and the
     # library checks epsilon, eta, n_min <= scan_limit and L < K
-    eps, eta = float(spec["epsilon"]), float(spec["eta"])
+    eps, eta = _float_param(spec["epsilon"], "epsilon"), _float_param(spec["eta"], "eta")
     n_min = _int_param(spec.get("n_min", 1), "n_min", 1)
     scan_limit = _int_param(spec.get("scan_limit", T.size), "scan_limit", 1)
     report: dict = {**meta, "observable": F.name, "epsilon": eps, "eta": eta,
@@ -278,7 +278,7 @@ def cmd_stab(config: dict, args) -> int:
     epsilons = spec.get("exceedance_epsilons", [eps])
     report["discrepancies"] = [  # one pass serves every pair
         {"K": rep.K, "L": rep.L, "sup_disc": rep.sup_disc,
-         **{f"exceedance@{e}": rep.exceedance(float(e)) for e in epsilons}}
+         **{f"exceedance@{e}": rep.exceedance(_float_param(e, "exceedance epsilon")) for e in epsilons}}
         for rep in sup_discrepancy(F, T, pairs)]
 
     out = Path(args.out)
@@ -314,14 +314,14 @@ def _approx_metrics(config: dict, spec: dict) -> dict:
     # keyed by the raw config values, so 1 and 1.0 are one entry; strings only in the report
     thickening, mismatch = {}, {}
     for iv in spec.get("closed_intervals", []):
-        C = ClosedSet(kind="intervals", intervals=(tuple(iv),))
-        eps = float(spec.get("thickening_epsilon", 2.0 / T.size))
+        C = ClosedSet(kind="intervals", intervals=(tuple(_float_param(e, "interval end") for e in iv),))
+        eps = _float_param(spec.get("thickening_epsilon", 2.0 / T.size), "thickening_epsilon")
         thickening[tuple(iv)] = thickening_measure_error(emb, C, eps)
     target = spec.get("target")
     if target:
         tau = _target_map(target)
         for eps in spec.get("mismatch_epsilons", [2.0 / T.size]):
-            mismatch[eps] = map_mismatch_fraction(emb, T, tau, float(eps))
+            mismatch[eps] = map_mismatch_fraction(emb, T, tau, _float_param(eps, "mismatch epsilon"))
     lengths = T.orbit_index.lengths
     return {**meta,
             "weak_star_errors": weak_star_error(emb, _monomial_tests(degree)),
@@ -339,11 +339,12 @@ def _approx_pipeline(spec: dict) -> dict:
     emb = grid_embedding(M)
     curve = []
     for delta in spec.get("deltas", [2.0 / M]):
-        T_delta, mismatches = synthesize_permutation(M, targets, float(delta))
+        delta = _float_param(delta, "delta")
+        T_delta, mismatches = synthesize_permutation(M, targets, delta)
         C, B = make_transitive(T_delta)
-        eps = float(spec.get("mismatch_epsilon", 10.0 * float(delta)))
+        eps = _float_param(spec.get("mismatch_epsilon", 10.0 * delta), "mismatch_epsilon")
         curve.append({
-            "delta": float(delta),
+            "delta": delta,
             "matcher_mismatch_count": mismatches,
             "cycle_count_before_merge": T_delta.orbit_index.lengths.size,
             "transitivity_mismatch": len(B),
@@ -359,7 +360,7 @@ def _target_map(spec: dict):
     if name == "identity":
         return lambda x: x
     if name == "rotation":
-        t = float(spec["t"])
+        t = _float_param(spec["t"], "t")
         if not np.isfinite(t):
             raise ConfigError(f"rotation t must be finite, got {t!r}")
         return lambda x: (x + t) % 1.0

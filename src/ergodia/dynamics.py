@@ -26,18 +26,20 @@ __all__ = [
     "OrbitIndex",
     "Observable",
     "MeanSeries",
-    "apply_power",
-    "orbit_and_period",
-    "cycle_decomposition",
     "ergodic_means_prefix",
     "orbit_average",
     "gamma_series",
 ]
 
-# The most means one start point's series may run to: gamma_series holds
-# floor(k*M) float64 prefix sums at once (2 GiB at the bound), and the band
-# scan of stabilization walks scan_limit means per point.
+# The most means one start point's series may run to, a bound on time:
+# gamma_series sums floor(k*M) values per start point, and the band scan of
+# stabilization walks scan_limit means per point.
 SERIES_BUDGET = 1 << 28
+
+# values per chunk the kernels handle at once (a run of gamma's prefix sums;
+# per horizon, rows of equal-length cycles or a tile of orbit rows), so their
+# temporaries stay bounded
+CHUNK_POINTS = 1 << 16
 
 
 # eq=False here and below: == is identity, as a field-wise == would take
@@ -49,7 +51,8 @@ class OrbitIndex:
     Canonical order: descending length, ties broken by smallest element,
     each cycle starting at its minimum.  Cycle c is
     order[starts[c] : starts[c] + lengths[c]], and slot is the inverse of
-    order: order[slot[y]] == y.  Equal-length cycles are contiguous, so
+    order: order[slot[y]] == y, and order itself when order is the identity.
+    Equal-length cycles are contiguous, so
     every length class is a (count, p) block of order.
     """
 
@@ -80,6 +83,8 @@ def _slots(points: np.ndarray, what: str) -> np.ndarray:
     # a slot left at -1 is a value that a repeated entry displaced
     if points.ndim != 1 or points.size == 0 or points.min() < 0 or points.max() >= points.size:
         raise ValueError(f"{what} is not a permutation of 0..M-1")
+    if (points[1:] > points[:-1]).all():  # in range and increasing: the identity, its own inverse
+        return points
     slot = np.full(points.size, -1, dtype=np.int64)
     slot[points] = np.arange(points.size, dtype=np.int64)
     if (slot < 0).any():
@@ -175,10 +180,11 @@ class FinitePermutation:
         return self._image
 
     def along(self, F: Observable) -> np.ndarray:
-        """F.values in orbit order, F.values[order], read-only; memoized for the last F."""
+        """F.values[order], read-only, and F.values itself if order is the identity; memoized for the last F."""
         memo = self._along
         if memo is None or memo[0] is not F:
-            values = F.values[self.orbit_index.order]
+            index = self.orbit_index
+            values = F.values if index.slot is index.order else F.values[index.order]
             values.setflags(write=False)
             memo = self._along = (F, values)
         return memo[1]
@@ -332,29 +338,6 @@ class MeanSeries:
 # -- operations -----------------------------------------------------------
 
 
-def apply_power(T: FinitePermutation, y: int, n: int) -> int:
-    """T^n(y); period-reduced, so cost is O(min(n, p(y)))."""
-    if not 0 <= y < T.size:
-        raise IndexError(f"point {y} out of range for size {T.size}")
-    if n < 0:
-        raise ValueError("power must be nonnegative")
-    if n == 0:
-        return y
-    cyc, pos = T.cycle_of(y)
-    return int(cyc[(pos + n) % len(cyc)])
-
-
-def orbit_and_period(T: FinitePermutation, y: int) -> tuple[list[int], int]:
-    """The T-orbit of y starting at y, and its period p(y)."""
-    cyc, pos = T.cycle_of(y)
-    return np.roll(cyc, -pos).tolist(), len(cyc)
-
-
-def cycle_decomposition(T: FinitePermutation) -> list[list[int]]:
-    """Disjoint cycles covering Y, lengths descending (including fixed points)."""
-    return [c.tolist() for c in T.cycles]
-
-
 def ergodic_means_prefix(
     F: Observable,
     T: FinitePermutation,
@@ -402,9 +385,11 @@ def gamma_series(
     The default stride caps the output at ~1e5 points; the stride actually
     used is returned so output metadata can record it.  The values along
     the orbit are copied out of y's cycle in T.along(F), so F is never
-    gathered at random.  Only the prefix sums run over all n_total steps;
-    the means are divided out at the stride points alone, each as the same
-    quotient ergodic_means_prefix forms.
+    gathered at random, CHUNK_POINTS at a time.  The prefix sums run over
+    all n_total steps in one sequential cumsum per chunk that carries the
+    running sum, and only the sums at the stride points are kept, so memory
+    is one chunk plus the output; the means are divided out at the stride
+    points alone, each as the same quotient ergodic_means_prefix forms.
     """
     M = T.size
     if not (np.isfinite(k) and k * M >= 1):
@@ -418,8 +403,16 @@ def gamma_series(
         raise ValueError(f"stride must be in [1, floor(k*M)] = [1, {n_total}], got {stride}")
     cyc, pos = T.cycle_of(y)
     start = T.orbit_index.slot[y] - pos
-    sums = _cyclic_run(T.along(F)[start : start + cyc.size], pos, n_total)
-    np.cumsum(sums, out=sums)
+    run = T.along(F)[start : start + cyc.size]
+    kept = np.empty(n_total // stride)
+    for lo in range(0, n_total, CHUNK_POINTS):
+        hi = min(lo + CHUNK_POINTS, n_total)
+        sums = _cyclic_run(run, (pos + lo) % cyc.size, hi - lo)
+        if lo:  # only past the first chunk: 0.0 + -0.0 would lose the sign of a zero
+            sums[0] += carry
+        carry = np.cumsum(sums, out=sums)[-1]
+        # sums[i] is the sum of n = lo + i + 1 values; keep the n that stride divides
+        kept[lo // stride : hi // stride] = sums[stride - 1 - lo % stride :: stride]
     ns = np.arange(stride, n_total + 1, stride, dtype=np.int64)
-    points = np.column_stack([ns.astype(np.float64), ns / M, sums[ns - 1] / ns])
+    points = np.column_stack([ns.astype(np.float64), ns / M, kept / ns])
     return points, stride

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import SERIES_BUDGET, FinitePermutation, Observable
+from .dynamics import CHUNK_POINTS, SERIES_BUDGET, FinitePermutation, Observable
 from .rng import SplitMix64
 
 __all__ = [
@@ -91,11 +91,6 @@ class CommonSegment:
     capped: bool
     eta: float
     excluded_fraction: float
-
-
-# values per chunk the kernels handle at once, per horizon (rows of
-# equal-length cycles, or a tile of orbit rows), so their temporaries stay bounded
-CHUNK_POINTS = 1 << 16
 
 
 def _row_means(F: Observable, T: FinitePermutation, horizons: Sequence[int]):
@@ -265,7 +260,10 @@ def common_stabilization_segment(seg: StabilizationSegment, eta: float) -> Commo
     needed = int(np.ceil((1.0 - eta) * seg.points.size))
     k_star = int(np.sort(seg.K_star)[::-1][needed - 1])
     included = seg.K_star >= k_star
-    return CommonSegment(K_star=k_star, witness=float(np.median(seg.witness[included])),
+    # the median as np.median forms it, the mean of the middle one or two
+    # values, read from a sort: np.median's first call imports numpy.ma
+    w = np.sort(seg.witness[included])
+    return CommonSegment(K_star=k_star, witness=float(np.mean(w[(w.size - 1) // 2 : w.size // 2 + 1])),
                          capped=k_star >= seg.scan_limit, eta=eta,
                          excluded_fraction=float(np.mean(~included)))
 

@@ -280,6 +280,13 @@ def _int_param(value, key: str, minimum: int) -> int:
     return int(value)
 
 
+def _float_param(value, key: str) -> float:
+    """value as a float; booleans and strings do not pass, though float() reads True and "0.5"."""
+    if isinstance(value, (bool, str)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def paper_observable(name: str, M: int, **params) -> Observable:
     """The named closed-form observable on {0, ..., M-1}.
 
@@ -344,7 +351,7 @@ def paper_observable(name: str, M: int, **params) -> Observable:
         return Observable(M, vals, name="chi0")
     if name == "constant":
         c = params.get("value")
-        if c is None or not np.isfinite(float(c)):
+        if c is None or not np.isfinite(_float_param(c, "constant value")):
             raise ValueError(f"constant needs a finite value, got {c!r}")
         return Observable(M, np.full(M, float(c)), name=f"constant({c})")
     raise ValueError(f"unknown observable {name!r}")

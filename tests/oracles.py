@@ -18,6 +18,27 @@ def permutation_from_cycles(cycles, size):
     return FinitePermutation(image)
 
 
+def apply_power(T, y, n):
+    """T^n(y), read from the cycle of y at position pos + n mod p(y)."""
+    if not 0 <= y < T.size:
+        raise IndexError(f"point {y} out of range for size {T.size}")
+    if n < 0:
+        raise ValueError("power must be nonnegative")
+    cyc, pos = T.cycle_of(y)
+    return int(cyc[(pos + n) % len(cyc)])
+
+
+def orbit_and_period(T, y):
+    """The T-orbit of y starting at y, and its period p(y)."""
+    cyc, pos = T.cycle_of(y)
+    return np.roll(cyc, -pos).tolist(), len(cyc)
+
+
+def cycle_decomposition(T):
+    """Disjoint cycles covering Y as lists, in the canonical order of T.cycles."""
+    return [c.tolist() for c in T.cycles]
+
+
 def tent_function(x):
     """The tent observable at one point of the circle: 10x/9 on [0, 0.9), 10(1-x) on [0.9, 1)."""
     x = x % 1.0

@@ -229,11 +229,15 @@ def small_stab_config():
     ("random", True),
     ("n_min", True),
     ("pairs", [[40, True]]),
+    ("epsilon", True),
+    ("exceedance_epsilons", [True]),
+    ("epsilon", "0.05"),
 ], ids=["epsilon-nan", "exceedance-epsilon-nan", "epsilon-string", "eta-string",
         "scan-limit-fraction", "n-min-fraction", "per-point-limit-fraction", "pair-K-fraction",
         "pair-L-fraction", "pair-not-a-pair", "seed-string", "random-fraction",
         "unknown-key", "scan-limit-over-budget", "epsilon-inf", "constant-sums-overflow",
-        "random-bool", "n-min-bool", "pair-L-bool"])
+        "random-bool", "n-min-bool", "pair-L-bool", "epsilon-bool", "exceedance-epsilon-bool",
+        "epsilon-numeric-string"])
 def test_malformed_stab_config_is_config_error(tmp_path, capsys, recwarn, key, value):
     payload = small_stab_config()
     if key in ("seed", "observable"):
@@ -407,6 +411,11 @@ def test_approx_metrics_on_bernoulli_is_config_error(tmp_path, capsys):
     ("start_points", {"explicit": [True]}),
     ("gamma", {"k": 1.0, "stride": True}),
     ("observable", {"name": "ex03", "K": True}),
+    ("gamma", {"k": True}),
+    ("gamma", {"k": "1.0"}),
+    ("observable", {"name": "constant", "value": True}),
+    ("observable", {"name": "constant", "value": "0.5"}),
+    ("system", {"name": "rotation", "M": 200, "t": False}),
 ], ids=["k-zero", "stride-zero", "drift-no-M", "rotation-no-M", "bernoulli-no-m",
         "bernoulli-no-N", "ex03-K-zero", "stride-not-int", "stride-list", "random-not-int",
         "drift-M-fraction", "rotation-M-fraction", "bernoulli-N-fraction", "bernoulli-m-fraction",
@@ -418,7 +427,8 @@ def test_approx_metrics_on_bernoulli_is_config_error(tmp_path, capsys):
         "stratified-and-random", "explicit-and-random", "explicit-and-stratified",
         "extras-with-random", "extras-with-explicit", "k-overflows-horizon", "k-over-budget",
         "constant-nan", "constant-inf", "constant-minus-inf", "stride-above-horizon",
-        "constant-sums-overflow", "explicit-bool", "stride-bool", "ex03-K-bool"])
+        "constant-sums-overflow", "explicit-bool", "stride-bool", "ex03-K-bool", "k-bool",
+        "k-numeric-string", "constant-value-bool", "constant-value-numeric-string", "rotation-t-bool"])
 def test_malformed_gamma_config_is_config_error(tmp_path, capsys, recwarn, section, spec):
     payload = small_gamma_config()
     payload[section] = spec
@@ -428,6 +438,19 @@ def test_malformed_gamma_config_is_config_error(tmp_path, capsys, recwarn, secti
     err = assert_config_error(capsys, ["gamma", "--config", cfg, "--out", str(tmp_path / "o")])
     if spec == OVERFLOWING:
         assert_refused_before_any_kernel(err, recwarn)
+
+
+def test_gamma_of_a_negative_zero_constant_writes_negative_zeros(tmp_path, monkeypatch):
+    # several chunks of the carried prefix sum, and no +0 from a carry of 0.0
+    from ergodia import dynamics
+
+    monkeypatch.setattr(dynamics, "CHUNK_POINTS", 7)
+    payload = small_gamma_config()
+    payload["observable"] = {"name": "constant", "value": -0.0}
+    out = tmp_path / "o"
+    assert main(["gamma", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
+    rows = (out / "gamma_constant(-0.0)_y7.csv").read_text().splitlines()[1:]
+    assert len(rows) == 200 and {r.rsplit(",", 1)[1] for r in rows} == {"-0"}
 
 
 def test_integral_floats_pass_as_integers(tmp_path):
@@ -516,13 +539,22 @@ def test_approx_pipeline_report(tmp_path):
     {"mode": "metrics", "target": {"name": "rotation", "t": float("inf")}},
     {"mode": "metrics", "target": {"name": "rotation", "t": float("-inf")}},
     {"mode": "pipeline", "M": 100, "mismatch_epsilon": float("inf")},
+    {"mode": "pipeline", "M": 100, "deltas": [True]},
+    {"mode": "pipeline", "M": 100, "deltas": ["0.01"]},
+    {"mode": "pipeline", "M": 100, "mismatch_epsilon": True},
+    {"mode": "pipeline", "M": 100, "target": {"name": "rotation", "t": True}},
+    {"mode": "metrics", "target": {"name": "identity"}, "mismatch_epsilons": [True]},
+    {"mode": "metrics", "closed_intervals": [[0.2, 0.4]], "thickening_epsilon": True},
+    {"mode": "metrics", "closed_intervals": [[False, True]]},
 ], ids=["pipeline-no-M", "M-not-int", "M-zero", "delta-zero", "rotation-no-t",
         "interval-not-pair", "mismatch-epsilon-zero", "thickening-epsilon-nan",
         "mismatch-epsilons-nan", "pipeline-mismatch-epsilon-nan", "interval-nan-endpoint",
         "interval-endpoint-above-1", "interval-endpoint-below-0", "degree-fraction",
         "degree-negative", "pipeline-M-fraction", "approx-list", "metrics-target-string",
         "pipeline-target-string", "target-unknown-key", "unknown-key", "rotation-t-nan",
-        "rotation-t-inf", "rotation-t-minus-inf", "pipeline-mismatch-epsilon-inf"])
+        "rotation-t-inf", "rotation-t-minus-inf", "pipeline-mismatch-epsilon-inf", "delta-bool",
+        "delta-numeric-string", "pipeline-mismatch-epsilon-bool", "rotation-t-bool",
+        "mismatch-epsilons-bool", "thickening-epsilon-bool", "interval-bool-ends"])
 def test_malformed_approx_config_is_config_error(tmp_path, capsys, approx):
     cfg = write_config(tmp_path, {"system": {"name": "drift", "M": 100}, "approx": approx})
     assert_config_error(capsys, ["approx", "--config", cfg, "--out", str(tmp_path / "o")])

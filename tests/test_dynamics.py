@@ -5,18 +5,17 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
+from ergodia import dynamics
 from ergodia.dynamics import (
     FinitePermutation,
     Observable,
-    apply_power,
-    cycle_decomposition,
     ergodic_means_prefix,
     gamma_series,
-    orbit_and_period,
     orbit_average,
 )
 from ergodia.rng import SplitMix64
-from oracles import permutation_from_cycles
+from ergodia.systems import build_bernoulli, build_drift_system, build_rotation, paper_observable
+from oracles import apply_power, cycle_decomposition, orbit_and_period, permutation_from_cycles
 
 
 def random_permutation(M, seed):
@@ -38,6 +37,8 @@ def test_rejects_non_permutation():
         FinitePermutation([0, 1, 3])
     with pytest.raises(ValueError):
         FinitePermutation([-1, 0, 1])
+    with pytest.raises(ValueError):  # ascending like the identity, but with a repeat
+        FinitePermutation([0, 1, 1])
 
 
 def test_identity_cycles():
@@ -232,6 +233,49 @@ def test_gamma_series_bitwise_equals_prefix_means():
             means = ergodic_means_prefix(F, T, y, n_total).means
             assert pts[:, 0].tolist() == ns.tolist()
             assert pts[:, 2].tobytes() == means[ns - 1].tobytes()
+
+
+GAMMA_CASES = {
+    # short cycles (periods 1, 3 and 7) far past one period
+    "naive-N3": (lambda: build_bernoulli(2, 3, "naive").permutation,
+                 lambda M: paper_observable("chi0", M, N=3), 3.0),
+    "rotation-1001": (lambda: build_rotation(1001, 0.3).permutation,
+                      lambda M: paper_observable("tent", M), 2.5),
+    "drift-997": (lambda: build_drift_system(997)[0], lambda M: paper_observable("ex03", M, K=10), 1.7),
+    "drift-997-normal": (lambda: build_drift_system(997)[0],
+                         lambda M: Observable.from_values(np.random.default_rng(3).standard_normal(M)), 2.2),
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, dynamics.CHUNK_POINTS])
+@pytest.mark.parametrize("name", sorted(GAMMA_CASES))
+def test_gamma_series_in_chunks_is_bitwise_the_prefix_means(monkeypatch, chunk, name):
+    # the carried sum crosses cycle wraps and stride points, and every mean
+    # is still ergodic_means_prefix's float
+    monkeypatch.setattr(dynamics, "CHUNK_POINTS", chunk)
+    make_T, make_F, k = GAMMA_CASES[name]
+    T = make_T()
+    F, index = make_F(T.size), T.orbit_index
+    n_total = int(np.floor(k * T.size))
+    last_slot = int(index.order[index.lengths[0] - 1])  # the last point of the first cycle
+    last_head = int(index.order[index.starts[-1]])  # the head of the last cycle
+    for y in {0, last_slot, last_head, T.size - 1}:
+        means = ergodic_means_prefix(F, T, y, n_total).means
+        for stride in (1, 3, n_total):
+            pts, _ = gamma_series(F, T, y, k, stride)
+            ns = np.arange(stride, n_total + 1, stride)
+            assert pts[:, 0].tolist() == ns.tolist()
+            assert pts[:, 2].tobytes() == means[ns - 1].tobytes()
+
+
+@pytest.mark.parametrize("chunk", [1, 7, dynamics.CHUNK_POINTS])
+def test_gamma_of_a_negative_zero_keeps_its_sign_across_chunks(monkeypatch, chunk):
+    # the first chunk adds no carry: 0.0 + -0.0 would be +0.0
+    monkeypatch.setattr(dynamics, "CHUNK_POINTS", chunk)
+    T = build_drift_system(50)[0]
+    F = paper_observable("constant", 50, value=-0.0)
+    pts, _ = gamma_series(F, T, 7, 2.0, 1)
+    assert np.signbit(pts[:, 2]).all() and not pts[:, 2].any()
 
 
 def test_gamma_series_rejects_out_of_range_start():

@@ -103,10 +103,40 @@ def test_rotation_permutation_is_cached():
     ([-1, 0, 1], [3]),             # a negative entry, which a scatter would wrap to M - 1
     ([0, 1, 3], [3]),              # an entry equal to M
     ([0, 2, 1, 2], [4]),           # 2 repeated within the one cycle, 3 missing
+    ([0, 1, 2, 2], [4]),           # ascending but not strictly: a repeat, not the identity
 ])
 def test_from_cycle_order_rejects_non_canonical(order, lengths):
     with pytest.raises(ValueError):
         FinitePermutation.from_cycle_order(order, lengths)
+
+
+SHARED = {
+    "drift": lambda: build_drift_system(4000)[0],
+    "identity": lambda: FinitePermutation.identity(4000),
+    "identity-from-image": lambda: FinitePermutation(np.arange(4000)),
+    # T swaps 0 and 1, yet its order, the 2-cycle then the fixed points, is 0, 1, 2, ...
+    "swap-0-1": lambda: FinitePermutation(np.r_[1, 0, np.arange(2, 4000)]),
+}
+COPIED = {
+    "rotation": lambda: build_rotation(4000, 0.3).permutation,
+    "shuffled": lambda: FinitePermutation(np.random.default_rng(2).permutation(4000)),
+    "swap-1-2": lambda: FinitePermutation(np.r_[0, 2, 1, np.arange(3, 4000)]),  # order 1, 2, 0, 3, ...
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHARED) + sorted(COPIED))
+def test_an_identity_order_is_its_own_inverse_and_the_memo_shares_the_values(name):
+    # an identity order serves as its own slot, and its orbit-order values are
+    # F.values itself; any other order keeps its own inverse and its own copy
+    T = {**SHARED, **COPIED}[name]()
+    index = T.orbit_index
+    F = Observable.from_values(np.random.default_rng(6).standard_normal(T.size))
+    assert np.array_equal(index.order[index.slot], np.arange(T.size))
+    assert np.array_equal(T.along(F), F.values[index.order])
+    assert not index.slot.flags.writeable and not T.along(F).flags.writeable
+    shared = name in SHARED
+    assert (index.slot is index.order) == shared
+    assert (T.along(F) is F.values) == shared
 
 
 # -- metamorphic: relabelling Y changes no answer ---------------------------

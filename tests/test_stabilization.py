@@ -1,5 +1,8 @@
 """Discrepancies, proof bounds, and stabilization segments."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -238,6 +241,32 @@ def test_common_segment_order_statistic():
     assert seg.K_star == sorted(per, reverse=True)[needed - 1]
     assert seg.excluded_fraction == pytest.approx(
         sum(k < seg.K_star for k in per) / len(sample))
+
+
+@pytest.mark.parametrize("witness", [
+    [0.3], [2.0, -1.0], [0.1, 0.7, 0.2], [5.0, 5.0, 5.0, 5.0], [-0.0, 0.0], [0.0, -0.0, -0.0],
+    list(np.random.default_rng(9).standard_normal(101)),
+    list(np.random.default_rng(9).standard_normal(100) * 1e3),
+], ids=["one", "two", "odd", "equal", "signed-zeros-even", "signed-zeros-odd", "odd-101",
+        "even-100"])
+def test_common_segment_witness_is_bitwise_np_median(witness):
+    # every point included, so the witness is the median of all of them
+    w = np.asarray(witness)
+    seg = stabilization.StabilizationSegment(
+        points=np.arange(w.size), K_star=np.full(w.size, 9), witness=w,
+        capped=np.zeros(w.size, dtype=bool), n_min=1, eps=0.1, scan_limit=10)
+    got = common_stabilization_segment(seg, 0.5).witness
+    assert np.float64(got).tobytes() == np.median(w).tobytes()
+
+
+def test_common_segment_imports_no_numpy_ma():
+    # np.median's first call imports numpy.ma; a stab run needs no median of its own
+    code = ("import sys, numpy as np; from ergodia.stabilization import *;"
+            "from ergodia.systems import build_bernoulli, paper_observable;"
+            "T = build_bernoulli(2, 4, 'naive').permutation; F = paper_observable('chi0', T.size, N=4);"
+            "common_stabilization_segment(stabilization_segment(F, T, range(50), 5, 0.2, 100), 0.1);"
+            "assert 'numpy.ma' not in sys.modules")
+    subprocess.run([sys.executable, "-c", code], check=True)
 
 
 def test_common_segment_validation():
