@@ -19,7 +19,6 @@ from .integrability import (
     average,
     family_profile,
     integrability_profile,
-    small_set_mass,
     tail_mass,
 )
 from .stabilization import (
@@ -27,7 +26,6 @@ from .stabilization import (
     DiscrepancyReport,
     StabilizationSegment,
     common_stabilization_segment,
-    exceedance_fraction,
     means_at_horizon,
     proof_terms,
     stabilization_segment,
@@ -42,7 +40,6 @@ from .approximation import (
     interval_space,
     make_transitive,
     map_mismatch_fraction,
-    split_into_n_cycles,
     symbolic_space,
     synthesize_permutation,
     thickening_measure_error,

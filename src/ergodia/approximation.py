@@ -36,7 +36,6 @@ __all__ = [
     "synthesize_permutation",
     "arc_matcher",
     "make_transitive",
-    "split_into_n_cycles",
 ]
 
 
@@ -430,21 +429,3 @@ def make_transitive(T: FinitePermutation) -> tuple[FinitePermutation, list[int]]
     B = np.flatnonzero(C.image != T.image).tolist()
     return C, B
 
-
-def split_into_n_cycles(T: FinitePermutation, n: int) -> tuple[list[int], dict[int, int]]:
-    """Trim each cycle to a multiple of n and cut it into consecutive n-cycles.
-
-    A cycle of length n_i = n*q_i + r_i loses its last r_i elements (they
-    are dropped from the kept set).  Returns (kept index list, image map on
-    the kept set); every orbit of the returned map has length exactly n.
-    An n larger than every cycle length yields an empty kept set.
-    """
-    if n < 1:
-        raise ValueError("target period must be >= 1")
-    kept: list[int] = []
-    image: dict[int, int] = {}
-    for cyc in T.cycles:
-        blocks = cyc[: len(cyc) // n * n].reshape(-1, n)
-        kept.extend(blocks.ravel().tolist())
-        image.update(zip(blocks.ravel().tolist(), np.roll(blocks, -1, axis=1).ravel().tolist()))
-    return kept, image

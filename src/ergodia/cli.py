@@ -157,19 +157,21 @@ def _seed(config: dict, args) -> int:
 WRITE_CHUNK_ROWS = 8192
 
 
-def _write_csv(path: Path, header: list[str], rows: np.ndarray) -> None:
-    """rows: a 2-d array, its first column integer-valued, the rest floats.
+def _templates(line: str, cols: np.ndarray) -> list[str]:
+    """line per row of cols, a string per WRITE_CHUNK_ROWS rows; a "%%.12g" in line comes out as
+    the "%.12g" field of the column that varies, since the filled-in digits hold no '%'."""
+    return [(line * len(c)) % tuple(c.ravel().tolist())
+            for c in (cols[i : i + WRITE_CHUNK_ROWS] for i in range(0, len(cols), WRITE_CHUNK_ROWS))]
 
-    Bytes as _fmt writes each value; "%.12g" and format(x, ".12g") share
-    one float-to-string routine.
-    """
-    line = "%d" + ",%.12g" * (rows.shape[1] - 1) + "\n"
+
+def _write_csv(path: Path, header: list[str], rows: tuple[list[str], np.ndarray]) -> None:
+    """rows: (the _templates of the shared columns, the column that varies).  Bytes as _fmt
+    writes each value; "%.12g" and format(x, ".12g") share one float-to-string routine."""
+    templates, column = rows
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for first in range(0, len(rows), WRITE_CHUNK_ROWS):
-            chunk = rows[first : first + WRITE_CHUNK_ROWS]
-            cols = [chunk[:, 0].astype(np.int64).tolist()] + [c.tolist() for c in chunk.T[1:]]
-            fh.write("".join(map(line.__mod__, zip(*cols))))
+        for t, first in zip(templates, range(0, len(column), WRITE_CHUNK_ROWS), strict=True):
+            fh.write(t % tuple(column[first : first + WRITE_CHUNK_ROWS].tolist()))
 
 
 def _write_json(path: Path, obj) -> None:
@@ -178,10 +180,15 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(text + "\n", encoding="utf-8")
 
 
-def _write_svg(path: Path, points: np.ndarray, k: float, title: str, timestamp: bool) -> None:
-    """Self-contained scatter plot of (n/M, A_n); axes [0, k] x auto."""
+def _circles(xs: np.ndarray, k: float) -> list[str]:
+    """_write_svg's <circle> templates for abscissae n/M on [0, k]: cx = pad + (x/k) * (width - 2*pad)."""
+    return _templates('<circle cx="%.12g" cy="%%.12g" r="1.2" fill="navy"/>\n', 50 + (xs / k) * 540)
+
+
+def _write_svg(path: Path, rows: tuple, k: float, title: str, timestamp: bool) -> None:
+    """Self-contained scatter plot of (n/M, A_n); axes [0, k] x auto.  rows: (_circles, A_n)."""
     width, height, pad = 640, 480, 50
-    ys = points[:, 2]
+    circles, ys = rows
     ylo, yhi = float(np.min(ys)), float(np.max(ys))
     if yhi - ylo < 1e-12:
         ylo, yhi = ylo - 0.5, yhi + 0.5
@@ -202,15 +209,12 @@ def _write_svg(path: Path, points: np.ndarray, k: float, title: str, timestamp: 
     parts.append(f'<text x="{width - pad}" y="{height - pad + 20}" font-size="11">{_fmt(k)}</text>')
     parts.append(f'<text x="4" y="{height - pad}" font-size="11">{_fmt(ylo)}</text>')
     parts.append(f'<text x="4" y="{pad}" font-size="11">{_fmt(yhi)}</text>')
-    circle = '<circle cx="%.12g" cy="%.12g" r="1.2" fill="navy"/>\n'
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(parts) + "\n")
-        for first in range(0, len(points), WRITE_CHUNK_ROWS):
-            chunk = points[first : first + WRITE_CHUNK_ROWS]
+        for t, first in zip(circles, range(0, len(ys), WRITE_CHUNK_ROWS), strict=True):
             # the plot transform, elementwise in the same IEEE operations per point
-            cx = pad + (chunk[:, 1] / k) * (width - 2 * pad)
-            cy = (height - pad) - ((chunk[:, 2] - ylo) / span) * (height - 2 * pad)
-            fh.write("".join(map(circle.__mod__, zip(cx.tolist(), cy.tolist()))))
+            cy = (height - pad) - ((ys[first : first + WRITE_CHUNK_ROWS] - ylo) / span) * (height - 2 * pad)
+            fh.write(t % tuple(cy.tolist()))
         fh.write("</svg>\n")
 
 
@@ -232,11 +236,15 @@ def cmd_gamma(config: dict, args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
+    # every start point has the same stride and floor(k*M), so n and n/M are formatted once
+    shared = results[0][1][0][:, :2] if results else np.empty((0, 2))
+    rows = _templates("%d,%.12g,%%.12g\n", shared)
+    circles = _circles(shared[:, 1], k) if args.svg else None
     for y, (points, used_stride) in results:
         base = f"gamma_{F.name.replace('/', '_')}_y{y}"  # a name may hold a '.'
-        _write_csv(out / f"{base}.csv", ["n", "n_over_M", "mean"], points)
+        _write_csv(out / f"{base}.csv", ["n", "n_over_M", "mean"], (rows, points[:, 2]))
         if args.svg:
-            _write_svg(out / f"{base}.svg", points, k,
+            _write_svg(out / f"{base}.svg", (circles, points[:, 2]), k,
                        f"Gamma series, y={y}, stride={used_stride}", timestamp=not args.no_timestamp)
     _write_json(out / "gamma_meta.json",
                 {**meta, "observable": F.name, "k": k,

@@ -135,7 +135,7 @@ class FinitePermutation:
 
     @classmethod
     def identity(cls, size: int) -> "FinitePermutation":
-        return cls(np.arange(size, dtype=np.int64), validate=False)
+        return cls.from_cycle_order(np.arange(size, dtype=np.int64), np.ones(size, dtype=np.int64))
 
     @classmethod
     def from_cycle_order(cls, order, lengths) -> "FinitePermutation":

@@ -11,7 +11,7 @@ its tail masses still vanishes as k grows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -21,7 +21,6 @@ __all__ = [
     "IntegrabilityProfile",
     "average",
     "tail_mass",
-    "small_set_mass",
     "integrability_profile",
     "family_profile",
     "default_thresholds",
@@ -56,16 +55,6 @@ def tail_mass(F: Observable, k: float) -> float:
         raise ValueError("threshold must be positive")
     a = np.abs(F.values)
     return float(np.sum(a[a > k]) / F.size)
-
-
-def small_set_mass(F: Observable, A: Iterable[int]) -> float:
-    """(1/M) * sum_{y in A} |F(y)| for a subset A of Y."""
-    idx = np.asarray(list(A), dtype=np.int64)
-    if idx.size == 0:
-        return 0.0
-    if idx.min() < 0 or idx.max() >= F.size:
-        raise IndexError("subset contains points outside 0..M-1")
-    return float(np.sum(np.abs(F.values[idx])) / F.size)
 
 
 def default_thresholds(F: Observable) -> np.ndarray:

@@ -33,7 +33,6 @@ __all__ = [
     "means_at_horizon",
     "sup_discrepancy",
     "proof_terms",
-    "exceedance_fraction",
     "stabilization_segment",
     "common_stabilization_segment",
     "stratified_start_points",
@@ -169,11 +168,6 @@ def proof_terms(F: Observable, T: FinitePermutation, K: int, L: int) -> tuple[np
     absF = Observable.from_values(np.abs(F.values))
     absK, absL = means_at_horizon(absF, T, K), means_at_horizon(absF, T, L)
     return (1.0 / L - 1.0 / K) * absL * L, absK - absL * L / K
-
-
-def exceedance_fraction(F: Observable, T: FinitePermutation, K: int, L: int, eps: float) -> float:
-    """(1/M) * |{y : |A_K - A_L| >= eps}|, exact over all of Y."""
-    return sup_discrepancy(F, T, [(K, L)])[0].exceedance(eps)
 
 
 def _band_ends(F: Observable, T: FinitePermutation, points: np.ndarray, n_min: int,

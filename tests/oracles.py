@@ -7,6 +7,7 @@ Nothing in the library calls these; tests import them with
 import numpy as np
 
 from ergodia.dynamics import FinitePermutation, Observable, ergodic_means_prefix
+from ergodia.stabilization import sup_discrepancy
 
 
 def permutation_from_cycles(cycles, size):
@@ -37,6 +38,39 @@ def orbit_and_period(T, y):
 def cycle_decomposition(T):
     """Disjoint cycles covering Y as lists, in the canonical order of T.cycles."""
     return [c.tolist() for c in T.cycles]
+
+
+def exceedance_fraction(F, T, K, L, eps):
+    """(1/M) * |{y : |A_K - A_L| >= eps}|, exact over all of Y."""
+    return sup_discrepancy(F, T, [(K, L)])[0].exceedance(eps)
+
+
+def split_into_n_cycles(T, n):
+    """Trim each cycle to a multiple of n and cut it into consecutive n-cycles.
+
+    A cycle of length n_i = n*q_i + r_i loses its last r_i elements (they
+    are dropped from the kept set).  Returns (kept index list, image map on
+    the kept set); every orbit of the returned map has length exactly n.
+    An n larger than every cycle length yields an empty kept set.
+    """
+    if n < 1:
+        raise ValueError("target period must be >= 1")
+    kept, image = [], {}
+    for cyc in T.cycles:
+        blocks = cyc[: len(cyc) // n * n].reshape(-1, n)
+        kept.extend(blocks.ravel().tolist())
+        image.update(zip(blocks.ravel().tolist(), np.roll(blocks, -1, axis=1).ravel().tolist()))
+    return kept, image
+
+
+def small_set_mass(F, A):
+    """(1/M) * sum_{y in A} |F(y)| for a subset A of Y."""
+    idx = np.asarray(list(A), dtype=np.int64)
+    if idx.size == 0:
+        return 0.0
+    if idx.min() < 0 or idx.max() >= F.size:
+        raise IndexError("subset contains points outside 0..M-1")
+    return float(np.sum(np.abs(F.values[idx])) / F.size)
 
 
 def tent_function(x):

@@ -26,7 +26,7 @@ from ergodia.systems import (
     grid_embedding,
     paper_observable,
 )
-from oracles import hall_deficiency_oracle, tent_function, three_point_average
+from oracles import exceedance_fraction, hall_deficiency_oracle, tent_function, three_point_average
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -77,7 +77,7 @@ def test_criterion_03_block_observable_phenomenon():
     M, K = 100_000, 1000
     T, _ = build_drift_system(M)
     F = paper_observable("ex03", M, K=K)
-    exc = ergodia.exceedance_fraction(F, T, K, K // 2, 0.25)
+    exc = exceedance_fraction(F, T, K, K // 2, 0.25)
     sample = ergodia.stratified_start_points(M, 100, 25, 0)
     common = ergodia.common_stabilization_segment(
         ergodia.stabilization_segment(F, T, sample, 50, 0.05, K), 0.05)

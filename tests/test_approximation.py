@@ -15,7 +15,6 @@ from ergodia.approximation import (
     interval_space,
     make_transitive,
     map_mismatch_fraction,
-    split_into_n_cycles,
     symbolic_space,
     synthesize_permutation,
     thickening_measure_error,
@@ -25,7 +24,7 @@ from ergodia.dynamics import FinitePermutation
 from ergodia.rng import SplitMix64
 from ergodia.systems import grid_embedding
 from oracles import (augmenting_path_matcher, hall_deficiency_oracle, permutation_from_cycles,
-                     target_ranges_loop)
+                     split_into_n_cycles, target_ranges_loop)
 
 
 # -- metric space models ---------------------------------------------------

@@ -10,10 +10,10 @@ from ergodia.integrability import (
     default_thresholds,
     family_profile,
     integrability_profile,
-    small_set_mass,
     tail_mass,
 )
 from ergodia.systems import paper_observable
+from oracles import small_set_mass
 
 
 def test_average_exact_small():

@@ -60,6 +60,7 @@ SYSTEMS = {
     "naive-prime-L": lambda: naive(2, 3),      # L = 7: periods 1 and 7
     "naive-composite-L": lambda: naive(2, 4),  # L = 9: periods 1, 3 and 9
     "naive-ternary": lambda: naive(3, 1),      # L = 3 over three symbols
+    "identity": lambda: (FinitePermutation.identity(1000), np.arange(1000)),
 }
 
 
@@ -77,6 +78,21 @@ def test_constructor_index_equals_generic_walk(name):
         assert np.array_equal(getattr(built, field), getattr(ref, field)), field
     for y in range(0, T.size, max(1, T.size // 50)):
         assert T.period(y) == walked.period(y)
+
+
+@pytest.mark.parametrize("M", [1, 2, 1000])
+def test_identity_knows_its_fixed_points_without_a_walk(M):
+    T = FinitePermutation.identity(M)
+    index = T.orbit_index
+    assert index.slot is index.order
+    assert np.array_equal(index.order, np.arange(M)) and np.array_equal(index.lengths, np.ones(M))
+    assert np.array_equal(T.image, np.arange(M))
+    assert all(T.period(y) == 1 for y in range(M))
+
+
+def test_identity_of_no_points_is_refused():
+    with pytest.raises(ValueError):
+        FinitePermutation.identity(0)
 
 
 def test_expected_cycle_counts():

@@ -12,7 +12,6 @@ from ergodia import stabilization
 from ergodia.rng import SplitMix64
 from ergodia.stabilization import (
     common_stabilization_segment,
-    exceedance_fraction,
     means_at_horizon,
     proof_terms,
     stabilization_segment,
@@ -20,8 +19,8 @@ from ergodia.stabilization import (
     sup_discrepancy,
 )
 from ergodia.systems import build_bernoulli, build_drift_system, build_rotation, paper_observable
-from oracles import (band_end_loop, common_segment_loop, horizon_means_loop, permutation_from_cycles,
-                     reference_psi, sup_discrepancy_two_pass)
+from oracles import (band_end_loop, common_segment_loop, exceedance_fraction, horizon_means_loop,
+                     permutation_from_cycles, reference_psi, sup_discrepancy_two_pass)
 
 
 def random_system(M, seed, lo=-50, hi=50):

@@ -1,12 +1,18 @@
-"""The chunked CSV/SVG writers against the per-row writers they replace."""
+"""The chunked CSV/SVG writers, filling in per-job templates, against the per-row writers they replace."""
 
+import hashlib
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ergodia import cli
-from ergodia.cli import _fmt, _write_csv, _write_svg
+from ergodia.cli import _circles, _fmt, _templates, _write_csv, _write_svg
+from ergodia.dynamics import SERIES_BUDGET, gamma_series
+from ergodia.systems import build_bernoulli, paper_observable
+
+HEADER = ["n", "n_over_M", "mean"]
 
 
 def per_row_csv(path: Path, header, points) -> None:
@@ -49,6 +55,15 @@ def per_point_svg(path: Path, points, k, title) -> None:
     path.write_text("\n".join(parts) + "\n", encoding="utf-8")
 
 
+def csv_rows(points):
+    """(templates, means) for _write_csv, as cmd_gamma builds them."""
+    return _templates("%d,%.12g,%%.12g\n", points[:, :2]), points[:, 2]
+
+
+def svg_rows(points, k):
+    return _circles(points[:, 1], k), points[:, 2]
+
+
 def gamma_points(count: int, M: int, seed: int) -> np.ndarray:
     """Rows (n, n/M, mean) whose means span signs and many magnitudes."""
     rng = np.random.default_rng(seed)
@@ -64,7 +79,7 @@ def gamma_points(count: int, M: int, seed: int) -> np.ndarray:
 def test_csv_bytes_equal_the_per_row_writer(tmp_path, count):
     points = gamma_points(count, 7919, count)
     header = ["n", "n_over_M", "mean"]
-    _write_csv(tmp_path / "new.csv", header, points)
+    _write_csv(tmp_path / "new.csv", header, csv_rows(points))
     per_row_csv(tmp_path / "old.csv", header, points)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
@@ -75,12 +90,12 @@ def test_csv_chunk_size_does_not_change_bytes(tmp_path, monkeypatch):
     per_row_csv(tmp_path / "old.csv", header, points)
     for rows in (1, 7, 999, 1000):
         monkeypatch.setattr(cli, "WRITE_CHUNK_ROWS", rows)
-        _write_csv(tmp_path / f"new{rows}.csv", header, points)
+        _write_csv(tmp_path / f"new{rows}.csv", header, csv_rows(points))
         assert (tmp_path / f"new{rows}.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 def test_csv_of_no_rows_is_the_header(tmp_path):
-    _write_csv(tmp_path / "e.csv", ["n", "n_over_M", "mean"], np.empty((0, 3)))
+    _write_csv(tmp_path / "e.csv", ["n", "n_over_M", "mean"], csv_rows(np.empty((0, 3))))
     assert (tmp_path / "e.csv").read_bytes() == b"n,n_over_M,mean\n"
 
 
@@ -88,7 +103,7 @@ def test_csv_of_no_rows_is_the_header(tmp_path):
 def test_svg_bytes_equal_the_per_point_writer(tmp_path, count, k):
     points = gamma_points(count, 1000, 100 + count)
     points[:, 1] *= k * 1000 / points[-1, 0]  # abscissae up to k
-    _write_svg(tmp_path / "new.svg", points, k, "Gamma series, y=3, stride=1", timestamp=False)
+    _write_svg(tmp_path / "new.svg", svg_rows(points, k), k, "Gamma series, y=3, stride=1", timestamp=False)
     per_point_svg(tmp_path / "old.svg", points, k, "Gamma series, y=3, stride=1")
     assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "old.svg").read_bytes()
 
@@ -97,6 +112,92 @@ def test_svg_of_a_flat_series(tmp_path, monkeypatch):
     # equal means widen the y range by 1/2 either side
     monkeypatch.setattr(cli, "WRITE_CHUNK_ROWS", 4)
     points = np.column_stack([np.arange(1.0, 11.0), np.arange(1, 11) / 10, np.full(10, -0.0)])
-    _write_svg(tmp_path / "new.svg", points, 1.0, "flat", timestamp=False)
+    _write_svg(tmp_path / "new.svg", svg_rows(points, 1.0), 1.0, "flat", timestamp=False)
     per_point_svg(tmp_path / "old.svg", points, 1.0, "flat")
     assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "old.svg").read_bytes()
+
+
+# ---- several start points filling in one set of templates ----------------
+
+# the multi-start CI config: start points on cycles of lengths 7, 1, 1 and 7
+MULTI = {"system": {"name": "bernoulli", "m": 2, "N": 3, "mode": "naive"},
+         "observable": {"name": "chi0", "N": 3}, "start_points": {"explicit": [11, 0, 127, 64]},
+         "gamma": {"k": 3.0, "stride": 2}}
+MULTI_SHA256 = {
+    "gamma_chi0_y11.csv": "33f6f0967fdd1287dd5bc5a8dc4540f22cba7861510b9da5282fdff3252f9444",
+    "gamma_chi0_y0.csv": "d93ef0367ab46afd4b5a1ab896881c1bfbd93421f10ecbf2deb8049d2e490535",
+    "gamma_chi0_y127.csv": "f8e43b0a9b720cbd3b9cd56705f0c4ac8574f7d5ede47c31e062c2414eb9abad",
+    "gamma_chi0_y64.csv": "97a05b8de666c5ff8275d9e50222cc6b08c72d2eee9573a7a2d04627817567d6",
+    "gamma_chi0_y11.svg": "a739bd1c6dd103c75440115a23c8f97545ea929bef14a37f5dc0a00d31b4c6a4",
+    "gamma_chi0_y0.svg": "d14d9a18200f9c37d8bbda7dac77bc28b05f6f40402a3e2301fb58a9a15988cc",
+    "gamma_chi0_y127.svg": "ea66cf72a431ad0d7b212a44a333e063b0d731a1c7612824c3b3d7613efc723e",
+    "gamma_chi0_y64.svg": "1e6b6f621143cc594d6d9ba88829d9cf7a42abd4beb2173164d60850e5543088",
+    "gamma_meta.json": "470876feddf29459c3015b4a7950e870dc0926a8e99b2d64e420dd9cbb9aeb68",
+}
+
+
+def run_gamma(tmp_path, config, *flags):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["gamma", "--config", str(cfg), "--out", str(out), *flags]) == 0
+    return out
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 999, cli.WRITE_CHUNK_ROWS])
+def test_shared_templates_write_the_per_row_bytes_for_every_start(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(cli, "WRITE_CHUNK_ROWS", chunk)
+    points = gamma_points(1000, 33_334, 5)
+    rows, circles = csv_rows(points)[0], svg_rows(points, 1.5)[0]
+    for seed in range(3):  # one set of templates, three columns of means
+        points[:, 2] = gamma_points(1000, 33_334, seed)[:, 2]
+        _write_csv(tmp_path / "new.csv", HEADER, (rows, points[:, 2]))
+        _write_svg(tmp_path / "new.svg", (circles, points[:, 2]), 1.5, "t", timestamp=False)
+        per_row_csv(tmp_path / "old.csv", HEADER, points)
+        per_point_svg(tmp_path / "old.svg", points, 1.5, "t")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "old.svg").read_bytes()
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 999, cli.WRITE_CHUNK_ROWS])
+def test_gamma_start_points_on_different_cycles_write_the_per_row_bytes(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(cli, "WRITE_CHUNK_ROWS", chunk)
+    out = run_gamma(tmp_path, MULTI, "--svg", "--no-timestamp")
+    T, F = build_bernoulli(2, 3, "naive").permutation, paper_observable("chi0", 128, N=3)
+    for y in MULTI["start_points"]["explicit"]:
+        points, stride = gamma_series(F, T, y, 3.0, 2)
+        per_row_csv(tmp_path / "old.csv", HEADER, points)
+        per_point_svg(tmp_path / "old.svg", points, 3.0, f"Gamma series, y={y}, stride={stride}")
+        assert (out / f"gamma_chi0_y{y}.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        assert (out / f"gamma_chi0_y{y}.svg").read_bytes() == (tmp_path / "old.svg").read_bytes()
+
+
+def test_gamma_of_the_multi_start_ci_config_is_pinned(tmp_path):
+    out = run_gamma(tmp_path, MULTI, "--svg", "--no-timestamp")
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()} == MULTI_SHA256
+
+
+def test_float_n_up_to_the_series_budget_is_written_as_its_integer(tmp_path):
+    # n reaches the file as a float64; %d must print it as the integer it holds
+    ns = SERIES_BUDGET - np.arange(0, 3000, 3)[::-1]
+    points = np.column_stack([ns.astype(np.float64), ns / 4_000_000, gamma_points(ns.size, 1, 9)[:, 2]])
+    _write_csv(tmp_path / "new.csv", HEADER, csv_rows(points))
+    per_row_csv(tmp_path / "old.csv", HEADER, points)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    assert (tmp_path / "new.csv").read_text().splitlines()[-1].startswith(f"{SERIES_BUDGET},")
+
+
+@pytest.mark.parametrize("starts", [[11], [11, 0, 127], [11, 0, 127, 64]])
+@pytest.mark.parametrize("svg", [False, True])
+def test_a_gamma_job_builds_its_templates_once(tmp_path, monkeypatch, starts, svg):
+    built, templates = [], cli._templates
+
+    def counting(line, cols):
+        built.append("circle" if line.startswith("<circle") else "csv")
+        return templates(line, cols)
+
+    monkeypatch.setattr(cli, "_templates", counting)
+    config = {**MULTI, "start_points": {"explicit": starts}}
+    out = run_gamma(tmp_path, config, *(["--svg", "--no-timestamp"] if svg else []))
+    assert sorted(built) == (["circle", "csv"] if svg else ["csv"])
+    assert len(list(out.glob("*.csv"))) == len(starts) and len(list(out.glob("*.svg"))) == svg * len(starts)
