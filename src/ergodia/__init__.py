@@ -34,13 +34,9 @@ from .stabilization import (
 )
 from .approximation import (
     ClosedSet,
-    PointEmbedding,
     TestFunction,
-    circle_space,
-    interval_space,
     make_transitive,
     map_mismatch_fraction,
-    symbolic_space,
     synthesize_permutation,
     thickening_measure_error,
     weak_star_error,

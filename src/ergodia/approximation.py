@@ -1,7 +1,7 @@
 """Constructive approximation of continuous systems by finite permutations.
 
-Quality metrics: weak-* error of the empirical measure against a reference
-measure, thickened-set measure error for closed sets, and the fraction of
+Quality metrics, at the grid points x = y/M of the unit interval or the
+circle: weak-* error of the empirical measure against a reference measure, thickened-set measure error for closed sets, and the fraction of
 points where the permutation disagrees with the target map by more than
 epsilon.  Construction: a permutation within delta of a (possibly
 non-injective) measure-preserving target map is synthesized by bipartite
@@ -9,13 +9,12 @@ matching of each source point to a free grid point inside the
 delta-interval around its target image; unmatched sources are closed into
 a permutation by a deterministic slack bijection onto the leftover grid
 points.  Cycle surgery turns any permutation into a single cycle
-(transitivization) or into uniform-length cycles (periodization).
+(transitivization).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -23,11 +22,6 @@ import numpy as np
 from .dynamics import FinitePermutation
 
 __all__ = [
-    "MetricSpaceModel",
-    "circle_space",
-    "interval_space",
-    "symbolic_space",
-    "PointEmbedding",
     "TestFunction",
     "ClosedSet",
     "weak_star_error",
@@ -39,74 +33,16 @@ __all__ = [
 ]
 
 
-# -- metric space models ---------------------------------------------------
+# -- quality metrics on the grid points x = y/M ----------------------------
 
 
-@dataclass(frozen=True)
-class MetricSpaceModel:
-    """A compact metric space with a reference probability measure.
-
-    kind is one of "circle", "interval", "symbolic".  Points are floats for
-    circle/interval and integer words (symbols at positions -W..W, along
-    the last axis) for symbolic.  distance works elementwise on arrays of
-    points.
-    """
-
-    kind: str
-    distance: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    alphabet: int = 0
-    window: int = 0
-
-
-def circle_space() -> MetricSpaceModel:
-    def dist(a, b):
-        d = np.abs(np.subtract(a, b, dtype=np.float64)) % 1.0
+def _distance(a, b, circle: bool) -> np.ndarray:
+    """|a - b| elementwise on the unit interval, or on the circle when circle is set."""
+    d = np.abs(np.subtract(a, b, dtype=np.float64))
+    if circle:
+        d = d % 1.0
         return np.minimum(d, 1.0 - d)
-
-    return MetricSpaceModel(kind="circle", distance=dist)
-
-
-def interval_space() -> MetricSpaceModel:
-    def dist(a, b):
-        return np.abs(np.subtract(a, b, dtype=np.float64))
-
-    return MetricSpaceModel(kind="interval", distance=dist)
-
-
-def symbolic_space(alphabet: int, window: int) -> MetricSpaceModel:
-    """Truncated symbolic space: words over positions -W..W, uniform product measure.
-
-    distance(x1, x2) = 2^(-j) with j the smallest |n| <= W where the words
-    disagree, 0 if they agree on the whole window.
-    """
-    W = window
-    radius = np.abs(np.arange(-W, W + 1))
-
-    def dist(a, b):
-        j = np.where(np.not_equal(a, b), radius, W + 1).min(axis=-1)
-        return np.where(j <= W, np.ldexp(1.0, -j), 0.0)
-
-    return MetricSpaceModel(kind="symbolic", distance=dist, alphabet=alphabet, window=W)
-
-
-@dataclass(frozen=True)
-class PointEmbedding:
-    """An injective map phi from {0, ..., M-1} into a metric space model.
-
-    coordinates[y] is phi(y): a float for circle and interval spaces, the
-    word at positions -W..W for a symbolic space.  make_coordinates builds
-    the array on first read, so an embedding no metric reads costs nothing.
-    """
-
-    size: int
-    space: MetricSpaceModel
-    make_coordinates: Callable[[], np.ndarray] = field(repr=False)
-
-    @cached_property
-    def coordinates(self) -> np.ndarray:
-        coords = self.make_coordinates()
-        coords.setflags(write=False)
-        return coords
+    return d
 
 
 @dataclass(frozen=True)
@@ -123,103 +59,72 @@ TestFunction.__test__ = False  # keep pytest collection away from the dataclass
 
 @dataclass(frozen=True)
 class ClosedSet:
-    """A closed set descriptor: a finite union of intervals or of cylinders.
+    """A finite union of closed subintervals [a, b] of [0, 1], with finite endpoints.
 
-    intervals: [(a, b), ...] closed subintervals with finite endpoints in
-    [0, 1] (circle intervals may wrap, i.e. a > b).  cylinders:
-    [{position: symbol, ...}, ...] with positions in -W..W.  measure is the
-    reference measure of the set.
+    A pair with a > b wraps through 0 (on the interval too: [a, 1] with
+    [0, b]).  measure is the Lebesgue measure of the union.
     """
 
-    kind: str  # "intervals" | "cylinders"
-    intervals: tuple = ()
-    cylinders: tuple = ()
+    intervals: tuple
 
     def __post_init__(self):
         if any(len(iv) != 2 or not all(0.0 <= e <= 1.0 for e in iv) for iv in self.intervals):
             raise ValueError(f"closed intervals must be pairs of finite endpoints in [0, 1], "
                              f"got {self.intervals!r}")
 
-    def measure(self, space: MetricSpaceModel) -> float:
-        if self.kind == "intervals":
-            # the union: wrapped intervals split at 1, then sorted and merged
-            pieces = sorted(piece for a, b in self.intervals
-                            for piece in ([(a, b)] if a <= b else [(0.0, b), (a, 1.0)]))
-            total = lo = hi = 0.0
-            for a, b in pieces:
-                if a > hi:
-                    total, lo = total + (hi - lo), a
-                hi = max(hi, b)
-            return min(total + (hi - lo), 1.0)
-        if self.kind == "cylinders":
-            # exact measure of the union: one column per assignment of the constrained positions
-            domains = sorted(set().union(*self.cylinders))
-            k = len(domains)
-            grid = np.indices([space.alphabet] * k).reshape(k, space.alphabet**k)
-            inside = np.zeros(grid.shape[1], dtype=bool)
-            for cyl in self.cylinders:
-                inside |= np.all([grid[domains.index(n)] == s for n, s in cyl.items()], axis=0)
-            return np.count_nonzero(inside) / float(space.alphabet) ** k
-        raise ValueError(f"unsupported set descriptor kind {self.kind!r}")
+    def measure(self) -> float:
+        # the union: wrapped intervals split at 1, then sorted and merged
+        pieces = sorted(piece for a, b in self.intervals
+                        for piece in ([(a, b)] if a <= b else [(0.0, b), (a, 1.0)]))
+        total = lo = hi = 0.0
+        for a, b in pieces:
+            if a > hi:
+                total, lo = total + (hi - lo), a
+            hi = max(hi, b)
+        return min(total + (hi - lo), 1.0)
 
-    def distance_to(self, x, space: MetricSpaceModel) -> np.ndarray:
-        """Distance from each point of x (floats, or words along the last axis) to the set."""
+    def distance_to(self, x, circle: bool) -> np.ndarray:
+        """Distance from each point of x to the set, on the circle when circle is set."""
         x = np.asarray(x)
-        shape = x.shape[:-1] if space.kind == "symbolic" else x.shape
-        if self.kind == "intervals":
-            if space.kind == "circle":
-                x = x % 1.0
-            best = np.full(shape, np.inf)
-            for a, b in self.intervals:
-                if a > b:  # wraps through 0, as measure counts it, on the interval too
-                    inside = (x >= a) | (x <= b)
-                else:
-                    inside = (a <= x) & (x <= b)
-                near = np.minimum(space.distance(x, a), space.distance(x, b))
-                best = np.where(inside, 0.0, np.minimum(best, near))
-            return best
-        if self.kind == "cylinders":
-            best = np.full(shape, np.inf)
-            for cyl in self.cylinders:
-                # the cylinder's nearest point: x with the constrained symbols set
-                nearest = x.copy()
-                nearest[..., [n + space.window for n in cyl]] = list(cyl.values())
-                best = np.minimum(best, space.distance(x, nearest))
-            return best
-        raise ValueError(f"unsupported set descriptor kind {self.kind!r}")
+        if circle:
+            x = x % 1.0
+        best = np.full(x.shape, np.inf)
+        for a, b in self.intervals:
+            if a > b:  # wraps through 0, as measure counts it, on the interval too
+                inside = (x >= a) | (x <= b)
+            else:
+                inside = (a <= x) & (x <= b)
+            near = np.minimum(_distance(x, a, circle), _distance(x, b, circle))
+            best = np.where(inside, 0.0, np.minimum(best, near))
+        return best
 
 
-# -- quality metrics -------------------------------------------------------
-
-
-def weak_star_error(embedding: PointEmbedding, tests: Sequence[TestFunction]) -> dict[str, float]:
-    """Per test f: |(1/M) sum_y f(phi(y)) - integral of f|."""
+def weak_star_error(x: np.ndarray, tests: Sequence[TestFunction]) -> dict[str, float]:
+    """Per test f: |(1/M) sum_y f(x[y]) - integral of f|."""
     out = {}
     for t in tests:
         if t.integral is None:
             raise ValueError(f"test function {t.name!r} has no reference integral")
-        emp = np.mean(t.fn(embedding.coordinates))
+        emp = np.mean(t.fn(x))
         out[t.name] = float(abs(emp - t.integral))
     return out
 
 
-def thickening_measure_error(embedding: PointEmbedding, C: ClosedSet, eps: float) -> float:
-    """|(1/M) |{y : dist(phi(y), C) < eps}| - nu(C)|."""
+def thickening_measure_error(x: np.ndarray, C: ClosedSet, eps: float, *, circle: bool) -> float:
+    """|(1/M) |{y : dist(x[y], C) < eps}| - nu(C)|."""
     if not eps > 0:
         raise ValueError(f"epsilon must be positive, got {eps!r}")
-    space = embedding.space
-    hits = np.count_nonzero(C.distance_to(embedding.coordinates, space) < eps)
-    return abs(hits / embedding.size - C.measure(space))
+    hits = np.count_nonzero(C.distance_to(x, circle) < eps)
+    return abs(hits / x.size - C.measure())
 
 
-def map_mismatch_fraction(embedding: PointEmbedding, T: FinitePermutation,
-                          tau: Callable[[np.ndarray], np.ndarray], eps: float) -> float:
-    """Fraction of y with rho(phi(T(y)), tau(phi(y))) > eps; tau acts on the coordinate array."""
+def map_mismatch_fraction(x: np.ndarray, T: FinitePermutation,
+                          tau: Callable[[np.ndarray], np.ndarray], eps: float, *, circle: bool) -> float:
+    """Fraction of y with dist(x[T(y)], tau(x[y])) > eps; tau acts on the whole array x."""
     if not eps > 0:
         raise ValueError(f"epsilon must be positive, got {eps!r}")
-    x = embedding.coordinates
-    bad = np.count_nonzero(embedding.space.distance(x[T.image], tau(x)) > eps)
-    return bad / embedding.size
+    bad = np.count_nonzero(_distance(x[T.image], tau(x), circle) > eps)
+    return bad / x.size
 
 
 # -- permutation synthesis by matching ------------------------------------

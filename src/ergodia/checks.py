@@ -58,7 +58,7 @@ def check_mean_recurrence(seed: int = 1) -> CheckResult:
 def check_exact_identities() -> CheckResult:
     """Exact rational-mode identities at M = 1e4: A_M = Av(F) on a cycle."""
     M = 10_000
-    T, _ = build_drift_system(M)
+    T = build_drift_system(M)
     F = paper_observable("linear", M)
     series = ergodic_means_prefix(F, T, 3, M, exact=True)
     av = Fraction(int(F.numerators().sum()), F.denominator * M)

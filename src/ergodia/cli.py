@@ -36,7 +36,7 @@ from .stabilization import (
     sup_discrepancy,
 )
 from .systems import (_float_param, _int_param, build_bernoulli, build_drift_system,
-                      build_rotation, grid_embedding, paper_observable)
+                      build_rotation, paper_observable)
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -90,12 +90,11 @@ def _section(spec, name: str) -> dict:
 
 
 def _build_system(spec: dict):
-    """Returns (permutation, embedding-or-None, meta dict)."""
+    """Returns (permutation, meta dict)."""
     name = _section(spec, "system").get("name")
     if name == "drift":
         M = _int_param(spec["M"], "M", 2)
-        T, emb = build_drift_system(M)
-        return T, emb, {"system": "drift", "M": M}
+        return build_drift_system(M), {"system": "drift", "M": M}
     if name == "rotation":
         M = _int_param(spec["M"], "M", 2)
         t = spec["t"]
@@ -104,13 +103,13 @@ def _build_system(spec: dict):
         elif t == "2/3":
             t = 2.0 / 3.0
         rot = build_rotation(M, _float_param(t, "t"))
-        return rot.permutation, rot.embedding, {
+        return rot.permutation, {
             "system": "rotation", "M": M, "P": rot.P, "t": rot.t, "defect": rot.defect,
         }
     if name == "bernoulli":
         sys_ = build_bernoulli(_int_param(spec["m"], "m", 2), _int_param(spec["N"], "N", 0),
                                spec.get("mode", "debruijn"))
-        return sys_.permutation, sys_.embedding, {
+        return sys_.permutation, {
             "system": "bernoulli", "m": sys_.m, "N": sys_.N, "mode": sys_.mode, "M": sys_.M,
         }
     raise ConfigError(f"unknown system {name!r}")
@@ -222,7 +221,7 @@ def _write_svg(path: Path, rows: tuple, k: float, title: str, timestamp: bool) -
 
 
 def cmd_gamma(config: dict, args) -> int:
-    T, _, meta = _build_system(config.get("system", {}))
+    T, meta = _build_system(config.get("system", {}))
     F = _build_observable(config.get("observable", {}), T.size)
     seed = _seed(config, args)
     starts = _resolve_start_points(config.get("start_points", {}), T.size, seed)
@@ -231,30 +230,32 @@ def cmd_gamma(config: dict, args) -> int:
     k = _float_param(gspec.get("k", 1.0), "k")
     stride = None if gspec.get("stride") is None else _int_param(gspec["stride"], "stride", 1)
     _check_sums(F, np.floor(k * T.size))
-    results = [(y, gamma_series(F, T, y, k, stride)) for y in starts]
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-
-    # every start point has the same stride and floor(k*M), so n and n/M are formatted once
-    shared = results[0][1][0][:, :2] if results else np.empty((0, 2))
-    rows = _templates("%d,%.12g,%%.12g\n", shared)
-    circles = _circles(shared[:, 1], k) if args.svg else None
-    for y, (points, used_stride) in results:
+    # each start point's files are written, and its series dropped, before the next series is
+    # summed, so one series is held at a time; used_stride stays None with no start points
+    rows = circles = used_stride = None
+    for y in starts:
+        points, used_stride = gamma_series(F, T, y, k, stride)
+        if rows is None:
+            # every start point has the same stride and floor(k*M), so n and n/M are formatted once
+            rows = _templates("%d,%.12g,%%.12g\n", points[:, :2])
+            circles = _circles(points[:, 1], k) if args.svg else None
         base = f"gamma_{F.name.replace('/', '_')}_y{y}"  # a name may hold a '.'
         _write_csv(out / f"{base}.csv", ["n", "n_over_M", "mean"], (rows, points[:, 2]))
         if args.svg:
             _write_svg(out / f"{base}.svg", (circles, points[:, 2]), k,
                        f"Gamma series, y={y}, stride={used_stride}", timestamp=not args.no_timestamp)
+        del points
     _write_json(out / "gamma_meta.json",
-                {**meta, "observable": F.name, "k": k,
-                 "stride": results[0][1][1] if results else None,
+                {**meta, "observable": F.name, "k": k, "stride": used_stride,
                  "start_points": starts, "seed": seed})
     return EXIT_OK
 
 
 def cmd_stab(config: dict, args) -> int:
-    T, _, meta = _build_system(config.get("system", {}))
+    T, meta = _build_system(config.get("system", {}))
     F = _build_observable(config.get("observable", {}), T.size)
     seed = _seed(config, args)
     spec = _section(config.get("stab", {}), "stab")
@@ -314,25 +315,29 @@ def cmd_approx(config: dict, args) -> int:
 
 
 def _approx_metrics(config: dict, spec: dict) -> dict:
-    T, emb, meta = _build_system(config.get("system", {}))
-    if emb.space.kind == "symbolic":
+    T, meta = _build_system(config.get("system", {}))
+    if meta["system"] == "bernoulli":
         # the test functions, closed intervals and target maps live on [0, 1)
         raise ConfigError("metrics mode needs a drift or rotation system")
+    # the grid points y/M: the drift approximates a map of the interval, a rotation one of the circle
+    x = np.arange(T.size) / T.size
+    circle = meta["system"] == "rotation"
     degree = _int_param(spec.get("degree", 3), "degree", 0)
     # keyed by the raw config values, so 1 and 1.0 are one entry; strings only in the report
     thickening, mismatch = {}, {}
     for iv in spec.get("closed_intervals", []):
-        C = ClosedSet(kind="intervals", intervals=(tuple(_float_param(e, "interval end") for e in iv),))
+        C = ClosedSet((tuple(_float_param(e, "interval end") for e in iv),))
         eps = _float_param(spec.get("thickening_epsilon", 2.0 / T.size), "thickening_epsilon")
-        thickening[tuple(iv)] = thickening_measure_error(emb, C, eps)
+        thickening[tuple(iv)] = thickening_measure_error(x, C, eps, circle=circle)
     target = spec.get("target")
     if target:
         tau = _target_map(target)
         for eps in spec.get("mismatch_epsilons", [2.0 / T.size]):
-            mismatch[eps] = map_mismatch_fraction(emb, T, tau, _float_param(eps, "mismatch epsilon"))
+            mismatch[eps] = map_mismatch_fraction(x, T, tau, _float_param(eps, "mismatch epsilon"),
+                                                  circle=circle)
     lengths = T.orbit_index.lengths
     return {**meta,
-            "weak_star_errors": weak_star_error(emb, _monomial_tests(degree)),
+            "weak_star_errors": weak_star_error(x, _monomial_tests(degree)),
             "thickening_errors": {str(k): v for k, v in thickening.items()},
             "map_mismatch": {str(k): v for k, v in mismatch.items()},
             "cycle_count": lengths.size,
@@ -343,8 +348,8 @@ def _approx_pipeline(spec: dict) -> dict:
     M = _int_param(spec["M"], "M", 1)
     target = spec.get("target", {"name": "rotation", "t": 0.618033988749895})
     tau = _target_map(target)
-    targets = tau(np.arange(M) / M)
-    emb = grid_embedding(M)
+    x = np.arange(M) / M
+    targets = tau(x)
     curve = []
     for delta in spec.get("deltas", [2.0 / M]):
         delta = _float_param(delta, "delta")
@@ -356,7 +361,7 @@ def _approx_pipeline(spec: dict) -> dict:
             "matcher_mismatch_count": mismatches,
             "cycle_count_before_merge": T_delta.orbit_index.lengths.size,
             "transitivity_mismatch": len(B),
-            "map_mismatch_fraction": map_mismatch_fraction(emb, C, tau, eps),
+            "map_mismatch_fraction": map_mismatch_fraction(x, C, tau, eps, circle=True),
             "mismatch_epsilon": eps,
         })
     return {"M": M, "target": target, "pipeline": curve}

@@ -7,7 +7,7 @@ and the de Bruijn window-successor permutation (a single M-cycle).
 
 Word indexing convention: the word (y(-N), ..., y(N)) maps to the integer
 sum_i y(-N + i) * m^i, i.e. base-m little-endian with y(-N) least
-significant.  Decoding scripts must use the same convention.
+significant; word and word_index in tests/oracles.py decode and encode it.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from math import gcd
 
 import numpy as np
 
-from .approximation import MetricSpaceModel, PointEmbedding, circle_space, interval_space, symbolic_space
 from .dynamics import FinitePermutation, Observable
 
 __all__ = [
@@ -38,18 +37,11 @@ __all__ = [
 # -- drift and rotation ----------------------------------------------------
 
 
-def grid_embedding(M: int, space: MetricSpaceModel | None = None) -> PointEmbedding:
-    """phi(y) = y/M into the circle (default) or unit interval; coordinates on first use."""
-    return PointEmbedding(size=M, space=space or circle_space(),
-                          make_coordinates=lambda: np.arange(M) / M)
-
-
-def build_drift_system(M: int) -> tuple[FinitePermutation, PointEmbedding]:
-    """T = +1 mod M with the grid embedding; approximates the identity map."""
+def build_drift_system(M: int) -> FinitePermutation:
+    """T = +1 mod M; on the grid y/M of the unit interval it approximates the identity map."""
     if M < 2:
         raise ValueError("need M >= 2")
-    T = FinitePermutation.from_cycle_order(np.arange(M, dtype=np.int64), [M])
-    return T, grid_embedding(M, interval_space())
+    return FinitePermutation.from_cycle_order(np.arange(M, dtype=np.int64), [M])
 
 
 @dataclass(frozen=True)
@@ -68,10 +60,6 @@ class RotationSystem:
         steps = np.arange(self.M // g, dtype=np.int64) * self.P % self.M
         order = (np.arange(g, dtype=np.int64)[:, None] + steps) % self.M
         return FinitePermutation.from_cycle_order(order.ravel(), np.full(g, self.M // g))
-
-    @property
-    def embedding(self) -> PointEmbedding:
-        return grid_embedding(self.M)
 
 
 # (M, t) pairs published with the experiments this library reproduces.  The
@@ -175,19 +163,6 @@ class SymbolicSystem:
     @property
     def M(self) -> int:
         return self.m ** (2 * self.N + 1)
-
-    def word(self, index: int) -> np.ndarray:
-        """Decode an index to the word (y(-N), ..., y(N)); a column of indices gives one per row."""
-        return index // self.m ** np.arange(2 * self.N + 1, dtype=np.int64) % self.m
-
-    def index(self, word) -> int:
-        return int(sum(int(w) * self.m**i for i, w in enumerate(word)))
-
-    @property
-    def embedding(self) -> PointEmbedding:
-        """Coordinate row y is word(y), the base-m digits of y; built on first use."""
-        return PointEmbedding(size=self.M, space=symbolic_space(self.m, self.N),
-                              make_coordinates=lambda: self.word(np.arange(self.M)[:, None]))
 
 
 def _rotate(words: np.ndarray, j: int, m: int, L: int) -> np.ndarray:

@@ -239,50 +239,36 @@ def three_point_average(f, x):
 # -- approximation metrics, one point at a time ------------------------------
 # These are the per-point bodies the array metrics in ergodia.approximation
 # replaced: embed(y) is the point of grid index y, tests are (name, f, integral)
-# with f on one point, and tau maps one point.
+# with f on one point, and tau maps one point.  circle picks the circle
+# metric over the interval's.
 
 
-def point_distance(kind, a, b, window=0):
-    """The metric of a circle, interval or symbolic space on two points."""
-    if kind == "circle":
-        d = abs(float(a) - float(b)) % 1.0
+def point_distance(circle, a, b):
+    """The circle or interval distance of two points."""
+    d = abs(float(a) - float(b))
+    if circle:
+        d %= 1.0
         return min(d, 1.0 - d)
-    if kind == "interval":
-        return abs(float(a) - float(b))
-    a = np.asarray(a)
-    b = np.asarray(b)
-    # positions checked center out: 0, -1, +1, -2, +2, ...
-    for j in np.argsort(np.abs(np.arange(-window, window + 1)), kind="stable"):
-        if a[j] != b[j]:
-            return 2.0 ** (-abs(int(j) - window))
-    return 0.0
+    return d
 
 
-def point_set_distance(C, x, space):
+def point_set_distance(C, x, circle):
     """ClosedSet.distance_to for one point."""
-    if C.kind == "intervals":
-        best = np.inf
-        for a, b in C.intervals:
-            if space.kind == "circle":
-                xa = float(x) % 1.0
-                inside = (a <= xa <= b) if a <= b else (xa >= a or xa <= b)
-                if inside:
-                    return 0.0
-                da = min(abs(xa - a) % 1.0, 1.0 - abs(xa - a) % 1.0)
-                db = min(abs(xa - b) % 1.0, 1.0 - abs(xa - b) % 1.0)
-                best = min(best, da, db)
-            else:
-                inside = (a <= float(x) <= b) if a <= b else (float(x) >= a or float(x) <= b)
-                if inside:
-                    return 0.0
-                best = min(best, abs(float(x) - a), abs(float(x) - b))
-        return float(best)
-    W = space.window
     best = np.inf
-    word = np.asarray(x)
-    for cyl in C.cylinders:
-        mism = [abs(n) for n, s in cyl.items() if word[n + W] != s]
-        best = min(best, 2.0 ** (-min(mism)) if mism else 0.0)
+    for a, b in C.intervals:
+        if circle:
+            xa = float(x) % 1.0
+            inside = (a <= xa <= b) if a <= b else (xa >= a or xa <= b)
+            if inside:
+                return 0.0
+            da = min(abs(xa - a) % 1.0, 1.0 - abs(xa - a) % 1.0)
+            db = min(abs(xa - b) % 1.0, 1.0 - abs(xa - b) % 1.0)
+            best = min(best, da, db)
+        else:
+            inside = (a <= float(x) <= b) if a <= b else (float(x) >= a or float(x) <= b)
+            if inside:
+                return 0.0
+            best = min(best, abs(float(x) - a), abs(float(x) - b))
     return float(best)
 
 
@@ -295,33 +281,33 @@ def weak_star_error_loop(embed, size, tests):
     return out
 
 
-def thickening_measure_error_loop(embed, size, space, C, eps):
+def thickening_measure_error_loop(embed, size, circle, C, eps):
     """thickening_measure_error with one set distance per point."""
-    hits = sum(1 for y in range(size) if point_set_distance(C, embed(y), space) < eps)
-    return abs(hits / size - C.measure(space))
+    hits = sum(1 for y in range(size) if point_set_distance(C, embed(y), circle) < eps)
+    return abs(hits / size - C.measure())
 
 
-def map_mismatch_fraction_loop(embed, size, space, image, tau, eps):
+def map_mismatch_fraction_loop(embed, size, circle, image, tau, eps):
     """map_mismatch_fraction with one distance per point."""
     bad = 0
     for y in range(size):
-        if point_distance(space.kind, embed(int(image[y])), tau(embed(y)), space.window) > eps:
+        if point_distance(circle, embed(int(image[y])), tau(embed(y))) > eps:
             bad += 1
     return bad / size
 
 
-def cylinder_measure_loop(cylinders, alphabet):
-    """The reference measure of a union of cylinders, one assignment at a time."""
-    domains = set()
-    for cyl in cylinders:
-        domains |= set(cyl)
-    domains = sorted(domains)
-    count = 0
-    for assignment in np.ndindex(*([alphabet] * len(domains))):
-        point = dict(zip(domains, assignment))
-        if any(all(point[n] == s for n, s in cyl.items()) for cyl in cylinders):
-            count += 1
-    return count / float(alphabet) ** len(domains)
+# -- symbolic words ------------------------------------------------------------
+
+
+def word(system, index):
+    """The word (y(-N), ..., y(N)) of an index of a SymbolicSystem: its base-m digits,
+    least significant first; a column of indices gives one word per row."""
+    return index // system.m ** np.arange(2 * system.N + 1, dtype=np.int64) % system.m
+
+
+def word_index(system, w):
+    """The index of the word w, inverse to word."""
+    return int(sum(int(s) * system.m**i for i, s in enumerate(w)))
 
 
 # -- de Bruijn sequences and necklaces ---------------------------------------

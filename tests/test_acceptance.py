@@ -23,10 +23,9 @@ from ergodia.systems import (
     build_drift_system,
     build_rotation,
     debruijn_window_permutation,
-    grid_embedding,
     paper_observable,
 )
-from oracles import exceedance_fraction, hall_deficiency_oracle, tent_function, three_point_average
+from oracles import exceedance_fraction, hall_deficiency_oracle, tent_function, three_point_average, word
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -40,7 +39,7 @@ def test_criterion_01_alternating_exact_formula():
     # M=1000, y=698: A_n = 0 for even n, M/n for odd n, exact and fast
     t0 = time.time()
     M, y = 1000, 698
-    T, _ = build_drift_system(M)
+    T = build_drift_system(M)
     F = paper_observable("ex01", M)
     series = ergodic_means_prefix(F, T, y, M, exact=True)
     ok = True
@@ -75,7 +74,7 @@ def test_criterion_02_discrepancy_theorem_finite_form():
 def test_criterion_03_block_observable_phenomenon():
     t0 = time.time()
     M, K = 100_000, 1000
-    T, _ = build_drift_system(M)
+    T = build_drift_system(M)
     F = paper_observable("ex03", M, K=K)
     exc = exceedance_fraction(F, T, K, K // 2, 0.25)
     sample = ergodia.stratified_start_points(M, 100, 25, 0)
@@ -140,7 +139,7 @@ def test_criterion_06_de_bruijn_suite():
     Tb = sysb.permutation
     agree = sum(
         1 for y in range(sysb.M)
-        if (sysb.word(int(Tb.image[y]))[:-1] == sysb.word(y)[1:]).all()
+        if (word(sysb, int(Tb.image[y]))[:-1] == word(sysb, y)[1:]).all()
     )
     ok = (ok and agree / sysb.M >= 1.0 - 11.0 / sysb.M
           and (time.time() - t0) < 10.0)
@@ -172,13 +171,13 @@ def test_criterion_07_matching_pipeline():
 
 def test_criterion_08_weak_star_convergence():
     t0 = time.time()
-    from ergodia.approximation import TestFunction, interval_space, weak_star_error
+    from ergodia.approximation import TestFunction, weak_star_error
 
     tests = [TestFunction(f"x^{d}", lambda x, d=d: x**d, 1.0 / (d + 1))
              for d in range(4)]
     max_errs = []
     for M in (100, 1000, 10_000):
-        errs = weak_star_error(grid_embedding(M, interval_space()), tests)
+        errs = weak_star_error(np.arange(M) / M, tests)
         max_errs.append(max(errs.values()))
     ok = (all(e <= 2.0 / M for e, M in zip(max_errs, (100, 1000, 10_000)))
           and max_errs[0] > max_errs[1] > max_errs[2]

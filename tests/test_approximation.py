@@ -1,4 +1,4 @@
-"""Metric models, quality metrics, matching synthesis, cycle surgery."""
+"""Distances, quality metrics, matching synthesis, cycle surgery."""
 
 import numpy as np
 import pytest
@@ -7,58 +7,46 @@ from hypothesis import given, settings, strategies as st
 import ergodia.approximation as approximation
 from ergodia.approximation import (
     ClosedSet,
-    PointEmbedding,
     TestFunction,
+    _distance,
     _target_ranges,
     arc_matcher,
-    circle_space,
-    interval_space,
     make_transitive,
     map_mismatch_fraction,
-    symbolic_space,
     synthesize_permutation,
     thickening_measure_error,
     weak_star_error,
 )
 from ergodia.dynamics import FinitePermutation
 from ergodia.rng import SplitMix64
-from ergodia.systems import grid_embedding
 from oracles import (augmenting_path_matcher, hall_deficiency_oracle, permutation_from_cycles,
                      split_into_n_cycles, target_ranges_loop)
 
 
-# -- metric space models ---------------------------------------------------
+# -- distances -------------------------------------------------------------
 
 
 def test_circle_distance_wraps():
-    d = circle_space().distance
-    assert d(0.1, 0.9) == pytest.approx(0.2)
-    assert d(0.0, 0.5) == pytest.approx(0.5)
-    assert d(0.25, 0.25) == 0.0
+    assert _distance(0.1, 0.9, circle=True) == pytest.approx(0.2)
+    assert _distance(0.0, 0.5, circle=True) == pytest.approx(0.5)
+    assert _distance(0.25, 0.25, circle=True) == 0.0
 
 
 def test_interval_distance():
-    d = interval_space().distance
-    assert d(0.1, 0.9) == pytest.approx(0.8)
-
-
-def test_symbolic_distance_center_out():
-    sp = symbolic_space(2, 2)  # positions -2..2, index 2 is position 0
-    a = [0, 0, 0, 0, 0]
-    assert sp.distance(a, [0, 0, 1, 0, 0]) == 1.0       # differ at position 0
-    assert sp.distance(a, [0, 1, 0, 0, 0]) == 0.5       # position -1
-    assert sp.distance(a, [1, 0, 0, 0, 1]) == 0.25      # positions +-2
-    assert sp.distance(a, a) == 0.0
+    assert _distance(0.1, 0.9, circle=False) == pytest.approx(0.8)
 
 
 # -- quality metrics -------------------------------------------------------
 
 
+def grid(M):
+    return np.arange(M) / M
+
+
 def test_weak_star_error_exact_on_grid():
-    emb = grid_embedding(100, interval_space())
     tests = [TestFunction("const", lambda x: 1.0, 1.0),
              TestFunction("x", lambda x: x, 0.5)]
-    errs = weak_star_error(emb, tests)
+    errs = weak_star_error(grid(100), tests)
     assert errs["const"] == 0.0
     # grid mean of y/M over y < M is (M-1)/(2M); error exactly 1/(2M)
     assert errs["x"] == pytest.approx(1.0 / 200.0)
@@ -66,41 +54,37 @@ def test_weak_star_error_exact_on_grid():
 
 def test_thickening_measure_error_interval():
     M = 1000
-    emb = grid_embedding(M, interval_space())
-    C = ClosedSet(kind="intervals", intervals=((0.25, 0.5),))
-    err = thickening_measure_error(emb, C, 1.0 / M)
+    C = ClosedSet(((0.25, 0.5),))
+    err = thickening_measure_error(grid(M), C, 1.0 / M, circle=False)
     assert err <= 3.0 / M
 
 
 def test_thickening_wrapped_circle_interval():
     M = 1000
-    emb = grid_embedding(M)
-    C = ClosedSet(kind="intervals", intervals=((0.9, 0.1),))  # wraps through 0
-    assert C.measure(emb.space) == pytest.approx(0.2)
-    err = thickening_measure_error(emb, C, 1.0 / M)
+    C = ClosedSet(((0.9, 0.1),))  # wraps through 0
+    assert C.measure() == pytest.approx(0.2)
+    err = thickening_measure_error(grid(M), C, 1.0 / M, circle=True)
     assert err <= 3.0 / M
 
 
 def test_wrapped_interval_on_the_interval_space_matches_the_circle():
     # [0.9, 0.1] is [0.9, 1] with [0, 0.1] on the interval too, as measure counts it
     M = 1000
-    C = ClosedSet(kind="intervals", intervals=((0.9, 0.1),))
-    on_interval = thickening_measure_error(grid_embedding(M, interval_space()), C, 0.002)
-    on_circle = thickening_measure_error(grid_embedding(M), C, 0.002)
+    C = ClosedSet(((0.9, 0.1),))
+    on_interval = thickening_measure_error(grid(M), C, 0.002, circle=False)
+    on_circle = thickening_measure_error(grid(M), C, 0.002, circle=True)
     assert on_interval <= 5.0 / M and on_circle <= 5.0 / M
     assert abs(on_interval - on_circle) <= 2.0 / M
 
 
 def test_interval_measure_of_overlapping_union():
-    C = ClosedSet(kind="intervals", intervals=((0.2, 0.4), (0.3, 0.5)))
-    assert C.measure(interval_space()) == pytest.approx(0.3)
+    C = ClosedSet(((0.2, 0.4), (0.3, 0.5)))
+    assert C.measure() == pytest.approx(0.3)
     # the M = 1000 grid matches this set to within 1/M, so its thickening error is small
-    assert thickening_measure_error(grid_embedding(1000, interval_space()), C, 1e-4) <= 2e-3
+    assert thickening_measure_error(grid(1000), C, 1e-4, circle=False) <= 2e-3
     # a wrapped interval that covers another, and one that meets it at 0
-    assert ClosedSet(kind="intervals", intervals=((0.8, 0.3), (0.1, 0.2))).measure(
-        interval_space()) == pytest.approx(0.5)
-    assert ClosedSet(kind="intervals", intervals=((0.0, 0.1), (0.9, 0.0))).measure(
-        interval_space()) == pytest.approx(0.2)
+    assert ClosedSet(((0.8, 0.3), (0.1, 0.2))).measure() == pytest.approx(0.5)
+    assert ClosedSet(((0.0, 0.1), (0.9, 0.0))).measure() == pytest.approx(0.2)
 
 
 @pytest.mark.parametrize("a,b", [(0.25, 0.5), (0.9, 0.1), (0.0, 1.0), (1.0, 0.0), (0.3, 0.3),
@@ -108,7 +92,7 @@ def test_interval_measure_of_overlapping_union():
 def test_single_interval_measure_is_its_length(a, b):
     # the same float as the length formula, wrapped or not
     expected = (b - a) if a <= b else (1.0 - a + b)
-    assert ClosedSet(kind="intervals", intervals=((a, b),)).measure(interval_space()) == expected
+    assert ClosedSet(((a, b),)).measure() == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -119,28 +103,17 @@ def test_interval_measure_matches_fine_grid_count(intervals):
     inside = np.zeros(G, dtype=bool)
     for a, b in intervals:
         inside |= ((a <= x) & (x <= b)) if a <= b else ((x >= a) | (x <= b))
-    measure = ClosedSet(kind="intervals", intervals=tuple(intervals)).measure(interval_space())
+    measure = ClosedSet(tuple(intervals)).measure()
     # each of the at most 2 * 6 piece ends moves the count by at most one grid cell
     assert abs(measure - np.count_nonzero(inside) / G) <= 2 * len(intervals) / G
 
 
-def test_cylinder_measure_union():
-    sp = symbolic_space(2, 1)
-    # {x : x(0)=1} union {x : x(0)=1} (same set twice)
-    C = ClosedSet(kind="cylinders", cylinders=({0: 1}, {0: 1}))
-    assert C.measure(sp) == pytest.approx(0.5)
-    # overlapping union: x(0)=1 or x(1)=0 -> 1 - P(x0=0, x1=1) = 3/4
-    C2 = ClosedSet(kind="cylinders", cylinders=({0: 1}, {1: 0}))
-    assert C2.measure(sp) == pytest.approx(0.75)
-
-
 def test_map_mismatch_identity():
     M = 500
-    emb = grid_embedding(M)
     T = FinitePermutation(np.roll(np.arange(M), -1), validate=False)
     # +1 mod M approximates the identity with defect exactly 1/M
-    assert map_mismatch_fraction(emb, T, lambda x: x, 2.0 / M) == 0.0
-    assert map_mismatch_fraction(emb, T, lambda x: x, 0.5 / M) == 1.0
+    assert map_mismatch_fraction(grid(M), T, lambda x: x, 2.0 / M, circle=True) == 0.0
+    assert map_mismatch_fraction(grid(M), T, lambda x: x, 0.5 / M, circle=True) == 1.0
 
 
 # -- matching --------------------------------------------------------------
@@ -316,9 +289,8 @@ def test_synthesize_rotation_no_mismatch():
     targets = (np.arange(M) / M + t) % 1.0
     T, mism = synthesize_permutation(M, targets, 2.0 / M)
     assert mism == 0
-    circ = circle_space()
     for y in range(0, M, 97):
-        assert circ.distance(T(y) / M, targets[y]) < 2.0 / M
+        assert _distance(T(y) / M, targets[y], circle=True) < 2.0 / M
 
 
 def test_synthesize_validation():

@@ -569,7 +569,7 @@ def test_approx_degree_takes_integral_values(tmp_path, degree, keys):
     assert sorted(rep["weak_star_errors"]) == keys
 
 
-# the two approx configs the CI's console-script steps run
+# the three approx configs the CI's console-script steps run
 CI_APPROX_CONFIGS = {
     "approx-pipeline": {"approx": {"mode": "pipeline", "M": 20000,
                                    "target": {"name": "rotation", "t": 0.3819660112501051},
@@ -578,12 +578,17 @@ CI_APPROX_CONFIGS = {
                        "approx": {"mode": "metrics", "closed_intervals": [[0.9, 0.1]],
                                   "target": {"name": "rotation", "t": 0.3819660112501051},
                                   "mismatch_epsilons": [1e-4, 1e-5]}},
+    "approx-metrics-drift": {"system": {"name": "drift", "M": 20000},
+                             "approx": {"mode": "metrics", "closed_intervals": [[0.9, 0.1], [0.25, 0.5]],
+                                        "target": {"name": "doubling"},
+                                        "mismatch_epsilons": [1e-4, 0.25]}},
 }
 
 
 @pytest.mark.parametrize("name,digest", [
     ("approx-pipeline", "6446c52a2929180fc2287d1004a5f9a6e246c9f8a4a70c2287fbe9f2473f0179"),
     ("approx-metrics", "86571d07f0943186ba12c240e60d584ae72394244223bca5d50d9b165d1dc940"),
+    ("approx-metrics-drift", "b2082d9aa4ee8539338dd46ae337a4a1852c04c12f83b5ac762d88bb95a14f28"),
 ])
 def test_approx_report_of_the_ci_configs_is_pinned(tmp_path, name, digest):
     # the SHA-256 the CI's approx steps check

@@ -241,8 +241,8 @@ GAMMA_CASES = {
                  lambda M: paper_observable("chi0", M, N=3), 3.0),
     "rotation-1001": (lambda: build_rotation(1001, 0.3).permutation,
                       lambda M: paper_observable("tent", M), 2.5),
-    "drift-997": (lambda: build_drift_system(997)[0], lambda M: paper_observable("ex03", M, K=10), 1.7),
-    "drift-997-normal": (lambda: build_drift_system(997)[0],
+    "drift-997": (lambda: build_drift_system(997), lambda M: paper_observable("ex03", M, K=10), 1.7),
+    "drift-997-normal": (lambda: build_drift_system(997),
                          lambda M: Observable.from_values(np.random.default_rng(3).standard_normal(M)), 2.2),
 }
 
@@ -272,7 +272,7 @@ def test_gamma_series_in_chunks_is_bitwise_the_prefix_means(monkeypatch, chunk, 
 def test_gamma_of_a_negative_zero_keeps_its_sign_across_chunks(monkeypatch, chunk):
     # the first chunk adds no carry: 0.0 + -0.0 would be +0.0
     monkeypatch.setattr(dynamics, "CHUNK_POINTS", chunk)
-    T = build_drift_system(50)[0]
+    T = build_drift_system(50)
     F = paper_observable("constant", 50, value=-0.0)
     pts, _ = gamma_series(F, T, 7, 2.0, 1)
     assert np.signbit(pts[:, 2]).all() and not pts[:, 2].any()

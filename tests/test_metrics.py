@@ -1,6 +1,6 @@
 """Array metrics and the list cycle walk, pinned against their per-point oracles.
 
-The approximation metrics work on whole coordinate arrays; tests/oracles.py
+The approximation metrics work on the whole grid array x = y/M; tests/oracles.py
 keeps the loops they replaced, one point at a time.  The two must agree
 bitwise: the distances and thresholds are the same IEEE operations per
 point, and the monomial means are compared as computed.
@@ -18,9 +18,8 @@ from ergodia.approximation import (
 )
 from ergodia.cli import _monomial_tests, _target_map
 from ergodia.dynamics import FinitePermutation
-from ergodia.systems import build_bernoulli, build_drift_system, build_rotation, grid_embedding
+from ergodia.systems import build_drift_system, build_rotation
 from oracles import (
-    cylinder_measure_loop,
     map_mismatch_fraction_loop,
     permutation_from_cycles,
     thickening_measure_error_loop,
@@ -32,12 +31,11 @@ GOLDEN = 0.3819660112501051
 
 
 def grid_system(kind, M):
-    """(T, embedding, target spec): drift on the interval or a rotation on the circle."""
+    """(T, x, circle, target spec): drift on the interval or a rotation on the circle."""
+    x = np.arange(M) / M
     if kind == "drift":
-        T, emb = build_drift_system(M)
-        return T, emb, {"name": "identity"}
-    rot = build_rotation(M, GOLDEN)
-    return rot.permutation, rot.embedding, {"name": "rotation", "t": GOLDEN}
+        return build_drift_system(M), x, False, {"name": "identity"}
+    return build_rotation(M, GOLDEN).permutation, x, True, {"name": "rotation", "t": GOLDEN}
 
 
 def per_point(M):
@@ -47,10 +45,10 @@ def per_point(M):
 @pytest.mark.parametrize("M", SIZES)
 @pytest.mark.parametrize("kind", ["drift", "rotation"])
 def test_weak_star_equals_oracle(kind, M):
-    _, emb, _ = grid_system(kind, M)
+    _, x, _, _ = grid_system(kind, M)
     tests = _monomial_tests(5)
     loop = [(t.name, lambda x, d=d: float(x) ** d, t.integral) for d, t in enumerate(tests)]
-    assert weak_star_error(emb, tests) == weak_star_error_loop(per_point(M), M, loop)
+    assert weak_star_error(x, tests) == weak_star_error_loop(per_point(M), M, loop)
 
 
 CLOSED_SETS = {
@@ -64,23 +62,23 @@ CLOSED_SETS = {
 @pytest.mark.parametrize("M", SIZES)
 @pytest.mark.parametrize("kind", ["drift", "rotation"])
 def test_thickening_equals_oracle(kind, M):
-    _, emb, _ = grid_system(kind, M)
+    _, x, circle, _ = grid_system(kind, M)
     for name, intervals in CLOSED_SETS.items():
-        C = ClosedSet(kind="intervals", intervals=intervals)
+        C = ClosedSet(intervals)
         for eps in (2.0 / M, 0.5 / M, 0.013):
-            got = thickening_measure_error(emb, C, eps)
-            assert got == thickening_measure_error_loop(per_point(M), M, emb.space, C, eps), (name, eps)
+            got = thickening_measure_error(x, C, eps, circle=circle)
+            assert got == thickening_measure_error_loop(per_point(M), M, circle, C, eps), (name, eps)
 
 
 @pytest.mark.parametrize("M", SIZES)
 @pytest.mark.parametrize("kind", ["drift", "rotation"])
 def test_map_mismatch_equals_oracle(kind, M):
-    T, emb, target = grid_system(kind, M)
+    T, x, circle, target = grid_system(kind, M)
     for spec in (target, {"name": "doubling"}):
         tau = _target_map(spec)
         for eps in (0.5 / M, 2.0 / M, 0.25):
-            got = map_mismatch_fraction(emb, T, tau, eps)
-            want = map_mismatch_fraction_loop(per_point(M), M, emb.space, T.image, tau, eps)
+            got = map_mismatch_fraction(x, T, tau, eps, circle=circle)
+            want = map_mismatch_fraction_loop(per_point(M), M, circle, T.image, tau, eps)
             assert got == want, (spec, eps)
 
 
@@ -98,57 +96,10 @@ def test_partial_mismatch_on_synthesized_permutation(base, M, delta):
         return targets[np.rint(np.multiply(x, M)).astype(np.int64) % M]
 
     T, _ = synthesize_permutation(M, targets, delta)
-    emb = grid_embedding(M)
     for eps in (delta / 7, delta / 3, delta / 2):
-        got = map_mismatch_fraction(emb, T, tau, eps)
+        got = map_mismatch_fraction(grid, T, tau, eps, circle=True)
         assert 0.0 < got < 1.0, eps
-        assert got == map_mismatch_fraction_loop(per_point(M), M, emb.space, T.image, tau, eps)
-
-
-SYMBOLIC = {
-    "naive-2-2": (build_bernoulli(2, 2, "naive"),
-                  [({0: 1},), ({-1: 0, 1: 1},), ({2: 1}, {0: 0, -2: 1}), ({},)]),
-    "debruijn-3-1": (build_bernoulli(3, 1, "debruijn"),
-                     [({0: 2},), ({-1: 0, 1: 2}, {0: 1}), ({1: 1}, {-1: 2})]),
-}
-
-
-@pytest.mark.parametrize("name", sorted(SYMBOLIC))
-def test_cylinder_thickening_equals_oracle(name):
-    system, cylinder_sets = SYMBOLIC[name]
-    emb = system.embedding
-    assert [emb.coordinates[y].tolist() for y in range(system.M)] == \
-        [system.word(y).tolist() for y in range(system.M)]
-    for cylinders in cylinder_sets:
-        C = ClosedSet(kind="cylinders", cylinders=cylinders)
-        assert C.measure(emb.space) == cylinder_measure_loop(cylinders, system.m)
-        for eps in (0.3, 0.5, 0.75, 1.0, 1.5):
-            got = thickening_measure_error(emb, C, eps)
-            want = thickening_measure_error_loop(system.word, system.M, emb.space, C, eps)
-            assert got == want, (cylinders, eps)
-
-
-@pytest.mark.parametrize("name", sorted(SYMBOLIC))
-def test_symbolic_shift_mismatch_equals_oracle(name):
-    system, _ = SYMBOLIC[name]
-    emb = system.embedding
-
-    def shift(words):
-        return np.roll(words, -1, axis=-1)  # y'(n) = y(n + 1) on the truncated window
-
-    for eps in (0.2, 0.3, 0.6):
-        got = map_mismatch_fraction(emb, system.permutation, shift, eps)
-        want = map_mismatch_fraction_loop(system.word, system.M, emb.space,
-                                          system.permutation.image, shift, eps)
-        assert got == want, eps
-
-
-def test_coordinates_are_built_on_first_read():
-    emb = build_drift_system(1000)[1]
-    assert "coordinates" not in vars(emb)
-    assert emb.coordinates is emb.coordinates
-    assert emb.coordinates.tobytes() == np.asarray([y / 1000 for y in range(1000)]).tobytes()
-    assert not emb.coordinates.flags.writeable
+        assert got == map_mismatch_fraction_loop(per_point(M), M, True, T.image, tau, eps)
 
 
 # -- the generic cycle walk --------------------------------------------------

@@ -27,7 +27,7 @@ from oracles import permutation_from_cycles
 
 
 def drift(M):
-    return build_drift_system(M)[0], np.roll(np.arange(M), -1)
+    return build_drift_system(M), np.roll(np.arange(M), -1)
 
 
 def rotation(M, t):
@@ -127,7 +127,7 @@ def test_from_cycle_order_rejects_non_canonical(order, lengths):
 
 
 SHARED = {
-    "drift": lambda: build_drift_system(4000)[0],
+    "drift": lambda: build_drift_system(4000),
     "identity": lambda: FinitePermutation.identity(4000),
     "identity-from-image": lambda: FinitePermutation(np.arange(4000)),
     # T swaps 0 and 1, yet its order, the 2-cycle then the fixed points, is 0, 1, 2, ...
@@ -168,7 +168,7 @@ def relabel(F, T, sigma):
 
 
 RELABELLED = {
-    "drift-ex03": lambda: (build_drift_system(600)[0], paper_observable("ex03", 600, K=50)),
+    "drift-ex03": lambda: (build_drift_system(600), paper_observable("ex03", 600, K=50)),
     "rotation-fig5-ex01": lambda: (build_rotation(33334, 2.0 / 3.0).permutation,
                                    paper_observable("ex01", 33334)),
     "debruijn-chi0": lambda: (build_bernoulli(2, 4, "debruijn").permutation,
@@ -322,7 +322,7 @@ def test_racing_observables_on_one_permutation_keep_their_own_values():
 
 
 BUILT = {
-    "drift": lambda: (build_drift_system(5000)[0], paper_observable("ex03", 5000, K=50)),
+    "drift": lambda: (build_drift_system(5000), paper_observable("ex03", 5000, K=50)),
     "rotation": lambda: (build_rotation(33334, 2.0 / 3.0).permutation, paper_observable("tent", 33334)),
     "naive": lambda: (build_bernoulli(2, 4, "naive").permutation, paper_observable("chi0", 512, N=4)),
     "debruijn": lambda: (build_bernoulli(2, 4, "debruijn").permutation,

@@ -314,7 +314,7 @@ KERNEL_SYSTEMS = {
     "naive2-normal": lambda: naive_system(2, normal=True),
     "mixed": lambda: mixed_cycles(1),
     "mixed-zeros": lambda: mixed_cycles(2, zeros=True),
-    "drift": lambda: (paper_observable("ex03", 60, K=4), build_drift_system(60)[0]),
+    "drift": lambda: (paper_observable("ex03", 60, K=4), build_drift_system(60)),
     "rotation": lambda: (paper_observable("tent", 61), build_rotation(61, 0.3).permutation),
 }
 # larger systems, run at the default chunk size only
@@ -322,7 +322,7 @@ LARGE_SYSTEMS = {
     "naive5": lambda: naive_system(5),
     "naive5-normal": lambda: naive_system(5, normal=True),
     "naive8": lambda: naive_system(8),
-    "drift1000": lambda: (paper_observable("ex03", 1000, K=10), build_drift_system(1000)[0]),
+    "drift1000": lambda: (paper_observable("ex03", 1000, K=10), build_drift_system(1000)),
     "rotation997": lambda: (paper_observable("tent", 997), build_rotation(997, 0.3).permutation),
 }
 # chunk 256: a few rows per chunk; chunks 1 and 7: one row per chunk, in tiles of 1 or 7 columns
@@ -430,7 +430,7 @@ def spike_drift(M=2000, z=1000, seed=3):
     """
     values = np.random.default_rng(seed).uniform(-0.01, 0.01, M)
     values[z] = 100.0
-    return Observable.from_values(values), build_drift_system(M)[0]
+    return Observable.from_values(values), build_drift_system(M)
 
 
 def band_rows_equal_loop(F, T, points, n_min, eps, scan_limit):
@@ -545,7 +545,7 @@ def test_reference_psi_matches_drift_means():
     from ergodia.systems import build_drift_system, paper_observable
 
     M = 2000
-    T, _ = build_drift_system(M)
+    T = build_drift_system(M)
     F = paper_observable("linear", M)
     for y_frac, a_frac in [(0.3, 0.5), (0.8, 0.5), (0.1, 0.9)]:
         y = int(y_frac * M)

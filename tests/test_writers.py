@@ -201,3 +201,19 @@ def test_a_gamma_job_builds_its_templates_once(tmp_path, monkeypatch, starts, sv
     out = run_gamma(tmp_path, config, *(["--svg", "--no-timestamp"] if svg else []))
     assert sorted(built) == (["circle", "csv"] if svg else ["csv"])
     assert len(list(out.glob("*.csv"))) == len(starts) and len(list(out.glob("*.svg"))) == svg * len(starts)
+
+
+def test_each_start_points_files_are_written_before_the_next_series(tmp_path, monkeypatch):
+    # one series in memory at a time: when a start point's series is summed, the CSV and SVG
+    # of the start point before it are on disk already
+    starts, written, series = MULTI["start_points"]["explicit"], [], cli.gamma_series
+
+    def checking(F, T, y, *args):
+        before = starts[: starts.index(y)][-1:]
+        written.append(all((tmp_path / "out" / f"gamma_chi0_y{p}.{ext}").exists()
+                           for p in before for ext in ("csv", "svg")))
+        return series(F, T, y, *args)
+
+    monkeypatch.setattr(cli, "gamma_series", checking)
+    run_gamma(tmp_path, MULTI, "--svg", "--no-timestamp")
+    assert written == [True] * len(starts)
