@@ -37,8 +37,8 @@ __all__ = [
 SERIES_BUDGET = 1 << 28
 
 # values per chunk the kernels handle at once (a run of gamma's prefix sums;
-# per horizon, rows of equal-length cycles or a tile of orbit rows), so their
-# temporaries stay bounded
+# per horizon, rows of equal-length cycles or a tile of orbit rows; de Bruijn
+# window indices; necklace candidates), so their temporaries stay bounded
 CHUNK_POINTS = 1 << 16
 
 

@@ -19,7 +19,7 @@ from math import gcd
 
 import numpy as np
 
-from .dynamics import FinitePermutation, Observable
+from .dynamics import CHUNK_POINTS, FinitePermutation, Observable
 
 __all__ = [
     "RotationSystem",
@@ -57,8 +57,9 @@ class RotationSystem:
     def permutation(self) -> FinitePermutation:
         """gcd(P, M) cycles; the r-th visits r, r + P, r + 2P, ... (mod M)."""
         g = gcd(self.P, self.M)
+        # each step is a multiple of g, at most M - g, and r < g: r + step < M
         steps = np.arange(self.M // g, dtype=np.int64) * self.P % self.M
-        order = (np.arange(g, dtype=np.int64)[:, None] + steps) % self.M
+        order = np.arange(g, dtype=np.int64)[:, None] + steps
         return FinitePermutation.from_cycle_order(order.ravel(), np.full(g, self.M // g))
 
 
@@ -111,29 +112,38 @@ def debruijn_sequence(m: int, n: int) -> np.ndarray:
     Fredricksen-Kessler-Maiorana: the aperiodic prefixes of the length-n
     necklaces, concatenated in lex order.  The heads of _necklaces, read as
     big-endian words, are those necklaces in lex order; a masked (heads, n)
-    digit matrix keeps each head's first period digits.
+    int32 digit matrix keeps each head's first period digits.
     """
     if m < 2 or n < 1:
         raise ValueError("need alphabet size >= 2 and window length >= 1")
     if m ** n > 1 << 26:
         raise ValueError("sequence length exceeds the memory budget")
     heads, period = _necklaces(m, n)
-    digits = heads[:, None] // m ** np.arange(n - 1, -1, -1, dtype=np.int64) % m
-    return digits[np.arange(n) < period[:, None]]
+    digits = heads.astype(np.int32)[:, None] // m ** np.arange(n - 1, -1, -1, dtype=np.int32) % m
+    return digits[np.arange(n) < period[:, None]].astype(np.int64)
 
 
 def _window_indices(s: np.ndarray, n: int, m: int) -> np.ndarray:
     """Little-endian base-m index of every cyclic length-n window of s.
 
-    Horner's rule, in place, over shifted views of s extended by its first
-    n - 1 symbols.
+    CHUNK_POINTS windows at a time, so each pass stays in cache: from the
+    chunk's symbols and the n - 1 after it (wrapping round s), doubling
+    builds the windows of length l = 1, 2, 4, ... as w_2l = w_l[:-l] +
+    m^l * w_l[l:], and joins, lowest digits first, the lengths n's bits pick.
     """
     s = np.asarray(s, dtype=np.int64)
-    ext = np.concatenate([s, s[: n - 1]])
-    idx = ext[n - 1 :].copy()
-    for j in range(n - 2, -1, -1):
-        idx *= m
-        idx += ext[j : j + s.size]
+    idx = np.zeros(s.size, dtype=np.int64)
+    for lo in range(0, s.size, CHUNK_POINTS):
+        hi = min(lo + CHUNK_POINTS, s.size)
+        w = np.concatenate([s[lo : hi + n - 1], s[: max(0, hi + n - 1 - s.size)]])
+        offset, l = 0, 1
+        while True:
+            if n & l:
+                idx[lo:hi] += w[offset : offset + hi - lo] * m**offset
+                offset += l
+            if offset == n:
+                break
+            w, l = w[:-l] + m**l * w[l:], 2 * l
     return idx
 
 
@@ -144,10 +154,11 @@ def debruijn_window_permutation(m: int, n: int, s: np.ndarray | None = None) -> 
     Bruijn sequence.  The window indices in sequence order are the cycle,
     rotated to start at window 0 (where debruijn_sequence already starts).
     """
-    if s is None:
-        s = debruijn_sequence(m, n)
-    idx = _window_indices(s, n, m)
-    idx = np.roll(idx, -int(np.argmin(idx)))
+    # the library's own sequence is freed before the orbit index is built
+    idx = _window_indices(debruijn_sequence(m, n) if s is None else s, n, m)
+    start = int(np.argmin(idx))
+    if start:  # the library's own sequence starts at window 0
+        idx = np.roll(idx, -start)
     return FinitePermutation.from_cycle_order(idx, [idx.size])
 
 
@@ -182,9 +193,10 @@ def _necklaces(m: int, L: int) -> tuple[np.ndarray, np.ndarray]:
     A head is the smallest index among a word's rotations: the same set
     whether indices are read little- or big-endian, as a left rotation in
     one reading is a right rotation in the other.  L - 1 vectorized passes
-    keep the indices no larger than their j-th rotation; a head's period is
-    the smallest divisor d of L whose rotation maps it to itself.  The
-    passes run in int32, exact under the 2^26 word budget of the callers.
+    keep the indices no larger than their j-th rotation, on CHUNK_POINTS
+    candidates at a time so they stay in cache; a head's period is the
+    smallest divisor d of L whose rotation maps it to itself.  The passes
+    run in int32, exact under the 2^26 word budget of the callers.
     They start from the zero word, the words with top digit 0 and bottom digit
     not 0, and those with no 0 digit (a quarter of all for m = 2): read
     big-endian, the least rotation of a word holding a 0 but not all 0s starts
@@ -195,9 +207,14 @@ def _necklaces(m: int, L: int) -> tuple[np.ndarray, np.ndarray]:
     for _ in range(L - 1):
         nonzero = (nonzero[:, None] * m + digits).ravel()
     bottom = (np.arange(m ** (L - 1) // m, dtype=np.int32)[:, None] * m + digits).ravel()
-    heads = np.concatenate([np.zeros(1, dtype=np.int32), bottom, nonzero])
-    for j in range(1, L):
-        heads = heads[heads <= _rotate(heads, j, m, L)]
+    candidates = np.concatenate([np.zeros(1, dtype=np.int32), bottom, nonzero])
+    kept = []
+    for lo in range(0, candidates.size, CHUNK_POINTS):
+        heads = candidates[lo : lo + CHUNK_POINTS]
+        for j in range(1, L):
+            heads = heads[heads <= _rotate(heads, j, m, L)]
+        kept.append(heads)
+    heads = np.concatenate(kept)
     period = np.full(heads.size, L, dtype=np.int64)
     for d in sorted((d for d in range(1, L) if L % d == 0), reverse=True):
         period[_rotate(heads, d, m, L) == heads] = d
@@ -230,6 +247,8 @@ def build_bernoulli(m: int, N: int, mode: str = "debruijn") -> SymbolicSystem:
     De Bruijn: a single M-cycle agreeing with the true shift on all words
     except the few whose window crosses the seam of the cyclic sequence.
     """
+    if m < 2 or N < 0:
+        raise ValueError("need alphabet size m >= 2 and half-window N >= 0")
     L = 2 * N + 1
     if m**L > 1 << 26:
         raise ValueError("word space exceeds the memory budget")

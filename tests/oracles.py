@@ -4,6 +4,8 @@ Nothing in the library calls these; tests import them with
 `from oracles import ...`.
 """
 
+from math import gcd
+
 import numpy as np
 
 from ergodia.dynamics import FinitePermutation, Observable, ergodic_means_prefix
@@ -308,6 +310,13 @@ def word(system, index):
 def word_index(system, w):
     """The index of the word w, inverse to word."""
     return int(sum(int(s) * system.m**i for i, s in enumerate(w)))
+
+
+def rotation_order_two_mod(M, P):
+    """The cycle order of y -> y + P mod M with both reductions: (r + (j*P mod M)) mod M."""
+    g = gcd(P, M)
+    steps = np.arange(M // g, dtype=np.int64) * P % M
+    return ((np.arange(g, dtype=np.int64)[:, None] + steps) % M).ravel()
 
 
 # -- de Bruijn sequences and necklaces ---------------------------------------

@@ -312,6 +312,21 @@ def test_stab_reports_of_the_scan_ci_configs_are_pinned(tmp_path, payload, diges
     assert hashlib.sha256((tmp_path / "o" / "stab_report.json").read_bytes()).hexdigest() == digest
 
 
+def test_multi_chunk_debruijn_gamma_is_pinned(tmp_path):
+    # the CI's 2^21 de Bruijn gamma step: the window indices run in 32 chunks
+    import hashlib
+
+    cfg = write_config(tmp_path, {
+        "system": {"name": "bernoulli", "m": 2, "N": 10, "mode": "debruijn"},
+        "observable": {"name": "chi0", "N": 10},
+        "start_points": {"explicit": [1000]},
+        "gamma": {"k": 1.0},
+    })
+    assert main(["gamma", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    digest = hashlib.sha256((tmp_path / "o" / "gamma_chi0_y1000.csv").read_bytes()).hexdigest()
+    assert digest == "d00adb2a63cf9e0f0099e2ea39e00a7a2b9d5ecf3e81ccd92bced5ecc4827a36"
+
+
 def test_stab_scans_every_start_point_once(tmp_path, monkeypatch):
     # one band scan covers the per-point rows and the common segment alike
     from ergodia import stabilization

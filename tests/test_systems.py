@@ -1,11 +1,14 @@
 """Model systems: drift, rotations, de Bruijn shifts, and observables."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from fractions import Fraction
 from math import gcd
 from hypothesis import given, settings, strategies as st
 
+from ergodia import systems
 from ergodia.dynamics import FinitePermutation, Observable, ergodic_means_prefix, orbit_average
 from ergodia.systems import (
     RotationSystem,
@@ -24,6 +27,7 @@ from oracles import (
     debruijn_lyndon,
     necklaces_brute,
     prefer_largest_debruijn,
+    rotation_order_two_mod,
     tent_function,
     three_point_average,
     window_indices_roll,
@@ -59,6 +63,14 @@ def test_rotation_orbits_have_period_m_over_gcd():
     T = RotationSystem(M=12, P=3, t=0.25, defect=0.0).permutation
     assert len(T.cycles) == gcd(3, 12)
     assert all(len(c) == 4 for c in T.cycles)
+
+
+def test_rotation_order_needs_one_reduction():
+    # r + (j*P mod M) < M already, so the outer mod M of the oracle changes nothing
+    for M in range(2, 200):
+        for P in range(1, M):
+            order = RotationSystem(M=M, P=P, t=P / M, defect=0.0).permutation.orbit_index.order
+            assert np.array_equal(order, rotation_order_two_mod(M, P)), (M, P)
 
 
 def test_rotation_validation():
@@ -162,6 +174,44 @@ def test_window_indices_match_roll_loop(m, n):
         assert len(T.cycles) == 1
 
 
+# chunk sizes of the de Bruijn kernels: one window or candidate per chunk,
+# uneven chunks, and the default, under which every case here is one chunk
+KERNEL_CHUNKS = [1, 7, 64, systems.CHUNK_POINTS]
+# n = 1, powers of two and n with every bit set, as far as m^n <= 2^13
+WINDOW_CASES = [(m, n) for m in (2, 3, 4) for n in (1, 2, 3, 4, 7, 8, 11) if m**n <= 1 << 13]
+
+
+@pytest.mark.parametrize("chunk", KERNEL_CHUNKS)
+@pytest.mark.parametrize("m,n", WINDOW_CASES)
+def test_chunked_window_indices_match_roll_loop(m, n, chunk, monkeypatch):
+    monkeypatch.setattr(systems, "CHUNK_POINTS", chunk)
+    for name, s in _debruijn_variants(m, n).items():
+        idx = _window_indices(s, n, m)
+        assert idx.dtype == np.int64
+        assert np.array_equal(idx, window_indices_roll(s, n, m)), name
+
+
+@pytest.mark.parametrize("chunk", KERNEL_CHUNKS)
+@pytest.mark.parametrize("m,L", [(2, 1), (3, 1), (2, 2), (2, 5), (2, 6), (3, 4), (2, 9), (5, 3),
+                                 (4, 4), (2, 12), (3, 7)])
+def test_chunked_necklaces_match_brute_force(m, L, chunk, monkeypatch):
+    monkeypatch.setattr(systems, "CHUNK_POINTS", chunk)
+    heads, period = _necklaces(m, L)
+    h, p = necklaces_brute(m, L, big_endian=True)
+    assert np.array_equal(heads, h)
+    assert np.array_equal(period, p)
+
+
+@pytest.mark.parametrize("m,N,digest", [
+    (2, 10, "775a915a431a2a1002f60f2477be75fba151812ea6b6bc6b4194c9940bc2761e"),
+    (3, 6, "303ded7946b3d56740abc26fd866913df383f0bf776ce70d6ff9c95962acc35e"),
+])
+def test_multi_chunk_debruijn_order_is_pinned(m, N, digest):
+    # 2^21 and 3^13 windows: 32 and 25 chunks of CHUNK_POINTS
+    order = build_bernoulli(m, N, "debruijn").permutation.orbit_index.order
+    assert hashlib.sha256(order.tobytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("m,L", [(2, 1), (2, 5), (3, 4), (2, 9), (4, 3), (2, 12), (3, 5)])
 def test_naive_cycles_match_the_generic_walk(m, L):
     order, lengths = _necklace_cycles(m, L)
@@ -214,6 +264,11 @@ def test_build_bernoulli_validation():
         build_bernoulli(2, 2, "magic")
     with pytest.raises(ValueError):
         build_bernoulli(2, 14)
+    # both modes refuse these before any array is sized from them
+    for m, N in [(1, 2), (0, 1), (2, -1), (3, -2)]:
+        for mode in ("naive", "debruijn"):
+            with pytest.raises(ValueError, match="alphabet size m >= 2 and half-window N >= 0"):
+                build_bernoulli(m, N, mode)
 
 
 # -- observables -----------------------------------------------------------
