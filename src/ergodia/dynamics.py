@@ -271,6 +271,8 @@ class Observable:
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
+        if self.size < 1:
+            raise ValueError(f"an observable needs size >= 1, got {self.size}")
         if values.shape != (self.size,):
             raise ValueError(f"values must have shape ({self.size},)")
         if self.denominator != int(self.denominator) or self.denominator < 1:
@@ -350,7 +352,8 @@ def ergodic_means_prefix(
 
     Double mode uses a float64 cumulative sum; exact mode sums the
     observable's integer numerators as Python ints, so A_n is the Fraction
-    (sum of numerators) / (denominator * n) with no overflow.
+    (sum of numerators) / (denominator * n) with no overflow.  Its floats
+    are that int division, correctly rounded as float(Fraction) is.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -360,9 +363,9 @@ def ergodic_means_prefix(
     exact_means = None
     if exact:
         D = F.denominator
-        sums = accumulate(F.numerators(traj).tolist())
+        sums = list(accumulate(F.numerators(traj).tolist()))
         exact_means = tuple(Fraction(s, D * n) for n, s in enumerate(sums, start=1))
-        means = np.asarray([float(q) for q in exact_means])
+        means = np.asarray([s / (D * n) for n, s in enumerate(sums, start=1)])
     return MeanSeries(size=T.size, start=y, n_max=n_max, means=means, exact_means=exact_means)
 
 

@@ -59,7 +59,10 @@ def tail_mass(F: Observable, k: float) -> float:
 
 def default_thresholds(F: Observable) -> np.ndarray:
     """Geometric grid 1, 2, 4, ..., up to 2*max|F| (captures tail decay scale)."""
-    max_abs = float(np.max(np.abs(F.values), initial=0.0))
+    return _doubling_grid(float(np.max(np.abs(F.values), initial=0.0)))
+
+
+def _doubling_grid(max_abs: float) -> np.ndarray:
     top = max(2.0 * max_abs, 1.0)
     ks = [1.0]
     while ks[-1] < top:
@@ -68,24 +71,27 @@ def default_thresholds(F: Observable) -> np.ndarray:
 
 
 def integrability_profile(F: Observable, ks: Sequence[float] | None = None) -> IntegrabilityProfile:
-    """Full tail-mass profile in one pass over F."""
-    if ks is None:
-        ks = default_thresholds(F)
-    ks = np.asarray(ks, dtype=np.float64)
+    """Full tail-mass profile from one M-sized array, a = |F|.
+
+    av_abs and max_abs are read from a in point order; then a is sorted in
+    place, and the suffix sums of its values above ks[0], largest first,
+    overwrite those values.  add.accumulate is sequential, so each tail has
+    the same bits as the matching entry of a full reversed cumulative sum.
+    """
+    a = np.abs(F.values)
+    av_abs = float(np.sum(a) / F.size)
+    max_abs = float(np.max(a, initial=0.0))
+    ks = np.asarray(_doubling_grid(max_abs) if ks is None else ks, dtype=np.float64)
     if ks.size == 0:
         raise ValueError("threshold list is empty")
     if not (np.diff(ks) > 0).all() or ks[0] <= 0:
         raise ValueError("thresholds must be positive and strictly increasing")
-    a = np.sort(np.abs(F.values))
-    suffix = np.concatenate([np.cumsum(a[::-1])[::-1], [0.0]])
+    a.sort()
     pos = np.searchsorted(a, ks, side="right")
-    tails = suffix[pos] / F.size
-    return IntegrabilityProfile(
-        thresholds=ks,
-        tail_masses=tails,
-        av_abs=float(np.sum(np.abs(F.values)) / F.size),
-        max_abs=float(np.max(np.abs(F.values), initial=0.0)),
-    )
+    top = a[pos[0] :][::-1]
+    np.cumsum(top, out=top)
+    tails = np.where(pos < F.size, a[np.minimum(pos, F.size - 1)], 0.0) / F.size
+    return IntegrabilityProfile(thresholds=ks, tail_masses=tails, av_abs=av_abs, max_abs=max_abs)
 
 
 def family_profile(family: Sequence[Observable], ks: Sequence[float]) -> IntegrabilityProfile:

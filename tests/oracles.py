@@ -9,6 +9,7 @@ from math import gcd
 import numpy as np
 
 from ergodia.dynamics import FinitePermutation, Observable, ergodic_means_prefix
+from ergodia.integrability import default_thresholds
 from ergodia.stabilization import sup_discrepancy
 
 
@@ -40,6 +41,20 @@ def orbit_and_period(T, y):
 def cycle_decomposition(T):
     """Disjoint cycles covering Y as lists, in the canonical order of T.cycles."""
     return [c.tolist() for c in T.cycles]
+
+
+def profile_by_suffix_sums(F, ks=None):
+    """(tail_masses, av_abs, max_abs) of integrability_profile from three M-sized arrays.
+
+    A sorted copy of |F|, its whole reversed cumulative sum, and that sum with
+    a 0 appended, read at searchsorted(..., "right") of each threshold.
+    """
+    if ks is None:
+        ks = default_thresholds(F)
+    a = np.sort(np.abs(F.values))
+    suffix = np.concatenate([np.cumsum(a[::-1])[::-1], [0.0]])
+    tails = suffix[np.searchsorted(a, np.asarray(ks, dtype=np.float64), side="right")] / F.size
+    return tails, float(np.sum(np.abs(F.values)) / F.size), float(np.max(np.abs(F.values), initial=0.0))
 
 
 def exceedance_fraction(F, T, K, L, eps):

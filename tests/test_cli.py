@@ -657,6 +657,16 @@ def test_check_subcommand_passes():
     assert main(["check"]) == 0
 
 
+def test_check_stdout_is_pinned(capsys):
+    # the SHA-256 the CI's console-script step checks
+    import hashlib
+
+    capsys.readouterr()
+    assert main(["check"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "b70088b557e145fba45c16fca3bb36519d044c47dc9ddded0a313c0e379db58d"
+
+
 def test_check_negative_control(tmp_path):
     # corrupted fixture: a non-bijective image must trip the invariant suite
     cfg = write_config(tmp_path, {"fixtures": {"permutation_image": [0, 0, 1]}})

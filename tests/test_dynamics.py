@@ -128,6 +128,14 @@ def test_observable_exact_needs_rule_for_fractions():
         F.exact(0)
 
 
+@pytest.mark.parametrize("size", [0, -1])
+def test_observable_refuses_an_empty_space(size):
+    with pytest.raises(ValueError, match="size >= 1"):
+        Observable(size, np.empty(0))
+    with pytest.raises(ValueError, match="size >= 1"):
+        Observable.from_values([])
+
+
 def test_observable_values_read_only():
     F = Observable.from_values([1.0, 2.0])
     with pytest.raises(ValueError):
@@ -162,6 +170,40 @@ def test_exact_mode_fractions():
     F = Observable.from_values([1.0, 0.0, 0.0])
     series = ergodic_means_prefix(F, T, 0, 3, exact=True)
     assert series.exact_means == (Fraction(1), Fraction(1, 2), Fraction(1, 3))
+
+
+def assert_means_are_rounded_fractions(series):
+    # means[n-1] is float(A_n) of the exact Fraction, bit for bit
+    assert series.means.tobytes() == np.asarray([float(q) for q in series.exact_means]).tobytes()
+
+
+@pytest.mark.parametrize("name,M", [("tent", 1000), ("tent", 997), ("linear", 1000), ("linear", 4099)])
+def test_exact_means_are_rounded_fractions_of_rational_observables(name, M):
+    # tent has denominator 9M, linear M
+    F = paper_observable(name, M)
+    T = build_rotation(M, 0.6180339887498949).permutation
+    for y in (0, 1, M // 3):
+        assert_means_are_rounded_fractions(ergodic_means_prefix(F, T, y, 2 * M + 7, exact=True))
+
+
+@given(st.lists(st.integers(-(2**53), 2**53), min_size=1, max_size=40), st.integers(1, 200))
+@settings(max_examples=100, deadline=None)
+def test_exact_means_are_rounded_fractions_past_2_53(nums, n_max):
+    # integer values near 2^53: the prefix sums leave float64's exact range within a few terms
+    F = Observable.from_values([float(v) for v in nums])
+    T = random_permutation(len(nums), len(nums) + n_max)
+    series = ergodic_means_prefix(F, T, 0, n_max, exact=True)
+    assert_means_are_rounded_fractions(series)
+    assert series.exact_means[-1] == Fraction(sum(int(F.values[z]) for z in T.trajectory(0, n_max)), n_max)
+
+
+def test_exact_means_of_large_integers_round_where_the_float_cumsum_does_not():
+    F = Observable.from_values([2.0**53 - 1, 2.0**53 - 1, 3.0])
+    T = permutation_from_cycles([[0, 1, 2]], size=3)
+    series = ergodic_means_prefix(F, T, 0, 3, exact=True)
+    assert_means_are_rounded_fractions(series)
+    assert series.exact_means[2] == Fraction(2**54 + 1, 3)
+    assert series.means[2] != np.cumsum(F.values)[2] / 3
 
 
 def test_mean_at_full_period_is_orbit_average():
