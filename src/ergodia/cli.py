@@ -156,11 +156,17 @@ def _seed(config: dict, args) -> int:
 WRITE_CHUNK_ROWS = 8192
 
 
-def _templates(line: str, cols: np.ndarray) -> list[str]:
-    """line per row of cols, a string per WRITE_CHUNK_ROWS rows; a "%%.12g" in line comes out as
-    the "%.12g" field of the column that varies, since the filled-in digits hold no '%'."""
-    return [(line * len(c)) % tuple(c.ravel().tolist())
-            for c in (cols[i : i + WRITE_CHUNK_ROWS] for i in range(0, len(cols), WRITE_CHUNK_ROWS))]
+def _templates(line: str, *cols: np.ndarray) -> list[str]:
+    """line per row of the columns cols, a string per WRITE_CHUNK_ROWS rows; a "%%.12g" in line
+    comes out as the "%.12g" field of the column that varies, since the filled-in digits hold no
+    '%'.  Each column keeps its dtype, so an int column fills a "%d" with no int() per row."""
+    templates = []
+    for first in range(0, len(cols[0]), WRITE_CHUNK_ROWS):
+        values = [None] * (len(cols) * min(WRITE_CHUNK_ROWS, len(cols[0]) - first))
+        for j, col in enumerate(cols):
+            values[j :: len(cols)] = col[first : first + WRITE_CHUNK_ROWS].tolist()
+        templates.append((line * (len(values) // len(cols))) % tuple(values))
+    return templates
 
 
 def _write_csv(path: Path, header: list[str], rows: tuple[list[str], np.ndarray]) -> None:
@@ -240,7 +246,7 @@ def cmd_gamma(config: dict, args) -> int:
         points, used_stride = gamma_series(F, T, y, k, stride)
         if rows is None:
             # every start point has the same stride and floor(k*M), so n and n/M are formatted once
-            rows = _templates("%d,%.12g,%%.12g\n", points[:, :2])
+            rows = _templates("%d,%.12g,%%.12g\n", points[:, 0].astype(np.int64), points[:, 1])
             circles = _circles(points[:, 1], k) if args.svg else None
         base = f"gamma_{F.name.replace('/', '_')}_y{y}"  # a name may hold a '.'
         _write_csv(out / f"{base}.csv", ["n", "n_over_M", "mean"], (rows, points[:, 2]))

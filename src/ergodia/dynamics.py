@@ -15,6 +15,7 @@ two writers store equal read-only arrays, and a reader sees one or the other.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import accumulate, chain
 from typing import Sequence
@@ -50,24 +51,47 @@ class OrbitIndex:
 
     Canonical order: descending length, ties broken by smallest element,
     each cycle starting at its minimum.  Cycle c is
-    order[starts[c] : starts[c] + lengths[c]], and slot is the inverse of
-    order: order[slot[y]] == y, and order itself when order is the identity.
-    Equal-length cycles are contiguous, so
-    every length class is a (count, p) block of order.
+    order[starts[c] : starts[c] + lengths[c]].  Equal-length cycles are
+    contiguous, so every length class is a (count, p) block of order.  An
+    identity order (the drift's) is not stored, and order is then a read-only
+    arange(M) built on first read.  No inverse of order is kept: see slots.
     """
 
-    order: np.ndarray
     starts: np.ndarray
     lengths: np.ndarray
-    slot: np.ndarray
+    stored: np.ndarray | None
 
     def __post_init__(self):
-        for a in (self.order, self.starts, self.lengths, self.slot):
-            a.setflags(write=False)
+        for a in (self.starts, self.lengths, self.stored):
+            if a is not None:
+                a.setflags(write=False)
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        order = np.arange(self.starts[-1] + self.lengths[-1]) if self.stored is None else self.stored
+        order.setflags(write=False)
+        return order
+
+    def slots(self, points) -> np.ndarray:
+        """The slot of each point, order[slots(points)] == points, in one pass over order: the slots
+        of points marked in an M-byte table, matched back by a sort; IndexError outside 0..M-1."""
+        points = np.asarray(points, dtype=np.int64)
+        M, order = int(self.starts[-1] + self.lengths[-1]), self.stored
+        if points.size and not 0 <= points.min() <= points.max() < M:
+            raise IndexError(f"point {points[(points < 0) | (points >= M)][0]} out of range for size {M}")
+        if order is None:
+            return points
+        marked = np.zeros(M, dtype=bool)
+        marked[points] = True
+        # the slots of marked points, ascending: order[found] holds each distinct point once
+        found = np.concatenate([lo + np.flatnonzero(marked[order[lo : lo + CHUNK_POINTS]])
+                                for lo in range(0, M, CHUNK_POINTS)])
+        by_point = np.argsort(order[found])
+        return found[by_point[np.searchsorted(order[found], points, sorter=by_point)]]
 
     def cycle_ids(self, points):
         """The cycle of each point: the last cycle starting at or before its slot."""
-        return np.searchsorted(self.starts, self.slot[points], side="right") - 1
+        return np.searchsorted(self.starts, self.slots(points), side="right") - 1
 
     def length_classes(self) -> list[tuple[int, int, int]]:
         """(offset into order, cycle count, length p) per length class, longest first."""
@@ -77,19 +101,18 @@ class OrbitIndex:
         return [(int(self.starts[c]), int(k), int(lengths[c])) for c, k in zip(first, counts)]
 
 
-def _slots(points: np.ndarray, what: str) -> np.ndarray:
-    """The inverse of points, slot[points[i]] == i; ValueError unless a permutation of 0..M-1."""
-    # the range first, as the scatter would wrap a negative entry; after it,
-    # a slot left at -1 is a value that a repeated entry displaced
+def _checked(points: np.ndarray, what: str) -> np.ndarray | None:
+    """points, or None if it is the identity (strictly increasing); ValueError unless a permutation."""
     if points.ndim != 1 or points.size == 0 or points.min() < 0 or points.max() >= points.size:
         raise ValueError(f"{what} is not a permutation of 0..M-1")
-    if (points[1:] > points[:-1]).all():  # in range and increasing: the identity, its own inverse
-        return points
-    slot = np.full(points.size, -1, dtype=np.int64)
-    slot[points] = np.arange(points.size, dtype=np.int64)
-    if (slot < 0).any():
+    if (points[1:] > points[:-1]).all():
+        return None
+    # M entries in range: every value is seen exactly when none repeats
+    seen = np.zeros(points.size, dtype=bool)
+    seen[points] = True
+    if not seen.all():
         raise ValueError(f"{what} is not a permutation of 0..M-1")
-    return slot
+    return points
 
 
 def _cyclic_run(cyc: np.ndarray, pos: int, n: int) -> np.ndarray:
@@ -127,7 +150,7 @@ class FinitePermutation:
         if image.ndim != 1 or image.size == 0:
             raise ValueError("image must be a non-empty 1-d array")
         if validate:
-            _slots(image, "image array")
+            _checked(image, "image array")
         image.setflags(write=False)
         self._image = image
         self.size = int(image.size)
@@ -148,7 +171,7 @@ class FinitePermutation:
         """
         order = np.asarray(order, dtype=np.int64)
         lengths = np.asarray(lengths, dtype=np.int64)
-        slot = _slots(order, "cycle order")
+        stored = _checked(order, "cycle order")
         if lengths.ndim != 1 or lengths.size == 0 or lengths.min() < 1 or lengths.sum() != order.size:
             raise ValueError("cycle lengths must be positive and sum to M")
         if (np.diff(lengths) > 0).any():
@@ -162,7 +185,7 @@ class FinitePermutation:
             raise ValueError("every cycle must start at its smallest element")
         T = cls.__new__(cls)
         T._image, T.size, T._along = None, order.size, None
-        T._index = OrbitIndex(order, starts, lengths, slot)
+        T._index = OrbitIndex(starts, lengths, stored)
         return T
 
     @property
@@ -184,7 +207,7 @@ class FinitePermutation:
         memo = self._along
         if memo is None or memo[0] is not F:
             index = self.orbit_index
-            values = F.values if index.slot is index.order else F.values[index.order]
+            values = F.values if index.stored is None else F.values[index.stored]
             values.setflags(write=False)
             memo = self._along = (F, values)
         return memo[1]
@@ -223,7 +246,7 @@ class FinitePermutation:
         cycles.sort(key=len, reverse=True)
         order = np.fromiter(chain.from_iterable(cycles), dtype=np.int64, count=self.size)
         lengths = np.fromiter(map(len, cycles), dtype=np.int64, count=len(cycles))
-        self._index = OrbitIndex(order, np.cumsum(lengths) - lengths, lengths, _slots(order, "cycle order"))
+        self._index = OrbitIndex(np.cumsum(lengths) - lengths, lengths, _checked(order, "cycle order"))
 
     @property
     def orbit_index(self) -> OrbitIndex:
@@ -238,19 +261,19 @@ class FinitePermutation:
                 for row in order[offset : offset + count * p].reshape(count, p)]
 
     def cycle_of(self, y: int) -> tuple[np.ndarray, int]:
-        """The cycle through y (a slice of the orbit order) and the position of y in it."""
-        if not 0 <= y < self.size:
-            raise IndexError(f"point {y} out of range for size {self.size}")
+        """The cycle through y (a slice of the orbit order) and y's position in it; as period, one
+        pass over the order (OrbitIndex.slots), so many points should go through one slots call."""
         index = self.orbit_index
-        c = index.cycle_ids(y)
+        slot = index.slots(y)
+        c = np.searchsorted(index.starts, slot, side="right") - 1
         start = index.starts[c]
-        return index.order[start : start + index.lengths[c]], int(index.slot[y] - start)
+        return index.order[start : start + index.lengths[c]], int(slot - start)
 
     def period(self, y: int) -> int:
         return self.cycle_of(y)[0].size
 
     def trajectory(self, y: int, n: int) -> np.ndarray:
-        """[y, T(y), ..., T^{n-1}(y)] in O(n), copied out of y's cycle in the orbit index."""
+        """[y, T(y), ..., T^{n-1}(y)] in O(M + n), copied out of y's cycle in the orbit index."""
         return _cyclic_run(*self.cycle_of(y), n)
 
 
@@ -348,7 +371,7 @@ def ergodic_means_prefix(
     *,
     exact: bool = False,
 ) -> MeanSeries:
-    """A_1..A_{n_max} along the T-orbit of y, in a single O(n_max) pass.
+    """A_1..A_{n_max} along the T-orbit of y, in a single O(n_max) pass after cycle_of.
 
     Double mode uses a float64 cumulative sum; exact mode sums the
     observable's integer numerators as Python ints, so A_n is the Fraction
@@ -404,13 +427,15 @@ def gamma_series(
         stride = max(1, n_total // 100_000)
     if not 1 <= stride <= n_total:
         raise ValueError(f"stride must be in [1, floor(k*M)] = [1, {n_total}], got {stride}")
-    cyc, pos = T.cycle_of(y)
-    start = T.orbit_index.slot[y] - pos
-    run = T.along(F)[start : start + cyc.size]
+    index = T.orbit_index
+    slot = int(index.slots(y))
+    c = np.searchsorted(index.starts, slot, side="right") - 1
+    start, p = int(index.starts[c]), int(index.lengths[c])
+    run = T.along(F)[start : start + p]
     kept = np.empty(n_total // stride)
     for lo in range(0, n_total, CHUNK_POINTS):
         hi = min(lo + CHUNK_POINTS, n_total)
-        sums = _cyclic_run(run, (pos + lo) % cyc.size, hi - lo)
+        sums = _cyclic_run(run, (slot - start + lo) % p, hi - lo)
         if lo:  # only past the first chunk: 0.0 + -0.0 would lose the sign of a zero
             sums[0] += carry
         carry = np.cumsum(sums, out=sums)[-1]

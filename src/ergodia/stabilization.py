@@ -192,23 +192,22 @@ def _band_ends(F: Observable, T: FinitePermutation, points: np.ndarray, n_min: i
         raise ValueError("n_min exceeds scan_limit")
     if scan_limit > SERIES_BUDGET:
         raise ValueError(f"scan_limit exceeds the budget of {SERIES_BUDGET} means per start point")
-    outside = points[(points < 0) | (points >= T.size)]
-    if outside.size:
-        raise IndexError(f"start point {outside[0]} out of range for size {T.size}")
-    index, along = T.orbit_index, T.along(F)
+    index = T.orbit_index
+    point_slots = index.slots(points)  # one pass over the order for all points, not one per chunk
+    along = T.along(F)
     k_star, witness = np.full(points.size, scan_limit), np.empty(points.size)
     cols = min(scan_limit, CHUNK_POINTS)
     for first in range(0, points.size, CHUNK_POINTS // cols):
         rows = np.arange(first, min(first + CHUNK_POINTS // cols, points.size))
-        y = points[rows]
-        c = index.cycle_ids(y)
+        s = point_slots[rows]
+        c = np.searchsorted(index.starts, s, side="right") - 1
         p = index.lengths[c]
-        total, hi, lo = np.zeros(y.size), np.full((y.size, 1), -np.inf), np.full((y.size, 1), np.inf)
+        total, hi, lo = np.zeros(s.size), np.full((s.size, 1), -np.inf), np.full((s.size, 1), np.inf)
         a, n = 0, 32
         while rows.size and a < scan_limit:
             n = min(n, cols, scan_limit - a)
-            pos = (index.slot[y] - index.starts[c] + a) % p
-            slots = np.ones((y.size, n), dtype=np.int64)
+            pos = (s - index.starts[c] + a) % p
+            slots = np.ones((s.size, n), dtype=np.int64)
             slots[:, 0] = index.starts[c] + pos
             wraps = (p - pos)[:, None] + p[:, None] * np.arange((n - 1) // p.min() + 1)
             i, k = (wraps < n).nonzero()
@@ -228,7 +227,7 @@ def _band_ends(F: Observable, T: FinitePermutation, points: np.ndarray, n_min: i
             k_star[rows[done]] = a + skip + last[done]
             witness[rows[done]] = (band_hi[done, last[done]] + band_lo[done, last[done]]) / 2.0
             live = last < 0
-            rows, y, c, p, total = rows[live], y[live], c[live], p[live], total[live]
+            rows, s, c, p, total = rows[live], s[live], c[live], p[live], total[live]
             hi, lo = band_hi[live, -1:], band_lo[live, -1:]
             a, n = a + n, 2 * n
         witness[rows] = (hi[:, 0] + lo[:, 0]) / 2.0  # the rows that held to scan_limit

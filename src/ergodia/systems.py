@@ -83,12 +83,10 @@ def build_rotation(M: int, t: float) -> RotationSystem:
         raise ValueError("need M >= 2")
     if not 0.0 <= t < 1.0:
         raise ValueError("target shift must lie in [0, 1)")
-    for (Mp, tp), Pp in PUBLISHED_ROTATIONS.items():
-        if M == Mp and abs(t - tp) < 1e-12:
-            return RotationSystem(M=M, P=Pp, t=t, defect=abs(Pp / M - t))
+    best = next(((Pp, abs(Pp / M - t)) for (Mp, tp), Pp in PUBLISHED_ROTATIONS.items()
+                 if M == Mp and abs(t - tp) < 1e-12), None)
     p0 = round(t * M)
-    best = None
-    for k in range(M):
+    for k in range(0 if best else M):  # no search for a published pair
         for P in (p0 - k, p0 + k) if k else (p0,):
             if not 1 <= P <= M - 1 or gcd(P, M) != 1:
                 continue
@@ -100,7 +98,9 @@ def build_rotation(M: int, t: float) -> RotationSystem:
             break
     if best is None:
         raise ValueError(f"no admissible step for M={M}")
-    return RotationSystem(M=M, P=best[0], t=t, defect=best[1])
+    rot = RotationSystem(M=M, P=best[0], t=t, defect=best[1])
+    rot.permutation  # the orbit index is built here, in the build, not on first use
+    return rot
 
 
 # -- de Bruijn sequences and Bernoulli shifts ------------------------------

@@ -22,6 +22,21 @@ def permutation_from_cycles(cycles, size):
     return FinitePermutation(image)
 
 
+def inverse_order(index):
+    """slot[y] for every point y, the position of y in the orbit order: index.order[slot[y]] == y.
+
+    One scatter of every slot into point order; the library keeps no such M-sized inverse.
+    """
+    slot = np.full(index.order.size, -1, dtype=np.int64)
+    slot[index.order] = np.arange(index.order.size, dtype=np.int64)
+    return slot
+
+
+def index_field(index, field):
+    """The orbit index's array named field, where "slot" is inverse_order(index)."""
+    return inverse_order(index) if field == "slot" else getattr(index, field)
+
+
 def apply_power(T, y, n):
     """T^n(y), read from the cycle of y at position pos + n mod p(y)."""
     if not 0 <= y < T.size:

@@ -25,7 +25,8 @@ from ergodia.systems import (
     debruijn_window_permutation,
     paper_observable,
 )
-from oracles import exceedance_fraction, hall_deficiency_oracle, tent_function, three_point_average, word
+from oracles import (exceedance_fraction, hall_deficiency_oracle, inverse_order, tent_function,
+                     three_point_average, word)
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -64,7 +65,7 @@ def test_criterion_02_discrepancy_theorem_finite_form():
     K, L = 50_500, 50_000
     (rep,) = ergodia.sup_discrepancy(F, rot.permutation, [(K, L)])
     U, V = ergodia.proof_terms(F, rot.permutation, K, L)
-    d = rep.diffs[rot.permutation.orbit_index.slot]
+    d = rep.diffs[inverse_order(rot.permutation.orbit_index)]
     ok = (rep.sup_disc <= 0.02
           and bool((d <= U + V + 1e-12).all())
           and (time.time() - t0) < 10.0)

@@ -20,6 +20,7 @@ from ergodia.cli import _monomial_tests, _target_map
 from ergodia.dynamics import FinitePermutation
 from ergodia.systems import build_drift_system, build_rotation
 from oracles import (
+    index_field,
     map_mismatch_fraction_loop,
     permutation_from_cycles,
     thickening_measure_error_loop,
@@ -138,5 +139,5 @@ def test_list_walk_equals_index_from_cycles(name):
     ref = canonical_index(cycles)
     assert np.array_equal(ref.image, T.image)
     for field in ("order", "starts", "lengths", "slot"):
-        got, want = getattr(T.orbit_index, field), getattr(ref.orbit_index, field)
+        got, want = index_field(T.orbit_index, field), index_field(ref.orbit_index, field)
         assert got.dtype == want.dtype and np.array_equal(got, want), field

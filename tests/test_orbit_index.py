@@ -8,22 +8,28 @@ same answer on a system and on a relabelled copy of it.
 
 import sys
 import threading
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ergodia import dynamics
 from ergodia.dynamics import FinitePermutation, Observable, ergodic_means_prefix, gamma_series
 from ergodia.integrability import integrability_profile
 from ergodia.stabilization import (common_stabilization_segment, means_at_horizon, proof_terms,
                                    stabilization_segment, sup_discrepancy)
 from ergodia.systems import (
+    RotationSystem,
     build_bernoulli,
     build_drift_system,
     build_rotation,
     debruijn_sequence,
     paper_observable,
 )
-from oracles import permutation_from_cycles
+from oracles import index_field, inverse_order, permutation_from_cycles
 
 
 def drift(M):
@@ -75,7 +81,7 @@ def test_constructor_index_equals_generic_walk(name):
     assert len(T.cycles) == len(walked.cycles)
     assert all(np.array_equal(a, b) for a, b in zip(T.cycles, walked.cycles))
     for field in ("order", "starts", "lengths", "slot"):
-        assert np.array_equal(getattr(built, field), getattr(ref, field)), field
+        assert np.array_equal(index_field(built, field), index_field(ref, field)), field
     for y in range(0, T.size, max(1, T.size // 50)):
         assert T.period(y) == walked.period(y)
 
@@ -84,7 +90,7 @@ def test_constructor_index_equals_generic_walk(name):
 def test_identity_knows_its_fixed_points_without_a_walk(M):
     T = FinitePermutation.identity(M)
     index = T.orbit_index
-    assert index.slot is index.order
+    assert index.stored is None  # an identity index stores no order
     assert np.array_equal(index.order, np.arange(M)) and np.array_equal(index.lengths, np.ones(M))
     assert np.array_equal(T.image, np.arange(M))
     assert all(T.period(y) == 1 for y in range(M))
@@ -106,6 +112,7 @@ def test_expected_cycle_counts():
 
 def test_rotation_permutation_is_cached():
     rot = build_rotation(1000, 0.3)
+    assert "permutation" in vars(rot)  # built by build_rotation, not on first use
     assert rot.permutation is rot.permutation
 
 
@@ -142,17 +149,127 @@ COPIED = {
 
 @pytest.mark.parametrize("name", sorted(SHARED) + sorted(COPIED))
 def test_an_identity_order_is_its_own_inverse_and_the_memo_shares_the_values(name):
-    # an identity order serves as its own slot, and its orbit-order values are
-    # F.values itself; any other order keeps its own inverse and its own copy
+    # an identity order is not stored, and its orbit-order values are F.values
+    # itself; any other order is stored, with its own copy of the values
     T = {**SHARED, **COPIED}[name]()
     index = T.orbit_index
     F = Observable.from_values(np.random.default_rng(6).standard_normal(T.size))
-    assert np.array_equal(index.order[index.slot], np.arange(T.size))
+    assert np.array_equal(index.order[inverse_order(index)], np.arange(T.size))
     assert np.array_equal(T.along(F), F.values[index.order])
-    assert not index.slot.flags.writeable and not T.along(F).flags.writeable
+    assert not index.order.flags.writeable and not T.along(F).flags.writeable
     shared = name in SHARED
-    assert (index.slot is index.order) == shared
+    assert (index.stored is None) == shared
     assert (T.along(F) is F.values) == shared
+
+
+# -- slots: the slots of given points, with no stored inverse -----------------
+
+
+@st.composite
+def indexed_points(draw):
+    """(T, points): T from the generic walk, naive Bernoulli, a rotation with
+    gcd(P, M) > 1, the identity or the drift; points may repeat and hold the
+    first and last slot's points."""
+    kind = draw(st.sampled_from(["walk", "naive", "rotation", "identity", "drift"]))
+    if kind == "walk":
+        M = draw(st.integers(1, 300))
+        T = FinitePermutation(np.random.default_rng(draw(st.integers(0, 2**32))).permutation(M))
+    elif kind == "naive":
+        T = build_bernoulli(*draw(st.sampled_from([(2, 0), (2, 1), (2, 2), (3, 1), (2, 3)])), "naive").permutation
+    elif kind == "rotation":
+        g, q = draw(st.integers(2, 6)), draw(st.integers(2, 60))
+        P = g * draw(st.integers(1, q - 1))
+        T = RotationSystem(M=g * q, P=P, t=P / (g * q), defect=0.0).permutation
+    elif kind == "identity":
+        T = FinitePermutation.identity(draw(st.integers(1, 300)))
+    else:
+        T = build_drift_system(draw(st.integers(2, 300)))
+    order = T.orbit_index.order
+    ends = st.sampled_from([int(order[0]), int(order[-1])])
+    points = draw(st.lists(st.one_of(st.integers(0, T.size - 1), ends), max_size=40))
+    return T, np.asarray(points, dtype=np.int64)
+
+
+@given(indexed_points(), st.sampled_from([1, 7, 64, dynamics.CHUNK_POINTS]))
+@settings(max_examples=300, deadline=None)
+def test_slots_equal_the_inverse_order_at_the_points(case, chunk):
+    T, points = case
+    index = T.orbit_index
+    with mock.patch.object(dynamics, "CHUNK_POINTS", chunk):
+        got, cycles = index.slots(points), index.cycle_ids(points)
+    want = inverse_order(index)[points]
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    assert np.array_equal(cycles, np.searchsorted(index.starts, want, side="right") - 1)
+    if points.size:
+        y = int(points[-1])
+        cyc, pos = T.cycle_of(y)
+        assert cyc[pos] == y and cyc[0] == index.order[index.starts[cycles[-1]]]
+
+
+@pytest.mark.parametrize("build", [lambda: build_bernoulli(2, 2, "naive").permutation,
+                                   lambda: FinitePermutation.identity(32), lambda: build_drift_system(32)])
+@pytest.mark.parametrize("bad", [-1, -32, 32, 10**6])
+def test_slots_refuse_points_outside_the_space(build, bad):
+    # a gather from an inverse array would wrap -1 to point 31: naive m=2, N=2 gave cycle 7
+    index = build().orbit_index
+    for call in (index.slots, index.cycle_ids):
+        with pytest.raises(IndexError, match=f"point {bad} out of range for size 32"):
+            call([0, bad, 5])
+        with pytest.raises(IndexError):
+            call(bad)
+
+
+BAD_ENTRIES = {"repeated": [0, 2, 1, 2], "negative": [-1, 0, 1, 2], "out-of-range": [0, 1, 2, 4]}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_ENTRIES))
+def test_bad_entries_raise_the_same_error_through_every_entry_point(kind):
+    bad = np.asarray(BAD_ENTRIES[kind])
+    with pytest.raises(ValueError, match=r"^image array is not a permutation of 0\.\.M-1$"):
+        FinitePermutation(bad)
+    with pytest.raises(ValueError, match=r"^cycle order is not a permutation of 0\.\.M-1$"):
+        FinitePermutation.from_cycle_order(bad, [4])
+
+
+def test_the_generic_walk_refuses_a_wrapped_negative_entry():
+    # an unvalidated image [-1, 0] walks 0 -> -1 -> 0, as Python lists wrap -1
+    # to the last point, so the walk's order is [0, -1].  (A walk over any other
+    # non-permutation either raises IndexError or never returns to its start.)
+    with pytest.raises(ValueError, match=r"^cycle order is not a permutation of 0\.\.M-1$"):
+        FinitePermutation(np.array([-1, 0]), validate=False).orbit_index
+
+
+def test_gamma_and_the_band_scan_on_a_drift_system_build_no_order():
+    T, F = build_drift_system(5000), paper_observable("ex03", 5000, K=50)
+    for y in (0, 3, 4999):
+        gamma_series(F, T, y, 2.5)
+    stabilization_segment(F, T, [0, 3, 77, 4999], 2, 0.05, 300)
+    index = T.orbit_index
+    assert index.stored is None and "order" not in vars(index)
+    assert T.along(F) is F.values
+
+
+@pytest.mark.parametrize("name,arrays", [
+    # F.values and up to three chunks of gamma's sums; in the build, before
+    # F, the order and an M-byte table
+    ("drift", 1.25),
+    # the order, F.values and T.along(F), and up to three chunks of gamma's sums;
+    # an inverse of the order would be a fourth M-array
+    ("debruijn", 4.5),
+])
+def test_gamma_holds_no_inverse_of_the_order(name, arrays):
+    M = {"drift": 1 << 20, "debruijn": 1 << 17}[name]
+    tracemalloc.start()
+    try:
+        if name == "drift":
+            T, F = build_drift_system(M), paper_observable("ex03", M, K=1000)
+        else:
+            T, F = build_bernoulli(2, 8, "debruijn").permutation, paper_observable("chi0", M, N=8)
+        gamma_series(F, T, 1000, 1.0, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= arrays * 8 * M, peak / (8 * M)
 
 
 # -- metamorphic: relabelling Y changes no answer ---------------------------
@@ -192,7 +309,7 @@ def test_relabelling_preserves_means_discrepancies_segments_and_tails(name):
         assert np.array_equal(means_at_horizon(F2, T2, n)[sigma], means_at_horizon(F, T, n))
     K, L = T.size // 2 + 3, T.size // 5 + 1
     (rep,), (rep2,) = sup_discrepancy(F, T, [(K, L)]), sup_discrepancy(F2, T2, [(K, L)])
-    assert np.array_equal(rep2.diffs[T2.orbit_index.slot][sigma], rep.diffs[T.orbit_index.slot])
+    assert np.array_equal(rep2.diffs[inverse_order(T2.orbit_index)][sigma], rep.diffs[inverse_order(T.orbit_index)])
     assert rep2.sup_disc == rep.sup_disc
     for eps in (1e-3, 0.05, 0.5):
         assert rep2.exceedance(eps) == rep.exceedance(eps)
@@ -243,8 +360,9 @@ def test_cycle_ids_and_positions_match_the_walks_cycles(name):
     index, points = T.orbit_index, np.arange(T.size)
     cid = index.cycle_ids(points)
     assert np.array_equal(cid, want_cycle)
-    assert np.array_equal(index.slot[points] - index.starts[cid], want_pos)
-    assert np.array_equal(index.order[index.slot], points)
+    assert np.array_equal(inverse_order(index)[points] - index.starts[cid], want_pos)
+    assert np.array_equal(index.order[inverse_order(index)], points)
+    assert np.array_equal(index.slots(points), inverse_order(index))
     for y in range(0, T.size, max(1, T.size // 40)):
         cyc, pos = T.cycle_of(y)
         assert np.array_equal(cyc, walked.cycles[want_cycle[y]]) and pos == want_pos[y]
@@ -270,7 +388,7 @@ def kernel_results(F, T):
     U, V = proof_terms(F, T, 40, 17)
     seg = stabilization_segment(F, T, [0, 5, 33, 60, 106], 2, 0.05, 150)
     common = common_stabilization_segment(seg, 0.2)
-    return (gamma, rep.diffs[T.orbit_index.slot], U, V, rep.sup_disc,
+    return (gamma, rep.diffs[inverse_order(T.orbit_index)], U, V, rep.sup_disc,
             seg.K_star, seg.witness, seg.capped,
             (common.K_star, common.witness, common.capped, common.excluded_fraction))
 

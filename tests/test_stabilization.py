@@ -20,7 +20,7 @@ from ergodia.stabilization import (
 )
 from ergodia.systems import build_bernoulli, build_drift_system, build_rotation, paper_observable
 from oracles import (band_end_loop, common_segment_loop, exceedance_fraction, horizon_means_loop,
-                     permutation_from_cycles, reference_psi, sup_discrepancy_two_pass)
+                     inverse_order, permutation_from_cycles, reference_psi, sup_discrepancy_two_pass)
 
 
 def random_system(M, seed, lo=-50, hi=50):
@@ -112,7 +112,7 @@ def test_proof_bound_terms_exact():
         absvals = np.abs(F.values[traj])
         assert u == pytest.approx((1 / L - 1 / K) * absvals[:L].sum(), abs=1e-9)
         assert v == pytest.approx(absvals[L:].sum() / K, abs=1e-9)
-        assert rep.diffs[T.orbit_index.slot[y]] <= u + v + 1e-9
+        assert rep.diffs[inverse_order(T.orbit_index)[y]] <= u + v + 1e-9
 
 
 @given(st.integers(4, 60), st.integers(0, 2**32))
@@ -125,7 +125,7 @@ def test_proof_bound_always_holds(M, seed):
         L = K - 1
     (rep,) = sup_discrepancy(F, T, [(K, L)])
     U, V = proof_terms(F, T, K, L)
-    assert (rep.diffs[T.orbit_index.slot] <= U + V + 1e-9).all()
+    assert (rep.diffs[inverse_order(T.orbit_index)] <= U + V + 1e-9).all()
 
 
 def test_exceedance_fraction_counts():
@@ -359,7 +359,7 @@ def test_sup_discrepancy_bitwise_equals_two_pass_oracle(monkeypatch, chunk, name
     for K, L in pairs:
         (rep,) = sup_discrepancy(F, T, [(K, L)])
         diffs, u, v = sup_discrepancy_two_pass(F, T, K, L)
-        assert rep.diffs[T.orbit_index.slot].tobytes() == diffs.tobytes(), (K, L)
+        assert rep.diffs[inverse_order(T.orbit_index)].tobytes() == diffs.tobytes(), (K, L)
         # the proof terms at every point, in point order
         U, V = proof_terms(F, T, K, L)
         assert U.tobytes() == u.tobytes(), (K, L)
@@ -387,7 +387,7 @@ def test_fused_pairs_bitwise_equal_two_pass_oracle(monkeypatch, chunk, name):
         for rep, (K, L) in zip(reports, pairs):
             diffs, u, v = sup_discrepancy_two_pass(F, T, K, L)
             # diffs is in orbit order: slot[y] is the entry of point y
-            assert rep.diffs[T.orbit_index.slot].tobytes() == diffs.tobytes(), (pairs, K, L)
+            assert rep.diffs[inverse_order(T.orbit_index)].tobytes() == diffs.tobytes(), (pairs, K, L)
             U, V = proof_terms(F, T, K, L)
             assert U.tobytes() == u.tobytes(), (pairs, K, L)
             assert V.tobytes() == v.tobytes(), (pairs, K, L)

@@ -24,6 +24,7 @@ from ergodia.systems import (
 )
 from oracles import (
     block_density,
+    index_field,
     debruijn_lyndon,
     necklaces_brute,
     prefer_largest_debruijn,
@@ -221,7 +222,7 @@ def test_naive_cycles_match_the_generic_walk(m, L):
     assert np.array_equal(lengths, walked.lengths)
     index = FinitePermutation.from_cycle_order(order, lengths).orbit_index
     for field in ("order", "starts", "lengths", "slot"):
-        assert np.array_equal(getattr(index, field), getattr(walked, field)), field
+        assert np.array_equal(index_field(index, field), index_field(walked, field)), field
 
 
 # -- Bernoulli approximations ----------------------------------------------

@@ -57,7 +57,7 @@ def per_point_svg(path: Path, points, k, title) -> None:
 
 def csv_rows(points):
     """(templates, means) for _write_csv, as cmd_gamma builds them."""
-    return _templates("%d,%.12g,%%.12g\n", points[:, :2]), points[:, 2]
+    return _templates("%d,%.12g,%%.12g\n", points[:, 0].astype(np.int64), points[:, 1]), points[:, 2]
 
 
 def svg_rows(points, k):
@@ -192,9 +192,9 @@ def test_float_n_up_to_the_series_budget_is_written_as_its_integer(tmp_path):
 def test_a_gamma_job_builds_its_templates_once(tmp_path, monkeypatch, starts, svg):
     built, templates = [], cli._templates
 
-    def counting(line, cols):
+    def counting(line, *cols):
         built.append("circle" if line.startswith("<circle") else "csv")
-        return templates(line, cols)
+        return templates(line, *cols)
 
     monkeypatch.setattr(cli, "_templates", counting)
     config = {**MULTI, "start_points": {"explicit": starts}}
