@@ -115,14 +115,27 @@ def _checked(points: np.ndarray, what: str) -> np.ndarray | None:
     return points
 
 
-def _cyclic_run(cyc: np.ndarray, pos: int, n: int) -> np.ndarray:
-    """[cyc[pos], cyc[pos + 1], ...] read cyclically, n entries.
+def _narrow(values: np.ndarray) -> np.ndarray:
+    """values as int8, else int32, if all are integers that fit (NaN and +-inf do not) and no zero
+    is -0.0, whose sign an int would lose; else values.  One chunked pass, ended by a failing chunk."""
+    lo = hi = 0.0
+    for a in range(0, values.size, CHUNK_POINTS):
+        chunk = values[a : a + CHUNK_POINTS]
+        lo, hi = min(lo, chunk.min()), max(hi, chunk.max())
+        if not (-2.0**31 <= lo and hi < 2.0**31 and (chunk == np.rint(chunk)).all()
+                and not np.signbit(chunk[chunk == 0]).any()):
+            return values
+    return values.astype(np.int8 if -128 <= lo and hi <= 127 else np.int32)
+
+
+def _cyclic_run(cyc: np.ndarray, pos: int, n: int, dtype=None) -> np.ndarray:
+    """[cyc[pos], cyc[pos + 1], ...] read cyclically, n entries, as dtype (default cyc's).
 
     One period from pos is copied out of cyc, then repeated by doubling
     copies, so there is no per-step index arithmetic and no temporary
     beside the result.
     """
-    out = np.empty(n, dtype=cyc.dtype)
+    out = np.empty(n, dtype=cyc.dtype if dtype is None else dtype)
     filled = min(n, cyc.size)
     head = cyc[pos : pos + filled]
     out[: head.size] = head
@@ -161,6 +174,19 @@ class FinitePermutation:
         return cls.from_cycle_order(np.arange(size, dtype=np.int64), np.ones(size, dtype=np.int64))
 
     @classmethod
+    def shift(cls, size: int) -> "FinitePermutation":
+        """y -> y + 1 mod size: one cycle in identity order, so its index is built with no order array."""
+        if size < 1:
+            raise ValueError(f"size must be >= 1, got {size}")
+        return cls._indexed(OrbitIndex(np.zeros(1, dtype=np.int64), np.full(1, size, dtype=np.int64), None))
+
+    @classmethod
+    def _indexed(cls, index: OrbitIndex) -> "FinitePermutation":
+        T = cls.__new__(cls)
+        T._image, T._index, T._along, T.size = None, index, None, int(index.starts[-1] + index.lengths[-1])
+        return T
+
+    @classmethod
     def from_cycle_order(cls, order, lengths) -> "FinitePermutation":
         """T and its orbit index from cycles laid end to end in canonical order.
 
@@ -183,10 +209,7 @@ class FinitePermutation:
             raise ValueError("equal-length cycles must be listed by smallest element")
         if (np.minimum.reduceat(order, starts) != heads).any():
             raise ValueError("every cycle must start at its smallest element")
-        T = cls.__new__(cls)
-        T._image, T.size, T._along = None, order.size, None
-        T._index = OrbitIndex(starts, lengths, stored)
-        return T
+        return cls._indexed(OrbitIndex(starts, lengths, stored))
 
     @property
     def image(self) -> np.ndarray:
@@ -203,11 +226,13 @@ class FinitePermutation:
         return self._image
 
     def along(self, F: Observable) -> np.ndarray:
-        """F.values[order], read-only, and F.values itself if order is the identity; memoized for the last F."""
+        """F.values[order], read-only, and F.values itself if order is the identity; memoized for the last F.
+
+        A copy is int8 or int32 if that holds F exactly (_narrow); readers widen each chunk to float64."""
         memo = self._along
         if memo is None or memo[0] is not F:
-            index = self.orbit_index
-            values = F.values if index.stored is None else F.values[index.stored]
+            stored = self.orbit_index.stored
+            values = F.values if stored is None else _narrow(F.values)[stored]
             values.setflags(write=False)
             memo = self._along = (F, values)
         return memo[1]
@@ -410,8 +435,8 @@ def gamma_series(
     Returns (array of shape (count, 3) with columns [n, n/M, A_n], stride).
     The default stride caps the output at ~1e5 points; the stride actually
     used is returned so output metadata can record it.  The values along
-    the orbit are copied out of y's cycle in T.along(F), so F is never
-    gathered at random, CHUNK_POINTS at a time.  The prefix sums run over
+    the orbit are copied out of y's cycle in T.along(F) into float64, so F
+    is never gathered at random, CHUNK_POINTS at a time.  The prefix sums run over
     all n_total steps in one sequential cumsum per chunk that carries the
     running sum, and only the sums at the stride points are kept, so memory
     is one chunk plus the output; the means are divided out at the stride
@@ -435,7 +460,7 @@ def gamma_series(
     kept = np.empty(n_total // stride)
     for lo in range(0, n_total, CHUNK_POINTS):
         hi = min(lo + CHUNK_POINTS, n_total)
-        sums = _cyclic_run(run, (slot - start + lo) % p, hi - lo)
+        sums = _cyclic_run(run, (slot - start + lo) % p, hi - lo, np.float64)
         if lo:  # only past the first chunk: 0.0 + -0.0 would lose the sign of a zero
             sums[0] += carry
         carry = np.cumsum(sums, out=sums)[-1]

@@ -93,33 +93,33 @@ class CommonSegment:
 
 
 def _row_means(F: Observable, T: FinitePermutation, horizons: Sequence[int]):
-    """(cyc, [A_n on cyc for n in horizons]) per chunk of whole equal-length cycles.
+    """(at, [A_n for n in horizons]) per chunk of whole equal-length cycles.
 
-    cyc is a (rows, p) block of order, a cycle per row, and its values the
-    same block of T.along(F), so no gather.  One row sum and cumsum of length
-    p + max(n mod p) serve every horizon: add.accumulate along a row is
-    sequential, so a shorter window's prefix sums are the same floats.
+    Each A_n is a (rows, p) block, a cycle per row, whose points are
+    order[at : at + rows * p] and whose values are the same block of
+    T.along(F), so no gather and no read of order.  One row sum and cumsum
+    of length p + max(n mod p) serve every horizon: add.accumulate along a
+    row is sequential, so a shorter window's prefix sums are the same floats.
     """
-    index, along = T.orbit_index, T.along(F)
-    for offset, count, p in index.length_classes():
-        rows = index.order[offset : offset + count * p].reshape(count, p)
+    along = T.along(F)
+    for offset, count, p in T.orbit_index.length_classes():
         values = along[offset : offset + count * p].reshape(count, p)
         step, width = max(1, CHUNK_POINTS // (p * len(horizons))), max(n % p for n in horizons)
         for first in range(0, count, step):
-            cyc, vals = rows[first : first + step], values[first : first + step]
+            vals = values[first : first + step].astype(np.float64, copy=False)
             sums = vals.sum(axis=1, keepdims=True)
             if width:
-                pref = np.zeros((len(cyc), p + width + 1))
+                pref = np.zeros((len(vals), p + width + 1))
                 pref[:, 1 : p + 1], pref[:, p + 1 :] = vals, vals[:, :width]
                 np.cumsum(pref[:, 1:], axis=1, out=pref[:, 1:])
             means = []
             for n in horizons:
                 q, r = divmod(n, p)
-                window = pref[:, r : r + p] - pref[:, :p] if r else np.zeros((len(cyc), 1))
+                window = pref[:, r : r + p] - pref[:, :p] if r else np.zeros((len(vals), 1))
                 window += q * sums
                 window /= n
-                means.append(np.broadcast_to(window, cyc.shape))
-            yield cyc, means
+                means.append(np.broadcast_to(window, vals.shape))
+            yield offset + first * p, means
 
 
 def means_at_horizon(F: Observable, T: FinitePermutation, n: int) -> np.ndarray:
@@ -131,9 +131,9 @@ def means_at_horizon(F: Observable, T: FinitePermutation, n: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("horizon must be >= 1")
-    out = np.empty(T.size, dtype=np.float64)
-    for cyc, (A,) in _row_means(F, T, (n,)):
-        out[cyc] = A
+    out, order = np.empty(T.size, dtype=np.float64), T.orbit_index.order
+    for at, (A,) in _row_means(F, T, (n,)):
+        out[order[at : at + A.size].reshape(A.shape)] = A
     return out
 
 
@@ -147,12 +147,11 @@ def sup_discrepancy(F: Observable, T: FinitePermutation,
     if not pairs:
         return []
     horizons = [n for pair in pairs for n in pair]
-    diffs, at = [np.empty(T.size) for _ in pairs], 0
-    for cyc, means in _row_means(F, T, horizons):
+    diffs = [np.empty(T.size) for _ in pairs]
+    for at, means in _row_means(F, T, horizons):
         for d, A_K, A_L in zip(diffs, means[::2], means[1::2]):
-            block = d[at : at + cyc.size].reshape(cyc.shape)
+            block = d[at : at + A_K.size].reshape(A_K.shape)
             np.abs(np.subtract(A_K, A_L, out=block), out=block)
-        at += cyc.size
     return [DiscrepancyReport(K=K, L=L, sup_disc=float(np.max(d)), diffs=d)
             for (K, L), d in zip(pairs, diffs)]
 
@@ -181,8 +180,9 @@ def _band_ends(F: Observable, T: FinitePermutation, points: np.ndarray, n_min: i
     prefix sum and the band's max and min; a row is dropped after the tile
     where it leaves its band.  A row's orbit-order slots step by 1, and back
     by p where it wraps, so a cumsum gives them with no % per step, and one
-    gather from T.along(F) reads the values.  add.accumulate along a row is
-    sequential, so every mean is bitwise ergodic_means_prefix's.
+    gather from T.along(F), widened to float64, reads the values.
+    add.accumulate along a row is sequential, so every mean is bitwise
+    ergodic_means_prefix's.
     """
     if n_min < 1:
         raise ValueError("n_min must be >= 1")
@@ -212,7 +212,7 @@ def _band_ends(F: Observable, T: FinitePermutation, points: np.ndarray, n_min: i
             wraps = (p - pos)[:, None] + p[:, None] * np.arange((n - 1) // p.min() + 1)
             i, k = (wraps < n).nonzero()
             slots[i, wraps[i, k]] = 1 - p[i]
-            sums = along[slots.cumsum(axis=1, out=slots)]
+            sums = along[slots.cumsum(axis=1, out=slots)].astype(np.float64, copy=False)
             if a:  # only past the first tile: 0.0 + -0.0 would lose the sign of a zero
                 sums[:, 0] += total
             total = sums.cumsum(axis=1, out=sums)[:, -1].copy()

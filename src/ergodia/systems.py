@@ -41,7 +41,7 @@ def build_drift_system(M: int) -> FinitePermutation:
     """T = +1 mod M; on the grid y/M of the unit interval it approximates the identity map."""
     if M < 2:
         raise ValueError("need M >= 2")
-    return FinitePermutation.from_cycle_order(np.arange(M, dtype=np.int64), [M])
+    return FinitePermutation.shift(M)
 
 
 @dataclass(frozen=True)

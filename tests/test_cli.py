@@ -312,6 +312,48 @@ def test_stab_reports_of_the_scan_ci_configs_are_pinned(tmp_path, payload, diges
     assert hashlib.sha256((tmp_path / "o" / "stab_report.json").read_bytes()).hexdigest() == digest
 
 
+# SHA-256 of every file the shipped gamma figure configs write with --svg --no-timestamp
+FIGURE_DIGESTS = {
+    "fig1": {
+        "gamma_ex01_y698.csv": "7ba75a9ec7d10f6daebd9868e434ee2249198f0491dbb9293018e8b0c445196f",
+        "gamma_ex01_y698.svg": "02bc1471e0a00b8c06ff9a539c9b1a723c1ecd17f5a78568d6d0ab5cb833de37",
+        "gamma_meta.json": "1fa47c202451406d2a19e344cf543206de238efd8f5111f710a2cff2ea20b28a",
+    },
+    "fig2": {
+        "gamma_delta_y322.csv": "ef92d4b4811cc07b24c62055085aa6a77722a47fa03ae6e5b5fc96032040eda1",
+        "gamma_delta_y322.svg": "44832fcd2c53f3de89c3687240ab2ee4b5fe8e3c48e1d01b1640038e5e9313cc",
+        "gamma_meta.json": "9abede6c4d59db40052eab844fda560d8afb2c0910b907d7f2c536f9a302566d",
+    },
+    "fig3": {
+        "gamma_ex03(K=1000)_y41250.csv": "554304d45936448292b6bfe3c26ddb38c0bbb37b770d6042c87a917b38084441",
+        "gamma_ex03(K=1000)_y41250.svg": "f777c1219036b3b073c8fdbe54dc6284b7aa845b12c0cf16458193479c2e7ac7",
+        "gamma_meta.json": "046d9f48b3f51b2a12ae311dcdd439ec77c7f38a76f5e9f226aa6528fdf99752",
+    },
+    "fig5": {
+        "gamma_tent_y16667.csv": "62aaa573e4abd95461218298928f30fba6dbf87e3637d60b2a457990bdb91e25",
+        "gamma_tent_y16667.svg": "53bd12603177cc3638848f1244cc8c562d63c6ef6a6b416477da19e6e91515f8",
+        "gamma_meta.json": "aec5ebefcaaa199690a6453f8e4c058053ed0c810ebf29ee6254940856cb71db",
+    },
+    "fig6": {
+        "gamma_tent_y6119.csv": "7ad06804518dbf3b836b9d8cb99de4a77bc773177febc8c4b37cb9b9b56164c4",
+        "gamma_tent_y6119.svg": "85426c87f08ac53bb735c8962b420c068d05258a427f136d602974bc96620abb",
+        "gamma_meta.json": "1b3aff64e1276b857ea63c1526b0f60299ed7afe77e4aa811be0aba390ca1e4e",
+    },
+}
+
+
+@pytest.mark.parametrize("fig", sorted(FIGURE_DIGESTS))
+def test_figure_outputs_are_pinned(tmp_path, fig):
+    # every CSV, SVG and meta file of the figure, and no other file
+    import hashlib
+
+    out = tmp_path / fig
+    cfg = os.path.join(CONFIG_DIR, f"{fig}.json")
+    assert main(["gamma", "--config", cfg, "--out", str(out), "--svg", "--no-timestamp"]) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert written == FIGURE_DIGESTS[fig]
+
+
 def test_multi_chunk_debruijn_gamma_is_pinned(tmp_path):
     # the CI's 2^21 de Bruijn gamma step: the window indices run in 32 chunks
     import hashlib

@@ -6,6 +6,7 @@ cycle walk.  Both must give the same index, and every kernel must give the
 same answer on a system and on a relabelled copy of it.
 """
 
+import dataclasses
 import sys
 import threading
 import tracemalloc
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergodia import dynamics
+from ergodia import dynamics, stabilization
 from ergodia.dynamics import FinitePermutation, Observable, ergodic_means_prefix, gamma_series
 from ergodia.integrability import integrability_profile
 from ergodia.stabilization import (common_stabilization_segment, means_at_horizon, proof_terms,
@@ -29,7 +30,8 @@ from ergodia.systems import (
     debruijn_sequence,
     paper_observable,
 )
-from oracles import index_field, inverse_order, permutation_from_cycles
+from oracles import (band_end_loop, horizon_means_loop, index_field, inverse_order, permutation_from_cycles,
+                     sup_discrepancy_two_pass)
 
 
 def drift(M):
@@ -99,6 +101,35 @@ def test_identity_knows_its_fixed_points_without_a_walk(M):
 def test_identity_of_no_points_is_refused():
     with pytest.raises(ValueError):
         FinitePermutation.identity(0)
+    with pytest.raises(ValueError):
+        FinitePermutation.shift(0)
+
+
+@pytest.mark.parametrize("M", [1, 2, 3, 1000])
+def test_the_shift_index_equals_the_checked_identity_order(M):
+    # the drift's one-cycle index is built directly, with no order array to check and drop
+    T, want = FinitePermutation.shift(M), FinitePermutation.from_cycle_order(np.arange(M), [M])
+    got, ref = T.orbit_index, want.orbit_index
+    for field in dataclasses.fields(ref):
+        a, b = getattr(got, field.name), getattr(ref, field.name)
+        if b is None:
+            assert a is None, field.name
+        else:
+            assert a.dtype == b.dtype and np.array_equal(a, b) and not a.flags.writeable, field.name
+    assert "order" not in vars(got)
+    assert T.size == M and np.array_equal(got.order, ref.order) and np.array_equal(T.image, want.image)
+    if M >= 2:
+        assert np.array_equal(build_drift_system(M).image, T.image)
+
+
+def test_the_drift_is_built_without_an_m_sized_array():
+    tracemalloc.start()
+    try:
+        T = build_drift_system(1 << 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert T.size == 1 << 20 and peak < 1 << 16, peak
 
 
 def test_expected_cycle_counts():
@@ -244,6 +275,7 @@ def test_gamma_and_the_band_scan_on_a_drift_system_build_no_order():
     for y in (0, 3, 4999):
         gamma_series(F, T, y, 2.5)
     stabilization_segment(F, T, [0, 3, 77, 4999], 2, 0.05, 300)
+    sup_discrepancy(F, T, [(40, 17), (5003, 1000)])  # _row_means reads no order
     index = T.orbit_index
     assert index.stored is None and "order" not in vars(index)
     assert T.along(F) is F.values
@@ -469,3 +501,103 @@ def test_gamma_from_a_short_cycle_is_the_prefix_means(k):
         points, stride = gamma_series(F, T, y, k, 1)
         assert stride == 1 and points.shape == (n_total, 3)
         assert np.array_equal(points[:, 2], ergodic_means_prefix(F, T, y, n_total).means)
+
+
+# -- the width of the orbit-order values ----------------------------------
+
+# the int8 and int32 bounds and their neighbours, and values no int holds exactly
+EDGE_VALUES = [0.0, 1.0, 127.0, 128.0, -128.0, -129.0, 2.0**31 - 1, 2.0**31, -(2.0**31), -(2.0**31) - 1,
+               -0.0, np.nan, np.inf, -np.inf, 0.5]
+
+
+def width_rule(values):
+    """The memo's dtype, value by value: int8, else int32, for integers that fit and no -0.0."""
+    if any(not np.isfinite(v) or v != int(v) or (v == 0 and np.signbit(v)) for v in values):
+        return np.float64
+    for dtype in (np.int8, np.int32):
+        if all(np.iinfo(dtype).min <= v <= np.iinfo(dtype).max for v in values):
+            return dtype
+    return np.float64
+
+
+@given(st.lists(st.one_of(st.sampled_from(EDGE_VALUES), st.integers(-3, 3).map(float)),
+                min_size=1, max_size=60),
+       st.sampled_from(["shuffled", "shift", "identity"]), st.integers(0, 2**32 - 1),
+       st.sampled_from([1, 7, 64, dynamics.CHUNK_POINTS]))
+@settings(max_examples=300, deadline=None)
+def test_the_memo_takes_the_narrowest_exact_width(values, kind, seed, chunk):
+    M = len(values)
+    T = {"shuffled": lambda: FinitePermutation(np.random.default_rng(seed).permutation(M)),
+         "shift": lambda: FinitePermutation.shift(M),
+         "identity": lambda: FinitePermutation.identity(M)}[kind]()
+    F = Observable.from_values(values)
+    with mock.patch.object(dynamics, "CHUNK_POINTS", chunk):
+        along = T.along(F)
+    index = T.orbit_index
+    if index.stored is None:  # an identity order: no test and no copy
+        assert along is F.values
+    else:
+        assert along.dtype == width_rule(values)
+        # bitwise, so a NaN, an inf and the sign of every zero are kept
+        assert along.astype(np.float64).tobytes() == F.values[index.order].tobytes()
+        assert not along.flags.writeable
+    assert T.along(F) is along
+
+
+WIDTH_SYSTEMS = {
+    "naive": lambda: build_bernoulli(2, 3, "naive").permutation,
+    "debruijn": lambda: build_bernoulli(2, 3, "debruijn").permutation,
+    # gcd(36, 150) = 6 cycles of 25
+    "rotation-gcd-6": lambda: RotationSystem(M=150, P=36, t=36 / 150, defect=0.0).permutation,
+    "shuffled": lambda: FinitePermutation(np.random.default_rng(9).permutation(150)),
+}
+
+
+def integer_observable(M, dtype):
+    """Random integers over the whole range of dtype, both ends included."""
+    info = np.iinfo(dtype)
+    values = np.random.default_rng(M).integers(info.min, info.max, M, endpoint=True)
+    values[:2] = info.min, info.max
+    return Observable.from_values(values)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+@pytest.mark.parametrize("dtype", [np.int8, np.int32])
+@pytest.mark.parametrize("name", sorted(WIDTH_SYSTEMS))
+def test_kernels_on_a_narrow_memo_bitwise_equal_the_oracles(monkeypatch, name, dtype, chunk):
+    monkeypatch.setattr(dynamics, "CHUNK_POINTS", chunk)
+    monkeypatch.setattr(stabilization, "CHUNK_POINTS", chunk)
+    T = WIDTH_SYSTEMS[name]()
+    M, F = T.size, integer_observable(T.size, dtype)
+    assert T.along(F).dtype == dtype
+    for y in (0, 5, M - 1):
+        gamma, _ = gamma_series(F, T, y, 2.3, 1)
+        assert gamma[:, 2].tobytes() == ergodic_means_prefix(F, T, y, gamma.shape[0]).means.tobytes()
+    for n in (1, 7, M + 3):
+        assert means_at_horizon(F, T, n).tobytes() == horizon_means_loop(F, T, n).tobytes()
+    for K, L in ((40, 17), (M + 5, M // 3)):
+        (rep,) = sup_discrepancy(F, T, [(K, L)])
+        diffs, u, v = sup_discrepancy_two_pass(F, T, K, L)
+        assert rep.diffs[inverse_order(T.orbit_index)].tobytes() == diffs.tobytes()
+        U, V = proof_terms(F, T, K, L)
+        assert U.tobytes() == u.tobytes() and V.tobytes() == v.tobytes()
+    points, scale = np.array([0, 5, 33, M - 1, 5]), float(np.iinfo(dtype).max)
+    for n_min, eps, scan_limit in ((1, 1e-9, 50), (3, 0.3 * scale, M + 9)):
+        seg = stabilization_segment(F, T, points, n_min, eps, scan_limit)
+        want = [band_end_loop(F, T, int(y), n_min, eps, scan_limit) for y in points]
+        assert list(zip(seg.K_star.tolist(), seg.capped.tolist())) == [(k, c) for k, _, c in want]
+        assert seg.witness.tobytes() == np.array([w for _, w, _ in want]).tobytes()
+
+
+def test_the_first_narrow_memo_costs_two_bytes_per_point():
+    # the int8 cast of F and its gather; a float64 temporary would be 8 bytes per point
+    T = build_bernoulli(2, 10, "debruijn").permutation
+    F = paper_observable("chi0", T.size, N=10)
+    tracemalloc.start()
+    try:
+        along = T.along(F)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert along.dtype == np.int8
+    assert peak <= 2 * T.size + (1 << 20), peak
