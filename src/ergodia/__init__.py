@@ -26,7 +26,6 @@ from .stabilization import (
     DiscrepancyReport,
     StabilizationSegment,
     common_stabilization_segment,
-    means_at_horizon,
     proof_terms,
     stabilization_segment,
     stratified_start_points,

@@ -89,9 +89,13 @@ class OrbitIndex:
         by_point = np.argsort(order[found])
         return found[by_point[np.searchsorted(order[found], points, sorter=by_point)]]
 
+    def cycle_at(self, slots):
+        """The cycle holding each slot: the last cycle starting at or before it."""
+        return np.searchsorted(self.starts, slots, side="right") - 1
+
     def cycle_ids(self, points):
-        """The cycle of each point: the last cycle starting at or before its slot."""
-        return np.searchsorted(self.starts, self.slots(points), side="right") - 1
+        """The cycle of each point."""
+        return self.cycle_at(self.slots(points))
 
     def length_classes(self) -> list[tuple[int, int, int]]:
         """(offset into order, cycle count, length p) per length class, longest first."""
@@ -285,17 +289,22 @@ class FinitePermutation:
         return [row for offset, count, p in self.orbit_index.length_classes()
                 for row in order[offset : offset + count * p].reshape(count, p)]
 
-    def cycle_of(self, y: int) -> tuple[np.ndarray, int]:
-        """The cycle through y (a slice of the orbit order) and y's position in it; as period, one
-        pass over the order (OrbitIndex.slots), so many points should go through one slots call."""
+    def _run(self, y: int) -> tuple[int, int, int]:
+        """(start, p, pos): y is in slot start + pos of its cycle, slots start .. start + p - 1 of the
+        orbit order.  One pass over the order (OrbitIndex.slots): many points want one slots call."""
         index = self.orbit_index
-        slot = index.slots(y)
-        c = np.searchsorted(index.starts, slot, side="right") - 1
-        start = index.starts[c]
-        return index.order[start : start + index.lengths[c]], int(slot - start)
+        slot = int(index.slots(y))
+        c = index.cycle_at(slot)
+        start = int(index.starts[c])
+        return start, int(index.lengths[c]), slot - start
+
+    def cycle_of(self, y: int) -> tuple[np.ndarray, int]:
+        """The cycle through y (a slice of the orbit order) and y's position in it."""
+        start, p, pos = self._run(y)
+        return self.orbit_index.order[start : start + p], pos
 
     def period(self, y: int) -> int:
-        return self.cycle_of(y)[0].size
+        return self._run(y)[1]
 
     def trajectory(self, y: int, n: int) -> np.ndarray:
         """[y, T(y), ..., T^{n-1}(y)] in O(M + n), copied out of y's cycle in the orbit index."""
@@ -363,15 +372,12 @@ class Observable:
 
 @dataclass(frozen=True, eq=False)
 class MeanSeries:
-    """Prefix ergodic means A_1..A_n for one start point.
+    """Prefix ergodic means A_1..A_n for one start point y.
 
-    means[n-1] == A_n(F, T, start).  In Gamma coordinates the abscissa of
+    means[n-1] == A_n(F, T, y).  In Gamma coordinates the abscissa of
     A_n is n/M, spanning (0, k] for n up to k*M.
     """
 
-    size: int
-    start: int
-    n_max: int
     means: np.ndarray
     exact_means: tuple[Fraction, ...] | None = None
 
@@ -381,11 +387,32 @@ class MeanSeries:
         object.__setattr__(self, "means", means)
 
     def mean_at(self, n: int) -> float:
-        """A_n for 1 <= n <= n_max."""
+        """A_n for 1 <= n <= means.size."""
         return float(self.means[n - 1])
 
 
 # -- operations -----------------------------------------------------------
+
+
+def _prefix_sums(F: Observable, T: FinitePermutation, y: int, n_total: int, stride: int) -> np.ndarray:
+    """Sums of the first n values of F along the T-orbit of y, for n = stride, 2*stride, ..., n_total.
+
+    The values are copied out of y's cycle in T.along(F) as float64, CHUNK_POINTS at a time, so F
+    is never gathered at random; each chunk's cumsum carries the sum of the one before, so the sums
+    are those of one sequential cumsum, and memory is one chunk plus the sums kept.
+    """
+    start, p, pos = T._run(y)
+    run = T.along(F)[start : start + p]
+    kept = np.empty(n_total // stride)
+    for lo in range(0, n_total, CHUNK_POINTS):
+        hi = min(lo + CHUNK_POINTS, n_total)
+        sums = _cyclic_run(run, (pos + lo) % p, hi - lo, np.float64)
+        if lo:  # only past the first chunk: 0.0 + -0.0 would lose the sign of a zero
+            sums[0] += carry
+        carry = np.cumsum(sums, out=sums)[-1]
+        # sums[i] is the sum of n = lo + i + 1 values; keep the n that stride divides
+        kept[lo // stride : hi // stride] = sums[stride - 1 - lo % stride :: stride]
+    return kept
 
 
 def ergodic_means_prefix(
@@ -396,31 +423,30 @@ def ergodic_means_prefix(
     *,
     exact: bool = False,
 ) -> MeanSeries:
-    """A_1..A_{n_max} along the T-orbit of y, in a single O(n_max) pass after cycle_of.
+    """A_1..A_{n_max} along the T-orbit of y, in a single O(n_max) pass.
 
-    Double mode uses a float64 cumulative sum; exact mode sums the
-    observable's integer numerators as Python ints, so A_n is the Fraction
-    (sum of numerators) / (denominator * n) with no overflow.  Its floats
-    are that int division, correctly rounded as float(Fraction) is.
+    Double mode divides gamma_series's chunked float64 prefix sums (stride
+    1) by n.  Exact mode sums the integer numerators of y's cycle, read from
+    y on, as Python ints, so A_n is the Fraction (sum of numerators) /
+    (denominator * n) with no overflow.  Its floats are that int division,
+    correctly rounded as float(Fraction) is.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    traj = T.trajectory(y, n_max)
-    vals = F.values[traj]
-    means = np.cumsum(vals) / np.arange(1, n_max + 1, dtype=np.float64)
-    exact_means = None
-    if exact:
-        D = F.denominator
-        sums = list(accumulate(F.numerators(traj).tolist()))
-        exact_means = tuple(Fraction(s, D * n) for n, s in enumerate(sums, start=1))
-        means = np.asarray([s / (D * n) for n, s in enumerate(sums, start=1)])
-    return MeanSeries(size=T.size, start=y, n_max=n_max, means=means, exact_means=exact_means)
+    if not exact:
+        return MeanSeries(means=_prefix_sums(F, T, y, n_max, 1) / np.arange(1, n_max + 1, dtype=np.float64))
+    D = F.denominator
+    cyc, pos = T.cycle_of(y)
+    nums = F.numerators(_cyclic_run(cyc, pos, min(n_max, cyc.size)))
+    sums = list(accumulate(_cyclic_run(nums, 0, n_max).tolist()))
+    return MeanSeries(means=np.asarray([s / (D * n) for n, s in enumerate(sums, start=1)]),
+                      exact_means=tuple(Fraction(s, D * n) for n, s in enumerate(sums, start=1)))
 
 
 def orbit_average(F: Observable, T: FinitePermutation, y: int) -> float:
-    """The orbit mean: (1/|Orb(y)|) * sum of F over the T-orbit of y."""
-    cyc, _ = T.cycle_of(y)
-    return float(np.mean(F.values[cyc]))
+    """The orbit mean: (1/|Orb(y)|) * sum of F over the T-orbit of y, from y's cycle in T.along(F)."""
+    start, p, _ = T._run(y)
+    return float(np.mean(T.along(F)[start : start + p].astype(np.float64, copy=False)))
 
 
 def gamma_series(
@@ -434,13 +460,9 @@ def gamma_series(
 
     Returns (array of shape (count, 3) with columns [n, n/M, A_n], stride).
     The default stride caps the output at ~1e5 points; the stride actually
-    used is returned so output metadata can record it.  The values along
-    the orbit are copied out of y's cycle in T.along(F) into float64, so F
-    is never gathered at random, CHUNK_POINTS at a time.  The prefix sums run over
-    all n_total steps in one sequential cumsum per chunk that carries the
-    running sum, and only the sums at the stride points are kept, so memory
-    is one chunk plus the output; the means are divided out at the stride
-    points alone, each as the same quotient ergodic_means_prefix forms.
+    used is returned so output metadata can record it.  Only the prefix sums
+    at the stride points are kept (memory is one chunk plus the output), and
+    each mean there is the quotient ergodic_means_prefix forms.
     """
     M = T.size
     if not (np.isfinite(k) and k * M >= 1):
@@ -452,20 +474,7 @@ def gamma_series(
         stride = max(1, n_total // 100_000)
     if not 1 <= stride <= n_total:
         raise ValueError(f"stride must be in [1, floor(k*M)] = [1, {n_total}], got {stride}")
-    index = T.orbit_index
-    slot = int(index.slots(y))
-    c = np.searchsorted(index.starts, slot, side="right") - 1
-    start, p = int(index.starts[c]), int(index.lengths[c])
-    run = T.along(F)[start : start + p]
-    kept = np.empty(n_total // stride)
-    for lo in range(0, n_total, CHUNK_POINTS):
-        hi = min(lo + CHUNK_POINTS, n_total)
-        sums = _cyclic_run(run, (slot - start + lo) % p, hi - lo, np.float64)
-        if lo:  # only past the first chunk: 0.0 + -0.0 would lose the sign of a zero
-            sums[0] += carry
-        carry = np.cumsum(sums, out=sums)[-1]
-        # sums[i] is the sum of n = lo + i + 1 values; keep the n that stride divides
-        kept[lo // stride : hi // stride] = sums[stride - 1 - lo % stride :: stride]
+    kept = _prefix_sums(F, T, y, n_total, stride)
     ns = np.arange(stride, n_total + 1, stride, dtype=np.int64)
     points = np.column_stack([ns.astype(np.float64), ns / M, kept / ns])
     return points, stride

@@ -30,7 +30,6 @@ __all__ = [
     "DiscrepancyReport",
     "StabilizationSegment",
     "CommonSegment",
-    "means_at_horizon",
     "sup_discrepancy",
     "proof_terms",
     "stabilization_segment",
@@ -45,7 +44,8 @@ class DiscrepancyReport:
     """|A_K - A_L| over all start points, and its max.
 
     diffs is in orbit order: diffs[i] belongs to the point T.orbit_index.order[i].
-    proof_terms gives the bound U + V at each point, in point order.
+    proof_terms gives the bound U + V in the same order, so diffs <= U + V
+    compares entry by entry.
     """
 
     K: int
@@ -122,21 +122,6 @@ def _row_means(F: Observable, T: FinitePermutation, horizons: Sequence[int]):
             yield offset + first * p, means
 
 
-def means_at_horizon(F: Observable, T: FinitePermutation, n: int) -> np.ndarray:
-    """A_n(F, T, y) for every y, in O(M) total via per-cycle window sums.
-
-    The window of length n along a cycle of length p contributes
-    floor(n/p) full cycle sums plus a cyclic window of length n mod p; the
-    cycles of one length are handled as rows of one block.
-    """
-    if n < 1:
-        raise ValueError("horizon must be >= 1")
-    out, order = np.empty(T.size, dtype=np.float64), T.orbit_index.order
-    for at, (A,) in _row_means(F, T, (n,)):
-        out[order[at : at + A.size].reshape(A.shape)] = A
-    return out
-
-
 def sup_discrepancy(F: Observable, T: FinitePermutation,
                     pairs: Sequence[tuple[int, int]]) -> list[DiscrepancyReport]:
     """Per (K, L) in pairs, the exact max over all y of |A_K - A_L|, all from one
@@ -157,16 +142,20 @@ def sup_discrepancy(F: Observable, T: FinitePermutation,
 
 
 def proof_terms(F: Observable, T: FinitePermutation, K: int, L: int) -> tuple[np.ndarray, np.ndarray]:
-    """(U, V) at every y, in point order, with |A_K - A_L| <= U + V for
-    U = (1/L - 1/K) * sum_{k<L} |F(T^k y)| and V = (1/K) * sum_{k=L}^{K-1} |F(T^k y)|.
+    """(U, V) at every y, in orbit order like a DiscrepancyReport's diffs, with |A_K - A_L| <= U + V
+    for U = (1/L - 1/K) * sum_{k<L} |F(T^k y)| and V = (1/K) * sum_{k=L}^{K-1} |F(T^k y)|.
 
-    Both come from the horizon means of |F| at K and L, so the call replaces
-    the T.along memo with |F|."""
+    One cycle pass over the horizon means of |F| at K and L writes both,
+    block by block and in place, as U = (1/L - 1/K) * A_L * L and
+    V = A_K - A_L * L / K.  The call replaces the T.along memo with |F|."""
     if not 1 <= L < K:
         raise ValueError("require 1 <= L < K")
-    absF = Observable.from_values(np.abs(F.values))
-    absK, absL = means_at_horizon(absF, T, K), means_at_horizon(absF, T, L)
-    return (1.0 / L - 1.0 / K) * absL * L, absK - absL * L / K
+    U, V = np.empty(T.size), np.empty(T.size)
+    for at, (absK, absL) in _row_means(Observable.from_values(np.abs(F.values)), T, (K, L)):
+        u, v = (a[at : at + absK.size].reshape(absK.shape) for a in (U, V))
+        np.multiply(np.multiply(absL, 1.0 / L - 1.0 / K, out=u), L, out=u)
+        np.subtract(absK, np.divide(np.multiply(absL, L, out=v), K, out=v), out=v)
+    return U, V
 
 
 def _band_ends(F: Observable, T: FinitePermutation, points: np.ndarray, n_min: int,
@@ -200,7 +189,7 @@ def _band_ends(F: Observable, T: FinitePermutation, points: np.ndarray, n_min: i
     for first in range(0, points.size, CHUNK_POINTS // cols):
         rows = np.arange(first, min(first + CHUNK_POINTS // cols, points.size))
         s = point_slots[rows]
-        c = np.searchsorted(index.starts, s, side="right") - 1
+        c = index.cycle_at(s)
         p = index.lengths[c]
         total, hi, lo = np.zeros(s.size), np.full((s.size, 1), -np.inf), np.full((s.size, 1), np.inf)
         a, n = 0, 32

@@ -8,7 +8,7 @@ from math import gcd
 
 import numpy as np
 
-from ergodia.dynamics import FinitePermutation, Observable, ergodic_means_prefix
+from ergodia.dynamics import FinitePermutation, Observable
 from ergodia.integrability import default_thresholds
 from ergodia.stabilization import sup_discrepancy
 
@@ -447,20 +447,26 @@ def horizon_means_loop(F, T, n):
 
 
 def sup_discrepancy_two_pass(F, T, K, L):
-    """(diffs, U, V) of sup_discrepancy and proof_terms in point order, from separate
-    passes: A_K, A_L, |F| at L and at K."""
+    """(diffs, U, V) of sup_discrepancy and proof_terms, from separate point-order passes
+    (A_K, A_L, |F| at L and at K), each then gathered into orbit order as theirs are."""
     diffs = horizon_means_loop(F, T, K)
     diffs -= horizon_means_loop(F, T, L)
     np.abs(diffs, out=diffs)
     absF = Observable.from_values(np.abs(F.values))
     absL = horizon_means_loop(absF, T, L)
     absK = horizon_means_loop(absF, T, K)
-    return diffs, (1.0 / L - 1.0 / K) * absL * L, absK - absL * L / K
+    order = T.orbit_index.order
+    return diffs[order], ((1.0 / L - 1.0 / K) * absL * L)[order], (absK - absL * L / K)[order]
+
+
+def prefix_means_gather(F, T, y, n):
+    """A_1..A_n from y: F gathered by point along T.trajectory(y, n), then one whole cumsum."""
+    return np.cumsum(F.values[T.trajectory(y, n)]) / np.arange(1, n + 1, dtype=np.float64)
 
 
 def band_end_loop(F, T, y, n_min, eps, scan_limit):
     """(K_star, witness, capped) of one start point, from its own prefix means."""
-    window = ergodic_means_prefix(F, T, y, scan_limit).means[n_min - 1 :]
+    window = prefix_means_gather(F, T, y, scan_limit)[n_min - 1 :]
     hi = np.maximum.accumulate(window)
     lo = np.minimum.accumulate(window)
     bad = (hi - lo) > eps

@@ -25,7 +25,7 @@ from ergodia.systems import (
     debruijn_window_permutation,
     paper_observable,
 )
-from oracles import (exceedance_fraction, hall_deficiency_oracle, inverse_order, tent_function,
+from oracles import (exceedance_fraction, hall_deficiency_oracle, tent_function,
                      three_point_average, word)
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -63,11 +63,18 @@ def test_criterion_02_discrepancy_theorem_finite_form():
     rot = build_rotation(M, 0.5)
     F = paper_observable("tent", M)
     K, L = 50_500, 50_000
-    (rep,) = ergodia.sup_discrepancy(F, rot.permutation, [(K, L)])
-    U, V = ergodia.proof_terms(F, rot.permutation, K, L)
-    d = rep.diffs[inverse_order(rot.permutation.orbit_index)]
+    T = rot.permutation
+    (rep,) = ergodia.sup_discrepancy(F, T, [(K, L)])
+    U, V = ergodia.proof_terms(F, T, K, L)  # in orbit order, as rep.diffs
+    # at a few slots, the terms summed along the orbit of the point in that slot
+    terms_ok = True
+    for s in (0, 1, 12_345, M - 1):
+        a = np.abs(F.values[T.trajectory(int(T.orbit_index.order[s]), K)])
+        terms_ok = terms_ok and abs(U[s] - (1 / L - 1 / K) * a[:L].sum()) <= 1e-12
+        terms_ok = terms_ok and abs(V[s] - a[L:].sum() / K) <= 1e-12
     ok = (rep.sup_disc <= 0.02
-          and bool((d <= U + V + 1e-12).all())
+          and bool((rep.diffs <= U + V + 1e-12).all())
+          and terms_ok
           and (time.time() - t0) < 10.0)
     report("sup discrepancy bound at a=0.5", ok)
 

@@ -283,16 +283,6 @@ def test_stab_report_of_the_ci_config_is_pinned(tmp_path):
     assert digest == "d2f3583f4aa8d56a61ee8ab111425b68fb915132bde66c4a88c51d60ca775be2"
 
 
-def test_stab_report_of_fig4_is_pinned(tmp_path):
-    # the SHA-256 the CI's fig4 step checks
-    import hashlib
-
-    cfg = os.path.join(CONFIG_DIR, "fig4.json")
-    assert main(["stab", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-    digest = hashlib.sha256((tmp_path / "o" / "stab_report.json").read_bytes()).hexdigest()
-    assert digest == "cc094a8ba7cacef67cb7d65cc203c3549fcb60330048c50419a0cd49763888bb"
-
-
 @pytest.mark.parametrize("payload,digest", [
     ({"system": {"name": "bernoulli", "m": 2, "N": 8, "mode": "naive"},
       "observable": {"name": "chi0", "N": 8}, "start_points": {"random": 200}, "seed": 5,
@@ -312,46 +302,84 @@ def test_stab_reports_of_the_scan_ci_configs_are_pinned(tmp_path, payload, diges
     assert hashlib.sha256((tmp_path / "o" / "stab_report.json").read_bytes()).hexdigest() == digest
 
 
-# SHA-256 of every file the shipped gamma figure configs write with --svg --no-timestamp
-FIGURE_DIGESTS = {
-    "fig1": {
+STDOUT = "<stdout>"
+SVG = ("--svg", "--no-timestamp")
+
+# Every pinned output, as (command, config, flags, {output file: SHA-256}): each file the
+# command writes, and STDOUT for what it prints.  A config is a file under configs/ or JSON
+# text; the three JSON gamma configs are those of the CI's pin steps, copied verbatim.
+GOLDEN = {
+    "fig1": ("gamma", "fig1.json", SVG, {
         "gamma_ex01_y698.csv": "7ba75a9ec7d10f6daebd9868e434ee2249198f0491dbb9293018e8b0c445196f",
         "gamma_ex01_y698.svg": "02bc1471e0a00b8c06ff9a539c9b1a723c1ecd17f5a78568d6d0ab5cb833de37",
         "gamma_meta.json": "1fa47c202451406d2a19e344cf543206de238efd8f5111f710a2cff2ea20b28a",
-    },
-    "fig2": {
+    }),
+    "fig2": ("gamma", "fig2.json", SVG, {
         "gamma_delta_y322.csv": "ef92d4b4811cc07b24c62055085aa6a77722a47fa03ae6e5b5fc96032040eda1",
         "gamma_delta_y322.svg": "44832fcd2c53f3de89c3687240ab2ee4b5fe8e3c48e1d01b1640038e5e9313cc",
         "gamma_meta.json": "9abede6c4d59db40052eab844fda560d8afb2c0910b907d7f2c536f9a302566d",
-    },
-    "fig3": {
+    }),
+    "fig3": ("gamma", "fig3.json", SVG, {
         "gamma_ex03(K=1000)_y41250.csv": "554304d45936448292b6bfe3c26ddb38c0bbb37b770d6042c87a917b38084441",
         "gamma_ex03(K=1000)_y41250.svg": "f777c1219036b3b073c8fdbe54dc6284b7aa845b12c0cf16458193479c2e7ac7",
         "gamma_meta.json": "046d9f48b3f51b2a12ae311dcdd439ec77c7f38a76f5e9f226aa6528fdf99752",
-    },
-    "fig5": {
+    }),
+    "fig5": ("gamma", "fig5.json", SVG, {
         "gamma_tent_y16667.csv": "62aaa573e4abd95461218298928f30fba6dbf87e3637d60b2a457990bdb91e25",
         "gamma_tent_y16667.svg": "53bd12603177cc3638848f1244cc8c562d63c6ef6a6b416477da19e6e91515f8",
         "gamma_meta.json": "aec5ebefcaaa199690a6453f8e4c058053ed0c810ebf29ee6254940856cb71db",
-    },
-    "fig6": {
+    }),
+    "fig6": ("gamma", "fig6.json", SVG, {
         "gamma_tent_y6119.csv": "7ad06804518dbf3b836b9d8cb99de4a77bc773177febc8c4b37cb9b9b56164c4",
         "gamma_tent_y6119.svg": "85426c87f08ac53bb735c8962b420c068d05258a427f136d602974bc96620abb",
         "gamma_meta.json": "1b3aff64e1276b857ea63c1526b0f60299ed7afe77e4aa811be0aba390ca1e4e",
-    },
+    }),
+    "fig4": ("stab", "fig4.json", (), {
+        "stab_report.json": "cc094a8ba7cacef67cb7d65cc203c3549fcb60330048c50419a0cd49763888bb",
+    }),
+    "check": ("check", None, (), {
+        STDOUT: "b70088b557e145fba45c16fca3bb36519d044c47dc9ddded0a313c0e379db58d",
+    }),
+    "drift-4e6-gamma": ("gamma", '{"system": {"name": "drift", "M": 4000000}, '
+                                 '"observable": {"name": "ex03", "K": 1000}, "start_points": {"explicit": [2718281]}, '
+                                 '"gamma": {"k": 1.0}}', (), {
+        "gamma_ex03(K=1000)_y2718281.csv": "4853aa6d77103d657364ed684ebb9759b3210d148978825a8a463fa51a7d1016",
+        "gamma_meta.json": "4b951ac27a6caa18e518d4de96523cb2e4bc84390af49c5517e5171645e3eb76",
+    }),
+    "debruijn-gamma": ("gamma", '{"system": {"name": "bernoulli", "m": 3, "N": 3, "mode": "debruijn"}, '
+                                '"observable": {"name": "chi0", "m": 3, "N": 3}, "start_points": {"explicit": [1000]}, '
+                                '"gamma": {"k": 1.0}}', (), {
+        "gamma_chi0_y1000.csv": "4e59949391a0289f98c081cb6db5899b3650e310971645f024059a506d999ed7",
+        "gamma_meta.json": "50eabf08b9833a655a63e85fb1b4abee22b9d8d41788b4e45f1311a54bee2015",
+    }),
+    "naive-gamma": ("gamma", '{"system": {"name": "bernoulli", "m": 2, "N": 3, "mode": "naive"}, '
+                             '"observable": {"name": "chi0", "N": 3}, "start_points": {"explicit": [11]}, '
+                             '"gamma": {"k": 3.0}}', (), {
+        "gamma_chi0_y11.csv": "fa11038146f54866e98d1ea3c4670792b78e2b19bab454e5355e65a108a77d15",
+        "gamma_meta.json": "cae8dc06ab891804a981bd06c6e053c6978df2aa03a6fe5f521e654bc8b17613",
+    }),
 }
 
 
-@pytest.mark.parametrize("fig", sorted(FIGURE_DIGESTS))
-def test_figure_outputs_are_pinned(tmp_path, fig):
-    # every CSV, SVG and meta file of the figure, and no other file
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_figure_outputs_are_pinned(tmp_path, capsys, name):
+    # every file the entry writes and no other, its stdout where pinned, and exit code 0
     import hashlib
 
-    out = tmp_path / fig
-    cfg = os.path.join(CONFIG_DIR, f"{fig}.json")
-    assert main(["gamma", "--config", cfg, "--out", str(out), "--svg", "--no-timestamp"]) == 0
-    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
-    assert written == FIGURE_DIGESTS[fig]
+    command, config, flags, digests = GOLDEN[name]
+    out, args = tmp_path / "o", [command, *flags]
+    if config is not None:
+        path = os.path.join(CONFIG_DIR, config)
+        if not config.endswith(".json"):  # JSON text
+            path = tmp_path / "cfg.json"
+            path.write_text(config)
+        args += ["--config", str(path), "--out", str(out)]
+    capsys.readouterr()
+    assert main(args) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.glob("*")}
+    if STDOUT in digests:
+        written[STDOUT] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert written == digests
 
 
 def test_multi_chunk_debruijn_gamma_is_pinned(tmp_path):
@@ -697,16 +725,6 @@ def test_pipeline_targets_equal_per_point_map(target):
 
 def test_check_subcommand_passes():
     assert main(["check"]) == 0
-
-
-def test_check_stdout_is_pinned(capsys):
-    # the SHA-256 the CI's console-script step checks
-    import hashlib
-
-    capsys.readouterr()
-    assert main(["check"]) == 0
-    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digest == "b70088b557e145fba45c16fca3bb36519d044c47dc9ddded0a313c0e379db58d"
 
 
 def test_check_negative_control(tmp_path):

@@ -15,7 +15,7 @@ from ergodia.dynamics import (
 )
 from ergodia.rng import SplitMix64
 from ergodia.systems import build_bernoulli, build_drift_system, build_rotation, paper_observable
-from oracles import apply_power, cycle_decomposition, orbit_and_period, permutation_from_cycles
+from oracles import apply_power, cycle_decomposition, orbit_and_period, permutation_from_cycles, prefix_means_gather
 
 
 def random_permutation(M, seed):
@@ -260,7 +260,8 @@ def test_gamma_series_k_beyond_one():
 
 
 def test_gamma_series_bitwise_equals_prefix_means():
-    # the means at the stride points are the quotients ergodic_means_prefix forms
+    # the means at the stride points are the quotients of the gathered prefix sums, and
+    # ergodic_means_prefix gives every one of them
     from ergodia.systems import RotationSystem, build_bernoulli
 
     rng = np.random.default_rng(4)
@@ -272,7 +273,8 @@ def test_gamma_series_bitwise_equals_prefix_means():
             pts, stride = gamma_series(F, T, y, k, stride)
             n_total = int(np.floor(k * T.size))
             ns = np.arange(stride, n_total + 1, stride)
-            means = ergodic_means_prefix(F, T, y, n_total).means
+            means = prefix_means_gather(F, T, y, n_total)
+            assert ergodic_means_prefix(F, T, y, n_total).means.tobytes() == means.tobytes()
             assert pts[:, 0].tolist() == ns.tolist()
             assert pts[:, 2].tobytes() == means[ns - 1].tobytes()
 
@@ -292,8 +294,8 @@ GAMMA_CASES = {
 @pytest.mark.parametrize("chunk", [1, 7, 64, dynamics.CHUNK_POINTS])
 @pytest.mark.parametrize("name", sorted(GAMMA_CASES))
 def test_gamma_series_in_chunks_is_bitwise_the_prefix_means(monkeypatch, chunk, name):
-    # the carried sum crosses cycle wraps and stride points, and every mean
-    # is still ergodic_means_prefix's float
+    # the carried sum crosses cycle wraps and stride points, and every mean of
+    # gamma_series and of ergodic_means_prefix is still the gathered cumsum's float
     monkeypatch.setattr(dynamics, "CHUNK_POINTS", chunk)
     make_T, make_F, k = GAMMA_CASES[name]
     T = make_T()
@@ -302,7 +304,8 @@ def test_gamma_series_in_chunks_is_bitwise_the_prefix_means(monkeypatch, chunk, 
     last_slot = int(index.order[index.lengths[0] - 1])  # the last point of the first cycle
     last_head = int(index.order[index.starts[-1]])  # the head of the last cycle
     for y in {0, last_slot, last_head, T.size - 1}:
-        means = ergodic_means_prefix(F, T, y, n_total).means
+        means = prefix_means_gather(F, T, y, n_total)
+        assert ergodic_means_prefix(F, T, y, n_total).means.tobytes() == means.tobytes()
         for stride in (1, 3, n_total):
             pts, _ = gamma_series(F, T, y, k, stride)
             ns = np.arange(stride, n_total + 1, stride)
@@ -318,6 +321,8 @@ def test_gamma_of_a_negative_zero_keeps_its_sign_across_chunks(monkeypatch, chun
     F = paper_observable("constant", 50, value=-0.0)
     pts, _ = gamma_series(F, T, 7, 2.0, 1)
     assert np.signbit(pts[:, 2]).all() and not pts[:, 2].any()
+    means = ergodic_means_prefix(F, T, 7, 100).means
+    assert np.signbit(means).all() and not means.any()
 
 
 def test_gamma_series_rejects_out_of_range_start():

@@ -18,10 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ergodia import dynamics, stabilization
-from ergodia.dynamics import FinitePermutation, Observable, ergodic_means_prefix, gamma_series
+from ergodia.dynamics import FinitePermutation, Observable, ergodic_means_prefix, gamma_series, orbit_average
 from ergodia.integrability import integrability_profile
-from ergodia.stabilization import (common_stabilization_segment, means_at_horizon, proof_terms,
-                                   stabilization_segment, sup_discrepancy)
+from ergodia.stabilization import (common_stabilization_segment, proof_terms, stabilization_segment,
+                                   sup_discrepancy)
 from ergodia.systems import (
     RotationSystem,
     build_bernoulli,
@@ -30,7 +30,7 @@ from ergodia.systems import (
     debruijn_sequence,
     paper_observable,
 )
-from oracles import (band_end_loop, horizon_means_loop, index_field, inverse_order, permutation_from_cycles,
+from oracles import (band_end_loop, index_field, inverse_order, permutation_from_cycles, prefix_means_gather,
                      sup_discrepancy_two_pass)
 
 
@@ -271,11 +271,16 @@ def test_the_generic_walk_refuses_a_wrapped_negative_entry():
 
 
 def test_gamma_and_the_band_scan_on_a_drift_system_build_no_order():
+    # nor do the other mean kernels: each reads T.along(F) by orbit slot
     T, F = build_drift_system(5000), paper_observable("ex03", 5000, K=50)
     for y in (0, 3, 4999):
         gamma_series(F, T, y, 2.5)
+        ergodic_means_prefix(F, T, y, 7000)
+        orbit_average(F, T, y)
+        T.period(y)
     stabilization_segment(F, T, [0, 3, 77, 4999], 2, 0.05, 300)
     sup_discrepancy(F, T, [(40, 17), (5003, 1000)])  # _row_means reads no order
+    proof_terms(F, T, 5003, 1000)
     index = T.orbit_index
     assert index.stored is None and "order" not in vars(index)
     assert T.along(F) is F.values
@@ -337,14 +342,16 @@ def test_relabelling_preserves_means_discrepancies_segments_and_tails(name):
     sigma = np.random.default_rng(len(name)).permutation(T.size)
     F2, T2 = relabel(F, T, sigma)
     assert T2._index is None  # the relabelled copy takes the generic walk
-    for n in (1, 2, 7, T.size // 3, T.size + 5):
-        assert np.array_equal(means_at_horizon(F2, T2, n)[sigma], means_at_horizon(F, T, n))
-    K, L = T.size // 2 + 3, T.size // 5 + 1
-    (rep,), (rep2,) = sup_discrepancy(F, T, [(K, L)]), sup_discrepancy(F2, T2, [(K, L)])
-    assert np.array_equal(rep2.diffs[inverse_order(T2.orbit_index)][sigma], rep.diffs[inverse_order(T.orbit_index)])
-    assert rep2.sup_disc == rep.sup_disc
-    for eps in (1e-3, 0.05, 0.5):
-        assert rep2.exceedance(eps) == rep.exceedance(eps)
+    # diffs, U and V of each copy in its own orbit order, compared in point order
+    slot, slot2 = inverse_order(T.orbit_index), inverse_order(T2.orbit_index)
+    pairs = [(2, 1), (7, 2), (T.size + 5, T.size // 3), (T.size // 2 + 3, T.size // 5 + 1)]
+    for (K, L), rep, rep2 in zip(pairs, sup_discrepancy(F, T, pairs), sup_discrepancy(F2, T2, pairs)):
+        assert np.array_equal(rep2.diffs[slot2][sigma], rep.diffs[slot])
+        assert rep2.sup_disc == rep.sup_disc
+        for eps in (1e-3, 0.05, 0.5):
+            assert rep2.exceedance(eps) == rep.exceedance(eps)
+        for term2, term in zip(proof_terms(F2, T2, K, L), proof_terms(F, T, K, L)):
+            assert np.array_equal(term2[slot2][sigma], term[slot])
     sample = np.random.default_rng(5).integers(0, T.size, 40)
     for n_min, eps, scan_limit in ((1, 1e-9, 50), (3, 0.05, 300), (2, 0.5, T.size + 9)):
         seg = stabilization_segment(F, T, sample, n_min, eps, scan_limit)
@@ -414,13 +421,13 @@ def test_lazy_image_equals_the_successor_image_and_is_read_only(name):
 
 
 def kernel_results(F, T):
-    """Every kernel that reads T.along(F), as plain arrays and tuples."""
+    """Every kernel that reads T.along(F), as plain arrays and tuples; diffs, U and V in orbit order."""
     gamma, _ = gamma_series(F, T, 5, 2.7, 1)
     (rep,) = sup_discrepancy(F, T, [(40, 17)])
     U, V = proof_terms(F, T, 40, 17)
     seg = stabilization_segment(F, T, [0, 5, 33, 60, 106], 2, 0.05, 150)
     common = common_stabilization_segment(seg, 0.2)
-    return (gamma, rep.diffs[inverse_order(T.orbit_index)], U, V, rep.sup_disc,
+    return (gamma, rep.diffs, U, V, rep.sup_disc,
             seg.K_star, seg.witness, seg.capped,
             (common.K_star, common.witness, common.capped, common.excluded_fraction))
 
@@ -488,7 +495,6 @@ def test_the_kernels_build_no_image(name):
     common_stabilization_segment(stabilization_segment(F, T, [0, 3, 77, T.size - 1], 2, 0.05, 300), 0.2)
     sup_discrepancy(F, T, [(40, 17)])
     proof_terms(F, T, 40, 17)
-    means_at_horizon(F, T, 9)
     assert T._image is None
 
 
@@ -500,7 +506,7 @@ def test_gamma_from_a_short_cycle_is_the_prefix_means(k):
         n_total = int(np.floor(k * T.size))
         points, stride = gamma_series(F, T, y, k, 1)
         assert stride == 1 and points.shape == (n_total, 3)
-        assert np.array_equal(points[:, 2], ergodic_means_prefix(F, T, y, n_total).means)
+        assert points[:, 2].tobytes() == prefix_means_gather(F, T, y, n_total).tobytes()
 
 
 # -- the width of the orbit-order values ----------------------------------
@@ -561,7 +567,7 @@ def integer_observable(M, dtype):
     return Observable.from_values(values)
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 64])
+@pytest.mark.parametrize("chunk", [1, 7, 64, 256, dynamics.CHUNK_POINTS])
 @pytest.mark.parametrize("dtype", [np.int8, np.int32])
 @pytest.mark.parametrize("name", sorted(WIDTH_SYSTEMS))
 def test_kernels_on_a_narrow_memo_bitwise_equal_the_oracles(monkeypatch, name, dtype, chunk):
@@ -572,13 +578,13 @@ def test_kernels_on_a_narrow_memo_bitwise_equal_the_oracles(monkeypatch, name, d
     assert T.along(F).dtype == dtype
     for y in (0, 5, M - 1):
         gamma, _ = gamma_series(F, T, y, 2.3, 1)
-        assert gamma[:, 2].tobytes() == ergodic_means_prefix(F, T, y, gamma.shape[0]).means.tobytes()
-    for n in (1, 7, M + 3):
-        assert means_at_horizon(F, T, n).tobytes() == horizon_means_loop(F, T, n).tobytes()
-    for K, L in ((40, 17), (M + 5, M // 3)):
+        means = prefix_means_gather(F, T, y, gamma.shape[0])
+        assert gamma[:, 2].tobytes() == means.tobytes()
+        assert ergodic_means_prefix(F, T, y, means.size).means.tobytes() == means.tobytes()
+    for K, L in ((7, 1), (40, 17), (M + 5, M // 3)):
         (rep,) = sup_discrepancy(F, T, [(K, L)])
-        diffs, u, v = sup_discrepancy_two_pass(F, T, K, L)
-        assert rep.diffs[inverse_order(T.orbit_index)].tobytes() == diffs.tobytes()
+        diffs, u, v = sup_discrepancy_two_pass(F, T, K, L)  # all in orbit order
+        assert rep.diffs.tobytes() == diffs.tobytes()
         U, V = proof_terms(F, T, K, L)
         assert U.tobytes() == u.tobytes() and V.tobytes() == v.tobytes()
     points, scale = np.array([0, 5, 33, M - 1, 5]), float(np.iinfo(dtype).max)

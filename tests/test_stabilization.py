@@ -12,15 +12,14 @@ from ergodia import stabilization
 from ergodia.rng import SplitMix64
 from ergodia.stabilization import (
     common_stabilization_segment,
-    means_at_horizon,
     proof_terms,
     stabilization_segment,
     stratified_start_points,
     sup_discrepancy,
 )
 from ergodia.systems import build_bernoulli, build_drift_system, build_rotation, paper_observable
-from oracles import (band_end_loop, common_segment_loop, exceedance_fraction, horizon_means_loop,
-                     inverse_order, permutation_from_cycles, reference_psi, sup_discrepancy_two_pass)
+from oracles import (band_end_loop, common_segment_loop, exceedance_fraction, permutation_from_cycles,
+                     reference_psi, sup_discrepancy_two_pass)
 
 
 def random_system(M, seed, lo=-50, hi=50):
@@ -32,59 +31,6 @@ def random_system(M, seed, lo=-50, hi=50):
     T = FinitePermutation(idx, validate=False)
     F = Observable.from_values([rng.next_below(hi - lo + 1) + lo for _ in range(M)])
     return F, T
-
-
-# -- horizon means ---------------------------------------------------------
-
-
-@given(st.integers(2, 80), st.integers(0, 2**32), st.integers(1, 300))
-@settings(max_examples=60, deadline=None)
-def test_means_at_horizon_matches_prefix(M, seed, n):
-    F, T = random_system(M, seed)
-    out = means_at_horizon(F, T, n)
-    for y in {0, M // 2, M - 1}:
-        expect = ergodic_means_prefix(F, T, y, n).mean_at(n)
-        assert out[y] == pytest.approx(expect, abs=1e-9)
-
-
-@pytest.mark.parametrize("chunk", [1, 7, stabilization.CHUNK_POINTS])
-def test_means_at_horizon_bitwise_equals_per_cycle_loop(monkeypatch, chunk):
-    # many equal-length cycles (necklaces of length 1, 3 and 9) and a
-    # non-integral observable; chunk = 1 and 7 split length classes into
-    # one-row and several-row chunks
-    monkeypatch.setattr(stabilization, "CHUNK_POINTS", chunk)
-    T = build_bernoulli(2, 4, "naive").permutation
-    F = Observable.from_values(np.random.default_rng(5).standard_normal(T.size))
-    for n in (1, 2, 3, 8, 9, 10, 31, 1000):
-        assert np.array_equal(means_at_horizon(F, T, n), horizon_means_loop(F, T, n))
-    F, T = random_system(300, 17)
-    for n in (1, 5, 299, 1234):
-        assert np.array_equal(means_at_horizon(F, T, n), horizon_means_loop(F, T, n))
-    # -0.0 values: bitwise the loop's means, the signs of zeros included
-    F, T = mixed_cycles(2, zeros=True)
-    for n in (1, 2, 3, 40, 41, 80):
-        assert means_at_horizon(F, T, n).tobytes() == horizon_means_loop(F, T, n).tobytes()
-
-
-def test_sup_discrepancy_bounds_equal_full_horizon_means():
-    T = build_bernoulli(2, 4, "naive").permutation
-    F = Observable.from_values(np.random.default_rng(2).standard_normal(T.size))
-    K, L = 40, 17
-    U, V = proof_terms(F, T, K, L)
-    absF = Observable.from_values(np.abs(F.values))
-    absL = means_at_horizon(absF, T, L)
-    absK = means_at_horizon(absF, T, K)
-    assert U.tobytes() == ((1.0 / L - 1.0 / K) * absL * L).tobytes()
-    assert V.tobytes() == (absK - absL * L / K).tobytes()
-
-
-def test_means_at_horizon_beyond_period():
-    # horizon spanning the cycle many times collapses to the orbit average
-    T = permutation_from_cycles([[0, 1], [2, 3, 4]], size=5)
-    F = Observable.from_values([2.0, 4.0, 0.0, 3.0, 6.0])
-    out = means_at_horizon(F, T, 6)
-    assert out[0] == pytest.approx(3.0)
-    assert out[2] == pytest.approx(3.0)
 
 
 # -- discrepancies ---------------------------------------------------------
@@ -107,12 +53,12 @@ def test_proof_bound_terms_exact():
     (rep,) = sup_discrepancy(F, T, [(K, L)])
     U, V = proof_terms(F, T, K, L)
     assert U.shape == V.shape == (T.size,)
-    for y, u, v in zip(range(T.size), U, V):
-        traj = T.trajectory(y, K)
-        absvals = np.abs(F.values[traj])
+    # slot by slot in orbit order, as rep.diffs: slot i belongs to the point order[i]
+    for y, d, u, v in zip(T.orbit_index.order.tolist(), rep.diffs, U, V):
+        absvals = np.abs(F.values[T.trajectory(y, K)])
         assert u == pytest.approx((1 / L - 1 / K) * absvals[:L].sum(), abs=1e-9)
         assert v == pytest.approx(absvals[L:].sum() / K, abs=1e-9)
-        assert rep.diffs[inverse_order(T.orbit_index)[y]] <= u + v + 1e-9
+        assert d <= u + v + 1e-9
 
 
 @given(st.integers(4, 60), st.integers(0, 2**32))
@@ -125,7 +71,7 @@ def test_proof_bound_always_holds(M, seed):
         L = K - 1
     (rep,) = sup_discrepancy(F, T, [(K, L)])
     U, V = proof_terms(F, T, K, L)
-    assert (rep.diffs[inverse_order(T.orbit_index)] <= U + V + 1e-9).all()
+    assert (rep.diffs <= U + V + 1e-9).all()  # both in orbit order
 
 
 def test_exceedance_fraction_counts():
@@ -359,8 +305,8 @@ def test_sup_discrepancy_bitwise_equals_two_pass_oracle(monkeypatch, chunk, name
     for K, L in pairs:
         (rep,) = sup_discrepancy(F, T, [(K, L)])
         diffs, u, v = sup_discrepancy_two_pass(F, T, K, L)
-        assert rep.diffs[inverse_order(T.orbit_index)].tobytes() == diffs.tobytes(), (K, L)
-        # the proof terms at every point, in point order
+        assert rep.diffs.tobytes() == diffs.tobytes(), (K, L)
+        # the proof terms at every point, in the orbit order of diffs
         U, V = proof_terms(F, T, K, L)
         assert U.tobytes() == u.tobytes(), (K, L)
         assert V.tobytes() == v.tobytes(), (K, L)
@@ -386,8 +332,8 @@ def test_fused_pairs_bitwise_equal_two_pass_oracle(monkeypatch, chunk, name):
         assert [(rep.K, rep.L) for rep in reports] == pairs
         for rep, (K, L) in zip(reports, pairs):
             diffs, u, v = sup_discrepancy_two_pass(F, T, K, L)
-            # diffs is in orbit order: slot[y] is the entry of point y
-            assert rep.diffs[inverse_order(T.orbit_index)].tobytes() == diffs.tobytes(), (pairs, K, L)
+            # diffs, U and V are in orbit order: entry i belongs to the point order[i]
+            assert rep.diffs.tobytes() == diffs.tobytes(), (pairs, K, L)
             U, V = proof_terms(F, T, K, L)
             assert U.tobytes() == u.tobytes(), (pairs, K, L)
             assert V.tobytes() == v.tobytes(), (pairs, K, L)
