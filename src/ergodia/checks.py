@@ -49,8 +49,8 @@ def check_mean_recurrence(seed: int = 1) -> CheckResult:
     series = ergodic_means_prefix(F, T, y, n)
     z, total = y, 0.0
     for i in range(n):
-        total += F(z)
-        z = T(z)
+        total += float(F.values[z])
+        z = int(T.image[z])
     ok = abs(n * series.mean_at(n) - total) <= 1e-9 * max(1.0, abs(total))
     return ("mean-recurrence", ok, f"n*A_n={n * series.mean_at(n)}, brute={total}")
 

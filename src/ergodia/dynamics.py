@@ -93,10 +93,6 @@ class OrbitIndex:
         """The cycle holding each slot: the last cycle starting at or before it."""
         return np.searchsorted(self.starts, slots, side="right") - 1
 
-    def cycle_ids(self, points):
-        """The cycle of each point."""
-        return self.cycle_at(self.slots(points))
-
     def length_classes(self) -> list[tuple[int, int, int]]:
         """(offset into order, cycle count, length p) per length class, longest first."""
         lengths = self.lengths
@@ -241,9 +237,6 @@ class FinitePermutation:
             memo = self._along = (F, values)
         return memo[1]
 
-    def __call__(self, y: int) -> int:
-        return int(self.image[y])
-
     def __eq__(self, other) -> bool:
         return isinstance(other, FinitePermutation) and np.array_equal(self.image, other.image)
 
@@ -343,18 +336,15 @@ class Observable:
         values = np.asarray(values, dtype=np.float64)
         return cls(size=values.size, values=values, name=name)
 
-    def __call__(self, y: int) -> float:
-        return float(self.values[y])
-
-    def numerators(self, points=None) -> np.ndarray:
-        """n(y) at points (default: all of Y), as int64.
+    def numerators(self, vals=None) -> np.ndarray:
+        """The numerators n(y), as int64, of values taken from F (default: all of values).
 
         A value is accepted only when values[y] * denominator lies within
         64 * 2**-52 * denominator * max(1, |values[y]|) of an integer, the
         float64 rounding a closed-form rational can carry; any other value
         raises ValueError.
         """
-        vals = self.values if points is None else self.values[points]
+        vals = self.values if vals is None else vals
         D = self.denominator
         scaled = vals * D
         nums = np.rint(scaled)
@@ -365,9 +355,6 @@ class Observable:
             v = float(vals[np.argmax(bad)])
             raise ValueError(f"observable {self.name!r}: value {v} is not a multiple of 1/{D}")
         return nums.astype(np.int64)
-
-    def exact(self, y: int) -> Fraction:
-        return Fraction(int(self.numerators([y])[0]), self.denominator)
 
 
 @dataclass(frozen=True, eq=False)
@@ -426,18 +413,19 @@ def ergodic_means_prefix(
     """A_1..A_{n_max} along the T-orbit of y, in a single O(n_max) pass.
 
     Double mode divides gamma_series's chunked float64 prefix sums (stride
-    1) by n.  Exact mode sums the integer numerators of y's cycle, read from
-    y on, as Python ints, so A_n is the Fraction (sum of numerators) /
-    (denominator * n) with no overflow.  Its floats are that int division,
-    correctly rounded as float(Fraction) is.
+    1) by n.  Exact mode reads y's cycle in T.along(F) as double mode does,
+    and sums the integer numerators of its values, from y on, as Python
+    ints, so A_n is the Fraction (sum of numerators) / (denominator * n)
+    with no overflow.  Its floats are that int division, correctly rounded
+    as float(Fraction) is.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if not exact:
         return MeanSeries(means=_prefix_sums(F, T, y, n_max, 1) / np.arange(1, n_max + 1, dtype=np.float64))
     D = F.denominator
-    cyc, pos = T.cycle_of(y)
-    nums = F.numerators(_cyclic_run(cyc, pos, min(n_max, cyc.size)))
+    start, p, pos = T._run(y)
+    nums = F.numerators(_cyclic_run(T.along(F)[start : start + p], pos, min(n_max, p), np.float64))
     sums = list(accumulate(_cyclic_run(nums, 0, n_max).tolist()))
     return MeanSeries(means=np.asarray([s / (D * n) for n, s in enumerate(sums, start=1)]),
                       exact_means=tuple(Fraction(s, D * n) for n, s in enumerate(sums, start=1)))

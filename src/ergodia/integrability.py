@@ -23,7 +23,6 @@ __all__ = [
     "tail_mass",
     "integrability_profile",
     "family_profile",
-    "default_thresholds",
 ]
 
 
@@ -57,12 +56,8 @@ def tail_mass(F: Observable, k: float) -> float:
     return float(np.sum(a[a > k]) / F.size)
 
 
-def default_thresholds(F: Observable) -> np.ndarray:
-    """Geometric grid 1, 2, 4, ..., up to 2*max|F| (captures tail decay scale)."""
-    return _doubling_grid(float(np.max(np.abs(F.values), initial=0.0)))
-
-
 def _doubling_grid(max_abs: float) -> np.ndarray:
+    """Geometric grid 1, 2, 4, ..., up to 2*max|F| (captures tail decay scale)."""
     top = max(2.0 * max_abs, 1.0)
     ks = [1.0]
     while ks[-1] < top:

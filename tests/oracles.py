@@ -4,12 +4,12 @@ Nothing in the library calls these; tests import them with
 `from oracles import ...`.
 """
 
+from fractions import Fraction
 from math import gcd
 
 import numpy as np
 
 from ergodia.dynamics import FinitePermutation, Observable
-from ergodia.integrability import default_thresholds
 from ergodia.stabilization import sup_discrepancy
 
 
@@ -20,6 +20,11 @@ def permutation_from_cycles(cycles, size):
         for a, b in zip(cyc, list(cyc[1:]) + [cyc[0]]):
             image[a] = b
     return FinitePermutation(image)
+
+
+def exact_value(F, y):
+    """F(y) as a Fraction: its numerator over F.denominator."""
+    return Fraction(int(F.numerators(F.values[[y]])[0]), F.denominator)
 
 
 def inverse_order(index):
@@ -58,6 +63,14 @@ def cycle_decomposition(T):
     return [c.tolist() for c in T.cycles]
 
 
+def doubling_grid(F):
+    """The default thresholds of integrability_profile: 1, 2, 4, ... up to 2*max|F|."""
+    top, ks = max(2.0 * float(np.max(np.abs(F.values), initial=0.0)), 1.0), [1.0]
+    while ks[-1] < top:
+        ks.append(ks[-1] * 2.0)
+    return np.asarray(ks)
+
+
 def profile_by_suffix_sums(F, ks=None):
     """(tail_masses, av_abs, max_abs) of integrability_profile from three M-sized arrays.
 
@@ -65,7 +78,7 @@ def profile_by_suffix_sums(F, ks=None):
     a 0 appended, read at searchsorted(..., "right") of each threshold.
     """
     if ks is None:
-        ks = default_thresholds(F)
+        ks = doubling_grid(F)
     a = np.sort(np.abs(F.values))
     suffix = np.concatenate([np.cumsum(a[::-1])[::-1], [0.0]])
     tails = suffix[np.searchsorted(a, np.asarray(ks, dtype=np.float64), side="right")] / F.size

@@ -290,7 +290,7 @@ def test_synthesize_rotation_no_mismatch():
     T, mism = synthesize_permutation(M, targets, 2.0 / M)
     assert mism == 0
     for y in range(0, M, 97):
-        assert _distance(T(y) / M, targets[y], circle=True) < 2.0 / M
+        assert _distance(T.image[y] / M, targets[y], circle=True) < 2.0 / M
 
 
 def test_synthesize_validation():
@@ -321,7 +321,7 @@ def test_make_transitive_merges_cycles():
     # outside B the maps agree
     for y in range(6):
         if y not in B:
-            assert C(y) == T(y)
+            assert C.image[y] == T.image[y]
 
 
 def test_make_transitive_identity_input():

@@ -1,17 +1,21 @@
 """CLI behavior: configs, outputs, determinism, exit codes."""
 
+import contextlib
 import copy
+import io
 import json
 import os
 import subprocess
 import sys
 
+import golden
 import numpy as np
 import pytest
 
 from ergodia.cli import main
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+GOLDEN = golden.entries()
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -267,134 +271,45 @@ def test_stab_integral_floats_pass_as_integers(tmp_path):
     assert reports[0] == reports[1]
 
 
-def test_stab_report_of_the_ci_config_is_pinned(tmp_path):
-    # the configuration the CI's stab step runs, and the SHA-256 it checks
-    import hashlib
-
-    cfg = write_config(tmp_path, {
-        "system": {"name": "bernoulli", "m": 2, "N": 4, "mode": "naive"},
-        "observable": {"name": "chi0", "N": 4},
-        "start_points": {"random": 50},
-        "stab": {"epsilon": 0.2, "eta": 0.1, "n_min": 5, "scan_limit": 100,
-                 "pairs": [[40, 20], [9, 4]]},
-    })
-    assert main(["stab", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-    digest = hashlib.sha256((tmp_path / "o" / "stab_report.json").read_bytes()).hexdigest()
-    assert digest == "d2f3583f4aa8d56a61ee8ab111425b68fb915132bde66c4a88c51d60ca775be2"
-
-
-@pytest.mark.parametrize("payload,digest", [
-    ({"system": {"name": "bernoulli", "m": 2, "N": 8, "mode": "naive"},
-      "observable": {"name": "chi0", "N": 8}, "start_points": {"random": 200}, "seed": 5,
-      "stab": {"epsilon": 0.05, "eta": 0.05, "n_min": 5, "scan_limit": 400,
-               "pairs": [[40, 20], [400, 200]]}},
-     "fae3aff5c3f0ec6eaab689aae013c7510321e141efbd92e7d53c0f47aa0dfe0b"),
-    ({"system": {"name": "drift", "M": 1000000}, "observable": {"name": "ex03", "K": 1000},
-      "stab": {"epsilon": 0.05, "eta": 0.05, "n_min": 50, "pairs": [[1000, 500]]}},
-     "461f2abe699641e1f765e152f4f6fed1a8e193d72f5ad5fae3b76892096cfa3c"),
-], ids=["cycles-many", "default-scan-limit"])
-def test_stab_reports_of_the_scan_ci_configs_are_pinned(tmp_path, payload, digest):
-    # the CI steps for a stab job whose rows all leave early, and one that scans to M
-    import hashlib
-
-    cfg = write_config(tmp_path, payload)
-    assert main(["stab", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-    assert hashlib.sha256((tmp_path / "o" / "stab_report.json").read_bytes()).hexdigest() == digest
-
-
-STDOUT = "<stdout>"
-SVG = ("--svg", "--no-timestamp")
-
-# Every pinned output, as (command, config, flags, {output file: SHA-256}): each file the
-# command writes, and STDOUT for what it prints.  A config is a file under configs/ or JSON
-# text; the three JSON gamma configs are those of the CI's pin steps, copied verbatim.
-GOLDEN = {
-    "fig1": ("gamma", "fig1.json", SVG, {
-        "gamma_ex01_y698.csv": "7ba75a9ec7d10f6daebd9868e434ee2249198f0491dbb9293018e8b0c445196f",
-        "gamma_ex01_y698.svg": "02bc1471e0a00b8c06ff9a539c9b1a723c1ecd17f5a78568d6d0ab5cb833de37",
-        "gamma_meta.json": "1fa47c202451406d2a19e344cf543206de238efd8f5111f710a2cff2ea20b28a",
-    }),
-    "fig2": ("gamma", "fig2.json", SVG, {
-        "gamma_delta_y322.csv": "ef92d4b4811cc07b24c62055085aa6a77722a47fa03ae6e5b5fc96032040eda1",
-        "gamma_delta_y322.svg": "44832fcd2c53f3de89c3687240ab2ee4b5fe8e3c48e1d01b1640038e5e9313cc",
-        "gamma_meta.json": "9abede6c4d59db40052eab844fda560d8afb2c0910b907d7f2c536f9a302566d",
-    }),
-    "fig3": ("gamma", "fig3.json", SVG, {
-        "gamma_ex03(K=1000)_y41250.csv": "554304d45936448292b6bfe3c26ddb38c0bbb37b770d6042c87a917b38084441",
-        "gamma_ex03(K=1000)_y41250.svg": "f777c1219036b3b073c8fdbe54dc6284b7aa845b12c0cf16458193479c2e7ac7",
-        "gamma_meta.json": "046d9f48b3f51b2a12ae311dcdd439ec77c7f38a76f5e9f226aa6528fdf99752",
-    }),
-    "fig5": ("gamma", "fig5.json", SVG, {
-        "gamma_tent_y16667.csv": "62aaa573e4abd95461218298928f30fba6dbf87e3637d60b2a457990bdb91e25",
-        "gamma_tent_y16667.svg": "53bd12603177cc3638848f1244cc8c562d63c6ef6a6b416477da19e6e91515f8",
-        "gamma_meta.json": "aec5ebefcaaa199690a6453f8e4c058053ed0c810ebf29ee6254940856cb71db",
-    }),
-    "fig6": ("gamma", "fig6.json", SVG, {
-        "gamma_tent_y6119.csv": "7ad06804518dbf3b836b9d8cb99de4a77bc773177febc8c4b37cb9b9b56164c4",
-        "gamma_tent_y6119.svg": "85426c87f08ac53bb735c8962b420c068d05258a427f136d602974bc96620abb",
-        "gamma_meta.json": "1b3aff64e1276b857ea63c1526b0f60299ed7afe77e4aa811be0aba390ca1e4e",
-    }),
-    "fig4": ("stab", "fig4.json", (), {
-        "stab_report.json": "cc094a8ba7cacef67cb7d65cc203c3549fcb60330048c50419a0cd49763888bb",
-    }),
-    "check": ("check", None, (), {
-        STDOUT: "b70088b557e145fba45c16fca3bb36519d044c47dc9ddded0a313c0e379db58d",
-    }),
-    "drift-4e6-gamma": ("gamma", '{"system": {"name": "drift", "M": 4000000}, '
-                                 '"observable": {"name": "ex03", "K": 1000}, "start_points": {"explicit": [2718281]}, '
-                                 '"gamma": {"k": 1.0}}', (), {
-        "gamma_ex03(K=1000)_y2718281.csv": "4853aa6d77103d657364ed684ebb9759b3210d148978825a8a463fa51a7d1016",
-        "gamma_meta.json": "4b951ac27a6caa18e518d4de96523cb2e4bc84390af49c5517e5171645e3eb76",
-    }),
-    "debruijn-gamma": ("gamma", '{"system": {"name": "bernoulli", "m": 3, "N": 3, "mode": "debruijn"}, '
-                                '"observable": {"name": "chi0", "m": 3, "N": 3}, "start_points": {"explicit": [1000]}, '
-                                '"gamma": {"k": 1.0}}', (), {
-        "gamma_chi0_y1000.csv": "4e59949391a0289f98c081cb6db5899b3650e310971645f024059a506d999ed7",
-        "gamma_meta.json": "50eabf08b9833a655a63e85fb1b4abee22b9d8d41788b4e45f1311a54bee2015",
-    }),
-    "naive-gamma": ("gamma", '{"system": {"name": "bernoulli", "m": 2, "N": 3, "mode": "naive"}, '
-                             '"observable": {"name": "chi0", "N": 3}, "start_points": {"explicit": [11]}, '
-                             '"gamma": {"k": 3.0}}', (), {
-        "gamma_chi0_y11.csv": "fa11038146f54866e98d1ea3c4670792b78e2b19bab454e5355e65a108a77d15",
-        "gamma_meta.json": "cae8dc06ab891804a981bd06c6e053c6978df2aa03a6fe5f521e654bc8b17613",
-    }),
-}
+def in_process(argv):
+    """The golden table's runner for tier-1: ergodia.cli.main in this process."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(argv)
+    return code, stdout.getvalue().encode(), None
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_figure_outputs_are_pinned(tmp_path, capsys, name):
-    # every file the entry writes and no other, its stdout where pinned, and exit code 0
-    import hashlib
-
-    command, config, flags, digests = GOLDEN[name]
-    out, args = tmp_path / "o", [command, *flags]
-    if config is not None:
-        path = os.path.join(CONFIG_DIR, config)
-        if not config.endswith(".json"):  # JSON text
-            path = tmp_path / "cfg.json"
-            path.write_text(config)
-        args += ["--config", str(path), "--out", str(out)]
-    capsys.readouterr()
-    assert main(args) == 0
-    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.glob("*")}
-    if STDOUT in digests:
-        written[STDOUT] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert written == digests
+def test_figure_outputs_are_pinned(tmp_path, name):
+    # every pinned output in tests/golden.json: each file the entry writes and no other, its
+    # stdout where pinned, and its exit code
+    golden.check(GOLDEN[name], in_process, tmp_path)
 
 
-def test_multi_chunk_debruijn_gamma_is_pinned(tmp_path):
-    # the CI's 2^21 de Bruijn gamma step: the window indices run in 32 chunks
-    import hashlib
+def test_every_shipped_config_has_a_golden_entry():
+    # a new config under configs/ fails here until it has a pin
+    pinned = {entry["config"] for entry in GOLDEN.values() if isinstance(entry["config"], str)}
+    assert {f"configs/{name}" for name in os.listdir(CONFIG_DIR)} <= pinned
 
-    cfg = write_config(tmp_path, {
-        "system": {"name": "bernoulli", "m": 2, "N": 10, "mode": "debruijn"},
-        "observable": {"name": "chi0", "N": 10},
-        "start_points": {"explicit": [1000]},
-        "gamma": {"k": 1.0},
-    })
-    assert main(["gamma", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-    digest = hashlib.sha256((tmp_path / "o" / "gamma_chi0_y1000.csv").read_bytes()).hexdigest()
-    assert digest == "d00adb2a63cf9e0f0099e2ea39e00a7a2b9d5ecf3e81ccd92bced5ecc4827a36"
+
+def over_the_bound(argv):
+    code, stdout, _ = in_process(argv)
+    return code, stdout, 1e6
+
+
+@pytest.mark.parametrize("outputs,fields,run,message", [
+    ({"gamma_chi0_y11.csv": "0" * 64}, {}, in_process, "gamma_chi0_y11.csv has digest fa11038"),
+    ({"gamma_chi0_y12.csv": "0" * 64}, {}, in_process, "gamma_chi0_y12.csv missing"),
+    ({"gamma_meta.json": None}, {}, in_process, "gamma_meta.json extra"),
+    ({}, {"exit": 2}, in_process, "exit code 0, want 2"),
+    ({}, {"max_rss_mb": 85}, over_the_bound, "peak RSS 1000000.0 MB, bound 85 MB"),
+], ids=["wrong-digest", "missing-file", "extra-file", "wrong-exit-code", "over-rss-bound"])
+def test_golden_check_rejects_a_changed_entry(tmp_path, outputs, fields, run, message):
+    # the naive-gamma entry with outputs changed (None drops a file) and fields replaced
+    entry = {**GOLDEN["naive-gamma"], **fields}
+    entry["outputs"] = {k: v for k, v in {**entry["outputs"], **outputs}.items() if v is not None}
+    with pytest.raises(AssertionError, match=message):
+        golden.check(entry, run, tmp_path)
 
 
 def test_stab_scans_every_start_point_once(tmp_path, monkeypatch):
@@ -415,7 +330,7 @@ def test_stab_scans_every_start_point_once(tmp_path, monkeypatch):
 
 
 def test_stab_serves_every_pair_from_one_cycle_pass(tmp_path, monkeypatch):
-    # the CI stab config has two pairs; one pass over all cycles serves both
+    # the golden stab config has two pairs; one pass over all cycles serves both
     from ergodia import stabilization
 
     passes = []
@@ -426,13 +341,7 @@ def test_stab_serves_every_pair_from_one_cycle_pass(tmp_path, monkeypatch):
         return row_means(F, T, horizons)
 
     monkeypatch.setattr(stabilization, "_row_means", counting)
-    cfg = write_config(tmp_path, {
-        "system": {"name": "bernoulli", "m": 2, "N": 4, "mode": "naive"},
-        "observable": {"name": "chi0", "N": 4},
-        "start_points": {"random": 50},
-        "stab": {"epsilon": 0.2, "eta": 0.1, "n_min": 5, "scan_limit": 100,
-                 "pairs": [[40, 20], [9, 4]]},
-    })
+    cfg = write_config(tmp_path, GOLDEN["stab-naive"]["config"])
     assert main(["stab", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     assert passes == [(40, 20, 9, 4)]
 
@@ -654,38 +563,13 @@ def test_approx_degree_takes_integral_values(tmp_path, degree, keys):
     assert sorted(rep["weak_star_errors"]) == keys
 
 
-# the three approx configs the CI's console-script steps run
-CI_APPROX_CONFIGS = {
-    "approx-pipeline": {"approx": {"mode": "pipeline", "M": 20000,
-                                   "target": {"name": "rotation", "t": 0.3819660112501051},
-                                   "deltas": [0.01]}},
-    "approx-metrics": {"system": {"name": "rotation", "M": 20000, "t": 0.3819660112501051},
-                       "approx": {"mode": "metrics", "closed_intervals": [[0.9, 0.1]],
-                                  "target": {"name": "rotation", "t": 0.3819660112501051},
-                                  "mismatch_epsilons": [1e-4, 1e-5]}},
-    "approx-metrics-drift": {"system": {"name": "drift", "M": 20000},
-                             "approx": {"mode": "metrics", "closed_intervals": [[0.9, 0.1], [0.25, 0.5]],
-                                        "target": {"name": "doubling"},
-                                        "mismatch_epsilons": [1e-4, 0.25]}},
-}
-
-
-@pytest.mark.parametrize("name,digest", [
-    ("approx-pipeline", "6446c52a2929180fc2287d1004a5f9a6e246c9f8a4a70c2287fbe9f2473f0179"),
-    ("approx-metrics", "86571d07f0943186ba12c240e60d584ae72394244223bca5d50d9b165d1dc940"),
-    ("approx-metrics-drift", "b2082d9aa4ee8539338dd46ae337a4a1852c04c12f83b5ac762d88bb95a14f28"),
-])
-def test_approx_report_of_the_ci_configs_is_pinned(tmp_path, name, digest):
-    # the SHA-256 the CI's approx steps check
-    import hashlib
-
-    cfg = write_config(tmp_path, CI_APPROX_CONFIGS[name])
-    assert main(["approx", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-    assert hashlib.sha256((tmp_path / "o" / "approx_report.json").read_bytes()).hexdigest() == digest
+# the approx configs of the golden table
+GOLDEN_APPROX = {name: GOLDEN[name]["config"]
+                 for name in ("approx-pipeline", "approx-metrics", "approx-metrics-drift")}
 
 
 def test_approx_metrics_wrapped_interval_and_mismatch_values(tmp_path):
-    cfg = write_config(tmp_path, CI_APPROX_CONFIGS["approx-metrics"])
+    cfg = write_config(tmp_path, GOLDEN_APPROX["approx-metrics"])
     assert main(["approx", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     rep = json.loads((tmp_path / "o" / "approx_report.json").read_text())
     assert len(rep["weak_star_errors"]) == 4
@@ -695,20 +579,11 @@ def test_approx_metrics_wrapped_interval_and_mismatch_values(tmp_path):
 
 def test_approx_report_keys_that_compare_equal_are_one_entry(tmp_path):
     # 1 == 1.0 and (0, 1) == (0.0, 1.0): one entry each, under the first key's string
-    import hashlib
-
-    cfg = write_config(tmp_path, {
-        "system": {"name": "drift", "M": 1000},
-        "approx": {"mode": "metrics", "closed_intervals": [[0, 1], [0.0, 1.0]],
-                   "target": {"name": "identity"}, "mismatch_epsilons": [1, 1.0, 0.001]},
-    })
+    cfg = write_config(tmp_path, GOLDEN["approx-equal-keys"]["config"])
     assert main(["approx", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-    raw = (tmp_path / "o" / "approx_report.json").read_bytes()
-    rep = json.loads(raw)
+    rep = json.loads((tmp_path / "o" / "approx_report.json").read_text())
     assert list(rep["map_mismatch"]) == ["0.001", "1"]
     assert list(rep["thickening_errors"]) == ["(0, 1)"]
-    assert hashlib.sha256(raw).hexdigest() == \
-        "8d5f30d4da620fe7a1daa6c1b512e05d9bd265bc64a1d0dcc067e6dae87e75f7"
 
 
 @pytest.mark.parametrize("target", [
@@ -799,7 +674,7 @@ def mutation_inputs():
     for fig in ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6"):
         with open(os.path.join(CONFIG_DIR, f"{fig}.json"), encoding="utf-8") as fh:
             yield pytest.param("stab" if fig == "fig4" else "gamma", json.load(fh), id=fig)
-    for name, config in CI_APPROX_CONFIGS.items():
+    for name, config in GOLDEN_APPROX.items():
         yield pytest.param("approx", config, id=name)
 
 

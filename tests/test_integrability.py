@@ -9,13 +9,12 @@ from hypothesis import given, settings, strategies as st
 from ergodia.dynamics import Observable
 from ergodia.integrability import (
     average,
-    default_thresholds,
     family_profile,
     integrability_profile,
     tail_mass,
 )
 from ergodia.systems import paper_observable
-from oracles import profile_by_suffix_sums, small_set_mass
+from oracles import doubling_grid, profile_by_suffix_sums, small_set_mass
 
 
 def test_average_exact_small():
@@ -70,7 +69,7 @@ def test_profile_monotone_and_vanishes():
 
 def test_default_thresholds_cover_range():
     F = Observable.from_values([0.0, 100.0])
-    ks = default_thresholds(F)
+    ks = integrability_profile(F).thresholds
     assert ks[0] == 1.0
     assert ks[-1] >= 200.0
 
@@ -150,7 +149,7 @@ def test_profile_is_the_suffix_sum_oracle_bitwise(data, vals):
 def test_default_profile_is_the_suffix_sum_oracle_bitwise(vals):
     F = Observable.from_values(vals)
     prof = integrability_profile(F)
-    assert prof.thresholds.tobytes() == default_thresholds(F).tobytes()
+    assert prof.thresholds.tobytes() == doubling_grid(F).tobytes()
     assert_profile_is_oracle(prof, profile_by_suffix_sums(F))
 
 

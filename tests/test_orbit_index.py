@@ -10,6 +10,7 @@ import dataclasses
 import sys
 import threading
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -227,7 +228,8 @@ def test_slots_equal_the_inverse_order_at_the_points(case, chunk):
     T, points = case
     index = T.orbit_index
     with mock.patch.object(dynamics, "CHUNK_POINTS", chunk):
-        got, cycles = index.slots(points), index.cycle_ids(points)
+        got = index.slots(points)
+        cycles = index.cycle_at(got)
     want = inverse_order(index)[points]
     assert got.dtype == np.int64 and np.array_equal(got, want)
     assert np.array_equal(cycles, np.searchsorted(index.starts, want, side="right") - 1)
@@ -243,11 +245,10 @@ def test_slots_equal_the_inverse_order_at_the_points(case, chunk):
 def test_slots_refuse_points_outside_the_space(build, bad):
     # a gather from an inverse array would wrap -1 to point 31: naive m=2, N=2 gave cycle 7
     index = build().orbit_index
-    for call in (index.slots, index.cycle_ids):
-        with pytest.raises(IndexError, match=f"point {bad} out of range for size 32"):
-            call([0, bad, 5])
-        with pytest.raises(IndexError):
-            call(bad)
+    with pytest.raises(IndexError, match=f"point {bad} out of range for size 32"):
+        index.slots([0, bad, 5])
+    with pytest.raises(IndexError):
+        index.slots(bad)
 
 
 BAD_ENTRIES = {"repeated": [0, 2, 1, 2], "negative": [-1, 0, 1, 2], "out-of-range": [0, 1, 2, 4]}
@@ -284,6 +285,14 @@ def test_gamma_and_the_band_scan_on_a_drift_system_build_no_order():
     index = T.orbit_index
     assert index.stored is None and "order" not in vars(index)
     assert T.along(F) is F.values
+
+
+def test_exact_prefix_means_on_a_drift_system_build_no_order():
+    # exact mode reads y's cycle in T.along(F), as double mode does
+    T, F = build_drift_system(10_000), paper_observable("linear", 10_000)
+    series = ergodic_means_prefix(F, T, 3, 100, exact=True)
+    assert "order" not in vars(T.orbit_index)
+    assert series.exact_means[:2] == (Fraction(3, 10_000), Fraction(7, 20_000))
 
 
 @pytest.mark.parametrize("name,arrays", [
@@ -397,7 +406,7 @@ def test_cycle_ids_and_positions_match_the_walks_cycles(name):
         for pos, y in enumerate(cyc.tolist()):
             want_cycle[y], want_pos[y] = c, pos
     index, points = T.orbit_index, np.arange(T.size)
-    cid = index.cycle_ids(points)
+    cid = index.cycle_at(index.slots(points))
     assert np.array_equal(cid, want_cycle)
     assert np.array_equal(inverse_order(index)[points] - index.starts[cid], want_pos)
     assert np.array_equal(index.order[inverse_order(index)], points)

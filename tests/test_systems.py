@@ -24,6 +24,7 @@ from ergodia.systems import (
 )
 from oracles import (
     block_density,
+    exact_value,
     index_field,
     debruijn_lyndon,
     necklaces_brute,
@@ -43,7 +44,7 @@ from oracles import (
 def test_drift_is_transitive():
     T = build_drift_system(50)
     assert len(T.cycles) == 1
-    assert T(49) == 0
+    assert T.image[49] == 0
 
 
 def test_build_rotation_coprime_search():
@@ -130,7 +131,7 @@ def test_window_permutation_follows_sequence():
         return sum(int(s[(i + j) % 8]) << j for j in range(3))
 
     for i in range(8):
-        assert T(widx(i)) == widx(i + 1)
+        assert T.image[widx(i)] == widx(i + 1)
 
 
 @pytest.mark.parametrize("m,n", [(2, 1), (2, 3), (3, 4), (2, 9), (5, 5), (4, 2), (7, 1),
@@ -240,7 +241,7 @@ def test_naive_shift_rotates_word():
     sysn = build_bernoulli(2, 1, "naive")
     w = [1, 0, 1]
     y = word_index(sysn, w)
-    assert word(sysn, sysn.permutation(y)).tolist() == [0, 1, 1]
+    assert word(sysn, sysn.permutation.image[y]).tolist() == [0, 1, 1]
 
 
 def test_debruijn_shift_transitive_and_consistent():
@@ -250,7 +251,7 @@ def test_debruijn_shift_transitive_and_consistent():
     # successor words overlap the source on the left-shifted window
     for y in range(sysb.M):
         w = word(sysb, y)
-        w2 = word(sysb, T(y))
+        w2 = word(sysb, T.image[y])
         assert (w2[:-1] == w[1:]).all()
 
 
@@ -278,7 +279,7 @@ def test_build_bernoulli_validation():
 def test_ex01_values_and_average():
     F = paper_observable("ex01", 6)
     assert F.values.tolist() == [6.0, -6.0, 6.0, -6.0, 6.0, -6.0]
-    assert F.exact(2) == Fraction(6)
+    assert exact_value(F, 2) == Fraction(6)
 
 
 def test_delta_values():
@@ -289,28 +290,28 @@ def test_delta_values():
 def test_ex03_block_structure():
     F = paper_observable("ex03", 100, K=10)
     # R = 10 blocks, even -> blocks 0,2,4,6,8 are ones
-    assert F(0) == 1.0 and F(9) == 1.0
-    assert F(10) == 0.0
-    assert F(20) == 1.0
+    assert F.values[0] == 1.0 and F.values[9] == 1.0
+    assert F.values[10] == 0.0
+    assert F.values[20] == 1.0
     assert float(np.mean(F.values)) == pytest.approx(0.5)
 
 
 def test_ex03_partial_last_block_zeroed():
     # M = 95, K = 10: R = floor(9.5) -> 9 -> rounded down to 8
     F = paper_observable("ex03", 95, K=10)
-    assert F(79) == 0.0  # block 7 odd
-    assert F(85) == 0.0  # block 8 >= R
-    assert F(65) == 1.0  # block 6 even and < R
+    assert F.values[79] == 0.0  # block 7 odd
+    assert F.values[85] == 0.0  # block 8 >= R
+    assert F.values[65] == 1.0  # block 6 even and < R
 
 
 def test_linear_and_tent():
     M = 1000
     Fl = paper_observable("linear", M)
-    assert Fl.exact(250) == Fraction(1, 4)
+    assert exact_value(Fl, 250) == Fraction(1, 4)
     Ft = paper_observable("tent", M)
-    assert Ft(0) == 0.0
-    assert Ft(900) == pytest.approx(1.0)
-    assert Ft(950) == pytest.approx(0.5)
+    assert Ft.values[0] == 0.0
+    assert Ft.values[900] == pytest.approx(1.0)
+    assert Ft.values[950] == pytest.approx(0.5)
     # integral of the tent is 1/2; grid average converges to it
     assert float(np.mean(Ft.values)) == pytest.approx(0.5, abs=2.0 / M)
 
@@ -319,14 +320,14 @@ def test_tent_exact_rule_matches_float():
     M = 90
     F = paper_observable("tent", M)
     for y in range(M):
-        assert float(F.exact(y)) == pytest.approx(F(y), abs=1e-12)
+        assert float(exact_value(F, y)) == pytest.approx(F.values[y], abs=1e-12)
 
 
 def test_chi0_counts_symbol_at_origin():
     sysb = build_bernoulli(2, 1, "naive")
     F = paper_observable("chi0", sysb.M, N=1)
     for y in range(sysb.M):
-        assert F(y) == float(word(sysb, y)[1] == 1)
+        assert F.values[y] == float(word(sysb, y)[1] == 1)
     # exactly half the words have a 1 at position 0
     assert float(np.mean(F.values)) == 0.5
 
@@ -408,9 +409,9 @@ def test_paper_observable_bitwise_equals_point_rule(name, M, params):
 def test_tent_branches_meet_at_the_split():
     # y/M = 0.9 exactly at M = 10: the point takes the 10(1-x) branch
     F = paper_observable("tent", 10)
-    assert F(8) == 10.0 * 0.8 / 9.0
-    assert F(9) == 10.0 * (1.0 - 0.9)
-    assert F.exact(9) == Fraction(1)
+    assert F.values[8] == 10.0 * 0.8 / 9.0
+    assert F.values[9] == 10.0 * (1.0 - 0.9)
+    assert exact_value(F, 9) == Fraction(1)
 
 
 @pytest.mark.parametrize("name,M,params", [
@@ -419,7 +420,7 @@ def test_tent_branches_meet_at_the_split():
 ])
 def test_exact_rules_agree_with_values(name, M, params):
     F = paper_observable(name, M, **params)
-    assert [F.exact(y) for y in range(M)] == [Fraction(v).limit_denominator(9 * M)
+    assert [exact_value(F, y) for y in range(M)] == [Fraction(v).limit_denominator(9 * M)
                                              for v in F.values.tolist()]
 
 
@@ -459,9 +460,9 @@ def test_numerators_equal_exact_closed_form(name, M, params):
     got = F.numerators()
     assert got.dtype == np.int64 and np.array_equal(got, nums)
     for y in sorted({0, M // 2, (9 * M) // 10, M - 1}):
-        assert F.exact(y) == Fraction(int(nums[y]), D)
+        assert exact_value(F, y) == Fraction(int(nums[y]), D)
     pts = np.arange(M - 1, -1, -max(1, M // 7))
-    assert np.array_equal(F.numerators(pts), nums[pts])
+    assert np.array_equal(F.numerators(F.values[pts]), nums[pts])
 
 
 @pytest.mark.parametrize("name", ["linear", "tent", "ex01"])
@@ -478,7 +479,7 @@ def test_exact_prefix_means_equal_fraction_loop(name):
     for n in range(1, M + 18):
         acc += Fraction(int(nums[z]), D)
         expect.append(acc / n)
-        z = T(z)
+        z = T.image[z]
     assert series.exact_means == tuple(expect)
     assert series.means.tolist() == [float(q) for q in expect]
 
@@ -492,7 +493,7 @@ def test_off_lattice_values_raise(F):
     with pytest.raises(ValueError):
         F.numerators()
     with pytest.raises(ValueError):
-        F.exact(0)
+        exact_value(F, 0)
     with pytest.raises(ValueError):
         ergodic_means_prefix(F, FinitePermutation.identity(F.size), 0, 3, exact=True)
 

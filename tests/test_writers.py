@@ -1,9 +1,9 @@
 """The chunked CSV/SVG writers, filling in per-job templates, against the per-row writers they replace."""
 
-import hashlib
 import json
 from pathlib import Path
 
+import golden
 import numpy as np
 import pytest
 
@@ -119,21 +119,8 @@ def test_svg_of_a_flat_series(tmp_path, monkeypatch):
 
 # ---- several start points filling in one set of templates ----------------
 
-# the multi-start CI config: start points on cycles of lengths 7, 1, 1 and 7
-MULTI = {"system": {"name": "bernoulli", "m": 2, "N": 3, "mode": "naive"},
-         "observable": {"name": "chi0", "N": 3}, "start_points": {"explicit": [11, 0, 127, 64]},
-         "gamma": {"k": 3.0, "stride": 2}}
-MULTI_SHA256 = {
-    "gamma_chi0_y11.csv": "33f6f0967fdd1287dd5bc5a8dc4540f22cba7861510b9da5282fdff3252f9444",
-    "gamma_chi0_y0.csv": "d93ef0367ab46afd4b5a1ab896881c1bfbd93421f10ecbf2deb8049d2e490535",
-    "gamma_chi0_y127.csv": "f8e43b0a9b720cbd3b9cd56705f0c4ac8574f7d5ede47c31e062c2414eb9abad",
-    "gamma_chi0_y64.csv": "97a05b8de666c5ff8275d9e50222cc6b08c72d2eee9573a7a2d04627817567d6",
-    "gamma_chi0_y11.svg": "a739bd1c6dd103c75440115a23c8f97545ea929bef14a37f5dc0a00d31b4c6a4",
-    "gamma_chi0_y0.svg": "d14d9a18200f9c37d8bbda7dac77bc28b05f6f40402a3e2301fb58a9a15988cc",
-    "gamma_chi0_y127.svg": "ea66cf72a431ad0d7b212a44a333e063b0d731a1c7612824c3b3d7613efc723e",
-    "gamma_chi0_y64.svg": "1e6b6f621143cc594d6d9ba88829d9cf7a42abd4beb2173164d60850e5543088",
-    "gamma_meta.json": "470876feddf29459c3015b4a7950e870dc0926a8e99b2d64e420dd9cbb9aeb68",
-}
+# the golden multi-start config: start points on cycles of lengths 7, 1, 1 and 7
+MULTI = golden.entries()["multi-gamma"]["config"]
 
 
 def run_gamma(tmp_path, config, *flags):
@@ -170,11 +157,6 @@ def test_gamma_start_points_on_different_cycles_write_the_per_row_bytes(tmp_path
         per_point_svg(tmp_path / "old.svg", points, 3.0, f"Gamma series, y={y}, stride={stride}")
         assert (out / f"gamma_chi0_y{y}.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
         assert (out / f"gamma_chi0_y{y}.svg").read_bytes() == (tmp_path / "old.svg").read_bytes()
-
-
-def test_gamma_of_the_multi_start_ci_config_is_pinned(tmp_path):
-    out = run_gamma(tmp_path, MULTI, "--svg", "--no-timestamp")
-    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()} == MULTI_SHA256
 
 
 def test_float_n_up_to_the_series_budget_is_written_as_its_integer(tmp_path):
