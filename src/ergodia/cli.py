@@ -242,6 +242,7 @@ def cmd_gamma(config: dict, args) -> int:
     # each start point's files are written, and its series dropped, before the next series is
     # summed, so one series is held at a time; used_stride stays None with no start points
     rows = circles = used_stride = None
+    T.locate(starts)  # one pass over the orbit order for every start point
     for y in starts:
         points, used_stride = gamma_series(F, T, y, k, stride)
         if rows is None:

@@ -7,9 +7,11 @@ real-valued observables F; the central quantity is the prefix ergodic mean
 
 Everything in this module is a pure function over immutable inputs, so callers
 may evaluate means for disjoint start points in parallel without coordination.
-A permutation's memos (its image, orbit index and the values of one
-observable in orbit order) are written once per (T, F) and are safe to race:
-two writers store equal read-only arrays, and a reader sees one or the other.
+A permutation's memos (its image, orbit index and order, the runs of the
+points last located, and the values of one observable in orbit order) are
+written once per (T, F) and are safe to race: two writers store equal
+read-only arrays, or runs a slots call would find again, and a reader sees
+one or the other.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ import numpy as np
 __all__ = [
     "FinitePermutation",
     "OrbitIndex",
+    "PermutedOrder",
+    "StoredOrder",
     "Observable",
     "MeanSeries",
     "ergodic_means_prefix",
@@ -37,10 +41,16 @@ __all__ = [
 # stabilization walks scan_limit means per point.
 SERIES_BUDGET = 1 << 28
 
-# values per chunk the kernels handle at once (a run of gamma's prefix sums;
-# per horizon, rows of equal-length cycles or a tile of orbit rows; de Bruijn
-# window indices; necklace candidates), so their temporaries stay bounded
+# values per chunk the kernels handle at once (slots of the orbit order; a run
+# of gamma's prefix sums; per horizon, rows of equal-length cycles or a tile of
+# orbit rows; de Bruijn window indices; necklace candidates), so their
+# temporaries stay bounded
 CHUNK_POINTS = 1 << 16
+
+
+def _spans(size: int):
+    """(lo, hi) of the CHUNK_POINTS-slot chunks of 0..size-1."""
+    return ((lo, min(lo + CHUNK_POINTS, size)) for lo in range(0, size, CHUNK_POINTS))
 
 
 # eq=False here and below: == is identity, as a field-wise == would take
@@ -52,42 +62,56 @@ class OrbitIndex:
     Canonical order: descending length, ties broken by smallest element,
     each cycle starting at its minimum.  Cycle c is
     order[starts[c] : starts[c] + lengths[c]].  Equal-length cycles are
-    contiguous, so every length class is a (count, p) block of order.  An
-    identity order (the drift's) is not stored, and order is then a read-only
-    arange(M) built on first read.  No inverse of order is kept: see slots.
+    contiguous, so every length class is a (count, p) block of order.
+
+    The kernels read the order a chunk at a time, order_chunk(lo, hi) ==
+    order[lo:hi], and find points with slots; order, the whole array, is a
+    read-only memo built on first read (by image, cycles, cycle_of,
+    trajectory and make_transitive only).  This class is the identity order
+    (the drift's and the identity's): its chunks are aranges, slots(points)
+    is points and gather(values) is values.  PermutedOrder reads any other
+    order; StoredOrder holds it as an array, and systems.py generates the
+    rotation, de Bruijn and naive Bernoulli orders from a few parameters.
+    No inverse of order is kept: see slots.
     """
 
     starts: np.ndarray
     lengths: np.ndarray
-    stored: np.ndarray | None
 
     def __post_init__(self):
-        for a in (self.starts, self.lengths, self.stored):
-            if a is not None:
+        for a in vars(self).values():
+            if isinstance(a, np.ndarray):
                 a.setflags(write=False)
+
+    @property
+    def size(self) -> int:
+        return int(self.starts[-1] + self.lengths[-1])
+
+    def order_chunk(self, lo: int, hi: int) -> np.ndarray:
+        return np.arange(lo, hi)
 
     @cached_property
     def order(self) -> np.ndarray:
-        order = np.arange(self.starts[-1] + self.lengths[-1]) if self.stored is None else self.stored
+        order = np.empty(self.size, dtype=np.int64)
+        for lo, hi in _spans(self.size):
+            order[lo:hi] = self.order_chunk(lo, hi)
         order.setflags(write=False)
         return order
 
     def slots(self, points) -> np.ndarray:
-        """The slot of each point, order[slots(points)] == points, in one pass over order: the slots
-        of points marked in an M-byte table, matched back by a sort; IndexError outside 0..M-1."""
+        """The slot of each point, order[slots(points)] == points; IndexError outside 0..M-1."""
         points = np.asarray(points, dtype=np.int64)
-        M, order = int(self.starts[-1] + self.lengths[-1]), self.stored
+        M = self.size
         if points.size and not 0 <= points.min() <= points.max() < M:
             raise IndexError(f"point {points[(points < 0) | (points >= M)][0]} out of range for size {M}")
-        if order is None:
-            return points
-        marked = np.zeros(M, dtype=bool)
-        marked[points] = True
-        # the slots of marked points, ascending: order[found] holds each distinct point once
-        found = np.concatenate([lo + np.flatnonzero(marked[order[lo : lo + CHUNK_POINTS]])
-                                for lo in range(0, M, CHUNK_POINTS)])
-        by_point = np.argsort(order[found])
-        return found[by_point[np.searchsorted(order[found], points, sorter=by_point)]]
+        return self._slots(points) if points.size else points
+
+    def _slots(self, points: np.ndarray) -> np.ndarray:
+        return points
+
+    def gather(self, values: np.ndarray) -> np.ndarray:
+        """values[order]: values itself for the identity order."""
+        return values
 
     def cycle_at(self, slots):
         """The cycle holding each slot: the last cycle starting at or before it."""
@@ -99,6 +123,51 @@ class OrbitIndex:
         first = np.flatnonzero(np.diff(lengths, prepend=0))
         counts = np.diff(first, append=lengths.size)
         return [(int(self.starts[c]), int(k), int(lengths[c])) for c, k in zip(first, counts)]
+
+
+class PermutedOrder(OrbitIndex):
+    """An order other than the identity, read through the order_chunk its subclass defines."""
+
+    def _slots(self, points: np.ndarray) -> np.ndarray:
+        """One pass over the order, ended once every point is seen: the points marked in an M-byte
+        table, their slots found a chunk at a time, and matched back to the points by a sort."""
+        marked = np.zeros(self.size, dtype=bool)
+        marked[points] = True
+        left, found, at = np.count_nonzero(marked), [], []
+        for lo, hi in _spans(self.size):
+            chunk = self.order_chunk(lo, hi)
+            hits = np.flatnonzero(marked[chunk])
+            found.append(lo + hits)
+            at.append(chunk[hits])
+            left -= hits.size
+            if not left:
+                break
+        # order[found] == at holds each distinct point once
+        found, at = np.concatenate(found), np.concatenate(at)
+        by_point = np.argsort(at)
+        return found[by_point[np.searchsorted(at, points, sorter=by_point)]]
+
+    def gather(self, values: np.ndarray) -> np.ndarray:
+        """values[order], a chunk at a time, as int8 or int32 if that holds values exactly (_narrow)."""
+        values = _narrow(values)
+        out = np.empty(self.size, dtype=values.dtype)
+        for lo, hi in _spans(self.size):
+            np.take(values, self.order_chunk(lo, hi), out=out[lo:hi])
+        return out
+
+
+@dataclass(frozen=True, eq=False)
+class StoredOrder(PermutedOrder):
+    """An order held as an array: the generic walk's, and from_cycle_order's."""
+
+    stored: np.ndarray
+
+    def order_chunk(self, lo: int, hi: int) -> np.ndarray:
+        return self.stored[lo:hi]
+
+    @property
+    def order(self) -> np.ndarray:
+        return self.stored
 
 
 def _checked(points: np.ndarray, what: str) -> np.ndarray | None:
@@ -151,12 +220,14 @@ class FinitePermutation:
     """A bijection T of {0, ..., M-1}: its image array, its orbit index, or both.
 
     The orbit index (OrbitIndex) is either supplied by the constructor that
-    knows the cycles (from_cycle_order), which leaves the image to first
-    use, or found once by a generic cycle walk over the image and memoized.
-    along(F) memoizes one observable's values in orbit order.
+    knows the cycles (from_cycle_order stores a checked order; from_index
+    takes an index that generates its order), which leaves the image to
+    first use, or found once by a generic cycle walk over the image and
+    memoized.  along(F) memoizes one observable's values in orbit order, and
+    locate(points) the runs of the points a kernel will read one by one.
     """
 
-    __slots__ = ("_image", "size", "_index", "_along")
+    __slots__ = ("_image", "size", "_index", "_along", "_located")
 
     def __init__(self, image: Sequence[int] | np.ndarray, *, validate: bool = True):
         image = np.asarray(image, dtype=np.int64)
@@ -167,7 +238,7 @@ class FinitePermutation:
         image.setflags(write=False)
         self._image = image
         self.size = int(image.size)
-        self._index = self._along = None
+        self._index = self._along = self._located = None
 
     @classmethod
     def identity(cls, size: int) -> "FinitePermutation":
@@ -178,12 +249,13 @@ class FinitePermutation:
         """y -> y + 1 mod size: one cycle in identity order, so its index is built with no order array."""
         if size < 1:
             raise ValueError(f"size must be >= 1, got {size}")
-        return cls._indexed(OrbitIndex(np.zeros(1, dtype=np.int64), np.full(1, size, dtype=np.int64), None))
+        return cls.from_index(OrbitIndex(np.zeros(1, dtype=np.int64), np.full(1, size, dtype=np.int64)))
 
     @classmethod
-    def _indexed(cls, index: OrbitIndex) -> "FinitePermutation":
+    def from_index(cls, index: OrbitIndex) -> "FinitePermutation":
+        """T from an orbit index taken as canonical, unchecked; the image is left to first use."""
         T = cls.__new__(cls)
-        T._image, T._index, T._along, T.size = None, index, None, int(index.starts[-1] + index.lengths[-1])
+        T._image, T._index, T._along, T._located, T.size = None, index, None, None, index.size
         return T
 
     @classmethod
@@ -209,7 +281,8 @@ class FinitePermutation:
             raise ValueError("equal-length cycles must be listed by smallest element")
         if (np.minimum.reduceat(order, starts) != heads).any():
             raise ValueError("every cycle must start at its smallest element")
-        return cls._indexed(OrbitIndex(starts, lengths, stored))
+        index = OrbitIndex(starts, lengths) if stored is None else StoredOrder(starts, lengths, stored)
+        return cls.from_index(index)
 
     @property
     def image(self) -> np.ndarray:
@@ -231,8 +304,7 @@ class FinitePermutation:
         A copy is int8 or int32 if that holds F exactly (_narrow); readers widen each chunk to float64."""
         memo = self._along
         if memo is None or memo[0] is not F:
-            stored = self.orbit_index.stored
-            values = F.values if stored is None else _narrow(F.values)[stored]
+            values = self.orbit_index.gather(F.values)
             values.setflags(write=False)
             memo = self._along = (F, values)
         return memo[1]
@@ -268,7 +340,7 @@ class FinitePermutation:
         cycles.sort(key=len, reverse=True)
         order = np.fromiter(chain.from_iterable(cycles), dtype=np.int64, count=self.size)
         lengths = np.fromiter(map(len, cycles), dtype=np.int64, count=len(cycles))
-        self._index = OrbitIndex(np.cumsum(lengths) - lengths, lengths, _checked(order, "cycle order"))
+        self._index = self.from_cycle_order(order, lengths)._index
 
     @property
     def orbit_index(self) -> OrbitIndex:
@@ -282,14 +354,25 @@ class FinitePermutation:
         return [row for offset, count, p in self.orbit_index.length_classes()
                 for row in order[offset : offset + count * p].reshape(count, p)]
 
-    def _run(self, y: int) -> tuple[int, int, int]:
-        """(start, p, pos): y is in slot start + pos of its cycle, slots start .. start + p - 1 of the
-        orbit order.  One pass over the order (OrbitIndex.slots): many points want one slots call."""
+    def _runs(self, points) -> list[tuple[int, int, int]]:
+        """(start, p, pos) per point: it is in slot start + pos of its cycle, slots start .. start + p - 1
+        of the orbit order; one OrbitIndex.slots call for all of them."""
         index = self.orbit_index
-        slot = int(index.slots(y))
-        c = index.cycle_at(slot)
-        start = int(index.starts[c])
-        return start, int(index.lengths[c]), slot - start
+        slots = index.slots(points)
+        c = index.cycle_at(slots)
+        starts = index.starts[c]
+        return list(zip(starts.tolist(), index.lengths[c].tolist(), (slots - starts).tolist()))
+
+    def locate(self, points) -> None:
+        """Keep the runs of points, found in one slots call, for the kernels that take one point at a
+        time (gamma_series and the others through _run); replaces the points located before."""
+        points = np.asarray(points, dtype=np.int64)
+        self._located = dict(zip(points.tolist(), self._runs(points)))
+
+    def _run(self, y: int) -> tuple[int, int, int]:
+        """y's (start, p, pos), as located, else from a slots call of its own."""
+        run = (self._located or {}).get(y)
+        return run if run is not None else self._runs([y])[0]
 
     def cycle_of(self, y: int) -> tuple[np.ndarray, int]:
         """The cycle through y (a slice of the orbit order) and y's position in it."""
@@ -381,8 +464,10 @@ class MeanSeries:
 # -- operations -----------------------------------------------------------
 
 
-def _prefix_sums(F: Observable, T: FinitePermutation, y: int, n_total: int, stride: int) -> np.ndarray:
-    """Sums of the first n values of F along the T-orbit of y, for n = stride, 2*stride, ..., n_total.
+def _prefix_sums(F: Observable, T: FinitePermutation, y: int, n_total: int, stride: int,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Sums of the first n values of F along the T-orbit of y, for n = stride, 2*stride, ..., n_total,
+    written to out (default: a new array).
 
     The values are copied out of y's cycle in T.along(F) as float64, CHUNK_POINTS at a time, so F
     is never gathered at random; each chunk's cumsum carries the sum of the one before, so the sums
@@ -390,7 +475,7 @@ def _prefix_sums(F: Observable, T: FinitePermutation, y: int, n_total: int, stri
     """
     start, p, pos = T._run(y)
     run = T.along(F)[start : start + p]
-    kept = np.empty(n_total // stride)
+    kept = np.empty(n_total // stride) if out is None else out
     for lo in range(0, n_total, CHUNK_POINTS):
         hi = min(lo + CHUNK_POINTS, n_total)
         sums = _cyclic_run(run, (pos + lo) % p, hi - lo, np.float64)
@@ -449,8 +534,9 @@ def gamma_series(
     Returns (array of shape (count, 3) with columns [n, n/M, A_n], stride).
     The default stride caps the output at ~1e5 points; the stride actually
     used is returned so output metadata can record it.  Only the prefix sums
-    at the stride points are kept (memory is one chunk plus the output), and
-    each mean there is the quotient ergodic_means_prefix forms.
+    at the stride points are kept, in the output's mean column (memory is one
+    chunk plus the output), and each mean there is the quotient
+    ergodic_means_prefix forms; every column is filled in place.
     """
     M = T.size
     if not (np.isfinite(k) and k * M >= 1):
@@ -462,7 +548,9 @@ def gamma_series(
         stride = max(1, n_total // 100_000)
     if not 1 <= stride <= n_total:
         raise ValueError(f"stride must be in [1, floor(k*M)] = [1, {n_total}], got {stride}")
-    kept = _prefix_sums(F, T, y, n_total, stride)
-    ns = np.arange(stride, n_total + 1, stride, dtype=np.int64)
-    points = np.column_stack([ns.astype(np.float64), ns / M, kept / ns])
+    points = np.empty((n_total // stride, 3))
+    ns, means = points[:, 0], points[:, 2]
+    ns[:] = np.arange(stride, n_total + 1, stride, dtype=np.int64)
+    np.divide(ns, M, out=points[:, 1])
+    np.divide(_prefix_sums(F, T, y, n_total, stride, out=means), ns, out=means)
     return points, stride

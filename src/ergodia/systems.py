@@ -19,7 +19,7 @@ from math import gcd
 
 import numpy as np
 
-from .dynamics import CHUNK_POINTS, FinitePermutation, Observable
+from .dynamics import CHUNK_POINTS, FinitePermutation, Observable, PermutedOrder
 
 __all__ = [
     "RotationSystem",
@@ -55,12 +55,29 @@ class RotationSystem:
 
     @cached_property
     def permutation(self) -> FinitePermutation:
-        """gcd(P, M) cycles; the r-th visits r, r + P, r + 2P, ... (mod M)."""
-        g = gcd(self.P, self.M)
-        # each step is a multiple of g, at most M - g, and r < g: r + step < M
-        steps = np.arange(self.M // g, dtype=np.int64) * self.P % self.M
-        order = np.arange(g, dtype=np.int64)[:, None] + steps
-        return FinitePermutation.from_cycle_order(order.ravel(), np.full(g, self.M // g))
+        """gcd(P, M) cycles; the r-th visits r, r + P, r + 2P, ... (mod M).  The order is generated."""
+        n = self.M // gcd(self.P, self.M)
+        index = _RotationOrder(np.arange(0, self.M, n), np.full(self.M // n, n), self.P)
+        return FinitePermutation.from_index(index)
+
+
+@dataclass(frozen=True, eq=False)
+class _RotationOrder(PermutedOrder):
+    """The rotation's g = gcd(P, M) cycles of n = M/g slots: slot r*n + j holds r + j*P mod M."""
+
+    P: int
+
+    def order_chunk(self, lo: int, hi: int) -> np.ndarray:
+        # j*P mod M is a multiple of g, at most M - g, and r < g: r + (j*P mod M) < M
+        r, j = np.divmod(np.arange(lo, hi), self.lengths[0])
+        return r + j * self.P % self.size
+
+    def _slots(self, points: np.ndarray) -> np.ndarray:
+        """r = y mod g and j = ((y - r)/g) * (P/g)^-1 mod n."""
+        n = int(self.lengths[0])
+        g = self.size // n
+        r = points % g
+        return r * n + (points - r) // g * pow(self.P // g, -1, n) % n
 
 
 # (M, t) pairs published with the experiments this library reproduces.  The
@@ -107,44 +124,77 @@ def build_rotation(M: int, t: float) -> RotationSystem:
 
 
 def debruijn_sequence(m: int, n: int) -> np.ndarray:
-    """The lex-least (m, n)-de Bruijn sequence, of length m^n; it starts at window 0.
+    """The lex-least (m, n)-de Bruijn sequence, of length m^n, as int64; it starts at window 0."""
+    return _fkm_symbols(m, n).astype(np.int64)
+
+
+def _fkm_symbols(m: int, n: int) -> np.ndarray:
+    """debruijn_sequence(m, n) in the narrowest unsigned type that holds m - 1 (one byte for m <= 256).
 
     Fredricksen-Kessler-Maiorana: the aperiodic prefixes of the length-n
     necklaces, concatenated in lex order.  The heads of _necklaces, read as
-    big-endian words, are those necklaces in lex order; a masked (heads, n)
-    int32 digit matrix keeps each head's first period digits.
+    big-endian words, are those necklaces in lex order; each head's first
+    period digits are written from a masked digit block of CHUNK_POINTS
+    digits at a time.
     """
     if m < 2 or n < 1:
         raise ValueError("need alphabet size >= 2 and window length >= 1")
     if m ** n > 1 << 26:
         raise ValueError("sequence length exceeds the memory budget")
     heads, period = _necklaces(m, n)
-    digits = heads.astype(np.int32)[:, None] // m ** np.arange(n - 1, -1, -1, dtype=np.int32) % m
-    return digits[np.arange(n) < period[:, None]].astype(np.int64)
+    s = np.empty(m**n, dtype=np.min_scalar_type(m - 1))
+    at, place = 0, m ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    step = max(1, CHUNK_POINTS // n)
+    for lo in range(0, heads.size, step):
+        p = period[lo : lo + step]
+        digits = (heads[lo : lo + step, None] // place % m)[np.arange(n) < p[:, None]]
+        s[at : at + digits.size] = digits
+        at += digits.size
+    return s
+
+
+def _windows(s: np.ndarray, lo: int, hi: int, n: int, m: int) -> np.ndarray:
+    """Little-endian base-m index of the cyclic length-n windows of s at positions lo .. hi - 1.
+
+    From the symbols lo .. hi + n - 2 (wrapping round s), doubling builds the
+    windows of length l = 1, 2, 4, ... as w_2l = w_l[:-l] + m^l * w_l[l:],
+    and joins, lowest digits first, the lengths n's bits pick.  Every value is
+    below m^n, so the arithmetic is int32 while m^n < 2^31, which halves the
+    temporaries.
+    """
+    dtype = np.int32 if m**n < 2**31 else np.int64
+    w = np.concatenate([s[lo : hi + n - 1], s[: max(0, hi + n - 1 - s.size)]], dtype=dtype)
+    idx = np.zeros(hi - lo, dtype=dtype)
+    offset, l = 0, 1
+    while True:
+        if n & l:
+            idx += w[offset : offset + hi - lo] * m**offset
+            offset += l
+        if offset == n:
+            return idx
+        w, l = w[:-l] + m**l * w[l:], 2 * l
 
 
 def _window_indices(s: np.ndarray, n: int, m: int) -> np.ndarray:
-    """Little-endian base-m index of every cyclic length-n window of s.
-
-    CHUNK_POINTS windows at a time, so each pass stays in cache: from the
-    chunk's symbols and the n - 1 after it (wrapping round s), doubling
-    builds the windows of length l = 1, 2, 4, ... as w_2l = w_l[:-l] +
-    m^l * w_l[l:], and joins, lowest digits first, the lengths n's bits pick.
-    """
-    s = np.asarray(s, dtype=np.int64)
-    idx = np.zeros(s.size, dtype=np.int64)
+    """_windows of every position of s as int64, CHUNK_POINTS at a time, so each pass stays in cache."""
+    s, idx = np.asarray(s), np.empty(len(s), dtype=np.int64)
     for lo in range(0, s.size, CHUNK_POINTS):
-        hi = min(lo + CHUNK_POINTS, s.size)
-        w = np.concatenate([s[lo : hi + n - 1], s[: max(0, hi + n - 1 - s.size)]])
-        offset, l = 0, 1
-        while True:
-            if n & l:
-                idx[lo:hi] += w[offset : offset + hi - lo] * m**offset
-                offset += l
-            if offset == n:
-                break
-            w, l = w[:-l] + m**l * w[l:], 2 * l
+        idx[lo : lo + CHUNK_POINTS] = _windows(s, lo, min(lo + CHUNK_POINTS, s.size), n, m)
     return idx
+
+
+@dataclass(frozen=True, eq=False)
+class _DeBruijnOrder(PermutedOrder):
+    """The one cycle of the window successor of the library's sequence, from window 0: slot i holds
+    the index of the window at position i of symbols.  De Bruijn ranking has no cheap closed form,
+    so slots is PermutedOrder's scan."""
+
+    symbols: np.ndarray
+    m: int
+    n: int
+
+    def order_chunk(self, lo: int, hi: int) -> np.ndarray:
+        return _windows(self.symbols, lo, hi, self.n, self.m)
 
 
 def debruijn_window_permutation(m: int, n: int, s: np.ndarray | None = None) -> FinitePermutation:
@@ -152,14 +202,16 @@ def debruijn_window_permutation(m: int, n: int, s: np.ndarray | None = None) -> 
 
     Word at window position i maps to the word at position i+1 of the de
     Bruijn sequence.  The window indices in sequence order are the cycle,
-    rotated to start at window 0 (where debruijn_sequence already starts).
+    rotated to start at window 0.  The library's own sequence starts there,
+    and its order is generated from its symbols; a supplied s is checked
+    and its order stored (FinitePermutation.from_cycle_order).
     """
-    # the library's own sequence is freed before the orbit index is built
-    idx = _window_indices(debruijn_sequence(m, n) if s is None else s, n, m)
-    start = int(np.argmin(idx))
-    if start:  # the library's own sequence starts at window 0
-        idx = np.roll(idx, -start)
-    return FinitePermutation.from_cycle_order(idx, [idx.size])
+    if s is None:
+        symbols = _fkm_symbols(m, n)
+        one_cycle = np.zeros(1, dtype=np.int64), np.full(1, symbols.size)
+        return FinitePermutation.from_index(_DeBruijnOrder(*one_cycle, symbols, m, n))
+    idx = _window_indices(s, n, m)
+    return FinitePermutation.from_cycle_order(np.roll(idx, -int(np.argmin(idx))), [idx.size])
 
 
 @dataclass(frozen=True)
@@ -221,23 +273,51 @@ def _necklaces(m: int, L: int) -> tuple[np.ndarray, np.ndarray]:
     return heads.astype(np.int64), period
 
 
-def _necklace_cycles(m: int, L: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cycles of the naive shift on length-L words, in canonical order.
+@dataclass(frozen=True, eq=False)
+class _NecklaceOrder(PermutedOrder):
+    """The naive shift's cycles on length-L words: the cycle through a word is its necklace, the
+    set of its rotations, headed by its minimum; heads[c] is cycle c's head, and its slot j holds
+    the head rotated by j.  Only the heads are kept, 1/p of the points."""
 
-    The cycle through a word is its necklace, the set of its rotations,
-    headed by its minimum.  Each length class is a (heads, p) block whose
-    column j is the heads rotated by j.
-    """
+    heads: np.ndarray
+    m: int
+    L: int
+
+    def order_chunk(self, lo: int, hi: int) -> np.ndarray:
+        # the cycles through slots lo .. hi - 1 as a (cycles, longest p) block, a column at a time:
+        # whole-block rotation temporaries raise peak RSS
+        c0, c1 = self.cycle_at([lo, hi - 1])
+        heads, p = self.heads[c0 : c1 + 1], self.lengths[c0 : c1 + 1]
+        block = np.empty((heads.size, p[0]), dtype=np.int64)
+        for j in range(p[0]):
+            block[:, j] = _rotate(heads, j, self.m, self.L)
+        run = block.ravel() if p[-1] == p[0] else block[np.arange(p[0]) < p[:, None]]
+        at = lo - self.starts[c0]
+        return run[at : at + hi - lo]
+
+    def _slots(self, points: np.ndarray) -> np.ndarray:
+        """The least rotation of each word is its head, found in its length class's heads; the
+        fewest rotations j taking the word there give its slot, (-j) mod p past the head's."""
+        head, shift, period = points.copy(), np.zeros_like(points), np.full_like(points, self.L)
+        for j in range(1, self.L):
+            word = _rotate(points, j, self.m, self.L)
+            less = word < head
+            head[less], shift[less] = word[less], j
+            period[(word == points) & (period == self.L)] = j
+        cycle = np.empty_like(points)
+        for offset, count, p in self.length_classes():
+            first, here = int(self.cycle_at(offset)), period == p
+            cycle[here] = first + np.searchsorted(self.heads[first : first + count], head[here])
+        return self.starts[cycle] + -shift % period
+
+
+def _naive_shift(m: int, L: int) -> FinitePermutation:
+    """The naive shift on length-L words, its canonical order generated from the necklace heads."""
     heads, period = _necklaces(m, L)
-    order = []
-    for p in sorted(set(period.tolist()), reverse=True):
-        h = heads[period == p]
-        # a column at a time: whole-block rotation temporaries raise peak RSS
-        block = np.empty((h.size, p), dtype=np.int64)
-        for j in range(p):
-            block[:, j] = _rotate(h, j, m, L)
-        order.append(block.ravel())
-    return np.concatenate(order), np.sort(period)[::-1].copy()
+    by_length = np.argsort(-period, kind="stable")  # heads stay ascending within a length
+    lengths = period[by_length]
+    index = _NecklaceOrder(np.cumsum(lengths) - lengths, lengths, heads[by_length], m, L)
+    return FinitePermutation.from_index(index)
 
 
 def build_bernoulli(m: int, N: int, mode: str = "debruijn") -> SymbolicSystem:
@@ -253,8 +333,7 @@ def build_bernoulli(m: int, N: int, mode: str = "debruijn") -> SymbolicSystem:
     if m**L > 1 << 26:
         raise ValueError("word space exceeds the memory budget")
     if mode == "naive":
-        T = FinitePermutation.from_cycle_order(*_necklace_cycles(m, L))
-        return SymbolicSystem(m=m, N=N, mode=mode, permutation=T)
+        return SymbolicSystem(m=m, N=N, mode=mode, permutation=_naive_shift(m, L))
     if mode == "debruijn":
         return SymbolicSystem(m=m, N=N, mode=mode, permutation=debruijn_window_permutation(m, L))
     raise ValueError(f"unknown mode {mode!r}")

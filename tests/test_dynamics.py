@@ -314,6 +314,33 @@ def test_gamma_series_in_chunks_is_bitwise_the_prefix_means(monkeypatch, chunk, 
             assert pts[:, 2].tobytes() == means[ns - 1].tobytes()
 
 
+def column_stacked_gamma(F, T, y, k, stride):
+    """gamma_series's points as they were built before the in-place fill: n as float, n / M and
+    kept / n, each its own array, then a column_stack."""
+    n_total = int(np.floor(k * T.size))
+    kept = dynamics._prefix_sums(F, T, y, n_total, stride)
+    ns = np.arange(stride, n_total + 1, stride, dtype=np.int64)
+    return np.column_stack([ns.astype(np.float64), ns / T.size, kept / ns])
+
+
+# and a series of 3e5 means, whose default stride is 3
+IN_PLACE_CASES = {**GAMMA_CASES, "rotation-100003": (lambda: build_rotation(100_003, 0.3).permutation,
+                                                     lambda M: paper_observable("tent", M), 3.0)}
+
+
+@pytest.mark.parametrize("stride", [1, 7, None])
+@pytest.mark.parametrize("name", sorted(IN_PLACE_CASES))
+def test_gamma_series_filled_in_place_is_bitwise_the_column_stack(name, stride):
+    make_T, make_F, k = IN_PLACE_CASES[name]
+    T = make_T()
+    F = make_F(T.size)
+    for y in (0, T.size // 3, T.size - 1):
+        pts, used = gamma_series(F, T, y, k, stride)
+        assert used == (stride or max(1, int(k * T.size) // 100_000))
+        assert pts.dtype == np.float64 and pts.flags.c_contiguous
+        assert pts.tobytes() == column_stacked_gamma(F, T, y, k, used).tobytes()
+
+
 @pytest.mark.parametrize("chunk", [1, 7, dynamics.CHUNK_POINTS])
 def test_gamma_of_a_negative_zero_keeps_its_sign_across_chunks(monkeypatch, chunk):
     # the first chunk adds no carry: 0.0 + -0.0 would be +0.0

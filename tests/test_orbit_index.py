@@ -1,12 +1,13 @@
 """The orbit index: constructor-built cycle structure against the generic walk.
 
-Built-in systems hand their cycles to FinitePermutation.from_cycle_order;
-a permutation built from the bare image array finds them with the generic
-cycle walk.  Both must give the same index, and every kernel must give the
+Built-in systems generate their orbit order (FinitePermutation.from_index)
+or hand their cycles to FinitePermutation.from_cycle_order; a permutation
+built from the bare image array finds them with the generic cycle walk.  Both must give the same index, and every kernel must give the
 same answer on a system and on a relabelled copy of it.
 """
 
 import dataclasses
+import json
 import sys
 import threading
 import tracemalloc
@@ -18,8 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergodia import dynamics, stabilization
-from ergodia.dynamics import FinitePermutation, Observable, ergodic_means_prefix, gamma_series, orbit_average
+from ergodia import cli, dynamics, stabilization, systems
+from ergodia.dynamics import (FinitePermutation, Observable, OrbitIndex, ergodic_means_prefix, gamma_series,
+                              orbit_average)
 from ergodia.integrability import integrability_profile
 from ergodia.stabilization import (common_stabilization_segment, proof_terms, stabilization_segment,
                                    sup_discrepancy)
@@ -31,8 +33,8 @@ from ergodia.systems import (
     debruijn_sequence,
     paper_observable,
 )
-from oracles import (band_end_loop, index_field, inverse_order, permutation_from_cycles, prefix_means_gather,
-                     sup_discrepancy_two_pass)
+from oracles import (band_end_loop, debruijn_lyndon, index_field, inverse_order, permutation_from_cycles,
+                     prefix_means_gather, sup_discrepancy_two_pass)
 
 
 def drift(M):
@@ -93,7 +95,7 @@ def test_constructor_index_equals_generic_walk(name):
 def test_identity_knows_its_fixed_points_without_a_walk(M):
     T = FinitePermutation.identity(M)
     index = T.orbit_index
-    assert index.stored is None  # an identity index stores no order
+    assert type(index) is OrbitIndex  # an identity index stores no order
     assert np.array_equal(index.order, np.arange(M)) and np.array_equal(index.lengths, np.ones(M))
     assert np.array_equal(T.image, np.arange(M))
     assert all(T.period(y) == 1 for y in range(M))
@@ -181,8 +183,8 @@ COPIED = {
 
 @pytest.mark.parametrize("name", sorted(SHARED) + sorted(COPIED))
 def test_an_identity_order_is_its_own_inverse_and_the_memo_shares_the_values(name):
-    # an identity order is not stored, and its orbit-order values are F.values
-    # itself; any other order is stored, with its own copy of the values
+    # an identity order is neither stored nor generated, and its orbit-order values
+    # are F.values itself; any other order has its own copy of the values
     T = {**SHARED, **COPIED}[name]()
     index = T.orbit_index
     F = Observable.from_values(np.random.default_rng(6).standard_normal(T.size))
@@ -190,7 +192,7 @@ def test_an_identity_order_is_its_own_inverse_and_the_memo_shares_the_values(nam
     assert np.array_equal(T.along(F), F.values[index.order])
     assert not index.order.flags.writeable and not T.along(F).flags.writeable
     shared = name in SHARED
-    assert (index.stored is None) == shared
+    assert (type(index) is OrbitIndex) == shared
     assert (T.along(F) is F.values) == shared
 
 
@@ -283,7 +285,7 @@ def test_gamma_and_the_band_scan_on_a_drift_system_build_no_order():
     sup_discrepancy(F, T, [(40, 17), (5003, 1000)])  # _row_means reads no order
     proof_terms(F, T, 5003, 1000)
     index = T.orbit_index
-    assert index.stored is None and "order" not in vars(index)
+    assert type(index) is OrbitIndex and "order" not in vars(index)
     assert T.along(F) is F.values
 
 
@@ -549,7 +551,7 @@ def test_the_memo_takes_the_narrowest_exact_width(values, kind, seed, chunk):
     with mock.patch.object(dynamics, "CHUNK_POINTS", chunk):
         along = T.along(F)
     index = T.orbit_index
-    if index.stored is None:  # an identity order: no test and no copy
+    if type(index) is OrbitIndex:  # an identity order: no test and no copy
         assert along is F.values
     else:
         assert along.dtype == width_rule(values)
@@ -616,3 +618,103 @@ def test_the_first_narrow_memo_costs_two_bytes_per_point():
         tracemalloc.stop()
     assert along.dtype == np.int8
     assert peak <= 2 * T.size + (1 << 20), peak
+
+
+# -- generated orders: rotation, de Bruijn and naive store no order array -----
+
+
+def walked_index(T_image):
+    """The generic walk's index of an image built independently of the library's systems."""
+    return FinitePermutation(T_image).orbit_index
+
+
+def lyndon_debruijn_image(m, L):
+    """The window successor of the Lyndon-generator sequence, window by window."""
+    s = debruijn_lyndon(m, L)
+    windows = sum(np.roll(s, -j) * m**j for j in range(L))
+    image = np.empty(m**L, dtype=np.int64)
+    image[windows] = np.roll(windows, -1)
+    return image
+
+
+# family -> (build the generated permutation, its image by a separate rule)
+GENERATED = {
+    # g = 1, the search's and the published (25001, 1/sqrt2) pair's
+    "rotation-g1": (lambda: RotationSystem(M=1009, P=300, t=0.3, defect=0.0).permutation,
+                    lambda: (np.arange(1009) + 300) % 1009),
+    "rotation-25001": (lambda: build_rotation(25001, float(1.0 / np.sqrt(2.0))).permutation,
+                       lambda: (np.arange(25001) + 17677) % 25001),
+    # g = 7: the published (33334, 2/3) pair; g = 6 with cycles shorter than most chunks
+    "rotation-g7": (lambda: build_rotation(33334, 2.0 / 3.0).permutation,
+                    lambda: (np.arange(33334) + 22225) % 33334),
+    "rotation-g6": (lambda: RotationSystem(M=150, P=36, t=0.24, defect=0.0).permutation,
+                    lambda: (np.arange(150) + 36) % 150),
+    **{f"debruijn-{m}-{N}": (lambda m=m, N=N: build_bernoulli(m, N, "debruijn").permutation,
+                             lambda m=m, N=N: lyndon_debruijn_image(m, 2 * N + 1))
+       for m, N in [(2, 0), (2, 1), (2, 3), (2, 4), (3, 1), (3, 2)]},
+    **{f"naive-{m}-{N}": (lambda m=m, N=N: build_bernoulli(m, N, "naive").permutation,
+                          lambda m=m, N=N: naive(m, N)[1])
+       for m, N in [(2, 0), (2, 1), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2)]},
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+@pytest.mark.parametrize("name", sorted(GENERATED))
+def test_generated_orders_equal_the_checked_index(monkeypatch, name, chunk):
+    # the canonical order is proved here, not checked at build time: a generator
+    # has no input but its parameters, and a check would cost an M-byte table
+    monkeypatch.setattr(dynamics, "CHUNK_POINTS", chunk)
+    monkeypatch.setattr(systems, "CHUNK_POINTS", chunk)
+    build, image = GENERATED[name]
+    T = build()
+    index, ref = T.orbit_index, walked_index(image())
+    assert "order" not in vars(index)
+    assert np.array_equal(index.order, ref.order) and not index.order.flags.writeable
+    checked = FinitePermutation.from_cycle_order(index.order, index.lengths).orbit_index
+    for field in ("starts", "lengths"):
+        got = getattr(index, field)
+        assert got.dtype == np.int64 and not got.flags.writeable, field
+        assert np.array_equal(got, getattr(ref, field)), field
+        assert np.array_equal(got, getattr(checked, field)), field
+    M = T.size
+    for lo in sorted({0, 1, M // 3, M - 2, M - 1} & set(range(M))):
+        for hi in sorted({lo + 1, lo + 2, lo + 9, lo + 100, M} & set(range(lo + 1, M + 1))):
+            assert np.array_equal(index.order_chunk(lo, hi), ref.order[lo:hi]), (lo, hi)
+    points = np.random.default_rng(M).integers(0, M, 50)
+    for pts in (np.arange(M), points, points[:1], np.array([M - 1, 0, M - 1])):
+        assert np.array_equal(index.slots(pts), inverse_order(ref)[pts])
+    for bad in (-1, M):
+        with pytest.raises(IndexError, match=f"point {bad} out of range for size {M}"):
+            index.slots([0, bad])
+    assert np.array_equal(T.image, image()) and T.size == ref.size
+
+
+@pytest.mark.parametrize("name", ["rotation-g1", "rotation-g7", "debruijn-2-4", "debruijn-3-2",
+                                  "naive-2-4", "naive-3-2"])
+def test_gamma_and_stab_runs_on_generated_orders_build_no_order(tmp_path, monkeypatch, name):
+    # the CLI's gamma and stab runs read the order by chunks and slots only
+    T = GENERATED[name][0]()
+    monkeypatch.setattr(cli, "_build_system", lambda spec: (T, {}))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "observable": {"name": "constant", "value": 0.25},
+        "start_points": {"explicit": [0, 5, T.size - 1]}, "gamma": {"k": 2.5},
+        "stab": {"epsilon": 0.05, "eta": 0.1, "n_min": 2, "scan_limit": 300, "pairs": [[40, 17]]}}))
+    for command in ("gamma", "stab"):
+        assert cli.main([command, "--config", str(config), "--out", str(tmp_path / command)]) == 0
+    assert "order" not in vars(T.orbit_index) and T._image is None
+
+
+def test_a_gamma_run_finds_its_start_points_in_one_slots_pass(tmp_path, monkeypatch):
+    # one scan of the de Bruijn order for three start points, not one each
+    passes = []
+    scan = dynamics.PermutedOrder._slots
+    monkeypatch.setattr(dynamics.PermutedOrder, "_slots",
+                        lambda self, pts: passes.append(pts.size) or scan(self, pts))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "system": {"name": "bernoulli", "m": 2, "N": 4, "mode": "debruijn"},
+        "observable": {"name": "chi0", "N": 4},
+        "start_points": {"explicit": [1, 17, 511]}, "gamma": {"k": 1.0}}))
+    assert cli.main(["gamma", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+    assert passes == [3]

@@ -12,7 +12,7 @@ from ergodia import systems
 from ergodia.dynamics import FinitePermutation, Observable, ergodic_means_prefix, orbit_average
 from ergodia.systems import (
     RotationSystem,
-    _necklace_cycles,
+    _naive_shift,
     _necklaces,
     _window_indices,
     build_bernoulli,
@@ -216,12 +216,12 @@ def test_multi_chunk_debruijn_order_is_pinned(m, N, digest):
 
 @pytest.mark.parametrize("m,L", [(2, 1), (2, 5), (3, 4), (2, 9), (4, 3), (2, 12), (3, 5)])
 def test_naive_cycles_match_the_generic_walk(m, L):
-    order, lengths = _necklace_cycles(m, L)
+    generated = _naive_shift(m, L).orbit_index
     words = np.arange(m**L)
     walked = FinitePermutation(words // m + words % m * m ** (L - 1)).orbit_index
-    assert np.array_equal(order, walked.order)
-    assert np.array_equal(lengths, walked.lengths)
-    index = FinitePermutation.from_cycle_order(order, lengths).orbit_index
+    assert np.array_equal(generated.order, walked.order)
+    assert np.array_equal(generated.lengths, walked.lengths)
+    index = FinitePermutation.from_cycle_order(generated.order, generated.lengths).orbit_index
     for field in ("order", "starts", "lengths", "slot"):
         assert np.array_equal(index_field(index, field), index_field(walked, field)), field
 
