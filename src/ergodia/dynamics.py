@@ -41,10 +41,8 @@ __all__ = [
 # stabilization walks scan_limit means per point.
 SERIES_BUDGET = 1 << 28
 
-# values per chunk the kernels handle at once (slots of the orbit order; a run
-# of gamma's prefix sums; per horizon, rows of equal-length cycles or a tile of
-# orbit rows; de Bruijn window indices; necklace candidates), so their
-# temporaries stay bounded
+# values per chunk the kernels handle at once (slots of the orbit order; a tile of carried sums,
+# per horizon; de Bruijn window indices; necklace candidates), so their temporaries stay bounded
 CHUNK_POINTS = 1 << 16
 
 
@@ -198,22 +196,51 @@ def _narrow(values: np.ndarray) -> np.ndarray:
 
 
 def _cyclic_run(cyc: np.ndarray, pos: int, n: int, dtype=None) -> np.ndarray:
-    """[cyc[pos], cyc[pos + 1], ...] read cyclically, n entries, as dtype (default cyc's).
-
-    One period from pos is copied out of cyc, then repeated by doubling
-    copies, so there is no per-step index arithmetic and no temporary
-    beside the result.
-    """
-    out = np.empty(n, dtype=cyc.dtype if dtype is None else dtype)
-    filled = min(n, cyc.size)
-    head = cyc[pos : pos + filled]
-    out[: head.size] = head
-    out[head.size : filled] = cyc[: filled - head.size]
+    """[cyc[..., pos], cyc[..., pos + 1], ...] read cyclically along the last axis, n entries per row,
+    as dtype (default cyc's): one period from pos copied out of cyc, then repeated by doubling
+    copies, so there is no per-step index arithmetic and no temporary beside the result."""
+    out = np.empty(cyc.shape[:-1] + (n,), dtype=cyc.dtype if dtype is None else dtype)
+    filled = min(n, cyc.shape[-1])
+    head = cyc[..., pos : pos + filled]
+    out[..., : head.shape[-1]] = head
+    out[..., head.shape[-1] : filled] = cyc[..., : filled - head.shape[-1]]
     while filled < n:
         step = min(filled, n - filled)
-        out[filled : filled + step] = out[:step]
+        out[..., filled : filled + step] = out[..., :step]
         filled += step
     return out
+
+
+def _carried_sums(along: np.ndarray, start, p, pos, lo: int, n: int, carry=None) -> np.ndarray:
+    """The (rows, n) float64 tile of carried prefix sums of cyclic runs of along, from column lo.
+
+    Row k is along[start[k] : start[k] + p[k]] read cyclically from pos[k] (ints broadcast); its
+    column i is carry[k], the last sum of the row's tile before, plus the run's columns lo .. lo + i.
+    A tile from column 0 or before takes no carry (0.0 + -0.0 would lose the sign of a zero), and a
+    column before 0 sums no values; so a row's tiles chain into one sequential cumsum, the same
+    floats however its columns are cut.  Rows sharing p and pos and lying end to end are copied out
+    by doubling (_cyclic_run); others are gathered, their slots stepping by 1 and back by p where
+    they wrap, so a cumsum gives them with no %.  Only the tile is widened to float64.
+    """
+    start, p0, pos0 = np.atleast_1d(start), np.ravel(p)[0], np.ravel(pos)[0]
+    if start.size == 1 or (p == p0).all() and (pos == pos0).all() and (start[1:] - start[:-1] == p0).all():
+        run = along[start[0] : start[0] + start.size * p0].reshape(start.size, p0)
+        sums = _cyclic_run(run, (pos0 + lo) % p0, n, np.float64)
+    else:
+        p, at = np.broadcast_to(p, start.shape), (pos + lo) % p
+        slots = np.ones((start.size, n), dtype=np.int64)
+        slots[:, 0] = start + at
+        wraps = (p - at)[:, None] + p[:, None] * np.arange((n - 1) // p.min() + 1)
+        i, k = (wraps < n).nonzero()
+        slots[i, wraps[i, k]] = 1 - p[i]
+        sums = along[slots.cumsum(axis=1, out=slots)].astype(np.float64, copy=False)
+    if lo < 0:
+        sums[:, :-lo] = 0.0
+    elif carry is not None:
+        sums[:, 0] += carry
+    tail = sums[:, -lo:] if lo < 0 else sums  # cumsum into a view of sums runs slower than into sums
+    np.cumsum(tail, axis=1, out=tail)
+    return sums
 
 
 class FinitePermutation:
@@ -467,34 +494,19 @@ class MeanSeries:
 def _prefix_sums(F: Observable, T: FinitePermutation, y: int, n_total: int, stride: int,
                  out: np.ndarray | None = None) -> np.ndarray:
     """Sums of the first n values of F along the T-orbit of y, for n = stride, 2*stride, ..., n_total,
-    written to out (default: a new array).
-
-    The values are copied out of y's cycle in T.along(F) as float64, CHUNK_POINTS at a time, so F
-    is never gathered at random; each chunk's cumsum carries the sum of the one before, so the sums
-    are those of one sequential cumsum, and memory is one chunk plus the sums kept.
-    """
-    start, p, pos = T._run(y)
-    run = T.along(F)[start : start + p]
-    kept = np.empty(n_total // stride) if out is None else out
-    for lo in range(0, n_total, CHUNK_POINTS):
-        hi = min(lo + CHUNK_POINTS, n_total)
-        sums = _cyclic_run(run, (pos + lo) % p, hi - lo, np.float64)
-        if lo:  # only past the first chunk: 0.0 + -0.0 would lose the sign of a zero
-            sums[0] += carry
-        carry = np.cumsum(sums, out=sums)[-1]
+    written to out (default: a new array): y's run in T.along(F) as one _carried_sums row,
+    CHUNK_POINTS columns at a time, so memory is one tile plus the sums kept."""
+    (start, p, pos), along = T._run(y), T.along(F)
+    kept, sums = np.empty(n_total // stride) if out is None else out, None
+    for lo, hi in _spans(n_total):
+        sums = _carried_sums(along, start, p, pos, lo, hi - lo, sums[-1] if lo else None)[0]
         # sums[i] is the sum of n = lo + i + 1 values; keep the n that stride divides
         kept[lo // stride : hi // stride] = sums[stride - 1 - lo % stride :: stride]
     return kept
 
 
-def ergodic_means_prefix(
-    F: Observable,
-    T: FinitePermutation,
-    y: int,
-    n_max: int,
-    *,
-    exact: bool = False,
-) -> MeanSeries:
+def ergodic_means_prefix(F: Observable, T: FinitePermutation, y: int, n_max: int, *,
+                         exact: bool = False) -> MeanSeries:
     """A_1..A_{n_max} along the T-orbit of y, in a single O(n_max) pass.
 
     Double mode divides gamma_series's chunked float64 prefix sums (stride
@@ -522,13 +534,8 @@ def orbit_average(F: Observable, T: FinitePermutation, y: int) -> float:
     return float(np.mean(T.along(F)[start : start + p].astype(np.float64, copy=False)))
 
 
-def gamma_series(
-    F: Observable,
-    T: FinitePermutation,
-    y: int,
-    k: float,
-    stride: int | None = None,
-) -> tuple[np.ndarray, int]:
+def gamma_series(F: Observable, T: FinitePermutation, y: int, k: float,
+                 stride: int | None = None) -> tuple[np.ndarray, int]:
     """Points (n/M, A_n) for n = stride, 2*stride, ..., floor(k*M).
 
     Returns (array of shape (count, 3) with columns [n, n/M, A_n], stride).

@@ -19,11 +19,13 @@ experiment must pin them explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
-from .dynamics import CHUNK_POINTS, SERIES_BUDGET, FinitePermutation, Observable
+from . import dynamics
+from .dynamics import SERIES_BUDGET, FinitePermutation, Observable, _carried_sums
 from .rng import SplitMix64
 
 __all__ = [
@@ -93,49 +95,65 @@ class CommonSegment:
 
 
 def _row_means(F: Observable, T: FinitePermutation, horizons: Sequence[int]):
-    """(at, [A_n for n in horizons]) per chunk of whole equal-length cycles.
+    """((at, rows, p, cols), [A_n for n in horizons]) per tile of whole equal-length cycles, whose
+    means belong to slots at + p*i + j of the orbit order, for i < rows and j in cols.
 
-    Each A_n is a (rows, p) block, a cycle per row, whose points are
-    order[at : at + rows * p] and whose values are the same block of
-    T.along(F), so no gather and no read of order.  One row sum and cumsum
-    of length p + max(n mod p) serve every horizon: add.accumulate along a
-    row is sequential, so a shorter window's prefix sums are the same floats.
-    """
-    along = T.along(F)
+    With P[j] the sum of a cycle's first j values (column j - 1 of its _carried_sums row) and S its
+    sum, A_n = (P[j + r] - P[j] + q*S) / n for n = q*p + r: a lag cursor reads P[j] and a lead
+    cursor per remainder r reads P[j + r], each carried from the cycle start, so the floats are
+    those of one cumsum along the cycle.  Cursors that fit in one tile share its sums; no
+    temporary grows with p."""
+    along, chunk = T.along(F), dynamics.CHUNK_POINTS
     for offset, count, p in T.orbit_index.length_classes():
-        values = along[offset : offset + count * p].reshape(count, p)
-        step, width = max(1, CHUNK_POINTS // (p * len(horizons))), max(n % p for n in horizons)
-        for first in range(0, count, step):
-            vals = values[first : first + step].astype(np.float64, copy=False)
-            sums = vals.sum(axis=1, keepdims=True)
-            if width:
-                pref = np.zeros((len(vals), p + width + 1))
-                pref[:, 1 : p + 1], pref[:, p + 1 :] = vals, vals[:, :width]
-                np.cumsum(pref[:, 1:], axis=1, out=pref[:, 1:])
-            means = []
-            for n in horizons:
-                q, r = divmod(n, p)
-                window = pref[:, r : r + p] - pref[:, :p] if r else np.zeros((len(vals), 1))
-                window += q * sums
-                window /= n
-                means.append(np.broadcast_to(window, vals.shape))
-            yield offset + first * p, means
+        step = max(1, chunk // (p * len(horizons)))
+        w = min(p, max(1, chunk // (step * len(horizons))))
+        # the cursors' column offsets from the output columns, the lag's -1 first: one cursor
+        # serves them all if they fit in a tile, else each has its own
+        offsets = sorted({-1} | {n % p - 1 for n in horizons}) if any(n % p for n in horizons) else []
+        groups = [offsets] if offsets and offsets[-1] < w else [[o] for o in offsets]
+        for at in range(offset, offset + count * p, step * p):
+            rows = min(step, (offset + count * p - at) // p)
+            vals = along[at : at + rows * p].reshape(rows, p)
+            # S is np.sum of the row as float64; an integer row's int64 sum is that float where every
+            # partial sum is below 2^53, as every float64 addition is then exact, in any order
+            exact = vals.dtype.kind != "f" and max(-int(vals.min()), int(vals.max())) * p < 2**53
+            S = np.sum(vals if exact else vals.astype(np.float64, copy=False), axis=1, keepdims=True,
+                       dtype=np.int64 if exact else None).astype(np.float64, copy=False)
+            sums = partial(_carried_sums, along, at + p * np.arange(rows), p, 0)
+            carries = [None] * len(groups)
+            for k, (b, *_) in enumerate(groups):  # each cursor starts at column b, carrying P[b]
+                for lo in range(0, b, w):
+                    carries[k] = sums(lo, min(w, b - lo), carries[k])[:, -1]
+            for lo in range(0, p, w):
+                hi, reads = min(lo + w, p), {}  # offset o -> P[j + o + 1] for j in cols, columns lo + o to hi + o - 1
+                for k, group in enumerate(groups):
+                    first = lo + group[0]
+                    tile = sums(first, hi + group[-1] - first, carries[k])
+                    carries[k] = tile[:, hi - lo - 1].copy() if hi + group[0] > 0 else None
+                    reads.update((o, tile[:, lo + o - first : hi + o - first]) for o in group)
+                means = []
+                for n in horizons:
+                    q, r = divmod(n, p)
+                    window = reads[r - 1] - reads[-1] if r else np.zeros((rows, 1))
+                    window += q * S
+                    window /= n
+                    means.append(window)  # (rows, 1) where p divides n
+                yield (at, rows, p, slice(lo, hi)), means
 
 
 def sup_discrepancy(F: Observable, T: FinitePermutation,
                     pairs: Sequence[tuple[int, int]]) -> list[DiscrepancyReport]:
-    """Per (K, L) in pairs, the exact max over all y of |A_K - A_L|, all from one
-    cycle pass over K1, L1, K2, L2, ...; each pair's diffs are written in orbit
-    order.  [(K, L)] is the one-pair form."""
+    """Per (K, L) in pairs, the exact max over all y of |A_K - A_L|, all from one cycle pass over
+    K1, L1, K2, L2, ...; each pair's diffs are written in orbit order.  [(K, L)] is the one-pair form."""
     if any(not 1 <= L < K for K, L in pairs):
         raise ValueError("require 1 <= L < K")
     if not pairs:
         return []
     horizons = [n for pair in pairs for n in pair]
     diffs = [np.empty(T.size) for _ in pairs]
-    for at, means in _row_means(F, T, horizons):
+    for (at, rows, p, cols), means in _row_means(F, T, horizons):
         for d, A_K, A_L in zip(diffs, means[::2], means[1::2]):
-            block = d[at : at + A_K.size].reshape(A_K.shape)
+            block = d[at : at + rows * p].reshape(rows, p)[:, cols]
             np.abs(np.subtract(A_K, A_L, out=block), out=block)
     return [DiscrepancyReport(K=K, L=L, sup_disc=float(np.max(d)), diffs=d)
             for (K, L), d in zip(pairs, diffs)]
@@ -145,34 +163,27 @@ def proof_terms(F: Observable, T: FinitePermutation, K: int, L: int) -> tuple[np
     """(U, V) at every y, in orbit order like a DiscrepancyReport's diffs, with |A_K - A_L| <= U + V
     for U = (1/L - 1/K) * sum_{k<L} |F(T^k y)| and V = (1/K) * sum_{k=L}^{K-1} |F(T^k y)|.
 
-    One cycle pass over the horizon means of |F| at K and L writes both,
-    block by block and in place, as U = (1/L - 1/K) * A_L * L and
-    V = A_K - A_L * L / K.  The call replaces the T.along memo with |F|."""
+    One cycle pass over the horizon means of |F| at K and L writes both, tile by tile and in place,
+    as U = (1/L - 1/K) * A_L * L and V = A_K - A_L * L / K.  It replaces the T.along memo with |F|."""
     if not 1 <= L < K:
         raise ValueError("require 1 <= L < K")
     U, V = np.empty(T.size), np.empty(T.size)
-    for at, (absK, absL) in _row_means(Observable.from_values(np.abs(F.values)), T, (K, L)):
-        u, v = (a[at : at + absK.size].reshape(absK.shape) for a in (U, V))
+    for (at, rows, p, cols), (absK, absL) in _row_means(Observable.from_values(np.abs(F.values)), T, (K, L)):
+        u, v = (a[at : at + rows * p].reshape(rows, p)[:, cols] for a in (U, V))
         np.multiply(np.multiply(absL, 1.0 / L - 1.0 / K, out=u), L, out=u)
         np.subtract(absK, np.divide(np.multiply(absL, L, out=v), K, out=v), out=v)
     return U, V
 
 
-def _band_ends(F: Observable, T: FinitePermutation, points: np.ndarray, n_min: int,
-               eps: float, scan_limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(K_star, band midpoint at K_star, capped) per point: K_star is the largest
-    K <= scan_limit with max - min of A_{n_min..K} <= eps (pairwise over the
-    range, not between consecutive means).
-
-    One orbit per row, max(1, CHUNK_POINTS // scan_limit) rows at a time, in
-    tiles of 32, 64, 128, ... columns (at most CHUNK_POINTS) that carry the
-    prefix sum and the band's max and min; a row is dropped after the tile
-    where it leaves its band.  A row's orbit-order slots step by 1, and back
-    by p where it wraps, so a cumsum gives them with no % per step, and one
-    gather from T.along(F), widened to float64, reads the values.
-    add.accumulate along a row is sequential, so every mean is bitwise
-    ergodic_means_prefix's.
-    """
+def stabilization_segment(F: Observable, T: FinitePermutation, points: Sequence[int], n_min: int,
+                          eps: float, scan_limit: int) -> StabilizationSegment:
+    """Maximal eps-band segment [n_min, K_star] of every start point, in one scan: K_star is the
+    largest K <= scan_limit with max - min of A_{n_min..K} <= eps (pairwise over the range, not
+    between consecutive means), witness the band's midpoint there.  A _carried_sums row per point,
+    max(1, CHUNK_POINTS // scan_limit) rows at a time, in tiles of 32, 64, 128, ... columns (at
+    most CHUNK_POINTS) carrying the prefix sum and the band's max and min, so every mean is bitwise
+    ergodic_means_prefix's; a row is dropped after the tile where it leaves its band."""
+    points = np.asarray(points, dtype=np.int64)
     if n_min < 1:
         raise ValueError("n_min must be >= 1")
     if not eps > 0:  # NaN is refused too
@@ -182,29 +193,18 @@ def _band_ends(F: Observable, T: FinitePermutation, points: np.ndarray, n_min: i
     if scan_limit > SERIES_BUDGET:
         raise ValueError(f"scan_limit exceeds the budget of {SERIES_BUDGET} means per start point")
     index = T.orbit_index
-    point_slots = index.slots(points)  # one pass over the order for all points, not one per chunk
-    along = T.along(F)
+    slots = index.slots(points)  # one pass over the order for all points, not one per chunk
+    c = index.cycle_at(slots)
+    start, p, along = index.starts[c], index.lengths[c], T.along(F)
     k_star, witness = np.full(points.size, scan_limit), np.empty(points.size)
-    cols = min(scan_limit, CHUNK_POINTS)
-    for first in range(0, points.size, CHUNK_POINTS // cols):
-        rows = np.arange(first, min(first + CHUNK_POINTS // cols, points.size))
-        s = point_slots[rows]
-        c = index.cycle_at(s)
-        p = index.lengths[c]
-        total, hi, lo = np.zeros(s.size), np.full((s.size, 1), -np.inf), np.full((s.size, 1), np.inf)
+    cols = min(scan_limit, dynamics.CHUNK_POINTS)
+    for first in range(0, points.size, dynamics.CHUNK_POINTS // cols):
+        rows = np.arange(first, min(first + dynamics.CHUNK_POINTS // cols, points.size))
+        total, hi, lo = None, np.full((rows.size, 1), -np.inf), np.full((rows.size, 1), np.inf)
         a, n = 0, 32
         while rows.size and a < scan_limit:
             n = min(n, cols, scan_limit - a)
-            pos = (s - index.starts[c] + a) % p
-            slots = np.ones((s.size, n), dtype=np.int64)
-            slots[:, 0] = index.starts[c] + pos
-            wraps = (p - pos)[:, None] + p[:, None] * np.arange((n - 1) // p.min() + 1)
-            i, k = (wraps < n).nonzero()
-            slots[i, wraps[i, k]] = 1 - p[i]
-            sums = along[slots.cumsum(axis=1, out=slots)].astype(np.float64, copy=False)
-            if a:  # only past the first tile: 0.0 + -0.0 would lose the sign of a zero
-                sums[:, 0] += total
-            total = sums.cumsum(axis=1, out=sums)[:, -1].copy()
+            sums = _carried_sums(along, start[rows], p[rows], slots[rows] - start[rows], a, n, total)
             skip = min(max(n_min - 1 - a, 0), n)  # columns before the band starts
             means = sums[:, skip:] / np.arange(a + skip + 1, a + n + 1, dtype=np.float64)
             # column 0 carries the band's max and min from the tiles before
@@ -216,19 +216,11 @@ def _band_ends(F: Observable, T: FinitePermutation, points: np.ndarray, n_min: i
             k_star[rows[done]] = a + skip + last[done]
             witness[rows[done]] = (band_hi[done, last[done]] + band_lo[done, last[done]]) / 2.0
             live = last < 0
-            rows, s, c, p, total = rows[live], s[live], c[live], p[live], total[live]
+            rows, total = rows[live], sums[live, -1]
             hi, lo = band_hi[live, -1:], band_lo[live, -1:]
             a, n = a + n, 2 * n
         witness[rows] = (hi[:, 0] + lo[:, 0]) / 2.0  # the rows that held to scan_limit
-    return k_star, witness, k_star == scan_limit
-
-
-def stabilization_segment(F: Observable, T: FinitePermutation, points: Sequence[int], n_min: int,
-                          eps: float, scan_limit: int) -> StabilizationSegment:
-    """Maximal eps-band segment [n_min, K_star] of every start point, in one scan."""
-    points = np.asarray(points, dtype=np.int64)
-    k_star, witness, capped = _band_ends(F, T, points, n_min, eps, scan_limit)
-    return StabilizationSegment(points=points, K_star=k_star, witness=witness, capped=capped,
+    return StabilizationSegment(points=points, K_star=k_star, witness=witness, capped=k_star == scan_limit,
                                 n_min=n_min, eps=eps, scan_limit=scan_limit)
 
 

@@ -242,27 +242,27 @@ def _rotate(words: np.ndarray, j: int, m: int, L: int) -> np.ndarray:
 def _necklaces(m: int, L: int) -> tuple[np.ndarray, np.ndarray]:
     """Heads (ascending) and periods of the necklaces of length-L words over m symbols.
 
-    A head is the smallest index among a word's rotations: the same set
-    whether indices are read little- or big-endian, as a left rotation in
-    one reading is a right rotation in the other.  L - 1 vectorized passes
-    keep the indices no larger than their j-th rotation, on CHUNK_POINTS
-    candidates at a time so they stay in cache; a head's period is the
-    smallest divisor d of L whose rotation maps it to itself.  The passes
-    run in int32, exact under the 2^26 word budget of the callers.
-    They start from the zero word, the words with top digit 0 and bottom digit
-    not 0, and those with no 0 digit (a quarter of all for m = 2): read
-    big-endian, the least rotation of a word holding a 0 but not all 0s starts
-    with its longest run of 0s, and cannot end in 0 (moving that 0 to the
-    front gives a smaller rotation).
+    A head is the smallest index among a word's rotations: the same set whether indices are read
+    little- or big-endian, as a left rotation in one reading is a right rotation in the other.
+    L - 1 vectorized passes in int32 (exact under the callers' 2^26 word budget) keep the indices
+    no larger than their j-th rotation, on CHUNK_POINTS candidates at a time, each chunk enumerated
+    from the candidates' ranks as it is tested; a head's period is the smallest divisor d of L
+    whose rotation maps it to itself.  Beside the zero word, the candidates are the words with top
+    digit 0 and bottom digit not 0 (a quarter of all for m = 2), then those with no 0 digit: read
+    big-endian, the least rotation of a word holding a 0 but not all 0s starts with its longest
+    run of 0s, and cannot end in 0 (moving that 0 to the front gives a smaller rotation).
     """
-    nonzero = digits = np.arange(1, m, dtype=np.int32)
-    for _ in range(L - 1):
-        nonzero = (nonzero[:, None] * m + digits).ravel()
-    bottom = (np.arange(m ** (L - 1) // m, dtype=np.int32)[:, None] * m + digits).ravel()
-    candidates = np.concatenate([np.zeros(1, dtype=np.int32), bottom, nonzero])
-    kept = []
-    for lo in range(0, candidates.size, CHUNK_POINTS):
-        heads = candidates[lo : lo + CHUNK_POINTS]
+    bottom = m ** (L - 1) // m * (m - 1)
+    kept = [np.zeros(1, dtype=np.int32)]  # the zero word heads its own necklace
+    for lo in range(0, bottom + (m - 1) ** L, CHUNK_POINTS):
+        i = np.arange(lo, min(lo + CHUNK_POINTS, bottom + (m - 1) ** L), dtype=np.int32)
+        # rank k of a word with no 0 digit: its digits are k's base-(m - 1) digits plus 1
+        k, words, j = i - bottom, np.full_like(i, (m**L - 1) // (m - 1)), 0
+        while (m - 1) ** j <= k[-1]:
+            words += k // (m - 1) ** j % (m - 1) * m**j
+            j += 1
+        # rank i of a word with top digit 0 and bottom digit not 0: i // (m - 1) * m + 1 + i % (m - 1)
+        heads = np.where(k < 0, i + i // (m - 1) + 1, words)
         for j in range(1, L):
             heads = heads[heads <= _rotate(heads, j, m, L)]
         kept.append(heads)

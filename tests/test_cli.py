@@ -314,36 +314,59 @@ def test_golden_check_rejects_a_changed_entry(tmp_path, outputs, fields, run, me
 
 def test_stab_scans_every_start_point_once(tmp_path, monkeypatch):
     # one band scan covers the per-point rows and the common segment alike
-    from ergodia import stabilization
+    from ergodia import cli, stabilization
 
-    rows = []
-    band_ends = stabilization._band_ends
+    rows, started, scanning = [], [], []
+    segment, carried_sums = cli.stabilization_segment, stabilization._carried_sums
 
     def counting(F, T, points, *rest):
-        rows.append(points.size)
-        return band_ends(F, T, points, *rest)
+        rows.append(len(points))
+        scanning.append(True)
+        try:
+            return segment(F, T, points, *rest)
+        finally:
+            scanning.pop()
 
-    monkeypatch.setattr(stabilization, "_band_ends", counting)
+    def tiling(along, start, p, pos, lo, *rest):
+        if scanning and lo == 0:
+            started.append(np.size(start))
+        return carried_sums(along, start, p, pos, lo, *rest)
+
+    monkeypatch.setattr(cli, "stabilization_segment", counting)
+    monkeypatch.setattr(stabilization, "_carried_sums", tiling)
     cfg = os.path.join(CONFIG_DIR, "fig4.json")
     assert main(["stab", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     assert rows == [125]
+    # the scan starts each point's row of carried sums once, 1000 columns by 65 rows at a time
+    assert started == [65, 60]
 
 
 def test_stab_serves_every_pair_from_one_cycle_pass(tmp_path, monkeypatch):
     # the golden stab config has two pairs; one pass over all cycles serves both
     from ergodia import stabilization
 
-    passes = []
-    row_means = stabilization._row_means
+    passes, rows, inside = [], [], []
+    row_means, carried_sums = stabilization._row_means, stabilization._carried_sums
 
     def counting(F, T, horizons):
         passes.append(tuple(horizons))
-        return row_means(F, T, horizons)
+        inside.append(True)
+        yield from row_means(F, T, horizons)
+        inside.pop()
+
+    def tiling(along, start, p, pos, *rest):
+        if inside:
+            rows.append((np.size(start), p, pos))
+        return carried_sums(along, start, p, pos, *rest)
 
     monkeypatch.setattr(stabilization, "_row_means", counting)
+    monkeypatch.setattr(stabilization, "_carried_sums", tiling)
     cfg = write_config(tmp_path, GOLDEN["stab-naive"]["config"])
     assert main(["stab", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     assert passes == [(40, 20, 9, 4)]
+    # its cursors read whole cycles from position 0, a length class per tile: the 56 cycles of 9
+    # and the 2 of 3; every horizon is a multiple of the 2 fixed points' period, so they need none
+    assert sorted(set(rows)) == [(2, 3, 0), (56, 9, 0)]
 
 
 def test_approx_metrics_on_bernoulli_is_config_error(tmp_path, capsys):

@@ -583,7 +583,6 @@ def integer_observable(M, dtype):
 @pytest.mark.parametrize("name", sorted(WIDTH_SYSTEMS))
 def test_kernels_on_a_narrow_memo_bitwise_equal_the_oracles(monkeypatch, name, dtype, chunk):
     monkeypatch.setattr(dynamics, "CHUNK_POINTS", chunk)
-    monkeypatch.setattr(stabilization, "CHUNK_POINTS", chunk)
     T = WIDTH_SYSTEMS[name]()
     M, F = T.size, integer_observable(T.size, dtype)
     assert T.along(F).dtype == dtype

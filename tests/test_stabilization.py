@@ -2,13 +2,14 @@
 
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ergodia.dynamics import FinitePermutation, Observable, ergodic_means_prefix
-from ergodia import stabilization
+from ergodia import dynamics, stabilization
 from ergodia.rng import SplitMix64
 from ergodia.stabilization import (
     common_stabilization_segment,
@@ -271,9 +272,9 @@ LARGE_SYSTEMS = {
     "drift1000": lambda: (paper_observable("ex03", 1000, K=10), build_drift_system(1000)),
     "rotation997": lambda: (paper_observable("tent", 997), build_rotation(997, 0.3).permutation),
 }
-# chunk 256: a few rows per chunk; chunks 1 and 7: one row per chunk, in tiles of 1 or 7 columns
-CASES = [(chunk, name) for chunk in (1, 7, 256, stabilization.CHUNK_POINTS) for name in KERNEL_SYSTEMS]
-CASES += [(stabilization.CHUNK_POINTS, name) for name in LARGE_SYSTEMS]
+# chunks 1 and 7: one row per chunk, in tiles of 1 or 7 columns; chunks 64 and 256: a few rows per chunk
+CASES = [(chunk, name) for chunk in (1, 7, 64, 256, dynamics.CHUNK_POINTS) for name in KERNEL_SYSTEMS]
+CASES += [(dynamics.CHUNK_POINTS, name) for name in LARGE_SYSTEMS]
 
 
 def kernel_system(name):
@@ -299,7 +300,7 @@ def bits(*values):
 
 @pytest.mark.parametrize("chunk,name", CASES)
 def test_sup_discrepancy_bitwise_equals_two_pass_oracle(monkeypatch, chunk, name):
-    monkeypatch.setattr(stabilization, "CHUNK_POINTS", chunk)
+    monkeypatch.setattr(dynamics, "CHUNK_POINTS", chunk)
     F, T = kernel_system(name)
     pairs = horizon_pairs(T)[:2] if name == "naive8" else horizon_pairs(T)
     for K, L in pairs:
@@ -320,12 +321,12 @@ def test_sup_discrepancy_bitwise_equals_two_pass_oracle(monkeypatch, chunk, name
 PAIR_LISTS = [[], [(40, 20)], [(9, 4), (40, 20)], [(40, 20), (40, 20), (20, 7)]]
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 256, stabilization.CHUNK_POINTS])
+@pytest.mark.parametrize("chunk", [1, 7, 64, 256, dynamics.CHUNK_POINTS])
 @pytest.mark.parametrize("name", ["naive2", "naive2-normal", "mixed-zeros", "drift", "rotation"])
 def test_fused_pairs_bitwise_equal_two_pass_oracle(monkeypatch, chunk, name):
     # small chunks split a length class between chunks, and the four
     # horizons of two pairs split it at other rows than one horizon would
-    monkeypatch.setattr(stabilization, "CHUNK_POINTS", chunk)
+    monkeypatch.setattr(dynamics, "CHUNK_POINTS", chunk)
     F, T = kernel_system(name)
     for pairs in PAIR_LISTS:
         reports = sup_discrepancy(F, T, pairs)
@@ -348,23 +349,52 @@ def test_fused_pairs_bitwise_equal_two_pass_oracle(monkeypatch, chunk, name):
 
 def test_fused_pairs_take_one_pass_and_check_every_pair_first(monkeypatch):
     F, T = naive_system(4)
-    calls = []
-    row_means = stabilization._row_means
+    calls, tiles = [], []
+    row_means, carried_sums = stabilization._row_means, stabilization._carried_sums
 
     def counting(F, T, horizons):
         calls.append(tuple(horizons))
         return row_means(F, T, horizons)
 
+    def tiling(along, start, *rest):
+        tiles.append(np.size(start))
+        return carried_sums(along, start, *rest)
+
     monkeypatch.setattr(stabilization, "_row_means", counting)
+    monkeypatch.setattr(stabilization, "_carried_sums", tiling)
+    for pairs in ([(40, 20)], [(400, 200)]):
+        sup_discrepancy(F, T, pairs)
+    apart = sum(tiles)
+    calls.clear()
+    tiles.clear()
     sup_discrepancy(F, T, [(40, 20), (400, 200)])
-    # one pass over every cycle serves both pairs
+    # one pass over every cycle serves both pairs: one lag cursor, and a lead per remainder
     assert calls == [(40, 20, 400, 200)]
+    assert 0 < sum(tiles) < apart
     calls.clear()
     assert sup_discrepancy(F, T, []) == []
     for bad in ([(40, 20), (5, 5)], [(3, 0)], [(40, 20), (20, 40)]):
         with pytest.raises(ValueError):
             sup_discrepancy(F, T, bad)
     assert calls == []
+
+
+@pytest.mark.parametrize("name", ["tent", "ex03"])
+def test_discrepancy_temporaries_on_one_long_cycle_stay_a_few_tiles(name):
+    # a float64 and an int8 memo; horizons below the period, and above it with a short pair fused
+    M = 10**6
+    T = build_rotation(M, 1 / np.sqrt(2)).permutation
+    F = paper_observable(name, M, **({"K": 1000} if name == "ex03" else {}))
+    assert T.orbit_index.lengths.tolist() == [M] and T.along(F).dtype == {"tent": np.float64, "ex03": np.int8}[name]
+    for pairs in ([(500_000, 250_000)], [(2_500_003, 1_000_001), (40, 7)]):
+        tracemalloc.start()
+        try:
+            reports = sup_discrepancy(F, T, pairs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(rep.diffs.nbytes for rep in reports)
+        assert peak - kept <= 4 * dynamics.CHUNK_POINTS * 2 * len(pairs) * 8, (pairs, peak - kept)
 
 
 def spike_drift(M=2000, z=1000, seed=3):
@@ -380,7 +410,8 @@ def spike_drift(M=2000, z=1000, seed=3):
 
 
 def band_rows_equal_loop(F, T, points, n_min, eps, scan_limit):
-    k_star, witness, capped = stabilization._band_ends(F, T, points, n_min, eps, scan_limit)
+    seg = stabilization_segment(F, T, points, n_min, eps, scan_limit)
+    k_star, witness, capped = seg.K_star, seg.witness, seg.capped
     per_point = [band_end_loop(F, T, int(y), n_min, eps, scan_limit) for y in points]
     assert list(zip(k_star.tolist(), capped.tolist())) == [(k, c) for k, _, c in per_point]
     assert witness.tobytes() == bits(*[w for _, w, _ in per_point])
@@ -391,9 +422,9 @@ def band_rows_equal_loop(F, T, points, n_min, eps, scan_limit):
 TILE_EDGES = [31, 32, 33, 95, 96, 97]
 
 
-@pytest.mark.parametrize("chunk", [7, 256, stabilization.CHUNK_POINTS])
+@pytest.mark.parametrize("chunk", [7, 256, dynamics.CHUNK_POINTS])
 def test_band_scan_early_stop_bitwise_equals_point_loop(monkeypatch, chunk):
-    monkeypatch.setattr(stabilization, "CHUNK_POINTS", chunk)
+    monkeypatch.setattr(dynamics, "CHUNK_POINTS", chunk)
     F, T = spike_drift()
     z = 1000
     leavers = np.array([z - K for K in TILE_EDGES + [10, 19, 150, 200, 249, 250, 251]])
@@ -421,7 +452,7 @@ def test_band_scan_early_stop_on_built_systems(name):
 
 @pytest.mark.parametrize("chunk,name", CASES)
 def test_segments_bitwise_equal_point_loop(monkeypatch, chunk, name):
-    monkeypatch.setattr(stabilization, "CHUNK_POINTS", chunk)
+    monkeypatch.setattr(dynamics, "CHUNK_POINTS", chunk)
     F, T = kernel_system(name)
     M = T.size
     sample = awkward_sample(T, len(name))
