@@ -87,8 +87,9 @@ def check_tail_monotone() -> CheckResult:
     prof = integrability_profile(F)
     mono = bool((np.diff(prof.tail_masses) <= 1e-12).all())
     k = float(prof.thresholds[1])
-    below = np.abs(F.values)[np.abs(F.values) <= k].sum() / F.size
-    decomp = abs(average(Observable.from_values(np.abs(F.values))) - (tail_mass(F, k) + below)) < 1e-9
+    a = np.abs(F.values, dtype=np.float64)
+    below = a[a <= k].sum() / F.size
+    decomp = abs(average(Observable.from_values(a)) - (tail_mass(F, k) + below)) < 1e-9
     return ("tail-monotone", mono and decomp, f"monotone={mono}, decomposition={decomp}")
 
 

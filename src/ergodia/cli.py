@@ -138,8 +138,9 @@ def _resolve_start_points(spec: dict, M: int, seed: int) -> list[int]:
 
 def _check_sums(F, n) -> None:
     """Refuse F if max|F| * max(n, 2) overflows: it bounds every partial sum up to horizon n,
-    band midpoint sum and mean difference.  An infinite n is left to the library."""
-    top = float(max(F.values.max(), -F.values.min()))
+    band midpoint sum and mean difference (the ends widened: -int8(-128) wraps).  An infinite n is
+    left to the library."""
+    top = max(float(F.values.max()), -float(F.values.min()))
     if top and n != np.inf and max(n, 2) > sys.float_info.max / top:
         raise ConfigError(f"observable {F.name}: sums over horizon {int(n)} overflow float64")
 

@@ -146,8 +146,7 @@ class PermutedOrder(OrbitIndex):
         return found[by_point[np.searchsorted(at, points, sorter=by_point)]]
 
     def gather(self, values: np.ndarray) -> np.ndarray:
-        """values[order], a chunk at a time, as int8 or int32 if that holds values exactly (_narrow)."""
-        values = _narrow(values)
+        """values[order], a chunk at a time, in values' dtype."""
         out = np.empty(self.size, dtype=values.dtype)
         for lo, hi in _spans(self.size):
             np.take(values, self.order_chunk(lo, hi), out=out[lo:hi])
@@ -184,15 +183,18 @@ def _checked(points: np.ndarray, what: str) -> np.ndarray | None:
 
 def _narrow(values: np.ndarray) -> np.ndarray:
     """values as int8, else int32, if all are integers that fit (NaN and +-inf do not) and no zero
-    is -0.0, whose sign an int would lose; else values.  One chunked pass, ended by a failing chunk."""
+    is -0.0, whose sign an int would lose; else as float64.  One chunked pass, ended by a failing
+    chunk; an int8 or int32 array that is already narrowest is returned as it is, with no copy."""
+    values = np.asarray(values, dtype=None if values.dtype.kind in "biu" else np.float64)
     lo = hi = 0.0
     for a in range(0, values.size, CHUNK_POINTS):
         chunk = values[a : a + CHUNK_POINTS]
         lo, hi = min(lo, chunk.min()), max(hi, chunk.max())
-        if not (-2.0**31 <= lo and hi < 2.0**31 and (chunk == np.rint(chunk)).all()
-                and not np.signbit(chunk[chunk == 0]).any()):
-            return values
-    return values.astype(np.int8 if -128 <= lo and hi <= 127 else np.int32)
+        integral = values.dtype.kind != "f" or ((chunk == np.rint(chunk)).all()
+                                               and not np.signbit(chunk[chunk == 0]).any())
+        if not (-2.0**31 <= lo and hi < 2.0**31 and integral):
+            return np.asarray(values, dtype=np.float64)
+    return values.astype(np.int8 if -128 <= lo and hi <= 127 else np.int32, copy=False)
 
 
 def _cyclic_run(cyc: np.ndarray, pos: int, n: int, dtype=None) -> np.ndarray:
@@ -328,7 +330,7 @@ class FinitePermutation:
     def along(self, F: Observable) -> np.ndarray:
         """F.values[order], read-only, and F.values itself if order is the identity; memoized for the last F.
 
-        A copy is int8 or int32 if that holds F exactly (_narrow); readers widen each chunk to float64."""
+        In F.values' dtype, int8 or int32 where that holds F exactly; readers widen each chunk to float64."""
         memo = self._along
         if memo is None or memo[0] is not F:
             values = self.orbit_index.gather(F.values)
@@ -418,7 +420,9 @@ class FinitePermutation:
 class Observable:
     """A real-valued function F on {0, ..., M-1}.
 
-    Stored densely as float64.  Its exact value is the rational
+    Stored densely at the narrowest exact width (_narrow): int8, else int32
+    if every value is an integer that fits, else float64.  Readers that
+    negate, take abs or scale widen first.  Its exact value is the rational
     F(y) = n(y) / denominator, where n(y) is the integer nearest
     values[y] * denominator; the default denominator 1 makes integral
     values exact.
@@ -430,20 +434,21 @@ class Observable:
     denominator: int = 1
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
+        values = np.asarray(self.values)
         if self.size < 1:
             raise ValueError(f"an observable needs size >= 1, got {self.size}")
         if values.shape != (self.size,):
             raise ValueError(f"values must have shape ({self.size},)")
         if self.denominator != int(self.denominator) or self.denominator < 1:
             raise ValueError(f"denominator must be a positive integer, got {self.denominator!r}")
+        values = _narrow(values)
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "denominator", int(self.denominator))
 
     @classmethod
     def from_values(cls, values, name: str = "observable") -> "Observable":
-        values = np.asarray(values, dtype=np.float64)
+        values = np.asarray(values)
         return cls(size=values.size, values=values, name=name)
 
     def numerators(self, vals=None) -> np.ndarray:
@@ -454,7 +459,7 @@ class Observable:
         float64 rounding a closed-form rational can carry; any other value
         raises ValueError.
         """
-        vals = self.values if vals is None else vals
+        vals = np.asarray(self.values if vals is None else vals, dtype=np.float64)
         D = self.denominator
         scaled = vals * D
         nums = np.rint(scaled)

@@ -44,15 +44,15 @@ class IntegrabilityProfile:
 
 
 def average(F: Observable) -> float:
-    """Av(F) = (1/M) * sum F(y); numpy pairwise summation."""
-    return float(np.sum(F.values) / F.size)
+    """Av(F) = (1/M) * sum F(y); numpy pairwise summation in float64."""
+    return float(np.sum(F.values, dtype=np.float64) / F.size)
 
 
 def tail_mass(F: Observable, k: float) -> float:
     """(1/M) * sum_{|F(y)| > k} |F(y)|."""
-    if k <= 0:
+    if not k > 0:  # NaN is refused too
         raise ValueError("threshold must be positive")
-    a = np.abs(F.values)
+    a = np.abs(F.values, dtype=np.float64)
     return float(np.sum(a[a > k]) / F.size)
 
 
@@ -66,20 +66,20 @@ def _doubling_grid(max_abs: float) -> np.ndarray:
 
 
 def integrability_profile(F: Observable, ks: Sequence[float] | None = None) -> IntegrabilityProfile:
-    """Full tail-mass profile from one M-sized array, a = |F|.
+    """Full tail-mass profile from one M-sized float64 array, a = |F|.
 
     av_abs and max_abs are read from a in point order; then a is sorted in
     place, and the suffix sums of its values above ks[0], largest first,
     overwrite those values.  add.accumulate is sequential, so each tail has
     the same bits as the matching entry of a full reversed cumulative sum.
     """
-    a = np.abs(F.values)
+    a = np.abs(F.values, dtype=np.float64)  # widened first: |-128| wraps in int8
     av_abs = float(np.sum(a) / F.size)
     max_abs = float(np.max(a, initial=0.0))
     ks = np.asarray(_doubling_grid(max_abs) if ks is None else ks, dtype=np.float64)
     if ks.size == 0:
         raise ValueError("threshold list is empty")
-    if not (np.diff(ks) > 0).all() or ks[0] <= 0:
+    if not (np.diff(ks) > 0).all() or not ks[0] > 0:
         raise ValueError("thresholds must be positive and strictly increasing")
     a.sort()
     pos = np.searchsorted(a, ks, side="right")

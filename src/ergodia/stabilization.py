@@ -168,7 +168,8 @@ def proof_terms(F: Observable, T: FinitePermutation, K: int, L: int) -> tuple[np
     if not 1 <= L < K:
         raise ValueError("require 1 <= L < K")
     U, V = np.empty(T.size), np.empty(T.size)
-    for (at, rows, p, cols), (absK, absL) in _row_means(Observable.from_values(np.abs(F.values)), T, (K, L)):
+    absF = Observable.from_values(np.abs(F.values, dtype=np.float64))  # widened first: |-128| wraps in int8
+    for (at, rows, p, cols), (absK, absL) in _row_means(absF, T, (K, L)):
         u, v = (a[at : at + rows * p].reshape(rows, p)[:, cols] for a in (U, V))
         np.multiply(np.multiply(absL, 1.0 / L - 1.0 / K, out=u), L, out=u)
         np.subtract(absK, np.divide(np.multiply(absL, L, out=v), K, out=v), out=v)

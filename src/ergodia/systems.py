@@ -19,7 +19,7 @@ from math import gcd
 
 import numpy as np
 
-from .dynamics import CHUNK_POINTS, FinitePermutation, Observable, PermutedOrder
+from .dynamics import CHUNK_POINTS, FinitePermutation, Observable, PermutedOrder, _narrow
 
 __all__ = [
     "RotationSystem",
@@ -360,6 +360,11 @@ def _float_param(value, key: str) -> float:
     return float(value)
 
 
+def _width(*values: float) -> np.dtype:
+    """The dtype Observable stores an array of these values in (_narrow's rule)."""
+    return _narrow(np.array(values, dtype=np.float64)).dtype
+
+
 def paper_observable(name: str, M: int, **params) -> Observable:
     """The named closed-form observable on {0, ..., M-1}.
 
@@ -367,20 +372,24 @@ def paper_observable(name: str, M: int, **params) -> Observable:
     "ex03" (alternating 0/1 blocks of length K, needs K), "linear" (y/M),
     "tent" (at x = y/M: 10x/9 on [0, 0.9), 10(1 - x) on [0.9, 1)), "chi0"
     (symbolic: 1 iff the symbol at position 0 is 1, needs N), "constant"
-    (needs value).
+    (needs value); a parameter the name does not take is a ValueError.
 
-    The values are written with numpy, in place, so the only M-sized array
-    is the values array itself; each value is the same IEEE expression as
-    the closed form evaluated at one point.  For exact values linear
-    declares Observable.denominator M and tent 9M; the others keep 1.
+    The values are written with numpy, in place and at the width Observable
+    stores them in, so the only M-sized array is the values array itself;
+    each value is the same IEEE expression as the closed form evaluated at
+    one point.  For exact values linear declares Observable.denominator M
+    and tent 9M; the others keep 1.
     """
+    extra = sorted(set(params) - {"ex03": {"K"}, "chi0": {"N", "m"}, "constant": {"value"}}.get(name, set()))
+    if extra:
+        raise ValueError(f"observable {name!r} takes no parameter {extra[0]!r}")
     if name == "ex01":
-        vals = np.empty(M)
+        vals = np.empty(M, dtype=_width(M, -M))
         vals[0::2] = M
         vals[1::2] = -M
         return Observable(M, vals, name="ex01")
     if name == "delta":
-        vals = np.zeros(M)
+        vals = np.zeros(M, dtype=_width(M))
         vals[0] = M
         return Observable(M, vals, name="delta")
     if name == "ex03":
@@ -391,8 +400,8 @@ def paper_observable(name: str, M: int, **params) -> Observable:
         # R is floor(M/K) rounded down to even; blocks at m >= R are zero,
         # and below R each pair of blocks is K ones then K zeros
         R = (M // k) // 2 * 2
-        vals = np.zeros(M)
-        vals[: R * k].reshape(-1, 2 * k)[:, :k] = 1.0
+        vals = np.zeros(M, dtype=np.int8)
+        vals[: R * k].reshape(-1, 2 * k)[:, :k] = 1
         return Observable(M, vals, name=f"ex03(K={k})")
     if name == "linear":
         vals = np.arange(M, dtype=np.float64)
@@ -419,13 +428,13 @@ def paper_observable(name: str, M: int, **params) -> Observable:
             raise ValueError(f"chi0 expects M = {m}^{L}")
         # the symbol at position 0 is digit N of the little-endian index:
         # y = (a*m + d)*m^N + b with d that digit
-        vals = np.zeros(M)
-        vals.reshape(-1, m, m**N)[:, 1, :] = 1.0
+        vals = np.zeros(M, dtype=np.int8)
+        vals.reshape(-1, m, m**N)[:, 1, :] = 1
         return Observable(M, vals, name="chi0")
     if name == "constant":
         c = params.get("value")
         if c is None or not np.isfinite(_float_param(c, "constant value")):
             raise ValueError(f"constant needs a finite value, got {c!r}")
-        return Observable(M, np.full(M, float(c)), name=f"constant({c})")
+        return Observable(M, np.full(M, float(c), dtype=_width(float(c))), name=f"constant({c})")
     raise ValueError(f"unknown observable {name!r}")
 

@@ -22,6 +22,23 @@ def permutation_from_cycles(cycles, size):
     return FinitePermutation(image)
 
 
+def float_values(F):
+    """F.values widened to float64, as the oracles read them: an int8 or int32 store would wrap |-128|
+    and |-2^31|, and sum exactly where float64 rounds."""
+    return F.values.astype(np.float64)
+
+
+def width_rule(values):
+    """The dtype an Observable stores values in, value by value: int8, else int32, for integers that
+    fit and no -0.0; else float64."""
+    if any(not np.isfinite(v) or v != int(v) or (v == 0 and np.signbit(v)) for v in values):
+        return np.float64
+    for dtype in (np.int8, np.int32):
+        if all(np.iinfo(dtype).min <= v <= np.iinfo(dtype).max for v in values):
+            return dtype
+    return np.float64
+
+
 def exact_value(F, y):
     """F(y) as a Fraction: its numerator over F.denominator."""
     return Fraction(int(F.numerators(F.values[[y]])[0]), F.denominator)
@@ -65,7 +82,7 @@ def cycle_decomposition(T):
 
 def doubling_grid(F):
     """The default thresholds of integrability_profile: 1, 2, 4, ... up to 2*max|F|."""
-    top, ks = max(2.0 * float(np.max(np.abs(F.values), initial=0.0)), 1.0), [1.0]
+    top, ks = max(2.0 * float(np.max(np.abs(float_values(F)), initial=0.0)), 1.0), [1.0]
     while ks[-1] < top:
         ks.append(ks[-1] * 2.0)
     return np.asarray(ks)
@@ -79,10 +96,10 @@ def profile_by_suffix_sums(F, ks=None):
     """
     if ks is None:
         ks = doubling_grid(F)
-    a = np.sort(np.abs(F.values))
+    a = np.sort(np.abs(float_values(F)))
     suffix = np.concatenate([np.cumsum(a[::-1])[::-1], [0.0]])
     tails = suffix[np.searchsorted(a, np.asarray(ks, dtype=np.float64), side="right")] / F.size
-    return tails, float(np.sum(np.abs(F.values)) / F.size), float(np.max(np.abs(F.values), initial=0.0))
+    return tails, float(np.sum(np.abs(float_values(F))) / F.size), float(np.max(a, initial=0.0))
 
 
 def exceedance_fraction(F, T, K, L, eps):
@@ -115,7 +132,7 @@ def small_set_mass(F, A):
         return 0.0
     if idx.min() < 0 or idx.max() >= F.size:
         raise IndexError("subset contains points outside 0..M-1")
-    return float(np.sum(np.abs(F.values[idx])) / F.size)
+    return float(np.sum(np.abs(float_values(F)[idx])) / F.size)
 
 
 def tent_function(x):
@@ -445,9 +462,9 @@ def prefer_largest_debruijn(m, n):
 
 def horizon_means_loop(F, T, n):
     """A_n at every point, one cycle at a time, each with its own gather, sum and cumsum."""
-    out = np.empty(T.size)
+    out, values = np.empty(T.size), float_values(F)
     for cyc in T.cycles:
-        vals = F.values[cyc]
+        vals = values[cyc]
         p = len(cyc)
         q, r = divmod(n, p)
         total = q * float(np.sum(vals))
@@ -465,7 +482,7 @@ def sup_discrepancy_two_pass(F, T, K, L):
     diffs = horizon_means_loop(F, T, K)
     diffs -= horizon_means_loop(F, T, L)
     np.abs(diffs, out=diffs)
-    absF = Observable.from_values(np.abs(F.values))
+    absF = Observable.from_values(np.abs(float_values(F)))
     absL = horizon_means_loop(absF, T, L)
     absK = horizon_means_loop(absF, T, K)
     order = T.orbit_index.order
@@ -474,7 +491,7 @@ def sup_discrepancy_two_pass(F, T, K, L):
 
 def prefix_means_gather(F, T, y, n):
     """A_1..A_n from y: F gathered by point along T.trajectory(y, n), then one whole cumsum."""
-    return np.cumsum(F.values[T.trajectory(y, n)]) / np.arange(1, n + 1, dtype=np.float64)
+    return np.cumsum(float_values(F)[T.trajectory(y, n)]) / np.arange(1, n + 1, dtype=np.float64)
 
 
 def band_end_loop(F, T, y, n_min, eps, scan_limit):

@@ -433,6 +433,8 @@ def test_approx_metrics_on_bernoulli_is_config_error(tmp_path, capsys):
     ("observable", {"name": "constant", "value": True}),
     ("observable", {"name": "constant", "value": "0.5"}),
     ("system", {"name": "rotation", "M": 200, "t": False}),
+    ("observable", {"name": "tent", "K": 5}),
+    ("observable", {"name": "ex03", "K": 5, "N": 3}),
 ], ids=["k-zero", "stride-zero", "drift-no-M", "rotation-no-M", "bernoulli-no-m",
         "bernoulli-no-N", "ex03-K-zero", "stride-not-int", "stride-list", "random-not-int",
         "drift-M-fraction", "rotation-M-fraction", "bernoulli-N-fraction", "bernoulli-m-fraction",
@@ -445,7 +447,8 @@ def test_approx_metrics_on_bernoulli_is_config_error(tmp_path, capsys):
         "extras-with-random", "extras-with-explicit", "k-overflows-horizon", "k-over-budget",
         "constant-nan", "constant-inf", "constant-minus-inf", "stride-above-horizon",
         "constant-sums-overflow", "explicit-bool", "stride-bool", "ex03-K-bool", "k-bool",
-        "k-numeric-string", "constant-value-bool", "constant-value-numeric-string", "rotation-t-bool"])
+        "k-numeric-string", "constant-value-bool", "constant-value-numeric-string", "rotation-t-bool",
+        "tent-K", "ex03-N"])
 def test_malformed_gamma_config_is_config_error(tmp_path, capsys, recwarn, section, spec):
     payload = small_gamma_config()
     payload[section] = spec
@@ -468,6 +471,21 @@ def test_gamma_of_a_negative_zero_constant_writes_negative_zeros(tmp_path, monke
     assert main(["gamma", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
     rows = (out / "gamma_constant(-0.0)_y7.csv").read_text().splitlines()[1:]
     assert len(rows) == 200 and {r.rsplit(",", 1)[1] for r in rows} == {"-0"}
+
+
+@pytest.mark.parametrize("value,dtype", [(-128, np.int8), (-(2**31), np.int32)])
+def test_gamma_of_the_narrowest_minimum_constant_runs(tmp_path, recwarn, value, dtype):
+    # stored as int8 or int32, whose negation of the minimum wraps; the overflow check widens first
+    from ergodia.systems import paper_observable
+
+    assert paper_observable("constant", 200, value=value).values.dtype == dtype
+    payload = small_gamma_config()
+    payload["observable"] = {"name": "constant", "value": value}
+    out = tmp_path / "o"
+    assert main(["gamma", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
+    rows = (out / f"gamma_constant({value})_y7.csv").read_text().splitlines()[1:]
+    assert len(rows) == 200 and {r.rsplit(",", 1)[1] for r in rows} == {str(value)}
+    assert not [w for w in recwarn if "overflow" in str(w.message)]
 
 
 def test_integral_floats_pass_as_integers(tmp_path):

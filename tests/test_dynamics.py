@@ -143,6 +143,13 @@ def test_observable_values_read_only():
         F.values[0] = 9.0
 
 
+def test_narrow_numerators_are_widened_before_scaling():
+    # int8 values times a denominator: in int8, 100 * 3 and -128 * 3 would wrap
+    F = Observable(3, np.array([100, -128, 5], dtype=np.int8), denominator=3)
+    assert F.values.dtype == np.int8
+    assert F.numerators().tolist() == [300, -384, 15]
+
+
 # -- ergodic means ---------------------------------------------------------
 
 

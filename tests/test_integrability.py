@@ -42,6 +42,16 @@ def test_tail_mass_rejects_nonpositive_threshold():
         tail_mass(F, 0.0)
 
 
+def test_nan_thresholds_are_refused():
+    # NaN > 0 is False, so a NaN threshold is no positive one: tail_mass would count no value above it
+    F = Observable.from_values([1.0, -3.0])
+    with pytest.raises(ValueError, match="positive"):
+        tail_mass(F, float("nan"))
+    for ks in ([float("nan")], [float("nan"), 1.0], [1.0, float("nan")]):
+        with pytest.raises(ValueError, match="positive"):
+            integrability_profile(F, ks)
+
+
 def test_small_set_mass():
     F = Observable.from_values([1.0, -2.0, 3.0, -4.0])
     assert small_set_mass(F, [1, 3]) == pytest.approx(6.0 / 4.0)
@@ -201,4 +211,4 @@ def test_profile_holds_one_values_sized_array():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.05 * F.values.nbytes + 64 * 1024, (ks is None, peak)
+        assert peak <= 1.05 * 8 * F.size + 64 * 1024, (ks is None, peak)

@@ -6,6 +6,7 @@ built from the bare image array finds them with the generic cycle walk.  Both mu
 same answer on a system and on a relabelled copy of it.
 """
 
+import copy
 import dataclasses
 import json
 import sys
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 from ergodia import cli, dynamics, stabilization, systems
 from ergodia.dynamics import (FinitePermutation, Observable, OrbitIndex, ergodic_means_prefix, gamma_series,
                               orbit_average)
-from ergodia.integrability import integrability_profile
+from ergodia.integrability import average, integrability_profile, tail_mass
 from ergodia.stabilization import (common_stabilization_segment, proof_terms, stabilization_segment,
                                    sup_discrepancy)
 from ergodia.systems import (
@@ -34,7 +35,7 @@ from ergodia.systems import (
     paper_observable,
 )
 from oracles import (band_end_loop, debruijn_lyndon, index_field, inverse_order, permutation_from_cycles,
-                     prefix_means_gather, sup_discrepancy_two_pass)
+                     prefix_means_gather, sup_discrepancy_two_pass, width_rule)
 
 
 def drift(M):
@@ -527,16 +528,6 @@ EDGE_VALUES = [0.0, 1.0, 127.0, 128.0, -128.0, -129.0, 2.0**31 - 1, 2.0**31, -(2
                -0.0, np.nan, np.inf, -np.inf, 0.5]
 
 
-def width_rule(values):
-    """The memo's dtype, value by value: int8, else int32, for integers that fit and no -0.0."""
-    if any(not np.isfinite(v) or v != int(v) or (v == 0 and np.signbit(v)) for v in values):
-        return np.float64
-    for dtype in (np.int8, np.int32):
-        if all(np.iinfo(dtype).min <= v <= np.iinfo(dtype).max for v in values):
-            return dtype
-    return np.float64
-
-
 @given(st.lists(st.one_of(st.sampled_from(EDGE_VALUES), st.integers(-3, 3).map(float)),
                 min_size=1, max_size=60),
        st.sampled_from(["shuffled", "shift", "identity"]), st.integers(0, 2**32 - 1),
@@ -547,16 +538,18 @@ def test_the_memo_takes_the_narrowest_exact_width(values, kind, seed, chunk):
     T = {"shuffled": lambda: FinitePermutation(np.random.default_rng(seed).permutation(M)),
          "shift": lambda: FinitePermutation.shift(M),
          "identity": lambda: FinitePermutation.identity(M)}[kind]()
-    F = Observable.from_values(values)
     with mock.patch.object(dynamics, "CHUNK_POINTS", chunk):
+        F = Observable.from_values(values)
         along = T.along(F)
-    index = T.orbit_index
-    if type(index) is OrbitIndex:  # an identity order: no test and no copy
+    index, want = T.orbit_index, np.asarray(values, dtype=np.float64)
+    # F is stored narrow from construction on; bitwise, so a NaN, an inf and the sign of every zero are kept
+    assert F.values.dtype == width_rule(values) and not F.values.flags.writeable
+    assert F.values.astype(np.float64).tobytes() == want.tobytes()
+    if type(index) is OrbitIndex:  # an identity order: no copy
         assert along is F.values
     else:
         assert along.dtype == width_rule(values)
-        # bitwise, so a NaN, an inf and the sign of every zero are kept
-        assert along.astype(np.float64).tobytes() == F.values[index.order].tobytes()
+        assert along.astype(np.float64).tobytes() == want[index.order].tobytes()
         assert not along.flags.writeable
     assert T.along(F) is along
 
@@ -606,7 +599,7 @@ def test_kernels_on_a_narrow_memo_bitwise_equal_the_oracles(monkeypatch, name, d
 
 
 def test_the_first_narrow_memo_costs_two_bytes_per_point():
-    # the int8 cast of F and its gather; a float64 temporary would be 8 bytes per point
+    # F is int8 from construction on, so the gather is the one copy; a float64 temporary would be 8 bytes per point
     T = build_bernoulli(2, 10, "debruijn").permutation
     F = paper_observable("chi0", T.size, N=10)
     tracemalloc.start()
@@ -617,6 +610,67 @@ def test_the_first_narrow_memo_costs_two_bytes_per_point():
         tracemalloc.stop()
     assert along.dtype == np.int8
     assert peak <= 2 * T.size + (1 << 20), peak
+
+
+def forced_float64(F):
+    """F with its values stored as float64, as Observable stored every observable before it narrowed
+    them: a copy of F (the along memo is keyed by identity) with __post_init__ bypassed."""
+    G = copy.copy(F)
+    object.__setattr__(G, "values", F.values.astype(np.float64))
+    G.values.setflags(write=False)
+    return G
+
+
+def kernel_outputs(F, T):
+    """The bytes of every kernel's result on (F, T), scalars included, for a bitwise comparison."""
+    M, points = T.size, np.array([0, 5, 33, T.size - 1])
+    out = []
+    for y in points.tolist():
+        out.append(gamma_series(F, T, y, 2.3)[0])
+        out.append(ergodic_means_prefix(F, T, y, M + 7).means)
+        exact = ergodic_means_prefix(F, T, y, 40, exact=True)
+        out += [exact.means, np.array([(f.numerator, f.denominator) for f in exact.exact_means], dtype=object)]
+    top = float(np.max(np.abs(F.values, dtype=np.float64)))
+    for n_min, eps, scan_limit in ((1, 1e-9, 50), (3, 0.3 * top, M + 9)):
+        seg = stabilization_segment(F, T, points, n_min, eps, scan_limit)
+        out += [seg.K_star, seg.witness, seg.capped]
+    out += [rep.diffs for rep in sup_discrepancy(F, T, [(7, 1), (40, 17), (M + 5, M // 3)])]
+    out += list(proof_terms(F, T, 40, 17))
+    profile = integrability_profile(F)
+    out += [profile.thresholds, profile.tail_masses, np.array([profile.av_abs, profile.max_abs])]
+    out.append(np.array([tail_mass(F, k) for k in (0.5, 1.0, 127.0, 128.0, 2.0**31)] + [average(F)]))
+    return [a.tobytes() if a.dtype != object else a.tolist() for a in out]
+
+
+def width_observables(M):
+    """Integer observables on M points, with their stored dtype: the int8 and int32 ranges with both
+    ends (-128 and -2^31 among them, whose abs wraps at that width), and the paper's."""
+    rng = np.random.default_rng(M)
+    int8 = rng.integers(-128, 127, M, endpoint=True)
+    int8[:2] = -128, 127
+    int32 = rng.integers(-(2**31), 2**31 - 1, M, endpoint=True)
+    int32[:3] = -(2**31), 2**31 - 1, -128
+    yield Observable.from_values(int8), np.int8
+    yield Observable.from_values(int32), np.int32
+    yield paper_observable("ex01", M), np.int32 if M > 127 else np.int8
+    yield paper_observable("delta", M), np.int32 if M > 127 else np.int8
+    yield paper_observable("ex03", M, K=5), np.int8
+    if M == 2**7:
+        yield paper_observable("chi0", M, N=3), np.int8
+    yield paper_observable("constant", M, value=-128.0), np.int8
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+@pytest.mark.parametrize("name", sorted(WIDTH_SYSTEMS) + ["drift"])
+def test_narrow_observables_give_the_float64_results_bitwise(monkeypatch, name, chunk):
+    # metamorphic: the same observable stored narrow and forced to float64 gives the same bytes from
+    # every kernel, as each tile is widened to float64 and integer sums below 2^53 are exact
+    monkeypatch.setattr(dynamics, "CHUNK_POINTS", chunk)
+    T = build_drift_system(150) if name == "drift" else WIDTH_SYSTEMS[name]()
+    for F, dtype in width_observables(T.size):
+        G = forced_float64(F)
+        assert F.values.dtype == dtype and G.values.dtype == np.float64, F.name
+        assert kernel_outputs(F, T) == kernel_outputs(G, T), F.name
 
 
 # -- generated orders: rotation, de Bruijn and naive store no order array -----

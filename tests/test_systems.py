@@ -1,6 +1,7 @@
 """Model systems: drift, rotations, de Bruijn shifts, and observables."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from oracles import (
     rotation_order_two_mod,
     tent_function,
     three_point_average,
+    width_rule,
     window_indices_roll,
     word,
     word_index,
@@ -354,6 +356,40 @@ def test_observable_validation():
         paper_observable("chi0", 1, N=1, m=1)
 
 
+# a parameter each name does not take, beside the ones it takes
+TAKES = {"ex01": {}, "delta": {}, "linear": {}, "tent": {}, "ex03": {"K": 5},
+         "chi0": {"N": 1, "m": 2}, "constant": {"value": 2.5}}
+
+
+@pytest.mark.parametrize("name", sorted(TAKES))
+@pytest.mark.parametrize("extra", ["K", "N", "m", "value"])
+def test_paper_observable_refuses_parameters_it_does_not_take(name, extra):
+    M = 8 if name == "chi0" else 100
+    params = TAKES[name]
+    paper_observable(name, M, **params)  # the parameters it takes pass
+    if extra in params:
+        return
+    with pytest.raises(ValueError, match=f"takes no parameter '{extra}'"):
+        paper_observable(name, M, **params, **{extra: 3})
+
+
+@pytest.mark.parametrize("name,params,dtype", [
+    ("ex03", {"K": 1000}, np.int8), ("chi0", {"N": 10}, np.int8), ("constant", {"value": 3}, np.int8),
+    ("ex01", {}, np.int32), ("delta", {}, np.int32),
+])
+def test_integer_observables_are_built_at_their_width(name, params, dtype):
+    # written in place at the stored width: no float64 array of M values, 8 bytes per point, is
+    # ever built, so ex03 and chi0 take about 1.1 bytes per point at most
+    M = 2**21
+    tracemalloc.start()
+    try:
+        F = paper_observable(name, M, **params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert F.values.dtype == dtype and peak <= 1.1 * np.dtype(dtype).itemsize * M, peak
+
+
 def point_rule(name, M, **params):
     """The closed form of each paper observable, one Python call per point.
 
@@ -402,8 +438,8 @@ def test_paper_observable_bitwise_equals_point_rule(name, M, params):
     F = paper_observable(name, M, **params)
     rule = point_rule(name, M, **params)
     expect = np.fromiter((rule(y) for y in range(M)), dtype=np.float64, count=M)
-    assert F.values.dtype == np.float64 and F.values.shape == (M,)
-    assert F.values.tobytes() == expect.tobytes()
+    assert F.values.dtype == width_rule(expect) and F.values.shape == (M,)
+    assert F.values.astype(np.float64).tobytes() == expect.tobytes()
 
 
 def test_tent_branches_meet_at_the_split():
