@@ -157,11 +157,12 @@ def _seed(config: dict, args) -> int:
 WRITE_CHUNK_ROWS = 8192
 
 
-def _templates(line: str, *cols: np.ndarray) -> list[str]:
-    """line per row of the columns cols, a string per WRITE_CHUNK_ROWS rows; a "%%.12g" in line
-    comes out as the "%.12g" field of the column that varies, since the filled-in digits hold no
-    '%'.  Each column keeps its dtype, so an int column fills a "%d" with no int() per row."""
-    templates = []
+def _templates(line: str, *cols: np.ndarray) -> list[bytes]:
+    """line per row of the columns cols, encoded, one bytes per WRITE_CHUNK_ROWS rows; a "%%.12g" in
+    line comes out as the "%.12g" field of the column that varies, since the filled-in digits hold
+    no '%'.  Each column keeps its dtype, so an int column fills a "%d" with no int() per row; bytes %
+    formats "%d" and "%.12g" by the routine str % calls, so the digits are the same."""
+    templates, line = [], line.encode()
     for first in range(0, len(cols[0]), WRITE_CHUNK_ROWS):
         values = [None] * (len(cols) * min(WRITE_CHUNK_ROWS, len(cols[0]) - first))
         for j, col in enumerate(cols):
@@ -170,12 +171,12 @@ def _templates(line: str, *cols: np.ndarray) -> list[str]:
     return templates
 
 
-def _write_csv(path: Path, header: list[str], rows: tuple[list[str], np.ndarray]) -> None:
+def _write_csv(path: Path, header: list[str], rows: tuple[list[bytes], np.ndarray]) -> None:
     """rows: (the _templates of the shared columns, the column that varies).  Bytes as _fmt
     writes each value; "%.12g" and format(x, ".12g") share one float-to-string routine."""
     templates, column = rows
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
         for t, first in zip(templates, range(0, len(column), WRITE_CHUNK_ROWS), strict=True):
             fh.write(t % tuple(column[first : first + WRITE_CHUNK_ROWS].tolist()))
 
@@ -183,10 +184,10 @@ def _write_csv(path: Path, header: list[str], rows: tuple[list[str], np.ndarray]
 def _write_json(path: Path, obj) -> None:
     # a NaN or infinity, which JSON has no token for, is a ValueError before the file opens
     text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
-    path.write_text(text + "\n", encoding="utf-8")
+    path.write_text(text + "\n", encoding="utf-8", newline="\n")
 
 
-def _circles(xs: np.ndarray, k: float) -> list[str]:
+def _circles(xs: np.ndarray, k: float) -> list[bytes]:
     """_write_svg's <circle> templates for abscissae n/M on [0, k]: cx = pad + (x/k) * (width - 2*pad)."""
     return _templates('<circle cx="%.12g" cy="%%.12g" r="1.2" fill="navy"/>\n', 50 + (xs / k) * 540)
 
@@ -215,13 +216,13 @@ def _write_svg(path: Path, rows: tuple, k: float, title: str, timestamp: bool) -
     parts.append(f'<text x="{width - pad}" y="{height - pad + 20}" font-size="11">{_fmt(k)}</text>')
     parts.append(f'<text x="4" y="{height - pad}" font-size="11">{_fmt(ylo)}</text>')
     parts.append(f'<text x="4" y="{pad}" font-size="11">{_fmt(yhi)}</text>')
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(parts) + "\n").encode())
         for t, first in zip(circles, range(0, len(ys), WRITE_CHUNK_ROWS), strict=True):
             # the plot transform, elementwise in the same IEEE operations per point
             cy = (height - pad) - ((ys[first : first + WRITE_CHUNK_ROWS] - ylo) / span) * (height - 2 * pad)
             fh.write(t % tuple(cy.tolist()))
-        fh.write("</svg>\n")
+        fh.write(b"</svg>\n")
 
 
 # -- subcommands -----------------------------------------------------------

@@ -499,10 +499,23 @@ class MeanSeries:
 def _prefix_sums(F: Observable, T: FinitePermutation, y: int, n_total: int, stride: int,
                  out: np.ndarray | None = None) -> np.ndarray:
     """Sums of the first n values of F along the T-orbit of y, for n = stride, 2*stride, ..., n_total,
-    written to out (default: a new array): y's run in T.along(F) as one _carried_sums row,
-    CHUNK_POINTS columns at a time, so memory is one tile plus the sums kept."""
+    written to out (default: a new array).  An integer memo whose partial sums stay within 2^53 (int8
+    always, int32 while n_total <= 2^22) is summed in int64, where every sum is exact and so the float
+    a float64 cumsum gives: y's run is read at the memo's width, the whole blocks of stride slots that
+    fit in CHUNK_POINTS at a time, each block summed, and the block sums cumsummed, the first carrying
+    the total before.  Any other memo, or a stride above CHUNK_POINTS, is y's run as one _carried_sums
+    row, CHUNK_POINTS columns at a time.  Memory is one chunk plus the sums kept."""
     (start, p, pos), along = T._run(y), T.along(F)
     kept, sums = np.empty(n_total // stride) if out is None else out, None
+    if along.dtype.kind == "i" and n_total << 8 * along.itemsize - 1 <= 1 << 53 and stride <= CHUNK_POINTS:
+        end, block, carry = kept.size * stride, stride * (CHUNK_POINTS // stride), 0
+        for lo in range(0, end, block):
+            run = _cyclic_run(along[start : start + p], (pos + lo) % p, min(block, end - lo))
+            sums = run.reshape(-1, stride).sum(axis=1, dtype=np.int64)
+            sums[0] += carry
+            kept[lo // stride : lo // stride + sums.size] = np.cumsum(sums, out=sums)
+            carry = int(sums[-1])
+        return kept
     for lo, hi in _spans(n_total):
         sums = _carried_sums(along, start, p, pos, lo, hi - lo, sums[-1] if lo else None)[0]
         # sums[i] is the sum of n = lo + i + 1 values; keep the n that stride divides
@@ -514,8 +527,8 @@ def ergodic_means_prefix(F: Observable, T: FinitePermutation, y: int, n_max: int
                          exact: bool = False) -> MeanSeries:
     """A_1..A_{n_max} along the T-orbit of y, in a single O(n_max) pass.
 
-    Double mode divides gamma_series's chunked float64 prefix sums (stride
-    1) by n.  Exact mode reads y's cycle in T.along(F) as double mode does,
+    Double mode divides gamma_series's chunked prefix sums (stride 1) by
+    n.  Exact mode reads y's cycle in T.along(F) as double mode does,
     and sums the integer numerators of its values, from y on, as Python
     ints, so A_n is the Fraction (sum of numerators) / (denominator * n)
     with no overflow.  Its floats are that int division, correctly rounded

@@ -168,7 +168,10 @@ def proof_terms(F: Observable, T: FinitePermutation, K: int, L: int) -> tuple[np
     if not 1 <= L < K:
         raise ValueError("require 1 <= L < K")
     U, V = np.empty(T.size), np.empty(T.size)
-    absF = Observable.from_values(np.abs(F.values, dtype=np.float64))  # widened first: |-128| wraps in int8
+    # widened first (|-128| wraps in int8, |-2^31| in int32) but kept integer, so _narrow stores the
+    # dtype a float64 |F| would get with no float pass
+    wide = {np.int8: np.int16, np.int32: np.int64}.get(F.values.dtype.type, np.float64)
+    absF = Observable.from_values(np.abs(F.values, dtype=wide))
     for (at, rows, p, cols), (absK, absL) in _row_means(absF, T, (K, L)):
         u, v = (a[at : at + rows * p].reshape(rows, p)[:, cols] for a in (U, V))
         np.multiply(np.multiply(absL, 1.0 / L - 1.0 / K, out=u), L, out=u)

@@ -1,5 +1,8 @@
 """Core dynamics: permutations, orbits, prefix means, Gamma series."""
 
+import copy
+import tracemalloc
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -319,6 +322,98 @@ def test_gamma_series_in_chunks_is_bitwise_the_prefix_means(monkeypatch, chunk, 
             ns = np.arange(stride, n_total + 1, stride)
             assert pts[:, 0].tolist() == ns.tolist()
             assert pts[:, 2].tobytes() == means[ns - 1].tobytes()
+
+
+# ---- the int64 block sums of an integer memo ------------------------------
+
+BLOCK_SYSTEMS = {
+    "drift-1000": lambda: build_drift_system(1000),  # one cycle, wrapped 2.5 times
+    "random-997": lambda: random_permutation(997, 5),  # cycles of 540, 372, 56, ..., 2 and 1 points
+    "naive-2^9": lambda: build_bernoulli(2, 4, "naive").permutation,  # 60 cycles of at most 9 points
+}
+
+
+def extreme_integers(M, dtype, seed):
+    """M integers of dtype with both ends of its range, which Observable stores as that dtype."""
+    info, rng = np.iinfo(dtype), np.random.default_rng(seed)
+    values = rng.integers(info.min, info.max, M, endpoint=True)
+    values[rng.integers(0, M, M // 2)] = rng.choice([info.min, info.max], M // 2)
+    values[:2] = info.min, info.max
+    return Observable.from_values(values)
+
+
+def stored_as_float64(F):
+    """F with its values held as float64, the dtype _narrow never keeps for integers, so every
+    kernel takes its float path."""
+    G = copy.copy(F)
+    object.__setattr__(G, "values", F.values.astype(np.float64))
+    return G
+
+
+def failing_carried_sums(*args, **kwargs):
+    raise AssertionError("the float path ran")
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, dynamics.CHUNK_POINTS])
+@pytest.mark.parametrize("dtype", [np.int8, np.int32])
+@pytest.mark.parametrize("name", sorted(BLOCK_SYSTEMS))
+def test_block_sums_of_an_integer_memo_are_bitwise_the_float_sums(monkeypatch, chunk, dtype, name):
+    # strides that do not divide n_total = 2.5 * M, start points in the middle of a cycle and at
+    # its end, and runs that wrap: the int64 block sums with their carry are the floats of one
+    # whole float64 cumsum; a stride above CHUNK_POINTS takes the float path
+    monkeypatch.setattr(dynamics, "CHUNK_POINTS", chunk)
+    T = BLOCK_SYSTEMS[name]()
+    F, index = extreme_integers(T.size, dtype, chunk), T.orbit_index
+    G, n_total = stored_as_float64(F), int(2.5 * T.size)
+    assert F.values.dtype == dtype and G.values.dtype == np.float64
+    ends = index.starts + index.lengths - 1
+    middles = index.starts + index.lengths // 2
+    starts = {int(index.order[s]) for s in (middles[0], middles[-1], ends[0], ends[len(ends) // 2])}
+    for y in starts:
+        means = prefix_means_gather(F, T, y, n_total)
+        for stride in (1, 3, 40, 65):
+            ns = np.arange(stride, n_total + 1, stride)
+            floats = dynamics._prefix_sums(G, T, y, n_total, stride)
+            with monkeypatch.context() as m:
+                if stride <= chunk:
+                    m.setattr(dynamics, "_carried_sums", failing_carried_sums)
+                sums = dynamics._prefix_sums(F, T, y, n_total, stride)
+                pts, _ = gamma_series(F, T, y, 2.5, stride)
+            assert sums.tobytes() == floats.tobytes()
+            assert pts[:, 2].tobytes() == means[ns - 1].tobytes()
+        assert ergodic_means_prefix(F, T, y, n_total).means.tobytes() == means.tobytes()
+
+
+def test_int32_sums_that_float64_rounds_take_the_float_path(monkeypatch):
+    # past 2^22 values of 2^31 - 1 the float64 cumsum rounds, where int64 sums would not: the
+    # block sums are refused, and the means are the float oracle's
+    T, F = build_drift_system(1000), paper_observable("constant", 1000, value=2**31 - 1)
+    k, stride = 4195.5, 1000  # n_total = 4,195,500, just above 2^22 = 4,194,304
+    n_total = int(k * T.size)
+    assert F.values.dtype == np.int32 and n_total > 2**22
+    pts, _ = gamma_series(F, T, 123, k, stride)
+    means = prefix_means_gather(F, T, 123, n_total)[stride - 1 :: stride]
+    assert pts[:, 2].tobytes() == means.tobytes()
+    assert (means != 2**31 - 1).any()  # the exact means are all 2^31 - 1
+    monkeypatch.setattr(dynamics, "_carried_sums", failing_carried_sums)
+    with pytest.raises(AssertionError, match="the float path ran"):
+        gamma_series(F, T, 123, k, stride)
+    gamma_series(F, T, 123, 2**22 / T.size, stride)  # at 2^22 values the int64 sums are the floats
+
+
+@pytest.mark.parametrize("stride", [40, dynamics.CHUNK_POINTS, dynamics.CHUNK_POINTS + 1, 4_000_000])
+def test_block_sums_hold_at_most_a_chunk_at_any_stride(stride):
+    # beyond the output, the temporaries stay under three float64 chunks whatever the stride: a
+    # block longer than a chunk is left to the float path, which reads it a tile at a time
+    T, F = build_drift_system(1_000_000), paper_observable("ex03", 1_000_000, K=1000)
+    T.locate([12345])
+    tracemalloc.start()
+    try:
+        pts, _ = gamma_series(F, T, 12345, 4.0, stride)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - pts.nbytes < 3 * dynamics.CHUNK_POINTS * 8, peak - pts.nbytes
 
 
 def column_stacked_gamma(F, T, y, k, stride):

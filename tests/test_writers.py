@@ -75,6 +75,16 @@ def gamma_points(count: int, M: int, seed: int) -> np.ndarray:
     return np.column_stack([ns.astype(np.float64), ns / M, means])
 
 
+@pytest.mark.parametrize("chunk", [1, 7, cli.WRITE_CHUNK_ROWS])
+def test_templates_are_bytes(monkeypatch, chunk):
+    # bytes %, not str %, fills the varying column in; the files are written in binary mode
+    monkeypatch.setattr(cli, "WRITE_CHUNK_ROWS", chunk)
+    points = gamma_points(100, 7919, 2)
+    for templates in (csv_rows(points)[0], svg_rows(points, 1.0)[0]):
+        assert len(templates) == -(-100 // chunk)
+        assert all(type(t) is bytes for t in templates)
+
+
 @pytest.mark.parametrize("count", [1, 3, 8192, 20_000])
 def test_csv_bytes_equal_the_per_row_writer(tmp_path, count):
     points = gamma_points(count, 7919, count)
