@@ -46,7 +46,6 @@ from .systems import (
     build_bernoulli,
     build_drift_system,
     build_rotation,
-    debruijn_sequence,
     debruijn_window_permutation,
     paper_observable,
 )

@@ -56,14 +56,17 @@ def check_mean_recurrence(seed: int = 1) -> CheckResult:
 
 
 def check_exact_identities() -> CheckResult:
-    """Exact rational-mode identities at M = 1e4: A_M = Av(F) on a cycle."""
+    """The exact identity A_M = Av(F) on a cycle, as Fractions, at M = 1e4.
+
+    linear's values are y/M, so M * F(y), rounded, is the integer y.  A_M sums those integers over
+    the first M points of the orbit of y = 3, read from T.along(F), and Av(F) over every point.
+    """
     M = 10_000
-    T = build_drift_system(M)
-    F = paper_observable("linear", M)
-    series = ergodic_means_prefix(F, T, 3, M, exact=True)
-    av = Fraction(int(F.numerators().sum()), F.denominator * M)
-    ok = series.exact_means[-1] == av
-    return ("exact-transitive-average", ok, f"A_M={series.exact_means[-1]}, Av={av}")
+    T, F = build_drift_system(M), paper_observable("linear", M)
+    start, p, pos = T._run(3)
+    orbit = np.resize(np.roll(T.along(F)[start : start + p], -pos), M)
+    a_M, av = (Fraction(int(np.rint(v * M).astype(np.int64).sum()), M * M) for v in (orbit, F.values))
+    return ("exact-transitive-average", a_M == av, f"A_M={a_M}, Av={av}")
 
 
 def check_orbit_average() -> CheckResult:

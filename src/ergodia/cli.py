@@ -279,6 +279,11 @@ def cmd_stab(config: dict, args) -> int:
                     "n_min": n_min, "scan_limit": scan_limit, "seed": seed}
     limit = _int_param(spec.get("per_point_limit", 16), "per_point_limit", 0)
     pairs = [[_int_param(h, "pair horizon", 1) for h in pair] for pair in spec.get("pairs", [])]
+    # every exceedance epsilon is converted and checked before the scan, with or without pairs
+    epsilons = spec.get("exceedance_epsilons", [eps])
+    checked = [_float_param(e, "exceedance epsilon") for e in epsilons]
+    if not all(e > 0 for e in checked):  # NaN is refused too
+        raise ValueError("epsilon must be positive")
     _check_sums(F, max([scan_limit] + [K for K, _ in pairs]))
     # one scan over every start point; the report lists the first `limit` of them
     seg = stabilization_segment(F, T, starts, n_min, eps, scan_limit)
@@ -293,10 +298,9 @@ def cmd_stab(config: dict, args) -> int:
         "excluded_fraction": common.excluded_fraction, "sample_size": len(starts),
     }
 
-    epsilons = spec.get("exceedance_epsilons", [eps])
     report["discrepancies"] = [  # one pass serves every pair
         {"K": rep.K, "L": rep.L, "sup_disc": rep.sup_disc,
-         **{f"exceedance@{e}": rep.exceedance(_float_param(e, "exceedance epsilon")) for e in epsilons}}
+         **{f"exceedance@{e}": rep.exceedance(c) for e, c in zip(epsilons, checked)}}
         for rep in sup_discrepancy(F, T, pairs)]
 
     out = Path(args.out)

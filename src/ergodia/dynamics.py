@@ -18,8 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -64,8 +63,8 @@ class OrbitIndex:
 
     The kernels read the order a chunk at a time, order_chunk(lo, hi) ==
     order[lo:hi], and find points with slots; order, the whole array, is a
-    read-only memo built on first read (by image, cycles, cycle_of,
-    trajectory and make_transitive only).  This class is the identity order
+    read-only memo built on first read (by image, cycles and
+    make_transitive only).  This class is the identity order
     (the drift's and the identity's): its chunks are aranges, slots(points)
     is points and gather(values) is values.  PermutedOrder reads any other
     order; StoredOrder holds it as an array, and systems.py generates the
@@ -403,17 +402,8 @@ class FinitePermutation:
         run = (self._located or {}).get(y)
         return run if run is not None else self._runs([y])[0]
 
-    def cycle_of(self, y: int) -> tuple[np.ndarray, int]:
-        """The cycle through y (a slice of the orbit order) and y's position in it."""
-        start, p, pos = self._run(y)
-        return self.orbit_index.order[start : start + p], pos
-
     def period(self, y: int) -> int:
         return self._run(y)[1]
-
-    def trajectory(self, y: int, n: int) -> np.ndarray:
-        """[y, T(y), ..., T^{n-1}(y)] in O(M + n), copied out of y's cycle in the orbit index."""
-        return _cyclic_run(*self.cycle_of(y), n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -422,16 +412,12 @@ class Observable:
 
     Stored densely at the narrowest exact width (_narrow): int8, else int32
     if every value is an integer that fits, else float64.  Readers that
-    negate, take abs or scale widen first.  Its exact value is the rational
-    F(y) = n(y) / denominator, where n(y) is the integer nearest
-    values[y] * denominator; the default denominator 1 makes integral
-    values exact.
+    negate, take abs or scale widen first.
     """
 
     size: int
     values: np.ndarray
     name: str = "observable"
-    denominator: int = 1
 
     def __post_init__(self):
         values = np.asarray(self.values)
@@ -439,37 +425,14 @@ class Observable:
             raise ValueError(f"an observable needs size >= 1, got {self.size}")
         if values.shape != (self.size,):
             raise ValueError(f"values must have shape ({self.size},)")
-        if self.denominator != int(self.denominator) or self.denominator < 1:
-            raise ValueError(f"denominator must be a positive integer, got {self.denominator!r}")
         values = _narrow(values)
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "denominator", int(self.denominator))
 
     @classmethod
     def from_values(cls, values, name: str = "observable") -> "Observable":
         values = np.asarray(values)
         return cls(size=values.size, values=values, name=name)
-
-    def numerators(self, vals=None) -> np.ndarray:
-        """The numerators n(y), as int64, of values taken from F (default: all of values).
-
-        A value is accepted only when values[y] * denominator lies within
-        64 * 2**-52 * denominator * max(1, |values[y]|) of an integer, the
-        float64 rounding a closed-form rational can carry; any other value
-        raises ValueError.
-        """
-        vals = np.asarray(self.values if vals is None else vals, dtype=np.float64)
-        D = self.denominator
-        scaled = vals * D
-        nums = np.rint(scaled)
-        tol = np.maximum(1.0, np.abs(vals))
-        tol *= 64 * 2.0**-52 * D
-        bad = ~((np.abs(scaled - nums) <= tol) & (np.abs(nums) < 2.0**63))
-        if bad.any():
-            v = float(vals[np.argmax(bad)])
-            raise ValueError(f"observable {self.name!r}: value {v} is not a multiple of 1/{D}")
-        return nums.astype(np.int64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -481,7 +444,6 @@ class MeanSeries:
     """
 
     means: np.ndarray
-    exact_means: tuple[Fraction, ...] | None = None
 
     def __post_init__(self):
         means = np.asarray(self.means, dtype=np.float64)
@@ -523,27 +485,12 @@ def _prefix_sums(F: Observable, T: FinitePermutation, y: int, n_total: int, stri
     return kept
 
 
-def ergodic_means_prefix(F: Observable, T: FinitePermutation, y: int, n_max: int, *,
-                         exact: bool = False) -> MeanSeries:
-    """A_1..A_{n_max} along the T-orbit of y, in a single O(n_max) pass.
-
-    Double mode divides gamma_series's chunked prefix sums (stride 1) by
-    n.  Exact mode reads y's cycle in T.along(F) as double mode does,
-    and sums the integer numerators of its values, from y on, as Python
-    ints, so A_n is the Fraction (sum of numerators) / (denominator * n)
-    with no overflow.  Its floats are that int division, correctly rounded
-    as float(Fraction) is.
-    """
+def ergodic_means_prefix(F: Observable, T: FinitePermutation, y: int, n_max: int) -> MeanSeries:
+    """A_1..A_{n_max} along the T-orbit of y, in a single O(n_max) pass: gamma_series's chunked
+    prefix sums (stride 1), each divided by its n in float64."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if not exact:
-        return MeanSeries(means=_prefix_sums(F, T, y, n_max, 1) / np.arange(1, n_max + 1, dtype=np.float64))
-    D = F.denominator
-    start, p, pos = T._run(y)
-    nums = F.numerators(_cyclic_run(T.along(F)[start : start + p], pos, min(n_max, p), np.float64))
-    sums = list(accumulate(_cyclic_run(nums, 0, n_max).tolist()))
-    return MeanSeries(means=np.asarray([s / (D * n) for n, s in enumerate(sums, start=1)]),
-                      exact_means=tuple(Fraction(s, D * n) for n, s in enumerate(sums, start=1)))
+    return MeanSeries(means=_prefix_sums(F, T, y, n_max, 1) / np.arange(1, n_max + 1, dtype=np.float64))
 
 
 def orbit_average(F: Observable, T: FinitePermutation, y: int) -> float:

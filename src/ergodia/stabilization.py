@@ -75,8 +75,6 @@ class StabilizationSegment:
     K_star: np.ndarray
     witness: np.ndarray
     capped: np.ndarray
-    n_min: int
-    eps: float
     scan_limit: int
 
 
@@ -90,7 +88,6 @@ class CommonSegment:
     K_star: int
     witness: float
     capped: bool
-    eta: float
     excluded_fraction: float
 
 
@@ -225,7 +222,7 @@ def stabilization_segment(F: Observable, T: FinitePermutation, points: Sequence[
             a, n = a + n, 2 * n
         witness[rows] = (hi[:, 0] + lo[:, 0]) / 2.0  # the rows that held to scan_limit
     return StabilizationSegment(points=points, K_star=k_star, witness=witness, capped=k_star == scan_limit,
-                                n_min=n_min, eps=eps, scan_limit=scan_limit)
+                                scan_limit=scan_limit)
 
 
 def common_stabilization_segment(seg: StabilizationSegment, eta: float) -> CommonSegment:
@@ -242,8 +239,7 @@ def common_stabilization_segment(seg: StabilizationSegment, eta: float) -> Commo
     # values, read from a sort: np.median's first call imports numpy.ma
     w = np.sort(seg.witness[included])
     return CommonSegment(K_star=k_star, witness=float(np.mean(w[(w.size - 1) // 2 : w.size // 2 + 1])),
-                         capped=k_star >= seg.scan_limit, eta=eta,
-                         excluded_fraction=float(np.mean(~included)))
+                         capped=k_star >= seg.scan_limit, excluded_fraction=float(np.mean(~included)))
 
 
 def stratified_start_points(M: int, strata: int, extras: int, seed: int) -> list[int]:

@@ -26,7 +26,6 @@ __all__ = [
     "SymbolicSystem",
     "build_drift_system",
     "build_rotation",
-    "debruijn_sequence",
     "debruijn_window_permutation",
     "build_bernoulli",
     "paper_observable",
@@ -82,7 +81,7 @@ class _RotationOrder(PermutedOrder):
 
 # (M, t) pairs published with the experiments this library reproduces.  The
 # published steps are kept verbatim: they are close to t but are NOT the
-# nearest coprime numerators (the 33334 pair is not even coprime), so a
+# nearest coprime steps (the 33334 pair is not even coprime), so a
 # principled search cannot rediscover them.
 PUBLISHED_ROTATIONS: dict[tuple[int, float], int] = {
     (33334, float(Fraction(2, 3))): 22225,
@@ -123,13 +122,9 @@ def build_rotation(M: int, t: float) -> RotationSystem:
 # -- de Bruijn sequences and Bernoulli shifts ------------------------------
 
 
-def debruijn_sequence(m: int, n: int) -> np.ndarray:
-    """The lex-least (m, n)-de Bruijn sequence, of length m^n, as int64; it starts at window 0."""
-    return _fkm_symbols(m, n).astype(np.int64)
-
-
 def _fkm_symbols(m: int, n: int) -> np.ndarray:
-    """debruijn_sequence(m, n) in the narrowest unsigned type that holds m - 1 (one byte for m <= 256).
+    """The lex-least (m, n)-de Bruijn sequence, of length m^n and starting at window 0, in the
+    narrowest unsigned type that holds m - 1 (one byte for m <= 256).
 
     Fredricksen-Kessler-Maiorana: the aperiodic prefixes of the length-n
     necklaces, concatenated in lex order.  The heads of _necklaces, read as
@@ -175,14 +170,6 @@ def _windows(s: np.ndarray, lo: int, hi: int, n: int, m: int) -> np.ndarray:
         w, l = w[:-l] + m**l * w[l:], 2 * l
 
 
-def _window_indices(s: np.ndarray, n: int, m: int) -> np.ndarray:
-    """_windows of every position of s as int64, CHUNK_POINTS at a time, so each pass stays in cache."""
-    s, idx = np.asarray(s), np.empty(len(s), dtype=np.int64)
-    for lo in range(0, s.size, CHUNK_POINTS):
-        idx[lo : lo + CHUNK_POINTS] = _windows(s, lo, min(lo + CHUNK_POINTS, s.size), n, m)
-    return idx
-
-
 @dataclass(frozen=True, eq=False)
 class _DeBruijnOrder(PermutedOrder):
     """The one cycle of the window successor of the library's sequence, from window 0: slot i holds
@@ -197,21 +184,16 @@ class _DeBruijnOrder(PermutedOrder):
         return _windows(self.symbols, lo, hi, self.n, self.m)
 
 
-def debruijn_window_permutation(m: int, n: int, s: np.ndarray | None = None) -> FinitePermutation:
+def debruijn_window_permutation(m: int, n: int) -> FinitePermutation:
     """The window-successor map on all length-n words, a single m^n-cycle.
 
-    Word at window position i maps to the word at position i+1 of the de
-    Bruijn sequence.  The window indices in sequence order are the cycle,
-    rotated to start at window 0.  The library's own sequence starts there,
-    and its order is generated from its symbols; a supplied s is checked
-    and its order stored (FinitePermutation.from_cycle_order).
+    Word at window position i maps to the word at position i+1 of the
+    library's de Bruijn sequence, which starts at window 0.  The window
+    indices in sequence order are the cycle, generated from its symbols.
     """
-    if s is None:
-        symbols = _fkm_symbols(m, n)
-        one_cycle = np.zeros(1, dtype=np.int64), np.full(1, symbols.size)
-        return FinitePermutation.from_index(_DeBruijnOrder(*one_cycle, symbols, m, n))
-    idx = _window_indices(s, n, m)
-    return FinitePermutation.from_cycle_order(np.roll(idx, -int(np.argmin(idx))), [idx.size])
+    symbols = _fkm_symbols(m, n)
+    one_cycle = np.zeros(1, dtype=np.int64), np.full(1, symbols.size)
+    return FinitePermutation.from_index(_DeBruijnOrder(*one_cycle, symbols, m, n))
 
 
 @dataclass(frozen=True)
@@ -377,8 +359,7 @@ def paper_observable(name: str, M: int, **params) -> Observable:
     The values are written with numpy, in place and at the width Observable
     stores them in, so the only M-sized array is the values array itself;
     each value is the same IEEE expression as the closed form evaluated at
-    one point.  For exact values linear declares Observable.denominator M
-    and tent 9M; the others keep 1.
+    one point.
     """
     extra = sorted(set(params) - {"ex03": {"K"}, "chi0": {"N", "m"}, "constant": {"value"}}.get(name, set()))
     if extra:
@@ -406,7 +387,7 @@ def paper_observable(name: str, M: int, **params) -> Observable:
     if name == "linear":
         vals = np.arange(M, dtype=np.float64)
         vals /= M
-        return Observable(M, vals, name="linear", denominator=M)
+        return Observable(M, vals, name="linear")
     if name == "tent":
         vals = np.arange(M, dtype=np.float64)
         vals /= M
@@ -416,7 +397,7 @@ def paper_observable(name: str, M: int, **params) -> Observable:
         lo /= 9.0
         np.subtract(1.0, hi, out=hi)
         hi *= 10.0
-        return Observable(M, vals, name="tent", denominator=9 * M)
+        return Observable(M, vals, name="tent")
     if name == "chi0":
         N = params.get("N")
         if N is None:

@@ -11,6 +11,7 @@ import numpy as np
 
 from ergodia.dynamics import FinitePermutation, Observable
 from ergodia.stabilization import sup_discrepancy
+from ergodia.systems import debruijn_window_permutation
 
 
 def permutation_from_cycles(cycles, size):
@@ -39,9 +40,48 @@ def width_rule(values):
     return np.float64
 
 
-def exact_value(F, y):
-    """F(y) as a Fraction: its numerator over F.denominator."""
-    return Fraction(int(F.numerators(F.values[[y]])[0]), F.denominator)
+def numerators(values, D):
+    """The integer numerators n(y) of values as rationals n(y) / D, as int64: each n(y) is the integer
+    nearest values[y] * D, widened to float64 first (an int8 times D would wrap).
+
+    A value is accepted only when values[y] * D lies within 64 * 2**-52 * D * max(1, |values[y]|)
+    of an integer, the float64 rounding a closed-form rational can carry; any other value raises
+    ValueError.
+    """
+    vals = np.asarray(values, dtype=np.float64)
+    scaled = vals * D
+    nums = np.rint(scaled)
+    tol = np.maximum(1.0, np.abs(vals)) * (64 * 2.0**-52 * D)
+    bad = ~((np.abs(scaled - nums) <= tol) & (np.abs(nums) < 2.0**63))
+    if bad.any():
+        raise ValueError(f"value {float(vals[np.argmax(bad)])} is not a multiple of 1/{D}")
+    return nums.astype(np.int64)
+
+
+def exact_value(F, y, D=1):
+    """F(y) as a Fraction: its numerator at denominator D over D."""
+    return Fraction(int(numerators(F.values[[y]], D)[0]), D)
+
+
+def exact_prefix_means(F, T, y, n, D=1):
+    """A_1..A_n(F, T, y) as Fractions: the numerators at denominator D of F's values along the
+    T-orbit of y, read from T.image, summed as Python ints, so no sum overflows."""
+    nums, total, means = numerators(F.values, D).tolist(), 0, []
+    for k, z in enumerate(trajectory(T, y, n).tolist(), start=1):
+        total += nums[z]
+        means.append(Fraction(total, D * k))
+    return means
+
+
+def mean_rounding_bound(F, n):
+    """The most |A_k - float(A_k exact)| the float path may show, for k = 1..n: 0 where every value
+    of F is an integer and no prefix sum reaches 2^53, as it then sums exactly and rounds once; else
+    the recursive-summation bound k * 2^-52 * max|F|."""
+    values = float_values(F)
+    top = float(np.abs(values).max())
+    if (values == np.rint(values)).all() and top * n < 2**53:
+        return np.zeros(n)
+    return np.arange(1, n + 1) * 2.0**-52 * top
 
 
 def inverse_order(index):
@@ -59,20 +99,30 @@ def index_field(index, field):
     return inverse_order(index) if field == "slot" else getattr(index, field)
 
 
-def apply_power(T, y, n):
-    """T^n(y), read from the cycle of y at position pos + n mod p(y)."""
+def orbit_and_period(T, y):
+    """The T-orbit of y starting at y, and its period p(y): T.image walked from y until it returns."""
     if not 0 <= y < T.size:
         raise IndexError(f"point {y} out of range for size {T.size}")
+    image, orbit = T.image, [y]
+    z = int(image[y])
+    while z != y:
+        orbit.append(z)
+        z = int(image[z])
+    return orbit, len(orbit)
+
+
+def trajectory(T, y, n):
+    """[y, T(y), ..., T^{n-1}(y)]: the orbit of y, walked on T.image, repeated to n points."""
+    orbit, p = orbit_and_period(T, y)
+    return np.asarray(orbit, dtype=np.int64)[np.arange(n) % p]
+
+
+def apply_power(T, y, n):
+    """T^n(y), read from the orbit of y at position n mod p(y)."""
     if n < 0:
         raise ValueError("power must be nonnegative")
-    cyc, pos = T.cycle_of(y)
-    return int(cyc[(pos + n) % len(cyc)])
-
-
-def orbit_and_period(T, y):
-    """The T-orbit of y starting at y, and its period p(y)."""
-    cyc, pos = T.cycle_of(y)
-    return np.roll(cyc, -pos).tolist(), len(cyc)
+    orbit, p = orbit_and_period(T, y)
+    return orbit[n % p]
 
 
 def cycle_decomposition(T):
@@ -415,6 +465,19 @@ def window_indices_roll(s, n, m):
     return idx
 
 
+def debruijn_sequence(m, n):
+    """The library's (m, n)-de Bruijn sequence as int64, read off its window-successor order: the
+    window at position i of the sequence fills slot i, and its lowest digit is symbol i."""
+    return debruijn_window_permutation(m, n).orbit_index.order % m
+
+
+def window_successor(s, m, n):
+    """The window-successor map of a supplied de Bruijn sequence s, a single m^n-cycle: its window
+    indices in sequence order, rotated to start at window 0, checked by from_cycle_order."""
+    idx = window_indices_roll(np.asarray(s), n, m)
+    return FinitePermutation.from_cycle_order(np.roll(idx, -int(np.argmin(idx))), [idx.size])
+
+
 def necklaces_brute(m, L, big_endian):
     """(heads, periods) of the length-L necklaces, one word at a time.
 
@@ -490,8 +553,8 @@ def sup_discrepancy_two_pass(F, T, K, L):
 
 
 def prefix_means_gather(F, T, y, n):
-    """A_1..A_n from y: F gathered by point along T.trajectory(y, n), then one whole cumsum."""
-    return np.cumsum(float_values(F)[T.trajectory(y, n)]) / np.arange(1, n + 1, dtype=np.float64)
+    """A_1..A_n from y: F gathered by point along trajectory(T, y, n), then one whole cumsum."""
+    return np.cumsum(float_values(F)[trajectory(T, y, n)]) / np.arange(1, n + 1, dtype=np.float64)
 
 
 def band_end_loop(F, T, y, n_min, eps, scan_limit):

@@ -236,22 +236,29 @@ def small_stab_config():
     ("epsilon", True),
     ("exceedance_epsilons", [True]),
     ("epsilon", "0.05"),
+    ("exceedance_epsilons-no-pairs", [-1, "x"]),
 ], ids=["epsilon-nan", "exceedance-epsilon-nan", "epsilon-string", "eta-string",
         "scan-limit-fraction", "n-min-fraction", "per-point-limit-fraction", "pair-K-fraction",
         "pair-L-fraction", "pair-not-a-pair", "seed-string", "random-fraction",
         "unknown-key", "scan-limit-over-budget", "epsilon-inf", "constant-sums-overflow",
         "random-bool", "n-min-bool", "pair-L-bool", "epsilon-bool", "exceedance-epsilon-bool",
-        "epsilon-numeric-string"])
+        "epsilon-numeric-string", "exceedance-epsilons-no-pairs"])
 def test_malformed_stab_config_is_config_error(tmp_path, capsys, recwarn, key, value):
     payload = small_stab_config()
     if key in ("seed", "observable"):
         payload[key] = value
     elif key == "random":
         payload["start_points"] = {"random": value}
+    elif key == "exceedance_epsilons-no-pairs":
+        # no pairs, so no discrepancy reads the epsilons: they are checked before the scan all the same
+        del payload["stab"]["pairs"]
+        payload["stab"]["exceedance_epsilons"] = value
     else:
         payload["stab"][key] = value
     cfg = write_config(tmp_path, payload)
     err = assert_config_error(capsys, ["stab", "--config", cfg, "--out", str(tmp_path / "o")])
+    if key == "exceedance_epsilons-no-pairs":
+        assert not (tmp_path / "o").exists()
     if value == OVERFLOWING:
         assert_refused_before_any_kernel(err, recwarn)
 

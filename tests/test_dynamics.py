@@ -18,8 +18,8 @@ from ergodia.dynamics import (
 )
 from ergodia.rng import SplitMix64
 from ergodia.systems import build_bernoulli, build_drift_system, build_rotation, paper_observable
-from oracles import (apply_power, cycle_decomposition, exact_value, orbit_and_period, permutation_from_cycles,
-                     prefix_means_gather)
+from oracles import (apply_power, cycle_decomposition, exact_prefix_means, exact_value, mean_rounding_bound,
+                     numerators, orbit_and_period, permutation_from_cycles, prefix_means_gather, trajectory)
 
 
 def random_permutation(M, seed):
@@ -97,17 +97,22 @@ def test_orbit_and_period():
 
 def test_trajectory_wraps():
     T = permutation_from_cycles([[0, 1, 2]], size=3)
-    assert T.trajectory(1, 7).tolist() == [1, 2, 0, 1, 2, 0, 1]
+    assert trajectory(T, 1, 7).tolist() == [1, 2, 0, 1, 2, 0, 1]
 
 
 def test_trajectory_equals_modular_index():
-    # fixed points, short and long cycles; horizons below, at and far past the period
+    # fixed points, short and long cycles; horizons below, at and far past the period: the walk on
+    # the image against y's cycle in the orbit index, read from y's slot
     T = permutation_from_cycles([[0, 5, 3, 8, 1], [2, 7], [4, 9, 6, 10, 11, 12, 13]], size=15)
+    index = T.orbit_index
     for y in range(T.size):
-        cyc, pos = T.cycle_of(y)
+        slot = int(index.slots([y])[0])
+        c = int(index.cycle_at(slot))
+        start, p = int(index.starts[c]), int(index.lengths[c])
+        assert T.period(y) == p
         for n in (0, 1, 2, 4, 5, 6, 7, 33, 1000):
-            expect = cyc[(pos + np.arange(n)) % len(cyc)]
-            assert T.trajectory(y, n).tolist() == expect.tolist()
+            expect = index.order[start + (slot - start + np.arange(n)) % p]
+            assert trajectory(T, y, n).tolist() == expect.tolist()
 
 
 def test_out_of_range_start_rejected():
@@ -115,7 +120,9 @@ def test_out_of_range_start_rejected():
     with pytest.raises(IndexError):
         apply_power(T, 4, 1)
     with pytest.raises(IndexError):
-        T.trajectory(-1, 3)
+        T.period(-1)
+    with pytest.raises(IndexError):
+        ergodic_means_prefix(Observable.from_values([1.0] * 4), T, 4, 3)
 
 
 # -- observables -----------------------------------------------------------
@@ -148,9 +155,9 @@ def test_observable_values_read_only():
 
 def test_narrow_numerators_are_widened_before_scaling():
     # int8 values times a denominator: in int8, 100 * 3 and -128 * 3 would wrap
-    F = Observable(3, np.array([100, -128, 5], dtype=np.int8), denominator=3)
+    F = Observable(3, np.array([100, -128, 5], dtype=np.int8))
     assert F.values.dtype == np.int8
-    assert F.numerators().tolist() == [300, -384, 15]
+    assert numerators(F.values, 3).tolist() == [300, -384, 15]
 
 
 # -- ergodic means ---------------------------------------------------------
@@ -179,22 +186,30 @@ def test_prefix_means_match_brute_force(M, seed, n_max):
 def test_exact_mode_fractions():
     T = permutation_from_cycles([[0, 1, 2]], size=3)
     F = Observable.from_values([1.0, 0.0, 0.0])
-    series = ergodic_means_prefix(F, T, 0, 3, exact=True)
-    assert series.exact_means == (Fraction(1), Fraction(1, 2), Fraction(1, 3))
+    assert exact_prefix_means(F, T, 0, 3) == [Fraction(1), Fraction(1, 2), Fraction(1, 3)]
+    assert exact_prefix_means(F, T, 1, 4) == [Fraction(0), Fraction(0), Fraction(1, 3), Fraction(1, 4)]
 
 
-def assert_means_are_rounded_fractions(series):
-    # means[n-1] is float(A_n) of the exact Fraction, bit for bit
-    assert series.means.tobytes() == np.asarray([float(q) for q in series.exact_means]).tobytes()
+def assert_means_are_rounded_fractions(F, means, exact):
+    # the float means against float(A_n) of the exact Fractions: bit for bit where the float path
+    # sums exactly, else within the recursive-summation bound
+    want = np.asarray([float(q) for q in exact])
+    bound = mean_rounding_bound(F, want.size)
+    assert (np.abs(means - want) <= bound).all()
+    assert means[bound == 0].tobytes() == want[bound == 0].tobytes()
 
 
 @pytest.mark.parametrize("name,M", [("tent", 1000), ("tent", 997), ("linear", 1000), ("linear", 4099)])
 def test_exact_means_are_rounded_fractions_of_rational_observables(name, M):
-    # tent has denominator 9M, linear M
+    # the exact means at tent's denominator 9M and linear's M, on the drift and on a rotation
     F = paper_observable(name, M)
-    T = build_rotation(M, 0.6180339887498949).permutation
-    for y in (0, 1, M // 3):
-        assert_means_are_rounded_fractions(ergodic_means_prefix(F, T, y, 2 * M + 7, exact=True))
+    D = 9 * M if name == "tent" else M
+    for T in (build_drift_system(M), build_rotation(M, 0.6180339887498949).permutation):
+        for y in (0, 1, M // 3):
+            exact = exact_prefix_means(F, T, y, 2 * M + 7, D)
+            assert_means_are_rounded_fractions(F, ergodic_means_prefix(F, T, y, 2 * M + 7).means, exact)
+            # over whole periods the orbit sum is the sum of every numerator
+            assert exact[M - 1] == Fraction(int(numerators(F.values, D).sum()), D * M)
 
 
 @given(st.lists(st.integers(-(2**53), 2**53), min_size=1, max_size=40), st.integers(1, 200))
@@ -203,18 +218,19 @@ def test_exact_means_are_rounded_fractions_past_2_53(nums, n_max):
     # integer values near 2^53: the prefix sums leave float64's exact range within a few terms
     F = Observable.from_values([float(v) for v in nums])
     T = random_permutation(len(nums), len(nums) + n_max)
-    series = ergodic_means_prefix(F, T, 0, n_max, exact=True)
-    assert_means_are_rounded_fractions(series)
-    assert series.exact_means[-1] == Fraction(sum(int(F.values[z]) for z in T.trajectory(0, n_max)), n_max)
+    exact = exact_prefix_means(F, T, 0, n_max)
+    assert_means_are_rounded_fractions(F, ergodic_means_prefix(F, T, 0, n_max).means, exact)
+    assert exact[-1] == Fraction(sum(int(F.values[z]) for z in trajectory(T, 0, n_max)), n_max)
 
 
 def test_exact_means_of_large_integers_round_where_the_float_cumsum_does_not():
     F = Observable.from_values([2.0**53 - 1, 2.0**53 - 1, 3.0])
     T = permutation_from_cycles([[0, 1, 2]], size=3)
-    series = ergodic_means_prefix(F, T, 0, 3, exact=True)
-    assert_means_are_rounded_fractions(series)
-    assert series.exact_means[2] == Fraction(2**54 + 1, 3)
-    assert series.means[2] != np.cumsum(F.values)[2] / 3
+    exact = exact_prefix_means(F, T, 0, 3)
+    assert exact[2] == Fraction(2**54 + 1, 3)
+    means = ergodic_means_prefix(F, T, 0, 3).means
+    assert_means_are_rounded_fractions(F, means, exact)
+    assert means[2] == np.cumsum(F.values)[2] / 3 != float(exact[2])
 
 
 def test_mean_at_full_period_is_orbit_average():

@@ -31,10 +31,10 @@ from ergodia.systems import (
     build_bernoulli,
     build_drift_system,
     build_rotation,
-    debruijn_sequence,
     paper_observable,
 )
-from oracles import (band_end_loop, debruijn_lyndon, index_field, inverse_order, permutation_from_cycles,
+from oracles import (band_end_loop, debruijn_lyndon, exact_prefix_means, index_field,
+                     inverse_order, mean_rounding_bound, orbit_and_period, permutation_from_cycles,
                      prefix_means_gather, sup_discrepancy_two_pass, width_rule)
 
 
@@ -56,7 +56,7 @@ def naive(m, N):
 
 def debruijn(m, N):
     L = 2 * N + 1
-    s = debruijn_sequence(m, L)
+    s = debruijn_lyndon(m, L)
     windows = sum(np.roll(s, -j) * m**j for j in range(L))
     image = np.empty(m**L, dtype=np.int64)
     image[windows] = np.roll(windows, -1)
@@ -238,8 +238,9 @@ def test_slots_equal_the_inverse_order_at_the_points(case, chunk):
     assert np.array_equal(cycles, np.searchsorted(index.starts, want, side="right") - 1)
     if points.size:
         y = int(points[-1])
-        cyc, pos = T.cycle_of(y)
-        assert cyc[pos] == y and cyc[0] == index.order[index.starts[cycles[-1]]]
+        orbit, p = orbit_and_period(T, y)
+        # the cycle found for y is y's orbit, headed by its least point
+        assert index.lengths[cycles[-1]] == p and index.order[index.starts[cycles[-1]]] == min(orbit)
 
 
 @pytest.mark.parametrize("build", [lambda: build_bernoulli(2, 2, "naive").permutation,
@@ -291,11 +292,14 @@ def test_gamma_and_the_band_scan_on_a_drift_system_build_no_order():
 
 
 def test_exact_prefix_means_on_a_drift_system_build_no_order():
-    # exact mode reads y's cycle in T.along(F), as double mode does
+    # the float means read y's cycle in T.along(F), with no order array; the exact ones, taken
+    # after them at linear's denominator M, walk the image
     T, F = build_drift_system(10_000), paper_observable("linear", 10_000)
-    series = ergodic_means_prefix(F, T, 3, 100, exact=True)
+    means = ergodic_means_prefix(F, T, 3, 100).means
     assert "order" not in vars(T.orbit_index)
-    assert series.exact_means[:2] == (Fraction(3, 10_000), Fraction(7, 20_000))
+    exact = exact_prefix_means(F, T, 3, 100, 10_000)
+    assert exact[:2] == [Fraction(3, 10_000), Fraction(7, 20_000)]
+    assert (np.abs(means - [float(q) for q in exact]) <= mean_rounding_bound(F, 100)).all()
 
 
 @pytest.mark.parametrize("name,arrays", [
@@ -415,8 +419,8 @@ def test_cycle_ids_and_positions_match_the_walks_cycles(name):
     assert np.array_equal(index.order[inverse_order(index)], points)
     assert np.array_equal(index.slots(points), inverse_order(index))
     for y in range(0, T.size, max(1, T.size // 40)):
-        cyc, pos = T.cycle_of(y)
-        assert np.array_equal(cyc, walked.cycles[want_cycle[y]]) and pos == want_pos[y]
+        orbit, p = orbit_and_period(T, y)
+        assert orbit == np.roll(walked.cycles[want_cycle[y]], -want_pos[y]).tolist()
 
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
@@ -628,8 +632,6 @@ def kernel_outputs(F, T):
     for y in points.tolist():
         out.append(gamma_series(F, T, y, 2.3)[0])
         out.append(ergodic_means_prefix(F, T, y, M + 7).means)
-        exact = ergodic_means_prefix(F, T, y, 40, exact=True)
-        out += [exact.means, np.array([(f.numerator, f.denominator) for f in exact.exact_means], dtype=object)]
     top = float(np.max(np.abs(F.values, dtype=np.float64)))
     for n_min, eps, scan_limit in ((1, 1e-9, 50), (3, 0.3 * top, M + 9)):
         seg = stabilization_segment(F, T, points, n_min, eps, scan_limit)
@@ -639,7 +641,7 @@ def kernel_outputs(F, T):
     profile = integrability_profile(F)
     out += [profile.thresholds, profile.tail_masses, np.array([profile.av_abs, profile.max_abs])]
     out.append(np.array([tail_mass(F, k) for k in (0.5, 1.0, 127.0, 128.0, 2.0**31)] + [average(F)]))
-    return [a.tobytes() if a.dtype != object else a.tolist() for a in out]
+    return [a.tobytes() for a in out]
 
 
 def width_observables(M):

@@ -20,7 +20,7 @@ from ergodia.stabilization import (
 )
 from ergodia.systems import build_bernoulli, build_drift_system, build_rotation, paper_observable
 from oracles import (band_end_loop, common_segment_loop, exceedance_fraction, permutation_from_cycles,
-                     reference_psi, sup_discrepancy_two_pass)
+                     reference_psi, sup_discrepancy_two_pass, trajectory)
 
 
 def random_system(M, seed, lo=-50, hi=50):
@@ -56,7 +56,7 @@ def test_proof_bound_terms_exact():
     assert U.shape == V.shape == (T.size,)
     # slot by slot in orbit order, as rep.diffs: slot i belongs to the point order[i]
     for y, d, u, v in zip(T.orbit_index.order.tolist(), rep.diffs, U, V):
-        absvals = np.abs(F.values[T.trajectory(y, K)])
+        absvals = np.abs(F.values[trajectory(T, y, K)])
         assert u == pytest.approx((1 / L - 1 / K) * absvals[:L].sum(), abs=1e-9)
         assert v == pytest.approx(absvals[L:].sum() / K, abs=1e-9)
         assert d <= u + v + 1e-9
@@ -200,7 +200,7 @@ def test_common_segment_witness_is_bitwise_np_median(witness):
     w = np.asarray(witness)
     seg = stabilization.StabilizationSegment(
         points=np.arange(w.size), K_star=np.full(w.size, 9), witness=w,
-        capped=np.zeros(w.size, dtype=bool), n_min=1, eps=0.1, scan_limit=10)
+        capped=np.zeros(w.size, dtype=bool), scan_limit=10)
     got = common_stabilization_segment(seg, 0.5).witness
     assert np.float64(got).tobytes() == np.median(w).tobytes()
 

@@ -15,19 +15,22 @@ from ergodia.systems import (
     RotationSystem,
     _naive_shift,
     _necklaces,
-    _window_indices,
+    _windows,
     build_bernoulli,
     build_drift_system,
     build_rotation,
-    debruijn_sequence,
     debruijn_window_permutation,
     paper_observable,
 )
 from oracles import (
     block_density,
+    debruijn_sequence,
+    exact_prefix_means,
     exact_value,
     index_field,
     debruijn_lyndon,
+    mean_rounding_bound,
+    numerators,
     necklaces_brute,
     prefer_largest_debruijn,
     rotation_order_two_mod,
@@ -35,6 +38,7 @@ from oracles import (
     three_point_average,
     width_rule,
     window_indices_roll,
+    window_successor,
     word,
     word_index,
 )
@@ -127,7 +131,7 @@ def test_window_permutation_single_cycle(m, n):
 
 def test_window_permutation_follows_sequence():
     s = debruijn_sequence(2, 3)
-    T = debruijn_window_permutation(2, 3, s)
+    T = debruijn_window_permutation(2, 3)
     # the image of window i is window i+1 in the cyclic sequence
     def widx(i):
         return sum(int(s[(i + j) % 8]) << j for j in range(3))
@@ -166,16 +170,17 @@ def _debruijn_variants(m, n):
 def test_window_indices_match_roll_loop(m, n):
     for name, s in _debruijn_variants(m, n).items():
         assert all_windows_distinct(s.tolist(), n, m), name
-        idx = _window_indices(s, n, m)
         windows = window_indices_roll(s, n, m)
-        assert idx.dtype == np.int64
-        assert np.array_equal(idx, windows), name
+        assert np.array_equal(_windows(s, 0, s.size, n, m), windows), name
         # the successor map of a supplied sequence: window i goes to window i + 1
-        T = debruijn_window_permutation(m, n, s)
+        T = window_successor(s, m, n)
         image = np.empty(m**n, dtype=np.int64)
         image[windows] = np.roll(windows, -1)
         assert np.array_equal(T.image, image), name
         assert len(T.cycles) == 1
+    # the library's generated order is the supplied-sequence order of its own sequence
+    generated = debruijn_window_permutation(m, n).orbit_index.order
+    assert np.array_equal(generated, window_successor(debruijn_sequence(m, n), m, n).orbit_index.order)
 
 
 # chunk sizes of the de Bruijn kernels: one window or candidate per chunk,
@@ -187,11 +192,11 @@ WINDOW_CASES = [(m, n) for m in (2, 3, 4) for n in (1, 2, 3, 4, 7, 8, 11) if m**
 
 @pytest.mark.parametrize("chunk", KERNEL_CHUNKS)
 @pytest.mark.parametrize("m,n", WINDOW_CASES)
-def test_chunked_window_indices_match_roll_loop(m, n, chunk, monkeypatch):
-    monkeypatch.setattr(systems, "CHUNK_POINTS", chunk)
+def test_chunked_window_indices_match_roll_loop(m, n, chunk):
+    # _windows of every chunk of chunk positions, the last one short, wrapping round s at its end
     for name, s in _debruijn_variants(m, n).items():
-        idx = _window_indices(s, n, m)
-        assert idx.dtype == np.int64
+        chunks = [_windows(s, lo, min(lo + chunk, s.size), n, m) for lo in range(0, s.size, chunk)]
+        idx = np.concatenate(chunks)
         assert np.array_equal(idx, window_indices_roll(s, n, m)), name
 
 
@@ -309,7 +314,7 @@ def test_ex03_partial_last_block_zeroed():
 def test_linear_and_tent():
     M = 1000
     Fl = paper_observable("linear", M)
-    assert exact_value(Fl, 250) == Fraction(1, 4)
+    assert exact_value(Fl, 250, M) == Fraction(1, 4)
     Ft = paper_observable("tent", M)
     assert Ft.values[0] == 0.0
     assert Ft.values[900] == pytest.approx(1.0)
@@ -322,7 +327,7 @@ def test_tent_exact_rule_matches_float():
     M = 90
     F = paper_observable("tent", M)
     for y in range(M):
-        assert float(exact_value(F, y)) == pytest.approx(F.values[y], abs=1e-12)
+        assert float(exact_value(F, y, 9 * M)) == pytest.approx(F.values[y], abs=1e-12)
 
 
 def test_chi0_counts_symbol_at_origin():
@@ -447,7 +452,7 @@ def test_tent_branches_meet_at_the_split():
     F = paper_observable("tent", 10)
     assert F.values[8] == 10.0 * 0.8 / 9.0
     assert F.values[9] == 10.0 * (1.0 - 0.9)
-    assert exact_value(F, 9) == Fraction(1)
+    assert exact_value(F, 9, 90) == Fraction(1)
 
 
 @pytest.mark.parametrize("name,M,params", [
@@ -456,16 +461,17 @@ def test_tent_branches_meet_at_the_split():
 ])
 def test_exact_rules_agree_with_values(name, M, params):
     F = paper_observable(name, M, **params)
-    assert [exact_value(F, y) for y in range(M)] == [Fraction(v).limit_denominator(9 * M)
+    D = exact_closed_form(name, M, **params)[1]
+    assert [exact_value(F, y, D) for y in range(M)] == [Fraction(v).limit_denominator(9 * M)
                                              for v in F.values.tolist()]
 
 
 def exact_closed_form(name, M, **params):
     """(numerators, denominator) of each rational paper observable, in integers.
 
-    These are the closed forms the exact-arithmetic paths once evaluated
-    one Fraction at a time; here they are int64 numpy expressions, kept as
-    the oracle for Observable.numerators.
+    The closed forms as int64 numpy expressions, the oracle for numerators
+    in tests/oracles.py; the denominator is the one each observable's exact
+    means are taken at.
     """
     y = np.arange(M, dtype=np.int64)
     if name == "ex01":
@@ -492,13 +498,12 @@ def exact_closed_form(name, M, **params):
 def test_numerators_equal_exact_closed_form(name, M, params):
     F = paper_observable(name, M, **params)
     nums, D = exact_closed_form(name, M, **params)
-    assert F.denominator == D
-    got = F.numerators()
+    got = numerators(F.values, D)
     assert got.dtype == np.int64 and np.array_equal(got, nums)
     for y in sorted({0, M // 2, (9 * M) // 10, M - 1}):
-        assert exact_value(F, y) == Fraction(int(nums[y]), D)
+        assert exact_value(F, y, D) == Fraction(int(nums[y]), D)
     pts = np.arange(M - 1, -1, -max(1, M // 7))
-    assert np.array_equal(F.numerators(F.values[pts]), nums[pts])
+    assert np.array_equal(numerators(F.values[pts], D), nums[pts])
 
 
 @pytest.mark.parametrize("name", ["linear", "tent", "ex01"])
@@ -509,15 +514,19 @@ def test_exact_prefix_means_equal_fraction_loop(name):
     F = paper_observable(name, M)
     nums, D = exact_closed_form(name, M)
     y = 4321
-    series = ergodic_means_prefix(F, T, y, M + 17, exact=True)
+    exact = exact_prefix_means(F, T, y, M + 17, D)
     acc, expect = Fraction(0), []
     z = y
     for n in range(1, M + 18):
         acc += Fraction(int(nums[z]), D)
         expect.append(acc / n)
         z = T.image[z]
-    assert series.exact_means == tuple(expect)
-    assert series.means.tolist() == [float(q) for q in expect]
+    assert exact == expect
+    # the float means: the rounded fractions for ex01, whose integer sums are exact, and within the
+    # summation bound for linear and tent
+    floats = np.asarray([float(q) for q in expect])
+    gap = np.abs(ergodic_means_prefix(F, T, y, M + 17).means - floats)
+    assert (gap <= mean_rounding_bound(F, M + 17)).all()
 
 
 @pytest.mark.parametrize("F", [
@@ -527,11 +536,11 @@ def test_exact_prefix_means_equal_fraction_loop(name):
 ], ids=["constant-0.1", "half", "1+1e-9"])
 def test_off_lattice_values_raise(F):
     with pytest.raises(ValueError):
-        F.numerators()
+        numerators(F.values, 1)
     with pytest.raises(ValueError):
         exact_value(F, 0)
     with pytest.raises(ValueError):
-        ergodic_means_prefix(F, FinitePermutation.identity(F.size), 0, 3, exact=True)
+        exact_prefix_means(F, FinitePermutation.identity(F.size), 0, 3)
 
 
 # -- helpers ---------------------------------------------------------------
