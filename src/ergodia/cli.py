@@ -282,8 +282,8 @@ def cmd_stab(config: dict, args) -> int:
     # every exceedance epsilon is converted and checked before the scan, with or without pairs
     epsilons = spec.get("exceedance_epsilons", [eps])
     checked = [_float_param(e, "exceedance epsilon") for e in epsilons]
-    if not all(e > 0 for e in checked):  # NaN is refused too
-        raise ValueError("epsilon must be positive")
+    if not all(e > 0 for e in checked) or not np.isfinite(eps):  # NaN is refused too; JSON has no inf
+        raise ValueError("epsilon must be positive and finite")
     _check_sums(F, max([scan_limit] + [K for K, _ in pairs]))
     # one scan over every start point; the report lists the first `limit` of them
     seg = stabilization_segment(F, T, starts, n_min, eps, scan_limit)
@@ -301,7 +301,7 @@ def cmd_stab(config: dict, args) -> int:
     report["discrepancies"] = [  # one pass serves every pair
         {"K": rep.K, "L": rep.L, "sup_disc": rep.sup_disc,
          **{f"exceedance@{e}": rep.exceedance(c) for e, c in zip(epsilons, checked)}}
-        for rep in sup_discrepancy(F, T, pairs)]
+        for rep in sup_discrepancy(F, T, pairs, checked)]
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

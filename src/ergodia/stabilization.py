@@ -4,7 +4,7 @@ Two complementary diagnostics:
 
 * discrepancies |A_K - A_L| at comparable horizons K > L, their sup over
   all of Y and the fraction of start points exceeding a tolerance, with
-  the exact two-term proof bound U + V per start point;
+  the exact two-term proof bound U + V per start point, tile by tile;
 
 * initial-segment stabilization: the largest horizon range [n_min, K*] on
   which all prefix means of a start point stay within a band of width
@@ -40,25 +40,22 @@ __all__ = [
 ]
 
 
-# eq=False: == is identity; a field-wise == would take the truth value of arrays
+# eq=False: == is identity, and the counts dict would make a field-wise hash raise
 @dataclass(frozen=True, eq=False)
 class DiscrepancyReport:
-    """|A_K - A_L| over all start points, and its max.
-
-    diffs is in orbit order: diffs[i] belongs to the point T.orbit_index.order[i].
-    proof_terms gives the bound U + V in the same order, so diffs <= U + V
-    compares entry by entry.
-    """
+    """The max over all y of |A_K - A_L|, and per requested epsilon the number of y with
+    |A_K - A_L| >= epsilon, out of M."""
 
     K: int
     L: int
     sup_disc: float
-    diffs: np.ndarray
+    counts: dict[float, int]
+    M: int
 
     def exceedance(self, eps: float) -> float:
-        if not eps > 0:
-            raise ValueError("epsilon must be positive")
-        return float(np.mean(self.diffs >= eps))
+        if eps not in self.counts:
+            raise ValueError(f"epsilon {eps!r} was not requested")
+        return self.counts[eps] / self.M  # np.mean of the >= eps mask: a float64 sum of ones is exact
 
 
 # eq=False, as for DiscrepancyReport
@@ -138,42 +135,45 @@ def _row_means(F: Observable, T: FinitePermutation, horizons: Sequence[int]):
                 yield (at, rows, p, slice(lo, hi)), means
 
 
-def sup_discrepancy(F: Observable, T: FinitePermutation,
-                    pairs: Sequence[tuple[int, int]]) -> list[DiscrepancyReport]:
-    """Per (K, L) in pairs, the exact max over all y of |A_K - A_L|, all from one cycle pass over
-    K1, L1, K2, L2, ...; each pair's diffs are written in orbit order.  [(K, L)] is the one-pair form."""
+def _discrepancy_tiles(F: Observable, T: FinitePermutation, pairs: Sequence[tuple[int, int]]):
+    """(tile, [|A_K - A_L| for (K, L) in pairs]) per _row_means tile (at, rows, p, cols) of one pass
+    over K1, L1, K2, L2, ...; a block is (rows, 1) where p divides both K and L."""
+    for tile, means in _row_means(F, T, [n for pair in pairs for n in pair]) if pairs else ():
+        yield tile, [np.absolute(d, out=d) for d in map(np.subtract, means[::2], means[1::2])]
+
+
+def sup_discrepancy(F: Observable, T: FinitePermutation, pairs: Sequence[tuple[int, int]],
+                    epsilons: Sequence[float] = ()) -> list[DiscrepancyReport]:
+    """Per (K, L) in pairs, the exact max over all y of |A_K - A_L| and, per eps in epsilons, the count
+    of y where it is >= eps, folded tile by tile from one cycle pass.  [(K, L)] is the one-pair form."""
     if any(not 1 <= L < K for K, L in pairs):
         raise ValueError("require 1 <= L < K")
-    if not pairs:
-        return []
-    horizons = [n for pair in pairs for n in pair]
-    diffs = [np.empty(T.size) for _ in pairs]
-    for (at, rows, p, cols), means in _row_means(F, T, horizons):
-        for d, A_K, A_L in zip(diffs, means[::2], means[1::2]):
-            block = d[at : at + rows * p].reshape(rows, p)[:, cols]
-            np.abs(np.subtract(A_K, A_L, out=block), out=block)
-    return [DiscrepancyReport(K=K, L=L, sup_disc=float(np.max(d)), diffs=d)
-            for (K, L), d in zip(pairs, diffs)]
+    if not all(e > 0 for e in epsilons):  # NaN is refused too
+        raise ValueError("epsilon must be positive")
+    sups, counts = [-np.inf] * len(pairs), [dict.fromkeys(epsilons, 0) for _ in pairs]
+    for (at, rows, p, cols), blocks in _discrepancy_tiles(F, T, pairs):
+        for k, d in enumerate(blocks):
+            sups[k] = np.maximum(sups[k], np.max(d))  # a NaN is kept, as np.max keeps it
+            d = np.broadcast_to(d, (rows, cols.stop - cols.start))
+            for e in counts[k]:
+                counts[k][e] += int(np.count_nonzero(d >= e))
+    return [DiscrepancyReport(K=K, L=L, sup_disc=float(s), counts=c, M=T.size)
+            for (K, L), s, c in zip(pairs, sups, counts)]
 
 
-def proof_terms(F: Observable, T: FinitePermutation, K: int, L: int) -> tuple[np.ndarray, np.ndarray]:
-    """(U, V) at every y, in orbit order like a DiscrepancyReport's diffs, with |A_K - A_L| <= U + V
-    for U = (1/L - 1/K) * sum_{k<L} |F(T^k y)| and V = (1/K) * sum_{k=L}^{K-1} |F(T^k y)|.
-
-    One cycle pass over the horizon means of |F| at K and L writes both, tile by tile and in place,
-    as U = (1/L - 1/K) * A_L * L and V = A_K - A_L * L / K.  It replaces the T.along memo with |F|."""
+def proof_terms(F: Observable, T: FinitePermutation, K: int, L: int):
+    """(tile, (U, V)) per tile of _discrepancy_tiles at [(K, L)], with |A_K - A_L| <= U + V for
+    U = (1/L - 1/K) * sum_{k<L} |F(T^k y)| and V = (1/K) * sum_{k=L}^{K-1} |F(T^k y)| at its slots,
+    from one pass over the means of |F|, U = (1/L - 1/K) * A_L * L and V = A_K - A_L * L / K: the tiles
+    match, as _row_means tiles by cycle lengths, horizons and CHUNK_POINTS alone.  |F| replaces the memo."""
     if not 1 <= L < K:
         raise ValueError("require 1 <= L < K")
-    U, V = np.empty(T.size), np.empty(T.size)
     # widened first (|-128| wraps in int8, |-2^31| in int32) but kept integer, so _narrow stores the
     # dtype a float64 |F| would get with no float pass
     wide = {np.int8: np.int16, np.int32: np.int64}.get(F.values.dtype.type, np.float64)
     absF = Observable.from_values(np.abs(F.values, dtype=wide))
-    for (at, rows, p, cols), (absK, absL) in _row_means(absF, T, (K, L)):
-        u, v = (a[at : at + rows * p].reshape(rows, p)[:, cols] for a in (U, V))
-        np.multiply(np.multiply(absL, 1.0 / L - 1.0 / K, out=u), L, out=u)
-        np.subtract(absK, np.divide(np.multiply(absL, L, out=v), K, out=v), out=v)
-    return U, V
+    return ((tile, (absL * (1.0 / L - 1.0 / K) * L, absK - absL * L / K))
+            for tile, (absK, absL) in _row_means(absF, T, (K, L)))
 
 
 def stabilization_segment(F: Observable, T: FinitePermutation, points: Sequence[int], n_min: int,

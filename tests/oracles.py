@@ -10,7 +10,7 @@ from math import gcd
 import numpy as np
 
 from ergodia.dynamics import FinitePermutation, Observable
-from ergodia.stabilization import sup_discrepancy
+from ergodia.stabilization import _discrepancy_tiles, proof_terms, sup_discrepancy
 from ergodia.systems import debruijn_window_permutation
 
 
@@ -154,7 +154,31 @@ def profile_by_suffix_sums(F, ks=None):
 
 def exceedance_fraction(F, T, K, L, eps):
     """(1/M) * |{y : |A_K - A_L| >= eps}|, exact over all of Y."""
-    return sup_discrepancy(F, T, [(K, L)])[0].exceedance(eps)
+    return sup_discrepancy(F, T, [(K, L)], [eps])[0].exceedance(eps)
+
+
+def orbit_arrays(tiles, size, count):
+    """The blocks of a tile generator as count arrays in orbit order: block k of the tile
+    (at, rows, p, cols) fills slots at + p*i + j of array k, for i < rows and j in cols, broadcast
+    where it is one column.  Asserts that the tiles cover every slot once, with count blocks each."""
+    out, seen = [np.empty(size) for _ in range(count)], np.zeros(size, dtype=np.int64)
+    for (at, rows, p, cols), blocks in tiles:
+        assert len(blocks) == count
+        seen[at : at + rows * p].reshape(rows, p)[:, cols] += 1
+        for a, block in zip(out, blocks):
+            a[at : at + rows * p].reshape(rows, p)[:, cols] = block
+    assert not count or (seen == 1).all()  # no pairs, no tiles
+    return out
+
+
+def discrepancy_arrays(F, T, pairs):
+    """|A_K - A_L| per (K, L) in pairs, in orbit order: entry i belongs to the point order[i]."""
+    return orbit_arrays(_discrepancy_tiles(F, T, pairs), T.size, len(pairs))
+
+
+def proof_arrays(F, T, K, L):
+    """proof_terms' U and V in orbit order, as discrepancy_arrays."""
+    return orbit_arrays(proof_terms(F, T, K, L), T.size, 2)
 
 
 def split_into_n_cycles(T, n):

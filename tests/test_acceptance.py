@@ -25,8 +25,8 @@ from ergodia.systems import (
     debruijn_window_permutation,
     paper_observable,
 )
-from oracles import (exact_prefix_means, exceedance_fraction, hall_deficiency_oracle, tent_function,
-                     three_point_average, trajectory, word)
+from oracles import (discrepancy_arrays, exact_prefix_means, exceedance_fraction, hall_deficiency_oracle,
+                     proof_arrays, tent_function, three_point_average, trajectory, word)
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -66,7 +66,8 @@ def test_criterion_02_discrepancy_theorem_finite_form():
     K, L = 50_500, 50_000
     T = rot.permutation
     (rep,) = ergodia.sup_discrepancy(F, T, [(K, L)])
-    U, V = ergodia.proof_terms(F, T, K, L)  # in orbit order, as rep.diffs
+    (diffs,) = discrepancy_arrays(F, T, [(K, L)])
+    U, V = proof_arrays(F, T, K, L)  # in orbit order, as diffs
     # at a few slots, the terms summed along the orbit of the point in that slot
     terms_ok = True
     for s in (0, 1, 12_345, M - 1):
@@ -74,7 +75,7 @@ def test_criterion_02_discrepancy_theorem_finite_form():
         terms_ok = terms_ok and abs(U[s] - (1 / L - 1 / K) * a[:L].sum()) <= 1e-12
         terms_ok = terms_ok and abs(V[s] - a[L:].sum() / K) <= 1e-12
     ok = (rep.sup_disc <= 0.02
-          and bool((rep.diffs <= U + V + 1e-12).all())
+          and bool((diffs <= U + V + 1e-12).all())
           and terms_ok
           and (time.time() - t0) < 10.0)
     report("sup discrepancy bound at a=0.5", ok)

@@ -24,8 +24,7 @@ from ergodia import cli, dynamics, stabilization, systems
 from ergodia.dynamics import (FinitePermutation, Observable, OrbitIndex, ergodic_means_prefix, gamma_series,
                               orbit_average)
 from ergodia.integrability import average, integrability_profile, tail_mass
-from ergodia.stabilization import (common_stabilization_segment, proof_terms, stabilization_segment,
-                                   sup_discrepancy)
+from ergodia.stabilization import common_stabilization_segment, stabilization_segment, sup_discrepancy
 from ergodia.systems import (
     RotationSystem,
     build_bernoulli,
@@ -33,9 +32,9 @@ from ergodia.systems import (
     build_rotation,
     paper_observable,
 )
-from oracles import (band_end_loop, debruijn_lyndon, exact_prefix_means, index_field,
+from oracles import (band_end_loop, debruijn_lyndon, discrepancy_arrays, exact_prefix_means, index_field,
                      inverse_order, mean_rounding_bound, orbit_and_period, permutation_from_cycles,
-                     prefix_means_gather, sup_discrepancy_two_pass, width_rule)
+                     prefix_means_gather, proof_arrays, sup_discrepancy_two_pass, width_rule)
 
 
 def drift(M):
@@ -284,8 +283,8 @@ def test_gamma_and_the_band_scan_on_a_drift_system_build_no_order():
         orbit_average(F, T, y)
         T.period(y)
     stabilization_segment(F, T, [0, 3, 77, 4999], 2, 0.05, 300)
-    sup_discrepancy(F, T, [(40, 17), (5003, 1000)])  # _row_means reads no order
-    proof_terms(F, T, 5003, 1000)
+    sup_discrepancy(F, T, [(40, 17), (5003, 1000)], [0.05])  # _row_means reads no order
+    proof_arrays(F, T, 5003, 1000)
     index = T.orbit_index
     assert type(index) is OrbitIndex and "order" not in vars(index)
     assert T.along(F) is F.values
@@ -361,12 +360,15 @@ def test_relabelling_preserves_means_discrepancies_segments_and_tails(name):
     # diffs, U and V of each copy in its own orbit order, compared in point order
     slot, slot2 = inverse_order(T.orbit_index), inverse_order(T2.orbit_index)
     pairs = [(2, 1), (7, 2), (T.size + 5, T.size // 3), (T.size // 2 + 3, T.size // 5 + 1)]
-    for (K, L), rep, rep2 in zip(pairs, sup_discrepancy(F, T, pairs), sup_discrepancy(F2, T2, pairs)):
-        assert np.array_equal(rep2.diffs[slot2][sigma], rep.diffs[slot])
+    epsilons = (1e-3, 0.05, 0.5)
+    reports = zip(sup_discrepancy(F, T, pairs, epsilons), sup_discrepancy(F2, T2, pairs, epsilons))
+    for (K, L), d, d2, (rep, rep2) in zip(pairs, discrepancy_arrays(F, T, pairs),
+                                          discrepancy_arrays(F2, T2, pairs), reports, strict=True):
+        assert np.array_equal(d2[slot2][sigma], d[slot])
         assert rep2.sup_disc == rep.sup_disc
-        for eps in (1e-3, 0.05, 0.5):
+        for eps in epsilons:
             assert rep2.exceedance(eps) == rep.exceedance(eps)
-        for term2, term in zip(proof_terms(F2, T2, K, L), proof_terms(F, T, K, L)):
+        for term2, term in zip(proof_arrays(F2, T2, K, L), proof_arrays(F, T, K, L), strict=True):
             assert np.array_equal(term2[slot2][sigma], term[slot])
     sample = np.random.default_rng(5).integers(0, T.size, 40)
     for n_min, eps, scan_limit in ((1, 1e-9, 50), (3, 0.05, 300), (2, 0.5, T.size + 9)):
@@ -439,11 +441,11 @@ def test_lazy_image_equals_the_successor_image_and_is_read_only(name):
 def kernel_results(F, T):
     """Every kernel that reads T.along(F), as plain arrays and tuples; diffs, U and V in orbit order."""
     gamma, _ = gamma_series(F, T, 5, 2.7, 1)
-    (rep,) = sup_discrepancy(F, T, [(40, 17)])
-    U, V = proof_terms(F, T, 40, 17)
+    (rep,) = sup_discrepancy(F, T, [(40, 17)], [0.05])
+    U, V = proof_arrays(F, T, 40, 17)
     seg = stabilization_segment(F, T, [0, 5, 33, 60, 106], 2, 0.05, 150)
     common = common_stabilization_segment(seg, 0.2)
-    return (gamma, rep.diffs, U, V, rep.sup_disc,
+    return (gamma, discrepancy_arrays(F, T, [(40, 17)])[0], U, V, rep.sup_disc, rep.exceedance(0.05),
             seg.K_star, seg.witness, seg.capped,
             (common.K_star, common.witness, common.capped, common.excluded_fraction))
 
@@ -509,8 +511,8 @@ def test_the_kernels_build_no_image(name):
     for y in (0, 3, T.size - 1):
         gamma_series(F, T, y, 2.5)
     common_stabilization_segment(stabilization_segment(F, T, [0, 3, 77, T.size - 1], 2, 0.05, 300), 0.2)
-    sup_discrepancy(F, T, [(40, 17)])
-    proof_terms(F, T, 40, 17)
+    sup_discrepancy(F, T, [(40, 17)], [0.05])
+    proof_arrays(F, T, 40, 17)
     assert T._image is None
 
 
@@ -588,13 +590,15 @@ def test_kernels_on_a_narrow_memo_bitwise_equal_the_oracles(monkeypatch, name, d
         means = prefix_means_gather(F, T, y, gamma.shape[0])
         assert gamma[:, 2].tobytes() == means.tobytes()
         assert ergodic_means_prefix(F, T, y, means.size).means.tobytes() == means.tobytes()
-    for K, L in ((7, 1), (40, 17), (M + 5, M // 3)):
-        (rep,) = sup_discrepancy(F, T, [(K, L)])
-        diffs, u, v = sup_discrepancy_two_pass(F, T, K, L)  # all in orbit order
-        assert rep.diffs.tobytes() == diffs.tobytes()
-        U, V = proof_terms(F, T, K, L)
-        assert U.tobytes() == u.tobytes() and V.tobytes() == v.tobytes()
     points, scale = np.array([0, 5, 33, M - 1, 5]), float(np.iinfo(dtype).max)
+    for K, L in ((7, 1), (40, 17), (M + 5, M // 3)):
+        (rep,) = sup_discrepancy(F, T, [(K, L)], [0.5 * scale])
+        diffs, u, v = sup_discrepancy_two_pass(F, T, K, L)  # all in orbit order
+        assert discrepancy_arrays(F, T, [(K, L)])[0].tobytes() == diffs.tobytes()
+        U, V = proof_arrays(F, T, K, L)
+        assert U.tobytes() == u.tobytes() and V.tobytes() == v.tobytes()
+        assert np.float64(rep.sup_disc).tobytes() == np.max(diffs).tobytes()
+        assert np.float64(rep.exceedance(0.5 * scale)).tobytes() == np.mean(diffs >= 0.5 * scale).tobytes()
     for n_min, eps, scan_limit in ((1, 1e-9, 50), (3, 0.3 * scale, M + 9)):
         seg = stabilization_segment(F, T, points, n_min, eps, scan_limit)
         want = [band_end_loop(F, T, int(y), n_min, eps, scan_limit) for y in points]
@@ -636,8 +640,10 @@ def kernel_outputs(F, T):
     for n_min, eps, scan_limit in ((1, 1e-9, 50), (3, 0.3 * top, M + 9)):
         seg = stabilization_segment(F, T, points, n_min, eps, scan_limit)
         out += [seg.K_star, seg.witness, seg.capped]
-    out += [rep.diffs for rep in sup_discrepancy(F, T, [(7, 1), (40, 17), (M + 5, M // 3)])]
-    out += list(proof_terms(F, T, 40, 17))
+    pairs = [(7, 1), (40, 17), (M + 5, M // 3)]
+    out += discrepancy_arrays(F, T, pairs)
+    out.append(np.array([(rep.sup_disc, rep.exceedance(1.0)) for rep in sup_discrepancy(F, T, pairs, [1.0])]))
+    out += proof_arrays(F, T, 40, 17)
     profile = integrability_profile(F)
     out += [profile.thresholds, profile.tail_masses, np.array([profile.av_abs, profile.max_abs])]
     out.append(np.array([tail_mass(F, k) for k in (0.5, 1.0, 127.0, 128.0, 2.0**31)] + [average(F)]))

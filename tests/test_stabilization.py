@@ -19,8 +19,8 @@ from ergodia.stabilization import (
     sup_discrepancy,
 )
 from ergodia.systems import build_bernoulli, build_drift_system, build_rotation, paper_observable
-from oracles import (band_end_loop, common_segment_loop, exceedance_fraction, permutation_from_cycles,
-                     reference_psi, sup_discrepancy_two_pass, trajectory)
+from oracles import (band_end_loop, common_segment_loop, discrepancy_arrays, exceedance_fraction,
+                     permutation_from_cycles, proof_arrays, reference_psi, sup_discrepancy_two_pass, trajectory)
 
 
 def random_system(M, seed, lo=-50, hi=50):
@@ -51,11 +51,11 @@ def test_sup_discrepancy_brute_force():
 def test_proof_bound_terms_exact():
     F, T = random_system(60, 9)
     K, L = 30, 12
-    (rep,) = sup_discrepancy(F, T, [(K, L)])
-    U, V = proof_terms(F, T, K, L)
+    (diffs,) = discrepancy_arrays(F, T, [(K, L)])
+    U, V = proof_arrays(F, T, K, L)
     assert U.shape == V.shape == (T.size,)
-    # slot by slot in orbit order, as rep.diffs: slot i belongs to the point order[i]
-    for y, d, u, v in zip(T.orbit_index.order.tolist(), rep.diffs, U, V):
+    # slot by slot in orbit order, as diffs: slot i belongs to the point order[i]
+    for y, d, u, v in zip(T.orbit_index.order.tolist(), diffs, U, V):
         absvals = np.abs(F.values[trajectory(T, y, K)])
         assert u == pytest.approx((1 / L - 1 / K) * absvals[:L].sum(), abs=1e-9)
         assert v == pytest.approx(absvals[L:].sum() / K, abs=1e-9)
@@ -70,9 +70,9 @@ def test_proof_bound_always_holds(M, seed):
     L = 1 + seed % K if K > 1 else 1
     if L >= K:
         L = K - 1
-    (rep,) = sup_discrepancy(F, T, [(K, L)])
-    U, V = proof_terms(F, T, K, L)
-    assert (rep.diffs <= U + V + 1e-9).all()  # both in orbit order
+    (diffs,) = discrepancy_arrays(F, T, [(K, L)])
+    U, V = proof_arrays(F, T, K, L)
+    assert (diffs <= U + V + 1e-9).all()  # both in orbit order
 
 
 def test_exceedance_fraction_counts():
@@ -90,6 +90,20 @@ def test_discrepancy_validation():
         sup_discrepancy(F, T, [(5, 5)])
     with pytest.raises(ValueError):
         exceedance_fraction(F, T, 5, 2, 0.0)
+
+
+def test_exceedance_reads_only_requested_epsilons_and_counts_a_repeat_once():
+    F, T = random_system(50, 4)
+    (diffs,) = discrepancy_arrays(F, T, [(9, 4)])
+    (rep,) = sup_discrepancy(F, T, [(9, 4)], [0.5, 2.0, 0.5, 2])
+    assert rep.counts == {0.5: int(np.count_nonzero(diffs >= 0.5)), 2.0: int(np.count_nonzero(diffs >= 2))}
+    for eps in (0.5, 2.0, 2):
+        assert bits(rep.exceedance(eps)) == bits(np.mean(diffs >= eps))
+    for eps in (0.25, 1e-3, float("nan")):
+        with pytest.raises(ValueError, match="was not requested"):
+            rep.exceedance(eps)
+    with pytest.raises(ValueError, match="was not requested"):
+        sup_discrepancy(F, T, [(9, 4)])[0].exceedance(0.5)
 
 
 @pytest.mark.parametrize("K,L", [(5, 5), (3, 0), (20, 40), (1, 0), (0, -1)])
@@ -298,27 +312,52 @@ def bits(*values):
     return np.asarray(values, dtype=np.float64).tobytes()
 
 
+# the least subnormal counts every nonzero |A_K - A_L|, the last bit of one included
+EPSILONS = (5e-324, 1e-3, 0.05, 0.5)
+
+
 @pytest.mark.parametrize("chunk,name", CASES)
 def test_sup_discrepancy_bitwise_equals_two_pass_oracle(monkeypatch, chunk, name):
     monkeypatch.setattr(dynamics, "CHUNK_POINTS", chunk)
     F, T = kernel_system(name)
     pairs = horizon_pairs(T)[:2] if name == "naive8" else horizon_pairs(T)
     for K, L in pairs:
-        (rep,) = sup_discrepancy(F, T, [(K, L)])
+        (rep,) = sup_discrepancy(F, T, [(K, L)], EPSILONS)
         diffs, u, v = sup_discrepancy_two_pass(F, T, K, L)
-        assert rep.diffs.tobytes() == diffs.tobytes(), (K, L)
+        assert discrepancy_arrays(F, T, [(K, L)])[0].tobytes() == diffs.tobytes(), (K, L)
         # the proof terms at every point, in the orbit order of diffs
-        U, V = proof_terms(F, T, K, L)
+        U, V = proof_arrays(F, T, K, L)
         assert U.tobytes() == u.tobytes(), (K, L)
         assert V.tobytes() == v.tobytes(), (K, L)
         assert bits(rep.sup_disc) == bits(np.max(diffs))
-        for eps in (1e-3, 0.05, 0.5):
+        for eps in EPSILONS:
             assert rep.exceedance(eps) == exceedance_fraction(F, T, K, L, eps)
-            assert rep.exceedance(eps) == float(np.mean(diffs >= eps))
+            assert bits(rep.exceedance(eps)) == bits(np.mean(diffs >= eps))
 
 
-# none, one, two and three pairs; the last repeats a pair and shares a horizon
-PAIR_LISTS = [[], [(40, 20)], [(9, 4), (40, 20)], [(40, 20), (40, 20), (20, 7)]]
+@pytest.mark.parametrize("chunk", [1, 7, 256, dynamics.CHUNK_POINTS])
+def test_a_nan_in_f_gives_a_nan_sup_and_the_oracle_exceedances(monkeypatch, chunk):
+    # one NaN on the longest cycle: its points' means are NaN, and a NaN is never >= eps
+    monkeypatch.setattr(dynamics, "CHUNK_POINTS", chunk)
+    G, T = mixed_cycles(2, zeros=True)
+    values = G.values.copy()
+    values[T.cycles[0][3]] = np.nan
+    F = Observable.from_values(values)
+    for K, L in horizon_pairs(T):
+        (rep,) = sup_discrepancy(F, T, [(K, L)], EPSILONS)
+        diffs, u, v = sup_discrepancy_two_pass(F, T, K, L)
+        assert np.isnan(diffs).any() and not np.isnan(diffs).all()
+        assert discrepancy_arrays(F, T, [(K, L)])[0].tobytes() == diffs.tobytes(), (K, L)
+        U, V = proof_arrays(F, T, K, L)
+        assert U.tobytes() == u.tobytes() and V.tobytes() == v.tobytes(), (K, L)
+        assert np.isnan(rep.sup_disc) and bits(rep.sup_disc) == bits(np.max(diffs))
+        for eps in EPSILONS:
+            assert bits(rep.exceedance(eps)) == bits(np.mean(diffs >= eps))
+
+
+# none, one, two and three pairs, the three repeating a pair and sharing a horizon; and (105, 15),
+# which cycle lengths 1 and 5 divide, so those blocks are (rows, 1), nonzero where q*S rounds
+PAIR_LISTS = [[], [(40, 20)], [(9, 4), (40, 20)], [(40, 20), (40, 20), (20, 7)], [(105, 15)]]
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 64, 256, dynamics.CHUNK_POINTS])
@@ -329,22 +368,24 @@ def test_fused_pairs_bitwise_equal_two_pass_oracle(monkeypatch, chunk, name):
     monkeypatch.setattr(dynamics, "CHUNK_POINTS", chunk)
     F, T = kernel_system(name)
     for pairs in PAIR_LISTS:
-        reports = sup_discrepancy(F, T, pairs)
+        reports = sup_discrepancy(F, T, pairs, EPSILONS)
         assert [(rep.K, rep.L) for rep in reports] == pairs
-        for rep, (K, L) in zip(reports, pairs):
+        fused = discrepancy_arrays(F, T, pairs)  # the tiles of one pass over every pair
+        for rep, got, (K, L) in zip(reports, fused, pairs, strict=True):
             diffs, u, v = sup_discrepancy_two_pass(F, T, K, L)
             # diffs, U and V are in orbit order: entry i belongs to the point order[i]
-            assert rep.diffs.tobytes() == diffs.tobytes(), (pairs, K, L)
-            U, V = proof_terms(F, T, K, L)
+            assert got.tobytes() == diffs.tobytes(), (pairs, K, L)
+            U, V = proof_arrays(F, T, K, L)
             assert U.tobytes() == u.tobytes(), (pairs, K, L)
             assert V.tobytes() == v.tobytes(), (pairs, K, L)
             assert bits(rep.sup_disc) == bits(np.max(diffs))
-            for eps in (1e-3, 0.05, 0.5):
-                assert rep.exceedance(eps) == float(np.mean(diffs >= eps))
-        # a repeated pair gets its own arrays with the same values
+            for eps in EPSILONS:
+                assert bits(rep.exceedance(eps)) == bits(np.mean(diffs >= eps))
+        # a repeated pair gets its own blocks and counts with the same values
         if len(reports) == 3:
-            assert reports[0].diffs is not reports[1].diffs
-            assert reports[0].diffs.tobytes() == reports[1].diffs.tobytes()
+            assert reports[0].counts is not reports[1].counts and reports[0].counts == reports[1].counts
+            assert fused[0] is not fused[1]
+            assert fused[0].tobytes() == fused[1].tobytes()
 
 
 def test_fused_pairs_take_one_pass_and_check_every_pair_first(monkeypatch):
@@ -376,6 +417,9 @@ def test_fused_pairs_take_one_pass_and_check_every_pair_first(monkeypatch):
     for bad in ([(40, 20), (5, 5)], [(3, 0)], [(40, 20), (20, 40)]):
         with pytest.raises(ValueError):
             sup_discrepancy(F, T, bad)
+    for bad in ([0.0], [0.05, float("nan")], [-1.0]):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            sup_discrepancy(F, T, [(40, 20)], bad)
     assert calls == []
 
 
@@ -389,12 +433,35 @@ def test_discrepancy_temporaries_on_one_long_cycle_stay_a_few_tiles(name):
     for pairs in ([(500_000, 250_000)], [(2_500_003, 1_000_001), (40, 7)]):
         tracemalloc.start()
         try:
-            reports = sup_discrepancy(F, T, pairs)
+            sup_discrepancy(F, T, pairs, EPSILONS)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        kept = sum(rep.diffs.nbytes for rep in reports)
-        assert peak - kept <= 4 * dynamics.CHUNK_POINTS * 2 * len(pairs) * 8, (pairs, peak - kept)
+        # no array is kept: a report holds a max and one count per epsilon
+        assert peak <= 4 * dynamics.CHUNK_POINTS * 2 * len(pairs) * 8, (pairs, peak)
+
+
+def test_discrepancy_and_proof_bound_passes_hold_a_few_tiles_at_any_size():
+    # one drift cycle, an int8 memo: the same bound at 1e5 and 1e6 points, so nothing in either pass
+    # grows with M but proof_terms' |F|, stored at one byte per point before its first tile
+    bound = 8 * dynamics.CHUNK_POINTS * 8
+    for M in (10**5, 10**6):
+        T, F = build_drift_system(M), paper_observable("ex03", M, K=1000)
+        assert T.along(F) is F.values
+        tracemalloc.start()
+        try:
+            sup_discrepancy(F, T, [(1000, 500)], EPSILONS)
+            disc_peak = tracemalloc.get_traced_memory()[1]
+            tiles = proof_terms(F, T, 1000, 500)
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            for (_, (d,)), (_, (U, V)) in zip(stabilization._discrepancy_tiles(F, T, [(1000, 500)]), tiles,
+                                              strict=True):
+                assert (d <= U + V + 1e-9).all()
+            proof_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert disc_peak <= bound and proof_peak <= bound and held <= M + (1 << 16), (M, disc_peak, proof_peak, held)
 
 
 def spike_drift(M=2000, z=1000, seed=3):
