@@ -7,7 +7,6 @@ approximation of circle rotations and Bernoulli shifts.
 
 from .dynamics import (
     FinitePermutation,
-    MeanSeries,
     Observable,
     OrbitIndex,
     ergodic_means_prefix,
@@ -42,7 +41,6 @@ from .approximation import (
 )
 from .systems import (
     RotationSystem,
-    SymbolicSystem,
     build_bernoulli,
     build_drift_system,
     build_rotation,

@@ -330,7 +330,7 @@ def make_transitive(T: FinitePermutation) -> tuple[FinitePermutation, list[int]]
     order = T.orbit_index.order
     image = np.empty(T.size, dtype=np.int64)
     image[order] = np.roll(order, -1)
-    C = FinitePermutation(image, validate=False)
+    C = FinitePermutation(image)
     B = np.flatnonzero(C.image != T.image).tolist()
     return C, B
 

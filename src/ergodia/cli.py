@@ -107,11 +107,9 @@ def _build_system(spec: dict):
             "system": "rotation", "M": M, "P": rot.P, "t": rot.t, "defect": rot.defect,
         }
     if name == "bernoulli":
-        sys_ = build_bernoulli(_int_param(spec["m"], "m", 2), _int_param(spec["N"], "N", 0),
-                               spec.get("mode", "debruijn"))
-        return sys_.permutation, {
-            "system": "bernoulli", "m": sys_.m, "N": sys_.N, "mode": sys_.mode, "M": sys_.M,
-        }
+        m, N, mode = _int_param(spec["m"], "m", 2), _int_param(spec["N"], "N", 0), spec.get("mode", "debruijn")
+        T = build_bernoulli(m, N, mode)
+        return T, {"system": "bernoulli", "m": m, "N": N, "mode": mode, "M": T.size}
     raise ConfigError(f"unknown system {name!r}")
 
 

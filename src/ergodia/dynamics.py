@@ -29,7 +29,6 @@ __all__ = [
     "PermutedOrder",
     "StoredOrder",
     "Observable",
-    "MeanSeries",
     "ergodic_means_prefix",
     "orbit_average",
     "gamma_series",
@@ -105,6 +104,13 @@ class OrbitIndex:
 
     def _slots(self, points: np.ndarray) -> np.ndarray:
         return points
+
+    def runs(self, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(start, p, pos) per point, int64: it is in slot start + pos of its cycle, slots start ..
+        start + p - 1 of the order; one slots call for all of them."""
+        slots = self.slots(points)
+        c = self.cycle_at(slots)
+        return self.starts[c], self.lengths[c], slots - self.starts[c]
 
     def gather(self, values: np.ndarray) -> np.ndarray:
         """values[order]: values itself for the identity order."""
@@ -257,12 +263,9 @@ class FinitePermutation:
 
     __slots__ = ("_image", "size", "_index", "_along", "_located")
 
-    def __init__(self, image: Sequence[int] | np.ndarray, *, validate: bool = True):
+    def __init__(self, image: Sequence[int] | np.ndarray):
         image = np.asarray(image, dtype=np.int64)
-        if image.ndim != 1 or image.size == 0:
-            raise ValueError("image must be a non-empty 1-d array")
-        if validate:
-            _checked(image, "image array")
+        _checked(image, "image array")
         image.setflags(write=False)
         self._image = image
         self.size = int(image.size)
@@ -271,13 +274,6 @@ class FinitePermutation:
     @classmethod
     def identity(cls, size: int) -> "FinitePermutation":
         return cls.from_cycle_order(np.arange(size, dtype=np.int64), np.ones(size, dtype=np.int64))
-
-    @classmethod
-    def shift(cls, size: int) -> "FinitePermutation":
-        """y -> y + 1 mod size: one cycle in identity order, so its index is built with no order array."""
-        if size < 1:
-            raise ValueError(f"size must be >= 1, got {size}")
-        return cls.from_index(OrbitIndex(np.zeros(1, dtype=np.int64), np.full(1, size, dtype=np.int64)))
 
     @classmethod
     def from_index(cls, index: OrbitIndex) -> "FinitePermutation":
@@ -383,13 +379,8 @@ class FinitePermutation:
                 for row in order[offset : offset + count * p].reshape(count, p)]
 
     def _runs(self, points) -> list[tuple[int, int, int]]:
-        """(start, p, pos) per point: it is in slot start + pos of its cycle, slots start .. start + p - 1
-        of the orbit order; one OrbitIndex.slots call for all of them."""
-        index = self.orbit_index
-        slots = index.slots(points)
-        c = index.cycle_at(slots)
-        starts = index.starts[c]
-        return list(zip(starts.tolist(), index.lengths[c].tolist(), (slots - starts).tolist()))
+        """OrbitIndex.runs as one (start, p, pos) tuple of ints per point."""
+        return list(zip(*(a.tolist() for a in self.orbit_index.runs(points))))
 
     def locate(self, points) -> None:
         """Keep the runs of points, found in one slots call, for the kernels that take one point at a
@@ -408,51 +399,23 @@ class FinitePermutation:
 
 @dataclass(frozen=True, eq=False)
 class Observable:
-    """A real-valued function F on {0, ..., M-1}.
+    """A real-valued function F on {0, ..., M-1}, M = values.size: Observable(values, name).
 
     Stored densely at the narrowest exact width (_narrow): int8, else int32
     if every value is an integer that fits, else float64.  Readers that
     negate, take abs or scale widen first.
     """
 
-    size: int
     values: np.ndarray
     name: str = "observable"
 
     def __post_init__(self):
         values = np.asarray(self.values)
-        if self.size < 1:
-            raise ValueError(f"an observable needs size >= 1, got {self.size}")
-        if values.shape != (self.size,):
-            raise ValueError(f"values must have shape ({self.size},)")
+        if values.ndim != 1 or values.size == 0:
+            raise ValueError(f"values must be a non-empty 1-d array, got shape {values.shape}")
         values = _narrow(values)
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-
-    @classmethod
-    def from_values(cls, values, name: str = "observable") -> "Observable":
-        values = np.asarray(values)
-        return cls(size=values.size, values=values, name=name)
-
-
-@dataclass(frozen=True, eq=False)
-class MeanSeries:
-    """Prefix ergodic means A_1..A_n for one start point y.
-
-    means[n-1] == A_n(F, T, y).  In Gamma coordinates the abscissa of
-    A_n is n/M, spanning (0, k] for n up to k*M.
-    """
-
-    means: np.ndarray
-
-    def __post_init__(self):
-        means = np.asarray(self.means, dtype=np.float64)
-        means.setflags(write=False)
-        object.__setattr__(self, "means", means)
-
-    def mean_at(self, n: int) -> float:
-        """A_n for 1 <= n <= means.size."""
-        return float(self.means[n - 1])
 
 
 # -- operations -----------------------------------------------------------
@@ -485,12 +448,15 @@ def _prefix_sums(F: Observable, T: FinitePermutation, y: int, n_total: int, stri
     return kept
 
 
-def ergodic_means_prefix(F: Observable, T: FinitePermutation, y: int, n_max: int) -> MeanSeries:
-    """A_1..A_{n_max} along the T-orbit of y, in a single O(n_max) pass: gamma_series's chunked
-    prefix sums (stride 1), each divided by its n in float64."""
+def ergodic_means_prefix(F: Observable, T: FinitePermutation, y: int, n_max: int) -> np.ndarray:
+    """A_1..A_{n_max} along the T-orbit of y, read-only float64 (entry n - 1 is A_n), in a single
+    O(n_max) pass: gamma_series's chunked prefix sums (stride 1), each divided by its n in float64."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    return MeanSeries(means=_prefix_sums(F, T, y, n_max, 1) / np.arange(1, n_max + 1, dtype=np.float64))
+    means = _prefix_sums(F, T, y, n_max, 1)
+    means /= np.arange(1, n_max + 1, dtype=np.float64)
+    means.setflags(write=False)
+    return means
 
 
 def orbit_average(F: Observable, T: FinitePermutation, y: int) -> float:

@@ -45,7 +45,7 @@ class IntegrabilityProfile:
 
 def average(F: Observable) -> float:
     """Av(F) = (1/M) * sum F(y); numpy pairwise summation in float64."""
-    return float(np.sum(F.values, dtype=np.float64) / F.size)
+    return float(np.sum(F.values, dtype=np.float64) / F.values.size)
 
 
 def tail_mass(F: Observable, k: float) -> float:
@@ -53,7 +53,7 @@ def tail_mass(F: Observable, k: float) -> float:
     if not k > 0:  # NaN is refused too
         raise ValueError("threshold must be positive")
     a = np.abs(F.values, dtype=np.float64)
-    return float(np.sum(a[a > k]) / F.size)
+    return float(np.sum(a[a > k]) / a.size)
 
 
 def _doubling_grid(max_abs: float) -> np.ndarray:
@@ -74,7 +74,7 @@ def integrability_profile(F: Observable, ks: Sequence[float] | None = None) -> I
     the same bits as the matching entry of a full reversed cumulative sum.
     """
     a = np.abs(F.values, dtype=np.float64)  # widened first: |-128| wraps in int8
-    av_abs = float(np.sum(a) / F.size)
+    av_abs = float(np.sum(a) / a.size)
     max_abs = float(np.max(a, initial=0.0))
     ks = np.asarray(_doubling_grid(max_abs) if ks is None else ks, dtype=np.float64)
     if ks.size == 0:
@@ -85,7 +85,7 @@ def integrability_profile(F: Observable, ks: Sequence[float] | None = None) -> I
     pos = np.searchsorted(a, ks, side="right")
     top = a[pos[0] :][::-1]
     np.cumsum(top, out=top)
-    tails = np.where(pos < F.size, a[np.minimum(pos, F.size - 1)], 0.0) / F.size
+    tails = np.where(pos < a.size, a[np.minimum(pos, a.size - 1)], 0.0) / a.size
     return IntegrabilityProfile(thresholds=ks, tail_masses=tails, av_abs=av_abs, max_abs=max_abs)
 
 

@@ -171,7 +171,7 @@ def proof_terms(F: Observable, T: FinitePermutation, K: int, L: int):
     # widened first (|-128| wraps in int8, |-2^31| in int32) but kept integer, so _narrow stores the
     # dtype a float64 |F| would get with no float pass
     wide = {np.int8: np.int16, np.int32: np.int64}.get(F.values.dtype.type, np.float64)
-    absF = Observable.from_values(np.abs(F.values, dtype=wide))
+    absF = Observable(np.abs(F.values, dtype=wide))
     return ((tile, (absL * (1.0 / L - 1.0 / K) * L, absK - absL * L / K))
             for tile, (absK, absL) in _row_means(absF, T, (K, L)))
 
@@ -193,10 +193,8 @@ def stabilization_segment(F: Observable, T: FinitePermutation, points: Sequence[
         raise ValueError("n_min exceeds scan_limit")
     if scan_limit > SERIES_BUDGET:
         raise ValueError(f"scan_limit exceeds the budget of {SERIES_BUDGET} means per start point")
-    index = T.orbit_index
-    slots = index.slots(points)  # one pass over the order for all points, not one per chunk
-    c = index.cycle_at(slots)
-    start, p, along = index.starts[c], index.lengths[c], T.along(F)
+    start, p, pos = T.orbit_index.runs(points)  # one pass over the order for all points, not one per chunk
+    along = T.along(F)
     k_star, witness = np.full(points.size, scan_limit), np.empty(points.size)
     cols = min(scan_limit, dynamics.CHUNK_POINTS)
     for first in range(0, points.size, dynamics.CHUNK_POINTS // cols):
@@ -205,7 +203,7 @@ def stabilization_segment(F: Observable, T: FinitePermutation, points: Sequence[
         a, n = 0, 32
         while rows.size and a < scan_limit:
             n = min(n, cols, scan_limit - a)
-            sums = _carried_sums(along, start[rows], p[rows], slots[rows] - start[rows], a, n, total)
+            sums = _carried_sums(along, start[rows], p[rows], pos[rows], a, n, total)
             skip = min(max(n_min - 1 - a, 0), n)  # columns before the band starts
             means = sums[:, skip:] / np.arange(a + skip + 1, a + n + 1, dtype=np.float64)
             # column 0 carries the band's max and min from the tiles before

@@ -19,11 +19,10 @@ from math import gcd
 
 import numpy as np
 
-from .dynamics import CHUNK_POINTS, FinitePermutation, Observable, PermutedOrder, _narrow
+from .dynamics import CHUNK_POINTS, FinitePermutation, Observable, OrbitIndex, PermutedOrder, _narrow
 
 __all__ = [
     "RotationSystem",
-    "SymbolicSystem",
     "build_drift_system",
     "build_rotation",
     "debruijn_window_permutation",
@@ -37,10 +36,11 @@ __all__ = [
 
 
 def build_drift_system(M: int) -> FinitePermutation:
-    """T = +1 mod M; on the grid y/M of the unit interval it approximates the identity map."""
+    """T = +1 mod M; on the grid y/M of the unit interval it approximates the identity map.  One cycle
+    in identity order, so its index is written directly, with no order array to check and drop."""
     if M < 2:
         raise ValueError("need M >= 2")
-    return FinitePermutation.shift(M)
+    return FinitePermutation.from_index(OrbitIndex(np.zeros(1, dtype=np.int64), np.full(1, M, dtype=np.int64)))
 
 
 @dataclass(frozen=True)
@@ -196,20 +196,6 @@ def debruijn_window_permutation(m: int, n: int) -> FinitePermutation:
     return FinitePermutation.from_index(_DeBruijnOrder(*one_cycle, symbols, m, n))
 
 
-@dataclass(frozen=True)
-class SymbolicSystem:
-    """A finite approximation of the Bernoulli shift on words over positions -N..N."""
-
-    m: int
-    N: int
-    mode: str  # "naive" | "debruijn"
-    permutation: FinitePermutation
-
-    @property
-    def M(self) -> int:
-        return self.m ** (2 * self.N + 1)
-
-
 def _rotate(words: np.ndarray, j: int, m: int, L: int) -> np.ndarray:
     """Each length-L word rotated left by j symbols: y'(i) = y(i + j mod L).
 
@@ -302,8 +288,9 @@ def _naive_shift(m: int, L: int) -> FinitePermutation:
     return FinitePermutation.from_index(index)
 
 
-def build_bernoulli(m: int, N: int, mode: str = "debruijn") -> SymbolicSystem:
-    """The naive cyclic index shift or the de Bruijn window successor.
+def build_bernoulli(m: int, N: int, mode: str = "debruijn") -> FinitePermutation:
+    """The naive cyclic index shift or the de Bruijn window successor, a finite approximation of the
+    Bernoulli shift on the m^(2N+1) words over positions -N..N.
 
     Naive: S(y)(n) = y(n+1 mod 2N+1), so every orbit length divides 2N+1.
     De Bruijn: a single M-cycle agreeing with the true shift on all words
@@ -315,9 +302,9 @@ def build_bernoulli(m: int, N: int, mode: str = "debruijn") -> SymbolicSystem:
     if m**L > 1 << 26:
         raise ValueError("word space exceeds the memory budget")
     if mode == "naive":
-        return SymbolicSystem(m=m, N=N, mode=mode, permutation=_naive_shift(m, L))
+        return _naive_shift(m, L)
     if mode == "debruijn":
-        return SymbolicSystem(m=m, N=N, mode=mode, permutation=debruijn_window_permutation(m, L))
+        return debruijn_window_permutation(m, L)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -368,11 +355,11 @@ def paper_observable(name: str, M: int, **params) -> Observable:
         vals = np.empty(M, dtype=_width(M, -M))
         vals[0::2] = M
         vals[1::2] = -M
-        return Observable(M, vals, name="ex01")
+        return Observable(vals, name="ex01")
     if name == "delta":
         vals = np.zeros(M, dtype=_width(M))
         vals[0] = M
-        return Observable(M, vals, name="delta")
+        return Observable(vals, name="delta")
     if name == "ex03":
         K = params.get("K")
         if K is None:
@@ -383,11 +370,11 @@ def paper_observable(name: str, M: int, **params) -> Observable:
         R = (M // k) // 2 * 2
         vals = np.zeros(M, dtype=np.int8)
         vals[: R * k].reshape(-1, 2 * k)[:, :k] = 1
-        return Observable(M, vals, name=f"ex03(K={k})")
+        return Observable(vals, name=f"ex03(K={k})")
     if name == "linear":
         vals = np.arange(M, dtype=np.float64)
         vals /= M
-        return Observable(M, vals, name="linear")
+        return Observable(vals, name="linear")
     if name == "tent":
         vals = np.arange(M, dtype=np.float64)
         vals /= M
@@ -397,7 +384,7 @@ def paper_observable(name: str, M: int, **params) -> Observable:
         lo /= 9.0
         np.subtract(1.0, hi, out=hi)
         hi *= 10.0
-        return Observable(M, vals, name="tent")
+        return Observable(vals, name="tent")
     if name == "chi0":
         N = params.get("N")
         if N is None:
@@ -411,11 +398,11 @@ def paper_observable(name: str, M: int, **params) -> Observable:
         # y = (a*m + d)*m^N + b with d that digit
         vals = np.zeros(M, dtype=np.int8)
         vals.reshape(-1, m, m**N)[:, 1, :] = 1
-        return Observable(M, vals, name="chi0")
+        return Observable(vals, name="chi0")
     if name == "constant":
         c = params.get("value")
         if c is None or not np.isfinite(_float_param(c, "constant value")):
             raise ValueError(f"constant needs a finite value, got {c!r}")
-        return Observable(M, np.full(M, float(c), dtype=_width(float(c))), name=f"constant({c})")
+        return Observable(np.full(M, float(c), dtype=_width(float(c))), name=f"constant({c})")
     raise ValueError(f"unknown observable {name!r}")
 

@@ -148,8 +148,8 @@ def profile_by_suffix_sums(F, ks=None):
         ks = doubling_grid(F)
     a = np.sort(np.abs(float_values(F)))
     suffix = np.concatenate([np.cumsum(a[::-1])[::-1], [0.0]])
-    tails = suffix[np.searchsorted(a, np.asarray(ks, dtype=np.float64), side="right")] / F.size
-    return tails, float(np.sum(np.abs(float_values(F))) / F.size), float(np.max(a, initial=0.0))
+    tails = suffix[np.searchsorted(a, np.asarray(ks, dtype=np.float64), side="right")] / F.values.size
+    return tails, float(np.sum(np.abs(float_values(F))) / F.values.size), float(np.max(a, initial=0.0))
 
 
 def exceedance_fraction(F, T, K, L, eps):
@@ -204,9 +204,9 @@ def small_set_mass(F, A):
     idx = np.asarray(list(A), dtype=np.int64)
     if idx.size == 0:
         return 0.0
-    if idx.min() < 0 or idx.max() >= F.size:
+    if idx.min() < 0 or idx.max() >= F.values.size:
         raise IndexError("subset contains points outside 0..M-1")
-    return float(np.sum(np.abs(float_values(F)[idx])) / F.size)
+    return float(np.sum(np.abs(float_values(F)[idx])) / F.values.size)
 
 
 def tent_function(x):
@@ -435,15 +435,15 @@ def map_mismatch_fraction_loop(embed, size, circle, image, tau, eps):
 # -- symbolic words ------------------------------------------------------------
 
 
-def word(system, index):
-    """The word (y(-N), ..., y(N)) of an index of a SymbolicSystem: its base-m digits,
-    least significant first; a column of indices gives one word per row."""
-    return index // system.m ** np.arange(2 * system.N + 1, dtype=np.int64) % system.m
+def word(m, N, index):
+    """The word (y(-N), ..., y(N)) over m symbols of an index of build_bernoulli(m, N): its base-m
+    digits, least significant first; a column of indices gives one word per row."""
+    return index // m ** np.arange(2 * N + 1, dtype=np.int64) % m
 
 
-def word_index(system, w):
-    """The index of the word w, inverse to word."""
-    return int(sum(int(s) * system.m**i for i, s in enumerate(w)))
+def word_index(m, w):
+    """The index of the word w over m symbols, inverse to word."""
+    return int(sum(int(s) * m**i for i, s in enumerate(w)))
 
 
 def rotation_order_two_mod(M, P):
@@ -569,7 +569,7 @@ def sup_discrepancy_two_pass(F, T, K, L):
     diffs = horizon_means_loop(F, T, K)
     diffs -= horizon_means_loop(F, T, L)
     np.abs(diffs, out=diffs)
-    absF = Observable.from_values(np.abs(float_values(F)))
+    absF = Observable(np.abs(float_values(F)))
     absL = horizon_means_loop(absF, T, L)
     absK = horizon_means_loop(absF, T, K)
     order = T.orbit_index.order

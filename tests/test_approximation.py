@@ -110,7 +110,7 @@ def test_interval_measure_matches_fine_grid_count(intervals):
 
 def test_map_mismatch_identity():
     M = 500
-    T = FinitePermutation(np.roll(np.arange(M), -1), validate=False)
+    T = FinitePermutation(np.roll(np.arange(M), -1))
     # +1 mod M approximates the identity with defect exactly 1/M
     assert map_mismatch_fraction(grid(M), T, lambda x: x, 2.0 / M, circle=True) == 0.0
     assert map_mismatch_fraction(grid(M), T, lambda x: x, 0.5 / M, circle=True) == 1.0
@@ -332,7 +332,7 @@ def test_make_transitive_identity_input():
 
 def test_make_transitive_noop_on_cycle():
     M = 7
-    T = FinitePermutation(np.roll(np.arange(M), -1), validate=False)
+    T = FinitePermutation(np.roll(np.arange(M), -1))
     C, B = make_transitive(T)
     assert C == T
     assert B == []
@@ -346,7 +346,7 @@ def test_make_transitive_bound(M, seed):
     for i in range(M - 1, 0, -1):
         j = rng.next_below(i + 1)
         idx[i], idx[j] = idx[j], idx[i]
-    T = FinitePermutation(idx, validate=False)
+    T = FinitePermutation(idx)
     C, B = make_transitive(T)
     assert len(C.cycles) == 1
     assert len(B) <= len(T.cycles)

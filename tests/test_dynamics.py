@@ -28,7 +28,7 @@ def random_permutation(M, seed):
     for i in range(M - 1, 0, -1):
         j = rng.next_below(i + 1)
         idx[i], idx[j] = idx[j], idx[i]
-    return FinitePermutation(idx, validate=False)
+    return FinitePermutation(idx)
 
 
 # -- permutation structure -------------------------------------------------
@@ -122,40 +122,39 @@ def test_out_of_range_start_rejected():
     with pytest.raises(IndexError):
         T.period(-1)
     with pytest.raises(IndexError):
-        ergodic_means_prefix(Observable.from_values([1.0] * 4), T, 4, 3)
+        ergodic_means_prefix(Observable([1.0] * 4), T, 4, 3)
 
 
 # -- observables -----------------------------------------------------------
 
 
 def test_observable_exact_integral_values():
-    F = Observable.from_values([1.0, -3.0, 2.0])
+    F = Observable([1.0, -3.0, 2.0])
     assert exact_value(F, 1) == Fraction(-3)
 
 
 def test_observable_exact_needs_rule_for_fractions():
-    F = Observable.from_values([0.5])
+    F = Observable([0.5])
     with pytest.raises(ValueError):
         exact_value(F, 0)
 
 
-@pytest.mark.parametrize("size", [0, -1])
-def test_observable_refuses_an_empty_space(size):
-    with pytest.raises(ValueError, match="size >= 1"):
-        Observable(size, np.empty(0))
-    with pytest.raises(ValueError, match="size >= 1"):
-        Observable.from_values([])
+@pytest.mark.parametrize("values", [np.empty(0), [], np.float64(1.0), 5, np.ones((2, 2)), np.empty((0, 3))],
+                         ids=["empty", "empty-list", "0-d", "0-d-int", "2-d", "2-d-empty"])
+def test_observable_refuses_all_but_a_non_empty_vector(values):
+    with pytest.raises(ValueError, match=r"^values must be a non-empty 1-d array, got shape \("):
+        Observable(values)
 
 
 def test_observable_values_read_only():
-    F = Observable.from_values([1.0, 2.0])
+    F = Observable([1.0, 2.0])
     with pytest.raises(ValueError):
         F.values[0] = 9.0
 
 
 def test_narrow_numerators_are_widened_before_scaling():
     # int8 values times a denominator: in int8, 100 * 3 and -128 * 3 would wrap
-    F = Observable(3, np.array([100, -128, 5], dtype=np.int8))
+    F = Observable(np.array([100, -128, 5], dtype=np.int8))
     assert F.values.dtype == np.int8
     assert numerators(F.values, 3).tolist() == [300, -384, 15]
 
@@ -176,16 +175,16 @@ def brute_mean(F, T, y, n):
 def test_prefix_means_match_brute_force(M, seed, n_max):
     T = random_permutation(M, seed)
     rng = SplitMix64(seed ^ 0xABCDEF)
-    F = Observable.from_values([rng.next_below(41) - 20 for _ in range(M)])
+    F = Observable([rng.next_below(41) - 20 for _ in range(M)])
     y = seed % M
     series = ergodic_means_prefix(F, T, y, n_max)
     for n in (1, n_max // 2 + 1, n_max):
-        assert series.mean_at(n) == pytest.approx(brute_mean(F, T, y, n), abs=1e-10)
+        assert series[n - 1] == pytest.approx(brute_mean(F, T, y, n), abs=1e-10)
 
 
 def test_exact_mode_fractions():
     T = permutation_from_cycles([[0, 1, 2]], size=3)
-    F = Observable.from_values([1.0, 0.0, 0.0])
+    F = Observable([1.0, 0.0, 0.0])
     assert exact_prefix_means(F, T, 0, 3) == [Fraction(1), Fraction(1, 2), Fraction(1, 3)]
     assert exact_prefix_means(F, T, 1, 4) == [Fraction(0), Fraction(0), Fraction(1, 3), Fraction(1, 4)]
 
@@ -207,7 +206,7 @@ def test_exact_means_are_rounded_fractions_of_rational_observables(name, M):
     for T in (build_drift_system(M), build_rotation(M, 0.6180339887498949).permutation):
         for y in (0, 1, M // 3):
             exact = exact_prefix_means(F, T, y, 2 * M + 7, D)
-            assert_means_are_rounded_fractions(F, ergodic_means_prefix(F, T, y, 2 * M + 7).means, exact)
+            assert_means_are_rounded_fractions(F, ergodic_means_prefix(F, T, y, 2 * M + 7), exact)
             # over whole periods the orbit sum is the sum of every numerator
             assert exact[M - 1] == Fraction(int(numerators(F.values, D).sum()), D * M)
 
@@ -216,42 +215,42 @@ def test_exact_means_are_rounded_fractions_of_rational_observables(name, M):
 @settings(max_examples=100, deadline=None)
 def test_exact_means_are_rounded_fractions_past_2_53(nums, n_max):
     # integer values near 2^53: the prefix sums leave float64's exact range within a few terms
-    F = Observable.from_values([float(v) for v in nums])
+    F = Observable([float(v) for v in nums])
     T = random_permutation(len(nums), len(nums) + n_max)
     exact = exact_prefix_means(F, T, 0, n_max)
-    assert_means_are_rounded_fractions(F, ergodic_means_prefix(F, T, 0, n_max).means, exact)
+    assert_means_are_rounded_fractions(F, ergodic_means_prefix(F, T, 0, n_max), exact)
     assert exact[-1] == Fraction(sum(int(F.values[z]) for z in trajectory(T, 0, n_max)), n_max)
 
 
 def test_exact_means_of_large_integers_round_where_the_float_cumsum_does_not():
-    F = Observable.from_values([2.0**53 - 1, 2.0**53 - 1, 3.0])
+    F = Observable([2.0**53 - 1, 2.0**53 - 1, 3.0])
     T = permutation_from_cycles([[0, 1, 2]], size=3)
     exact = exact_prefix_means(F, T, 0, 3)
     assert exact[2] == Fraction(2**54 + 1, 3)
-    means = ergodic_means_prefix(F, T, 0, 3).means
+    means = ergodic_means_prefix(F, T, 0, 3)
     assert_means_are_rounded_fractions(F, means, exact)
     assert means[2] == np.cumsum(F.values)[2] / 3 != float(exact[2])
 
 
-def test_mean_at_full_period_is_orbit_average():
+def test_the_mean_over_a_full_period_is_orbit_average():
     T = random_permutation(97, 5)
     rng = SplitMix64(6)
-    F = Observable.from_values([rng.next_below(100) for _ in range(97)])
+    F = Observable([rng.next_below(100) for _ in range(97)])
     for y in (0, 13, 96):
         p = T.period(y)
         series = ergodic_means_prefix(F, T, y, p)
-        assert series.mean_at(p) == pytest.approx(orbit_average(F, T, y), abs=1e-12)
+        assert series[p - 1] == pytest.approx(orbit_average(F, T, y), abs=1e-12)
 
 
 def test_means_constant_beyond_lcm_structure():
     # on a single cycle, A_{qM} = Av(F) exactly for every multiple of M
     M = 20
-    T = FinitePermutation(np.roll(np.arange(M), -1), validate=False)
-    F = Observable.from_values(np.arange(M, dtype=float))
+    T = FinitePermutation(np.roll(np.arange(M), -1))
+    F = Observable(np.arange(M, dtype=float))
     series = ergodic_means_prefix(F, T, 7, 3 * M)
     av = float(np.mean(F.values))
     for q in (1, 2, 3):
-        assert series.mean_at(q * M) == pytest.approx(av, abs=1e-12)
+        assert series[q * M - 1] == pytest.approx(av, abs=1e-12)
 
 
 # -- gamma series ----------------------------------------------------------
@@ -259,8 +258,8 @@ def test_means_constant_beyond_lcm_structure():
 
 def test_gamma_series_columns():
     M = 100
-    T = FinitePermutation(np.roll(np.arange(M), -1), validate=False)
-    F = Observable.from_values(np.ones(M))
+    T = FinitePermutation(np.roll(np.arange(M), -1))
+    F = Observable(np.ones(M))
     pts, stride = gamma_series(F, T, 0, 0.5)
     assert stride == 1
     assert pts.shape == (50, 3)
@@ -270,8 +269,8 @@ def test_gamma_series_columns():
 
 def test_gamma_series_stride_cap():
     M = 1000
-    T = FinitePermutation(np.roll(np.arange(M), -1), validate=False)
-    F = Observable.from_values(np.zeros(M))
+    T = FinitePermutation(np.roll(np.arange(M), -1))
+    F = Observable(np.zeros(M))
     pts, stride = gamma_series(F, T, 0, 1.0, stride=7)
     assert stride == 7
     assert pts[:, 0].tolist() == list(range(7, 1001, 7))
@@ -279,8 +278,8 @@ def test_gamma_series_stride_cap():
 
 def test_gamma_series_k_beyond_one():
     M = 50
-    T = FinitePermutation(np.roll(np.arange(M), -1), validate=False)
-    F = Observable.from_values(np.arange(M, dtype=float))
+    T = FinitePermutation(np.roll(np.arange(M), -1))
+    F = Observable(np.arange(M, dtype=float))
     pts, _ = gamma_series(F, T, 3, 2.0)
     assert pts[-1, 0] == 100
     assert pts[-1, 1] == pytest.approx(2.0)
@@ -288,33 +287,37 @@ def test_gamma_series_k_beyond_one():
 
 def test_gamma_series_bitwise_equals_prefix_means():
     # the means at the stride points are the quotients of the gathered prefix sums, and
-    # ergodic_means_prefix gives every one of them
+    # ergodic_means_prefix gives every one of them, as a read-only float64 array: at stride 1, gamma's
+    # whole mean column
     from ergodia.systems import RotationSystem, build_bernoulli
 
     rng = np.random.default_rng(4)
     cases = [(RotationSystem(1000, 667, 2.0 / 3.0, abs(667 / 1000 - 2.0 / 3.0)).permutation, 3),
-             (build_bernoulli(2, 3, "naive").permutation, 5), (random_permutation(500, 9), 0)]
+             (build_bernoulli(2, 3, "naive"), 5), (random_permutation(500, 9), 0)]
     for T, y in cases:
-        F = Observable.from_values(rng.standard_normal(T.size) * 1e3)
+        F = Observable(rng.standard_normal(T.size) * 1e3)
         for k, stride in ((1.0, None), (2.7, 7), (0.5, 1)):
             pts, stride = gamma_series(F, T, y, k, stride)
             n_total = int(np.floor(k * T.size))
             ns = np.arange(stride, n_total + 1, stride)
             means = prefix_means_gather(F, T, y, n_total)
-            assert ergodic_means_prefix(F, T, y, n_total).means.tobytes() == means.tobytes()
+            got = ergodic_means_prefix(F, T, y, n_total)
+            assert type(got) is np.ndarray and got.dtype == np.float64 and got.tobytes() == means.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                got[0] = 0.0
             assert pts[:, 0].tolist() == ns.tolist()
-            assert pts[:, 2].tobytes() == means[ns - 1].tobytes()
+            assert pts[:, 2].tobytes() == got[ns - 1].tobytes()
 
 
 GAMMA_CASES = {
     # short cycles (periods 1, 3 and 7) far past one period
-    "naive-N3": (lambda: build_bernoulli(2, 3, "naive").permutation,
+    "naive-N3": (lambda: build_bernoulli(2, 3, "naive"),
                  lambda M: paper_observable("chi0", M, N=3), 3.0),
     "rotation-1001": (lambda: build_rotation(1001, 0.3).permutation,
                       lambda M: paper_observable("tent", M), 2.5),
     "drift-997": (lambda: build_drift_system(997), lambda M: paper_observable("ex03", M, K=10), 1.7),
     "drift-997-normal": (lambda: build_drift_system(997),
-                         lambda M: Observable.from_values(np.random.default_rng(3).standard_normal(M)), 2.2),
+                         lambda M: Observable(np.random.default_rng(3).standard_normal(M)), 2.2),
 }
 
 
@@ -332,7 +335,7 @@ def test_gamma_series_in_chunks_is_bitwise_the_prefix_means(monkeypatch, chunk, 
     last_head = int(index.order[index.starts[-1]])  # the head of the last cycle
     for y in {0, last_slot, last_head, T.size - 1}:
         means = prefix_means_gather(F, T, y, n_total)
-        assert ergodic_means_prefix(F, T, y, n_total).means.tobytes() == means.tobytes()
+        assert ergodic_means_prefix(F, T, y, n_total).tobytes() == means.tobytes()
         for stride in (1, 3, n_total):
             pts, _ = gamma_series(F, T, y, k, stride)
             ns = np.arange(stride, n_total + 1, stride)
@@ -345,7 +348,7 @@ def test_gamma_series_in_chunks_is_bitwise_the_prefix_means(monkeypatch, chunk, 
 BLOCK_SYSTEMS = {
     "drift-1000": lambda: build_drift_system(1000),  # one cycle, wrapped 2.5 times
     "random-997": lambda: random_permutation(997, 5),  # cycles of 540, 372, 56, ..., 2 and 1 points
-    "naive-2^9": lambda: build_bernoulli(2, 4, "naive").permutation,  # 60 cycles of at most 9 points
+    "naive-2^9": lambda: build_bernoulli(2, 4, "naive"),  # 60 cycles of at most 9 points
 }
 
 
@@ -355,7 +358,7 @@ def extreme_integers(M, dtype, seed):
     values = rng.integers(info.min, info.max, M, endpoint=True)
     values[rng.integers(0, M, M // 2)] = rng.choice([info.min, info.max], M // 2)
     values[:2] = info.min, info.max
-    return Observable.from_values(values)
+    return Observable(values)
 
 
 def stored_as_float64(F):
@@ -397,7 +400,7 @@ def test_block_sums_of_an_integer_memo_are_bitwise_the_float_sums(monkeypatch, c
                 pts, _ = gamma_series(F, T, y, 2.5, stride)
             assert sums.tobytes() == floats.tobytes()
             assert pts[:, 2].tobytes() == means[ns - 1].tobytes()
-        assert ergodic_means_prefix(F, T, y, n_total).means.tobytes() == means.tobytes()
+        assert ergodic_means_prefix(F, T, y, n_total).tobytes() == means.tobytes()
 
 
 def test_int32_sums_that_float64_rounds_take_the_float_path(monkeypatch):
@@ -467,20 +470,20 @@ def test_gamma_of_a_negative_zero_keeps_its_sign_across_chunks(monkeypatch, chun
     F = paper_observable("constant", 50, value=-0.0)
     pts, _ = gamma_series(F, T, 7, 2.0, 1)
     assert np.signbit(pts[:, 2]).all() and not pts[:, 2].any()
-    means = ergodic_means_prefix(F, T, 7, 100).means
+    means = ergodic_means_prefix(F, T, 7, 100)
     assert np.signbit(means).all() and not means.any()
 
 
 def test_gamma_series_rejects_out_of_range_start():
     T = FinitePermutation.identity(10)
-    F = Observable.from_values(np.zeros(10))
+    F = Observable(np.zeros(10))
     with pytest.raises(IndexError):
         gamma_series(F, T, 10, 1.0)
 
 
 def test_gamma_series_rejects_empty():
     T = FinitePermutation.identity(10)
-    F = Observable.from_values(np.zeros(10))
+    F = Observable(np.zeros(10))
     with pytest.raises(ValueError):
         gamma_series(F, T, 0, 0.01)
 
@@ -489,12 +492,11 @@ def test_array_dataclasses_compare_by_identity():
     from ergodia.integrability import integrability_profile
     from ergodia.stabilization import sup_discrepancy
 
-    T = FinitePermutation(np.roll(np.arange(4), -1), validate=False)
-    F = Observable.from_values([1.0, 2.0, 3.0, 4.0])
-    G = Observable.from_values([1.0, 2.0, 3.0, 4.0])
+    T = FinitePermutation(np.roll(np.arange(4), -1))
+    F = Observable([1.0, 2.0, 3.0, 4.0])
+    G = Observable([1.0, 2.0, 3.0, 4.0])
     pairs = [
         (F, G),
-        (ergodic_means_prefix(F, T, 0, 3), ergodic_means_prefix(F, T, 0, 3)),
         (T.orbit_index, FinitePermutation(T.image).orbit_index),
         (integrability_profile(F, [0.5, 2.5]), integrability_profile(F, [0.5, 2.5])),
         (sup_discrepancy(F, T, [(3, 2)])[0], sup_discrepancy(F, T, [(3, 2)])[0]),

@@ -18,13 +18,13 @@ from oracles import doubling_grid, profile_by_suffix_sums, small_set_mass
 
 
 def test_average_exact_small():
-    F = Observable.from_values([1.0, 2.0, 3.0, 4.0])
+    F = Observable([1.0, 2.0, 3.0, 4.0])
     assert average(F) == 2.5
 
 
 def test_tail_mass_brute_force():
     vals = [3.0, -5.0, 0.5, -0.5, 10.0]
-    F = Observable.from_values(vals)
+    F = Observable(vals)
     for k in (0.4, 0.5, 1.0, 4.0, 9.0, 11.0):
         brute = sum(abs(v) for v in vals if abs(v) > k) / len(vals)
         assert tail_mass(F, k) == pytest.approx(brute, abs=1e-12)
@@ -32,19 +32,19 @@ def test_tail_mass_brute_force():
 
 def test_tail_mass_strict_threshold():
     # values exactly at the threshold are excluded
-    F = Observable.from_values([1.0, 1.0, 2.0])
+    F = Observable([1.0, 1.0, 2.0])
     assert tail_mass(F, 1.0) == pytest.approx(2.0 / 3.0)
 
 
 def test_tail_mass_rejects_nonpositive_threshold():
-    F = Observable.from_values([1.0])
+    F = Observable([1.0])
     with pytest.raises(ValueError):
         tail_mass(F, 0.0)
 
 
 def test_nan_thresholds_are_refused():
     # NaN > 0 is False, so a NaN threshold is no positive one: tail_mass would count no value above it
-    F = Observable.from_values([1.0, -3.0])
+    F = Observable([1.0, -3.0])
     with pytest.raises(ValueError, match="positive"):
         tail_mass(F, float("nan"))
     for ks in ([float("nan")], [float("nan"), 1.0], [1.0, float("nan")]):
@@ -53,7 +53,7 @@ def test_nan_thresholds_are_refused():
 
 
 def test_small_set_mass():
-    F = Observable.from_values([1.0, -2.0, 3.0, -4.0])
+    F = Observable([1.0, -2.0, 3.0, -4.0])
     assert small_set_mass(F, [1, 3]) == pytest.approx(6.0 / 4.0)
     assert small_set_mass(F, []) == 0.0
     with pytest.raises(IndexError):
@@ -63,7 +63,7 @@ def test_small_set_mass():
 @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=200), st.integers(0, 60))
 @settings(max_examples=80, deadline=None)
 def test_profile_matches_pointwise_tail_mass(vals, kexp):
-    F = Observable.from_values(vals)
+    F = Observable(vals)
     k = 1.0 + kexp * 17.0
     prof = integrability_profile(F, [k])
     assert prof.tail_masses[0] == pytest.approx(tail_mass(F, k), abs=1e-9)
@@ -71,14 +71,14 @@ def test_profile_matches_pointwise_tail_mass(vals, kexp):
 
 def test_profile_monotone_and_vanishes():
     rng = np.random.default_rng(0)
-    F = Observable.from_values(rng.normal(size=500) * 10)
+    F = Observable(rng.normal(size=500) * 10)
     prof = integrability_profile(F)
     assert (np.diff(prof.tail_masses) <= 1e-12).all()
     assert prof.tail_masses[-1] == 0.0  # last threshold exceeds max|F|
 
 
 def test_default_thresholds_cover_range():
-    F = Observable.from_values([0.0, 100.0])
+    F = Observable([0.0, 100.0])
     ks = integrability_profile(F).thresholds
     assert ks[0] == 1.0
     assert ks[-1] >= 200.0
@@ -108,7 +108,7 @@ def test_delta_family_profile_sup():
 
 
 def test_profile_rejects_bad_thresholds():
-    F = Observable.from_values([1.0])
+    F = Observable([1.0])
     with pytest.raises(ValueError):
         integrability_profile(F, [2.0, 1.0])
     with pytest.raises(ValueError):
@@ -148,7 +148,7 @@ OVERFLOW_OK = pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWar
 @given(st.data(), VALUES)
 @settings(max_examples=300, deadline=None)
 def test_profile_is_the_suffix_sum_oracle_bitwise(data, vals):
-    F = Observable.from_values(vals)
+    F = Observable(vals)
     ks = data.draw(thresholds_for(vals))
     assert_profile_is_oracle(integrability_profile(F, ks), profile_by_suffix_sums(F, ks))
 
@@ -157,7 +157,7 @@ def test_profile_is_the_suffix_sum_oracle_bitwise(data, vals):
 @given(VALUES)
 @settings(max_examples=100, deadline=None)
 def test_default_profile_is_the_suffix_sum_oracle_bitwise(vals):
-    F = Observable.from_values(vals)
+    F = Observable(vals)
     prof = integrability_profile(F)
     assert prof.thresholds.tobytes() == doubling_grid(F).tobytes()
     assert_profile_is_oracle(prof, profile_by_suffix_sums(F))
@@ -167,7 +167,7 @@ def test_default_profile_is_the_suffix_sum_oracle_bitwise(vals):
 @given(st.data(), st.lists(VALUES, min_size=1, max_size=4))
 @settings(max_examples=100, deadline=None)
 def test_family_profile_is_the_suffix_sum_oracle_bitwise(data, members):
-    family = [Observable.from_values(vals) for vals in members]
+    family = [Observable(vals) for vals in members]
     ks = data.draw(thresholds_for([v for vals in members for v in vals]))
     wants = [profile_by_suffix_sums(F, ks) for F in family]
     prof = family_profile(family, ks)
@@ -178,7 +178,7 @@ def test_family_profile_is_the_suffix_sum_oracle_bitwise(data, members):
 
 def test_single_point_profile_is_the_oracle_bitwise():
     for v in (0.0, -0.0, 3.0, -np.inf):
-        F = Observable.from_values([v])
+        F = Observable([v])
         for ks in (None, [1e-300], [1e-300, 3.0, 1e300]):
             assert_profile_is_oracle(integrability_profile(F, ks), profile_by_suffix_sums(F, ks))
 
@@ -196,7 +196,7 @@ def test_heavy_tailed_profiles_are_the_oracle_bitwise():
     for vals in (rng.pareto(1.1, 100_000) * rng.choice([-1.0, 1.0], 100_000),
                  np.round(rng.normal(0.0, 50.0, 100_000)),
                  rng.random(100_001) * 1e-3):
-        F = Observable.from_values(vals)
+        F = Observable(vals)
         for ks in (None, np.geomspace(1e-9, 1e9, 37)):
             assert_profile_is_oracle(integrability_profile(F, ks), profile_by_suffix_sums(F, ks))
 
@@ -211,4 +211,4 @@ def test_profile_holds_one_values_sized_array():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.05 * 8 * F.size + 64 * 1024, (ks is None, peak)
+        assert peak <= 1.05 * 8 * F.values.size + 64 * 1024, (ks is None, peak)

@@ -29,8 +29,8 @@ def random_system(M, seed, lo=-50, hi=50):
     for i in range(M - 1, 0, -1):
         j = rng.next_below(i + 1)
         idx[i], idx[j] = idx[j], idx[i]
-    T = FinitePermutation(idx, validate=False)
-    F = Observable.from_values([rng.next_below(hi - lo + 1) + lo for _ in range(M)])
+    T = FinitePermutation(idx)
+    F = Observable([rng.next_below(hi - lo + 1) + lo for _ in range(M)])
     return F, T
 
 
@@ -41,8 +41,8 @@ def test_sup_discrepancy_brute_force():
     F, T = random_system(40, 3)
     (rep,) = sup_discrepancy(F, T, [(25, 10)])
     brute = max(
-        abs(ergodic_means_prefix(F, T, y, 25).mean_at(25)
-            - ergodic_means_prefix(F, T, y, 10).mean_at(10))
+        abs(ergodic_means_prefix(F, T, y, 25)[24]
+            - ergodic_means_prefix(F, T, y, 10)[9])
         for y in range(40)
     )
     assert rep.sup_disc == pytest.approx(brute, abs=1e-9)
@@ -77,8 +77,8 @@ def test_proof_bound_always_holds(M, seed):
 
 def test_exceedance_fraction_counts():
     # drift on 4 points, F picks out one point: A_2 - A_1 differs by start
-    T = FinitePermutation(np.roll(np.arange(4), -1), validate=False)
-    F = Observable.from_values([1.0, 0.0, 0.0, 0.0])
+    T = FinitePermutation(np.roll(np.arange(4), -1))
+    F = Observable([1.0, 0.0, 0.0, 0.0])
     # A_2 - A_1: y=0 -> 1/2-1 = -1/2; y=3 -> 1/2-0 = 1/2; y=1,2 -> 0
     assert exceedance_fraction(F, T, 2, 1, 0.5) == pytest.approx(0.5)
     assert exceedance_fraction(F, T, 2, 1, 0.6) == 0.0
@@ -136,7 +136,7 @@ def test_segment_matches_brute_force(M, seed):
     eps = 0.25
     seg = stabilization_segment(F, T, [y], n_min, eps, scan)
     (k_star,), (capped,) = seg.K_star, seg.capped
-    means = ergodic_means_prefix(F, T, y, scan).means
+    means = ergodic_means_prefix(F, T, y, scan)
     brute = brute_band_end(means, n_min, eps, scan)
     if brute is None:
         # band already violated at the very start of the range
@@ -149,7 +149,7 @@ def test_segment_matches_brute_force(M, seed):
 def test_segment_witness_inside_band():
     F, T = random_system(50, 4, lo=0, hi=10)
     seg = stabilization_segment(F, T, [7], 3, 0.5, 100)
-    means = ergodic_means_prefix(F, T, 7, 100).means
+    means = ergodic_means_prefix(F, T, 7, 100)
     window = means[2 : seg.K_star[0]]
     assert window.min() - 1e-12 <= seg.witness[0] <= window.max() + 1e-12
 
@@ -167,8 +167,8 @@ def test_segment_validation():
 def test_common_segment_quantile():
     # constant observable stabilizes everywhere; K_star is the scan limit
     M = 30
-    T = FinitePermutation(np.roll(np.arange(M), -1), validate=False)
-    F = Observable.from_values(np.full(M, 2.5))
+    T = FinitePermutation(np.roll(np.arange(M), -1))
+    F = Observable(np.full(M, 2.5))
     seg = common_stabilization_segment(stabilization_segment(F, T, list(range(M)), 2, 0.01, 50), 0.1)
     assert seg.K_star == 50
     assert seg.capped
@@ -181,8 +181,8 @@ def test_common_segment_drops_eta_fraction():
     M = 10
     T = FinitePermutation.identity(M)
     vals = np.zeros(M)
-    F = Observable.from_values(vals)
-    means_break = Observable.from_values(np.r_[np.zeros(M - 1), 100.0])
+    F = Observable(vals)
+    means_break = Observable(np.r_[np.zeros(M - 1), 100.0])
     # fixed points: A_n is constant in n, so every K_star is the cap
     seg = common_stabilization_segment(stabilization_segment(F, T, list(range(M)), 1, 0.1, 20), 0.15)
     assert seg.K_star == 20
@@ -223,7 +223,7 @@ def test_common_segment_imports_no_numpy_ma():
     # np.median's first call imports numpy.ma; a stab run needs no median of its own
     code = ("import sys, numpy as np; from ergodia.stabilization import *;"
             "from ergodia.systems import build_bernoulli, paper_observable;"
-            "T = build_bernoulli(2, 4, 'naive').permutation; F = paper_observable('chi0', T.size, N=4);"
+            "T = build_bernoulli(2, 4, 'naive'); F = paper_observable('chi0', T.size, N=4);"
             "common_stabilization_segment(stabilization_segment(F, T, range(50), 5, 0.2, 100), 0.1);"
             "assert 'numpy.ma' not in sys.modules")
     subprocess.run([sys.executable, "-c", code], check=True)
@@ -245,9 +245,9 @@ def test_common_segment_validation():
 
 
 def naive_system(N, normal=False):
-    T = build_bernoulli(2, N, "naive").permutation
+    T = build_bernoulli(2, N, "naive")
     if normal:
-        return Observable.from_values(np.random.default_rng(N).standard_normal(T.size)), T
+        return Observable(np.random.default_rng(N).standard_normal(T.size)), T
     return paper_observable("chi0", T.size, N=N), T
 
 
@@ -266,7 +266,7 @@ def mixed_cycles(seed, zeros=False):
     values = rng.standard_normal(labels.size) * 3
     if zeros:
         values[np.setdiff1d(labels, cycles[0])] = -0.0
-    return Observable.from_values(values), T
+    return Observable(values), T
 
 
 KERNEL_SYSTEMS = {
@@ -342,7 +342,7 @@ def test_a_nan_in_f_gives_a_nan_sup_and_the_oracle_exceedances(monkeypatch, chun
     G, T = mixed_cycles(2, zeros=True)
     values = G.values.copy()
     values[T.cycles[0][3]] = np.nan
-    F = Observable.from_values(values)
+    F = Observable(values)
     for K, L in horizon_pairs(T):
         (rep,) = sup_discrepancy(F, T, [(K, L)], EPSILONS)
         diffs, u, v = sup_discrepancy_two_pass(F, T, K, L)
@@ -473,7 +473,7 @@ def spike_drift(M=2000, z=1000, seed=3):
     """
     values = np.random.default_rng(seed).uniform(-0.01, 0.01, M)
     values[z] = 100.0
-    return Observable.from_values(values), build_drift_system(M)
+    return Observable(values), build_drift_system(M)
 
 
 def band_rows_equal_loop(F, T, points, n_min, eps, scan_limit):
@@ -594,7 +594,7 @@ def test_reference_psi_matches_drift_means():
     for y_frac, a_frac in [(0.3, 0.5), (0.8, 0.5), (0.1, 0.9)]:
         y = int(y_frac * M)
         n = int(a_frac * M)
-        got = ergodic_means_prefix(F, T, y, n).mean_at(n)
+        got = ergodic_means_prefix(F, T, y, n)[n - 1]
         assert got == pytest.approx(reference_psi(a_frac, y_frac), abs=2.0 / M)
 
 

@@ -217,7 +217,7 @@ def test_chunked_necklaces_match_brute_force(m, L, chunk, monkeypatch):
 ])
 def test_multi_chunk_debruijn_order_is_pinned(m, N, digest):
     # 2^21 and 3^13 windows: 32 and 25 chunks of CHUNK_POINTS
-    order = build_bernoulli(m, N, "debruijn").permutation.orbit_index.order
+    order = build_bernoulli(m, N, "debruijn").orbit_index.order
     assert hashlib.sha256(order.tobytes()).hexdigest() == digest
 
 
@@ -237,35 +237,40 @@ def test_naive_cycles_match_the_generic_walk(m, L):
 
 
 def test_naive_shift_orbit_lengths():
-    sysn = build_bernoulli(2, 2, "naive")
+    T = build_bernoulli(2, 2, "naive")
     # orbit lengths divide 2N+1 = 5, so the system is far from transitive
-    lens = {len(c) for c in sysn.permutation.cycles}
+    lens = {len(c) for c in T.cycles}
     assert lens <= {1, 5}
-    assert len(sysn.permutation.cycles) > 1
+    assert len(T.cycles) > 1
 
 
 def test_naive_shift_rotates_word():
-    sysn = build_bernoulli(2, 1, "naive")
+    T = build_bernoulli(2, 1, "naive")
     w = [1, 0, 1]
-    y = word_index(sysn, w)
-    assert word(sysn, sysn.permutation.image[y]).tolist() == [0, 1, 1]
+    y = word_index(2, w)
+    assert word(2, 1, T.image[y]).tolist() == [0, 1, 1]
 
 
 def test_debruijn_shift_transitive_and_consistent():
-    sysb = build_bernoulli(2, 2, "debruijn")
-    T = sysb.permutation
+    T = build_bernoulli(2, 2, "debruijn")
     assert len(T.cycles) == 1
     # successor words overlap the source on the left-shifted window
-    for y in range(sysb.M):
-        w = word(sysb, y)
-        w2 = word(sysb, T.image[y])
+    for y in range(T.size):
+        w = word(2, 2, y)
+        w2 = word(2, 2, T.image[y])
         assert (w2[:-1] == w[1:]).all()
 
 
 def test_word_index_round_trip():
-    sysb = build_bernoulli(3, 1, "naive")
     for y in (0, 5, 26):
-        assert word_index(sysb, word(sysb, y)) == y
+        assert word_index(3, word(3, 1, y)) == y
+
+
+@pytest.mark.parametrize("mode", ["naive", "debruijn"])
+@pytest.mark.parametrize("m,N", [(2, 0), (2, 3), (3, 1)])
+def test_build_bernoulli_returns_the_permutation_of_the_word_space(m, N, mode):
+    T = build_bernoulli(m, N, mode)
+    assert type(T) is FinitePermutation and T.size == m ** (2 * N + 1)
 
 
 def test_build_bernoulli_validation():
@@ -331,19 +336,19 @@ def test_tent_exact_rule_matches_float():
 
 
 def test_chi0_counts_symbol_at_origin():
-    sysb = build_bernoulli(2, 1, "naive")
-    F = paper_observable("chi0", sysb.M, N=1)
-    for y in range(sysb.M):
-        assert F.values[y] == float(word(sysb, y)[1] == 1)
+    T = build_bernoulli(2, 1, "naive")
+    F = paper_observable("chi0", T.size, N=1)
+    for y in range(T.size):
+        assert F.values[y] == float(word(2, 1, y)[1] == 1)
     # exactly half the words have a 1 at position 0
     assert float(np.mean(F.values)) == 0.5
 
 
 def test_chi0_orbit_average_debruijn():
     # transitive system: the single orbit average is the integral 1/2
-    sysb = build_bernoulli(2, 3, "debruijn")
-    F = paper_observable("chi0", sysb.M, N=3)
-    assert orbit_average(F, sysb.permutation, 0) == pytest.approx(0.5)
+    T = build_bernoulli(2, 3, "debruijn")
+    F = paper_observable("chi0", T.size, N=3)
+    assert orbit_average(F, T, 0) == pytest.approx(0.5)
 
 
 def test_observable_validation():
@@ -525,14 +530,14 @@ def test_exact_prefix_means_equal_fraction_loop(name):
     # the float means: the rounded fractions for ex01, whose integer sums are exact, and within the
     # summation bound for linear and tent
     floats = np.asarray([float(q) for q in expect])
-    gap = np.abs(ergodic_means_prefix(F, T, y, M + 17).means - floats)
+    gap = np.abs(ergodic_means_prefix(F, T, y, M + 17) - floats)
     assert (gap <= mean_rounding_bound(F, M + 17)).all()
 
 
 @pytest.mark.parametrize("F", [
     paper_observable("constant", 7, value=0.1),
-    Observable.from_values([0.5]),
-    Observable.from_values([1.0 + 1e-9]),
+    Observable([0.5]),
+    Observable([1.0 + 1e-9]),
 ], ids=["constant-0.1", "half", "1+1e-9"])
 def test_off_lattice_values_raise(F):
     with pytest.raises(ValueError):
@@ -540,7 +545,7 @@ def test_off_lattice_values_raise(F):
     with pytest.raises(ValueError):
         exact_value(F, 0)
     with pytest.raises(ValueError):
-        exact_prefix_means(F, FinitePermutation.identity(F.size), 0, 3)
+        exact_prefix_means(F, FinitePermutation.identity(F.values.size), 0, 3)
 
 
 # -- helpers ---------------------------------------------------------------
@@ -555,12 +560,11 @@ def test_block_density_prefixes():
 
 
 def test_block_density_matches_means():
-    sysb = build_bernoulli(2, 4, "debruijn")
-    F = paper_observable("chi0", sysb.M, N=4)
-    T = sysb.permutation
+    T = build_bernoulli(2, 4, "debruijn")
+    F = paper_observable("chi0", T.size, N=4)
     for y in (3, 100, 400):
-        dens = block_density(word(sysb, y), 3)
-        means = ergodic_means_prefix(F, T, y, 3).means
+        dens = block_density(word(2, 4, y), 3)
+        means = ergodic_means_prefix(F, T, y, 3)
         assert np.allclose(dens, means)
 
 

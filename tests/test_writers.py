@@ -160,7 +160,7 @@ def test_shared_templates_write_the_per_row_bytes_for_every_start(tmp_path, monk
 def test_gamma_start_points_on_different_cycles_write_the_per_row_bytes(tmp_path, monkeypatch, chunk):
     monkeypatch.setattr(cli, "WRITE_CHUNK_ROWS", chunk)
     out = run_gamma(tmp_path, MULTI, "--svg", "--no-timestamp")
-    T, F = build_bernoulli(2, 3, "naive").permutation, paper_observable("chi0", 128, N=3)
+    T, F = build_bernoulli(2, 3, "naive"), paper_observable("chi0", 128, N=3)
     for y in MULTI["start_points"]["explicit"]:
         points, stride = gamma_series(F, T, y, 3.0, 2)
         per_row_csv(tmp_path / "old.csv", HEADER, points)
