@@ -32,7 +32,6 @@ from .stabilization import (
 )
 from .approximation import (
     ClosedSet,
-    TestFunction,
     make_transitive,
     map_mismatch_fraction,
     synthesize_permutation,
@@ -40,7 +39,6 @@ from .approximation import (
     weak_star_error,
 )
 from .systems import (
-    RotationSystem,
     build_bernoulli,
     build_drift_system,
     build_rotation,

@@ -15,14 +15,13 @@ points.  Cycle surgery turns any permutation into a single cycle
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .dynamics import FinitePermutation
 
 __all__ = [
-    "TestFunction",
     "ClosedSet",
     "weak_star_error",
     "thickening_measure_error",
@@ -43,18 +42,6 @@ def _distance(a, b, circle: bool) -> np.ndarray:
         d = d % 1.0
         return np.minimum(d, 1.0 - d)
     return d
-
-
-@dataclass(frozen=True)
-class TestFunction:
-    """A continuous test function, elementwise on arrays of points, with its reference integral."""
-
-    name: str
-    fn: Callable[[np.ndarray], np.ndarray]
-    integral: float
-
-
-TestFunction.__test__ = False  # keep pytest collection away from the dataclass
 
 
 @dataclass(frozen=True)
@@ -99,15 +86,10 @@ class ClosedSet:
         return best
 
 
-def weak_star_error(x: np.ndarray, tests: Sequence[TestFunction]) -> dict[str, float]:
-    """Per test f: |(1/M) sum_y f(x[y]) - integral of f|."""
-    out = {}
-    for t in tests:
-        if t.integral is None:
-            raise ValueError(f"test function {t.name!r} has no reference integral")
-        emp = np.mean(t.fn(x))
-        out[t.name] = float(abs(emp - t.integral))
-    return out
+def weak_star_error(x: np.ndarray, degree: int) -> dict[str, float]:
+    """Per monomial x^d, d = 0 .. degree: |(1/M) sum_y x[y]^d - 1/(d + 1)|, keyed "x^d".  Polynomials
+    are dense in C[0, 1], so the monomials suffice as test functions."""
+    return {f"x^{d}": float(abs(np.mean(x**d) - 1.0 / (d + 1))) for d in range(degree + 1)}
 
 
 def thickening_measure_error(x: np.ndarray, C: ClosedSet, eps: float, *, circle: bool) -> float:
@@ -118,12 +100,14 @@ def thickening_measure_error(x: np.ndarray, C: ClosedSet, eps: float, *, circle:
     return abs(hits / x.size - C.measure())
 
 
-def map_mismatch_fraction(x: np.ndarray, T: FinitePermutation,
-                          tau: Callable[[np.ndarray], np.ndarray], eps: float, *, circle: bool) -> float:
-    """Fraction of y with dist(x[T(y)], tau(x[y])) > eps; tau acts on the whole array x."""
+def map_mismatch_fraction(x: np.ndarray, T: FinitePermutation, targets: np.ndarray, eps: float, *,
+                          circle: bool) -> float:
+    """Fraction of y with dist(x[T(y)], targets[y]) > eps, targets[y] the target map's image of x[y]."""
     if not eps > 0:
         raise ValueError(f"epsilon must be positive, got {eps!r}")
-    bad = np.count_nonzero(_distance(x[T.image], tau(x), circle) > eps)
+    if np.shape(targets) != x.shape:
+        raise ValueError(f"need one target per grid point, got shape {np.shape(targets)}")
+    bad = np.count_nonzero(_distance(x[T.image], targets, circle) > eps)
     return bad / x.size
 
 

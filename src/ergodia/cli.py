@@ -20,7 +20,6 @@ import numpy as np
 from . import checks
 from .approximation import (
     ClosedSet,
-    TestFunction,
     make_transitive,
     map_mismatch_fraction,
     synthesize_permutation,
@@ -102,10 +101,10 @@ def _build_system(spec: dict):
             t = float(1.0 / np.sqrt(2.0))
         elif t == "2/3":
             t = 2.0 / 3.0
-        rot = build_rotation(M, _float_param(t, "t"))
-        return rot.permutation, {
-            "system": "rotation", "M": M, "P": rot.P, "t": rot.t, "defect": rot.defect,
-        }
+        t = _float_param(t, "t")
+        T = build_rotation(M, t)
+        P = T.orbit_index.P
+        return T, {"system": "rotation", "M": M, "P": P, "t": t, "defect": abs(P / M - t)}
     if name == "bernoulli":
         m, N, mode = _int_param(spec["m"], "m", 2), _int_param(spec["N"], "N", 0), spec.get("mode", "debruijn")
         T = build_bernoulli(m, N, mode)
@@ -307,11 +306,6 @@ def cmd_stab(config: dict, args) -> int:
     return EXIT_OK
 
 
-def _monomial_tests(degree: int = 3) -> list[TestFunction]:
-    return [TestFunction(name=f"x^{d}", fn=lambda x, d=d: x ** d,
-                         integral=1.0 / (d + 1)) for d in range(degree + 1)]
-
-
 def cmd_approx(config: dict, args) -> int:
     # the library checks the epsilons, deltas and targets
     spec = _section(config.get("approx", {}), "approx")
@@ -342,13 +336,13 @@ def _approx_metrics(config: dict, spec: dict) -> dict:
         thickening[tuple(iv)] = thickening_measure_error(x, C, eps, circle=circle)
     target = spec.get("target")
     if target:
-        tau = _target_map(target)
+        targets = _target_images(target, x)
         for eps in spec.get("mismatch_epsilons", [2.0 / T.size]):
-            mismatch[eps] = map_mismatch_fraction(x, T, tau, _float_param(eps, "mismatch epsilon"),
+            mismatch[eps] = map_mismatch_fraction(x, T, targets, _float_param(eps, "mismatch epsilon"),
                                                   circle=circle)
     lengths = T.orbit_index.lengths
     return {**meta,
-            "weak_star_errors": weak_star_error(x, _monomial_tests(degree)),
+            "weak_star_errors": weak_star_error(x, degree),
             "thickening_errors": {str(k): v for k, v in thickening.items()},
             "map_mismatch": {str(k): v for k, v in mismatch.items()},
             "cycle_count": lengths.size,
@@ -358,9 +352,8 @@ def _approx_metrics(config: dict, spec: dict) -> dict:
 def _approx_pipeline(spec: dict) -> dict:
     M = _int_param(spec["M"], "M", 1)
     target = spec.get("target", {"name": "rotation", "t": 0.618033988749895})
-    tau = _target_map(target)
     x = np.arange(M) / M
-    targets = tau(x)
+    targets = _target_images(target, x)
     curve = []
     for delta in spec.get("deltas", [2.0 / M]):
         delta = _float_param(delta, "delta")
@@ -372,24 +365,24 @@ def _approx_pipeline(spec: dict) -> dict:
             "matcher_mismatch_count": mismatches,
             "cycle_count_before_merge": T_delta.orbit_index.lengths.size,
             "transitivity_mismatch": len(B),
-            "map_mismatch_fraction": map_mismatch_fraction(x, C, tau, eps, circle=True),
+            "map_mismatch_fraction": map_mismatch_fraction(x, C, targets, eps, circle=True),
             "mismatch_epsilon": eps,
         })
     return {"M": M, "target": target, "pipeline": curve}
 
 
-def _target_map(spec: dict):
-    """The target map tau on [0, 1); elementwise on floats and float arrays alike."""
+def _target_images(spec: dict, x):
+    """The images of the points x of [0, 1) under the target map spec names, elementwise."""
     name = _section(spec, "approx.target").get("name")
     if name == "identity":
-        return lambda x: x
+        return x
     if name == "rotation":
         t = _float_param(spec["t"], "t")
         if not np.isfinite(t):
             raise ConfigError(f"rotation t must be finite, got {t!r}")
-        return lambda x: (x + t) % 1.0
+        return (x + t) % 1.0
     if name == "doubling":
-        return lambda x: (2.0 * x) % 1.0
+        return (2.0 * x) % 1.0
     raise ConfigError(f"unknown target map {name!r}")
 
 

@@ -16,10 +16,10 @@ one or the other.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Sequence
 
 import numpy as np
 
@@ -62,8 +62,8 @@ class OrbitIndex:
 
     The kernels read the order a chunk at a time, order_chunk(lo, hi) ==
     order[lo:hi], and find points with slots; order, the whole array, is a
-    read-only memo built on first read (by image, cycles and
-    make_transitive only).  This class is the identity order
+    read-only memo built on first read (by image and make_transitive
+    only).  This class is the identity order
     (the drift's and the identity's): its chunks are aranges, slots(points)
     is points and gather(values) is values.  PermutedOrder reads any other
     order; StoredOrder holds it as an array, and systems.py generates the
@@ -372,11 +372,9 @@ class FinitePermutation:
         return self._index
 
     @property
-    def cycles(self) -> list[np.ndarray]:
-        """Disjoint cycles in canonical order, views into the orbit index; rebuilt on every read."""
-        order = self.orbit_index.order
-        return [row for offset, count, p in self.orbit_index.length_classes()
-                for row in order[offset : offset + count * p].reshape(count, p)]
+    def cycles(self) -> _Cycles:
+        """Disjoint cycles in canonical order, read from the orbit index; builds no order memo."""
+        return _Cycles(self.orbit_index)
 
     def _runs(self, points) -> list[tuple[int, int, int]]:
         """OrbitIndex.runs as one (start, p, pos) tuple of ints per point."""
@@ -397,13 +395,32 @@ class FinitePermutation:
         return self._run(y)[1]
 
 
+class _Cycles(Sequence):
+    """The cycles of an orbit index: len is the cycle count, cycles[c] the order_chunk of cycle c's
+    slots, and iteration reads one order_chunk block per length class."""
+
+    def __init__(self, index: OrbitIndex):
+        self._index = index
+
+    def __len__(self) -> int:
+        return int(self._index.lengths.size)
+
+    def __getitem__(self, c: int) -> np.ndarray:
+        start = int(self._index.starts[range(len(self))[c]])  # a negative c counts from the end
+        return self._index.order_chunk(start, start + int(self._index.lengths[c]))
+
+    def __iter__(self):
+        for offset, count, p in self._index.length_classes():
+            yield from self._index.order_chunk(offset, offset + count * p).reshape(count, p)
+
+
 @dataclass(frozen=True, eq=False)
 class Observable:
     """A real-valued function F on {0, ..., M-1}, M = values.size: Observable(values, name).
 
     Stored densely at the narrowest exact width (_narrow): int8, else int32
     if every value is an integer that fits, else float64.  Readers that
-    negate, take abs or scale widen first.
+    negate, take abs or scale widen first, or read an int abs unsigned.
     """
 
     values: np.ndarray

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from . import dynamics
-from .dynamics import SERIES_BUDGET, FinitePermutation, Observable, _carried_sums
+from .dynamics import SERIES_BUDGET, FinitePermutation, Observable, OrbitIndex, _carried_sums
 from .rng import SplitMix64
 
 __all__ = [
@@ -88,17 +88,17 @@ class CommonSegment:
     excluded_fraction: float
 
 
-def _row_means(F: Observable, T: FinitePermutation, horizons: Sequence[int]):
+def _row_means(along: np.ndarray, index: OrbitIndex, horizons: Sequence[int]):
     """((at, rows, p, cols), [A_n for n in horizons]) per tile of whole equal-length cycles, whose
-    means belong to slots at + p*i + j of the orbit order, for i < rows and j in cols.
+    means of along, values in index's orbit order, belong to slots at + p*i + j, i < rows, j in cols.
 
     With P[j] the sum of a cycle's first j values (column j - 1 of its _carried_sums row) and S its
     sum, A_n = (P[j + r] - P[j] + q*S) / n for n = q*p + r: a lag cursor reads P[j] and a lead
     cursor per remainder r reads P[j + r], each carried from the cycle start, so the floats are
     those of one cumsum along the cycle.  Cursors that fit in one tile share its sums; no
     temporary grows with p."""
-    along, chunk = T.along(F), dynamics.CHUNK_POINTS
-    for offset, count, p in T.orbit_index.length_classes():
+    chunk = dynamics.CHUNK_POINTS
+    for offset, count, p in index.length_classes():
         step = max(1, chunk // (p * len(horizons)))
         w = min(p, max(1, chunk // (step * len(horizons))))
         # the cursors' column offsets from the output columns, the lag's -1 first: one cursor
@@ -138,7 +138,8 @@ def _row_means(F: Observable, T: FinitePermutation, horizons: Sequence[int]):
 def _discrepancy_tiles(F: Observable, T: FinitePermutation, pairs: Sequence[tuple[int, int]]):
     """(tile, [|A_K - A_L| for (K, L) in pairs]) per _row_means tile (at, rows, p, cols) of one pass
     over K1, L1, K2, L2, ...; a block is (rows, 1) where p divides both K and L."""
-    for tile, means in _row_means(F, T, [n for pair in pairs for n in pair]) if pairs else ():
+    horizons = [n for pair in pairs for n in pair]
+    for tile, means in _row_means(T.along(F), T.orbit_index, horizons) if pairs else ():
         yield tile, [np.absolute(d, out=d) for d in map(np.subtract, means[::2], means[1::2])]
 
 
@@ -165,15 +166,14 @@ def proof_terms(F: Observable, T: FinitePermutation, K: int, L: int):
     """(tile, (U, V)) per tile of _discrepancy_tiles at [(K, L)], with |A_K - A_L| <= U + V for
     U = (1/L - 1/K) * sum_{k<L} |F(T^k y)| and V = (1/K) * sum_{k=L}^{K-1} |F(T^k y)| at its slots,
     from one pass over the means of |F|, U = (1/L - 1/K) * A_L * L and V = A_K - A_L * L / K: the tiles
-    match, as _row_means tiles by cycle lengths, horizons and CHUNK_POINTS alone.  |F| replaces the memo."""
+    match, as _row_means tiles by cycle lengths, horizons and CHUNK_POINTS alone.  |F| is np.abs of
+    T.along(F), read unsigned if int: |-128| is -128 in int8, whose bits read 128 as uint8."""
     if not 1 <= L < K:
         raise ValueError("require 1 <= L < K")
-    # widened first (|-128| wraps in int8, |-2^31| in int32) but kept integer, so _narrow stores the
-    # dtype a float64 |F| would get with no float pass
-    wide = {np.int8: np.int16, np.int32: np.int64}.get(F.values.dtype.type, np.float64)
-    absF = Observable(np.abs(F.values, dtype=wide))
+    absF = np.abs(T.along(F))
+    absF = absF.view(f"u{absF.itemsize}") if absF.dtype.kind == "i" else absF
     return ((tile, (absL * (1.0 / L - 1.0 / K) * L, absK - absL * L / K))
-            for tile, (absK, absL) in _row_means(absF, T, (K, L)))
+            for tile, (absK, absL) in _row_means(absF, T.orbit_index, (K, L)))
 
 
 def stabilization_segment(F: Observable, T: FinitePermutation, points: Sequence[int], n_min: int,

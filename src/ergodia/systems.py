@@ -13,7 +13,6 @@ significant; word and word_index in tests/oracles.py decode and encode it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from math import gcd
 
@@ -22,7 +21,6 @@ import numpy as np
 from .dynamics import CHUNK_POINTS, FinitePermutation, Observable, OrbitIndex, PermutedOrder, _narrow
 
 __all__ = [
-    "RotationSystem",
     "build_drift_system",
     "build_rotation",
     "debruijn_window_permutation",
@@ -41,23 +39,6 @@ def build_drift_system(M: int) -> FinitePermutation:
     if M < 2:
         raise ValueError("need M >= 2")
     return FinitePermutation.from_index(OrbitIndex(np.zeros(1, dtype=np.int64), np.full(1, M, dtype=np.int64)))
-
-
-@dataclass(frozen=True)
-class RotationSystem:
-    """T(y) = y + P mod M on the grid, approximating the t-shift of the circle."""
-
-    M: int
-    P: int
-    t: float
-    defect: float
-
-    @cached_property
-    def permutation(self) -> FinitePermutation:
-        """gcd(P, M) cycles; the r-th visits r, r + P, r + 2P, ... (mod M).  The order is generated."""
-        n = self.M // gcd(self.P, self.M)
-        index = _RotationOrder(np.arange(0, self.M, n), np.full(self.M // n, n), self.P)
-        return FinitePermutation.from_index(index)
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,8 +70,15 @@ PUBLISHED_ROTATIONS: dict[tuple[int, float], int] = {
 }
 
 
-def build_rotation(M: int, t: float) -> RotationSystem:
-    """Rotation step P closest to t*M, coprime with M.
+def _rotation(M: int, P: int) -> FinitePermutation:
+    """T(y) = y + P mod M: gcd(P, M) cycles, the r-th visiting r, r + P, r + 2P, ..., order generated."""
+    n = M // gcd(P, M)
+    return FinitePermutation.from_index(_RotationOrder(np.arange(0, M, n), np.full(M // n, n), P))
+
+
+def build_rotation(M: int, t: float) -> FinitePermutation:
+    """T(y) = y + P mod M on the grid, approximating the t-shift of the circle, with the step P
+    closest to t*M and coprime with M; P is T.orbit_index.P, and its defect is abs(P / M - t).
 
     Published experiment pairs take precedence over the search so that the
     reference figures reproduce exactly; see PUBLISHED_ROTATIONS.
@@ -114,9 +102,7 @@ def build_rotation(M: int, t: float) -> RotationSystem:
             break
     if best is None:
         raise ValueError(f"no admissible step for M={M}")
-    rot = RotationSystem(M=M, P=best[0], t=t, defect=best[1])
-    rot.permutation  # the orbit index is built here, in the build, not on first use
-    return rot
+    return _rotation(M, best[0])
 
 
 # -- de Bruijn sequences and Bernoulli shifts ------------------------------

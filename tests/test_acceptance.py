@@ -61,10 +61,9 @@ def test_criterion_01_alternating_exact_formula():
 def test_criterion_02_discrepancy_theorem_finite_form():
     t0 = time.time()
     M = 100_000
-    rot = build_rotation(M, 0.5)
+    T = build_rotation(M, 0.5)
     F = paper_observable("tent", M)
     K, L = 50_500, 50_000
-    T = rot.permutation
     (rep,) = ergodia.sup_discrepancy(F, T, [(K, L)])
     (diffs,) = discrepancy_arrays(F, T, [(K, L)])
     U, V = proof_arrays(F, T, K, L)  # in orbit order, as diffs
@@ -98,15 +97,15 @@ def test_criterion_03_block_observable_phenomenon():
 
 def test_criterion_04_rotation_near_two_thirds():
     t0 = time.time()
-    rot = build_rotation(33334, 2.0 / 3.0)
-    M, y = rot.M, 16667
+    T = build_rotation(33334, 2.0 / 3.0)
+    M, y, P = T.size, 16667, T.orbit_index.P
     F = paper_observable("tent", M)
-    pts, _ = gamma_series(F, rot.permutation, y, 1.0)
+    pts, _ = gamma_series(F, T, y, 1.0)
     oracle = three_point_average(tent_function, y / M)
     near0 = pts[(pts[:, 0] >= 100) & (pts[:, 0] <= 300), 2]
     near1 = pts[pts[:, 0] >= 0.998 * M, 2]
-    ok = (rot.P == 22225
-          and rot.defect <= 0.00046
+    ok = (P == 22225
+          and abs(P / M - 2.0 / 3.0) <= 0.00046
           and abs(oracle - 0.56) < 0.01
           and bool((np.abs(near0 - oracle) <= 0.02).all())
           and bool((np.abs(near1 - 0.5) <= 0.01).all())
@@ -116,14 +115,14 @@ def test_criterion_04_rotation_near_two_thirds():
 
 def test_criterion_05_irrational_rotation_flat_means():
     t0 = time.time()
-    rot = build_rotation(25001, float(1.0 / np.sqrt(2.0)))
-    M, y = rot.M, 6119
+    T = build_rotation(25001, float(1.0 / np.sqrt(2.0)))
+    M, y, P = T.size, 6119, T.orbit_index.P
     F = paper_observable("tent", M)
-    series = ergodic_means_prefix(F, rot.permutation, y, M)
+    series = ergodic_means_prefix(F, T, y, M)
     horizons = [int(0.05 * q * M) for q in range(1, 21)]
     devs = [abs(series[K - 1] - 0.5) for K in horizons]
-    ok = (rot.P == 17677
-          and rot.defect <= 0.00006
+    ok = (P == 17677
+          and abs(P / M - float(1.0 / np.sqrt(2.0))) <= 0.00006
           and max(devs) <= 0.01
           and (time.time() - t0) < 5.0)
     report("near-1/sqrt(2) rotation flat means", ok)
@@ -180,13 +179,11 @@ def test_criterion_07_matching_pipeline():
 
 def test_criterion_08_weak_star_convergence():
     t0 = time.time()
-    from ergodia.approximation import TestFunction, weak_star_error
+    from ergodia.approximation import weak_star_error
 
-    tests = [TestFunction(f"x^{d}", lambda x, d=d: x**d, 1.0 / (d + 1))
-             for d in range(4)]
     max_errs = []
     for M in (100, 1000, 10_000):
-        errs = weak_star_error(np.arange(M) / M, tests)
+        errs = weak_star_error(np.arange(M) / M, 3)
         max_errs.append(max(errs.values()))
     ok = (all(e <= 2.0 / M for e, M in zip(max_errs, (100, 1000, 10_000)))
           and max_errs[0] > max_errs[1] > max_errs[2]

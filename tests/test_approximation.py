@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 import ergodia.approximation as approximation
 from ergodia.approximation import (
     ClosedSet,
-    TestFunction,
     _distance,
     _target_ranges,
     arc_matcher,
@@ -44,12 +43,10 @@ def grid(M):
 
 
 def test_weak_star_error_exact_on_grid():
-    tests = [TestFunction("const", lambda x: 1.0, 1.0),
-             TestFunction("x", lambda x: x, 0.5)]
-    errs = weak_star_error(grid(100), tests)
-    assert errs["const"] == 0.0
+    errs = weak_star_error(grid(100), 1)
+    assert errs["x^0"] == 0.0
     # grid mean of y/M over y < M is (M-1)/(2M); error exactly 1/(2M)
-    assert errs["x"] == pytest.approx(1.0 / 200.0)
+    assert errs["x^1"] == pytest.approx(1.0 / 200.0)
 
 
 def test_thickening_measure_error_interval():
@@ -112,8 +109,17 @@ def test_map_mismatch_identity():
     M = 500
     T = FinitePermutation(np.roll(np.arange(M), -1))
     # +1 mod M approximates the identity with defect exactly 1/M
-    assert map_mismatch_fraction(grid(M), T, lambda x: x, 2.0 / M, circle=True) == 0.0
-    assert map_mismatch_fraction(grid(M), T, lambda x: x, 0.5 / M, circle=True) == 1.0
+    assert map_mismatch_fraction(grid(M), T, grid(M), 2.0 / M, circle=True) == 0.0
+    assert map_mismatch_fraction(grid(M), T, grid(M), 0.5 / M, circle=True) == 1.0
+
+
+def test_map_mismatch_refuses_targets_of_another_shape():
+    # as synthesize_permutation does: a scalar or a column would broadcast against x silently
+    M = 50
+    T = FinitePermutation(np.roll(np.arange(M), -1))
+    for targets in (0.5, grid(M)[:-1], grid(M)[:, None], np.zeros(M + 1)):
+        with pytest.raises(ValueError, match="one target per grid point"):
+            map_mismatch_fraction(grid(M), T, targets, 2.0 / M, circle=True)
 
 
 # -- matching --------------------------------------------------------------

@@ -354,10 +354,10 @@ def test_stab_serves_every_pair_from_one_cycle_pass(tmp_path, monkeypatch):
     passes, rows, inside = [], [], []
     row_means, carried_sums = stabilization._row_means, stabilization._carried_sums
 
-    def counting(F, T, horizons):
+    def counting(along, index, horizons):
         passes.append(tuple(horizons))
         inside.append(True)
-        yield from row_means(F, T, horizons)
+        yield from row_means(along, index, horizons)
         inside.pop()
 
     def tiling(along, start, p, pos, *rest):
@@ -637,12 +637,11 @@ def test_approx_report_keys_that_compare_equal_are_one_entry(tmp_path):
     {"name": "identity"}, {"name": "rotation", "t": 0.7071067811865476}, {"name": "doubling"},
 ])
 def test_pipeline_targets_equal_per_point_map(target):
-    from ergodia.cli import _target_map
+    from ergodia.cli import _target_images
 
-    tau = _target_map(target)
     grid = np.arange(997) / 997
-    per_point = np.asarray([tau(x) for x in grid.tolist()])
-    assert tau(grid).tobytes() == per_point.tobytes()
+    per_point = np.asarray([_target_images(target, x) for x in grid.tolist()])
+    assert _target_images(target, grid).tobytes() == per_point.tobytes()
 
 
 def test_check_subcommand_passes():

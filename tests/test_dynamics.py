@@ -203,7 +203,7 @@ def test_exact_means_are_rounded_fractions_of_rational_observables(name, M):
     # the exact means at tent's denominator 9M and linear's M, on the drift and on a rotation
     F = paper_observable(name, M)
     D = 9 * M if name == "tent" else M
-    for T in (build_drift_system(M), build_rotation(M, 0.6180339887498949).permutation):
+    for T in (build_drift_system(M), build_rotation(M, 0.6180339887498949)):
         for y in (0, 1, M // 3):
             exact = exact_prefix_means(F, T, y, 2 * M + 7, D)
             assert_means_are_rounded_fractions(F, ergodic_means_prefix(F, T, y, 2 * M + 7), exact)
@@ -289,10 +289,10 @@ def test_gamma_series_bitwise_equals_prefix_means():
     # the means at the stride points are the quotients of the gathered prefix sums, and
     # ergodic_means_prefix gives every one of them, as a read-only float64 array: at stride 1, gamma's
     # whole mean column
-    from ergodia.systems import RotationSystem, build_bernoulli
+    from ergodia.systems import _rotation, build_bernoulli
 
     rng = np.random.default_rng(4)
-    cases = [(RotationSystem(1000, 667, 2.0 / 3.0, abs(667 / 1000 - 2.0 / 3.0)).permutation, 3),
+    cases = [(_rotation(1000, 667), 3),
              (build_bernoulli(2, 3, "naive"), 5), (random_permutation(500, 9), 0)]
     for T, y in cases:
         F = Observable(rng.standard_normal(T.size) * 1e3)
@@ -313,7 +313,7 @@ GAMMA_CASES = {
     # short cycles (periods 1, 3 and 7) far past one period
     "naive-N3": (lambda: build_bernoulli(2, 3, "naive"),
                  lambda M: paper_observable("chi0", M, N=3), 3.0),
-    "rotation-1001": (lambda: build_rotation(1001, 0.3).permutation,
+    "rotation-1001": (lambda: build_rotation(1001, 0.3),
                       lambda M: paper_observable("tent", M), 2.5),
     "drift-997": (lambda: build_drift_system(997), lambda M: paper_observable("ex03", M, K=10), 1.7),
     "drift-997-normal": (lambda: build_drift_system(997),
@@ -445,7 +445,7 @@ def column_stacked_gamma(F, T, y, k, stride):
 
 
 # and a series of 3e5 means, whose default stride is 3
-IN_PLACE_CASES = {**GAMMA_CASES, "rotation-100003": (lambda: build_rotation(100_003, 0.3).permutation,
+IN_PLACE_CASES = {**GAMMA_CASES, "rotation-100003": (lambda: build_rotation(100_003, 0.3),
                                                      lambda M: paper_observable("tent", M), 3.0)}
 
 

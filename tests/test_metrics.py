@@ -6,6 +6,8 @@ bitwise: the distances and thresholds are the same IEEE operations per
 point, and the monomial means are compared as computed.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from ergodia.approximation import (
     thickening_measure_error,
     weak_star_error,
 )
-from ergodia.cli import _monomial_tests, _target_map
+from ergodia.cli import _target_images
 from ergodia.dynamics import FinitePermutation
 from ergodia.systems import build_drift_system, build_rotation
 from oracles import (
@@ -36,7 +38,7 @@ def grid_system(kind, M):
     x = np.arange(M) / M
     if kind == "drift":
         return build_drift_system(M), x, False, {"name": "identity"}
-    return build_rotation(M, GOLDEN).permutation, x, True, {"name": "rotation", "t": GOLDEN}
+    return build_rotation(M, GOLDEN), x, True, {"name": "rotation", "t": GOLDEN}
 
 
 def per_point(M):
@@ -47,9 +49,8 @@ def per_point(M):
 @pytest.mark.parametrize("kind", ["drift", "rotation"])
 def test_weak_star_equals_oracle(kind, M):
     _, x, _, _ = grid_system(kind, M)
-    tests = _monomial_tests(5)
-    loop = [(t.name, lambda x, d=d: float(x) ** d, t.integral) for d, t in enumerate(tests)]
-    assert weak_star_error(x, tests) == weak_star_error_loop(per_point(M), M, loop)
+    loop = [(f"x^{d}", lambda x, d=d: float(x) ** d, 1.0 / (d + 1)) for d in range(6)]
+    assert weak_star_error(x, 5) == weak_star_error_loop(per_point(M), M, loop)
 
 
 CLOSED_SETS = {
@@ -76,9 +77,9 @@ def test_thickening_equals_oracle(kind, M):
 def test_map_mismatch_equals_oracle(kind, M):
     T, x, circle, target = grid_system(kind, M)
     for spec in (target, {"name": "doubling"}):
-        tau = _target_map(spec)
+        tau = partial(_target_images, spec)  # per point, for the oracle
         for eps in (0.5 / M, 2.0 / M, 0.25):
-            got = map_mismatch_fraction(x, T, tau, eps, circle=circle)
+            got = map_mismatch_fraction(x, T, _target_images(spec, x), eps, circle=circle)
             want = map_mismatch_fraction_loop(per_point(M), M, circle, T.image, tau, eps)
             assert got == want, (spec, eps)
 
@@ -90,7 +91,7 @@ def test_partial_mismatch_on_synthesized_permutation(base, M, delta):
     # a clean target puts every source at the far end of its arc (fraction 0
     # or 1); targets jittered within delta spread the distances out
     grid = np.arange(M) / M
-    clean = _target_map({"name": base, "t": GOLDEN})(grid)
+    clean = _target_images({"name": base, "t": GOLDEN}, grid)
     targets = (clean + np.random.default_rng(M).uniform(-1.0, 1.0, M) * delta) % 1.0
 
     def tau(x):
@@ -98,7 +99,7 @@ def test_partial_mismatch_on_synthesized_permutation(base, M, delta):
 
     T, _ = synthesize_permutation(M, targets, delta)
     for eps in (delta / 7, delta / 3, delta / 2):
-        got = map_mismatch_fraction(grid, T, tau, eps, circle=True)
+        got = map_mismatch_fraction(grid, T, targets, eps, circle=True)
         assert 0.0 < got < 1.0, eps
         assert got == map_mismatch_fraction_loop(per_point(M), M, True, T.image, tau, eps)
 

@@ -26,7 +26,6 @@ from ergodia.dynamics import (FinitePermutation, Observable, OrbitIndex, ergodic
 from ergodia.integrability import average, integrability_profile, tail_mass
 from ergodia.stabilization import common_stabilization_segment, stabilization_segment, sup_discrepancy
 from ergodia.systems import (
-    RotationSystem,
     build_bernoulli,
     build_drift_system,
     build_rotation,
@@ -42,8 +41,8 @@ def drift(M):
 
 
 def rotation(M, t):
-    rot = build_rotation(M, t)
-    return rot.permutation, (np.arange(M) + rot.P) % M
+    T = build_rotation(M, t)
+    return T, (np.arange(M) + T.orbit_index.P) % M
 
 
 def naive(m, N):
@@ -143,9 +142,9 @@ def test_expected_cycle_counts():
 
 
 def test_rotation_permutation_is_cached():
-    rot = build_rotation(1000, 0.3)
-    assert "permutation" in vars(rot)  # built by build_rotation, not on first use
-    assert rot.permutation is rot.permutation
+    T = build_rotation(1000, 0.3)
+    assert T._index is not None  # built by build_rotation, not on first use
+    assert T.orbit_index is T.orbit_index
 
 
 @pytest.mark.parametrize("order,lengths", [
@@ -173,7 +172,7 @@ SHARED = {
     "swap-0-1": lambda: FinitePermutation(np.r_[1, 0, np.arange(2, 4000)]),
 }
 COPIED = {
-    "rotation": lambda: build_rotation(4000, 0.3).permutation,
+    "rotation": lambda: build_rotation(4000, 0.3),
     "shuffled": lambda: FinitePermutation(np.random.default_rng(2).permutation(4000)),
     "swap-1-2": lambda: FinitePermutation(np.r_[0, 2, 1, np.arange(3, 4000)]),  # order 1, 2, 0, 3, ...
 }
@@ -211,7 +210,7 @@ def indexed_points(draw):
     elif kind == "rotation":
         g, q = draw(st.integers(2, 6)), draw(st.integers(2, 60))
         P = g * draw(st.integers(1, q - 1))
-        T = RotationSystem(M=g * q, P=P, t=P / (g * q), defect=0.0).permutation
+        T = systems._rotation(g * q, P)
     elif kind == "identity":
         T = FinitePermutation.identity(draw(st.integers(1, 300)))
     else:
@@ -331,7 +330,7 @@ def relabel(F, T, sigma):
 
 RELABELLED = {
     "drift-ex03": lambda: (build_drift_system(600), paper_observable("ex03", 600, K=50)),
-    "rotation-fig5-ex01": lambda: (build_rotation(33334, 2.0 / 3.0).permutation,
+    "rotation-fig5-ex01": lambda: (build_rotation(33334, 2.0 / 3.0),
                                    paper_observable("ex01", 33334)),
     "debruijn-chi0": lambda: (build_bernoulli(2, 4, "debruijn"),
                               paper_observable("chi0", 512, N=4)),
@@ -491,7 +490,7 @@ def test_racing_observables_on_one_permutation_keep_their_own_values():
 
 BUILT = {
     "drift": lambda: (build_drift_system(5000), paper_observable("ex03", 5000, K=50)),
-    "rotation": lambda: (build_rotation(33334, 2.0 / 3.0).permutation, paper_observable("tent", 33334)),
+    "rotation": lambda: (build_rotation(33334, 2.0 / 3.0), paper_observable("tent", 33334)),
     "naive": lambda: (build_bernoulli(2, 4, "naive"), paper_observable("chi0", 512, N=4)),
     "debruijn": lambda: (build_bernoulli(2, 4, "debruijn"),
                          paper_observable("chi0", 512, N=4)),
@@ -507,6 +506,25 @@ def test_the_kernels_build_no_image(name):
     sup_discrepancy(F, T, [(40, 17)], [0.05])
     proof_arrays(F, T, 40, 17)
     assert T._image is None
+
+
+@pytest.mark.parametrize("name", sorted(BUILT))
+def test_cycles_are_read_from_the_index_and_build_no_order(name):
+    T, _ = BUILT[name]()
+    index = T.orbit_index
+    assert len(T.cycles) == index.lengths.size
+    assert "order" not in vars(index)
+    # the views the cycles were before: one row per cycle of each length class's block of the order
+    order = index.order
+    views = [row for offset, count, p in index.length_classes()
+             for row in order[offset : offset + count * p].reshape(count, p)]
+    cycles = list(T.cycles)
+    assert len(cycles) == len(views) and all(np.array_equal(a, b) for a, b in zip(cycles, views))
+    for c in (0, -1, len(views) - 1, -len(views)):
+        assert np.array_equal(T.cycles[c], views[c]), c
+    for c in (len(views), -len(views) - 1):
+        with pytest.raises(IndexError):
+            T.cycles[c]
 
 
 @pytest.mark.parametrize("k", [0.5, 1, 2.7, 5])
@@ -558,7 +576,7 @@ WIDTH_SYSTEMS = {
     "naive": lambda: build_bernoulli(2, 3, "naive"),
     "debruijn": lambda: build_bernoulli(2, 3, "debruijn"),
     # gcd(36, 150) = 6 cycles of 25
-    "rotation-gcd-6": lambda: RotationSystem(M=150, P=36, t=36 / 150, defect=0.0).permutation,
+    "rotation-gcd-6": lambda: systems._rotation(150, 36),
     "shuffled": lambda: FinitePermutation(np.random.default_rng(9).permutation(150)),
 }
 
@@ -695,14 +713,14 @@ def lyndon_debruijn_image(m, L):
 # family -> (build the generated permutation, its image by a separate rule)
 GENERATED = {
     # g = 1, the search's and the published (25001, 1/sqrt2) pair's
-    "rotation-g1": (lambda: RotationSystem(M=1009, P=300, t=0.3, defect=0.0).permutation,
+    "rotation-g1": (lambda: systems._rotation(1009, 300),
                     lambda: (np.arange(1009) + 300) % 1009),
-    "rotation-25001": (lambda: build_rotation(25001, float(1.0 / np.sqrt(2.0))).permutation,
+    "rotation-25001": (lambda: build_rotation(25001, float(1.0 / np.sqrt(2.0))),
                        lambda: (np.arange(25001) + 17677) % 25001),
     # g = 7: the published (33334, 2/3) pair; g = 6 with cycles shorter than most chunks
-    "rotation-g7": (lambda: build_rotation(33334, 2.0 / 3.0).permutation,
+    "rotation-g7": (lambda: build_rotation(33334, 2.0 / 3.0),
                     lambda: (np.arange(33334) + 22225) % 33334),
-    "rotation-g6": (lambda: RotationSystem(M=150, P=36, t=0.24, defect=0.0).permutation,
+    "rotation-g6": (lambda: systems._rotation(150, 36),
                     lambda: (np.arange(150) + 36) % 150),
     **{f"debruijn-{m}-{N}": (lambda m=m, N=N: build_bernoulli(m, N, "debruijn"),
                              lambda m=m, N=N: lyndon_debruijn_image(m, 2 * N + 1))

@@ -113,6 +113,21 @@ def test_proof_terms_refuse_bad_horizons(K, L):
         proof_terms(F, T, K, L)
 
 
+@pytest.mark.parametrize("name", ["ex01", "tent"])
+def test_proof_terms_read_the_memo_of_F_and_build_no_observable(monkeypatch, name):
+    # |F| comes from T.along(F): no second gather, F's memo is not replaced, and no Observable is made
+    T, F = build_rotation(997, 0.3), paper_observable(name, 997)
+    along = T.along(F)
+
+    def no_observable(self):
+        raise AssertionError("proof_terms built an Observable")
+
+    monkeypatch.setattr(Observable, "__post_init__", no_observable)
+    U, V = proof_arrays(F, T, 40, 17)
+    assert T.along(F) is along
+    assert (U >= 0).all() and (V >= 0).all()
+
+
 # -- stabilization segments ------------------------------------------------
 
 
@@ -276,7 +291,7 @@ KERNEL_SYSTEMS = {
     "mixed": lambda: mixed_cycles(1),
     "mixed-zeros": lambda: mixed_cycles(2, zeros=True),
     "drift": lambda: (paper_observable("ex03", 60, K=4), build_drift_system(60)),
-    "rotation": lambda: (paper_observable("tent", 61), build_rotation(61, 0.3).permutation),
+    "rotation": lambda: (paper_observable("tent", 61), build_rotation(61, 0.3)),
 }
 # larger systems, run at the default chunk size only
 LARGE_SYSTEMS = {
@@ -284,7 +299,7 @@ LARGE_SYSTEMS = {
     "naive5-normal": lambda: naive_system(5, normal=True),
     "naive8": lambda: naive_system(8),
     "drift1000": lambda: (paper_observable("ex03", 1000, K=10), build_drift_system(1000)),
-    "rotation997": lambda: (paper_observable("tent", 997), build_rotation(997, 0.3).permutation),
+    "rotation997": lambda: (paper_observable("tent", 997), build_rotation(997, 0.3)),
 }
 # chunks 1 and 7: one row per chunk, in tiles of 1 or 7 columns; chunks 64 and 256: a few rows per chunk
 CASES = [(chunk, name) for chunk in (1, 7, 64, 256, dynamics.CHUNK_POINTS) for name in KERNEL_SYSTEMS]
@@ -393,9 +408,9 @@ def test_fused_pairs_take_one_pass_and_check_every_pair_first(monkeypatch):
     calls, tiles = [], []
     row_means, carried_sums = stabilization._row_means, stabilization._carried_sums
 
-    def counting(F, T, horizons):
+    def counting(along, index, horizons):
         calls.append(tuple(horizons))
-        return row_means(F, T, horizons)
+        return row_means(along, index, horizons)
 
     def tiling(along, start, *rest):
         tiles.append(np.size(start))
@@ -427,7 +442,7 @@ def test_fused_pairs_take_one_pass_and_check_every_pair_first(monkeypatch):
 def test_discrepancy_temporaries_on_one_long_cycle_stay_a_few_tiles(name):
     # a float64 and an int8 memo; horizons below the period, and above it with a short pair fused
     M = 10**6
-    T = build_rotation(M, 1 / np.sqrt(2)).permutation
+    T = build_rotation(M, 1 / np.sqrt(2))
     F = paper_observable(name, M, **({"K": 1000} if name == "ex03" else {}))
     assert T.orbit_index.lengths.tolist() == [M] and T.along(F).dtype == {"tent": np.float64, "ex03": np.int8}[name]
     for pairs in ([(500_000, 250_000)], [(2_500_003, 1_000_001), (40, 7)]):

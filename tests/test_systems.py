@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from ergodia import systems
 from ergodia.dynamics import FinitePermutation, Observable, ergodic_means_prefix, orbit_average
 from ergodia.systems import (
-    RotationSystem,
     _naive_shift,
     _necklaces,
     _windows,
@@ -54,21 +53,21 @@ def test_drift_is_transitive():
 
 
 def test_build_rotation_coprime_search():
-    rot = build_rotation(10, 0.31)
-    assert gcd(rot.P, 10) == 1
-    assert rot.P == 3
-    assert rot.defect == pytest.approx(0.01)
+    P = build_rotation(10, 0.31).orbit_index.P
+    assert gcd(P, 10) == 1
+    assert P == 3
+    assert abs(P / 10 - 0.31) == pytest.approx(0.01)
 
 
 def test_build_rotation_even_tie():
     # t*M = 5 exactly but gcd(5, 10) != 1; nearest coprime is 3 or 7
-    rot = build_rotation(10, 0.5)
-    assert rot.P in (3, 7)
-    assert gcd(rot.P, 10) == 1
+    P = build_rotation(10, 0.5).orbit_index.P
+    assert P in (3, 7)
+    assert gcd(P, 10) == 1
 
 
 def test_rotation_orbits_have_period_m_over_gcd():
-    T = RotationSystem(M=12, P=3, t=0.25, defect=0.0).permutation
+    T = systems._rotation(12, 3)
     assert len(T.cycles) == gcd(3, 12)
     assert all(len(c) == 4 for c in T.cycles)
 
@@ -77,7 +76,7 @@ def test_rotation_order_needs_one_reduction():
     # r + (j*P mod M) < M already, so the outer mod M of the oracle changes nothing
     for M in range(2, 200):
         for P in range(1, M):
-            order = RotationSystem(M=M, P=P, t=P / M, defect=0.0).permutation.orbit_index.order
+            order = systems._rotation(M, P).orbit_index.order
             assert np.array_equal(order, rotation_order_two_mod(M, P)), (M, P)
 
 
@@ -89,10 +88,8 @@ def test_rotation_validation():
 
 
 def test_published_rotation_presets():
-    r1 = build_rotation(33334, 2.0 / 3.0)
-    assert r1.P == 22225
-    r2 = build_rotation(25001, float(1.0 / np.sqrt(2.0)))
-    assert r2.P == 17677
+    assert build_rotation(33334, 2.0 / 3.0).orbit_index.P == 22225
+    assert build_rotation(25001, float(1.0 / np.sqrt(2.0))).orbit_index.P == 17677
 
 
 # -- de Bruijn -------------------------------------------------------------
@@ -515,7 +512,7 @@ def test_numerators_equal_exact_closed_form(name, M, params):
 def test_exact_prefix_means_equal_fraction_loop(name):
     # a rotation, so the orbit visits Y out of index order
     M = 10_000
-    T = build_rotation(M, 0.3).permutation
+    T = build_rotation(M, 0.3)
     F = paper_observable(name, M)
     nums, D = exact_closed_form(name, M)
     y = 4321
