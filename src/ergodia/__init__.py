@@ -31,7 +31,6 @@ from .stabilization import (
     sup_discrepancy,
 )
 from .approximation import (
-    ClosedSet,
     make_transitive,
     map_mismatch_fraction,
     synthesize_permutation,

@@ -1,7 +1,8 @@
 """Constructive approximation of continuous systems by finite permutations.
 
 Quality metrics, at the grid points x = y/M of the unit interval or the
-circle: weak-* error of the empirical measure against a reference measure, thickened-set measure error for closed sets, and the fraction of
+circle: weak-* error of the empirical measure against a reference measure,
+thickened-set measure error for closed intervals, and the fraction of
 points where the permutation disagrees with the target map by more than
 epsilon.  Construction: a permutation within delta of a (possibly
 non-injective) measure-preserving target map is synthesized by bipartite
@@ -14,7 +15,6 @@ points.  Cycle surgery turns any permutation into a single cycle
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -22,7 +22,6 @@ import numpy as np
 from .dynamics import FinitePermutation
 
 __all__ = [
-    "ClosedSet",
     "weak_star_error",
     "thickening_measure_error",
     "map_mismatch_fraction",
@@ -44,60 +43,26 @@ def _distance(a, b, circle: bool) -> np.ndarray:
     return d
 
 
-@dataclass(frozen=True)
-class ClosedSet:
-    """A finite union of closed subintervals [a, b] of [0, 1], with finite endpoints.
-
-    A pair with a > b wraps through 0 (on the interval too: [a, 1] with
-    [0, b]).  measure is the Lebesgue measure of the union.
-    """
-
-    intervals: tuple
-
-    def __post_init__(self):
-        if any(len(iv) != 2 or not all(0.0 <= e <= 1.0 for e in iv) for iv in self.intervals):
-            raise ValueError(f"closed intervals must be pairs of finite endpoints in [0, 1], "
-                             f"got {self.intervals!r}")
-
-    def measure(self) -> float:
-        # the union: wrapped intervals split at 1, then sorted and merged
-        pieces = sorted(piece for a, b in self.intervals
-                        for piece in ([(a, b)] if a <= b else [(0.0, b), (a, 1.0)]))
-        total = lo = hi = 0.0
-        for a, b in pieces:
-            if a > hi:
-                total, lo = total + (hi - lo), a
-            hi = max(hi, b)
-        return min(total + (hi - lo), 1.0)
-
-    def distance_to(self, x, circle: bool) -> np.ndarray:
-        """Distance from each point of x to the set, on the circle when circle is set."""
-        x = np.asarray(x)
-        if circle:
-            x = x % 1.0
-        best = np.full(x.shape, np.inf)
-        for a, b in self.intervals:
-            if a > b:  # wraps through 0, as measure counts it, on the interval too
-                inside = (x >= a) | (x <= b)
-            else:
-                inside = (a <= x) & (x <= b)
-            near = np.minimum(_distance(x, a, circle), _distance(x, b, circle))
-            best = np.where(inside, 0.0, np.minimum(best, near))
-        return best
-
-
 def weak_star_error(x: np.ndarray, degree: int) -> dict[str, float]:
     """Per monomial x^d, d = 0 .. degree: |(1/M) sum_y x[y]^d - 1/(d + 1)|, keyed "x^d".  Polynomials
     are dense in C[0, 1], so the monomials suffice as test functions."""
     return {f"x^{d}": float(abs(np.mean(x**d) - 1.0 / (d + 1))) for d in range(degree + 1)}
 
 
-def thickening_measure_error(x: np.ndarray, C: ClosedSet, eps: float, *, circle: bool) -> float:
-    """|(1/M) |{y : dist(x[y], C) < eps}| - nu(C)|."""
+def thickening_measure_error(x: np.ndarray, interval: tuple[float, float], eps: float, *,
+                             circle: bool) -> float:
+    """|(1/M) |{y : dist(x[y], C) < eps}| - nu(C)| for the closed interval C = [a, b] of [0, 1],
+    (a, b) = interval.  A pair with a > b wraps through 0 (on the interval too: [a, 1] with [0, b])."""
+    if len(interval) != 2 or not all(0.0 <= e <= 1.0 for e in interval):
+        raise ValueError(f"a closed interval is a pair of finite endpoints in [0, 1], got {interval!r}")
     if not eps > 0:
         raise ValueError(f"epsilon must be positive, got {eps!r}")
-    hits = np.count_nonzero(C.distance_to(x, circle) < eps)
-    return abs(hits / x.size - C.measure())
+    a, b = interval
+    x = np.asarray(x) % 1.0 if circle else np.asarray(x)
+    inside = (x >= a) | (x <= b) if a > b else (a <= x) & (x <= b)
+    near = np.minimum(_distance(x, a, circle), _distance(x, b, circle))
+    hits = np.count_nonzero(inside | (near < eps))
+    return abs(hits / x.size - (b - a if a <= b else min(b + (1.0 - a), 1.0)))
 
 
 def map_mismatch_fraction(x: np.ndarray, T: FinitePermutation, targets: np.ndarray, eps: float, *,

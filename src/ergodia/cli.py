@@ -19,7 +19,6 @@ import numpy as np
 
 from . import checks
 from .approximation import (
-    ClosedSet,
     make_transitive,
     map_mismatch_fraction,
     synthesize_permutation,
@@ -43,10 +42,6 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 
 
-class ConfigError(Exception):
-    pass
-
-
 def _fmt(x: float) -> str:
     """12 significant digits, '.' decimal separator."""
     return format(float(x), ".12g")
@@ -60,7 +55,7 @@ def _load_config(path: str) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
-        raise ConfigError(f"cannot read config {path}: {e}") from e
+        raise ValueError(f"cannot read config {path}: {e}") from e
 
 
 # the keys each config section may hold; "config" is the top level
@@ -81,10 +76,10 @@ KEYS = {section: set(keys.split()) for section, keys in {
 def _section(spec, name: str) -> dict:
     """spec as the config section `name`: a JSON object holding only keys that KEYS[name] lists."""
     if not isinstance(spec, dict):
-        raise ConfigError(f"{name} must be a JSON object, not {type(spec).__name__}")
+        raise ValueError(f"{name} must be a JSON object, not {type(spec).__name__}")
     unknown = sorted(set(spec) - KEYS[name])
     if unknown:
-        raise ConfigError(f"unknown key {unknown[0]!r} in {name}")
+        raise ValueError(f"unknown key {unknown[0]!r} in {name}")
     return spec
 
 
@@ -109,7 +104,7 @@ def _build_system(spec: dict):
         m, N, mode = _int_param(spec["m"], "m", 2), _int_param(spec["N"], "N", 0), spec.get("mode", "debruijn")
         T = build_bernoulli(m, N, mode)
         return T, {"system": "bernoulli", "m": m, "N": N, "mode": mode, "M": T.size}
-    raise ConfigError(f"unknown system {name!r}")
+    raise ValueError(f"unknown system {name!r}")
 
 
 def _build_observable(spec: dict, M: int):
@@ -120,12 +115,12 @@ def _build_observable(spec: dict, M: int):
 def _resolve_start_points(spec: dict, M: int, seed: int) -> list[int]:
     mode = set(_section(spec, "start_points")) - {"extras"}
     if len(mode) != 1 or ("extras" in spec and mode != {"stratified"}):
-        raise ConfigError("start_points takes exactly one of explicit, random, stratified; "
+        raise ValueError("start_points takes exactly one of explicit, random, stratified; "
                           "extras goes only with stratified")
     if "explicit" in spec:
         pts = [_int_param(y, "explicit start point", 0) for y in spec["explicit"]]
         if any(not 0 <= y < M for y in pts):
-            raise ConfigError("explicit start point out of range")
+            raise ValueError("explicit start point out of range")
         return pts
     if "random" in spec:
         return SplitMix64(seed).sample_points(M, _int_param(spec["random"], "random", 0))
@@ -139,7 +134,7 @@ def _check_sums(F, n) -> None:
     left to the library."""
     top = max(float(F.values.max()), -float(F.values.min()))
     if top and n != np.inf and max(n, 2) > sys.float_info.max / top:
-        raise ConfigError(f"observable {F.name}: sums over horizon {int(n)} overflow float64")
+        raise ValueError(f"observable {F.name}: sums over horizon {int(n)} overflow float64")
 
 
 def _seed(config: dict, args) -> int:
@@ -307,11 +302,11 @@ def cmd_stab(config: dict, args) -> int:
 
 
 def cmd_approx(config: dict, args) -> int:
-    # the library checks the epsilons, deltas and targets
+    # each mode checks its epsilons before any work; the library checks the deltas and targets
     spec = _section(config.get("approx", {}), "approx")
     mode = spec.get("mode", "metrics")
     if mode not in ("metrics", "pipeline"):
-        raise ConfigError(f"unknown approx mode {mode!r}")
+        raise ValueError(f"unknown approx mode {mode!r}")
     report = _approx_metrics(config, spec) if mode == "metrics" else _approx_pipeline(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -319,27 +314,39 @@ def cmd_approx(config: dict, args) -> int:
     return EXIT_OK
 
 
+def _epsilon(value, key: str) -> float:
+    """value as a finite float > 0, as stab's epsilons are (NaN is refused); ValueError otherwise."""
+    eps = _float_param(value, key)
+    if not 0 < eps < np.inf:
+        raise ValueError(f"{key} must be positive and finite, got {eps!r}")
+    return eps
+
+
 def _approx_metrics(config: dict, spec: dict) -> dict:
+    # every epsilon given is checked, whether or not an interval or a target reads it; an absent one is 2/M
+    thickening_eps = (_epsilon(spec["thickening_epsilon"], "thickening_epsilon")
+                      if "thickening_epsilon" in spec else None)
+    # keyed by the raw config values, so 1 and 1.0 are one entry; strings only in the report
+    mismatch_eps = ({e: _epsilon(e, "mismatch epsilon") for e in spec["mismatch_epsilons"]}
+                    if "mismatch_epsilons" in spec else None)
     T, meta = _build_system(config.get("system", {}))
     if meta["system"] == "bernoulli":
         # the test functions, closed intervals and target maps live on [0, 1)
-        raise ConfigError("metrics mode needs a drift or rotation system")
+        raise ValueError("metrics mode needs a drift or rotation system")
     # the grid points y/M: the drift approximates a map of the interval, a rotation one of the circle
     x = np.arange(T.size) / T.size
     circle = meta["system"] == "rotation"
     degree = _int_param(spec.get("degree", 3), "degree", 0)
-    # keyed by the raw config values, so 1 and 1.0 are one entry; strings only in the report
+    thickening_eps = 2.0 / T.size if thickening_eps is None else thickening_eps
     thickening, mismatch = {}, {}
     for iv in spec.get("closed_intervals", []):
-        C = ClosedSet((tuple(_float_param(e, "interval end") for e in iv),))
-        eps = _float_param(spec.get("thickening_epsilon", 2.0 / T.size), "thickening_epsilon")
-        thickening[tuple(iv)] = thickening_measure_error(x, C, eps, circle=circle)
+        interval = tuple(_float_param(e, "interval end") for e in iv)
+        thickening[tuple(iv)] = thickening_measure_error(x, interval, thickening_eps, circle=circle)
     target = spec.get("target")
     if target:
         targets = _target_images(target, x)
-        for eps in spec.get("mismatch_epsilons", [2.0 / T.size]):
-            mismatch[eps] = map_mismatch_fraction(x, T, targets, _float_param(eps, "mismatch epsilon"),
-                                                  circle=circle)
+        for key, eps in ({2.0 / T.size: 2.0 / T.size} if mismatch_eps is None else mismatch_eps).items():
+            mismatch[key] = map_mismatch_fraction(x, T, targets, eps, circle=circle)
     lengths = T.orbit_index.lengths
     return {**meta,
             "weak_star_errors": weak_star_error(x, degree),
@@ -350,6 +357,8 @@ def _approx_metrics(config: dict, spec: dict) -> dict:
 
 
 def _approx_pipeline(spec: dict) -> dict:
+    # a mismatch_epsilon given is checked with or without deltas; an absent one is 10 * delta
+    fixed_eps = _epsilon(spec["mismatch_epsilon"], "mismatch_epsilon") if "mismatch_epsilon" in spec else None
     M = _int_param(spec["M"], "M", 1)
     target = spec.get("target", {"name": "rotation", "t": 0.618033988749895})
     x = np.arange(M) / M
@@ -359,7 +368,7 @@ def _approx_pipeline(spec: dict) -> dict:
         delta = _float_param(delta, "delta")
         T_delta, mismatches = synthesize_permutation(M, targets, delta)
         C, B = make_transitive(T_delta)
-        eps = _float_param(spec.get("mismatch_epsilon", 10.0 * delta), "mismatch_epsilon")
+        eps = 10.0 * delta if fixed_eps is None else fixed_eps
         curve.append({
             "delta": delta,
             "matcher_mismatch_count": mismatches,
@@ -372,18 +381,20 @@ def _approx_pipeline(spec: dict) -> dict:
 
 
 def _target_images(spec: dict, x):
-    """The images of the points x of [0, 1) under the target map spec names, elementwise."""
+    """The images of the points x of [0, 1) under the target map spec names; only a rotation takes a t."""
     name = _section(spec, "approx.target").get("name")
+    if name in ("identity", "doubling") and "t" in spec:
+        raise ValueError(f"target map {name!r} takes no t")
     if name == "identity":
         return x
     if name == "rotation":
         t = _float_param(spec["t"], "t")
         if not np.isfinite(t):
-            raise ConfigError(f"rotation t must be finite, got {t!r}")
+            raise ValueError(f"rotation t must be finite, got {t!r}")
         return (x + t) % 1.0
     if name == "doubling":
         return (2.0 * x) % 1.0
-    raise ConfigError(f"unknown target map {name!r}")
+    raise ValueError(f"unknown target map {name!r}")
 
 
 def cmd_check(config: dict, args) -> int:
@@ -424,7 +435,7 @@ def main(argv=None) -> int:
     except KeyError as e:
         print(f"config error: missing key {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ConfigError, TypeError, ValueError, OverflowError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as e:

@@ -160,7 +160,7 @@ class PermutedOrder(OrbitIndex):
 
 @dataclass(frozen=True, eq=False)
 class StoredOrder(PermutedOrder):
-    """An order held as an array: the generic walk's, and from_cycle_order's."""
+    """An order held as an array: the generic walk's."""
 
     stored: np.ndarray
 
@@ -172,18 +172,17 @@ class StoredOrder(PermutedOrder):
         return self.stored
 
 
-def _checked(points: np.ndarray, what: str) -> np.ndarray | None:
-    """points, or None if it is the identity (strictly increasing); ValueError unless a permutation."""
-    if points.ndim != 1 or points.size == 0 or points.min() < 0 or points.max() >= points.size:
-        raise ValueError(f"{what} is not a permutation of 0..M-1")
-    if (points[1:] > points[:-1]).all():
-        return None
+def _checked(image: np.ndarray) -> None:
+    """ValueError unless image is a permutation of 0..M-1."""
+    if image.ndim != 1 or image.size == 0 or image.min() < 0 or image.max() >= image.size:
+        raise ValueError("image array is not a permutation of 0..M-1")
+    if (image[1:] > image[:-1]).all():  # the identity
+        return
     # M entries in range: every value is seen exactly when none repeats
-    seen = np.zeros(points.size, dtype=bool)
-    seen[points] = True
+    seen = np.zeros(image.size, dtype=bool)
+    seen[image] = True
     if not seen.all():
-        raise ValueError(f"{what} is not a permutation of 0..M-1")
-    return points
+        raise ValueError("image array is not a permutation of 0..M-1")
 
 
 def _narrow(values: np.ndarray) -> np.ndarray:
@@ -253,27 +252,22 @@ def _carried_sums(along: np.ndarray, start, p, pos, lo: int, n: int, carry=None)
 class FinitePermutation:
     """A bijection T of {0, ..., M-1}: its image array, its orbit index, or both.
 
-    The orbit index (OrbitIndex) is either supplied by the constructor that
-    knows the cycles (from_cycle_order stores a checked order; from_index
-    takes an index that generates its order), which leaves the image to
-    first use, or found once by a generic cycle walk over the image and
-    memoized.  along(F) memoizes one observable's values in orbit order, and
-    locate(points) the runs of the points a kernel will read one by one.
+    The orbit index (OrbitIndex) is either given to from_index by a builder
+    that knows the cycles, which leaves the image to first use, or found
+    once by a generic cycle walk over the image and memoized.  along(F)
+    memoizes one observable's values in orbit order, and locate(points) the
+    runs of the points a kernel will read one by one.
     """
 
     __slots__ = ("_image", "size", "_index", "_along", "_located")
 
     def __init__(self, image: Sequence[int] | np.ndarray):
         image = np.asarray(image, dtype=np.int64)
-        _checked(image, "image array")
+        _checked(image)
         image.setflags(write=False)
         self._image = image
         self.size = int(image.size)
         self._index = self._along = self._located = None
-
-    @classmethod
-    def identity(cls, size: int) -> "FinitePermutation":
-        return cls.from_cycle_order(np.arange(size, dtype=np.int64), np.ones(size, dtype=np.int64))
 
     @classmethod
     def from_index(cls, index: OrbitIndex) -> "FinitePermutation":
@@ -281,32 +275,6 @@ class FinitePermutation:
         T = cls.__new__(cls)
         T._image, T._index, T._along, T._located, T.size = None, index, None, None, index.size
         return T
-
-    @classmethod
-    def from_cycle_order(cls, order, lengths) -> "FinitePermutation":
-        """T and its orbit index from cycles laid end to end in canonical order.
-
-        order lists every point once, cycle after cycle, each cycle in
-        T-order; lengths are the cycle lengths.  The canonical-order rules
-        are checked (vectorized), so the index is exactly what the generic
-        cycle walk would find.  O(M) numpy; the image is left to first use.
-        """
-        order = np.asarray(order, dtype=np.int64)
-        lengths = np.asarray(lengths, dtype=np.int64)
-        stored = _checked(order, "cycle order")
-        if lengths.ndim != 1 or lengths.size == 0 or lengths.min() < 1 or lengths.sum() != order.size:
-            raise ValueError("cycle lengths must be positive and sum to M")
-        if (np.diff(lengths) > 0).any():
-            raise ValueError("cycles must be listed by descending length")
-        starts = np.cumsum(lengths) - lengths
-        heads = order[starts]
-        tie = lengths[1:] == lengths[:-1]
-        if (heads[1:][tie] <= heads[:-1][tie]).any():
-            raise ValueError("equal-length cycles must be listed by smallest element")
-        if (np.minimum.reduceat(order, starts) != heads).any():
-            raise ValueError("every cycle must start at its smallest element")
-        index = OrbitIndex(starts, lengths) if stored is None else StoredOrder(starts, lengths, stored)
-        return cls.from_index(index)
 
     @property
     def image(self) -> np.ndarray:
@@ -332,9 +300,6 @@ class FinitePermutation:
             values.setflags(write=False)
             memo = self._along = (F, values)
         return memo[1]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FinitePermutation) and np.array_equal(self.image, other.image)
 
     def __repr__(self) -> str:
         return f"FinitePermutation(size={self.size})"
@@ -364,7 +329,10 @@ class FinitePermutation:
         cycles.sort(key=len, reverse=True)
         order = np.fromiter(chain.from_iterable(cycles), dtype=np.int64, count=self.size)
         lengths = np.fromiter(map(len, cycles), dtype=np.int64, count=len(cycles))
-        self._index = self.from_cycle_order(order, lengths)._index
+        starts = np.cumsum(lengths) - lengths
+        # an increasing order is the identity order, which the base class reads with no array
+        increasing = (order[1:] > order[:-1]).all()
+        self._index = OrbitIndex(starts, lengths) if increasing else StoredOrder(starts, lengths, order)
 
     @property
     def orbit_index(self) -> OrbitIndex:

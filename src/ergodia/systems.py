@@ -140,12 +140,11 @@ def _windows(s: np.ndarray, lo: int, hi: int, n: int, m: int) -> np.ndarray:
     From the symbols lo .. hi + n - 2 (wrapping round s), doubling builds the
     windows of length l = 1, 2, 4, ... as w_2l = w_l[:-l] + m^l * w_l[l:],
     and joins, lowest digits first, the lengths n's bits pick.  Every value is
-    below m^n, so the arithmetic is int32 while m^n < 2^31, which halves the
-    temporaries.
+    below m^n, which _fkm_symbols caps at 2^26, so the arithmetic is int32;
+    that halves the temporaries.
     """
-    dtype = np.int32 if m**n < 2**31 else np.int64
-    w = np.concatenate([s[lo : hi + n - 1], s[: max(0, hi + n - 1 - s.size)]], dtype=dtype)
-    idx = np.zeros(hi - lo, dtype=dtype)
+    w = np.concatenate([s[lo : hi + n - 1], s[: max(0, hi + n - 1 - s.size)]], dtype=np.int32)
+    idx = np.zeros(hi - lo, dtype=np.int32)
     offset, l = 0, 1
     while True:
         if n & l:

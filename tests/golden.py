@@ -1,13 +1,14 @@
 """The golden table: every pinned output of the ergodia CLI, in tests/golden.json.
 
 An entry holds a subcommand, a config (a path from the repo root such as
-configs/fig1.json, an inline JSON object, or null for none), flags,
+configs/fig1.json, an inline JSON object or list, or null for none), flags,
 {file name or "<stdout>": SHA-256} over every file the run writes (and its
 stdout, where pinned), the exit code and, for some, max_rss_mb, a bound on
 the peak RSS of a fresh process running it.
 
 check(entry, run, tmp) runs one entry and compares the complete set of files
-written, stdout and the exit code.  Tier-1 (tests/test_cli.py) passes a runner
+written, stdout and the exit code; an entry that exits non-zero must make no
+--out directory.  Tier-1 (tests/test_cli.py) passes a runner
 that calls ergodia.cli.main in-process; run as a script,
 
     python tests/golden.py
@@ -43,7 +44,7 @@ def check(entry: dict, run, tmp: Path) -> float | None:
     Returns the peak RSS."""
     out, config = tmp / "out", entry["config"]
     argv = [entry["command"], *entry["flags"], "--out", str(out)]
-    if isinstance(config, dict):
+    if isinstance(config, (dict, list)):
         path = tmp / "config.json"
         path.write_text(json.dumps(config), encoding="utf-8")
         argv += ["--config", str(path)]
@@ -59,6 +60,8 @@ def check(entry: dict, run, tmp: Path) -> float | None:
                 for name in sorted(got.keys() | want.keys()) if got.get(name) != want.get(name)]
     if code != entry["exit"]:
         problems.append(f"exit code {code}, want {entry['exit']}")
+    if entry["exit"] and out.exists():
+        problems.append(f"exit {entry['exit']} made the --out directory")
     bound = entry.get("max_rss_mb")
     if peak_mb is not None and bound is not None and not peak_mb < bound:
         problems.append(f"peak RSS {peak_mb:.1f} MB, bound {bound} MB")

@@ -23,6 +23,11 @@ def permutation_from_cycles(cycles, size):
     return FinitePermutation(image)
 
 
+def permutation_of_cycle_order(order, lengths):
+    """The permutation whose cycles lie end to end in order, cycle c being lengths[c] points long."""
+    return permutation_from_cycles(np.split(np.asarray(order), np.cumsum(lengths)[:-1]), len(order))
+
+
 def float_values(F):
     """F.values widened to float64, as the oracles read them: an int8 or int32 store would wrap |-128|
     and |-2^31|, and sum exactly where float64 rounds."""
@@ -388,24 +393,21 @@ def point_distance(circle, a, b):
     return d
 
 
-def point_set_distance(C, x, circle):
-    """ClosedSet.distance_to for one point."""
-    best = np.inf
-    for a, b in C.intervals:
-        if circle:
-            xa = float(x) % 1.0
-            inside = (a <= xa <= b) if a <= b else (xa >= a or xa <= b)
-            if inside:
-                return 0.0
-            da = min(abs(xa - a) % 1.0, 1.0 - abs(xa - a) % 1.0)
-            db = min(abs(xa - b) % 1.0, 1.0 - abs(xa - b) % 1.0)
-            best = min(best, da, db)
-        else:
-            inside = (a <= float(x) <= b) if a <= b else (float(x) >= a or float(x) <= b)
-            if inside:
-                return 0.0
-            best = min(best, abs(float(x) - a), abs(float(x) - b))
-    return float(best)
+def point_interval_distance(interval, x, circle):
+    """The distance from one point to the closed interval [a, b], which wraps through 0 when a > b."""
+    a, b = interval
+    if circle:
+        xa = float(x) % 1.0
+        inside = (a <= xa <= b) if a <= b else (xa >= a or xa <= b)
+        if inside:
+            return 0.0
+        da = min(abs(xa - a) % 1.0, 1.0 - abs(xa - a) % 1.0)
+        db = min(abs(xa - b) % 1.0, 1.0 - abs(xa - b) % 1.0)
+        return float(min(da, db))
+    inside = (a <= float(x) <= b) if a <= b else (float(x) >= a or float(x) <= b)
+    if inside:
+        return 0.0
+    return float(min(abs(float(x) - a), abs(float(x) - b)))
 
 
 def weak_star_error_loop(embed, size, tests):
@@ -417,10 +419,12 @@ def weak_star_error_loop(embed, size, tests):
     return out
 
 
-def thickening_measure_error_loop(embed, size, circle, C, eps):
-    """thickening_measure_error with one set distance per point."""
-    hits = sum(1 for y in range(size) if point_set_distance(C, embed(y), circle) < eps)
-    return abs(hits / size - C.measure())
+def thickening_measure_error_loop(embed, size, circle, interval, eps):
+    """thickening_measure_error with one interval distance per point; the measure of a wrapped
+    interval is that of [a, 1] with [0, b]."""
+    a, b = interval
+    hits = sum(1 for y in range(size) if point_interval_distance(interval, embed(y), circle) < eps)
+    return abs(hits / size - (b - a if a <= b else min(b + (1.0 - a), 1.0)))
 
 
 def map_mismatch_fraction_loop(embed, size, circle, image, tau, eps):
@@ -496,10 +500,10 @@ def debruijn_sequence(m, n):
 
 
 def window_successor(s, m, n):
-    """The window-successor map of a supplied de Bruijn sequence s, a single m^n-cycle: its window
-    indices in sequence order, rotated to start at window 0, checked by from_cycle_order."""
+    """The window-successor map of a supplied de Bruijn sequence s, a single m^n-cycle: each window
+    index in sequence order maps to the next, the last to the first."""
     idx = window_indices_roll(np.asarray(s), n, m)
-    return FinitePermutation.from_cycle_order(np.roll(idx, -int(np.argmin(idx))), [idx.size])
+    return permutation_from_cycles([idx], idx.size)
 
 
 def necklaces_brute(m, L, big_endian):

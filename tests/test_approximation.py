@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 import ergodia.approximation as approximation
 from ergodia.approximation import (
-    ClosedSet,
     _distance,
     _target_ranges,
     arc_matcher,
@@ -49,17 +48,22 @@ def test_weak_star_error_exact_on_grid():
     assert errs["x^1"] == pytest.approx(1.0 / 200.0)
 
 
+def measure(a, b):
+    """The measure of the closed interval [a, b]: NaN lies in no interval and near none, so on the
+    one-point grid [NaN] the thickening error is the measure itself."""
+    return thickening_measure_error(np.array([np.nan]), (a, b), 1.0, circle=False)
+
+
 def test_thickening_measure_error_interval():
     M = 1000
-    C = ClosedSet(((0.25, 0.5),))
-    err = thickening_measure_error(grid(M), C, 1.0 / M, circle=False)
+    err = thickening_measure_error(grid(M), (0.25, 0.5), 1.0 / M, circle=False)
     assert err <= 3.0 / M
 
 
 def test_thickening_wrapped_circle_interval():
     M = 1000
-    C = ClosedSet(((0.9, 0.1),))  # wraps through 0
-    assert C.measure() == pytest.approx(0.2)
+    C = (0.9, 0.1)  # wraps through 0
+    assert measure(*C) == pytest.approx(0.2)
     err = thickening_measure_error(grid(M), C, 1.0 / M, circle=True)
     assert err <= 3.0 / M
 
@@ -67,21 +71,11 @@ def test_thickening_wrapped_circle_interval():
 def test_wrapped_interval_on_the_interval_space_matches_the_circle():
     # [0.9, 0.1] is [0.9, 1] with [0, 0.1] on the interval too, as measure counts it
     M = 1000
-    C = ClosedSet(((0.9, 0.1),))
+    C = (0.9, 0.1)
     on_interval = thickening_measure_error(grid(M), C, 0.002, circle=False)
     on_circle = thickening_measure_error(grid(M), C, 0.002, circle=True)
     assert on_interval <= 5.0 / M and on_circle <= 5.0 / M
     assert abs(on_interval - on_circle) <= 2.0 / M
-
-
-def test_interval_measure_of_overlapping_union():
-    C = ClosedSet(((0.2, 0.4), (0.3, 0.5)))
-    assert C.measure() == pytest.approx(0.3)
-    # the M = 1000 grid matches this set to within 1/M, so its thickening error is small
-    assert thickening_measure_error(grid(1000), C, 1e-4, circle=False) <= 2e-3
-    # a wrapped interval that covers another, and one that meets it at 0
-    assert ClosedSet(((0.8, 0.3), (0.1, 0.2))).measure() == pytest.approx(0.5)
-    assert ClosedSet(((0.0, 0.1), (0.9, 0.0))).measure() == pytest.approx(0.2)
 
 
 @pytest.mark.parametrize("a,b", [(0.25, 0.5), (0.9, 0.1), (0.0, 1.0), (1.0, 0.0), (0.3, 0.3),
@@ -89,20 +83,18 @@ def test_interval_measure_of_overlapping_union():
 def test_single_interval_measure_is_its_length(a, b):
     # the same float as the length formula, wrapped or not
     expected = (b - a) if a <= b else (1.0 - a + b)
-    assert ClosedSet(((a, b),)).measure() == expected
+    assert measure(a, b) == expected
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=1, max_size=6))
-def test_interval_measure_matches_fine_grid_count(intervals):
+@given(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
+def test_interval_measure_matches_fine_grid_count(interval):
     G = 200_000
     x = (np.arange(G) + 0.5) / G
-    inside = np.zeros(G, dtype=bool)
-    for a, b in intervals:
-        inside |= ((a <= x) & (x <= b)) if a <= b else ((x >= a) | (x <= b))
-    measure = ClosedSet(tuple(intervals)).measure()
-    # each of the at most 2 * 6 piece ends moves the count by at most one grid cell
-    assert abs(measure - np.count_nonzero(inside) / G) <= 2 * len(intervals) / G
+    a, b = interval
+    inside = ((a <= x) & (x <= b)) if a <= b else ((x >= a) | (x <= b))
+    # each of the at most 2 piece ends moves the count by at most one grid cell
+    assert abs(measure(a, b) - np.count_nonzero(inside) / G) <= 2 / G
 
 
 def test_map_mismatch_identity():
@@ -331,7 +323,7 @@ def test_make_transitive_merges_cycles():
 
 
 def test_make_transitive_identity_input():
-    C, B = make_transitive(FinitePermutation.identity(5))
+    C, B = make_transitive(FinitePermutation(np.arange(5)))
     assert len(C.cycles) == 1
     assert len(B) == 5
 
@@ -340,7 +332,7 @@ def test_make_transitive_noop_on_cycle():
     M = 7
     T = FinitePermutation(np.roll(np.arange(M), -1))
     C, B = make_transitive(T)
-    assert C == T
+    assert np.array_equal(C.image, T.image)
     assert B == []
 
 
@@ -380,4 +372,4 @@ def test_split_drops_short_cycles():
 
 def test_split_validation():
     with pytest.raises(ValueError):
-        split_into_n_cycles(FinitePermutation.identity(3), 0)
+        split_into_n_cycles(FinitePermutation(np.arange(3)), 0)

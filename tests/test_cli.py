@@ -303,13 +303,20 @@ def over_the_bound(argv):
     return code, stdout, 1e6
 
 
+def fails_after_making_the_out_directory(argv):
+    os.mkdir(argv[argv.index("--out") + 1])
+    return 2, b"", None
+
+
 @pytest.mark.parametrize("outputs,fields,run,message", [
     ({"gamma_chi0_y11.csv": "0" * 64}, {}, in_process, "gamma_chi0_y11.csv has digest fa11038"),
     ({"gamma_chi0_y12.csv": "0" * 64}, {}, in_process, "gamma_chi0_y12.csv missing"),
     ({"gamma_meta.json": None}, {}, in_process, "gamma_meta.json extra"),
     ({}, {"exit": 2}, in_process, "exit code 0, want 2"),
     ({}, {"max_rss_mb": 85}, over_the_bound, "peak RSS 1000000.0 MB, bound 85 MB"),
-], ids=["wrong-digest", "missing-file", "extra-file", "wrong-exit-code", "over-rss-bound"])
+    ({}, {"exit": 2}, fails_after_making_the_out_directory, "exit 2 made the --out directory"),
+], ids=["wrong-digest", "missing-file", "extra-file", "wrong-exit-code", "over-rss-bound",
+        "out-directory-on-failure"])
 def test_golden_check_rejects_a_changed_entry(tmp_path, outputs, fields, run, message):
     # the naive-gamma entry with outputs changed (None drops a file) and fields replaced
     entry = {**GOLDEN["naive-gamma"], **fields}

@@ -46,7 +46,7 @@ def test_rejects_non_permutation():
 
 
 def test_identity_cycles():
-    T = FinitePermutation.identity(5)
+    T = FinitePermutation(np.arange(5))
     assert cycle_decomposition(T) == [[0], [1], [2], [3], [4]]
     assert all(T.period(y) == 1 for y in range(5))
 
@@ -116,7 +116,7 @@ def test_trajectory_equals_modular_index():
 
 
 def test_out_of_range_start_rejected():
-    T = FinitePermutation.identity(4)
+    T = FinitePermutation(np.arange(4))
     with pytest.raises(IndexError):
         apply_power(T, 4, 1)
     with pytest.raises(IndexError):
@@ -475,14 +475,14 @@ def test_gamma_of_a_negative_zero_keeps_its_sign_across_chunks(monkeypatch, chun
 
 
 def test_gamma_series_rejects_out_of_range_start():
-    T = FinitePermutation.identity(10)
+    T = FinitePermutation(np.arange(10))
     F = Observable(np.zeros(10))
     with pytest.raises(IndexError):
         gamma_series(F, T, 10, 1.0)
 
 
 def test_gamma_series_rejects_empty():
-    T = FinitePermutation.identity(10)
+    T = FinitePermutation(np.arange(10))
     F = Observable(np.zeros(10))
     with pytest.raises(ValueError):
         gamma_series(F, T, 0, 0.01)

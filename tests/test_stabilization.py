@@ -194,7 +194,7 @@ def test_common_segment_quantile():
 def test_common_segment_drops_eta_fraction():
     # 9 points stabilize to the limit, 1 breaks immediately; eta=0.15 drops it
     M = 10
-    T = FinitePermutation.identity(M)
+    T = FinitePermutation(np.arange(M))
     vals = np.zeros(M)
     F = Observable(vals)
     means_break = Observable(np.r_[np.zeros(M - 1), 100.0])
