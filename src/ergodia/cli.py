@@ -167,6 +167,7 @@ def _write_csv(path: Path, header: list[str], rows: tuple[list[bytes], np.ndarra
     """rows: (the _templates of the shared columns, the column that varies).  Bytes as _fmt
     writes each value; "%.12g" and format(x, ".12g") share one float-to-string routine."""
     templates, column = rows
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
         for t, first in zip(templates, range(0, len(column), WRITE_CHUNK_ROWS), strict=True):
@@ -174,8 +175,9 @@ def _write_csv(path: Path, header: list[str], rows: tuple[list[bytes], np.ndarra
 
 
 def _write_json(path: Path, obj) -> None:
-    # a NaN or infinity, which JSON has no token for, is a ValueError before the file opens
+    # a NaN or infinity, which JSON has no token for, is a ValueError before the directory is made
     text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text + "\n", encoding="utf-8", newline="\n")
 
 
@@ -226,13 +228,12 @@ def cmd_gamma(config: dict, args) -> int:
     seed = _seed(config, args)
     starts = _resolve_start_points(config.get("start_points", {}), T.size, seed)
     gspec = _section(config.get("gamma", {}), "gamma")
-    # k and stride are converted here and range-checked by the library
+    # k and stride are converted here and range-checked by the first series, before any file is written
     k = _float_param(gspec.get("k", 1.0), "k")
     stride = None if gspec.get("stride") is None else _int_param(gspec["stride"], "stride", 1)
     _check_sums(F, np.floor(k * T.size))
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     # each start point's files are written, and its series dropped, before the next series is
     # summed, so one series is held at a time; used_stride stays None with no start points
     rows = circles = used_stride = None
@@ -262,20 +263,18 @@ def cmd_stab(config: dict, args) -> int:
     spec = _section(config.get("stab", {}), "stab")
     starts = _resolve_start_points(config.get("start_points", {"stratified": 100, "extras": 25}),
                                    T.size, seed)
-    # epsilon and eta are required; the integer keys are read here, and the
-    # library checks epsilon, eta, n_min <= scan_limit and L < K
-    eps, eta = _float_param(spec["epsilon"], "epsilon"), _float_param(spec["eta"], "eta")
+    # epsilon and eta are required; the epsilons and integer keys are checked here, and the
+    # library checks eta, n_min <= scan_limit and L < K
+    eps, eta = _epsilon(spec["epsilon"], "epsilon"), _float_param(spec["eta"], "eta")
     n_min = _int_param(spec.get("n_min", 1), "n_min", 1)
     scan_limit = _int_param(spec.get("scan_limit", T.size), "scan_limit", 1)
     report: dict = {**meta, "observable": F.name, "epsilon": eps, "eta": eta,
                     "n_min": n_min, "scan_limit": scan_limit, "seed": seed}
     limit = _int_param(spec.get("per_point_limit", 16), "per_point_limit", 0)
     pairs = [[_int_param(h, "pair horizon", 1) for h in pair] for pair in spec.get("pairs", [])]
-    # every exceedance epsilon is converted and checked before the scan, with or without pairs
+    # every exceedance epsilon is checked before the scan, with or without pairs
     epsilons = spec.get("exceedance_epsilons", [eps])
-    checked = [_float_param(e, "exceedance epsilon") for e in epsilons]
-    if not all(e > 0 for e in checked) or not np.isfinite(eps):  # NaN is refused too; JSON has no inf
-        raise ValueError("epsilon must be positive and finite")
+    checked = [_epsilon(e, "exceedance epsilon") for e in epsilons]
     _check_sums(F, max([scan_limit] + [K for K, _ in pairs]))
     # one scan over every start point; the report lists the first `limit` of them
     seg = stabilization_segment(F, T, starts, n_min, eps, scan_limit)
@@ -295,9 +294,7 @@ def cmd_stab(config: dict, args) -> int:
          **{f"exceedance@{e}": rep.exceedance(c) for e, c in zip(epsilons, checked)}}
         for rep in sup_discrepancy(F, T, pairs, checked)]
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "stab_report.json", report)
+    _write_json(Path(args.out) / "stab_report.json", report)
     return EXIT_OK
 
 
@@ -308,9 +305,7 @@ def cmd_approx(config: dict, args) -> int:
     if mode not in ("metrics", "pipeline"):
         raise ValueError(f"unknown approx mode {mode!r}")
     report = _approx_metrics(config, spec) if mode == "metrics" else _approx_pipeline(spec)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "approx_report.json", report)
+    _write_json(Path(args.out) / "approx_report.json", report)
     return EXIT_OK
 
 
@@ -372,7 +367,7 @@ def _approx_pipeline(spec: dict) -> dict:
         curve.append({
             "delta": delta,
             "matcher_mismatch_count": mismatches,
-            "cycle_count_before_merge": T_delta.orbit_index.lengths.size,
+            "cycle_count_before_merge": max(1, len(B)),
             "transitivity_mismatch": len(B),
             "map_mismatch_fraction": map_mismatch_fraction(x, C, targets, eps, circle=True),
             "mismatch_epsilon": eps,

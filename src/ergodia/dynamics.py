@@ -62,10 +62,9 @@ class OrbitIndex:
 
     The kernels read the order a chunk at a time, order_chunk(lo, hi) ==
     order[lo:hi], and find points with slots; order, the whole array, is a
-    read-only memo built on first read (by image and make_transitive
-    only).  This class is the identity order
-    (the drift's and the identity's): its chunks are aranges, slots(points)
-    is points and gather(values) is values.  PermutedOrder reads any other
+    read-only memo built on first read (by image only).  This class is the
+    identity order (the drift's and the identity's): its chunks are aranges,
+    slots(points) is points and gather(values) is values.  PermutedOrder reads any other
     order; StoredOrder holds it as an array, and systems.py generates the
     rotation, de Bruijn and naive Bernoulli orders from a few parameters.
     No inverse of order is kept: see slots.

@@ -1,13 +1,14 @@
 """Slow reference implementations and closed forms that pin the library's fast paths.
 
-Nothing in the library calls these; tests import them with
-`from oracles import ...`.
+Nothing in the library calls these; tests import them, and the hypothesis
+strategies that draw their inputs, with `from oracles import ...`.
 """
 
 from fractions import Fraction
 from math import gcd
 
 import numpy as np
+from hypothesis import strategies as st
 
 from ergodia.dynamics import FinitePermutation, Observable
 from ergodia.stabilization import _discrepancy_tiles, proof_terms, sup_discrepancy
@@ -184,6 +185,34 @@ def discrepancy_arrays(F, T, pairs):
 def proof_arrays(F, T, K, L):
     """proof_terms' U and V in orbit order, as discrepancy_arrays."""
     return orbit_arrays(proof_terms(F, T, K, L), T.size, 2)
+
+
+@st.composite
+def permutation_images(draw):
+    """An image of every cycle shape: a random permutation, the identity, one M-cycle, or disjoint
+    swaps among fixed points (many 1- and 2-cycles)."""
+    M = draw(st.integers(1, 300))
+    kind = draw(st.sampled_from(["random", "identity", "one-cycle", "swaps"]))
+    points = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(M)
+    image = np.arange(M)
+    if kind == "random":
+        image = points
+    elif kind == "one-cycle":
+        image[points] = np.roll(points, -1)
+    elif kind == "swaps":
+        k = draw(st.integers(0, M // 2))
+        image[points[:k]], image[points[k : 2 * k]] = points[k : 2 * k], points[:k]
+    return image
+
+
+def make_transitive_walk(T):
+    """make_transitive from the generic walk's orbit index: each point of T's canonical order sent to
+    the next, the last to the first, and B the points where that differs from T."""
+    order = T.orbit_index.order
+    image = np.empty(T.size, dtype=np.int64)
+    image[order] = np.roll(order, -1)
+    C = FinitePermutation(image)
+    return C, np.flatnonzero(C.image != T.image).tolist()
 
 
 def split_into_n_cycles(T, n):

@@ -17,8 +17,8 @@ from ergodia.approximation import (
 )
 from ergodia.dynamics import FinitePermutation
 from ergodia.rng import SplitMix64
-from oracles import (augmenting_path_matcher, hall_deficiency_oracle, permutation_from_cycles,
-                     split_into_n_cycles, target_ranges_loop)
+from oracles import (augmenting_path_matcher, hall_deficiency_oracle, make_transitive_walk,
+                     permutation_from_cycles, permutation_images, split_into_n_cycles, target_ranges_loop)
 
 
 # -- distances -------------------------------------------------------------
@@ -348,6 +348,26 @@ def test_make_transitive_bound(M, seed):
     C, B = make_transitive(T)
     assert len(C.cycles) == 1
     assert len(B) <= len(T.cycles)
+
+
+def assert_merge_equals_the_walk(image):
+    T, walked = FinitePermutation(image), FinitePermutation(image)
+    C, B = make_transitive(T)
+    want_C, want_B = make_transitive_walk(walked)
+    assert np.array_equal(C.image, want_C.image) and B == want_B
+    # |B| is the cycle count, read as 1 when T is already one cycle and so no seam differs from T
+    assert max(1, len(B)) == len(walked.cycles)
+    assert T._index is None  # the merge builds no orbit index of T
+
+
+@given(permutation_images())
+@settings(max_examples=300, deadline=None)
+def test_the_merge_from_cycle_minima_equals_the_walks(image):
+    assert_merge_equals_the_walk(image)
+
+
+def test_the_merge_from_cycle_minima_equals_the_walks_at_1e5():
+    assert_merge_equals_the_walk(np.random.default_rng(36).permutation(100_000))
 
 
 def test_split_into_n_cycles():

@@ -33,8 +33,8 @@ from ergodia.systems import (
 )
 from oracles import (band_end_loop, debruijn_lyndon, discrepancy_arrays, exact_prefix_means, index_field,
                      inverse_order, mean_rounding_bound, orbit_and_period, permutation_from_cycles,
-                     permutation_of_cycle_order, prefix_means_gather, proof_arrays, sup_discrepancy_two_pass,
-                     width_rule)
+                     permutation_images, permutation_of_cycle_order, prefix_means_gather, proof_arrays,
+                     sup_discrepancy_two_pass, width_rule)
 
 
 def drift(M):
@@ -125,25 +125,7 @@ def test_the_shift_index_equals_the_checked_identity_order(M):
     assert T.size == M and np.array_equal(got.order, ref.order) and np.array_equal(T.image, want.image)
 
 
-@st.composite
-def walked_images(draw):
-    """An image for the generic walk: a random permutation, the identity, one M-cycle, or disjoint
-    swaps among fixed points (many 1- and 2-cycles)."""
-    M = draw(st.integers(1, 300))
-    kind = draw(st.sampled_from(["random", "identity", "one-cycle", "swaps"]))
-    points = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(M)
-    image = np.arange(M)
-    if kind == "random":
-        image = points
-    elif kind == "one-cycle":
-        image[points] = np.roll(points, -1)
-    elif kind == "swaps":
-        k = draw(st.integers(0, M // 2))
-        image[points[:k]], image[points[k : 2 * k]] = points[k : 2 * k], points[:k]
-    return image
-
-
-@given(walked_images())
+@given(permutation_images())
 @settings(max_examples=300, deadline=None)
 def test_the_walk_lays_its_cycles_out_in_canonical_order(image):
     # the walk's index is not checked when it is built, so its canonical order is proved here
@@ -187,7 +169,8 @@ def test_rotation_permutation_is_cached():
 
 SHARED = {
     "drift": lambda: build_drift_system(4000),
-    "identity": lambda: FinitePermutation(np.arange(4000)),
+    # the identity's index built directly, and the one the walk finds in its image
+    "identity": lambda: FinitePermutation.from_index(OrbitIndex(np.arange(4000), np.ones(4000, dtype=np.int64))),
     "identity-from-image": lambda: FinitePermutation(np.arange(4000)),
     # T swaps 0 and 1, yet its order, the 2-cycle then the fixed points, is 0, 1, 2, ...
     "swap-0-1": lambda: FinitePermutation(np.r_[1, 0, np.arange(2, 4000)]),

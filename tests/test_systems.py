@@ -31,7 +31,6 @@ from oracles import (
     mean_rounding_bound,
     numerators,
     necklaces_brute,
-    permutation_of_cycle_order,
     prefer_largest_debruijn,
     rotation_order_two_mod,
     tent_function,
@@ -224,11 +223,8 @@ def test_naive_cycles_match_the_generic_walk(m, L):
     generated = _naive_shift(m, L).orbit_index
     words = np.arange(m**L)
     walked = FinitePermutation(words // m + words % m * m ** (L - 1)).orbit_index
-    assert np.array_equal(generated.order, walked.order)
-    assert np.array_equal(generated.lengths, walked.lengths)
-    index = permutation_of_cycle_order(generated.order, generated.lengths).orbit_index
     for field in ("order", "starts", "lengths", "slot"):
-        assert np.array_equal(index_field(index, field), index_field(walked, field)), field
+        assert np.array_equal(index_field(generated, field), index_field(walked, field)), field
 
 
 # -- Bernoulli approximations ----------------------------------------------
