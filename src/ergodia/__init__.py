@@ -21,9 +21,6 @@ from .integrability import (
     tail_mass,
 )
 from .stabilization import (
-    CommonSegment,
-    DiscrepancyReport,
-    StabilizationSegment,
     common_stabilization_segment,
     proof_terms,
     stabilization_segment,

@@ -121,11 +121,14 @@ def _resolve_start_points(spec: dict, M: int, seed: int) -> list[int]:
         pts = [_int_param(y, "explicit start point", 0) for y in spec["explicit"]]
         if any(not 0 <= y < M for y in pts):
             raise ValueError("explicit start point out of range")
-        return pts
-    if "random" in spec:
-        return SplitMix64(seed).sample_points(M, _int_param(spec["random"], "random", 0))
-    return stratified_start_points(M, _int_param(spec["stratified"], "stratified", 1),
-                                   _int_param(spec.get("extras", 0), "extras", 0), seed)
+    elif "random" in spec:
+        pts = SplitMix64(seed).sample_points(M, _int_param(spec["random"], "random", 0))
+    else:
+        pts = stratified_start_points(M, _int_param(spec["stratified"], "stratified", 1),
+                                      _int_param(spec.get("extras", 0), "extras", 0), seed)
+    if not pts:  # gamma and stab alike need a start point
+        raise ValueError("start_points selects no point")
+    return pts
 
 
 def _check_sums(F, n) -> None:
@@ -235,8 +238,8 @@ def cmd_gamma(config: dict, args) -> int:
 
     out = Path(args.out)
     # each start point's files are written, and its series dropped, before the next series is
-    # summed, so one series is held at a time; used_stride stays None with no start points
-    rows = circles = used_stride = None
+    # summed, so one series is held at a time
+    rows = circles = None
     T.locate(starts)  # one pass over the orbit order for every start point
     for y in starts:
         points, used_stride = gamma_series(F, T, y, k, stride)
@@ -263,36 +266,37 @@ def cmd_stab(config: dict, args) -> int:
     spec = _section(config.get("stab", {}), "stab")
     starts = _resolve_start_points(config.get("start_points", {"stratified": 100, "extras": 25}),
                                    T.size, seed)
-    # epsilon and eta are required; the epsilons and integer keys are checked here, and the
-    # library checks eta, n_min <= scan_limit and L < K
+    # epsilon and eta are required; every key is checked before the scan, eta and L < K here with
+    # the library's messages, n_min <= scan_limit by stabilization_segment before it scans
     eps, eta = _epsilon(spec["epsilon"], "epsilon"), _float_param(spec["eta"], "eta")
+    if not 0 < eta < 1:
+        raise ValueError("eta must be in (0, 1)")
     n_min = _int_param(spec.get("n_min", 1), "n_min", 1)
     scan_limit = _int_param(spec.get("scan_limit", T.size), "scan_limit", 1)
     report: dict = {**meta, "observable": F.name, "epsilon": eps, "eta": eta,
                     "n_min": n_min, "scan_limit": scan_limit, "seed": seed}
     limit = _int_param(spec.get("per_point_limit", 16), "per_point_limit", 0)
     pairs = [[_int_param(h, "pair horizon", 1) for h in pair] for pair in spec.get("pairs", [])]
+    if any(not 1 <= L < K for K, L in pairs):
+        raise ValueError("require 1 <= L < K")
     # every exceedance epsilon is checked before the scan, with or without pairs
     epsilons = spec.get("exceedance_epsilons", [eps])
     checked = [_epsilon(e, "exceedance epsilon") for e in epsilons]
     _check_sums(F, max([scan_limit] + [K for K, _ in pairs]))
-    # one scan over every start point; the report lists the first `limit` of them
-    seg = stabilization_segment(F, T, starts, n_min, eps, scan_limit)
+    # one scan over every start point; the report lists the first `limit` of them, each capped
+    # where its band held to scan_limit
+    K_star, witness = stabilization_segment(F, T, starts, n_min, eps, scan_limit)
     report["per_point_segments"] = [
-        {"y": y, "K_star": k, "witness": w, "capped": c}
-        for y, k, w, c in zip(starts[:limit], seg.K_star[:limit].tolist(),
-                              seg.witness[:limit].tolist(), seg.capped[:limit].tolist())]
+        {"y": y, "K_star": k, "witness": w, "capped": k == scan_limit}
+        for y, k, w in zip(starts[:limit], K_star[:limit].tolist(), witness[:limit].tolist())]
 
-    common = common_stabilization_segment(seg, eta)
-    report["common_segment"] = {
-        "K_star": common.K_star, "witness": common.witness, "capped": common.capped,
-        "excluded_fraction": common.excluded_fraction, "sample_size": len(starts),
-    }
+    k, w, excluded = common_stabilization_segment(K_star, witness, eta)
+    report["common_segment"] = {"K_star": k, "witness": w, "capped": k == scan_limit,
+                                "excluded_fraction": excluded, "sample_size": len(starts)}
 
     report["discrepancies"] = [  # one pass serves every pair
-        {"K": rep.K, "L": rep.L, "sup_disc": rep.sup_disc,
-         **{f"exceedance@{e}": rep.exceedance(c) for e, c in zip(epsilons, checked)}}
-        for rep in sup_discrepancy(F, T, pairs, checked)]
+        {"K": K, "L": L, "sup_disc": sup, **{f"exceedance@{e}": frac[c] for e, c in zip(epsilons, checked)}}
+        for (K, L), (sup, frac) in zip(pairs, sup_discrepancy(F, T, pairs, checked))]
 
     _write_json(Path(args.out) / "stab_report.json", report)
     return EXIT_OK
@@ -395,7 +399,7 @@ def _target_images(spec: dict, x):
 def cmd_check(config: dict, args) -> int:
     image = _section(config.get("fixtures", {}), "fixtures").get("permutation_image")
     # entries must be integers; a negative one is left to the bijection check
-    fixture = None if not image else np.asarray(
+    fixture = None if image is None else np.asarray(
         [_int_param(v, "permutation_image entry", -np.inf) for v in image], dtype=np.int64)
     results = checks.run_all(fixture)
     failed = [r for r in results if not r[1]]
@@ -421,8 +425,8 @@ def main(argv=None) -> int:
                         help="suppress the timestamp comment in SVG output")
     args = parser.parse_args(argv)
 
-    # the one place where a bad config value becomes exit 2; OverflowError is a
-    # value too large for an int64 or a float-to-int conversion
+    # the one place where a bad config value becomes exit 2; OverflowError is a value too large
+    # for an int64 or a float-to-int conversion, MemoryError an M too large to allocate
     try:
         config = _section(_load_config(args.config), "config") if args.config else {}
         command = {"gamma": cmd_gamma, "stab": cmd_stab, "approx": cmd_approx, "check": cmd_check}
@@ -430,7 +434,7 @@ def main(argv=None) -> int:
     except KeyError as e:
         print(f"config error: missing key {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (TypeError, ValueError, OverflowError) as e:
+    except (TypeError, ValueError, OverflowError, MemoryError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as e:

@@ -11,6 +11,11 @@ Two complementary diagnostics:
   epsilon, per point, and for all but an eta-fraction of those points as
   an order statistic of the per-point segments.
 
+Results are plain values: a (sup, {epsilon: fraction}) pair per horizon
+pair, the per-point arrays K* and witness, and the common segment's
+(K*, witness, excluded fraction).  Whether a segment is capped is
+K* == scan_limit, the caller's own input.
+
 The tolerances epsilon and eta are deliberately mandatory: "approximately
 equal" and "almost all" have no canonical finite thresholds, so every
 experiment must pin them explicitly.
@@ -18,7 +23,6 @@ experiment must pin them explicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
 
@@ -29,63 +33,12 @@ from .dynamics import SERIES_BUDGET, FinitePermutation, Observable, OrbitIndex, 
 from .rng import SplitMix64
 
 __all__ = [
-    "DiscrepancyReport",
-    "StabilizationSegment",
-    "CommonSegment",
     "sup_discrepancy",
     "proof_terms",
     "stabilization_segment",
     "common_stabilization_segment",
     "stratified_start_points",
 ]
-
-
-# eq=False: == is identity, and the counts dict would make a field-wise hash raise
-@dataclass(frozen=True, eq=False)
-class DiscrepancyReport:
-    """The max over all y of |A_K - A_L|, and per requested epsilon the number of y with
-    |A_K - A_L| >= epsilon, out of M."""
-
-    K: int
-    L: int
-    sup_disc: float
-    counts: dict[float, int]
-    M: int
-
-    def exceedance(self, eps: float) -> float:
-        if eps not in self.counts:
-            raise ValueError(f"epsilon {eps!r} was not requested")
-        return self.counts[eps] / self.M  # np.mean of the >= eps mask: a float64 sum of ones is exact
-
-
-# eq=False, as for DiscrepancyReport
-@dataclass(frozen=True, eq=False)
-class StabilizationSegment:
-    """Per start point, the largest horizon range [n_min, K_star] on which
-    all A_n lie within a band of width eps.
-
-    Entry i of K_star, witness (the band's midpoint at K_star) and capped
-    (K_star hit scan_limit rather than a band violation) belongs to points[i].
-    """
-
-    points: np.ndarray
-    K_star: np.ndarray
-    witness: np.ndarray
-    capped: np.ndarray
-    scan_limit: int
-
-
-@dataclass(frozen=True)
-class CommonSegment:
-    """[n_min, K_star] holds for at least a (1 - eta) fraction of a segment's
-    points; excluded_fraction reports the rest, and witness is the median
-    midpoint of the points it holds for.
-    """
-
-    K_star: int
-    witness: float
-    capped: bool
-    excluded_fraction: float
 
 
 def _row_means(along: np.ndarray, index: OrbitIndex, horizons: Sequence[int]):
@@ -144,9 +97,10 @@ def _discrepancy_tiles(F: Observable, T: FinitePermutation, pairs: Sequence[tupl
 
 
 def sup_discrepancy(F: Observable, T: FinitePermutation, pairs: Sequence[tuple[int, int]],
-                    epsilons: Sequence[float] = ()) -> list[DiscrepancyReport]:
-    """Per (K, L) in pairs, the exact max over all y of |A_K - A_L| and, per eps in epsilons, the count
-    of y where it is >= eps, folded tile by tile from one cycle pass.  [(K, L)] is the one-pair form."""
+                    epsilons: Sequence[float] = ()) -> list[tuple[float, dict[float, float]]]:
+    """Per (K, L) in pairs, in pair order, (sup_disc, {eps: fraction}): the exact max over all y of
+    |A_K - A_L| and, per eps in epsilons, the fraction of the M points y where it is >= eps, folded
+    tile by tile from one cycle pass.  [(K, L)] is the one-pair form."""
     if any(not 1 <= L < K for K, L in pairs):
         raise ValueError("require 1 <= L < K")
     if not all(e > 0 for e in epsilons):  # NaN is refused too
@@ -158,8 +112,8 @@ def sup_discrepancy(F: Observable, T: FinitePermutation, pairs: Sequence[tuple[i
             d = np.broadcast_to(d, (rows, cols.stop - cols.start))
             for e in counts[k]:
                 counts[k][e] += int(np.count_nonzero(d >= e))
-    return [DiscrepancyReport(K=K, L=L, sup_disc=float(s), counts=c, M=T.size)
-            for (K, L), s, c in zip(pairs, sups, counts)]
+    # count / M is np.mean of the >= eps mask: a float64 sum of ones is exact
+    return [(float(s), {e: n / T.size for e, n in c.items()}) for s, c in zip(sups, counts)]
 
 
 def proof_terms(F: Observable, T: FinitePermutation, K: int, L: int):
@@ -177,10 +131,11 @@ def proof_terms(F: Observable, T: FinitePermutation, K: int, L: int):
 
 
 def stabilization_segment(F: Observable, T: FinitePermutation, points: Sequence[int], n_min: int,
-                          eps: float, scan_limit: int) -> StabilizationSegment:
-    """Maximal eps-band segment [n_min, K_star] of every start point, in one scan: K_star is the
-    largest K <= scan_limit with max - min of A_{n_min..K} <= eps (pairwise over the range, not
-    between consecutive means), witness the band's midpoint there.  A _carried_sums row per point,
+                          eps: float, scan_limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """(K_star, witness), entry i for points[i]: the maximal eps-band segment [n_min, K_star] of every
+    start point, in one scan.  K_star is the largest K <= scan_limit with max - min of A_{n_min..K}
+    <= eps (pairwise over the range, not between consecutive means), witness the band's midpoint
+    there; K_star == scan_limit where the band held to the end of the scan.  A _carried_sums row per point,
     max(1, CHUNK_POINTS // scan_limit) rows at a time, in tiles of 32, 64, 128, ... columns (at
     most CHUNK_POINTS) carrying the prefix sum and the band's max and min, so every mean is bitwise
     ergodic_means_prefix's; a row is dropped after the tile where it leaves its band."""
@@ -219,25 +174,24 @@ def stabilization_segment(F: Observable, T: FinitePermutation, points: Sequence[
             hi, lo = band_hi[live, -1:], band_lo[live, -1:]
             a, n = a + n, 2 * n
         witness[rows] = (hi[:, 0] + lo[:, 0]) / 2.0  # the rows that held to scan_limit
-    return StabilizationSegment(points=points, K_star=k_star, witness=witness, capped=k_star == scan_limit,
-                                scan_limit=scan_limit)
+    return k_star, witness
 
 
-def common_stabilization_segment(seg: StabilizationSegment, eta: float) -> CommonSegment:
-    """Largest K_star whose band holds for >= (1 - eta) of seg's points: the
-    ceil((1 - eta) * n)-th largest of their K_star."""
+def common_stabilization_segment(K_star: np.ndarray, witness: np.ndarray, eta: float) -> tuple[int, float, float]:
+    """(K_star, witness, excluded_fraction) of stabilization_segment's per-point K_star and witness:
+    the largest K_star whose band holds for >= (1 - eta) of the points, the ceil((1 - eta) * n)-th
+    largest of them, the median witness of the points it holds for, and the fraction it excludes."""
     if not 0 < eta < 1:
         raise ValueError("eta must be in (0, 1)")
-    if not seg.points.size:
+    if not K_star.size:
         raise ValueError("sample is empty")
-    needed = int(np.ceil((1.0 - eta) * seg.points.size))
-    k_star = int(np.sort(seg.K_star)[::-1][needed - 1])
-    included = seg.K_star >= k_star
+    needed = int(np.ceil((1.0 - eta) * K_star.size))
+    k_star = int(np.sort(K_star)[::-1][needed - 1])
+    included = K_star >= k_star
     # the median as np.median forms it, the mean of the middle one or two
     # values, read from a sort: np.median's first call imports numpy.ma
-    w = np.sort(seg.witness[included])
-    return CommonSegment(K_star=k_star, witness=float(np.mean(w[(w.size - 1) // 2 : w.size // 2 + 1])),
-                         capped=k_star >= seg.scan_limit, excluded_fraction=float(np.mean(~included)))
+    w = np.sort(witness[included])
+    return k_star, float(np.mean(w[(w.size - 1) // 2 : w.size // 2 + 1])), float(np.mean(~included))
 
 
 def stratified_start_points(M: int, strata: int, extras: int, seed: int) -> list[int]:

@@ -3,12 +3,14 @@
 An entry holds a subcommand, a config (a path from the repo root such as
 configs/fig1.json, an inline JSON object or list, or null for none), flags,
 {file name or "<stdout>": SHA-256} over every file the run writes (and its
-stdout, where pinned), the exit code and, for some, max_rss_mb, a bound on
-the peak RSS of a fresh process running it.
+stdout, where pinned), the exit code, for a non-zero exit the "stderr" prefix
+that the first line of its stderr starts with and, for some, max_rss_mb, a
+bound on the peak RSS of a fresh process running it.
 
 check(entry, run, tmp) runs one entry and compares the complete set of files
 written, stdout and the exit code; an entry that exits non-zero must make no
---out directory.  Tier-1 (tests/test_cli.py) passes a runner
+--out directory and must fail for its own reason: an argparse usage error
+exits 2 as a config error does, but its stderr starts "usage:".  Tier-1 (tests/test_cli.py) passes a runner
 that calls ergodia.cli.main in-process; run as a script,
 
     python tests/golden.py
@@ -39,9 +41,9 @@ def entries() -> dict[str, dict]:
 
 
 def check(entry: dict, run, tmp: Path) -> float | None:
-    """Run entry through run(argv) -> (exit code, stdout bytes, peak RSS in MB or None), with its
-    outputs under tmp; AssertionError unless the outputs, stdout, exit code and RSS bound hold.
-    Returns the peak RSS."""
+    """Run entry through run(argv) -> (exit code, stdout bytes, stderr bytes, peak RSS in MB or None),
+    with its outputs under tmp; AssertionError unless the outputs, stdout, exit code, stderr prefix
+    and RSS bound hold.  Returns the peak RSS."""
     out, config = tmp / "out", entry["config"]
     argv = [entry["command"], *entry["flags"], "--out", str(out)]
     if isinstance(config, (dict, list)):
@@ -50,7 +52,7 @@ def check(entry: dict, run, tmp: Path) -> float | None:
         argv += ["--config", str(path)]
     elif config is not None:
         argv += ["--config", str(ROOT / config)]
-    code, stdout, peak_mb = run(argv)
+    code, stdout, stderr, peak_mb = run(argv)
     want = entry["outputs"]
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.glob("*")}
     if STDOUT in want:
@@ -62,6 +64,9 @@ def check(entry: dict, run, tmp: Path) -> float | None:
         problems.append(f"exit code {code}, want {entry['exit']}")
     if entry["exit"] and out.exists():
         problems.append(f"exit {entry['exit']} made the --out directory")
+    first = stderr.decode(errors="replace").partition("\n")[0]
+    if entry["exit"] and not ("stderr" in entry and first.startswith(entry["stderr"])):
+        problems.append(f"stderr starts {first!r}, want {entry.get('stderr')!r}")
     bound = entry.get("max_rss_mb")
     if peak_mb is not None and bound is not None and not peak_mb < bound:
         problems.append(f"peak RSS {peak_mb:.1f} MB, bound {bound} MB")
@@ -70,14 +75,17 @@ def check(entry: dict, run, tmp: Path) -> float | None:
     return peak_mb
 
 
-def console(argv: list[str]) -> tuple[int, bytes, float]:
-    """argv through the `ergodia` console script in a fresh process, with that child's peak RSS."""
-    child = subprocess.Popen(["ergodia", *argv], stdout=subprocess.PIPE)
-    stdout = child.stdout.read()
-    child.stdout.close()
-    _, status, usage = os.wait4(child.pid, 0)
-    child.returncode = os.waitstatus_to_exitcode(status)
-    return child.returncode, stdout, usage.ru_maxrss / 1024  # ru_maxrss is in KiB on Linux
+def console(argv: list[str]) -> tuple[int, bytes, bytes, float]:
+    """argv through the `ergodia` console script in a fresh process, with that child's peak RSS.
+    stderr goes to a file, so a child that fills it cannot block on a pipe no one reads yet."""
+    with tempfile.TemporaryFile() as err:
+        child = subprocess.Popen(["ergodia", *argv], stdout=subprocess.PIPE, stderr=err)
+        stdout = child.stdout.read()
+        child.stdout.close()
+        _, status, usage = os.wait4(child.pid, 0)
+        child.returncode = os.waitstatus_to_exitcode(status)
+        err.seek(0)
+        return child.returncode, stdout, err.read(), usage.ru_maxrss / 1024  # ru_maxrss is in KiB on Linux
 
 
 def main() -> int:

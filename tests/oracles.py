@@ -160,7 +160,7 @@ def profile_by_suffix_sums(F, ks=None):
 
 def exceedance_fraction(F, T, K, L, eps):
     """(1/M) * |{y : |A_K - A_L| >= eps}|, exact over all of Y."""
-    return sup_discrepancy(F, T, [(K, L)], [eps])[0].exceedance(eps)
+    return sup_discrepancy(F, T, [(K, L)], [eps])[0][1][eps]
 
 
 def orbit_arrays(tiles, size, count):

@@ -278,11 +278,15 @@ def test_stab_integral_floats_pass_as_integers(tmp_path):
 
 
 def in_process(argv):
-    """The golden table's runner for tier-1: ergodia.cli.main in this process."""
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
-        code = main(argv)
-    return code, stdout.getvalue().encode(), None
+    """The golden table's runner for tier-1: ergodia.cli.main in this process, an argparse exit
+    taken as the console script's exit code."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+    return code, stdout.getvalue().encode(), stderr.getvalue().encode(), None
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -299,13 +303,18 @@ def test_every_shipped_config_has_a_golden_entry():
 
 
 def over_the_bound(argv):
-    code, stdout, _ = in_process(argv)
-    return code, stdout, 1e6
+    code, stdout, stderr, _ = in_process(argv)
+    return code, stdout, stderr, 1e6
 
 
 def fails_after_making_the_out_directory(argv):
     os.mkdir(argv[argv.index("--out") + 1])
-    return 2, b"", None
+    return 2, b"", b"config error: x\n", None
+
+
+def usage_error(argv):
+    # a misspelt flag: argparse exits 2 before any config is read, as a config error does
+    return in_process([*argv, "--no-such-flag"])
 
 
 @pytest.mark.parametrize("outputs,fields,run,message", [
@@ -314,15 +323,39 @@ def fails_after_making_the_out_directory(argv):
     ({"gamma_meta.json": None}, {}, in_process, "gamma_meta.json extra"),
     ({}, {"exit": 2}, in_process, "exit code 0, want 2"),
     ({}, {"max_rss_mb": 85}, over_the_bound, "peak RSS 1000000.0 MB, bound 85 MB"),
-    ({}, {"exit": 2}, fails_after_making_the_out_directory, "exit 2 made the --out directory"),
+    ({}, {"exit": 2, "stderr": "config error:"}, fails_after_making_the_out_directory,
+     "exit 2 made the --out directory"),
+    ({}, {"exit": 2, "stderr": "config error:"}, usage_error,
+     "stderr starts 'usage: ergodia .*', want 'config error:'"),
+    ({}, {"exit": 2}, fails_after_making_the_out_directory, "stderr starts 'config error: x', want None"),
 ], ids=["wrong-digest", "missing-file", "extra-file", "wrong-exit-code", "over-rss-bound",
-        "out-directory-on-failure"])
+        "out-directory-on-failure", "wrong-message", "no-message-pinned"])
 def test_golden_check_rejects_a_changed_entry(tmp_path, outputs, fields, run, message):
     # the naive-gamma entry with outputs changed (None drops a file) and fields replaced
     entry = {**GOLDEN["naive-gamma"], **fields}
     entry["outputs"] = {k: v for k, v in {**entry["outputs"], **outputs}.items() if v is not None}
     with pytest.raises(AssertionError, match=message):
         golden.check(entry, run, tmp_path)
+
+
+@pytest.mark.parametrize("stab,message", [
+    ({"eta": 1.5}, "eta must be in (0, 1)"),
+    ({"pairs": [[500, 1000]]}, "require 1 <= L < K"),
+], ids=["eta", "pair-L-above-K"])
+def test_stab_refuses_a_bad_eta_or_pair_before_any_kernel(tmp_path, capsys, monkeypatch, stab, message):
+    # both are refused with the library's message, but before the band scan or the discrepancy pass
+    from ergodia import cli
+
+    def kernel(*args):
+        raise AssertionError("a kernel ran")
+
+    monkeypatch.setattr(cli, "stabilization_segment", kernel)
+    monkeypatch.setattr(cli, "sup_discrepancy", kernel)
+    payload = small_stab_config()
+    payload["stab"].update(stab)
+    assert main(["stab", "--config", write_config(tmp_path, payload), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_stab_scans_every_start_point_once(tmp_path, monkeypatch):
@@ -691,8 +724,9 @@ def test_bad_start_point_is_config_error(tmp_path):
     ("check", {"fixtures": {"permutation_image": "abc"}}),
     ("check", {"fixtures": {"permutation_image": [0.5, 1]}}),
     ("check", {"fixtures": {"permutation_image": [1e30, 0]}}),
+    ("check", {"fixtures": {"permutation_image": 0}}),
 ], ids=["config-list", "config-string", "fixtures-list", "permutation-image-string",
-        "permutation-image-fraction", "permutation-image-beyond-int64"])
+        "permutation-image-fraction", "permutation-image-beyond-int64", "permutation-image-zero"])
 def test_malformed_config_or_fixture_is_config_error(tmp_path, capsys, command, config):
     cfg = write_config(tmp_path, config)
     assert_config_error(capsys, [command, "--config", cfg, "--out", str(tmp_path / "o")])

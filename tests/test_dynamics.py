@@ -490,7 +490,6 @@ def test_gamma_series_rejects_empty():
 
 def test_array_dataclasses_compare_by_identity():
     from ergodia.integrability import integrability_profile
-    from ergodia.stabilization import sup_discrepancy
 
     T = FinitePermutation(np.roll(np.arange(4), -1))
     F = Observable([1.0, 2.0, 3.0, 4.0])
@@ -499,7 +498,6 @@ def test_array_dataclasses_compare_by_identity():
         (F, G),
         (T.orbit_index, FinitePermutation(T.image).orbit_index),
         (integrability_profile(F, [0.5, 2.5]), integrability_profile(F, [0.5, 2.5])),
-        (sup_discrepancy(F, T, [(3, 2)])[0], sup_discrepancy(F, T, [(3, 2)])[0]),
     ]
     for a, b in pairs:
         # equal fields, distinct objects: == is identity and never raises

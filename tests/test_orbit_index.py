@@ -356,28 +356,28 @@ def test_relabelling_preserves_means_discrepancies_segments_and_tails(name):
     pairs = [(2, 1), (7, 2), (T.size + 5, T.size // 3), (T.size // 2 + 3, T.size // 5 + 1)]
     epsilons = (1e-3, 0.05, 0.5)
     reports = zip(sup_discrepancy(F, T, pairs, epsilons), sup_discrepancy(F2, T2, pairs, epsilons))
-    for (K, L), d, d2, (rep, rep2) in zip(pairs, discrepancy_arrays(F, T, pairs),
-                                          discrepancy_arrays(F2, T2, pairs), reports, strict=True):
+    for (K, L), d, d2, ((sup, frac), (sup2, frac2)) in zip(pairs, discrepancy_arrays(F, T, pairs),
+                                                            discrepancy_arrays(F2, T2, pairs), reports, strict=True):
         assert np.array_equal(d2[slot2][sigma], d[slot])
-        assert rep2.sup_disc == rep.sup_disc
+        assert sup2 == sup
         for eps in epsilons:
-            assert rep2.exceedance(eps) == rep.exceedance(eps)
+            assert frac2[eps] == frac[eps]
         for term2, term in zip(proof_arrays(F2, T2, K, L), proof_arrays(F, T, K, L), strict=True):
             assert np.array_equal(term2[slot2][sigma], term[slot])
     sample = np.random.default_rng(5).integers(0, T.size, 40)
     for n_min, eps, scan_limit in ((1, 1e-9, 50), (3, 0.05, 300), (2, 0.5, T.size + 9)):
-        seg = stabilization_segment(F, T, sample, n_min, eps, scan_limit)
-        seg2 = stabilization_segment(F2, T2, sigma[sample], n_min, eps, scan_limit)
-        assert_bitwise((seg2.K_star, seg2.witness, seg2.capped), (seg.K_star, seg.witness, seg.capped))
-        assert common_stabilization_segment(seg2, 0.2) == common_stabilization_segment(seg, 0.2)
+        K_star, witness = stabilization_segment(F, T, sample, n_min, eps, scan_limit)
+        K_star2, witness2 = stabilization_segment(F2, T2, sigma[sample], n_min, eps, scan_limit)
+        assert_bitwise((K_star2, witness2, K_star2 == scan_limit), (K_star, witness, K_star == scan_limit))
+        assert common_stabilization_segment(K_star2, witness2, 0.2) == common_stabilization_segment(K_star, witness, 0.2)
     assert np.array_equal(integrability_profile(F2).tail_masses,
                           integrability_profile(F).tail_masses)
     for y in (0, 1, T.size // 2, T.size - 1):
         assert np.array_equal(ergodic_means_prefix(F2, T2, int(sigma[y]), 300),
                               ergodic_means_prefix(F, T, y, 300))
-        seg = stabilization_segment(F, T, [y], 3, 0.05, 300)
-        seg2 = stabilization_segment(F2, T2, [sigma[y]], 3, 0.05, 300)
-        assert_bitwise((seg2.K_star, seg2.witness, seg2.capped), (seg.K_star, seg.witness, seg.capped))
+        K_star, witness = stabilization_segment(F, T, [y], 3, 0.05, 300)
+        K_star2, witness2 = stabilization_segment(F2, T2, [sigma[y]], 3, 0.05, 300)
+        assert_bitwise((K_star2, witness2, K_star2 == 300), (K_star, witness, K_star == 300))
 
 
 # -- the orbit-order layout: slots, the lazy image and the observable memo ----
@@ -435,13 +435,13 @@ def test_lazy_image_equals_the_successor_image_and_is_read_only(name):
 def kernel_results(F, T):
     """Every kernel that reads T.along(F), as plain arrays and tuples; diffs, U and V in orbit order."""
     gamma, _ = gamma_series(F, T, 5, 2.7, 1)
-    (rep,) = sup_discrepancy(F, T, [(40, 17)], [0.05])
+    ((sup_disc, frac),) = sup_discrepancy(F, T, [(40, 17)], [0.05])
     U, V = proof_arrays(F, T, 40, 17)
-    seg = stabilization_segment(F, T, [0, 5, 33, 60, 106], 2, 0.05, 150)
-    common = common_stabilization_segment(seg, 0.2)
-    return (gamma, discrepancy_arrays(F, T, [(40, 17)])[0], U, V, rep.sup_disc, rep.exceedance(0.05),
-            seg.K_star, seg.witness, seg.capped,
-            (common.K_star, common.witness, common.capped, common.excluded_fraction))
+    K_star, witness = stabilization_segment(F, T, [0, 5, 33, 60, 106], 2, 0.05, 150)
+    common_k, common_w, excluded = common_stabilization_segment(K_star, witness, 0.2)
+    return (gamma, discrepancy_arrays(F, T, [(40, 17)])[0], U, V, sup_disc, frac[0.05],
+            K_star, witness, K_star == 150,
+            (common_k, common_w, common_k == 150, excluded))
 
 
 def assert_bitwise(got, want):
@@ -504,7 +504,7 @@ def test_the_kernels_build_no_image(name):
     T, F = BUILT[name]()
     for y in (0, 3, T.size - 1):
         gamma_series(F, T, y, 2.5)
-    common_stabilization_segment(stabilization_segment(F, T, [0, 3, 77, T.size - 1], 2, 0.05, 300), 0.2)
+    common_stabilization_segment(*stabilization_segment(F, T, [0, 3, 77, T.size - 1], 2, 0.05, 300), 0.2)
     sup_discrepancy(F, T, [(40, 17)], [0.05])
     proof_arrays(F, T, 40, 17)
     assert T._image is None
@@ -606,18 +606,18 @@ def test_kernels_on_a_narrow_memo_bitwise_equal_the_oracles(monkeypatch, name, d
         assert ergodic_means_prefix(F, T, y, means.size).tobytes() == means.tobytes()
     points, scale = np.array([0, 5, 33, M - 1, 5]), float(np.iinfo(dtype).max)
     for K, L in ((7, 1), (40, 17), (M + 5, M // 3)):
-        (rep,) = sup_discrepancy(F, T, [(K, L)], [0.5 * scale])
+        ((sup_disc, frac),) = sup_discrepancy(F, T, [(K, L)], [0.5 * scale])
         diffs, u, v = sup_discrepancy_two_pass(F, T, K, L)  # all in orbit order
         assert discrepancy_arrays(F, T, [(K, L)])[0].tobytes() == diffs.tobytes()
         U, V = proof_arrays(F, T, K, L)
         assert U.tobytes() == u.tobytes() and V.tobytes() == v.tobytes()
-        assert np.float64(rep.sup_disc).tobytes() == np.max(diffs).tobytes()
-        assert np.float64(rep.exceedance(0.5 * scale)).tobytes() == np.mean(diffs >= 0.5 * scale).tobytes()
+        assert np.float64(sup_disc).tobytes() == np.max(diffs).tobytes()
+        assert np.float64(frac[0.5 * scale]).tobytes() == np.mean(diffs >= 0.5 * scale).tobytes()
     for n_min, eps, scan_limit in ((1, 1e-9, 50), (3, 0.3 * scale, M + 9)):
-        seg = stabilization_segment(F, T, points, n_min, eps, scan_limit)
+        K_star, witness = stabilization_segment(F, T, points, n_min, eps, scan_limit)
         want = [band_end_loop(F, T, int(y), n_min, eps, scan_limit) for y in points]
-        assert list(zip(seg.K_star.tolist(), seg.capped.tolist())) == [(k, c) for k, _, c in want]
-        assert seg.witness.tobytes() == np.array([w for _, w, _ in want]).tobytes()
+        assert list(zip(K_star.tolist(), (K_star == scan_limit).tolist())) == [(k, c) for k, _, c in want]
+        assert witness.tobytes() == np.array([w for _, w, _ in want]).tobytes()
 
 
 def test_the_first_narrow_memo_costs_two_bytes_per_point():
@@ -652,11 +652,11 @@ def kernel_outputs(F, T):
         out.append(ergodic_means_prefix(F, T, y, M + 7))
     top = float(np.max(np.abs(F.values, dtype=np.float64)))
     for n_min, eps, scan_limit in ((1, 1e-9, 50), (3, 0.3 * top, M + 9)):
-        seg = stabilization_segment(F, T, points, n_min, eps, scan_limit)
-        out += [seg.K_star, seg.witness, seg.capped]
+        K_star, witness = stabilization_segment(F, T, points, n_min, eps, scan_limit)
+        out += [K_star, witness, K_star == scan_limit]
     pairs = [(7, 1), (40, 17), (M + 5, M // 3)]
     out += discrepancy_arrays(F, T, pairs)
-    out.append(np.array([(rep.sup_disc, rep.exceedance(1.0)) for rep in sup_discrepancy(F, T, pairs, [1.0])]))
+    out.append(np.array([(sup, frac[1.0]) for sup, frac in sup_discrepancy(F, T, pairs, [1.0])]))
     out += proof_arrays(F, T, 40, 17)
     profile = integrability_profile(F)
     out += [profile.thresholds, profile.tail_masses, np.array([profile.av_abs, profile.max_abs])]

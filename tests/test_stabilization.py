@@ -39,13 +39,13 @@ def random_system(M, seed, lo=-50, hi=50):
 
 def test_sup_discrepancy_brute_force():
     F, T = random_system(40, 3)
-    (rep,) = sup_discrepancy(F, T, [(25, 10)])
+    ((sup_disc, _),) = sup_discrepancy(F, T, [(25, 10)])
     brute = max(
         abs(ergodic_means_prefix(F, T, y, 25)[24]
             - ergodic_means_prefix(F, T, y, 10)[9])
         for y in range(40)
     )
-    assert rep.sup_disc == pytest.approx(brute, abs=1e-9)
+    assert sup_disc == pytest.approx(brute, abs=1e-9)
 
 
 def test_proof_bound_terms_exact():
@@ -95,15 +95,15 @@ def test_discrepancy_validation():
 def test_exceedance_reads_only_requested_epsilons_and_counts_a_repeat_once():
     F, T = random_system(50, 4)
     (diffs,) = discrepancy_arrays(F, T, [(9, 4)])
-    (rep,) = sup_discrepancy(F, T, [(9, 4)], [0.5, 2.0, 0.5, 2])
-    assert rep.counts == {0.5: int(np.count_nonzero(diffs >= 0.5)), 2.0: int(np.count_nonzero(diffs >= 2))}
+    ((_, frac),) = sup_discrepancy(F, T, [(9, 4)], [0.5, 2.0, 0.5, 2])
+    assert frac == {0.5: int(np.count_nonzero(diffs >= 0.5)) / 50, 2.0: int(np.count_nonzero(diffs >= 2)) / 50}
     for eps in (0.5, 2.0, 2):
-        assert bits(rep.exceedance(eps)) == bits(np.mean(diffs >= eps))
+        assert bits(frac[eps]) == bits(np.mean(diffs >= eps))
     for eps in (0.25, 1e-3, float("nan")):
-        with pytest.raises(ValueError, match="was not requested"):
-            rep.exceedance(eps)
-    with pytest.raises(ValueError, match="was not requested"):
-        sup_discrepancy(F, T, [(9, 4)])[0].exceedance(0.5)
+        with pytest.raises(KeyError):
+            frac[eps]
+    with pytest.raises(KeyError):
+        sup_discrepancy(F, T, [(9, 4)])[0][1][0.5]
 
 
 @pytest.mark.parametrize("K,L", [(5, 5), (3, 0), (20, 40), (1, 0), (0, -1)])
@@ -149,8 +149,8 @@ def test_segment_matches_brute_force(M, seed):
     y = seed % M
     n_min, scan = 2, 3 * M
     eps = 0.25
-    seg = stabilization_segment(F, T, [y], n_min, eps, scan)
-    (k_star,), (capped,) = seg.K_star, seg.capped
+    (k_star,), _ = stabilization_segment(F, T, [y], n_min, eps, scan)
+    capped = k_star == scan
     means = ergodic_means_prefix(F, T, y, scan)
     brute = brute_band_end(means, n_min, eps, scan)
     if brute is None:
@@ -163,10 +163,10 @@ def test_segment_matches_brute_force(M, seed):
 
 def test_segment_witness_inside_band():
     F, T = random_system(50, 4, lo=0, hi=10)
-    seg = stabilization_segment(F, T, [7], 3, 0.5, 100)
+    (k_star,), (witness,) = stabilization_segment(F, T, [7], 3, 0.5, 100)
     means = ergodic_means_prefix(F, T, 7, 100)
-    window = means[2 : seg.K_star[0]]
-    assert window.min() - 1e-12 <= seg.witness[0] <= window.max() + 1e-12
+    window = means[2 : k_star]
+    assert window.min() - 1e-12 <= witness <= window.max() + 1e-12
 
 
 def test_segment_validation():
@@ -184,11 +184,11 @@ def test_common_segment_quantile():
     M = 30
     T = FinitePermutation(np.roll(np.arange(M), -1))
     F = Observable(np.full(M, 2.5))
-    seg = common_stabilization_segment(stabilization_segment(F, T, list(range(M)), 2, 0.01, 50), 0.1)
-    assert seg.K_star == 50
-    assert seg.capped
-    assert seg.witness == pytest.approx(2.5)
-    assert seg.excluded_fraction == 0.0
+    k_star, witness, excluded = common_stabilization_segment(
+        *stabilization_segment(F, T, list(range(M)), 2, 0.01, 50), 0.1)
+    assert k_star == 50  # capped: the band holds to the scan limit
+    assert witness == pytest.approx(2.5)
+    assert excluded == 0.0
 
 
 def test_common_segment_drops_eta_fraction():
@@ -199,8 +199,8 @@ def test_common_segment_drops_eta_fraction():
     F = Observable(vals)
     means_break = Observable(np.r_[np.zeros(M - 1), 100.0])
     # fixed points: A_n is constant in n, so every K_star is the cap
-    seg = common_stabilization_segment(stabilization_segment(F, T, list(range(M)), 1, 0.1, 20), 0.15)
-    assert seg.K_star == 20
+    k_star, _, _ = common_stabilization_segment(*stabilization_segment(F, T, list(range(M)), 1, 0.1, 20), 0.15)
+    assert k_star == 20
     del means_break
 
 
@@ -210,12 +210,12 @@ def test_common_segment_order_statistic():
     F, T = random_system(40, 11, lo=0, hi=8)
     sample = list(range(0, 40, 2))
     eta = 0.25
-    seg = common_stabilization_segment(stabilization_segment(F, T, sample, 2, 0.3, 80), eta)
-    per = [int(stabilization_segment(F, T, [y], 2, 0.3, 80).K_star[0]) for y in sample]
+    k_star, _, excluded = common_stabilization_segment(*stabilization_segment(F, T, sample, 2, 0.3, 80), eta)
+    per = [int(stabilization_segment(F, T, [y], 2, 0.3, 80)[0][0]) for y in sample]
     needed = int(np.ceil((1 - eta) * len(sample)))
-    assert seg.K_star == sorted(per, reverse=True)[needed - 1]
-    assert seg.excluded_fraction == pytest.approx(
-        sum(k < seg.K_star for k in per) / len(sample))
+    assert k_star == sorted(per, reverse=True)[needed - 1]
+    assert excluded == pytest.approx(
+        sum(k < k_star for k in per) / len(sample))
 
 
 @pytest.mark.parametrize("witness", [
@@ -227,10 +227,7 @@ def test_common_segment_order_statistic():
 def test_common_segment_witness_is_bitwise_np_median(witness):
     # every point included, so the witness is the median of all of them
     w = np.asarray(witness)
-    seg = stabilization.StabilizationSegment(
-        points=np.arange(w.size), K_star=np.full(w.size, 9), witness=w,
-        capped=np.zeros(w.size, dtype=bool), scan_limit=10)
-    got = common_stabilization_segment(seg, 0.5).witness
+    got = common_stabilization_segment(np.full(w.size, 9), w, 0.5)[1]
     assert np.float64(got).tobytes() == np.median(w).tobytes()
 
 
@@ -239,7 +236,7 @@ def test_common_segment_imports_no_numpy_ma():
     code = ("import sys, numpy as np; from ergodia.stabilization import *;"
             "from ergodia.systems import build_bernoulli, paper_observable;"
             "T = build_bernoulli(2, 4, 'naive'); F = paper_observable('chi0', T.size, N=4);"
-            "common_stabilization_segment(stabilization_segment(F, T, range(50), 5, 0.2, 100), 0.1);"
+            "common_stabilization_segment(*stabilization_segment(F, T, range(50), 5, 0.2, 100), 0.1);"
             "assert 'numpy.ma' not in sys.modules")
     subprocess.run([sys.executable, "-c", code], check=True)
 
@@ -247,13 +244,13 @@ def test_common_segment_imports_no_numpy_ma():
 def test_common_segment_validation():
     F, T = random_system(10, 1)
     with pytest.raises(ValueError):
-        common_stabilization_segment(stabilization_segment(F, T, [0], 1, 0.1, 5), 0.0)
+        common_stabilization_segment(*stabilization_segment(F, T, [0], 1, 0.1, 5), 0.0)
     with pytest.raises(ValueError):
-        common_stabilization_segment(stabilization_segment(F, T, [], 1, 0.1, 5), 0.5)
+        common_stabilization_segment(*stabilization_segment(F, T, [], 1, 0.1, 5), 0.5)
     # the n_min / epsilon / scan_limit checks run in the scan, for a sample as for one point
     for n_min, eps, scan_limit in [(0, 0.1, 5), (1, 0.0, 5), (6, 0.1, 5)]:
         with pytest.raises(ValueError):
-            common_stabilization_segment(stabilization_segment(F, T, [0, 1], n_min, eps, scan_limit), 0.5)
+            common_stabilization_segment(*stabilization_segment(F, T, [0, 1], n_min, eps, scan_limit), 0.5)
 
 
 # -- the one-pass kernels against the loop oracles ---------------------------
@@ -337,17 +334,17 @@ def test_sup_discrepancy_bitwise_equals_two_pass_oracle(monkeypatch, chunk, name
     F, T = kernel_system(name)
     pairs = horizon_pairs(T)[:2] if name == "naive8" else horizon_pairs(T)
     for K, L in pairs:
-        (rep,) = sup_discrepancy(F, T, [(K, L)], EPSILONS)
+        ((sup_disc, frac),) = sup_discrepancy(F, T, [(K, L)], EPSILONS)
         diffs, u, v = sup_discrepancy_two_pass(F, T, K, L)
         assert discrepancy_arrays(F, T, [(K, L)])[0].tobytes() == diffs.tobytes(), (K, L)
         # the proof terms at every point, in the orbit order of diffs
         U, V = proof_arrays(F, T, K, L)
         assert U.tobytes() == u.tobytes(), (K, L)
         assert V.tobytes() == v.tobytes(), (K, L)
-        assert bits(rep.sup_disc) == bits(np.max(diffs))
+        assert bits(sup_disc) == bits(np.max(diffs))
         for eps in EPSILONS:
-            assert rep.exceedance(eps) == exceedance_fraction(F, T, K, L, eps)
-            assert bits(rep.exceedance(eps)) == bits(np.mean(diffs >= eps))
+            assert frac[eps] == exceedance_fraction(F, T, K, L, eps)
+            assert bits(frac[eps]) == bits(np.mean(diffs >= eps))
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 256, dynamics.CHUNK_POINTS])
@@ -359,15 +356,15 @@ def test_a_nan_in_f_gives_a_nan_sup_and_the_oracle_exceedances(monkeypatch, chun
     values[T.cycles[0][3]] = np.nan
     F = Observable(values)
     for K, L in horizon_pairs(T):
-        (rep,) = sup_discrepancy(F, T, [(K, L)], EPSILONS)
+        ((sup_disc, frac),) = sup_discrepancy(F, T, [(K, L)], EPSILONS)
         diffs, u, v = sup_discrepancy_two_pass(F, T, K, L)
         assert np.isnan(diffs).any() and not np.isnan(diffs).all()
         assert discrepancy_arrays(F, T, [(K, L)])[0].tobytes() == diffs.tobytes(), (K, L)
         U, V = proof_arrays(F, T, K, L)
         assert U.tobytes() == u.tobytes() and V.tobytes() == v.tobytes(), (K, L)
-        assert np.isnan(rep.sup_disc) and bits(rep.sup_disc) == bits(np.max(diffs))
+        assert np.isnan(sup_disc) and bits(sup_disc) == bits(np.max(diffs))
         for eps in EPSILONS:
-            assert bits(rep.exceedance(eps)) == bits(np.mean(diffs >= eps))
+            assert bits(frac[eps]) == bits(np.mean(diffs >= eps))
 
 
 # none, one, two and three pairs, the three repeating a pair and sharing a horizon; and (105, 15),
@@ -384,21 +381,21 @@ def test_fused_pairs_bitwise_equal_two_pass_oracle(monkeypatch, chunk, name):
     F, T = kernel_system(name)
     for pairs in PAIR_LISTS:
         reports = sup_discrepancy(F, T, pairs, EPSILONS)
-        assert [(rep.K, rep.L) for rep in reports] == pairs
+        assert len(reports) == len(pairs)  # in pair order: each is held to its own pair's oracle below
         fused = discrepancy_arrays(F, T, pairs)  # the tiles of one pass over every pair
-        for rep, got, (K, L) in zip(reports, fused, pairs, strict=True):
+        for (sup_disc, frac), got, (K, L) in zip(reports, fused, pairs, strict=True):
             diffs, u, v = sup_discrepancy_two_pass(F, T, K, L)
             # diffs, U and V are in orbit order: entry i belongs to the point order[i]
             assert got.tobytes() == diffs.tobytes(), (pairs, K, L)
             U, V = proof_arrays(F, T, K, L)
             assert U.tobytes() == u.tobytes(), (pairs, K, L)
             assert V.tobytes() == v.tobytes(), (pairs, K, L)
-            assert bits(rep.sup_disc) == bits(np.max(diffs))
+            assert bits(sup_disc) == bits(np.max(diffs))
             for eps in EPSILONS:
-                assert bits(rep.exceedance(eps)) == bits(np.mean(diffs >= eps))
-        # a repeated pair gets its own blocks and counts with the same values
+                assert bits(frac[eps]) == bits(np.mean(diffs >= eps))
+        # a repeated pair gets its own blocks and fractions with the same values
         if len(reports) == 3:
-            assert reports[0].counts is not reports[1].counts and reports[0].counts == reports[1].counts
+            assert reports[0][1] is not reports[1][1] and reports[0][1] == reports[1][1]
             assert fused[0] is not fused[1]
             assert fused[0].tobytes() == fused[1].tobytes()
 
@@ -492,8 +489,8 @@ def spike_drift(M=2000, z=1000, seed=3):
 
 
 def band_rows_equal_loop(F, T, points, n_min, eps, scan_limit):
-    seg = stabilization_segment(F, T, points, n_min, eps, scan_limit)
-    k_star, witness, capped = seg.K_star, seg.witness, seg.capped
+    k_star, witness = stabilization_segment(F, T, points, n_min, eps, scan_limit)
+    capped = k_star == scan_limit
     per_point = [band_end_loop(F, T, int(y), n_min, eps, scan_limit) for y in points]
     assert list(zip(k_star.tolist(), capped.tolist())) == [(k, c) for k, _, c in per_point]
     assert witness.tobytes() == bits(*[w for _, w, _ in per_point])
@@ -547,21 +544,22 @@ def test_segments_bitwise_equal_point_loop(monkeypatch, chunk, name):
              (M // 3 + 1, 0.1, M // 3 + 1), (2, 1e6, M + 5), (2, 0.05, last + 1)]
     for n_min, eps, scan_limit in cases:
         per_point = [band_end_loop(F, T, int(y), n_min, eps, scan_limit) for y in sample]
-        got = stabilization_segment(F, T, sample, n_min, eps, scan_limit)
-        assert list(zip(got.K_star.tolist(), got.capped.tolist())) == [(k, c) for k, _, c in per_point]
-        assert got.witness.tobytes() == bits(*[w for _, w, _ in per_point])
+        K_star, witness = stabilization_segment(F, T, sample, n_min, eps, scan_limit)
+        capped = K_star == scan_limit
+        assert list(zip(K_star.tolist(), capped.tolist())) == [(k, c) for k, _, c in per_point]
+        assert witness.tobytes() == bits(*[w for _, w, _ in per_point])
         if eps == 1e-12:  # some row leaves its band at the second step
-            assert np.any((got.K_star == n_min) & ~got.capped)
+            assert np.any((K_star == n_min) & ~capped)
         if (n_min, eps, scan_limit) == (2, 0.05, last + 1) and last < M:
-            assert np.any((got.K_star == last) & ~got.capped)
+            assert np.any((K_star == last) & ~capped)
         for eta in (0.1, 0.5):
-            common = common_stabilization_segment(got, eta)
-            k, w, capped, excluded = common_segment_loop(F, T, n_min, eps, eta, scan_limit, sample)
-            assert (common.K_star, common.capped, common.excluded_fraction) == (k, capped, excluded)
-            assert bits(common.witness) == bits(w)
+            common_k, common_w, common_excluded = common_stabilization_segment(K_star, witness, eta)
+            k, w, loop_capped, excluded = common_segment_loop(F, T, n_min, eps, eta, scan_limit, sample)
+            assert (common_k, common_k == scan_limit, common_excluded) == (k, loop_capped, excluded)
+            assert bits(common_w) == bits(w)
     if name == "mixed-zeros":
         # the points off the longest cycle keep the sign of their -0.0 means
-        assert np.any(np.signbit(got.witness) & got.capped)
+        assert np.any(np.signbit(witness) & capped)
 
 
 def test_segment_start_point_out_of_range():
@@ -576,8 +574,10 @@ def test_segment_start_point_out_of_range():
 @pytest.mark.parametrize("eps", [float("nan"), 0.0, -1.0])
 def test_nan_and_nonpositive_epsilons_are_refused(eps):
     F, T = random_system(10, 1)
-    (rep,) = sup_discrepancy(F, T, [(5, 2)])
-    for call in (lambda: rep.exceedance(eps), lambda: exceedance_fraction(F, T, 5, 2, eps),
+    ((_, frac),) = sup_discrepancy(F, T, [(5, 2)])
+    with pytest.raises(KeyError):
+        frac[eps]
+    for call in (lambda: exceedance_fraction(F, T, 5, 2, eps),
                  lambda: stabilization_segment(F, T, [0], 1, eps, 5),
                  lambda: stabilization_segment(F, T, [0, 1], 1, eps, 5)):
         with pytest.raises(ValueError):
