@@ -109,31 +109,36 @@ def _target_ranges(M: int, targets: np.ndarray, delta: float, circle: bool) -> t
     return lo, hi
 
 
-def arc_matcher(M: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Exact maximum matching of sources to grid points on arcs of the circle.
+def arc_matcher(M: int, targets: np.ndarray, delta: float, *, circle: bool) -> np.ndarray:
+    """Maximum matching of sources to grid points within delta of their targets.
 
-    Source i may take any grid point g mod M with lo[i] <= g <= hi[i]:
-    lo < 0 or hi > M - 1 encodes an arc through 0, hi < lo an empty arc
-    and hi - lo + 1 >= M the whole circle.  Returns match[i] = grid point
-    or -1.
+    Source i may take any grid point g with |g/M - targets[i]| < delta, its
+    arc [lo, hi] from _target_ranges (mod M when circle is set).  Returns
+    match[i] = grid point or -1.
 
     The circle is cut where the arcs' left ends fall furthest behind the
     grid points.  From the cut, the sources in order of (hi, lo) each take
     max(lo_i, g + 1), g the point given out last, if that is <= hi_i and
-    less than one turn past the first point (Glover's greedy for interval
-    graphs; one maximum.accumulate where no source is skipped).  A Berge
-    repair then searches an augmenting path from each source left free,
-    which makes the matching maximum for any arcs.
+    less than one turn past the first point (one maximum.accumulate where
+    no source is skipped).  This is maximum because all arcs share one
+    delta: lo (the least g with g/M > t - delta) and hi (the greatest g
+    with g/M < t + delta) are nondecreasing float functions of the target
+    t, so no arc holds another with both ends apart.  After the (hi, lo)
+    sort lo is then nondecreasing, no free point lies in [lo_i, g], and
+    each source takes the first free point it sees in order of right ends:
+    Glover's greedy, maximum on intervals, which the cut reduces the circle
+    to (Liang and Blum).  The arcs of one delta have nearly equal widths,
+    so an arc of the whole circle comes only with arcs that miss a point or
+    two; tests check such families against Hopcroft-Karp.  Arbitrary nested
+    arcs can need augmenting paths, which this matcher does not search.
     """
-    lo = np.asarray(lo, dtype=np.int64)
-    hi = np.asarray(hi, dtype=np.int64)
+    lo, hi = _target_ranges(M, targets, delta, circle)
     match = np.full(lo.size, -1, dtype=np.int64)
     src = np.flatnonzero(hi >= lo)
     if src.size == 0:
         return match
-    # one representative per arc: lo in [0, M), hi in [lo, lo + M)
-    span = np.minimum(hi[src] - lo[src], M - 1)
-    a = np.where(span == M - 1, 0, lo[src] % M)
+    # _target_ranges gives hi - lo < M (a whole circle is [0, M - 1]); an arc through 0 starts at lo mod M
+    a, span = lo[src] % M, hi[src] - lo[src]
     cut = 1 + int(np.argmin(np.cumsum(np.bincount(a, minlength=M)) - np.arange(1, M + 1)))
     a = (a - cut) % M
     order = np.lexsort((a, a + span))
@@ -156,80 +161,8 @@ def arc_matcher(M: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
                     last = x
                 run.append(x)
             g[starts[r]:ends[r]] = run
-    keep = (g <= b) & (g < g[0] + M)
-    mate = np.where(keep, (g + cut) % M, -1)
-    if not keep.all():
-        a = (a + cut) % M
-        mate = _berge_repair(M, a.tolist(), (a + span).tolist(), mate.tolist())
-    match[src] = mate
+    match[src] = np.where((g <= b) & (g < g[0] + M), (g + cut) % M, -1)
     return match
-
-
-def _berge_repair(M: int, lo: list, hi: list, mate: list) -> list:
-    """mate (grid point per source, -1 if free) made maximum on arcs [lo, hi].
-
-    One breadth-first search per free source; within it a skip map sends
-    each visited grid point on to the next unvisited one, so no point is
-    scanned twice.  A search that reaches a free grid point flips its
-    path.  One that fails leaves a Hungarian tree whose sources see only
-    its own matched points, so no later augmenting path can use them and
-    they are retired for good.  With no augmenting path left the matching
-    is maximum (Berge).  Each grid point is retired at most once, so failed
-    searches cost O(M log M) in all (path compression); a successful one
-    costs the size of its tree.
-    """
-    owner = [-1] * M
-    for i, g in enumerate(mate):
-        if g >= 0:
-            owner[g] = i
-    retired = list(range(M + 1))  # retired[g] != g: g is retired, look further on
-    parent = [0] * M  # source whose arc reached grid point g in this search
-
-    def next_live(g: int) -> int:
-        root = g
-        while retired[root] != root:
-            root = retired[root]
-        while retired[g] != root:
-            retired[g], g = root, retired[g]
-        return root
-
-    seen: dict[int, int] = {}  # grid point visited in this search -> next candidate
-
-    def unvisited(g: int) -> int:
-        g = next_live(g)
-        path = []
-        while g in seen:
-            path.append(g)
-            g = next_live(seen[g])
-        for p in path:
-            seen[p] = g
-        return g
-
-    for s in [i for i, g in enumerate(mate) if g < 0]:
-        seen.clear()
-        queue, found = [s], -1
-        for u in queue:
-            for first, last in ((lo[u], min(hi[u], M - 1)), (0, hi[u] - M)):
-                g = unvisited(first)
-                while g <= last and found < 0:
-                    seen[g] = g + 1
-                    parent[g] = u
-                    if owner[g] < 0:
-                        found = g
-                    else:
-                        queue.append(owner[g])
-                        g = unvisited(g + 1)
-            if found >= 0:
-                break
-        if found < 0:
-            for g in seen:
-                retired[g] = g + 1
-            continue
-        g, u = found, -1
-        while u != s:
-            u = parent[g]
-            mate[u], owner[g], g = g, u, mate[u]
-    return mate
 
 
 def synthesize_permutation(
@@ -244,18 +177,18 @@ def synthesize_permutation(
     target_images[y] is the intended image of grid point y/M in [0, 1).
     For all but mismatch_count points, the circle (or interval) distance
     between T_delta(y)/M and target_images[y] is < delta; mismatch_count is
-    minimized by exact maximum matching (arc_matcher).  Unmatched sources
-    are closed into a permutation by pairing them with the leftover grid
-    points in index order (the deterministic slack bijection), so the
-    result is always a valid permutation even when delta is too small for
-    some neighborhoods.
+    minimized by maximum matching, arc_matcher(M, targets, delta,
+    circle=circle).  Unmatched sources are closed into a permutation by
+    pairing them with the leftover grid points in index order (the
+    deterministic slack bijection), so the result is always a valid
+    permutation even when delta is too small for some neighborhoods.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     targets = np.asarray(target_images, dtype=np.float64)
     if targets.shape != (M,):
         raise ValueError(f"need one target per grid point, got shape {targets.shape}")
-    match = arc_matcher(M, *_target_ranges(M, targets, delta, circle))
+    match = arc_matcher(M, targets, delta, circle=circle)
     mismatch_count = int(np.sum(match == -1))
     image = match.copy()
     if mismatch_count:

@@ -25,7 +25,7 @@ from .approximation import (
     thickening_measure_error,
     weak_star_error,
 )
-from .dynamics import FinitePermutation, gamma_series
+from .dynamics import gamma_series
 from .rng import SplitMix64
 from .stabilization import (
     common_stabilization_segment,
@@ -118,7 +118,8 @@ def _resolve_start_points(spec: dict, M: int, seed: int) -> list[int]:
         raise ValueError("start_points takes exactly one of explicit, random, stratified; "
                           "extras goes only with stratified")
     if "explicit" in spec:
-        pts = [_int_param(y, "explicit start point", 0) for y in spec["explicit"]]
+        # a repeat counts once, the first kept, as random and stratified draw no point twice
+        pts = list(dict.fromkeys(_int_param(y, "explicit start point", 0) for y in spec["explicit"]))
         if any(not 0 <= y < M for y in pts):
             raise ValueError("explicit start point out of range")
     elif "random" in spec:

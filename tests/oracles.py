@@ -286,6 +286,30 @@ def target_ranges_loop(M, targets, delta, circle):
     return ranges
 
 
+@st.composite
+def synthesis_families(draw, circle=st.booleans()):
+    """(M, targets, delta, circle) as synthesize_permutation hands them to arc_matcher: M targets,
+    random, clustered, on the half-grid g/(2M) moved by 0 or +-1e-12, or strays in [-1.5, 2.5);
+    delta under half a grid step (empty and one-point arcs), a few steps, or with 2 delta M near M
+    (whole-circle arcs among arcs that miss a point or two)."""
+    M = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["random", "clustered", "half-grid", "stray"]))
+    width = draw(st.sampled_from(["under-half-step", "few-steps", "near-whole"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "random":
+        targets = rng.random(M)
+    elif kind == "clustered":
+        targets = rng.random(3)[rng.integers(0, 3, M)] + rng.normal(0.0, 1.0 / M, M)
+    elif kind == "half-grid":
+        targets = rng.integers(0, 2 * M, M) / (2 * M) + rng.choice([-1e-12, 0.0, 1e-12], M)
+    else:
+        targets = 4.0 * rng.random(M) - 1.5
+    u = 1.0 - rng.random()  # in (0, 1]
+    delta = {"under-half-step": u / (2 * M) * (1 - 1e-9), "few-steps": 4 * u / M,
+             "near-whole": (M - 2 + 4 * u) / (2 * M)}[width]
+    return M, targets, delta, draw(circle)
+
+
 def augmenting_path_matcher(M, neighbors):
     """Hopcroft-Karp maximum matching for arbitrary neighborhood systems."""
     INF = np.iinfo(np.int64).max

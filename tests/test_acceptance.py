@@ -170,7 +170,7 @@ def test_criterion_07_matching_pipeline():
         tg = np.array([0.15 + 0.7 * rng.next_below(10**6) / 10**6 for _ in range(m)])
         delta = (1 + rng.next_below(4)) / m
         lo, hi = _target_ranges(m, tg, delta, circle=False)
-        match = arc_matcher(m, lo, hi)
+        match = arc_matcher(m, tg, delta, circle=False)
         if int(np.sum(match == -1)) != hall_deficiency_oracle(m, list(zip(lo.tolist(), hi.tolist()))):
             ok = False
     ok = ok and (time.time() - t0) < 20.0

@@ -2,9 +2,8 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import find, given, settings, strategies as st
 
-import ergodia.approximation as approximation
 from ergodia.approximation import (
     _distance,
     _target_ranges,
@@ -18,7 +17,8 @@ from ergodia.approximation import (
 from ergodia.dynamics import FinitePermutation
 from ergodia.rng import SplitMix64
 from oracles import (augmenting_path_matcher, hall_deficiency_oracle, make_transitive_walk,
-                     permutation_from_cycles, permutation_images, split_into_n_cycles, target_ranges_loop)
+                     permutation_from_cycles, permutation_images, split_into_n_cycles, synthesis_families,
+                     target_ranges_loop)
 
 
 # -- distances -------------------------------------------------------------
@@ -138,24 +138,25 @@ def brute_force_max_matching(M, neighbors):
     return size
 
 
-@given(st.integers(2, 40), st.integers(0, 2**32), st.integers(1, 8))
-@settings(max_examples=60, deadline=None)
-def test_interval_matcher_is_maximum(M, seed, width):
-    rng = SplitMix64(seed)
-    ranges = []
-    for _ in range(M):
-        lo = rng.next_below(M)
-        hi = min(M - 1, lo + rng.next_below(width))
-        ranges.append((lo, hi))
-    match = arc_matcher(M, *np.array(ranges).T)
-    # validity: matched targets are distinct and inside the range
-    used = [g for g in match if g >= 0]
+def checked_matching_size(M, targets, delta, circle):
+    """The size of arc_matcher's matching, after checking that its grid points are distinct and each
+    inside its source's arc, and each source's grid points (its _target_ranges range mod M)."""
+    match = arc_matcher(M, targets, delta, circle=circle)
+    assert match.shape == (M,)
+    lo, hi = _target_ranges(M, targets, delta, circle)
+    neighbors = [sorted({g % M for g in range(a, b + 1)}) for a, b in zip(lo.tolist(), hi.tolist())]
+    used = match[match >= 0].tolist()
     assert len(used) == len(set(used))
-    for y, g in enumerate(match):
-        if g >= 0:
-            assert ranges[y][0] <= g <= ranges[y][1]
-    neighbors = [list(range(lo, hi + 1)) for lo, hi in ranges]
-    assert len(used) == brute_force_max_matching(M, neighbors)
+    for y, g in enumerate(match.tolist()):
+        assert g == -1 or g in neighbors[y]
+    return len(used), neighbors
+
+
+@given(synthesis_families(circle=st.just(False)))
+@settings(max_examples=200, deadline=None)
+def test_interval_matcher_is_maximum(family):
+    size, neighbors = checked_matching_size(*family)
+    assert size == brute_force_max_matching(family[0], neighbors)
 
 
 @given(st.integers(2, 30), st.integers(0, 2**32))
@@ -183,7 +184,7 @@ def test_matcher_mismatch_equals_hall_deficiency(M, seed):
     targets = np.array([0.15 + 0.7 * rng.next_below(10**6) / 10**6 for _ in range(M)])
     delta = (1 + rng.next_below(4)) / M
     lo, hi = _target_ranges(M, targets, delta, circle=False)
-    match = arc_matcher(M, lo, hi)
+    match = arc_matcher(M, targets, delta, circle=False)
     assert int(np.sum(match == -1)) == hall_deficiency_oracle(M, list(zip(lo.tolist(), hi.tolist())))
 
 
@@ -194,58 +195,39 @@ def test_target_ranges_strict_inequality():
     assert (lo, hi) == (5, 5) or (lo / 10 > 0.4 and hi / 10 < 0.6)
 
 
-def random_arcs(M, seed):
-    """Up to M + 1 arcs on Z/M: wrapped, whole-circle, empty and one-point ones."""
-    rng = SplitMix64(seed)
-    lo, hi = [], []
-    for _ in range(rng.next_below(M + 2)):
-        a = rng.next_below(3 * M) - M
-        lo.append(a)
-        hi.append(a + rng.next_below(M + 3) - 2)
-    return np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64)
+@given(synthesis_families())
+@settings(max_examples=1000, deadline=None)
+def test_arc_matcher_matches_hopcroft_karp(family):
+    # the arcs of one delta: both ends rise with the target, so the greedy needs no augmenting path
+    size, neighbors = checked_matching_size(*family)
+    assert size == int(np.sum(augmenting_path_matcher(family[0], neighbors) >= 0))
 
 
-@given(st.integers(1, 12), st.integers(0, 2**32))
-@settings(max_examples=300, deadline=None)
-def test_arc_matcher_matches_hopcroft_karp(M, seed):
-    lo, hi = random_arcs(M, seed)
-    match = arc_matcher(M, lo, hi)
-    assert match.shape == lo.shape
-    neighbors = [sorted({g % M for g in range(a, b + 1)}) for a, b in zip(lo.tolist(), hi.tolist())]
-    used = match[match >= 0].tolist()
-    assert len(used) == len(set(used))
-    for y, g in enumerate(match.tolist()):
-        assert g == -1 or g in neighbors[y]
-    # the oracle takes one source per grid point; pad with sources that see nothing
-    n = max(M, lo.size)
-    ref = augmenting_path_matcher(n, neighbors + [[]] * (n - lo.size))
-    assert len(used) == int(np.sum(ref >= 0))
+def arc_kinds(family):
+    """Which kinds of arc a family holds."""
+    M, targets, delta, circle = family
+    lo, hi = _target_ranges(M, targets, delta, circle)
+    n = hi - lo + 1
+    return {"empty": (n <= 0).any(),
+            "whole-circle-among-others": M > 1 and (n == M).any() and ((0 < n) & (n < M)).any(),
+            "through-0": ((lo < 0) | (hi >= M)).any(),
+            "target-off-the-unit-interval": ((targets < 0) | (targets >= 1)).any()}
 
 
-def test_arc_matcher_repair_augments(monkeypatch):
-    # arcs [1, 3] and [-2, 0] cover the whole circle, [-2, -2] is {1}: the
-    # greedy hands out 1 and 2 in increasing order and strands a
-    # whole-circle source, which only the repair gives 0
-    M, lo, hi = 3, np.array([1, -2, -2]), np.array([3, -2, 0])
-    match = arc_matcher(M, lo, hi)
-    assert sorted(match.tolist()) == [0, 1, 2]
-    assert match[1] == 1
-    monkeypatch.setattr(approximation, "_berge_repair", lambda M, lo, hi, mate: mate)
-    assert int(np.sum(arc_matcher(M, lo, hi) >= 0)) == 2
+@pytest.mark.parametrize("kind", ["empty", "whole-circle-among-others", "through-0",
+                                  "target-off-the-unit-interval"])
+def test_synthesis_families_reach_every_kind_of_arc(kind):
+    find(synthesis_families(), lambda family: arc_kinds(family)[kind],
+         settings=settings(max_examples=2000, database=None))
 
 
-def test_arc_matcher_wide_rotation_needs_no_repair(monkeypatch):
-    # a rotation target with delta = 1e-2 wraps through 0 at every phase; its
-    # arcs are proper, and the greedy alone matches every source
-    def no_repair(*args):
-        raise AssertionError("greedy left a source free")
-
-    monkeypatch.setattr(approximation, "_berge_repair", no_repair)
+def test_arc_matcher_wide_rotation_needs_no_repair():
+    # a rotation target with delta = 1e-2 wraps through 0 at every phase, and every source is matched
     M = 2000
     targets = (np.arange(M) / M + 0.3819660112501051) % 1.0
     lo, hi = _target_ranges(M, targets, 1e-2, circle=True)
     assert (lo < 0).any() or (hi >= M).any()
-    assert (arc_matcher(M, lo, hi) >= 0).all()
+    assert (arc_matcher(M, targets, 1e-2, circle=True) >= 0).all()
 
 
 @given(st.integers(1, 300), st.integers(0, 2**32), st.booleans())
