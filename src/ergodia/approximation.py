@@ -112,25 +112,24 @@ def _target_ranges(M: int, targets: np.ndarray, delta: float, circle: bool) -> t
 def arc_matcher(M: int, targets: np.ndarray, delta: float, *, circle: bool) -> np.ndarray:
     """Maximum matching of sources to grid points within delta of their targets.
 
-    Source i may take any grid point g with |g/M - targets[i]| < delta, its
-    arc [lo, hi] from _target_ranges (mod M when circle is set).  Returns
-    match[i] = grid point or -1.
+    Source i may take any grid point g with |g/M - targets[i]| < delta, its arc [lo, hi] from
+    _target_ranges (mod M when circle is set).  Returns match[i] = grid point or -1.
 
-    The circle is cut where the arcs' left ends fall furthest behind the
-    grid points.  From the cut, the sources in order of (hi, lo) each take
-    max(lo_i, g + 1), g the point given out last, if that is <= hi_i and
-    less than one turn past the first point (one maximum.accumulate where
-    no source is skipped).  This is maximum because all arcs share one
-    delta: lo (the least g with g/M > t - delta) and hi (the greatest g
-    with g/M < t + delta) are nondecreasing float functions of the target
-    t, so no arc holds another with both ends apart.  After the (hi, lo)
-    sort lo is then nondecreasing, no free point lies in [lo_i, g], and
-    each source takes the first free point it sees in order of right ends:
-    Glover's greedy, maximum on intervals, which the cut reduces the circle
-    to (Liang and Blum).  The arcs of one delta have nearly equal widths,
-    so an arc of the whole circle comes only with arcs that miss a point or
-    two; tests check such families against Hopcroft-Karp.  Arbitrary nested
-    arcs can need augmenting paths, which this matcher does not search.
+    The circle is cut where the arcs' left ends fall furthest behind the grid points.  From the cut,
+    the sources in order of (hi, lo) each take max(lo_i, w + 1), w the point given out last, if that
+    is <= hi_i and less than one turn past the first point.  This is maximum because all arcs share
+    one delta: lo (the least g with g/M > t - delta) and hi (the greatest g with g/M < t + delta) are
+    nondecreasing float functions of the target t, so after the sort lo is nondecreasing too, and
+    each source takes the first free point it sees in order of right ends: Glover's greedy, maximum
+    on intervals, which the cut reduces the circle to (Liang and Blum).  An arc of the whole circle
+    comes only with arcs that miss a point or two.  Arbitrary nested arcs can need augmenting paths,
+    which this matcher does not search; tests check one-delta families against Hopcroft-Karp.
+
+    The greedy is w_i = min(hi_i, max(lo_i, w_(i-1) + 1)): a skipped source has w_(i-1) + 1 > hi_i
+    >= hi_(i-1) >= w_(i-1), so the min leaves w as it was.  So z_i = w_i - i is the running clamp
+    clip(z_(i-1), lo_i - i, hi_i - i): a maximum.accumulate while no upper clamp binds, else the
+    clamps composed by doubling (Hillis and Steele's scan, log2 n rounds).  A source takes a point
+    where w rises.
     """
     lo, hi = _target_ranges(M, targets, delta, circle)
     match = np.full(lo.size, -1, dtype=np.int64)
@@ -142,26 +141,20 @@ def arc_matcher(M: int, targets: np.ndarray, delta: float, *, circle: bool) -> n
     cut = 1 + int(np.argmin(np.cumsum(np.bincount(a, minlength=M)) - np.arange(1, M + 1)))
     a = (a - cut) % M
     order = np.lexsort((a, a + span))
-    src, a, span = src[order], a[order], span[order]
-    b = a + span
+    src, a, b = src[order], a[order], span[order]
     k = np.arange(src.size)
-    g = k + np.maximum.accumulate(a - k)
-    over = np.flatnonzero(g > b)
-    if over.size:
-        # a source that g overshot still advanced g; redo each run (from one
-        # g_i == a_i to the next) holding such a source one source at a
-        # time, where an overshot source takes no point
-        starts = np.flatnonzero(g == a)
-        ends = np.append(starts[1:], src.size)
-        for r in np.unique(np.searchsorted(starts, over, side="right") - 1).tolist():
-            run, last = [], -1
-            for x, y in zip(a[starts[r]:ends[r]].tolist(), b[starts[r]:ends[r]].tolist()):
-                x = max(x, last + 1)
-                if x <= y:
-                    last = x
-                run.append(x)
-            g[starts[r]:ends[r]] = run
-    match[src] = np.where((g <= b) & (g < g[0] + M), (g + cut) % M, -1)
+    a -= k
+    b += a
+    g = np.maximum.accumulate(a)
+    if (g > b).any():
+        # compose the clamps: after the round of step s, [a_i, b_i] clamps z over sources i - 2s + 1 .. i
+        g, s = a, 1
+        while s < src.size:
+            a[s:], b[s:] = np.clip(a[:-s], a[s:], b[s:]), np.clip(b[:-s], a[s:], b[s:])
+            s *= 2
+    g += k
+    took = np.append(True, g[1:] > g[:-1]) & (g < g[0] + M)  # w rises; the first source takes a_0
+    match[src] = np.where(took, (g + cut) % M, -1)
     return match
 
 
@@ -183,20 +176,19 @@ def synthesize_permutation(
     deterministic slack bijection), so the result is always a valid
     permutation even when delta is too small for some neighborhoods.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not delta > 0:
+        raise ValueError(f"delta must be positive, got {delta!r}")
     targets = np.asarray(target_images, dtype=np.float64)
     if targets.shape != (M,):
         raise ValueError(f"need one target per grid point, got shape {targets.shape}")
-    match = arc_matcher(M, targets, delta, circle=circle)
-    mismatch_count = int(np.sum(match == -1))
-    image = match.copy()
+    match = arc_matcher(M, targets, delta, circle=circle)  # a fresh array: the slack bijection fills it
+    free = match == -1
+    mismatch_count = int(np.count_nonzero(free))
     if mismatch_count:
         used = np.zeros(M, dtype=bool)
-        used[match[match >= 0]] = True
-        leftovers = np.flatnonzero(~used)
-        image[match == -1] = leftovers
-    return FinitePermutation(image), mismatch_count
+        used[match[~free]] = True
+        match[free] = np.flatnonzero(~used)
+    return FinitePermutation(match), mismatch_count
 
 
 # -- cycle surgery ---------------------------------------------------------

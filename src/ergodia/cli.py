@@ -304,7 +304,7 @@ def cmd_stab(config: dict, args) -> int:
 
 
 def cmd_approx(config: dict, args) -> int:
-    # each mode checks its epsilons before any work; the library checks the deltas and targets
+    # each mode checks its epsilons (and pipeline its deltas) before any work; the library checks the targets
     spec = _section(config.get("approx", {}), "approx")
     mode = spec.get("mode", "metrics")
     if mode not in ("metrics", "pipeline"):
@@ -360,12 +360,12 @@ def _approx_pipeline(spec: dict) -> dict:
     # a mismatch_epsilon given is checked with or without deltas; an absent one is 10 * delta
     fixed_eps = _epsilon(spec["mismatch_epsilon"], "mismatch_epsilon") if "mismatch_epsilon" in spec else None
     M = _int_param(spec["M"], "M", 1)
+    deltas = [_epsilon(delta, "delta") for delta in spec.get("deltas", [2.0 / M])]
     target = spec.get("target", {"name": "rotation", "t": 0.618033988749895})
     x = np.arange(M) / M
     targets = _target_images(target, x)
     curve = []
-    for delta in spec.get("deltas", [2.0 / M]):
-        delta = _float_param(delta, "delta")
+    for delta in deltas:
         T_delta, mismatches = synthesize_permutation(M, targets, delta)
         C, B = make_transitive(T_delta)
         eps = 10.0 * delta if fixed_eps is None else fixed_eps

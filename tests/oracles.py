@@ -10,6 +10,7 @@ from math import gcd
 import numpy as np
 from hypothesis import strategies as st
 
+from ergodia.approximation import _target_ranges
 from ergodia.dynamics import FinitePermutation, Observable
 from ergodia.stabilization import _discrepancy_tiles, proof_terms, sup_discrepancy
 from ergodia.systems import debruijn_window_permutation
@@ -308,6 +309,43 @@ def synthesis_families(draw, circle=st.booleans()):
     delta = {"under-half-step": u / (2 * M) * (1 - 1e-9), "few-steps": 4 * u / M,
              "near-whole": (M - 2 + 4 * u) / (2 * M)}[width]
     return M, targets, delta, draw(circle)
+
+
+def arc_matcher_by_runs(M: int, targets: np.ndarray, delta: float, *, circle: bool) -> np.ndarray:
+    """arc_matcher with no clamp scan: the same cut, sort and maximum.accumulate, and each run (from
+    one g_i == a_i to the next) that holds a source the accumulate overshot redone one source at a
+    time in Python."""
+    lo, hi = _target_ranges(M, targets, delta, circle)
+    match = np.full(lo.size, -1, dtype=np.int64)
+    src = np.flatnonzero(hi >= lo)
+    if src.size == 0:
+        return match
+    # _target_ranges gives hi - lo < M (a whole circle is [0, M - 1]); an arc through 0 starts at lo mod M
+    a, span = lo[src] % M, hi[src] - lo[src]
+    cut = 1 + int(np.argmin(np.cumsum(np.bincount(a, minlength=M)) - np.arange(1, M + 1)))
+    a = (a - cut) % M
+    order = np.lexsort((a, a + span))
+    src, a, span = src[order], a[order], span[order]
+    b = a + span
+    k = np.arange(src.size)
+    g = k + np.maximum.accumulate(a - k)
+    over = np.flatnonzero(g > b)
+    if over.size:
+        # a source that g overshot still advanced g; redo each run (from one
+        # g_i == a_i to the next) holding such a source one source at a
+        # time, where an overshot source takes no point
+        starts = np.flatnonzero(g == a)
+        ends = np.append(starts[1:], src.size)
+        for r in np.unique(np.searchsorted(starts, over, side="right") - 1).tolist():
+            run, last = [], -1
+            for x, y in zip(a[starts[r]:ends[r]].tolist(), b[starts[r]:ends[r]].tolist()):
+                x = max(x, last + 1)
+                if x <= y:
+                    last = x
+                run.append(x)
+            g[starts[r]:ends[r]] = run
+    match[src] = np.where((g <= b) & (g < g[0] + M), (g + cut) % M, -1)
+    return match
 
 
 def augmenting_path_matcher(M, neighbors):

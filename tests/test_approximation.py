@@ -16,9 +16,9 @@ from ergodia.approximation import (
 )
 from ergodia.dynamics import FinitePermutation
 from ergodia.rng import SplitMix64
-from oracles import (augmenting_path_matcher, hall_deficiency_oracle, make_transitive_walk,
-                     permutation_from_cycles, permutation_images, split_into_n_cycles, synthesis_families,
-                     target_ranges_loop)
+from oracles import (arc_matcher_by_runs, augmenting_path_matcher, hall_deficiency_oracle,
+                     make_transitive_walk, permutation_from_cycles, permutation_images, split_into_n_cycles,
+                     synthesis_families, target_ranges_loop)
 
 
 # -- distances -------------------------------------------------------------
@@ -203,19 +203,44 @@ def test_arc_matcher_matches_hopcroft_karp(family):
     assert size == int(np.sum(augmenting_path_matcher(family[0], neighbors) >= 0))
 
 
+@given(synthesis_families())
+@settings(max_examples=1000, deadline=None)
+def test_arc_matcher_equals_the_per_source_redo(family):
+    M, targets, delta, circle = family
+    assert np.array_equal(arc_matcher(M, targets, delta, circle=circle),
+                          arc_matcher_by_runs(M, targets, delta, circle=circle))
+
+
+@pytest.mark.parametrize("steps", [0.4, 1.0])
+def test_arc_matcher_equals_the_per_source_redo_on_doubling_at_1e5(steps):
+    # two sources per image point, on arcs of one point (0.4 / M) or of one or two (1 / M): the greedy
+    # skips sources all along the circle
+    M = 10**5
+    targets = 2 * (np.arange(M) / M) % 1.0
+    match = arc_matcher_by_runs(M, targets, steps / M, circle=True)
+    assert np.array_equal(arc_matcher(M, targets, steps / M, circle=True), match)
+    # the slack bijection: the free sources, in index order, take the points no source took
+    free = match == -1
+    assert free.any()
+    match[free] = np.setdiff1d(np.arange(M), match[~free])
+    assert np.array_equal(synthesize_permutation(M, targets, steps / M)[0].image, match)
+
+
 def arc_kinds(family):
     """Which kinds of arc a family holds."""
     M, targets, delta, circle = family
     lo, hi = _target_ranges(M, targets, delta, circle)
     n = hi - lo + 1
+    free = arc_matcher(M, targets, delta, circle=circle) == -1
     return {"empty": (n <= 0).any(),
             "whole-circle-among-others": M > 1 and (n == M).any() and ((0 < n) & (n < M)).any(),
             "through-0": ((lo < 0) | (hi >= M)).any(),
-            "target-off-the-unit-interval": ((targets < 0) | (targets >= 1)).any()}
+            "target-off-the-unit-interval": ((targets < 0) | (targets >= 1)).any(),
+            "free-source-with-two-or-more-points": (free & (n >= 2)).any()}
 
 
 @pytest.mark.parametrize("kind", ["empty", "whole-circle-among-others", "through-0",
-                                  "target-off-the-unit-interval"])
+                                  "target-off-the-unit-interval", "free-source-with-two-or-more-points"])
 def test_synthesis_families_reach_every_kind_of_arc(kind):
     find(synthesis_families(), lambda family: arc_kinds(family)[kind],
          settings=settings(max_examples=2000, database=None))
@@ -276,6 +301,8 @@ def test_synthesize_rotation_no_mismatch():
 def test_synthesize_validation():
     with pytest.raises(ValueError):
         synthesize_permutation(10, np.zeros(10), 0.0)
+    with pytest.raises(ValueError):
+        synthesize_permutation(10, np.zeros(10), np.nan)
     with pytest.raises(ValueError):
         synthesize_permutation(10, np.zeros(5), 0.1)
 
