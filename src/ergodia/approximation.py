@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import FinitePermutation
+from .dynamics import FinitePermutation, _cycle_minima
 
 __all__ = [
     "weak_star_error",
@@ -200,26 +200,15 @@ def make_transitive(T: FinitePermutation) -> tuple[FinitePermutation, list[int]]
     Returns (C, B) with B = {y : C(y) != T(y)}, ascending: each cycle's last point, which C sends to
     the next cycle's head and the last cycle's to the first.  |B| is T's cycle count when T has two
     or more cycles, and 0 when T is one cycle (then C is T).  No orbit index of T is built: the heads
-    are the points that are their own cycle's minimum, found by min-label pointer doubling (Wyllie's
-    pointer jumping with Shiloach and Vishkin's minimum labels; with P = T^w, lab[y] is the minimum
-    of y .. T^(w-1)(y), and lab == lab[P] first holds when w reaches the longest cycle), and
-    bincount gives the lengths.  int32 where M allows halves the bytes each gather moves; every
-    index is a point, so mode="clip" skips take's bounds check and its copy of out.
+    in canonical order come from _cycle_minima, and the last points are those whose image is a head.
     """
     image, M = T.image, T.size
-    P = image.astype(np.int32 if M <= 1 << 31 else np.int64)
-    lab, ahead, doubled = np.arange(M, dtype=P.dtype), np.empty_like(P), np.empty_like(P)
-    while not np.array_equal(np.take(lab, P, out=ahead, mode="clip"), lab):
-        np.minimum(lab, ahead, out=lab)
-        P, doubled = np.take(P, P, out=doubled, mode="clip"), P
-    is_head = lab == np.arange(M, dtype=lab.dtype)
-    heads = np.flatnonzero(is_head)
+    lab, heads, _ = _cycle_minima(image)
     if heads.size == 1:
         return T, []
-    heads = heads[np.argsort(-np.bincount(lab)[heads], kind="stable")]  # canonical order
     succ = np.empty(M, dtype=np.int64)  # succ[h]: the head after h
     succ[heads] = np.roll(heads, -1)
-    lasts = np.flatnonzero(is_head[image])  # T^-1 of the heads
+    lasts = np.flatnonzero(lab[image] == image)  # T^-1 of the heads
     merged = image.copy()
     merged[lasts] = succ[image[lasts]]
     return FinitePermutation(merged), lasts.tolist()

@@ -83,6 +83,13 @@ def _section(spec, name: str) -> dict:
     return spec
 
 
+def _list(value, key: str, length: int | None = None) -> list:
+    """value if it is a JSON list, of length entries if given; a string, number or object is not one."""
+    if not isinstance(value, list) or length not in (None, len(value)):
+        raise ValueError(f"{key} must be a list{'' if length is None else f' of {length}'}, got {value!r}")
+    return value
+
+
 def _build_system(spec: dict):
     """Returns (permutation, meta dict)."""
     name = _section(spec, "system").get("name")
@@ -119,7 +126,8 @@ def _resolve_start_points(spec: dict, M: int, seed: int) -> list[int]:
                           "extras goes only with stratified")
     if "explicit" in spec:
         # a repeat counts once, the first kept, as random and stratified draw no point twice
-        pts = list(dict.fromkeys(_int_param(y, "explicit start point", 0) for y in spec["explicit"]))
+        pts = list(dict.fromkeys(_int_param(y, "explicit start point", 0)
+                                 for y in _list(spec["explicit"], "explicit")))
         if any(not 0 <= y < M for y in pts):
             raise ValueError("explicit start point out of range")
     elif "random" in spec:
@@ -277,11 +285,12 @@ def cmd_stab(config: dict, args) -> int:
     report: dict = {**meta, "observable": F.name, "epsilon": eps, "eta": eta,
                     "n_min": n_min, "scan_limit": scan_limit, "seed": seed}
     limit = _int_param(spec.get("per_point_limit", 16), "per_point_limit", 0)
-    pairs = [[_int_param(h, "pair horizon", 1) for h in pair] for pair in spec.get("pairs", [])]
+    pairs = [[_int_param(h, "pair horizon", 1) for h in _list(pair, "pair [K, L]", 2)]
+             for pair in _list(spec.get("pairs", []), "pairs")]
     if any(not 1 <= L < K for K, L in pairs):
         raise ValueError("require 1 <= L < K")
     # every exceedance epsilon is checked before the scan, with or without pairs
-    epsilons = spec.get("exceedance_epsilons", [eps])
+    epsilons = _list(spec.get("exceedance_epsilons", [eps]), "exceedance_epsilons")
     checked = [_epsilon(e, "exceedance epsilon") for e in epsilons]
     _check_sums(F, max([scan_limit] + [K for K, _ in pairs]))
     # one scan over every start point; the report lists the first `limit` of them, each capped
@@ -327,7 +336,8 @@ def _approx_metrics(config: dict, spec: dict) -> dict:
     thickening_eps = (_epsilon(spec["thickening_epsilon"], "thickening_epsilon")
                       if "thickening_epsilon" in spec else None)
     # keyed by the raw config values, so 1 and 1.0 are one entry; strings only in the report
-    mismatch_eps = ({e: _epsilon(e, "mismatch epsilon") for e in spec["mismatch_epsilons"]}
+    mismatch_eps = ({e: _epsilon(e, "mismatch epsilon")
+                     for e in _list(spec["mismatch_epsilons"], "mismatch_epsilons")}
                     if "mismatch_epsilons" in spec else None)
     T, meta = _build_system(config.get("system", {}))
     if meta["system"] == "bernoulli":
@@ -339,8 +349,8 @@ def _approx_metrics(config: dict, spec: dict) -> dict:
     degree = _int_param(spec.get("degree", 3), "degree", 0)
     thickening_eps = 2.0 / T.size if thickening_eps is None else thickening_eps
     thickening, mismatch = {}, {}
-    for iv in spec.get("closed_intervals", []):
-        interval = tuple(_float_param(e, "interval end") for e in iv)
+    for iv in _list(spec.get("closed_intervals", []), "closed_intervals"):
+        interval = tuple(_float_param(e, "interval end") for e in _list(iv, "closed interval"))
         thickening[tuple(iv)] = thickening_measure_error(x, interval, thickening_eps, circle=circle)
     target = spec.get("target")
     if target:
@@ -360,7 +370,7 @@ def _approx_pipeline(spec: dict) -> dict:
     # a mismatch_epsilon given is checked with or without deltas; an absent one is 10 * delta
     fixed_eps = _epsilon(spec["mismatch_epsilon"], "mismatch_epsilon") if "mismatch_epsilon" in spec else None
     M = _int_param(spec["M"], "M", 1)
-    deltas = [_epsilon(delta, "delta") for delta in spec.get("deltas", [2.0 / M])]
+    deltas = [_epsilon(delta, "delta") for delta in _list(spec.get("deltas", [2.0 / M]), "deltas")]
     target = spec.get("target", {"name": "rotation", "t": 0.618033988749895})
     x = np.arange(M) / M
     targets = _target_images(target, x)
@@ -400,8 +410,8 @@ def _target_images(spec: dict, x):
 def cmd_check(config: dict, args) -> int:
     image = _section(config.get("fixtures", {}), "fixtures").get("permutation_image")
     # entries must be integers; a negative one is left to the bijection check
-    fixture = None if image is None else np.asarray(
-        [_int_param(v, "permutation_image entry", -np.inf) for v in image], dtype=np.int64)
+    fixture = None if image is None else np.array([_int_param(v, "permutation_image entry", -np.inf)
+                                                   for v in _list(image, "permutation_image")], np.int64)
     results = checks.run_all(fixture)
     failed = [r for r in results if not r[1]]
     for name, ok, detail in results:

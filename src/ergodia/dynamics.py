@@ -7,11 +7,11 @@ real-valued observables F; the central quantity is the prefix ergodic mean
 
 Everything in this module is a pure function over immutable inputs, so callers
 may evaluate means for disjoint start points in parallel without coordination.
-A permutation's memos (its image, orbit index and order, the runs of the
-points last located, and the values of one observable in orbit order) are
-written once per (T, F) and are safe to race: two writers store equal
-read-only arrays, or runs a slots call would find again, and a reader sees
-one or the other.
+A permutation's memos (its image, orbit index and order, the runs of the points
+last located, and the values of one observable in orbit order) are written
+once per (T, F) and are safe to race: two writers store equal read-only
+arrays, or runs a slots call would find again, and a reader sees one or the
+other.  An image's orbit index is found by array passes, with no loop over points.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -159,7 +158,7 @@ class PermutedOrder(OrbitIndex):
 
 @dataclass(frozen=True, eq=False)
 class StoredOrder(PermutedOrder):
-    """An order held as an array: the generic walk's."""
+    """An order held as an array: the one an image's array passes find (FinitePermutation)."""
 
     stored: np.ndarray
 
@@ -182,6 +181,22 @@ def _checked(image: np.ndarray) -> None:
     seen[image] = True
     if not seen.all():
         raise ValueError("image array is not a permutation of 0..M-1")
+
+
+def _cycle_minima(image: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lab, heads, lengths) of any image: lab[y] the minimum of y's cycle, the heads (their own
+    cycle's minimum) in canonical order, and their cycles' lengths, int64.  Min-label pointer doubling
+    (Wyllie's pointer jumping with Shiloach and Vishkin's labels): with P = T^w, lab[y] is the minimum
+    of y .. T^(w-1)(y), and lab == lab[P] first holds when w reaches the longest cycle.  int32 where M
+    allows halves the bytes each gather moves; every index is a point, so mode="clip" skips checks."""
+    P = image.astype(np.int32 if image.size <= 1 << 31 else np.int64)
+    lab, ahead, doubled = np.arange(image.size, dtype=P.dtype), np.empty_like(P), np.empty_like(P)
+    while not np.array_equal(np.take(lab, P, out=ahead, mode="clip"), lab):
+        np.minimum(lab, ahead, out=lab)
+        P, doubled = np.take(P, P, out=doubled, mode="clip"), P
+    lengths = np.bincount(lab)  # nonzero at the heads, the only labels
+    heads = np.flatnonzero(lengths)[np.argsort(-lengths[lengths > 0], kind="stable")]  # canonical order
+    return lab, heads, lengths[heads]
 
 
 def _narrow(values: np.ndarray) -> np.ndarray:
@@ -253,9 +268,9 @@ class FinitePermutation:
 
     The orbit index (OrbitIndex) is either given to from_index by a builder
     that knows the cycles, which leaves the image to first use, or found
-    once by a generic cycle walk over the image and memoized.  along(F)
-    memoizes one observable's values in orbit order, and locate(points) the
-    runs of the points a kernel will read one by one.
+    once from the image by array passes (_ensure_cycles) and memoized.
+    along(F) memoizes one observable's values in orbit order, and
+    locate(points) the runs of the points a kernel will read one by one.
     """
 
     __slots__ = ("_image", "size", "_index", "_along", "_located")
@@ -306,29 +321,21 @@ class FinitePermutation:
     # -- cycle structure ---------------------------------------------------
 
     def _ensure_cycles(self) -> None:
-        """Generic cycle walk over the image as a Python list: any permutation's orbit index."""
+        """Any image's orbit index by array passes: _cycle_minima's heads and lengths, steps[y] to y's head
+        by pointer jumping with the heads as sinks, and y's slot steps[y] before its cycle's end."""
         if self._index is not None:
             return
-        image = self.image.tolist()
-        seen = [False] * self.size
-        cycles: list[list[int]] = []
-        for start in range(self.size):
-            if seen[start]:
-                continue
-            cyc = [start]
-            seen[start] = True
-            z = image[start]
-            while z != start:
-                seen[z] = True
-                cyc.append(z)
-                z = image[z]
-            cycles.append(cyc)
-        # cycles were found by ascending smallest element (their start), so a
-        # stable sort by descending length gives the canonical order
-        cycles.sort(key=len, reverse=True)
-        order = np.fromiter(chain.from_iterable(cycles), dtype=np.int64, count=self.size)
-        lengths = np.fromiter(map(len, cycles), dtype=np.int64, count=len(cycles))
-        starts = np.cumsum(lengths) - lengths
+        lab, heads, lengths = _cycle_minima(self.image)
+        P, steps, ahead = self.image.astype(lab.dtype), np.ones_like(lab), np.empty_like(lab)
+        P[heads], steps[heads] = heads, 0  # P[y] is steps[y] ahead of y
+        while not np.array_equal(np.take(P, P, out=ahead, mode="clip"), P):
+            steps += np.take(steps, P, mode="clip")
+            P, ahead = ahead, P
+        ends, ahead[heads] = np.cumsum(lengths), np.arange(heads.size)  # ahead[h]: h's cycle number
+        slot = ends[ahead[lab]] - steps
+        slot[heads] = starts = ends - lengths  # a head is 0 steps from itself, first in its cycle
+        order = np.empty(self.size, dtype=np.int64)
+        order[slot] = np.arange(self.size)
         # an increasing order is the identity order, which the base class reads with no array
         increasing = (order[1:] > order[:-1]).all()
         self._index = OrbitIndex(starts, lengths) if increasing else StoredOrder(starts, lengths, order)

@@ -5,13 +5,14 @@ strategies that draw their inputs, with `from oracles import ...`.
 """
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 
 import numpy as np
 from hypothesis import strategies as st
 
 from ergodia.approximation import _target_ranges
-from ergodia.dynamics import FinitePermutation, Observable
+from ergodia.dynamics import FinitePermutation, Observable, OrbitIndex, StoredOrder
 from ergodia.stabilization import _discrepancy_tiles, proof_terms, sup_discrepancy
 from ergodia.systems import debruijn_window_permutation
 
@@ -206,10 +207,40 @@ def permutation_images(draw):
     return image
 
 
+def walk_index(image):
+    """The orbit index of image by the generic cycle walk over it as a Python list: each unseen
+    point, in ascending order, followed around its cycle, and the cycles stably sorted by
+    descending length."""
+    size = len(image)
+    image = np.asarray(image, dtype=np.int64).tolist()
+    seen = [False] * size
+    cycles: list[list[int]] = []
+    for start in range(size):
+        if seen[start]:
+            continue
+        cyc = [start]
+        seen[start] = True
+        z = image[start]
+        while z != start:
+            seen[z] = True
+            cyc.append(z)
+            z = image[z]
+        cycles.append(cyc)
+    # cycles were found by ascending smallest element (their start), so a
+    # stable sort by descending length gives the canonical order
+    cycles.sort(key=len, reverse=True)
+    order = np.fromiter(chain.from_iterable(cycles), dtype=np.int64, count=size)
+    lengths = np.fromiter(map(len, cycles), dtype=np.int64, count=len(cycles))
+    starts = np.cumsum(lengths) - lengths
+    # an increasing order is the identity order, which the base class reads with no array
+    increasing = (order[1:] > order[:-1]).all()
+    return OrbitIndex(starts, lengths) if increasing else StoredOrder(starts, lengths, order)
+
+
 def make_transitive_walk(T):
-    """make_transitive from the generic walk's orbit index: each point of T's canonical order sent to
-    the next, the last to the first, and B the points where that differs from T."""
-    order = T.orbit_index.order
+    """make_transitive from walk_index: each point of T's canonical order sent to the next, the last
+    to the first, and B the points where that differs from T.  Reads only T.image."""
+    order = walk_index(T.image).order
     image = np.empty(T.size, dtype=np.int64)
     image[order] = np.roll(order, -1)
     C = FinitePermutation(image)

@@ -18,7 +18,7 @@ from ergodia.dynamics import FinitePermutation
 from ergodia.rng import SplitMix64
 from oracles import (arc_matcher_by_runs, augmenting_path_matcher, hall_deficiency_oracle,
                      make_transitive_walk, permutation_from_cycles, permutation_images, split_into_n_cycles,
-                     synthesis_families, target_ranges_loop)
+                     synthesis_families, target_ranges_loop, walk_index)
 
 
 # -- distances -------------------------------------------------------------
@@ -360,12 +360,12 @@ def test_make_transitive_bound(M, seed):
 
 
 def assert_merge_equals_the_walk(image):
-    T, walked = FinitePermutation(image), FinitePermutation(image)
+    T = FinitePermutation(image)
     C, B = make_transitive(T)
-    want_C, want_B = make_transitive_walk(walked)
+    want_C, want_B = make_transitive_walk(T)
     assert np.array_equal(C.image, want_C.image) and B == want_B
     # |B| is the cycle count, read as 1 when T is already one cycle and so no seam differs from T
-    assert max(1, len(B)) == len(walked.cycles)
+    assert max(1, len(B)) == walk_index(image).lengths.size
     assert T._index is None  # the merge builds no orbit index of T
 
 

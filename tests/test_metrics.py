@@ -1,9 +1,11 @@
-"""Array metrics and the list cycle walk, pinned against their per-point oracles.
+"""Array metrics and the orbit index, pinned against their per-point oracles.
 
 The approximation metrics work on the whole grid array x = y/M; tests/oracles.py
 keeps the loops they replaced, one point at a time.  The two must agree
 bitwise: the distances and thresholds are the same IEEE operations per
-point, and the monomial means are compared as computed.
+point, and the monomial means are compared as computed.  The orbit index of
+an image and the list cycle walk that serves as its oracle are both pinned
+against an index laid out from the cycles themselves.
 """
 
 from functools import partial
@@ -25,6 +27,7 @@ from oracles import (
     map_mismatch_fraction_loop,
     permutation_from_cycles,
     thickening_measure_error_loop,
+    walk_index,
     weak_star_error_loop,
 )
 
@@ -101,11 +104,11 @@ def test_partial_mismatch_on_synthesized_permutation(base, M, delta):
         assert got == map_mismatch_fraction_loop(per_point(M), M, True, T.image, tau, eps)
 
 
-# -- the generic cycle walk --------------------------------------------------
+# -- the orbit index of an image and the list walk ---------------------------
 
 
 def canonical_index(cycles):
-    """The permutation given by its cycles, from an orbit index built without the walk."""
+    """The permutation given by its cycles, from an orbit index laid out from them, not found in an image."""
     cycles = [c[c.index(min(c)):] + c[:c.index(min(c))] for c in cycles]
     cycles.sort(key=lambda c: (-len(c), c[0]))
     lengths = np.array([len(c) for c in cycles], dtype=np.int64)
@@ -137,6 +140,7 @@ def test_list_walk_equals_index_from_cycles(name):
     assert T._index is None
     ref = canonical_index(cycles)
     assert np.array_equal(ref.image, T.image)
-    for field in ("order", "starts", "lengths", "slot"):
-        got, want = index_field(T.orbit_index, field), index_field(ref.orbit_index, field)
-        assert got.dtype == want.dtype and np.array_equal(got, want), field
+    for index in (walk_index(T.image), T.orbit_index):  # the oracle and the array passes
+        for field in ("order", "starts", "lengths", "slot"):
+            got, want = index_field(index, field), index_field(ref.orbit_index, field)
+            assert got.dtype == want.dtype and np.array_equal(got, want), field

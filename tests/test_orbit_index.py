@@ -1,9 +1,9 @@
-"""The orbit index: constructor-built cycle structure against the generic walk.
+"""The orbit index: constructor-built cycle structure against the walk oracle.
 
 Built-in systems generate their orbit order (FinitePermutation.from_index);
-a permutation built from the bare image array finds it with the generic
-cycle walk.  Both must give the same index, and every kernel must give the
-same answer on a system and on a relabelled copy of it.
+a permutation built from the bare image array finds it by array passes.
+Both must give the index the list walk of tests/oracles.py gives, and every
+kernel must give the same answer on a system and on a relabelled copy of it.
 """
 
 import copy
@@ -34,7 +34,7 @@ from ergodia.systems import (
 from oracles import (band_end_loop, debruijn_lyndon, discrepancy_arrays, exact_prefix_means, index_field,
                      inverse_order, mean_rounding_bound, orbit_and_period, permutation_from_cycles,
                      permutation_images, permutation_of_cycle_order, prefix_means_gather, proof_arrays,
-                     sup_discrepancy_two_pass, width_rule)
+                     sup_discrepancy_two_pass, walk_index, width_rule)
 
 
 def drift(M):
@@ -81,9 +81,8 @@ SYSTEMS = {
 def test_constructor_index_equals_generic_walk(name):
     T, image = SYSTEMS[name]()
     assert np.array_equal(T.image, image)
-    walked = FinitePermutation(image)
-    assert T.orbit_index is not None and walked._index is None
-    walked._ensure_cycles()
+    walked = FinitePermutation.from_index(walk_index(image))
+    assert T.orbit_index is not None
     built, ref = T.orbit_index, walked.orbit_index
     assert len(T.cycles) == len(walked.cycles)
     assert all(np.array_equal(a, b) for a, b in zip(T.cycles, walked.cycles))
@@ -128,7 +127,7 @@ def test_the_shift_index_equals_the_checked_identity_order(M):
 @given(permutation_images())
 @settings(max_examples=300, deadline=None)
 def test_the_walk_lays_its_cycles_out_in_canonical_order(image):
-    # the walk's index is not checked when it is built, so its canonical order is proved here
+    # an image's index is not checked when it is built, so its canonical order is proved here
     index = FinitePermutation(image).orbit_index
     order, starts, lengths = index.order, index.starts, index.lengths
     heads = order[starts]
@@ -140,6 +139,31 @@ def test_the_walk_lays_its_cycles_out_in_canonical_order(image):
     # an increasing order is the identity's, which only the base class holds, with no array
     assert (type(index) is OrbitIndex) == bool((order[1:] > order[:-1]).all())
     assert np.array_equal(FinitePermutation.from_index(index).image, image)
+
+
+def assert_index_equals_the_walks(image):
+    got, want = FinitePermutation(image).orbit_index, walk_index(image)
+    assert type(got) is type(want)
+    for field in ("starts", "lengths", "order"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype == np.int64 and not a.flags.writeable and np.array_equal(a, b), field
+
+
+@given(permutation_images())
+@settings(max_examples=300, deadline=None)
+def test_the_array_index_equals_the_walks(image):
+    assert_index_equals_the_walks(image)
+
+
+@pytest.mark.parametrize("kind", ["random", "one-cycle", "two-cycles"])
+def test_the_array_index_equals_the_walks_at_1e5(kind):
+    M, points = 100_000, np.random.default_rng(40).permutation(100_000)
+    image = points if kind == "random" else np.empty(M, dtype=np.int64)
+    if kind == "one-cycle":
+        image[points] = np.roll(points, -1)
+    elif kind == "two-cycles":  # 50,000 swaps, their heads scattered by the shuffle
+        image[points] = points.reshape(-1, 2)[:, ::-1].ravel()
+    assert_index_equals_the_walks(image)
 
 
 def test_the_drift_is_built_without_an_m_sized_array():
@@ -202,7 +226,7 @@ def test_an_identity_order_is_its_own_inverse_and_the_memo_shares_the_values(nam
 
 @st.composite
 def indexed_points(draw):
-    """(T, points): T from the generic walk, naive Bernoulli, a rotation with
+    """(T, points): T from a random image, naive Bernoulli, a rotation with
     gcd(P, M) > 1, the identity or the drift; points may repeat and hold the
     first and last slot's points."""
     kind = draw(st.sampled_from(["walk", "naive", "rotation", "identity", "drift"]))
@@ -255,7 +279,7 @@ def test_slots_refuse_points_outside_the_space(build, bad):
         index.slots(bad)
 
 
-# wrapped-negative: a generic walk over the image [-1, 0] would go 0 -> -1 -> 0, as Python lists wrap -1
+# wrapped-negative: a list walk over the image [-1, 0] would go 0 -> -1 -> 0, as Python lists wrap -1
 # to the last point
 BAD_ENTRIES = {"repeated": [0, 2, 1, 2], "negative": [-1, 0, 1, 2], "out-of-range": [0, 1, 2, 4],
                "wrapped-negative": [-1, 0]}
@@ -322,7 +346,7 @@ def test_gamma_holds_no_inverse_of_the_order(name, arrays):
 
 
 def relabel(F, T, sigma):
-    """(F o sigma^-1, sigma T sigma^-1) as plain arrays: the generic-walk path."""
+    """(F o sigma^-1, sigma T sigma^-1) as plain arrays: the path that finds the index in the image."""
     image = np.empty(T.size, dtype=np.int64)
     image[sigma] = sigma[T.image]
     values = np.empty(T.size)
@@ -350,7 +374,7 @@ def test_relabelling_preserves_means_discrepancies_segments_and_tails(name):
     T, F = RELABELLED[name]()
     sigma = np.random.default_rng(len(name)).permutation(T.size)
     F2, T2 = relabel(F, T, sigma)
-    assert T2._index is None  # the relabelled copy takes the generic walk
+    assert T2._index is None  # the relabelled copy finds its index in its image
     # diffs, U and V of each copy in its own orbit order, compared in point order
     slot, slot2 = inverse_order(T.orbit_index), inverse_order(T2.orbit_index)
     pairs = [(2, 1), (7, 2), (T.size + 5, T.size // 3), (T.size // 2 + 3, T.size // 5 + 1)]
@@ -403,7 +427,7 @@ LAYOUTS = {
 @pytest.mark.parametrize("name", sorted(LAYOUTS))
 def test_cycle_ids_and_positions_match_the_walks_cycles(name):
     T = LAYOUTS[name]()
-    walked = FinitePermutation(T.image)
+    walked = FinitePermutation.from_index(walk_index(T.image))
     want_cycle, want_pos = np.full(T.size, -1), np.full(T.size, -1)
     for c, cyc in enumerate(walked.cycles):
         for pos, y in enumerate(cyc.tolist()):
@@ -698,11 +722,6 @@ def test_narrow_observables_give_the_float64_results_bitwise(monkeypatch, name, 
 # -- generated orders: rotation, de Bruijn and naive store no order array -----
 
 
-def walked_index(T_image):
-    """The generic walk's index of an image built independently of the library's systems."""
-    return FinitePermutation(T_image).orbit_index
-
-
 def lyndon_debruijn_image(m, L):
     """The window successor of the Lyndon-generator sequence, window by window."""
     s = debruijn_lyndon(m, L)
@@ -742,7 +761,7 @@ def test_generated_orders_equal_the_checked_index(monkeypatch, name, chunk):
     monkeypatch.setattr(systems, "CHUNK_POINTS", chunk)
     build, image = GENERATED[name]
     T = build()
-    index, ref = T.orbit_index, walked_index(image())
+    index, ref = T.orbit_index, walk_index(image())
     assert "order" not in vars(index)
     assert np.array_equal(index.order, ref.order) and not index.order.flags.writeable
     checked = permutation_of_cycle_order(index.order, index.lengths).orbit_index
