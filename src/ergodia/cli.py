@@ -41,6 +41,9 @@ EXIT_INVARIANT = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
 
+# the highest monomial degree approx metrics takes: each degree is one pass over the M grid points
+MAX_DEGREE = 100
+
 
 def _fmt(x: float) -> str:
     """12 significant digits, '.' decimal separator."""
@@ -58,25 +61,34 @@ def _load_config(path: str) -> dict:
         raise ValueError(f"cannot read config {path}: {e}") from e
 
 
-# the keys each config section may hold; "config" is the top level
+# the keys each config section may hold, "config" being the top level; system and approx hold those
+# of the system kind or approx mode they name
 KEYS = {section: set(keys.split()) for section, keys in {
     "config": "system observable start_points gamma stab approx fixtures seed",
-    "system": "name M t m N mode",
+    "system drift": "name M",
+    "system rotation": "name M t",
+    "system bernoulli": "name m N mode",
     "observable": "name K N m value",
     "start_points": "explicit random stratified extras",
     "gamma": "k stride",
     "stab": "epsilon eta n_min scan_limit per_point_limit pairs exceedance_epsilons",
-    "approx": "mode M target deltas mismatch_epsilon closed_intervals thickening_epsilon "
-              "mismatch_epsilons degree",
+    "approx metrics": "mode target closed_intervals thickening_epsilon mismatch_epsilons degree",
+    "approx pipeline": "mode M target deltas mismatch_epsilon",
     "approx.target": "name t",
     "fixtures": "permutation_image",
 }.items()}
 
 
-def _section(spec, name: str) -> dict:
-    """spec as the config section `name`: a JSON object holding only keys that KEYS[name] lists."""
+def _section(spec, name: str, variant: str = "", default=None) -> dict:
+    """spec as the config section `name`: a JSON object holding only keys that KEYS[name] lists, or,
+    where its key `variant` names its kind (default if absent), those of KEYS[f"{name} {kind}"]."""
     if not isinstance(spec, dict):
         raise ValueError(f"{name} must be a JSON object, not {type(spec).__name__}")
+    if variant:
+        kind = spec.get(variant, default)
+        if f"{name} {kind}" not in KEYS:
+            raise ValueError(f"unknown {name} {variant} {kind!r}")
+        name = f"{name} {kind}"
     unknown = sorted(set(spec) - KEYS[name])
     if unknown:
         raise ValueError(f"unknown key {unknown[0]!r} in {name}")
@@ -92,7 +104,7 @@ def _list(value, key: str, length: int | None = None) -> list:
 
 def _build_system(spec: dict):
     """Returns (permutation, meta dict)."""
-    name = _section(spec, "system").get("name")
+    name = _section(spec, "system", "name")["name"]
     if name == "drift":
         M = _int_param(spec["M"], "M", 2)
         return build_drift_system(M), {"system": "drift", "M": M}
@@ -107,11 +119,10 @@ def _build_system(spec: dict):
         T = build_rotation(M, t)
         P = T.orbit_index.P
         return T, {"system": "rotation", "M": M, "P": P, "t": t, "defect": abs(P / M - t)}
-    if name == "bernoulli":
-        m, N, mode = _int_param(spec["m"], "m", 2), _int_param(spec["N"], "N", 0), spec.get("mode", "debruijn")
-        T = build_bernoulli(m, N, mode)
-        return T, {"system": "bernoulli", "m": m, "N": N, "mode": mode, "M": T.size}
-    raise ValueError(f"unknown system {name!r}")
+    # bernoulli, the one kind _section leaves
+    m, N, mode = _int_param(spec["m"], "m", 2), _int_param(spec["N"], "N", 0), spec.get("mode", "debruijn")
+    T = build_bernoulli(m, N, mode)
+    return T, {"system": "bernoulli", "m": m, "N": N, "mode": mode, "M": T.size}
 
 
 def _build_observable(spec: dict, M: int):
@@ -314,11 +325,9 @@ def cmd_stab(config: dict, args) -> int:
 
 def cmd_approx(config: dict, args) -> int:
     # each mode checks its epsilons (and pipeline its deltas) before any work; the library checks the targets
-    spec = _section(config.get("approx", {}), "approx")
-    mode = spec.get("mode", "metrics")
-    if mode not in ("metrics", "pipeline"):
-        raise ValueError(f"unknown approx mode {mode!r}")
-    report = _approx_metrics(config, spec) if mode == "metrics" else _approx_pipeline(spec)
+    spec = _section(config.get("approx", {}), "approx", "mode", "metrics")
+    metrics = spec.get("mode", "metrics") == "metrics"
+    report = _approx_metrics(config, spec) if metrics else _approx_pipeline(spec)
     _write_json(Path(args.out) / "approx_report.json", report)
     return EXIT_OK
 
@@ -347,14 +356,15 @@ def _approx_metrics(config: dict, spec: dict) -> dict:
     x = np.arange(T.size) / T.size
     circle = meta["system"] == "rotation"
     degree = _int_param(spec.get("degree", 3), "degree", 0)
+    if degree > MAX_DEGREE:
+        raise ValueError(f"degree must be at most {MAX_DEGREE}, got {degree}")
     thickening_eps = 2.0 / T.size if thickening_eps is None else thickening_eps
     thickening, mismatch = {}, {}
     for iv in _list(spec.get("closed_intervals", []), "closed_intervals"):
-        interval = tuple(_float_param(e, "interval end") for e in _list(iv, "closed interval"))
+        interval = tuple(_float_param(e, "closed interval end") for e in _list(iv, "closed interval"))
         thickening[tuple(iv)] = thickening_measure_error(x, interval, thickening_eps, circle=circle)
-    target = spec.get("target")
-    if target:
-        targets = _target_images(target, x)
+    if "target" in spec:
+        targets = _target_images(spec["target"], x)
         for key, eps in ({2.0 / T.size: 2.0 / T.size} if mismatch_eps is None else mismatch_eps).items():
             mismatch[key] = map_mismatch_fraction(x, T, targets, eps, circle=circle)
     lengths = T.orbit_index.lengths
@@ -404,7 +414,7 @@ def _target_images(spec: dict, x):
         return (x + t) % 1.0
     if name == "doubling":
         return (2.0 * x) % 1.0
-    raise ValueError(f"unknown target map {name!r}")
+    raise ValueError(f"unknown target map name {name!r}")
 
 
 def cmd_check(config: dict, args) -> int:

@@ -120,11 +120,13 @@ def proof_terms(F: Observable, T: FinitePermutation, K: int, L: int):
     """(tile, (U, V)) per tile of _discrepancy_tiles at [(K, L)], with |A_K - A_L| <= U + V for
     U = (1/L - 1/K) * sum_{k<L} |F(T^k y)| and V = (1/K) * sum_{k=L}^{K-1} |F(T^k y)| at its slots,
     from one pass over the means of |F|, U = (1/L - 1/K) * A_L * L and V = A_K - A_L * L / K: the tiles
-    match, as _row_means tiles by cycle lengths, horizons and CHUNK_POINTS alone.  |F| is np.abs of
-    T.along(F), read unsigned if int: |-128| is -128 in int8, whose bits read 128 as uint8."""
+    match, as _row_means tiles by cycle lengths, horizons and CHUNK_POINTS alone.  |F| is T.along(F)
+    itself where no value is negative, else its np.abs read unsigned if int: |-128| is -128 in int8,
+    whose bits read 128 as uint8."""
     if not 1 <= L < K:
         raise ValueError("require 1 <= L < K")
-    absF = np.abs(T.along(F))
+    along = T.along(F)
+    absF = np.abs(along) if along.min() < 0 else along
     absF = absF.view(f"u{absF.itemsize}") if absF.dtype.kind == "i" else absF
     return ((tile, (absL * (1.0 / L - 1.0 / K) * L, absK - absL * L / K))
             for tile, (absK, absL) in _row_means(absF, T.orbit_index, (K, L)))

@@ -120,7 +120,7 @@ def _fkm_symbols(m: int, n: int) -> np.ndarray:
     """
     if m < 2 or n < 1:
         raise ValueError("need alphabet size >= 2 and window length >= 1")
-    if m ** n > 1 << 26:
+    if n > 26 or m**n > 1 << 26:  # n first: m >= 2, and m**n of a huge n would not finish
         raise ValueError("sequence length exceeds the memory budget")
     heads, period = _necklaces(m, n)
     s = np.empty(m**n, dtype=np.min_scalar_type(m - 1))
@@ -284,7 +284,7 @@ def build_bernoulli(m: int, N: int, mode: str = "debruijn") -> FinitePermutation
     if m < 2 or N < 0:
         raise ValueError("need alphabet size m >= 2 and half-window N >= 0")
     L = 2 * N + 1
-    if m**L > 1 << 26:
+    if L > 26 or m**L > 1 << 26:  # L first: m >= 2, and m**L of a huge L would not finish
         raise ValueError("word space exceeds the memory budget")
     if mode == "naive":
         return _naive_shift(m, L)
@@ -308,8 +308,8 @@ def _int_param(value, key: str, minimum: int) -> int:
 
 
 def _float_param(value, key: str) -> float:
-    """value as a float; booleans and strings do not pass, though float() reads True and "0.5"."""
-    if isinstance(value, (bool, str)):
+    """value as a float if it is an int or a float; booleans do not pass, though float() reads True."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{key} must be a number, got {value!r}")
     return float(value)
 
@@ -333,6 +333,8 @@ def paper_observable(name: str, M: int, **params) -> Observable:
     each value is the same IEEE expression as the closed form evaluated at
     one point.
     """
+    if not isinstance(name, str):
+        raise ValueError(f"observable name must be a string, got {name!r}")
     extra = sorted(set(params) - {"ex03": {"K"}, "chi0": {"N", "m"}, "constant": {"value"}}.get(name, set()))
     if extra:
         raise ValueError(f"observable {name!r} takes no parameter {extra[0]!r}")
@@ -377,7 +379,7 @@ def paper_observable(name: str, M: int, **params) -> Observable:
         N = _int_param(N, "N", 0)
         m = _int_param(params.get("m", 2), "m", 2)
         L = 2 * N + 1
-        if M != m**L:
+        if L >= int(M).bit_length() or M != m**L:  # m**L >= 2**L > M in the first case
             raise ValueError(f"chi0 expects M = {m}^{L}")
         # the symbol at position 0 is digit N of the little-endian index:
         # y = (a*m + d)*m^N + b with d that digit

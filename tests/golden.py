@@ -17,7 +17,8 @@ that calls ergodia.cli.main in-process; run as a script,
 
 this module checks every entry through the installed `ergodia` console
 script, one fresh process per entry, and holds max_rss_mb against that
-child's rusage.
+child's rusage; a child still running after TIME_LIMIT_S is killed, and its
+entry fails.
 """
 
 from __future__ import annotations
@@ -28,10 +29,13 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 STDOUT = "<stdout>"
+# seconds an entry's process may run; the slowest entry runs in about 0.4 s on a 2-core x86-64 host
+TIME_LIMIT_S = 60
 
 
 def entries() -> dict[str, dict]:
@@ -76,16 +80,23 @@ def check(entry: dict, run, tmp: Path) -> float | None:
 
 
 def console(argv: list[str]) -> tuple[int, bytes, bytes, float]:
-    """argv through the `ergodia` console script in a fresh process, with that child's peak RSS.
-    stderr goes to a file, so a child that fills it cannot block on a pipe no one reads yet."""
-    with tempfile.TemporaryFile() as err:
-        child = subprocess.Popen(["ergodia", *argv], stdout=subprocess.PIPE, stderr=err)
-        stdout = child.stdout.read()
-        child.stdout.close()
-        _, status, usage = os.wait4(child.pid, 0)
+    """argv through the `ergodia` console script in a fresh process, with that child's peak RSS;
+    AssertionError if it runs past TIME_LIMIT_S, when it is killed.  stdout and stderr go to files,
+    so a child that fills them cannot block on a pipe, and a hung child blocks no read."""
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        child = subprocess.Popen(["ergodia", *argv], stdout=out, stderr=err)
+        deadline = time.monotonic() + TIME_LIMIT_S
+        while not (waited := os.wait4(child.pid, os.WNOHANG))[0]:
+            if time.monotonic() > deadline:
+                child.kill()
+                child.returncode = os.waitstatus_to_exitcode(os.wait4(child.pid, 0)[1])
+                raise AssertionError(f"still running after {TIME_LIMIT_S} s, killed")
+            time.sleep(0.01)
+        _, status, usage = waited
         child.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
         err.seek(0)
-        return child.returncode, stdout, err.read(), usage.ru_maxrss / 1024  # ru_maxrss is in KiB on Linux
+        return child.returncode, out.read(), err.read(), usage.ru_maxrss / 1024  # ru_maxrss is in KiB on Linux
 
 
 def main() -> int:

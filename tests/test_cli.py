@@ -743,6 +743,37 @@ def test_config_error_names_the_key_or_section(tmp_path, capsys, section, spec, 
     assert capsys.readouterr().err == f"config error: {message}\n"
 
 
+# a config per system kind and approx mode, and each key of another kind or mode, with a value that
+# the kind or mode reading it accepts
+VARIANT_CONFIGS = {
+    "drift": ("gamma", small_gamma_config()),
+    "rotation": ("gamma", {**small_gamma_config(), "system": {"name": "rotation", "M": 200, "t": 0.3}}),
+    "bernoulli": ("gamma", {**small_gamma_config(), "observable": {"name": "chi0", "N": 3},
+                            "system": {"name": "bernoulli", "m": 2, "N": 3, "mode": "naive"}}),
+    "metrics": ("approx", {"system": {"name": "drift", "M": 200}, "approx": {"mode": "metrics"}}),
+    "pipeline": ("approx", {"approx": {"mode": "pipeline", "M": 200}}),
+}
+FOREIGN_KEYS = {"drift": "t m N mode", "rotation": "m N mode", "bernoulli": "M t",
+                "metrics": "M deltas mismatch_epsilon",
+                "pipeline": "closed_intervals thickening_epsilon mismatch_epsilons degree"}
+FOREIGN_VALUES = {"t": 0.5, "m": 2, "N": 3, "mode": "naive", "M": 200, "deltas": [0.01],
+                  "mismatch_epsilon": 0.05, "closed_intervals": [[0.1, 0.2]], "thickening_epsilon": 0.01,
+                  "mismatch_epsilons": [0.01], "degree": 2}
+
+
+@pytest.mark.parametrize("kind,key", [(kind, key) for kind, keys in FOREIGN_KEYS.items()
+                                      for key in keys.split()])
+def test_a_key_of_another_system_kind_or_approx_mode_is_config_error(tmp_path, capsys, kind, key):
+    # the config runs without the key; with it, it exits 2 naming the key and the kind, making no --out
+    command, config = copy.deepcopy(VARIANT_CONFIGS[kind])
+    assert main([command, "--config", write_config(tmp_path, config), "--out", str(tmp_path / "ok")]) == 0
+    section = "approx" if command == "approx" else "system"
+    config[section][key] = FOREIGN_VALUES[key]
+    assert main([command, "--config", write_config(tmp_path, config), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"config error: unknown key {key!r} in {section} {kind}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_check_fixture_entries_are_integers(tmp_path):
     # integral floats pass as ints; a negative entry reaches the bijection check
     ok = write_config(tmp_path, {"fixtures": {"permutation_image": [1.0, 2, 0]}}, "ok.json")
