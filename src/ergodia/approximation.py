@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import FinitePermutation, _cycle_minima
+from .dynamics import FinitePermutation, _cycle_minima, _spans
 
 __all__ = [
     "weak_star_error",
@@ -72,7 +72,8 @@ def map_mismatch_fraction(x: np.ndarray, T: FinitePermutation, targets: np.ndarr
         raise ValueError(f"epsilon must be positive, got {eps!r}")
     if np.shape(targets) != x.shape:
         raise ValueError(f"need one target per grid point, got shape {np.shape(targets)}")
-    bad = np.count_nonzero(_distance(x[T.image], targets, circle) > eps)
+    bad = sum(np.count_nonzero(_distance(x[T.image[lo:hi]], targets[lo:hi], circle) > eps)
+              for lo, hi in _spans(x.size))
     return bad / x.size
 
 
@@ -131,19 +132,27 @@ def arc_matcher(M: int, targets: np.ndarray, delta: float, *, circle: bool) -> n
     clamps composed by doubling (Hillis and Steele's scan, log2 n rounds).  A source takes a point
     where w rises.
     """
-    lo, hi = _target_ranges(M, targets, delta, circle)
-    match = np.full(lo.size, -1, dtype=np.int64)
-    src = np.flatnonzero(hi >= lo)
-    if src.size == 0:
-        return match
-    # _target_ranges gives hi - lo < M (a whole circle is [0, M - 1]); an arc through 0 starts at lo mod M
-    a, span = lo[src] % M, hi[src] - lo[src]
-    cut = 1 + int(np.argmin(np.cumsum(np.bincount(a, minlength=M)) - np.arange(1, M + 1)))
-    a = (a - cut) % M
-    order = np.lexsort((a, a + span))
-    src, a, b = src[order], a[order], span[order]
-    k = np.arange(src.size)
-    a -= k
+    if M >= 1 << 31:  # the sort key below is under 2M^2
+        raise ValueError(f"arc_matcher takes M < 2^31 grid points, got {M}")
+    n, dt = len(targets), np.int32 if M < 1 << 29 else np.int64  # values to 3M; indices stay intp
+    a, span = np.empty(n, dt), np.empty(n, dt)
+    for lo, hi in _spans(n):
+        # hi - lo < M (a whole circle is [0, M - 1]); an arc through 0 starts at lo mod M; an empty arc
+        # gets span -1, as a far stray's hi - lo on the interval (lo clamped only from below) overflows
+        first, last = _target_ranges(M, targets[lo:hi], delta, circle)
+        a[lo:hi], span[lo:hi] = first % M, np.maximum(last - first, -1)
+    src = None if span.min(initial=0) >= 0 else np.flatnonzero(span >= 0)  # None: every source has an arc
+    if src is not None:
+        a, span = a[src], span[src]
+    cut = 1 + int(np.argmin(np.cumsum(np.bincount(a, minlength=M) - 1)))
+    a -= cut  # (a - cut) mod M: a - cut lies in [-M, M), so one conditional add
+    np.add(a, M, out=a, where=a < 0)
+    # one stable sort of the key (a + span) * M + a orders the sources as lexsort((a, a + span))
+    order = np.argsort((span.astype(np.int64) + a) * M + a, kind="stable")
+    src, a, b = order if src is None else src[order], a[order], span[order]
+    del span, order
+    for lo, hi in _spans(a.size):
+        a[lo:hi] -= np.arange(lo, hi, dtype=dt)
     b += a
     g = np.maximum.accumulate(a)
     if (g > b).any():
@@ -152,9 +161,14 @@ def arc_matcher(M: int, targets: np.ndarray, delta: float, *, circle: bool) -> n
         while s < src.size:
             a[s:], b[s:] = np.clip(a[:-s], a[s:], b[s:]), np.clip(b[:-s], a[s:], b[s:])
             s *= 2
-    g += k
-    took = np.append(True, g[1:] > g[:-1]) & (g < g[0] + M)  # w rises; the first source takes a_0
-    match[src] = np.where(took, (g + cut) % M, -1)
+    del a, b
+    for lo, hi in _spans(g.size):
+        g[lo:hi] += np.arange(lo, hi, dtype=dt)
+    took = np.append(True, g[1:] > g[:-1]) & (g < g[:1] + M)  # w rises; the first source takes a_0
+    g += (g[:1] + cut) % M - g[:1]  # a taker's g - g[0] is in [0, M): its point is this, less M if >= M
+    np.subtract(g, M, out=g, where=g >= M)
+    match = np.full(n, -1, dtype=np.int64)
+    match[src] = np.where(took, g, -1)
     return match
 
 
@@ -202,13 +216,12 @@ def make_transitive(T: FinitePermutation) -> tuple[FinitePermutation, list[int]]
     or more cycles, and 0 when T is one cycle (then C is T).  No orbit index of T is built: the heads
     in canonical order come from _cycle_minima, and the last points are those whose image is a head.
     """
-    image, M = T.image, T.size
+    image = T.image
     lab, heads, _ = _cycle_minima(image)
     if heads.size == 1:
         return T, []
-    succ = np.empty(M, dtype=np.int64)  # succ[h]: the head after h
-    succ[heads] = np.roll(heads, -1)
     lasts = np.flatnonzero(lab[image] == image)  # T^-1 of the heads
+    lab[heads] = np.roll(heads, -1)  # lab is spent; its slot at a head h now holds the head after h
     merged = image.copy()
-    merged[lasts] = succ[image[lasts]]
+    merged[lasts] = lab[image[lasts]]
     return FinitePermutation(merged), lasts.tolist()

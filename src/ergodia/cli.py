@@ -382,8 +382,7 @@ def _approx_pipeline(spec: dict) -> dict:
     M = _int_param(spec["M"], "M", 1)
     deltas = [_epsilon(delta, "delta") for delta in _list(spec.get("deltas", [2.0 / M]), "deltas")]
     target = spec.get("target", {"name": "rotation", "t": 0.618033988749895})
-    x = np.arange(M) / M
-    targets = _target_images(target, x)
+    targets = _target_images(target, np.arange(M) / M)  # the grid x = y/M is built again only to measure
     curve = []
     for delta in deltas:
         T_delta, mismatches = synthesize_permutation(M, targets, delta)
@@ -394,7 +393,7 @@ def _approx_pipeline(spec: dict) -> dict:
             "matcher_mismatch_count": mismatches,
             "cycle_count_before_merge": max(1, len(B)),
             "transitivity_mismatch": len(B),
-            "map_mismatch_fraction": map_mismatch_fraction(x, C, targets, eps, circle=True),
+            "map_mismatch_fraction": map_mismatch_fraction(np.arange(M) / M, C, targets, eps, circle=True),
             "mismatch_epsilon": eps,
         })
     return {"M": M, "target": target, "pipeline": curve}
@@ -418,10 +417,11 @@ def _target_images(spec: dict, x):
 
 
 def cmd_check(config: dict, args) -> int:
-    image = _section(config.get("fixtures", {}), "fixtures").get("permutation_image")
-    # entries must be integers; a negative one is left to the bijection check
-    fixture = None if image is None else np.array([_int_param(v, "permutation_image entry", -np.inf)
-                                                   for v in _list(image, "permutation_image")], np.int64)
+    fixtures = _section(config.get("fixtures", {}), "fixtures")
+    # entries must be integers, and null is no list; a negative entry is left to the bijection check
+    fixture = (np.array([_int_param(v, "permutation_image entry", -np.inf)
+                         for v in _list(fixtures["permutation_image"], "permutation_image")], np.int64)
+               if "permutation_image" in fixtures else None)
     results = checks.run_all(fixture)
     failed = [r for r in results if not r[1]]
     for name, ok, detail in results:

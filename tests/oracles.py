@@ -321,11 +321,12 @@ def target_ranges_loop(M, targets, delta, circle):
 @st.composite
 def synthesis_families(draw, circle=st.booleans()):
     """(M, targets, delta, circle) as synthesize_permutation hands them to arc_matcher: M targets,
-    random, clustered, on the half-grid g/(2M) moved by 0 or +-1e-12, or strays in [-1.5, 2.5);
-    delta under half a grid step (empty and one-point arcs), a few steps, or with 2 delta M near M
-    (whole-circle arcs among arcs that miss a point or two)."""
+    random, clustered, on the half-grid g/(2M) moved by 0 or +-1e-12, strays in [-1.5, 2.5), or far
+    strays with |target| * M up to 2^40 (on the interval, hi - lo far below -2^31); delta under half a
+    grid step (empty and one-point arcs), a few steps, or with 2 delta M near M (whole-circle arcs
+    among arcs that miss a point or two)."""
     M = draw(st.integers(1, 40))
-    kind = draw(st.sampled_from(["random", "clustered", "half-grid", "stray"]))
+    kind = draw(st.sampled_from(["random", "clustered", "half-grid", "stray", "far-stray"]))
     width = draw(st.sampled_from(["under-half-step", "few-steps", "near-whole"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "random":
@@ -334,12 +335,45 @@ def synthesis_families(draw, circle=st.booleans()):
         targets = rng.random(3)[rng.integers(0, 3, M)] + rng.normal(0.0, 1.0 / M, M)
     elif kind == "half-grid":
         targets = rng.integers(0, 2 * M, M) / (2 * M) + rng.choice([-1e-12, 0.0, 1e-12], M)
-    else:
+    elif kind == "stray":
         targets = 4.0 * rng.random(M) - 1.5
+    else:
+        targets = rng.choice([-1.0, 1.0], M) * rng.random(M) * 2.0 ** rng.integers(0, 41, M) / M
     u = 1.0 - rng.random()  # in (0, 1]
     delta = {"under-half-step": u / (2 * M) * (1 - 1e-9), "few-steps": 4 * u / M,
              "near-whole": (M - 2 + 4 * u) / (2 * M)}[width]
     return M, targets, delta, draw(circle)
+
+
+def arc_matcher_lexsort(M: int, targets: np.ndarray, delta: float, *, circle: bool) -> np.ndarray:
+    """arc_matcher as the library had it before its arcs went to int32: the same cut and greedy (see
+    arc_matcher's docstring) on int64 arrays of every source at once, ordered by lexsort((a, a + span)),
+    with an M-sized arange for the cut and numpy's % for each reduction mod M."""
+    lo, hi = _target_ranges(M, targets, delta, circle)
+    match = np.full(lo.size, -1, dtype=np.int64)
+    src = np.flatnonzero(hi >= lo)
+    if src.size == 0:
+        return match
+    # _target_ranges gives hi - lo < M (a whole circle is [0, M - 1]); an arc through 0 starts at lo mod M
+    a, span = lo[src] % M, hi[src] - lo[src]
+    cut = 1 + int(np.argmin(np.cumsum(np.bincount(a, minlength=M)) - np.arange(1, M + 1)))
+    a = (a - cut) % M
+    order = np.lexsort((a, a + span))
+    src, a, b = src[order], a[order], span[order]
+    k = np.arange(src.size)
+    a -= k
+    b += a
+    g = np.maximum.accumulate(a)
+    if (g > b).any():
+        # compose the clamps: after the round of step s, [a_i, b_i] clamps z over sources i - 2s + 1 .. i
+        g, s = a, 1
+        while s < src.size:
+            a[s:], b[s:] = np.clip(a[:-s], a[s:], b[s:]), np.clip(b[:-s], a[s:], b[s:])
+            s *= 2
+    g += k
+    took = np.append(True, g[1:] > g[:-1]) & (g < g[0] + M)  # w rises; the first source takes a_0
+    match[src] = np.where(took, (g + cut) % M, -1)
+    return match
 
 
 def arc_matcher_by_runs(M: int, targets: np.ndarray, delta: float, *, circle: bool) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Distances, quality metrics, matching synthesis, cycle surgery."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import find, given, settings, strategies as st
@@ -16,9 +18,9 @@ from ergodia.approximation import (
 )
 from ergodia.dynamics import FinitePermutation
 from ergodia.rng import SplitMix64
-from oracles import (arc_matcher_by_runs, augmenting_path_matcher, hall_deficiency_oracle,
-                     make_transitive_walk, permutation_from_cycles, permutation_images, split_into_n_cycles,
-                     synthesis_families, target_ranges_loop, walk_index)
+from oracles import (arc_matcher_by_runs, arc_matcher_lexsort, augmenting_path_matcher,
+                     hall_deficiency_oracle, make_transitive_walk, permutation_from_cycles, permutation_images,
+                     split_into_n_cycles, synthesis_families, target_ranges_loop, walk_index)
 
 
 # -- distances -------------------------------------------------------------
@@ -226,6 +228,44 @@ def test_arc_matcher_equals_the_per_source_redo_on_doubling_at_1e5(steps):
     assert np.array_equal(synthesize_permutation(M, targets, steps / M)[0].image, match)
 
 
+@given(synthesis_families())
+@settings(max_examples=1000, deadline=None)
+def test_arc_matcher_equals_the_lexsort_oracle(family):
+    # int32 arcs a chunk at a time, one int64 sort key and the reductions mod M by one conditional
+    # add or subtract: the same match, bit for bit, as the int64 lexsort matcher
+    M, targets, delta, circle = family
+    assert np.array_equal(arc_matcher(M, targets, delta, circle=circle),
+                          arc_matcher_lexsort(M, targets, delta, circle=circle))
+
+
+@pytest.mark.parametrize("circle", [False, True])
+def test_far_stray_target_is_matched_as_the_oracle_matches_it(circle):
+    # on the interval, lo is clamped only from below, so hi - lo is about -2^32 here: narrowed to
+    # int32 unclamped it would wrap to a non-empty arc and take grid point 5 or 999
+    M = 1000
+    targets = np.arange(M) / M
+    targets[7] = (2**32 - 5) / M
+    match = arc_matcher(M, targets, 1e-3, circle=circle)
+    assert np.array_equal(match, arc_matcher_lexsort(M, targets, 1e-3, circle=circle))
+    assert (match[7] == -1) if not circle else (match[7] >= 0)
+
+
+def test_arc_matcher_traced_peak_at_1e6():
+    # tracemalloc counts every numpy buffer, so the peak is the same on each run: int32 arcs, one
+    # int64 key, the sort order and the int64 match.  The int64 lexsort matcher took 92.5 MiB.
+    M = 10**6
+    targets = (np.arange(M) / M + 0.381966011250105) % 1.0
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        match = arc_matcher(M, targets, 1e-3, circle=True)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48e6, peak / 1e6
+    assert np.array_equal(match, arc_matcher_lexsort(M, targets, 1e-3, circle=True))
+
+
 def arc_kinds(family):
     """Which kinds of arc a family holds."""
     M, targets, delta, circle = family
@@ -236,11 +276,13 @@ def arc_kinds(family):
             "whole-circle-among-others": M > 1 and (n == M).any() and ((0 < n) & (n < M)).any(),
             "through-0": ((lo < 0) | (hi >= M)).any(),
             "target-off-the-unit-interval": ((targets < 0) | (targets >= 1)).any(),
+            "span-below-int32": (hi - lo < -2**31).any(),
             "free-source-with-two-or-more-points": (free & (n >= 2)).any()}
 
 
 @pytest.mark.parametrize("kind", ["empty", "whole-circle-among-others", "through-0",
-                                  "target-off-the-unit-interval", "free-source-with-two-or-more-points"])
+                                  "target-off-the-unit-interval", "span-below-int32",
+                                  "free-source-with-two-or-more-points"])
 def test_synthesis_families_reach_every_kind_of_arc(kind):
     find(synthesis_families(), lambda family: arc_kinds(family)[kind],
          settings=settings(max_examples=2000, database=None))

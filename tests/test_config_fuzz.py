@@ -80,9 +80,10 @@ def label(path) -> str:
 @st.composite
 def cases(draw):
     """(command, config, words, rule): the case, the words naming what changed, and what an exit must
-    show.  rule "refuse" (a foreign key, or a value of the wrong JSON type other than null): exit 2,
-    naming words; "name" (null where another type belongs, which stride and permutation_image read as
-    absent): words named if it exits 2; "" (a value of the right type): only what every case shows."""
+    show.  rule "refuse" (a foreign key, a value of the wrong JSON type other than null, or null for
+    permutation_image): exit 2, naming words; "name" (null where another type belongs, which stride
+    reads as absent): words named if it exits 2; "" (a value of the right type): only what every case
+    shows."""
     command, config = copy.deepcopy(draw(st.sampled_from(BASES)))
     additions = [(section, key) for section in ("system", "approx") if section in config
                  for key in FOREIGN[config[section].get("name", config[section].get("mode"))]]
@@ -97,7 +98,8 @@ def cases(draw):
         node = node[key]
     wrong_type = json_type(node[path[-1]]) != json_type(value)
     node[path[-1]] = value
-    return command, config, label(path), "" if not wrong_type else "name" if value is None else "refuse"
+    lenient = value is None and path[-1] != "permutation_image"
+    return command, config, label(path), "" if not wrong_type else "name" if lenient else "refuse"
 
 
 def run_forked(command: str, config, tmp: Path) -> tuple[int, str]:
