@@ -151,11 +151,13 @@ def _resolve_start_points(spec: dict, M: int, seed: int) -> list[int]:
     return pts
 
 
-def _check_sums(F, n) -> None:
+def _check_sums(F, T, n) -> None:
     """Refuse F if max|F| * max(n, 2) overflows: it bounds every partial sum up to horizon n,
-    band midpoint sum and mean difference (the ends widened: -int8(-128) wraps).  An infinite n is
-    left to the library."""
-    top = max(float(F.values.max()), -float(F.values.min()))
+    band midpoint sum and mean difference (the ends widened: -int8(-128) wraps).  max|F| is read
+    from T.along(F), the memo the kernels read, so F.values is not built.  An infinite n is left
+    to the library."""
+    along = T.along(F)
+    top = max(float(along.max()), -float(along.min()))
     if top and n != np.inf and max(n, 2) > sys.float_info.max / top:
         raise ValueError(f"observable {F.name}: sums over horizon {int(n)} overflow float64")
 
@@ -254,7 +256,7 @@ def cmd_gamma(config: dict, args) -> int:
     # k and stride are converted here and range-checked by the first series, before any file is written
     k = _float_param(gspec.get("k", 1.0), "k")
     stride = None if gspec.get("stride") is None else _int_param(gspec["stride"], "stride", 1)
-    _check_sums(F, np.floor(k * T.size))
+    _check_sums(F, T, np.floor(k * T.size))
 
     out = Path(args.out)
     # each start point's files are written, and its series dropped, before the next series is
@@ -303,7 +305,7 @@ def cmd_stab(config: dict, args) -> int:
     # every exceedance epsilon is checked before the scan, with or without pairs
     epsilons = _list(spec.get("exceedance_epsilons", [eps]), "exceedance_epsilons")
     checked = [_epsilon(e, "exceedance epsilon") for e in epsilons]
-    _check_sums(F, max([scan_limit] + [K for K, _ in pairs]))
+    _check_sums(F, T, max([scan_limit] + [K for K, _ in pairs]))
     # one scan over every start point; the report lists the first `limit` of them, each capped
     # where its band held to scan_limit
     K_star, witness = stabilization_segment(F, T, starts, n_min, eps, scan_limit)
@@ -396,6 +398,7 @@ def _approx_pipeline(spec: dict) -> dict:
             "map_mismatch_fraction": map_mismatch_fraction(np.arange(M) / M, C, targets, eps, circle=True),
             "mismatch_epsilon": eps,
         })
+        del T_delta, C, B  # not held through the next delta's synthesis
     return {"M": M, "target": target, "pipeline": curve}
 
 

@@ -62,8 +62,8 @@ class OrbitIndex:
     The kernels read the order a chunk at a time, order_chunk(lo, hi) ==
     order[lo:hi], and find points with slots; order, the whole array, is a
     read-only memo built on first read (by image only).  This class is the
-    identity order (the drift's and the identity's): its chunks are aranges,
-    slots(points) is points and gather(values) is values.  PermutedOrder reads any other
+    identity order (the drift's and the identity's): its chunks are aranges
+    and slots(points) is points.  PermutedOrder reads any other
     order; StoredOrder holds it as an array, and systems.py generates the
     rotation, de Bruijn and naive Bernoulli orders from a few parameters.
     No inverse of order is kept: see slots.
@@ -110,10 +110,6 @@ class OrbitIndex:
         c = self.cycle_at(slots)
         return self.starts[c], self.lengths[c], slots - self.starts[c]
 
-    def gather(self, values: np.ndarray) -> np.ndarray:
-        """values[order]: values itself for the identity order."""
-        return values
-
     def cycle_at(self, slots):
         """The cycle holding each slot: the last cycle starting at or before it."""
         return np.searchsorted(self.starts, slots, side="right") - 1
@@ -147,13 +143,6 @@ class PermutedOrder(OrbitIndex):
         found, at = np.concatenate(found), np.concatenate(at)
         by_point = np.argsort(at)
         return found[by_point[np.searchsorted(at, points, sorter=by_point)]]
-
-    def gather(self, values: np.ndarray) -> np.ndarray:
-        """values[order], a chunk at a time, in values' dtype."""
-        out = np.empty(self.size, dtype=values.dtype)
-        for lo, hi in _spans(self.size):
-            np.take(values, self.order_chunk(lo, hi), out=out[lo:hi])
-        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,13 +294,15 @@ class FinitePermutation:
         return self._image
 
     def along(self, F: Observable) -> np.ndarray:
-        """F.values[order], read-only, and F.values itself if order is the identity; memoized for the last F.
+        """F's values in orbit order, read-only, memoized for the last F: F.values itself if order is the
+        identity, else F.values_at of each order chunk, so no point-order array of F is built for it.
 
-        In F.values' dtype, int8 or int32 where that holds F exactly; readers widen each chunk to float64."""
+        In values_at's dtype, int8 or int32 where that holds F exactly; readers widen each chunk to
+        float64."""
         memo = self._along
         if memo is None or memo[0] is not F:
-            values = self.orbit_index.gather(F.values)
-            values.setflags(write=False)
+            index = self.orbit_index
+            values = _read(F, self.size, index.order_chunk) if isinstance(index, PermutedOrder) else F.values
             memo = self._along = (F, values)
         return memo[1]
 
@@ -388,25 +379,40 @@ class _Cycles(Sequence):
             yield from self._index.order_chunk(offset, offset + count * p).reshape(count, p)
 
 
-@dataclass(frozen=True, eq=False)
 class Observable:
-    """A real-valued function F on {0, ..., M-1}, M = values.size: Observable(values, name).
+    """A real-valued function F on {0, ..., M-1}, held as the array values: Observable(values, name).
 
-    Stored densely at the narrowest exact width (_narrow): int8, else int32
-    if every value is an integer that fits, else float64.  Readers that
-    negate, take abs or scale widen first, or read an int abs unsigned.
+    F.values_at(points) is F at each point and F.values the whole array in point order, read-only,
+    both at the narrowest exact width (_narrow): int8, else int32 if every value is an integer that
+    fits, else float64.  Readers that negate, take abs or scale widen first, or read an int abs
+    unsigned.  A subclass may give F by a vectorized rule (systems.paper_observable): values_at is
+    then the rule, and values a memo of it that only readers needing point order build.
     """
 
-    values: np.ndarray
-    name: str = "observable"
-
-    def __post_init__(self):
-        values = np.asarray(self.values)
+    def __init__(self, values, name: str = "observable"):
+        values = np.asarray(values)
         if values.ndim != 1 or values.size == 0:
             raise ValueError(f"values must be a non-empty 1-d array, got shape {values.shape}")
-        values = _narrow(values)
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        self.values, self.name = _narrow(values), name
+        self.values.setflags(write=False)
+
+    def values_at(self, points) -> np.ndarray:
+        return np.take(self.values, points)
+
+
+def _read(F: Observable, size: int, order_chunk) -> np.ndarray:
+    """F.values_at(order_chunk(lo, hi)) over the CHUNK_POINTS-slot chunks of 0..size-1, as one
+    read-only array in values_at's dtype."""
+    out = None
+    for lo, hi in _spans(size):
+        # points is held until its values are written: dropped first, it cost the memo of the
+        # naive 2^19 shift about 30% more time (glibc, numpy 2.4)
+        points = order_chunk(lo, hi)
+        chunk = F.values_at(points)
+        out = np.empty(size, dtype=chunk.dtype) if out is None else out
+        out[lo:hi] = chunk
+    out.setflags(write=False)
+    return out
 
 
 # -- operations -----------------------------------------------------------

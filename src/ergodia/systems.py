@@ -14,11 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 import numpy as np
 
-from .dynamics import CHUNK_POINTS, FinitePermutation, Observable, OrbitIndex, PermutedOrder, _narrow
+from .dynamics import CHUNK_POINTS, FinitePermutation, Observable, OrbitIndex, PermutedOrder, _narrow, _read
 
 __all__ = [
     "build_drift_system",
@@ -319,6 +320,23 @@ def _width(*values: float) -> np.dtype:
     return _narrow(np.array(values, dtype=np.float64)).dtype
 
 
+class _ClosedForm(Observable):
+    """F on {0, ..., M-1} by a vectorized rule: values_at(points) is rule(points) cast to dtype, the
+    width _narrow gives the whole array; values, its memo over every point, is built a chunk at a
+    time on first read."""
+
+    def __init__(self, M: int, name: str, dtype, rule):
+        self.size, self.name, self._dtype, self._rule = M, name, dtype, rule
+
+    def values_at(self, points) -> np.ndarray:
+        return self._rule(np.asarray(points)).astype(self._dtype, copy=False)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        points = np.int32 if self.size < 1 << 31 else np.int64  # int32 halves the bytes each rule reads
+        return _read(self, self.size, lambda lo, hi: np.arange(lo, hi, dtype=points))
+
+
 def paper_observable(name: str, M: int, **params) -> Observable:
     """The named closed-form observable on {0, ..., M-1}.
 
@@ -328,25 +346,23 @@ def paper_observable(name: str, M: int, **params) -> Observable:
     (symbolic: 1 iff the symbol at position 0 is 1, needs N), "constant"
     (needs value); a parameter the name does not take is a ValueError.
 
-    The values are written with numpy, in place and at the width Observable
-    stores them in, so the only M-sized array is the values array itself;
-    each value is the same IEEE expression as the closed form evaluated at
-    one point.
+    Each is a vectorized rule over an array of points, in the width Observable
+    would store its whole array in; each value is the same IEEE expression as
+    the closed form evaluated at one point.
     """
     if not isinstance(name, str):
         raise ValueError(f"observable name must be a string, got {name!r}")
     extra = sorted(set(params) - {"ex03": {"K"}, "chi0": {"N", "m"}, "constant": {"value"}}.get(name, set()))
     if extra:
         raise ValueError(f"observable {name!r} takes no parameter {extra[0]!r}")
+    if M < 1:
+        raise ValueError(f"an observable needs M >= 1 points, got {M}")
     if name == "ex01":
-        vals = np.empty(M, dtype=_width(M, -M))
-        vals[0::2] = M
-        vals[1::2] = -M
-        return Observable(vals, name="ex01")
+        w = _width(M, -M)
+        return _ClosedForm(M, name, w, lambda y: (1 - 2 * (y & 1)).astype(w) * w.type(M))
     if name == "delta":
-        vals = np.zeros(M, dtype=_width(M))
-        vals[0] = M
-        return Observable(vals, name="delta")
+        w = _width(M)
+        return _ClosedForm(M, name, w, lambda y: (y == 0) * w.type(M))
     if name == "ex03":
         K = params.get("K")
         if K is None:
@@ -354,24 +370,17 @@ def paper_observable(name: str, M: int, **params) -> Observable:
         k = _int_param(K, "K", 1)
         # R is floor(M/K) rounded down to even; blocks at m >= R are zero,
         # and below R each pair of blocks is K ones then K zeros
-        R = (M // k) // 2 * 2
-        vals = np.zeros(M, dtype=np.int8)
-        vals[: R * k].reshape(-1, 2 * k)[:, :k] = 1
-        return Observable(vals, name=f"ex03(K={k})")
+        R, b = (M // k) // 2 * 2, min(k, M)  # b is k wherever R > 0, and fits int64 for any K
+        return _ClosedForm(M, f"ex03(K={k})", np.int8, lambda y: (y < R * b) & (y // b & 1 == 0))
+    # y = 0 is the one point where linear and tent take an integer value
+    smooth = np.float64 if M > 1 else np.int8
     if name == "linear":
-        vals = np.arange(M, dtype=np.float64)
-        vals /= M
-        return Observable(vals, name="linear")
+        return _ClosedForm(M, name, smooth, lambda y: y / M)
     if name == "tent":
-        vals = np.arange(M, dtype=np.float64)
-        vals /= M
-        split = int(np.searchsorted(vals, 0.9))
-        lo, hi = vals[:split], vals[split:]
-        lo *= 10.0
-        lo /= 9.0
-        np.subtract(1.0, hi, out=hi)
-        hi *= 10.0
-        return Observable(vals, name="tent")
+        def tent(y):
+            x = y / M
+            return np.where(x < 0.9, x * 10.0 / 9.0, (1.0 - x) * 10.0)
+        return _ClosedForm(M, name, smooth, tent)
     if name == "chi0":
         N = params.get("N")
         if N is None:
@@ -381,15 +390,13 @@ def paper_observable(name: str, M: int, **params) -> Observable:
         L = 2 * N + 1
         if L >= int(M).bit_length() or M != m**L:  # m**L >= 2**L > M in the first case
             raise ValueError(f"chi0 expects M = {m}^{L}")
-        # the symbol at position 0 is digit N of the little-endian index:
-        # y = (a*m + d)*m^N + b with d that digit
-        vals = np.zeros(M, dtype=np.int8)
-        vals.reshape(-1, m, m**N)[:, 1, :] = 1
-        return Observable(vals, name="chi0")
+        # the symbol at position 0 is digit N of the little-endian index; for m = 2, bit N
+        digit = (lambda y: (y & 1 << N) != 0) if m == 2 else (lambda y: y // m**N % m == 1)
+        return _ClosedForm(M, name, np.int8, digit)
     if name == "constant":
         c = params.get("value")
         if c is None or not np.isfinite(_float_param(c, "constant value")):
             raise ValueError(f"constant needs a finite value, got {c!r}")
-        return Observable(np.full(M, float(c), dtype=_width(float(c))), name=f"constant({c})")
+        v = float(c)
+        return _ClosedForm(M, f"constant({c})", _width(v), lambda y: np.full(y.shape, v))
     raise ValueError(f"unknown observable {name!r}")
-

@@ -275,6 +275,43 @@ def small_set_mass(F, A):
     return float(np.sum(np.abs(float_values(F)[idx])) / F.values.size)
 
 
+def paper_observable_in_place(name, M, **params):
+    """The paper observable as an array Observable, written in place by numpy slicing at its stored
+    width, as systems.paper_observable built every one before it gave them as vectorized rules."""
+    if name == "ex01":
+        vals = np.empty(M, dtype=width_rule([M, -M]))
+        vals[0::2] = M
+        vals[1::2] = -M
+    elif name == "delta":
+        vals = np.zeros(M, dtype=width_rule([M]))
+        vals[0] = M
+    elif name == "ex03":
+        k = int(params["K"])
+        R = (M // k) // 2 * 2
+        vals = np.zeros(M, dtype=np.int8)
+        vals[: R * k].reshape(-1, 2 * k)[:, :k] = 1
+    elif name in ("linear", "tent"):
+        vals = np.arange(M, dtype=np.float64)
+        vals /= M
+        if name == "tent":
+            split = int(np.searchsorted(vals, 0.9))
+            lo, hi = vals[:split], vals[split:]
+            lo *= 10.0
+            lo /= 9.0
+            np.subtract(1.0, hi, out=hi)
+            hi *= 10.0
+    elif name == "chi0":
+        N, m = params["N"], params.get("m", 2)
+        vals = np.zeros(M, dtype=np.int8)
+        vals.reshape(-1, m, m**N)[:, 1, :] = 1
+    elif name == "constant":
+        c = float(params["value"])
+        vals = np.full(M, c, dtype=width_rule([c]))
+    else:
+        raise ValueError(name)
+    return Observable(vals, name)
+
+
 def tent_function(x):
     """The tent observable at one point of the circle: 10x/9 on [0, 0.9), 10(1-x) on [0.9, 1)."""
     x = x % 1.0

@@ -534,6 +534,34 @@ def test_gamma_of_the_narrowest_minimum_constant_runs(tmp_path, recwarn, value, 
     assert not [w for w in recwarn if "overflow" in str(w.message)]
 
 
+@pytest.mark.parametrize("command", ["gamma", "stab"])
+def test_a_rotation_run_builds_no_point_order_array_of_F(tmp_path, monkeypatch, command):
+    # the kernels and the overflow check read T.along(F), filled from tent's rule one order chunk
+    # at a time: F.values, 8 bytes per point, is never built, so the traced peak stays under two
+    # float64 arrays of M values (a run that also built F.values would hold three)
+    import tracemalloc
+
+    from ergodia import cli
+
+    M, made, build = 10**6, [], cli.paper_observable
+    monkeypatch.setattr(cli, "paper_observable", lambda *a, **k: made.append(build(*a, **k)) or made[-1])
+    payload = {"system": {"name": "rotation", "M": M, "t": "1/sqrt2"}, "observable": {"name": "tent"}}
+    if command == "gamma":
+        payload.update(start_points={"explicit": [0, 271828, M - 1]}, gamma={"k": 2.0})
+    else:
+        payload.update(start_points={"random": 20}, stab={"epsilon": 0.002, "eta": 0.05, "n_min": 50,
+                                                          "scan_limit": 10_000, "pairs": [[20_000, 10_000]]})
+    cfg = write_config(tmp_path, payload)
+    tracemalloc.start()
+    try:
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * M, peak
+    assert len(made) == 1 and "values" not in vars(made[0])
+
+
 def test_integral_floats_pass_as_integers(tmp_path):
     # "M": 2000.0, "explicit": [7.0] and "K": 1000.0 run exactly as 2000, [7] and 1000,
     # and the observable is named from the int

@@ -426,6 +426,7 @@ def test_block_sums_hold_at_most_a_chunk_at_any_stride(stride):
     # block longer than a chunk is left to the float path, which reads it a tile at a time
     T, F = build_drift_system(1_000_000), paper_observable("ex03", 1_000_000, K=1000)
     T.locate([12345])
+    T.along(F)  # the memo is F's one array, not a temporary of the kernel
     tracemalloc.start()
     try:
         pts, _ = gamma_series(F, T, 12345, 4.0, stride)

@@ -204,6 +204,7 @@ def test_heavy_tailed_profiles_are_the_oracle_bitwise():
 def test_profile_holds_one_values_sized_array():
     # |F| is the one M-sized temporary: sorted in place, suffix sums written over it
     F = paper_observable("ex01", 2**20)
+    F.values  # the point-order memo is F's, built on first read, not a temporary of the profile
     for ks in (None, [2.0**j for j in range(22)]):
         tracemalloc.start()
         try:

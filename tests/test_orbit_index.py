@@ -6,7 +6,6 @@ Both must give the index the list walk of tests/oracles.py gives, and every
 kernel must give the same answer on a system and on a relabelled copy of it.
 """
 
-import copy
 import dataclasses
 import json
 import sys
@@ -660,9 +659,10 @@ def test_the_first_narrow_memo_costs_two_bytes_per_point():
 
 def forced_float64(F):
     """F with its values stored as float64, as Observable stored every observable before it narrowed
-    them: a copy of F (the along memo is keyed by identity) with __post_init__ bypassed."""
-    G = copy.copy(F)
-    object.__setattr__(G, "values", F.values.astype(np.float64))
+    them: a new array Observable (the along memo is keyed by identity, and a rule's values_at would
+    still give its narrow width) whose narrowed values are then replaced."""
+    G = Observable(F.values, F.name)
+    G.values = F.values.astype(np.float64)
     G.values.setflags(write=False)
     return G
 

@@ -9,8 +9,8 @@ from fractions import Fraction
 from math import gcd
 from hypothesis import given, settings, strategies as st
 
-from ergodia import systems
-from ergodia.dynamics import FinitePermutation, Observable, ergodic_means_prefix, orbit_average
+from ergodia import dynamics, systems
+from ergodia.dynamics import FinitePermutation, Observable, _narrow, ergodic_means_prefix, orbit_average
 from ergodia.systems import (
     _naive_shift,
     _necklaces,
@@ -31,6 +31,7 @@ from oracles import (
     mean_rounding_bound,
     numerators,
     necklaces_brute,
+    paper_observable_in_place,
     prefer_largest_debruijn,
     rotation_order_two_mod,
     tent_function,
@@ -383,16 +384,21 @@ def test_paper_observable_refuses_parameters_it_does_not_take(name, extra):
     ("ex01", {}, np.int32), ("delta", {}, np.int32),
 ])
 def test_integer_observables_are_built_at_their_width(name, params, dtype):
-    # written in place at the stored width: no float64 array of M values, 8 bytes per point, is
-    # ever built, so ex03 and chi0 take about 1.1 bytes per point at most
+    # the rule builds no array, and its point-order memo is written a chunk at a time at the stored
+    # width: no float64 array of M values, 8 bytes per point, is ever built, only the memo and a
+    # few chunks of temporaries
     M = 2**21
     tracemalloc.start()
     try:
         F = paper_observable(name, M, **params)
+        built = tracemalloc.get_traced_memory()[1]
+        F.values
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert F.values.dtype == dtype and peak <= 1.1 * np.dtype(dtype).itemsize * M, peak
+    assert built < 1 << 16, built
+    assert F.values.dtype == dtype
+    assert peak <= np.dtype(dtype).itemsize * M + 4 * 8 * dynamics.CHUNK_POINTS, peak
 
 
 def point_rule(name, M, **params):
@@ -464,6 +470,73 @@ def test_exact_rules_agree_with_values(name, M, params):
     D = exact_closed_form(name, M, **params)[1]
     assert [exact_value(F, y, D) for y in range(M)] == [Fraction(v).limit_denominator(9 * M)
                                              for v in F.values.tolist()]
+
+
+# -- vectorized rules: values_at and the orbit memo, bitwise the in-place arrays --
+
+
+RULE_CASES = [
+    ("ex01", 7, {}), ("ex01", 1, {}), ("ex01", 1000, {}),  # int8, and int32 from M = 128
+    ("delta", 5, {}), ("delta", 1, {}), ("delta", 1000, {}),
+    ("ex03", 95, {"K": 10}), ("ex03", 15, {"K": 10}), ("ex03", 40, {"K": 41}),
+    ("linear", 1, {}), ("linear", 1000, {}), ("tent", 1, {}), ("tent", 10, {}), ("tent", 33_334, {}),
+    ("chi0", 2**9, {"N": 4}), ("chi0", 2**1, {"N": 0}), ("chi0", 3**5, {"N": 2, "m": 3}),
+    ("constant", 7, {"value": 0.0}), ("constant", 7, {"value": -0.0}), ("constant", 7, {"value": 3}),
+    ("constant", 7, {"value": 2.5}), ("constant", 7, {"value": -(2**31)}),
+]
+
+
+@pytest.mark.parametrize("name,M,params", RULE_CASES)
+def test_values_at_is_bitwise_the_in_place_array(name, M, params):
+    # at every point, in any order and from int64 or int32 points (de Bruijn chunks are int32), in
+    # the width _narrow gives the whole array; values is the same array, read-only
+    F, want = paper_observable(name, M, **params), paper_observable_in_place(name, M, **params).values
+    points = np.random.default_rng(M).permutation(M)
+    for got in (F.values_at(np.arange(M)), F.values_at(points), F.values_at(points.astype(np.int32))):
+        assert got.dtype == want.dtype == _narrow(want.astype(np.float64)).dtype
+    assert F.values_at(points).tobytes() == want[points].tobytes()
+    assert F.values_at(points.astype(np.int32)).tobytes() == want[points].tobytes()
+    assert F.values.tobytes() == want.tobytes() and not F.values.flags.writeable
+
+
+def test_ex03_with_a_block_past_int64_is_zero():
+    # a block longer than M holds every point, and zero blocks reach R; the in-place array could
+    # not reshape a zero-length slice by 2K past intp, and the rule takes no K past int64
+    F = paper_observable("ex03", 40, K=2**70)
+    assert F.values_at(np.arange(40)).tobytes() == paper_observable("ex03", 40, K=41).values.tobytes()
+
+
+# each system with the parameters of chi0 on its words, if it is a Bernoulli shift
+RULE_SYSTEMS = {
+    "drift": (lambda: build_drift_system(300), None),
+    "rotation-coprime": (lambda: build_rotation(1000, 0.3), None),
+    "rotation-33334-gcd2": (lambda: build_rotation(33334, 2.0 / 3.0), None),  # the published pair, 2 cycles
+    "debruijn": (lambda: build_bernoulli(2, 4, "debruijn"), {"N": 4}),
+    "debruijn-m3": (lambda: build_bernoulli(3, 2, "debruijn"), {"N": 2, "m": 3}),
+    "naive": (lambda: build_bernoulli(2, 4, "naive"), {"N": 4}),
+    "naive-m3": (lambda: build_bernoulli(3, 2, "naive"), {"N": 2, "m": 3}),
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+@pytest.mark.parametrize("system", sorted(RULE_SYSTEMS))
+def test_the_orbit_memo_is_filled_from_the_rule(monkeypatch, system, chunk):
+    # order chunks that cross cycle bounds (the naive shifts' short cycles, the two of the published
+    # rotation) and chunk bounds: T.along(F) is the in-place array in orbit order, bitwise, and only
+    # the identity order (the drift's) builds F.values, which is then the memo itself
+    monkeypatch.setattr(dynamics, "CHUNK_POINTS", chunk)
+    build, chi0 = RULE_SYSTEMS[system]
+    T = build()
+    order = T.orbit_index.order
+    assert (len(T.cycles) > 1) == (system.startswith("naive") or system == "rotation-33334-gcd2")
+    observables = [("ex01", {}), ("delta", {}), ("ex03", {"K": 7}), ("linear", {}), ("tent", {}),
+                   ("constant", {"value": -0.0}), ("constant", {"value": 3})]
+    for name, params in observables + ([("chi0", chi0)] if chi0 else []):
+        F, want = paper_observable(name, T.size, **params), paper_observable_in_place(name, T.size, **params)
+        along = T.along(F)
+        assert along.dtype == want.values.dtype and along.tobytes() == want.values[order].tobytes(), name
+        assert not along.flags.writeable and ("values" in vars(F)) == (system == "drift"), name
+        assert (along is F.values) == (system == "drift")
 
 
 def exact_closed_form(name, M, **params):
