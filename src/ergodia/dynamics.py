@@ -43,9 +43,10 @@ SERIES_BUDGET = 1 << 28
 CHUNK_POINTS = 1 << 16
 
 
-def _spans(size: int):
-    """(lo, hi) of the CHUNK_POINTS-slot chunks of 0..size-1."""
-    return ((lo, min(lo + CHUNK_POINTS, size)) for lo in range(0, size, CHUNK_POINTS))
+def _spans(size: int, step: int = 0):
+    """(lo, hi) of the step-slot chunks of 0..size-1, CHUNK_POINTS slots by default."""
+    step = step or CHUNK_POINTS
+    return ((lo, min(lo + step, size)) for lo in range(0, size, step))
 
 
 # eq=False here and below: == is identity, as a field-wise == would take
@@ -298,9 +299,11 @@ class FinitePermutation:
         identity, else F.values_at of each order chunk, so no point-order array of F is built for it.
 
         In values_at's dtype, int8 or int32 where that holds F exactly; readers widen each chunk to
-        float64."""
+        float64.  An F on another number of points than T is a ValueError."""
         memo = self._along
         if memo is None or memo[0] is not F:
+            if F.size != self.size:
+                raise ValueError(f"observable {F.name} is on {F.size} points, T on {self.size}")
             index = self.orbit_index
             values = _read(F, self.size, index.order_chunk) if isinstance(index, PermutedOrder) else F.values
             memo = self._along = (F, values)
@@ -382,7 +385,7 @@ class _Cycles(Sequence):
 class Observable:
     """A real-valued function F on {0, ..., M-1}, held as the array values: Observable(values, name).
 
-    F.values_at(points) is F at each point and F.values the whole array in point order, read-only,
+    F.size is M, F.values_at(points) is F at each point and F.values the whole array in point order, read-only,
     both at the narrowest exact width (_narrow): int8, else int32 if every value is an integer that
     fits, else float64.  Readers that negate, take abs or scale widen first, or read an int abs
     unsigned.  A subclass may give F by a vectorized rule (systems.paper_observable): values_at is
@@ -393,18 +396,18 @@ class Observable:
         values = np.asarray(values)
         if values.ndim != 1 or values.size == 0:
             raise ValueError(f"values must be a non-empty 1-d array, got shape {values.shape}")
-        self.values, self.name = _narrow(values), name
+        self.values, self.name, self.size = _narrow(values), name, values.size
         self.values.setflags(write=False)
 
     def values_at(self, points) -> np.ndarray:
         return np.take(self.values, points)
 
 
-def _read(F: Observable, size: int, order_chunk) -> np.ndarray:
-    """F.values_at(order_chunk(lo, hi)) over the CHUNK_POINTS-slot chunks of 0..size-1, as one
+def _read(F: Observable, size: int, order_chunk, step: int = 0) -> np.ndarray:
+    """F.values_at(order_chunk(lo, hi)) over the step-slot chunks of 0..size-1 (_spans), as one
     read-only array in values_at's dtype."""
     out = None
-    for lo, hi in _spans(size):
+    for lo, hi in _spans(size, step):
         # points is held until its values are written: dropped first, it cost the memo of the
         # naive 2^19 shift about 30% more time (glibc, numpy 2.4)
         points = order_chunk(lo, hi)

@@ -322,8 +322,9 @@ def _width(*values: float) -> np.dtype:
 
 class _ClosedForm(Observable):
     """F on {0, ..., M-1} by a vectorized rule: values_at(points) is rule(points) cast to dtype, the
-    width _narrow gives the whole array; values, its memo over every point, is built a chunk at a
-    time on first read."""
+    width _narrow gives the whole array; values, its memo over every point, is built on first read
+    an eighth of a chunk at a time, so the rule's temporaries (up to 14 bytes per point) stay
+    within a tenth of an int8 memo from M = 2^21."""
 
     def __init__(self, M: int, name: str, dtype, rule):
         self.size, self.name, self._dtype, self._rule = M, name, dtype, rule
@@ -334,7 +335,7 @@ class _ClosedForm(Observable):
     @cached_property
     def values(self) -> np.ndarray:
         points = np.int32 if self.size < 1 << 31 else np.int64  # int32 halves the bytes each rule reads
-        return _read(self, self.size, lambda lo, hi: np.arange(lo, hi, dtype=points))
+        return _read(self, self.size, lambda lo, hi: np.arange(lo, hi, dtype=points), CHUNK_POINTS // 8)
 
 
 def paper_observable(name: str, M: int, **params) -> Observable:
@@ -397,6 +398,6 @@ def paper_observable(name: str, M: int, **params) -> Observable:
         c = params.get("value")
         if c is None or not np.isfinite(_float_param(c, "constant value")):
             raise ValueError(f"constant needs a finite value, got {c!r}")
-        v = float(c)
-        return _ClosedForm(M, f"constant({c})", _width(v), lambda y: np.full(y.shape, v))
+        v, w = float(c), _width(float(c))
+        return _ClosedForm(M, f"constant({c})", w, lambda y: np.full(y.shape, v, dtype=w))
     raise ValueError(f"unknown observable {name!r}")
