@@ -34,11 +34,19 @@ __all__ = [
 # -- quality metrics on the grid points x = y/M ----------------------------
 
 
+def _mod1(v):
+    """v % 1.0, bitwise, for float64 v, reusing its array.  On [+0, 2) (bits, as int64, in [0, 1 << 62):
+    no -0.0, NaN or inf) fmod is exact, as is v - 1.0 at v >= 1 (Sterbenz's lemma): no % is taken."""
+    if np.ndim(v) and 0 <= v.view(np.int64).min(initial=0) and v.view(np.int64).max(initial=0) < 1 << 62:
+        return np.subtract(v, 1.0, out=v, where=v >= 1.0)
+    return v % 1.0
+
+
 def _distance(a, b, circle: bool) -> np.ndarray:
-    """|a - b| elementwise on the unit interval, or on the circle when circle is set."""
+    """|a - b| elementwise on the unit interval, or on the circle when circle is set (mod 1 by _mod1)."""
     d = np.abs(np.subtract(a, b, dtype=np.float64))
     if circle:
-        d = d % 1.0
+        d = _mod1(d)
         return np.minimum(d, 1.0 - d)
     return d
 
@@ -58,7 +66,7 @@ def thickening_measure_error(x: np.ndarray, interval: tuple[float, float], eps: 
     if not eps > 0:
         raise ValueError(f"epsilon must be positive, got {eps!r}")
     a, b = interval
-    x = np.asarray(x) % 1.0 if circle else np.asarray(x)
+    x = _mod1(np.array(x, dtype=np.float64)) if circle else np.asarray(x)
     inside = (x >= a) | (x <= b) if a > b else (a <= x) & (x <= b)
     near = np.minimum(_distance(x, a, circle), _distance(x, b, circle))
     hits = np.count_nonzero(inside | (near < eps))
@@ -137,10 +145,13 @@ def arc_matcher(M: int, targets: np.ndarray, delta: float, *, circle: bool) -> n
     n, dt = len(targets), np.int32 if M < 1 << 29 else np.int64  # values to 3M; indices stay intp
     a, span = np.empty(n, dt), np.empty(n, dt)
     for lo, hi in _spans(n):
-        # hi - lo < M (a whole circle is [0, M - 1]); an arc through 0 starts at lo mod M; an empty arc
-        # gets span -1, as a far stray's hi - lo on the interval (lo clamped only from below) overflows
+        # hi - lo < M (a whole circle is [0, M - 1]); an empty arc gets span -1, as a far stray's hi - lo
+        # on the interval overflows; on the circle a far stray's lo is taken mod M, any other in [-M, 0) + M
         first, last = _target_ranges(M, targets[lo:hi], delta, circle)
-        a[lo:hi], span[lo:hi] = first % M, np.maximum(last - first, -1)
+        far = circle and not -M <= first.min() <= first.max() < M
+        a[lo:hi], span[lo:hi] = first % M if far else first, np.maximum(last - first, -1)
+    if circle:  # an arc through 0; on the interval every arc not dropped below starts in [0, M)
+        np.add(a, M, out=a, where=a < 0)
     src = None if span.min(initial=0) >= 0 else np.flatnonzero(span >= 0)  # None: every source has an arc
     if src is not None:
         a, span = a[src], span[src]

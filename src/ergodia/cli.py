@@ -19,6 +19,7 @@ import numpy as np
 
 from . import checks
 from .approximation import (
+    _mod1,
     make_transitive,
     map_mismatch_fraction,
     synthesize_permutation,
@@ -403,7 +404,7 @@ def _approx_pipeline(spec: dict) -> dict:
 
 
 def _target_images(spec: dict, x):
-    """The images of the points x of [0, 1) under the target map spec names; only a rotation takes a t."""
+    """The points x of [0, 1) under the target map spec names, mod 1 by _mod1; only a rotation takes a t."""
     name = _section(spec, "approx.target").get("name")
     if name in ("identity", "doubling") and "t" in spec:
         raise ValueError(f"target map {name!r} takes no t")
@@ -413,9 +414,9 @@ def _target_images(spec: dict, x):
         t = _float_param(spec["t"], "t")
         if not np.isfinite(t):
             raise ValueError(f"rotation t must be finite, got {t!r}")
-        return (x + t) % 1.0
+        return _mod1(x + t)
     if name == "doubling":
-        return (2.0 * x) % 1.0
+        return _mod1(2.0 * x)
     raise ValueError(f"unknown target map name {name!r}")
 
 

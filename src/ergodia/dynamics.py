@@ -184,6 +184,7 @@ def _cycle_minima(image: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     while not np.array_equal(np.take(lab, P, out=ahead, mode="clip"), lab):
         np.minimum(lab, ahead, out=lab)
         P, doubled = np.take(P, P, out=doubled, mode="clip"), P
+    del P, ahead, doubled  # 12 bytes a point, not held through bincount's intp copy of lab
     lengths = np.bincount(lab)  # nonzero at the heads, the only labels
     heads = np.flatnonzero(lengths)[np.argsort(-lengths[lengths > 0], kind="stable")]  # canonical order
     return lab, heads, lengths[heads]

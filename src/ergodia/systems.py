@@ -49,9 +49,11 @@ class _RotationOrder(PermutedOrder):
     P: int
 
     def order_chunk(self, lo: int, hi: int) -> np.ndarray:
-        # j*P mod M is a multiple of g, at most M - g, and r < g: r + (j*P mod M) < M
-        r, j = np.divmod(np.arange(lo, hi), self.lengths[0])
-        return r + j * self.P % self.size
+        # slot s = r*n + j holds r + (j*P mod M): j*P mod M = s*P mod M, as n*P = M*(P/g), is a multiple of
+        # g, at most M - g, and r < g; the remainder by multiply-subtract (numpy's % by a scalar is slower)
+        v = np.arange(lo * self.P, hi * self.P, self.P)
+        v -= v // self.size * self.size
+        return v + np.arange(lo, hi) // self.lengths[0] if self.lengths.size > 1 else v
 
     def _slots(self, points: np.ndarray) -> np.ndarray:
         """r = y mod g and j = ((y - r)/g) * (P/g)^-1 mod n."""

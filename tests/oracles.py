@@ -629,6 +629,24 @@ def map_mismatch_fraction_loop(embed, size, circle, image, tau, eps):
     return bad / size
 
 
+def remainder_mod1(v):
+    """v % 1.0: numpy's float remainder on every value, the form _mod1 skips where it is exact."""
+    return v % 1.0
+
+
+def circle_distance_mod(a, b):
+    """The circle distance with a float remainder on every |a - b|: d = |a - b| % 1.0, min(d, 1 - d)."""
+    d = np.abs(np.subtract(a, b, dtype=np.float64)) % 1.0
+    return np.minimum(d, 1.0 - d)
+
+
+def target_images_mod(spec, x):
+    """The target images with a float remainder on every point: x, (x + t) % 1.0 or (2x) % 1.0."""
+    if spec["name"] == "identity":
+        return x
+    return (x + float(spec["t"])) % 1.0 if spec["name"] == "rotation" else (2.0 * x) % 1.0
+
+
 # -- symbolic words ------------------------------------------------------------
 
 
@@ -648,6 +666,13 @@ def rotation_order_two_mod(M, P):
     g = gcd(P, M)
     steps = np.arange(M // g, dtype=np.int64) * P % M
     return ((np.arange(g, dtype=np.int64)[:, None] + steps) % M).ravel()
+
+
+def rotation_order_chunk_divmod(M, P, lo, hi):
+    """Slots lo .. hi - 1 of the rotation order by divmod and int64 %: slot r*n + j, n = M / gcd(P, M),
+    holds r + (j*P mod M)."""
+    r, j = np.divmod(np.arange(lo, hi), M // gcd(P, M))
+    return r + j * P % M
 
 
 # -- de Bruijn sequences and necklaces ---------------------------------------

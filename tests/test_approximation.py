@@ -1,6 +1,7 @@
 """Distances, quality metrics, matching synthesis, cycle surgery."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from ergodia.approximation import (
     thickening_measure_error,
     weak_star_error,
 )
+from ergodia import dynamics
 from ergodia.dynamics import FinitePermutation
 from ergodia.rng import SplitMix64
 from oracles import (arc_matcher_by_runs, arc_matcher_lexsort, augmenting_path_matcher,
@@ -228,14 +230,16 @@ def test_arc_matcher_equals_the_per_source_redo_on_doubling_at_1e5(steps):
     assert np.array_equal(synthesize_permutation(M, targets, steps / M)[0].image, match)
 
 
-@given(synthesis_families())
+@given(synthesis_families(), st.sampled_from([1, 7, 64, dynamics.CHUNK_POINTS]))
 @settings(max_examples=1000, deadline=None)
-def test_arc_matcher_equals_the_lexsort_oracle(family):
+def test_arc_matcher_equals_the_lexsort_oracle(family, chunk):
     # int32 arcs a chunk at a time, one int64 sort key and the reductions mod M by one conditional
-    # add or subtract: the same match, bit for bit, as the int64 lexsort matcher
+    # add or subtract (% only in a chunk holding a far stray): the same match, bit for bit, as the
+    # int64 lexsort matcher
     M, targets, delta, circle = family
-    assert np.array_equal(arc_matcher(M, targets, delta, circle=circle),
-                          arc_matcher_lexsort(M, targets, delta, circle=circle))
+    with mock.patch.object(dynamics, "CHUNK_POINTS", chunk):
+        got = arc_matcher(M, targets, delta, circle=circle)
+    assert np.array_equal(got, arc_matcher_lexsort(M, targets, delta, circle=circle))
 
 
 @pytest.mark.parametrize("circle", [False, True])
