@@ -41,6 +41,11 @@ SERIES_BUDGET = 1 << 28
 # values per chunk the kernels handle at once (slots of the orbit order; a tile of carried sums,
 # per horizon; de Bruijn window indices; necklace candidates), so their temporaries stay bounded
 CHUNK_POINTS = 1 << 16
+# rows from which a tile of carried sums is column-major, summed by one np.add per column: 0.29 ns
+# a value at 7,710 rows, 0.63 at 2,048, 3.7 at 256, 7.1 at 128, against about 3 for a row's cumsum at
+# each (2-core x86-64, numpy 2.4); its contiguous columns speed the window passes, so a sup_discrepancy
+# pass breaks even at about 200 rows
+COLUMN_ROWS = 256
 
 
 def _spans(size: int, step: int = 0):
@@ -206,11 +211,12 @@ def _narrow(values: np.ndarray) -> np.ndarray:
     return values.astype(np.int8 if -128 <= lo and hi <= 127 else np.int32, copy=False)
 
 
-def _cyclic_run(cyc: np.ndarray, pos: int, n: int, dtype=None) -> np.ndarray:
+def _cyclic_run(cyc: np.ndarray, pos: int, n: int, dtype=None, order="C") -> np.ndarray:
     """[cyc[..., pos], cyc[..., pos + 1], ...] read cyclically along the last axis, n entries per row,
-    as dtype (default cyc's): one period from pos copied out of cyc, then repeated by doubling
-    copies, so there is no per-step index arithmetic and no temporary beside the result."""
-    out = np.empty(cyc.shape[:-1] + (n,), dtype=cyc.dtype if dtype is None else dtype)
+    as dtype (default cyc's) in the memory order given: one period from pos copied out of cyc, then
+    repeated by doubling copies, so there is no per-step index arithmetic and no temporary beside
+    the result."""
+    out = np.empty(cyc.shape[:-1] + (n,), dtype=cyc.dtype if dtype is None else dtype, order=order)
     filled = min(n, cyc.shape[-1])
     head = cyc[..., pos : pos + filled]
     out[..., : head.shape[-1]] = head
@@ -231,15 +237,18 @@ def _carried_sums(along: np.ndarray, start, p, pos, lo: int, n: int, carry=None)
     column before 0 sums no values; so a row's tiles chain into one sequential cumsum, the same
     floats however its columns are cut.  Rows sharing p and pos and lying end to end are copied out
     by doubling (_cyclic_run); others are gathered, their slots stepping by 1 and back by p where
-    they wrap, so a cumsum gives them with no %.  Only the tile is widened to float64.
+    they wrap, so a cumsum gives them with no %.  Only the tile is widened to float64.  A tile of
+    COLUMN_ROWS rows or more is column-major and summed by one np.add of column j - 1 into column j
+    per column: the additions of a row's cumsum, in its order, so the floats are the same.
     """
     start, p0, pos0 = np.atleast_1d(start), np.ravel(p)[0], np.ravel(pos)[0]
+    order = "F" if start.size >= COLUMN_ROWS else "C"
     if start.size == 1 or (p == p0).all() and (pos == pos0).all() and (start[1:] - start[:-1] == p0).all():
         run = along[start[0] : start[0] + start.size * p0].reshape(start.size, p0)
-        sums = _cyclic_run(run, (pos0 + lo) % p0, n, np.float64)
+        sums = _cyclic_run(run, (pos0 + lo) % p0, n, np.float64, order)
     else:
         p, at = np.broadcast_to(p, start.shape), (pos + lo) % p
-        slots = np.ones((start.size, n), dtype=np.int64)
+        slots = np.ones((start.size, n), dtype=np.int64, order=order)
         slots[:, 0] = start + at
         wraps = (p - at)[:, None] + p[:, None] * np.arange((n - 1) // p.min() + 1)
         i, k = (wraps < n).nonzero()
@@ -250,7 +259,11 @@ def _carried_sums(along: np.ndarray, start, p, pos, lo: int, n: int, carry=None)
     elif carry is not None:
         sums[:, 0] += carry
     tail = sums[:, -lo:] if lo < 0 else sums  # cumsum into a view of sums runs slower than into sums
-    np.cumsum(tail, axis=1, out=tail)
+    if order == "C":
+        np.cumsum(tail, axis=1, out=tail)
+    else:
+        for j in range(1, tail.shape[1]):
+            np.add(tail[:, j - 1], tail[:, j], out=tail[:, j])
     return sums
 
 

@@ -127,7 +127,7 @@ def _fkm_symbols(m: int, n: int) -> np.ndarray:
         raise ValueError("sequence length exceeds the memory budget")
     heads, period = _necklaces(m, n)
     s = np.empty(m**n, dtype=np.min_scalar_type(m - 1))
-    at, place = 0, m ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    at, place = 0, m ** np.arange(n - 1, -1, -1, dtype=np.int32)  # exact: m^n <= 2^26
     step = max(1, CHUNK_POINTS // n)
     for lo in range(0, heads.size, step):
         p = period[lo : lo + step]
@@ -196,14 +196,15 @@ def _rotate(words: np.ndarray, j: int, m: int, L: int) -> np.ndarray:
 
 
 def _necklaces(m: int, L: int) -> tuple[np.ndarray, np.ndarray]:
-    """Heads (ascending) and periods of the necklaces of length-L words over m symbols.
+    """Heads (ascending, int32) and periods of the necklaces of length-L words over m symbols.
 
     A head is the smallest index among a word's rotations: the same set whether indices are read
     little- or big-endian, as a left rotation in one reading is a right rotation in the other.
     L - 1 vectorized passes in int32 (exact under the callers' 2^26 word budget) keep the indices
-    no larger than their j-th rotation, on CHUNK_POINTS candidates at a time, each chunk enumerated
-    from the candidates' ranks as it is tested; a head's period is the smallest divisor d of L
-    whose rotation maps it to itself.  Beside the zero word, the candidates are the words with top
+    no larger than their j-th rotation, j nearest L/2 first as those cull most (any order keeps the
+    same heads in the same order), on CHUNK_POINTS candidates at a time, each chunk enumerated from
+    the candidates' ranks as it is tested; a head's period is the smallest divisor d of L whose
+    rotation maps it to itself.  Beside the zero word, the candidates are the words with top
     digit 0 and bottom digit not 0 (a quarter of all for m = 2), then those with no 0 digit: read
     big-endian, the least rotation of a word holding a 0 but not all 0s starts with its longest
     run of 0s, and cannot end in 0 (moving that 0 to the front gives a smaller rotation).
@@ -219,14 +220,14 @@ def _necklaces(m: int, L: int) -> tuple[np.ndarray, np.ndarray]:
             j += 1
         # rank i of a word with top digit 0 and bottom digit not 0: i // (m - 1) * m + 1 + i % (m - 1)
         heads = np.where(k < 0, i + i // (m - 1) + 1, words)
-        for j in range(1, L):
+        for j in sorted(range(1, L), key=lambda j: abs(2 * j - L)):
             heads = heads[heads <= _rotate(heads, j, m, L)]
         kept.append(heads)
     heads = np.concatenate(kept)
     period = np.full(heads.size, L, dtype=np.int64)
     for d in sorted((d for d in range(1, L) if L % d == 0), reverse=True):
         period[_rotate(heads, d, m, L) == heads] = d
-    return heads.astype(np.int64), period
+    return heads, period
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,14 +241,14 @@ class _NecklaceOrder(PermutedOrder):
     L: int
 
     def order_chunk(self, lo: int, hi: int) -> np.ndarray:
-        # the cycles through slots lo .. hi - 1 as a (cycles, longest p) block, a column at a time:
-        # whole-block rotation temporaries raise peak RSS
+        # the cycles through slots lo .. hi - 1 as a (longest p, cycles) int32 block, a row per
+        # rotation, read out transposed: whole-block rotation temporaries raise peak RSS
         c0, c1 = self.cycle_at([lo, hi - 1])
         heads, p = self.heads[c0 : c1 + 1], self.lengths[c0 : c1 + 1]
-        block = np.empty((heads.size, p[0]), dtype=np.int64)
+        block = np.empty((p[0], heads.size), dtype=np.int32)
         for j in range(p[0]):
-            block[:, j] = _rotate(heads, j, self.m, self.L)
-        run = block.ravel() if p[-1] == p[0] else block[np.arange(p[0]) < p[:, None]]
+            block[j] = _rotate(heads, j, self.m, self.L)
+        run = block.T.ravel() if p[-1] == p[0] else block.T[np.arange(p[0]) < p[:, None]]
         at = lo - self.starts[c0]
         return run[at : at + hi - lo]
 

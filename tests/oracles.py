@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from ergodia.approximation import _target_ranges
-from ergodia.dynamics import FinitePermutation, Observable, OrbitIndex, StoredOrder
+from ergodia.dynamics import FinitePermutation, Observable, OrbitIndex, StoredOrder, _cyclic_run
 from ergodia.stabilization import _discrepancy_tiles, proof_terms, sup_discrepancy
 from ergodia.systems import debruijn_window_permutation
 
@@ -796,6 +796,31 @@ def sup_discrepancy_two_pass(F, T, K, L):
     absK = horizon_means_loop(absF, T, K)
     order = T.orbit_index.order
     return diffs[order], ((1.0 / L - 1.0 / K) * absL * L)[order], (absK - absL * L / K)[order]
+
+
+def carried_sums_rowwise(along, start, p, pos, lo, n, carry=None):
+    """dynamics._carried_sums as a row-major tile at every row count, summed by one np.cumsum
+    along its rows: the same fills (doubling copies, or slots stepping by 1 and back by p), the same
+    carry and the same zeroed columns before 0."""
+    start, p0, pos0 = np.atleast_1d(start), np.ravel(p)[0], np.ravel(pos)[0]
+    if start.size == 1 or (p == p0).all() and (pos == pos0).all() and (start[1:] - start[:-1] == p0).all():
+        run = along[start[0] : start[0] + start.size * p0].reshape(start.size, p0)
+        sums = _cyclic_run(run, (pos0 + lo) % p0, n, np.float64)
+    else:
+        p, at = np.broadcast_to(p, start.shape), (pos + lo) % p
+        slots = np.ones((start.size, n), dtype=np.int64)
+        slots[:, 0] = start + at
+        wraps = (p - at)[:, None] + p[:, None] * np.arange((n - 1) // p.min() + 1)
+        i, k = (wraps < n).nonzero()
+        slots[i, wraps[i, k]] = 1 - p[i]
+        sums = along[slots.cumsum(axis=1, out=slots)].astype(np.float64, copy=False)
+    if lo < 0:
+        sums[:, :-lo] = 0.0
+    elif carry is not None:
+        sums[:, 0] += carry
+    tail = sums[:, -lo:] if lo < 0 else sums
+    np.cumsum(tail, axis=1, out=tail)
+    return sums
 
 
 def prefix_means_gather(F, T, y, n):

@@ -19,8 +19,9 @@ from ergodia.stabilization import (
     sup_discrepancy,
 )
 from ergodia.systems import build_bernoulli, build_drift_system, build_rotation, paper_observable
-from oracles import (band_end_loop, common_segment_loop, discrepancy_arrays, exceedance_fraction,
-                     permutation_from_cycles, proof_arrays, reference_psi, sup_discrepancy_two_pass, trajectory)
+from oracles import (band_end_loop, carried_sums_rowwise, common_segment_loop, discrepancy_arrays,
+                     exceedance_fraction, permutation_from_cycles, proof_arrays, reference_psi,
+                     sup_discrepancy_two_pass, trajectory)
 
 
 def random_system(M, seed, lo=-50, hi=50):
@@ -328,11 +329,7 @@ def bits(*values):
 EPSILONS = (5e-324, 1e-3, 0.05, 0.5)
 
 
-@pytest.mark.parametrize("chunk,name", CASES)
-def test_sup_discrepancy_bitwise_equals_two_pass_oracle(monkeypatch, chunk, name):
-    monkeypatch.setattr(dynamics, "CHUNK_POINTS", chunk)
-    F, T = kernel_system(name)
-    pairs = horizon_pairs(T)[:2] if name == "naive8" else horizon_pairs(T)
+def discrepancies_equal_two_pass(F, T, pairs):
     for K, L in pairs:
         ((sup_disc, frac),) = sup_discrepancy(F, T, [(K, L)], EPSILONS)
         diffs, u, v = sup_discrepancy_two_pass(F, T, K, L)
@@ -347,14 +344,26 @@ def test_sup_discrepancy_bitwise_equals_two_pass_oracle(monkeypatch, chunk, name
             assert bits(frac[eps]) == bits(np.mean(diffs >= eps))
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 256, dynamics.CHUNK_POINTS])
-def test_a_nan_in_f_gives_a_nan_sup_and_the_oracle_exceedances(monkeypatch, chunk):
-    # one NaN on the longest cycle: its points' means are NaN, and a NaN is never >= eps
+@pytest.mark.parametrize("chunk,name", CASES)
+def test_sup_discrepancy_bitwise_equals_two_pass_oracle(monkeypatch, chunk, name):
     monkeypatch.setattr(dynamics, "CHUNK_POINTS", chunk)
+    F, T = kernel_system(name)
+    discrepancies_equal_two_pass(F, T, horizon_pairs(T)[:2] if name == "naive8" else horizon_pairs(T))
+
+
+def nan_cycles():
+    """mixed-zeros with one NaN on the longest cycle: its points' means are NaN."""
     G, T = mixed_cycles(2, zeros=True)
     values = G.values.copy()
     values[T.cycles[0][3]] = np.nan
-    F = Observable(values)
+    return Observable(values), T
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 256, dynamics.CHUNK_POINTS])
+def test_a_nan_in_f_gives_a_nan_sup_and_the_oracle_exceedances(monkeypatch, chunk):
+    # a NaN is never >= eps
+    monkeypatch.setattr(dynamics, "CHUNK_POINTS", chunk)
+    F, T = nan_cycles()
     for K, L in horizon_pairs(T):
         ((sup_disc, frac),) = sup_discrepancy(F, T, [(K, L)], EPSILONS)
         diffs, u, v = sup_discrepancy_two_pass(F, T, K, L)
@@ -372,13 +381,7 @@ def test_a_nan_in_f_gives_a_nan_sup_and_the_oracle_exceedances(monkeypatch, chun
 PAIR_LISTS = [[], [(40, 20)], [(9, 4), (40, 20)], [(40, 20), (40, 20), (20, 7)], [(105, 15)]]
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 64, 256, dynamics.CHUNK_POINTS])
-@pytest.mark.parametrize("name", ["naive2", "naive2-normal", "mixed-zeros", "drift", "rotation"])
-def test_fused_pairs_bitwise_equal_two_pass_oracle(monkeypatch, chunk, name):
-    # small chunks split a length class between chunks, and the four
-    # horizons of two pairs split it at other rows than one horizon would
-    monkeypatch.setattr(dynamics, "CHUNK_POINTS", chunk)
-    F, T = kernel_system(name)
+def fused_pairs_equal_two_pass(F, T):
     for pairs in PAIR_LISTS:
         reports = sup_discrepancy(F, T, pairs, EPSILONS)
         assert len(reports) == len(pairs)  # in pair order: each is held to its own pair's oracle below
@@ -398,6 +401,15 @@ def test_fused_pairs_bitwise_equal_two_pass_oracle(monkeypatch, chunk, name):
             assert reports[0][1] is not reports[1][1] and reports[0][1] == reports[1][1]
             assert fused[0] is not fused[1]
             assert fused[0].tobytes() == fused[1].tobytes()
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, 256, dynamics.CHUNK_POINTS])
+@pytest.mark.parametrize("name", ["naive2", "naive2-normal", "mixed-zeros", "drift", "rotation"])
+def test_fused_pairs_bitwise_equal_two_pass_oracle(monkeypatch, chunk, name):
+    # small chunks split a length class between chunks, and the four
+    # horizons of two pairs split it at other rows than one horizon would
+    monkeypatch.setattr(dynamics, "CHUNK_POINTS", chunk)
+    fused_pairs_equal_two_pass(*kernel_system(name))
 
 
 def test_fused_pairs_take_one_pass_and_check_every_pair_first(monkeypatch):
@@ -529,10 +541,7 @@ def test_band_scan_early_stop_on_built_systems(name):
         band_rows_equal_loop(F, T, points, n_min, eps, scan_limit)
 
 
-@pytest.mark.parametrize("chunk,name", CASES)
-def test_segments_bitwise_equal_point_loop(monkeypatch, chunk, name):
-    monkeypatch.setattr(dynamics, "CHUNK_POINTS", chunk)
-    F, T = kernel_system(name)
+def segments_equal_point_loop(F, T, name):
     M = T.size
     sample = awkward_sample(T, len(name))
     # (n_min, eps, scan_limit): violations at the second step, scans below,
@@ -560,6 +569,80 @@ def test_segments_bitwise_equal_point_loop(monkeypatch, chunk, name):
     if name == "mixed-zeros":
         # the points off the longest cycle keep the sign of their -0.0 means
         assert np.any(np.signbit(witness) & capped)
+
+
+@pytest.mark.parametrize("chunk,name", CASES)
+def test_segments_bitwise_equal_point_loop(monkeypatch, chunk, name):
+    monkeypatch.setattr(dynamics, "CHUNK_POINTS", chunk)
+    segments_equal_point_loop(*kernel_system(name), name)
+
+
+# -- column-major tiles against the row-major oracle ---------------------------
+
+
+@pytest.mark.parametrize("chunk", [7, 64, 256, dynamics.CHUNK_POINTS])
+@pytest.mark.parametrize("name", [*KERNEL_SYSTEMS, "mixed-nan"])
+def test_column_tiles_bitwise_equal_the_rowwise_oracle(monkeypatch, chunk, name):
+    # COLUMN_ROWS = 2 puts every tile of two rows or more on the column path (one-row tiles keep
+    # their cumsum): each tile is held to the row-major cumsum, and every kernel to its oracle
+    monkeypatch.setattr(dynamics, "CHUNK_POINTS", chunk)
+    monkeypatch.setattr(dynamics, "COLUMN_ROWS", 2)
+    carried, rows = dynamics._carried_sums, []
+
+    def checked(along, start, p, pos, lo, n, carry=None):
+        tile = carried(along, start, p, pos, lo, n, carry)
+        assert tile.tobytes() == carried_sums_rowwise(along, start, p, pos, lo, n, carry).tobytes()
+        assert tile.flags.f_contiguous or tile.shape[0] == 1
+        rows.append(tile.shape[0])
+        return tile
+
+    monkeypatch.setattr(stabilization, "_carried_sums", checked)
+    F, T = nan_cycles() if name == "mixed-nan" else kernel_system(name)
+    discrepancies_equal_two_pass(F, T, horizon_pairs(T))
+    fused_pairs_equal_two_pass(F, T)
+    if name == "mixed-nan":  # per point only: np.median of NaN witnesses is NaN, the common segment's is not
+        for n_min, eps, scan_limit in [(1, 1e-12, T.size // 2 + 1), (3, 0.05, T.size), (2, 1e6, T.size + 5)]:
+            band_rows_equal_loop(F, T, awkward_sample(T, 9), n_min, eps, scan_limit)
+    else:
+        segments_equal_point_loop(F, T, name)
+    assert max(rows) >= 2 or chunk == 7  # a 7-slot chunk holds one row of most of these cycles
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.float64])
+def test_column_tiles_of_both_fills_bitwise_equal_the_rowwise_oracle(monkeypatch, dtype):
+    # rows end to end with one p and pos (copied by doubling), and rows of mixed p and pos
+    # (gathered); tiles before column 0, from it, and carried from a tile before
+    monkeypatch.setattr(dynamics, "COLUMN_ROWS", 2)
+    rng = np.random.default_rng(7)
+    along = rng.integers(-5, 6, 60).astype(dtype)
+    if dtype == np.float64:
+        along[::7], along[11] = -0.0, np.nan
+    runs = [(np.arange(0, 60, 5), 5, 3), (np.array([0, 5, 12, 30, 41]), np.array([5, 7, 9, 11, 3]),
+                                           np.array([0, 6, 2, 10, 1]))]
+    for start, p, pos in runs:
+        for lo, n in [(-3, 8), (0, 1), (0, 17), (4, 23)]:
+            for carry in (None, np.full(start.size, -0.0), rng.standard_normal(start.size)):
+                tile = dynamics._carried_sums(along, start, p, pos, lo, n, carry)
+                assert tile.flags.f_contiguous and not tile.flags.c_contiguous or n == 1
+                assert tile.tobytes() == carried_sums_rowwise(along, start, p, pos, lo, n, carry).tobytes()
+
+
+def test_a_naive_tile_takes_the_column_path_and_a_one_row_tile_does_not(monkeypatch):
+    # at the default COLUMN_ROWS: the 2^17 shift's 963-row tiles are column-major and never reach
+    # np.cumsum, and a one-row tile is summed by np.cumsum
+    F, T = naive_system(8)
+    along, carried, tiles, summed = T.along(F), dynamics._carried_sums, [], []
+    cumsum = np.cumsum
+    monkeypatch.setattr(np, "cumsum", lambda a, *args, **kw: summed.append(a.shape) or cumsum(a, *args, **kw))
+    monkeypatch.setattr(stabilization, "_carried_sums", lambda *a: tiles.append(carried(*a)) or tiles[-1])
+    sup_discrepancy(F, T, [(40, 20), (400, 200)])
+    big = [t for t in tiles if t.shape[0] >= dynamics.COLUMN_ROWS]
+    assert {t.shape[0] for t in big} >= {963} and all(t.flags.f_contiguous and not t.flags.c_contiguous
+                                                     for t in big)
+    assert not any(shape[0] >= dynamics.COLUMN_ROWS for shape in summed)
+    summed.clear()
+    tile = dynamics._carried_sums(along, 0, int(T.orbit_index.lengths[0]), 3, 0, 40)
+    assert summed == [(1, 40)] and tile.flags.c_contiguous
 
 
 def test_segment_start_point_out_of_range():
