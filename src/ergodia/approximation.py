@@ -73,16 +73,16 @@ def thickening_measure_error(x: np.ndarray, interval: tuple[float, float], eps: 
     return abs(hits / x.size - (b - a if a <= b else min(b + (1.0 - a), 1.0)))
 
 
-def map_mismatch_fraction(x: np.ndarray, T: FinitePermutation, targets: np.ndarray, eps: float, *,
-                          circle: bool) -> float:
-    """Fraction of y with dist(x[T(y)], targets[y]) > eps, targets[y] the target map's image of x[y]."""
+def map_mismatch_fraction(T: FinitePermutation, targets: np.ndarray, eps: float, *, circle: bool) -> float:
+    """Fraction of y with dist(T(y)/M, targets[y]) > eps, targets[y] the target map's image of y/M;
+    T(y)/M is read from the image a chunk at a time, the same division as the grid x = arange(M)/M."""
     if not eps > 0:
         raise ValueError(f"epsilon must be positive, got {eps!r}")
-    if np.shape(targets) != x.shape:
+    if np.shape(targets) != (T.size,):
         raise ValueError(f"need one target per grid point, got shape {np.shape(targets)}")
-    bad = sum(np.count_nonzero(_distance(x[T.image[lo:hi]], targets[lo:hi], circle) > eps)
-              for lo, hi in _spans(x.size))
-    return bad / x.size
+    bad = sum(np.count_nonzero(_distance(T.image[lo:hi] / T.size, targets[lo:hi], circle) > eps)
+              for lo, hi in _spans(T.size))
+    return bad / T.size
 
 
 # -- permutation synthesis by matching ------------------------------------

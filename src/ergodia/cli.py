@@ -369,7 +369,7 @@ def _approx_metrics(config: dict, spec: dict) -> dict:
     if "target" in spec:
         targets = _target_images(spec["target"], x)
         for key, eps in ({2.0 / T.size: 2.0 / T.size} if mismatch_eps is None else mismatch_eps).items():
-            mismatch[key] = map_mismatch_fraction(x, T, targets, eps, circle=circle)
+            mismatch[key] = map_mismatch_fraction(T, targets, eps, circle=circle)
     lengths = T.orbit_index.lengths
     return {**meta,
             "weak_star_errors": weak_star_error(x, degree),
@@ -385,7 +385,7 @@ def _approx_pipeline(spec: dict) -> dict:
     M = _int_param(spec["M"], "M", 1)
     deltas = [_epsilon(delta, "delta") for delta in _list(spec.get("deltas", [2.0 / M]), "deltas")]
     target = spec.get("target", {"name": "rotation", "t": 0.618033988749895})
-    targets = _target_images(target, np.arange(M) / M)  # the grid x = y/M is built again only to measure
+    targets = _target_images(target, np.arange(M) / M)
     curve = []
     for delta in deltas:
         T_delta, mismatches = synthesize_permutation(M, targets, delta)
@@ -396,7 +396,7 @@ def _approx_pipeline(spec: dict) -> dict:
             "matcher_mismatch_count": mismatches,
             "cycle_count_before_merge": max(1, len(B)),
             "transitivity_mismatch": len(B),
-            "map_mismatch_fraction": map_mismatch_fraction(np.arange(M) / M, C, targets, eps, circle=True),
+            "map_mismatch_fraction": map_mismatch_fraction(C, targets, eps, circle=True),
             "mismatch_epsilon": eps,
         })
         del T_delta, C, B  # not held through the next delta's synthesis

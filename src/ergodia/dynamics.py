@@ -183,12 +183,19 @@ def _cycle_minima(image: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     cycle's minimum) in canonical order, and their cycles' lengths, int64.  Min-label pointer doubling
     (Wyllie's pointer jumping with Shiloach and Vishkin's labels): with P = T^w, lab[y] is the minimum
     of y .. T^(w-1)(y), and lab == lab[P] first holds when w reaches the longest cycle.  int32 where M
-    allows halves the bytes each gather moves; every index is a point, so mode="clip" skips checks."""
+    allows halves the bytes each gather moves; every index is a point, so mode="clip" skips checks.
+    Gathers take P a CHUNK_POINTS slice at a time, so take's intp copy of it is a chunk, not 8 bytes a point."""
     P = image.astype(np.int32 if image.size <= 1 << 31 else np.int64)
     lab, ahead, doubled = np.arange(image.size, dtype=P.dtype), np.empty_like(P), np.empty_like(P)
-    while not np.array_equal(np.take(lab, P, out=ahead, mode="clip"), lab):
+    while True:
+        for lo, hi in _spans(P.size):
+            np.take(lab, P[lo:hi], out=ahead[lo:hi], mode="clip")
+        if np.array_equal(ahead, lab):
+            break
         np.minimum(lab, ahead, out=lab)
-        P, doubled = np.take(P, P, out=doubled, mode="clip"), P
+        for lo, hi in _spans(P.size):
+            np.take(P, P[lo:hi], out=doubled[lo:hi], mode="clip")
+        P, doubled = doubled, P
     del P, ahead, doubled  # 12 bytes a point, not held through bincount's intp copy of lab
     lengths = np.bincount(lab)  # nonzero at the heads, the only labels
     heads = np.flatnonzero(lengths)[np.argsort(-lengths[lengths > 0], kind="stable")]  # canonical order

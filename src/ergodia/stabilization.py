@@ -190,10 +190,11 @@ def common_stabilization_segment(K_star: np.ndarray, witness: np.ndarray, eta: f
     needed = int(np.ceil((1.0 - eta) * K_star.size))
     k_star = int(np.sort(K_star)[::-1][needed - 1])
     included = K_star >= k_star
-    # the median as np.median forms it, the mean of the middle one or two
-    # values, read from a sort: np.median's first call imports numpy.ma
+    # the median as np.median forms it: NaN if a witness is NaN (a sort puts it last), else the mean of
+    # the middle one or two values; read from a sort, as np.median's first call imports numpy.ma
     w = np.sort(witness[included])
-    return k_star, float(np.mean(w[(w.size - 1) // 2 : w.size // 2 + 1])), float(np.mean(~included))
+    w = w[-1:] if np.isnan(w[-1]) else w[(w.size - 1) // 2 : w.size // 2 + 1]
+    return k_star, float(np.mean(w)), float(np.mean(~included))
 
 
 def stratified_start_points(M: int, strata: int, extras: int, seed: int) -> list[int]:

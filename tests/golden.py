@@ -34,7 +34,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 STDOUT = "<stdout>"
-# seconds an entry's process may run; the slowest entry runs in about 0.4 s on a 2-core x86-64 host
+# seconds an entry's process may run; the slowest entry, approx-pipeline-4e6, runs in about 1.6 s on a 2-core x86-64 host
 TIME_LIMIT_S = 60
 
 

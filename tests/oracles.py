@@ -1,9 +1,11 @@
 """Slow reference implementations and closed forms that pin the library's fast paths.
 
-Nothing in the library calls these; tests import them, and the hypothesis
-strategies that draw their inputs, with `from oracles import ...`.
+Nothing in the library calls these; tests import them, the hypothesis
+strategies that draw their inputs and traced_peak, which measures a call's
+memory, with `from oracles import ...`.
 """
 
+import tracemalloc
 from fractions import Fraction
 from itertools import chain
 from math import gcd
@@ -15,6 +17,16 @@ from ergodia.approximation import _target_ranges
 from ergodia.dynamics import FinitePermutation, Observable, OrbitIndex, StoredOrder, _cyclic_run
 from ergodia.stabilization import _discrepancy_tiles, proof_terms, sup_discrepancy
 from ergodia.systems import debruijn_window_permutation
+
+
+def traced_peak(fn, *args, **kwargs):
+    """(fn(*args, **kwargs), the call's traced peak in bytes).  tracemalloc counts every numpy buffer,
+    so the peak is the same on each run, whatever the allocator keeps mapped."""
+    tracemalloc.start()
+    try:
+        return fn(*args, **kwargs), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def permutation_from_cycles(cycles, size):

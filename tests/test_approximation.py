@@ -1,6 +1,5 @@
 """Distances, quality metrics, matching synthesis, cycle surgery."""
 
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -22,7 +21,8 @@ from ergodia.dynamics import FinitePermutation
 from ergodia.rng import SplitMix64
 from oracles import (arc_matcher_by_runs, arc_matcher_lexsort, augmenting_path_matcher,
                      hall_deficiency_oracle, make_transitive_walk, permutation_from_cycles, permutation_images,
-                     split_into_n_cycles, synthesis_families, target_ranges_loop, walk_index)
+                     split_into_n_cycles, synthesis_families, target_ranges_loop, traced_peak,
+                     walk_index)
 
 
 # -- distances -------------------------------------------------------------
@@ -105,17 +105,17 @@ def test_map_mismatch_identity():
     M = 500
     T = FinitePermutation(np.roll(np.arange(M), -1))
     # +1 mod M approximates the identity with defect exactly 1/M
-    assert map_mismatch_fraction(grid(M), T, grid(M), 2.0 / M, circle=True) == 0.0
-    assert map_mismatch_fraction(grid(M), T, grid(M), 0.5 / M, circle=True) == 1.0
+    assert map_mismatch_fraction(T, grid(M), 2.0 / M, circle=True) == 0.0
+    assert map_mismatch_fraction(T, grid(M), 0.5 / M, circle=True) == 1.0
 
 
 def test_map_mismatch_refuses_targets_of_another_shape():
-    # as synthesize_permutation does: a scalar or a column would broadcast against x silently
+    # as synthesize_permutation does: a scalar or a column would broadcast against the image silently
     M = 50
     T = FinitePermutation(np.roll(np.arange(M), -1))
     for targets in (0.5, grid(M)[:-1], grid(M)[:, None], np.zeros(M + 1)):
         with pytest.raises(ValueError, match="one target per grid point"):
-            map_mismatch_fraction(grid(M), T, targets, 2.0 / M, circle=True)
+            map_mismatch_fraction(T, targets, 2.0 / M, circle=True)
 
 
 # -- matching --------------------------------------------------------------
@@ -255,17 +255,11 @@ def test_far_stray_target_is_matched_as_the_oracle_matches_it(circle):
 
 
 def test_arc_matcher_traced_peak_at_1e6():
-    # tracemalloc counts every numpy buffer, so the peak is the same on each run: int32 arcs, one
-    # int64 key, the sort order and the int64 match.  The int64 lexsort matcher took 92.5 MiB.
+    # int32 arcs, one int64 key, the sort order and the int64 match.  The int64 lexsort matcher took
+    # 92.5 MiB.
     M = 10**6
     targets = (np.arange(M) / M + 0.381966011250105) % 1.0
-    tracemalloc.start()
-    try:
-        held = tracemalloc.get_traced_memory()[0]
-        match = arc_matcher(M, targets, 1e-3, circle=True)
-        peak = tracemalloc.get_traced_memory()[1] - held
-    finally:
-        tracemalloc.stop()
+    match, peak = traced_peak(arc_matcher, M, targets, 1e-3, circle=True)
     assert peak <= 48e6, peak / 1e6
     assert np.array_equal(match, arc_matcher_lexsort(M, targets, 1e-3, circle=True))
 

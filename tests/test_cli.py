@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from ergodia.cli import main
+from oracles import traced_peak
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 GOLDEN = golden.entries()
@@ -539,8 +540,6 @@ def test_a_rotation_run_builds_no_point_order_array_of_F(tmp_path, monkeypatch, 
     # the kernels and the overflow check read T.along(F), filled from tent's rule one order chunk
     # at a time: F.values, 8 bytes per point, is never built, so the traced peak stays under two
     # float64 arrays of M values (a run that also built F.values would hold three)
-    import tracemalloc
-
     from ergodia import cli
 
     M, made, build = 10**6, [], cli.paper_observable
@@ -552,12 +551,8 @@ def test_a_rotation_run_builds_no_point_order_array_of_F(tmp_path, monkeypatch, 
         payload.update(start_points={"random": 20}, stab={"epsilon": 0.002, "eta": 0.05, "n_min": 50,
                                                           "scan_limit": 10_000, "pairs": [[20_000, 10_000]]})
     cfg = write_config(tmp_path, payload)
-    tracemalloc.start()
-    try:
-        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, peak = traced_peak(main, [command, "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == 0
     assert peak < 2 * 8 * M, peak
     assert len(made) == 1 and "values" not in vars(made[0])
 
@@ -699,6 +694,18 @@ def test_approx_report_keys_that_compare_equal_are_one_entry(tmp_path):
     rep = json.loads((tmp_path / "o" / "approx_report.json").read_text())
     assert list(rep["map_mismatch"]) == ["0.001", "1"]
     assert list(rep["thickening_errors"]) == ["(0, 1)"]
+
+
+def test_approx_pipeline_traced_peak_at_1e6():
+    # the mismatch pass reads C.image / M a chunk at a time, and _cycle_minima gathers a chunk at a
+    # time: 33.3 bytes per point.  A second grid np.arange(M) / M and whole-array gathers took 40.0.
+    from ergodia.cli import _approx_pipeline
+
+    M = 10**6
+    report, peak = traced_peak(_approx_pipeline, {"mode": "pipeline", "M": M, "deltas": [1e-3, 5e-3],
+                                                  "target": {"name": "rotation", "t": 0.381966011250105}})
+    assert [entry["delta"] for entry in report["pipeline"]] == [1e-3, 5e-3]
+    assert peak <= 36 * M, peak / M
 
 
 @pytest.mark.parametrize("target", [

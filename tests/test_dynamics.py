@@ -1,7 +1,6 @@
 """Core dynamics: permutations, orbits, prefix means, Gamma series."""
 
 import copy
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +18,8 @@ from ergodia.dynamics import (
 from ergodia.rng import SplitMix64
 from ergodia.systems import build_bernoulli, build_drift_system, build_rotation, paper_observable
 from oracles import (apply_power, cycle_decomposition, exact_prefix_means, exact_value, mean_rounding_bound,
-                     numerators, orbit_and_period, permutation_from_cycles, prefix_means_gather, trajectory)
+                     numerators, orbit_and_period, permutation_from_cycles, prefix_means_gather, traced_peak,
+                     trajectory)
 
 
 def random_permutation(M, seed):
@@ -427,12 +427,7 @@ def test_block_sums_hold_at_most_a_chunk_at_any_stride(stride):
     T, F = build_drift_system(1_000_000), paper_observable("ex03", 1_000_000, K=1000)
     T.locate([12345])
     T.along(F)  # the memo is F's one array, not a temporary of the kernel
-    tracemalloc.start()
-    try:
-        pts, _ = gamma_series(F, T, 12345, 4.0, stride)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (pts, _), peak = traced_peak(gamma_series, F, T, 12345, 4.0, stride)
     assert peak - pts.nbytes < 3 * dynamics.CHUNK_POINTS * 8, peak - pts.nbytes
 
 

@@ -1,7 +1,5 @@
 """Tail masses and uniform-integrability profiles."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +12,7 @@ from ergodia.integrability import (
     tail_mass,
 )
 from ergodia.systems import paper_observable
-from oracles import doubling_grid, profile_by_suffix_sums, small_set_mass
+from oracles import doubling_grid, profile_by_suffix_sums, small_set_mass, traced_peak
 
 
 def test_average_exact_small():
@@ -206,10 +204,5 @@ def test_profile_holds_one_values_sized_array():
     F = paper_observable("ex01", 2**20)
     F.values  # the point-order memo is F's, built on first read, not a temporary of the profile
     for ks in (None, [2.0**j for j in range(22)]):
-        tracemalloc.start()
-        try:
-            integrability_profile(F, ks)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(integrability_profile, F, ks)
         assert peak <= 1.05 * 8 * F.values.size + 64 * 1024, (ks is None, peak)

@@ -79,7 +79,7 @@ def test_map_mismatch_equals_oracle(kind, M):
     for spec in (target, {"name": "doubling"}):
         tau = partial(_target_images, spec)  # per point, for the oracle
         for eps in (0.5 / M, 2.0 / M, 0.25):
-            got = map_mismatch_fraction(x, T, _target_images(spec, x), eps, circle=circle)
+            got = map_mismatch_fraction(T, _target_images(spec, x), eps, circle=circle)
             want = map_mismatch_fraction_loop(per_point(M), M, circle, T.image, tau, eps)
             assert got == want, (spec, eps)
 
@@ -99,7 +99,7 @@ def test_partial_mismatch_on_synthesized_permutation(base, M, delta):
 
     T, _ = synthesize_permutation(M, targets, delta)
     for eps in (delta / 7, delta / 3, delta / 2):
-        got = map_mismatch_fraction(grid, T, targets, eps, circle=True)
+        got = map_mismatch_fraction(T, targets, eps, circle=True)
         assert 0.0 < got < 1.0, eps
         assert got == map_mismatch_fraction_loop(per_point(M), M, True, T.image, tau, eps)
 

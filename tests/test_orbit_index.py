@@ -10,7 +10,6 @@ import dataclasses
 import json
 import sys
 import threading
-import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -33,7 +32,7 @@ from ergodia.systems import (
 from oracles import (band_end_loop, debruijn_lyndon, discrepancy_arrays, exact_prefix_means, index_field,
                      inverse_order, mean_rounding_bound, orbit_and_period, permutation_from_cycles,
                      permutation_images, permutation_of_cycle_order, prefix_means_gather, proof_arrays,
-                     sup_discrepancy_two_pass, walk_index, width_rule)
+                     sup_discrepancy_two_pass, traced_peak, walk_index, width_rule)
 
 
 def drift(M):
@@ -166,12 +165,7 @@ def test_the_array_index_equals_the_walks_at_1e5(kind):
 
 
 def test_the_drift_is_built_without_an_m_sized_array():
-    tracemalloc.start()
-    try:
-        T = build_drift_system(1 << 20)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    T, peak = traced_peak(build_drift_system, 1 << 20)
     assert T.size == 1 << 20 and peak < 1 << 16, peak
 
 
@@ -328,16 +322,15 @@ def test_exact_prefix_means_on_a_drift_system_build_no_order():
 ])
 def test_gamma_holds_no_inverse_of_the_order(name, arrays):
     M = {"drift": 1 << 20, "debruijn": 1 << 17}[name]
-    tracemalloc.start()
-    try:
+
+    def build_and_run():
         if name == "drift":
             T, F = build_drift_system(M), paper_observable("ex03", M, K=1000)
         else:
             T, F = build_bernoulli(2, 8, "debruijn"), paper_observable("chi0", M, N=8)
         gamma_series(F, T, 1000, 1.0, 64)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+
+    _, peak = traced_peak(build_and_run)
     assert peak <= arrays * 8 * M, peak / (8 * M)
 
 
@@ -647,12 +640,7 @@ def test_the_first_narrow_memo_costs_two_bytes_per_point():
     # F is int8 from construction on, so the gather is the one copy; a float64 temporary would be 8 bytes per point
     T = build_bernoulli(2, 10, "debruijn")
     F = paper_observable("chi0", T.size, N=10)
-    tracemalloc.start()
-    try:
-        along = T.along(F)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    along, peak = traced_peak(T.along, F)
     assert along.dtype == np.int8
     assert peak <= 2 * T.size + (1 << 20), peak
 

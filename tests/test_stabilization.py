@@ -2,7 +2,6 @@
 
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +20,7 @@ from ergodia.stabilization import (
 from ergodia.systems import build_bernoulli, build_drift_system, build_rotation, paper_observable
 from oracles import (band_end_loop, carried_sums_rowwise, common_segment_loop, discrepancy_arrays,
                      exceedance_fraction, permutation_from_cycles, proof_arrays, reference_psi,
-                     sup_discrepancy_two_pass, trajectory)
+                     sup_discrepancy_two_pass, traced_peak, trajectory)
 
 
 def random_system(M, seed, lo=-50, hi=50):
@@ -223,10 +222,11 @@ def test_common_segment_order_statistic():
     [0.3], [2.0, -1.0], [0.1, 0.7, 0.2], [5.0, 5.0, 5.0, 5.0], [-0.0, 0.0], [0.0, -0.0, -0.0],
     list(np.random.default_rng(9).standard_normal(101)),
     list(np.random.default_rng(9).standard_normal(100) * 1e3),
+    [1.0, np.nan, 2.0], [np.nan, 3.0, 1.0, 2.0],
 ], ids=["one", "two", "odd", "equal", "signed-zeros-even", "signed-zeros-odd", "odd-101",
-        "even-100"])
+        "even-100", "nan-odd", "nan-even"])
 def test_common_segment_witness_is_bitwise_np_median(witness):
-    # every point included, so the witness is the median of all of them
+    # every point included, so the witness is the median of all of them; NaN if one of them is
     w = np.asarray(witness)
     got = common_stabilization_segment(np.full(w.size, 9), w, 0.5)[1]
     assert np.float64(got).tobytes() == np.median(w).tobytes()
@@ -455,12 +455,7 @@ def test_discrepancy_temporaries_on_one_long_cycle_stay_a_few_tiles(name):
     F = paper_observable(name, M, **({"K": 1000} if name == "ex03" else {}))
     assert T.orbit_index.lengths.tolist() == [M] and T.along(F).dtype == {"tent": np.float64, "ex03": np.int8}[name]
     for pairs in ([(500_000, 250_000)], [(2_500_003, 1_000_001), (40, 7)]):
-        tracemalloc.start()
-        try:
-            sup_discrepancy(F, T, pairs, EPSILONS)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(sup_discrepancy, F, T, pairs, EPSILONS)
         # no array is kept: a report holds a max and one count per epsilon
         assert peak <= 4 * dynamics.CHUNK_POINTS * 2 * len(pairs) * 8, (pairs, peak)
 
@@ -472,19 +467,15 @@ def test_discrepancy_and_proof_bound_passes_hold_a_few_tiles_at_any_size():
     for M in (10**5, 10**6):
         T, F = build_drift_system(M), paper_observable("ex03", M, K=1000)
         assert T.along(F) is F.values
-        tracemalloc.start()
-        try:
-            sup_discrepancy(F, T, [(1000, 500)], EPSILONS)
-            disc_peak = tracemalloc.get_traced_memory()[1]
-            tiles = proof_terms(F, T, 1000, 500)
-            held = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
+        _, disc_peak = traced_peak(sup_discrepancy, F, T, [(1000, 500)], EPSILONS)
+        tiles, held = traced_peak(proof_terms, F, T, 1000, 500)  # the peak of making it bounds what it holds
+
+        def bound_holds():
             for (_, (d,)), (_, (U, V)) in zip(stabilization._discrepancy_tiles(F, T, [(1000, 500)]), tiles,
                                               strict=True):
                 assert (d <= U + V + 1e-9).all()
-            proof_peak = tracemalloc.get_traced_memory()[1] - held
-        finally:
-            tracemalloc.stop()
+
+        _, proof_peak = traced_peak(bound_holds)
         assert disc_peak <= bound and proof_peak <= bound and held <= 1 << 16, (M, disc_peak, proof_peak, held)
 
 
@@ -600,11 +591,7 @@ def test_column_tiles_bitwise_equal_the_rowwise_oracle(monkeypatch, chunk, name)
     F, T = nan_cycles() if name == "mixed-nan" else kernel_system(name)
     discrepancies_equal_two_pass(F, T, horizon_pairs(T))
     fused_pairs_equal_two_pass(F, T)
-    if name == "mixed-nan":  # per point only: np.median of NaN witnesses is NaN, the common segment's is not
-        for n_min, eps, scan_limit in [(1, 1e-12, T.size // 2 + 1), (3, 0.05, T.size), (2, 1e6, T.size + 5)]:
-            band_rows_equal_loop(F, T, awkward_sample(T, 9), n_min, eps, scan_limit)
-    else:
-        segments_equal_point_loop(F, T, name)
+    segments_equal_point_loop(F, T, name)  # mixed-nan: a NaN witness gives a NaN common witness, as np.median
     assert max(rows) >= 2 or chunk == 7  # a 7-slot chunk holds one row of most of these cycles
 
 

@@ -1,7 +1,6 @@
 """Model systems: drift, rotations, de Bruijn shifts, and observables."""
 
 import hashlib
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +35,7 @@ from oracles import (
     rotation_order_two_mod,
     tent_function,
     three_point_average,
+    traced_peak,
     walk_index,
     width_rule,
     window_indices_roll,
@@ -388,14 +388,8 @@ def test_integer_observables_are_built_at_their_width(name, params, dtype):
     # the stored width: no float64 array of M values, 8 bytes per point, is ever built, so ex03 and
     # chi0 take about 1.1 bytes per point at most
     M = 2**21
-    tracemalloc.start()
-    try:
-        F = paper_observable(name, M, **params)
-        built = tracemalloc.get_traced_memory()[1]
-        F.values
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    F, built = traced_peak(paper_observable, name, M, **params)
+    _, peak = traced_peak(lambda: F.values)
     assert built < 1 << 16, built
     assert F.values.dtype == dtype
     assert peak <= 1.1 * np.dtype(dtype).itemsize * M, peak
