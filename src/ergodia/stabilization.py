@@ -3,7 +3,8 @@
 Two complementary diagnostics:
 
 * discrepancies |A_K - A_L| at comparable horizons K > L, their sup over
-  all of Y and the fraction of start points exceeding a tolerance, with
+  all of Y and the fraction of start points exceeding a tolerance, counted
+  by key on short cycles of an integer observable, else tile by tile, with
   the exact two-term proof bound U + V per start point, tile by tile;
 
 * initial-segment stabilization: the largest horizon range [n_min, K*] on
@@ -96,22 +97,63 @@ def _discrepancy_tiles(F: Observable, T: FinitePermutation, pairs: Sequence[tupl
         yield tile, [np.absolute(d, out=d) for d in map(np.subtract, means[::2], means[1::2])]
 
 
+def _key_counts(along: np.ndarray, index: OrbitIndex, pairs: Sequence[tuple[int, int]]):
+    """[(k, |A_K - A_L| per occurring key, its point count)] per length class and pair k, or None
+    unless along is integer, every cycle with its largest remainder r fits a tile and every key space
+    fits CHUNK_POINTS.  On a cycle of length p, with q = n div p, W_r a window of r = n mod p values
+    and S the cycle's sum, _row_means' A_n is the float of the exact integer W_r + q*S over n, so
+    |A_K - A_L| is one float per key (W_rK - rK*lo, W_rL - rL*lo, S - p*lo), formed as there; the
+    windows come from a column-major int32 running sum of the values less lo, a tile at a time."""
+    chunk, classes = dynamics.CHUNK_POINTS, index.length_classes()
+    widths = [p + max(n % p for pair in pairs for n in pair) for *_, p in classes]
+    if along.dtype.kind != "i" or max(widths) > chunk:  # before the pass over along for lo and R
+        return None
+    lo = int(along.min())
+    R = int(along.max()) - lo
+    if any((K % p * R + 1) * (L % p * R + 1) * (p * R + 1) > chunk for *_, p in classes for K, L in pairs):
+        return None
+    out = []
+    for (offset, count, p), w in zip(classes, widths):
+        step, hists, run = chunk // w * p, [0] * len(pairs), np.zeros((w + 1, chunk // w), dtype=np.int32)
+        for at in range(offset, offset + count * p, step):
+            tile = along[at : min(at + step, offset + count * p)].reshape(-1, p).T.astype(np.int32, order="C")
+            tile -= lo
+            P = run[:, : tile.shape[1]]
+            for j in range(w):  # P[j] is the sum of the first j values of each cycle, read cyclically
+                np.add(P[j], tile[j % p], out=P[j + 1])
+            for k, (K, L) in enumerate(pairs):
+                key = (P[K % p : K % p + p] - P[:p]) * (L % p * R + 1)
+                key += P[L % p : L % p + p] - P[:p]
+                key *= p * R + 1
+                key += P[p]
+                hists[k] += np.bincount(key.ravel(), minlength=(K % p * R + 1) * (L % p * R + 1) * (p * R + 1))
+        for k, (K, L) in enumerate(pairs):
+            keys = np.flatnonzero(hists[k])
+            S = (keys % (p * R + 1) + p * lo).astype(np.float64)
+            wK, wL = np.divmod(keys // (p * R + 1), L % p * R + 1)
+            A_K, A_L = ((w + n % p * lo + n // p * S) / n for w, n in ((wK, K), (wL, L)))
+            out.append((k, np.absolute(A_K - A_L), hists[k][keys]))
+    return out
+
+
 def sup_discrepancy(F: Observable, T: FinitePermutation, pairs: Sequence[tuple[int, int]],
                     epsilons: Sequence[float] = ()) -> list[tuple[float, dict[float, float]]]:
     """Per (K, L) in pairs, in pair order, (sup_disc, {eps: fraction}): the exact max over all y of
-    |A_K - A_L| and, per eps in epsilons, the fraction of the M points y where it is >= eps, folded
-    tile by tile from one cycle pass.  [(K, L)] is the one-pair form."""
+    |A_K - A_L| and, per eps in epsilons, the fraction of the M points y where it is >= eps, from one
+    cycle pass: counted by key (_key_counts) where the observable is integer and its keys are few,
+    else folded tile by tile (_discrepancy_tiles).  [(K, L)] is the one-pair form."""
     if any(not 1 <= L < K for K, L in pairs):
         raise ValueError("require 1 <= L < K")
     if not all(e > 0 for e in epsilons):  # NaN is refused too
         raise ValueError("epsilon must be positive")
     sups, counts = [-np.inf] * len(pairs), [dict.fromkeys(epsilons, 0) for _ in pairs]
-    for (at, rows, p, cols), blocks in _discrepancy_tiles(F, T, pairs):
-        for k, d in enumerate(blocks):
-            sups[k] = np.maximum(sups[k], np.max(d))  # a NaN is kept, as np.max keeps it
-            d = np.broadcast_to(d, (rows, cols.stop - cols.start))
-            for e in counts[k]:
-                counts[k][e] += int(np.count_nonzero(d >= e))
+    folded = _key_counts(T.along(F), T.orbit_index, pairs) if pairs else None
+    blocks = ((k, np.broadcast_to(d, (rows, cols.stop - cols.start)), None)
+              for (at, rows, p, cols), ds in _discrepancy_tiles(F, T, pairs) for k, d in enumerate(ds))
+    for k, d, mass in blocks if folded is None else folded:
+        sups[k] = np.maximum(sups[k], np.max(d))  # a NaN is kept, as np.max keeps it
+        for e in counts[k]:
+            counts[k][e] += int(np.count_nonzero(d >= e) if mass is None else mass[d >= e].sum())
     # count / M is np.mean of the >= eps mask: a float64 sum of ones is exact
     return [(float(s), {e: n / T.size for e, n in c.items()}) for s, c in zip(sups, counts)]
 

@@ -188,8 +188,11 @@ def _rotate(words: np.ndarray, j: int, m: int, L: int) -> np.ndarray:
     """Each length-L word rotated left by j symbols: y'(i) = y(i + j mod L).
 
     On little-endian indices this is index // m^j + (index % m^j) * m^(L-j);
-    j = 1 is one step of the naive shift.
+    j = 1 is one step of the naive shift.  For m = 2^b it is the same by shift and mask.
     """
+    if m & (m - 1) == 0:
+        b = m.bit_length() - 1
+        return (words >> b * j) | (words & ((1 << b * j) - 1)) << b * (L - j)
     # the remainder by multiply-subtract: numpy's % by a scalar is slower than its //
     q = words // m**j
     return q + (words - q * m**j) * m ** (L - j)

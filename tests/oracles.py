@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from ergodia.approximation import _target_ranges
 from ergodia.dynamics import FinitePermutation, Observable, OrbitIndex, StoredOrder, _cyclic_run
-from ergodia.stabilization import _discrepancy_tiles, proof_terms, sup_discrepancy
+from ergodia.stabilization import _discrepancy_tiles, proof_terms
 from ergodia.systems import debruijn_window_permutation
 
 
@@ -173,8 +173,9 @@ def profile_by_suffix_sums(F, ks=None):
 
 
 def exceedance_fraction(F, T, K, L, eps):
-    """(1/M) * |{y : |A_K - A_L| >= eps}|, exact over all of Y."""
-    return sup_discrepancy(F, T, [(K, L)], [eps])[0][1][eps]
+    """(1/M) * |{y : |A_K - A_L| >= eps}|, exact over all of Y: A_K and A_L by horizon_means_loop,
+    in point order."""
+    return float(np.mean(np.abs(horizon_means_loop(F, T, K) - horizon_means_loop(F, T, L)) >= eps))
 
 
 def orbit_arrays(tiles, size, count):

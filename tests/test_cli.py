@@ -389,7 +389,8 @@ def test_stab_scans_every_start_point_once(tmp_path, monkeypatch):
 
 
 def test_stab_serves_every_pair_from_one_cycle_pass(tmp_path, monkeypatch):
-    # the golden stab config has two pairs; one pass over all cycles serves both
+    # the golden stab config has two pairs; one pass over all cycles serves both.  Its chi0 is
+    # counted by key, so the same cycles are read with a float observable, which takes the tiles
     from ergodia import stabilization
 
     passes, rows, inside = [], [], []
@@ -408,7 +409,7 @@ def test_stab_serves_every_pair_from_one_cycle_pass(tmp_path, monkeypatch):
 
     monkeypatch.setattr(stabilization, "_row_means", counting)
     monkeypatch.setattr(stabilization, "_carried_sums", tiling)
-    cfg = write_config(tmp_path, GOLDEN["stab-naive"]["config"])
+    cfg = write_config(tmp_path, {**GOLDEN["stab-naive"]["config"], "observable": {"name": "linear"}})
     assert main(["stab", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     assert passes == [(40, 20, 9, 4)]
     # its cursors read whole cycles from position 0, a length class per tile: the 56 cycles of 9

@@ -89,7 +89,7 @@ def test_discrepancy_validation():
     with pytest.raises(ValueError):
         sup_discrepancy(F, T, [(5, 5)])
     with pytest.raises(ValueError):
-        exceedance_fraction(F, T, 5, 2, 0.0)
+        sup_discrepancy(F, T, [(5, 2)], [0.0])
 
 
 def test_exceedance_reads_only_requested_epsilons_and_counts_a_repeat_once():
@@ -413,7 +413,9 @@ def test_fused_pairs_bitwise_equal_two_pass_oracle(monkeypatch, chunk, name):
 
 
 def test_fused_pairs_take_one_pass_and_check_every_pair_first(monkeypatch):
-    F, T = naive_system(4)
+    # chi0 + 1/2, a float memo on the naive shift's cycles, so the tile fold serves it
+    G, T = naive_system(4)
+    F = Observable(G.values + 0.5)
     calls, tiles = [], []
     row_means, carried_sums = stabilization._row_means, stabilization._carried_sums
 
@@ -445,6 +447,127 @@ def test_fused_pairs_take_one_pass_and_check_every_pair_first(monkeypatch):
         with pytest.raises(ValueError, match="epsilon must be positive"):
             sup_discrepancy(F, T, [(40, 20)], bad)
     assert calls == []
+
+
+# -- the key-count fold against the tile fold and the two-pass oracle ---------
+
+
+def small_range_cycles(seed=3):
+    """mixed_cycles' cycles of lengths 1 to 40 with an integer F in -1..1."""
+    _, T = mixed_cycles(seed)
+    return Observable(np.random.default_rng(seed).integers(-1, 2, T.size)), T
+
+
+def naive_m3(N):
+    T = build_bernoulli(3, N, "naive")
+    return paper_observable("chi0", T.size, N=N, m=3), T
+
+
+FOLD_SYSTEMS = {
+    **{f"naive{N}": lambda N=N: naive_system(N) for N in (1, 2, 4)},
+    **{f"naive{N}-m3": lambda N=N: naive_m3(N) for N in (1, 2)},
+    "small-range": small_range_cycles,
+}
+
+
+def fold_pairs(T):
+    """Pair lists whose horizons the longest period P divides both, only L, only K and neither, and
+    horizon_pairs fused."""
+    P = int(T.orbit_index.lengths[0])
+    return [[(2 * P, P)], [(P + 3, P)], [(2 * P, 3)], [(40, 20), (400, 200)], horizon_pairs(T)]
+
+
+def key_counts_apply(F, T, pairs):
+    """The selection rule, stated from the observable and the cycles: an integer memo, and at each
+    period p and pair every cycle with its largest remainder and every key space within a chunk."""
+    along, chunk = T.along(F), dynamics.CHUNK_POINTS
+    R = int(along.max()) - int(along.min()) if along.dtype.kind == "i" else None
+    return R is not None and all(
+        p + max(n % p for pair in pairs for n in pair) <= chunk
+        and (K % p * R + 1) * (L % p * R + 1) * (p * R + 1) <= chunk
+        for p in set(T.orbit_index.lengths.tolist()) for K, L in pairs)
+
+
+@pytest.mark.parametrize("chunk", [7, 64, dynamics.CHUNK_POINTS])
+@pytest.mark.parametrize("name", sorted(FOLD_SYSTEMS))
+def test_key_counts_bitwise_equal_the_tile_fold_and_the_two_pass_oracle(monkeypatch, chunk, name):
+    monkeypatch.setattr(dynamics, "CHUNK_POINTS", chunk)
+    F, T = FOLD_SYSTEMS[name]()
+    two_pass, counted = {}, []
+    for pairs in fold_pairs(T):
+        for K, L in set(pairs) - set(two_pass):
+            two_pass[K, L] = sup_discrepancy_two_pass(F, T, K, L)[0]
+        # an epsilon at the largest and at a middle attained discrepancy is counted where it is equal
+        attained = np.unique(np.concatenate([two_pass[pair] for pair in pairs]))
+        attained = attained[attained > 0]
+        epsilons = (*EPSILONS, *attained[[-1, attained.size // 2]]) if attained.size else EPSILONS
+        taken = stabilization._key_counts(T.along(F), T.orbit_index, pairs) is not None
+        assert taken == key_counts_apply(F, T, pairs), pairs
+        counted.append(taken)
+        reports = sup_discrepancy(F, T, pairs, epsilons)
+        for (sup_disc, frac), tiles, (K, L) in zip(reports, discrepancy_arrays(F, T, pairs), pairs, strict=True):
+            for diffs in (tiles, two_pass[K, L]):
+                assert bits(sup_disc) == bits(np.max(diffs)), (pairs, K, L)
+                assert set(frac) == set(epsilons)
+                for eps in epsilons:
+                    assert bits(frac[eps]) == bits(np.mean(diffs >= eps)), (pairs, K, L, eps)
+    # (2P, P) is counted wherever the longest period's key space fits a chunk
+    R = int(np.ptp(T.along(F)))
+    assert any(counted) == (int(T.orbit_index.lengths[0]) * R + 1 <= chunk)
+
+
+@pytest.mark.parametrize("name", ["naive4", "naive2-m3", "small-range"])
+def test_relabelled_points_give_the_same_key_counts(name):
+    # S = sigma T sigma^-1 and G = F o sigma^-1 have the means of T and F at every relabelled point;
+    # its cycles start at other points and lie in another order, and every key count is the same
+    F, T = FOLD_SYSTEMS[name]()
+    sigma = np.random.default_rng(5).permutation(T.size)
+    image, values = np.empty(T.size, dtype=np.int64), np.empty_like(F.values)
+    image[sigma], values[sigma] = sigma[T.image], F.values
+    G, S = Observable(values), FinitePermutation(image)
+    assert isinstance(S.orbit_index, dynamics.StoredOrder)
+    assert not np.array_equal(S.orbit_index.order, sigma[T.orbit_index.order])
+    for pairs in fold_pairs(T):
+        assert stabilization._key_counts(S.along(G), S.orbit_index, pairs) is not None
+        got, want = sup_discrepancy(G, S, pairs, EPSILONS), sup_discrepancy(F, T, pairs, EPSILONS)
+        assert [(bits(s), f) for s, f in got] == [(bits(s), f) for s, f in want], pairs
+
+
+class Unscanned(np.ndarray):
+    """An orbit memo that refuses the pass for its range."""
+
+    def min(self, *args, **kwargs):
+        raise AssertionError("the memo was scanned")
+
+    max = min
+
+
+def test_the_tiles_serve_a_float_memo_a_long_cycle_and_a_wide_range(monkeypatch):
+    M, pairs = dynamics.CHUNK_POINTS + 1, [(40, 20), (400, 200)]
+    chi0, naive = naive_system(4)
+    cases = {
+        "float": (False, Observable(chi0.values + 0.5), naive),
+        "longer than a tile": (True, paper_observable("ex03", M, K=4), build_drift_system(M)),
+        "constant on a long cycle": (True, paper_observable("constant", M, value=3), build_rotation(M, 0.3)),
+        "wide range": (False, Observable(chi0.values * 100), naive),
+    }
+    passes, row_means = [], stabilization._row_means
+    monkeypatch.setattr(stabilization, "_row_means", lambda *a: passes.append(a[2]) or row_means(*a))
+    for name, (long, F, T) in cases.items():
+        along = T.along(F)
+        # a cycle longer than a tile rules the memo out before its range is read
+        assert stabilization._key_counts(along.view(Unscanned) if long else along, T.orbit_index, pairs) is None
+        passes.clear()
+        reports = sup_discrepancy(F, T, pairs, EPSILONS)
+        assert passes == [[40, 20, 400, 200]], name
+        for (sup_disc, frac), diffs in zip(reports, discrepancy_arrays(F, T, pairs), strict=True):
+            assert bits(sup_disc) == bits(np.max(diffs)), name
+            assert all(bits(frac[eps]) == bits(np.mean(diffs >= eps)) for eps in EPSILONS), name
+    # chi0 itself is counted by key, with no tile pass
+    passes.clear()
+    assert stabilization._key_counts(naive.along(chi0), naive.orbit_index, pairs) is not None
+    sup_discrepancy(chi0, naive, pairs, EPSILONS)
+    assert passes == []
 
 
 @pytest.mark.parametrize("name", ["tent", "ex03"])
@@ -616,13 +739,15 @@ def test_column_tiles_of_both_fills_bitwise_equal_the_rowwise_oracle(monkeypatch
 
 def test_a_naive_tile_takes_the_column_path_and_a_one_row_tile_does_not(monkeypatch):
     # at the default COLUMN_ROWS: the 2^17 shift's 963-row tiles are column-major and never reach
-    # np.cumsum, and a one-row tile is summed by np.cumsum
+    # np.cumsum, and a one-row tile is summed by np.cumsum; chi0's key counts take no tiles, so
+    # the tile fold is read directly
     F, T = naive_system(8)
     along, carried, tiles, summed = T.along(F), dynamics._carried_sums, [], []
     cumsum = np.cumsum
     monkeypatch.setattr(np, "cumsum", lambda a, *args, **kw: summed.append(a.shape) or cumsum(a, *args, **kw))
     monkeypatch.setattr(stabilization, "_carried_sums", lambda *a: tiles.append(carried(*a)) or tiles[-1])
-    sup_discrepancy(F, T, [(40, 20), (400, 200)])
+    for _ in stabilization._discrepancy_tiles(F, T, [(40, 20), (400, 200)]):
+        pass
     big = [t for t in tiles if t.shape[0] >= dynamics.COLUMN_ROWS]
     assert {t.shape[0] for t in big} >= {963} and all(t.flags.f_contiguous and not t.flags.c_contiguous
                                                      for t in big)
@@ -647,7 +772,7 @@ def test_nan_and_nonpositive_epsilons_are_refused(eps):
     ((_, frac),) = sup_discrepancy(F, T, [(5, 2)])
     with pytest.raises(KeyError):
         frac[eps]
-    for call in (lambda: exceedance_fraction(F, T, 5, 2, eps),
+    for call in (lambda: sup_discrepancy(F, T, [(5, 2)], [eps]),
                  lambda: stabilization_segment(F, T, [0], 1, eps, 5),
                  lambda: stabilization_segment(F, T, [0, 1], 1, eps, 5)):
         with pytest.raises(ValueError):

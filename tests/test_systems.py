@@ -210,6 +210,16 @@ def test_chunked_necklaces_match_brute_force(m, L, chunk, monkeypatch):
     assert np.array_equal(period, p)
 
 
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("m,L", [(2, 1), (2, 9), (3, 5), (4, 5)])
+def test_rotation_of_words_is_the_division_form(m, L, dtype):
+    # shift and mask where m is a power of two, the same words and width as // and the remainder
+    words = np.arange(m**L, dtype=dtype)
+    for j in range(L + 1):
+        got = systems._rotate(words, j, m, L)
+        assert got.dtype == dtype and np.array_equal(got, words // m**j + words % m**j * m ** (L - j)), j
+
+
 @pytest.mark.parametrize("m,N,digest", [
     (2, 10, "775a915a431a2a1002f60f2477be75fba151812ea6b6bc6b4194c9940bc2761e"),
     (3, 6, "303ded7946b3d56740abc26fd866913df383f0bf776ce70d6ff9c95962acc35e"),
