@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -260,22 +261,51 @@ def cmd_gamma(config: dict, args) -> int:
     _check_sums(F, T, np.floor(k * T.size))
 
     out = Path(args.out)
-    # each start point's files are written, and its series dropped, before the next series is
-    # summed, so one series is held at a time
-    rows = circles = None
     T.locate(starts)  # one pass over the orbit order for every start point
-    for y in starts:
-        points, used_stride = gamma_series(F, T, y, k, stride)
-        if rows is None:
-            # every start point has the same stride and floor(k*M), so n and n/M are formatted once
-            rows = _templates("%d,%.12g,%%.12g\n", points[:, 0].astype(np.int64), points[:, 1])
-            circles = _circles(points[:, 1], k) if args.svg else None
-        base = f"gamma_{F.name.replace('/', '_')}_y{y}"  # a name may hold a '.'
-        _write_csv(out / f"{base}.csv", ["n", "n_over_M", "mean"], (rows, points[:, 2]))
-        if args.svg:
-            _write_svg(out / f"{base}.svg", (circles, points[:, 2]), k,
-                       f"Gamma series, y={y}, stride={used_stride}", timestamp=not args.no_timestamp)
-        del points
+    # the first series range-checks k and stride before the directory is made or a process forked
+    held = {starts[0]: gamma_series(F, T, starts[0], k, stride)}
+    used_stride = held[starts[0]][1]
+    out.mkdir(parents=True, exist_ok=True)
+
+    def write(ys, csv: bool, svg: bool) -> None:
+        # each start point's files are written, and its series dropped, before the next series is
+        # summed, so one series is held at a time; every start point has the same stride and
+        # floor(k*M), so n and n/M are formatted once
+        rows = circles = None
+        for y in ys:
+            points = (held.pop(y) if y in held else gamma_series(F, T, y, k, stride))[0]
+            base = f"gamma_{F.name.replace('/', '_')}_y{y}"  # a name may hold a '.'
+            if csv:
+                rows = rows or _templates("%d,%.12g,%%.12g\n", points[:, 0].astype(np.int64), points[:, 1])
+                _write_csv(out / f"{base}.csv", ["n", "n_over_M", "mean"], (rows, points[:, 2]))
+            if svg:
+                circles = circles or _circles(points[:, 1], k)
+                _write_svg(out / f"{base}.svg", (circles, points[:, 2]), k,
+                           f"Gamma series, y={y}, stride={used_stride}", timestamp=not args.no_timestamp)
+            del points
+
+    # the files in write order csv(y1), svg(y1), csv(y2), ... are dealt in turn to this process and
+    # a forked child where two CPUs can format them: with --svg the CSVs and the SVGs, else every
+    # other start point's CSV.  A short series is written faster than a process is forked.
+    two_cpus = hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+    if len(starts) * (1 + args.svg) < 2 or len(held[starts[0]][0]) <= WRITE_CHUNK_ROWS or not two_cpus:
+        write(starts, True, args.svg)
+    else:
+        theirs = (starts, False, True) if args.svg else (starts[1::2], True, False)
+        pid = os.fork()
+        if pid == 0:  # never returns into the caller, flushes no buffer, runs no atexit hook, calls no BLAS
+            if not args.svg:  # the first CSV is the parent's
+                held.clear()
+            try:
+                os._exit(write(*theirs) or 0)
+            finally:  # write raised
+                os._exit(1)
+        try:
+            write(starts if args.svg else starts[0::2], True, False)
+        finally:
+            status = os.waitpid(pid, 0)[1]
+        if status:  # the child failed: its files are written here, so an error is a serial run's
+            write(*theirs)
     _write_json(out / "gamma_meta.json",
                 {**meta, "observable": F.name, "k": k, "stride": used_stride,
                  "start_points": starts, "seed": seed})

@@ -83,7 +83,7 @@ class OrbitIndex:
             if isinstance(a, np.ndarray):
                 a.setflags(write=False)
 
-    @property
+    @cached_property  # read once per order chunk by the rule orders
     def size(self) -> int:
         return int(self.starts[-1] + self.lengths[-1])
 

@@ -119,7 +119,7 @@ def _key_counts(along: np.ndarray, index: OrbitIndex, pairs: Sequence[tuple[int,
             tile = along[at : min(at + step, offset + count * p)].reshape(-1, p).T.astype(np.int32, order="C")
             tile -= lo
             P = run[:, : tile.shape[1]]
-            for j in range(w):  # P[j] is the sum of the first j values of each cycle, read cyclically
+            for j in range(max(p, w - 1)):  # P[j]: each cycle's first j values summed, to the last row a key reads
                 np.add(P[j], tile[j % p], out=P[j + 1])
             for k, (K, L) in enumerate(pairs):
                 key = (P[K % p : K % p + p] - P[:p]) * (L % p * R + 1)

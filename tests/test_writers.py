@@ -1,11 +1,14 @@
 """The chunked CSV/SVG writers, filling in per-job templates, against the per-row writers they replace."""
 
 import json
+import os
+import weakref
 from pathlib import Path
 
 import golden
 import numpy as np
 import pytest
+from oracles import traced_peak
 
 from ergodia import cli
 from ergodia.cli import _circles, _fmt, _templates, _write_csv, _write_svg
@@ -133,12 +136,50 @@ def test_svg_of_a_flat_series(tmp_path, monkeypatch):
 MULTI = golden.entries()["multi-gamma"]["config"]
 
 
-def run_gamma(tmp_path, config, *flags):
+def gamma_argv(tmp_path, config, *flags):
+    tmp_path.mkdir(parents=True, exist_ok=True)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config), encoding="utf-8")
-    out = tmp_path / "out"
-    assert cli.main(["gamma", "--config", str(cfg), "--out", str(out), *flags]) == 0
-    return out
+    return ["gamma", "--config", str(cfg), "--out", str(tmp_path / "out"), *flags]
+
+
+def run_gamma(tmp_path, config, *flags):
+    assert cli.main(gamma_argv(tmp_path, config, *flags)) == 0
+    return tmp_path / "out"
+
+
+def serial(monkeypatch):
+    """Pin cmd_gamma to the serial writer: one CPU in the affinity."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+
+def forked(monkeypatch):
+    """Force the forked writer, two CPUs and multi-gamma's 192 rows over 7 per chunk; the list the
+    forks are noted in."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(cli, "WRITE_CHUNK_ROWS", 7)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or fork())
+    return forks
+
+
+def contents(out: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+def note(log: Path, *event) -> None:
+    """Append (this process's pid, *event) to log, one JSON line; both processes append to one file."""
+    with open(log, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps([os.getpid(), *event]) + "\n")
+
+
+def events(log: Path) -> list[list]:
+    return [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
+
+
+def assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 999, cli.WRITE_CHUNK_ROWS])
@@ -188,6 +229,7 @@ def test_a_gamma_job_builds_its_templates_once(tmp_path, monkeypatch, starts, sv
         built.append("circle" if line.startswith("<circle") else "csv")
         return templates(line, *cols)
 
+    serial(monkeypatch)
     monkeypatch.setattr(cli, "_templates", counting)
     config = {**MULTI, "start_points": {"explicit": starts}}
     out = run_gamma(tmp_path, config, *(["--svg", "--no-timestamp"] if svg else []))
@@ -206,6 +248,122 @@ def test_each_start_points_files_are_written_before_the_next_series(tmp_path, mo
                            for p in before for ext in ("csv", "svg")))
         return series(F, T, y, *args)
 
+    serial(monkeypatch)
     monkeypatch.setattr(cli, "gamma_series", checking)
     run_gamma(tmp_path, MULTI, "--svg", "--no-timestamp")
     assert written == [True] * len(starts)
+
+
+# ---- the files dealt to this process and one forked child ----------------
+
+
+@pytest.mark.parametrize("starts", [[11], [11, 0], [11, 0, 127]])
+@pytest.mark.parametrize("svg", [False, True])
+def test_the_forked_writer_writes_the_serial_bytes(tmp_path, monkeypatch, starts, svg):
+    config, flags = {**MULTI, "start_points": {"explicit": starts}}, ["--svg", "--no-timestamp"] * svg
+    monkeypatch.setattr(cli, "WRITE_CHUNK_ROWS", 7)
+    serial(monkeypatch)
+    want = contents(run_gamma(tmp_path / "serial", config, *flags))
+    forks = forked(monkeypatch)
+    assert contents(run_gamma(tmp_path / "forked", config, *flags)) == want
+    assert len(want) == len(starts) * (1 + svg) + 1
+    assert forks == [os.getpid()] * (len(starts) * (1 + svg) >= 2)  # one file alone is not forked
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("svg", [False, True])
+def test_a_failure_only_in_the_child_writes_the_serial_bytes(tmp_path, monkeypatch, svg):
+    # the child's writer raises; the parent reaps it and writes the child's files itself
+    flags = ["--svg", "--no-timestamp"] * svg
+    serial(monkeypatch)
+    want = contents(run_gamma(tmp_path / "serial", MULTI, *flags))
+    parent, writer = os.getpid(), cli._write_svg if svg else cli._write_csv
+
+    def failing(*args, **kwargs):
+        if os.getpid() != parent:
+            note(tmp_path / "failed", "child")
+            raise OSError("the child's write fails")
+        return writer(*args, **kwargs)
+
+    monkeypatch.setattr(cli, writer.__name__, failing)
+    forks = forked(monkeypatch)
+    assert contents(run_gamma(tmp_path / "forked", MULTI, *flags)) == want
+    assert forks and [kind for _, kind in events(tmp_path / "failed")] == ["child"]
+    assert_no_child_left()
+
+
+def test_an_svg_target_that_is_a_directory_exits_3_as_a_serial_run(tmp_path, monkeypatch, capsys):
+    # y0's SVG, the child's second file, cannot be opened; the parent's retry raises the serial error
+    argv = gamma_argv(tmp_path, MULTI, "--svg", "--no-timestamp")
+    (tmp_path / "out" / "gamma_chi0_y0.svg").mkdir(parents=True)
+    serial(monkeypatch)
+    assert cli.main(argv) == cli.EXIT_IO
+    want = capsys.readouterr()
+    for csv in (tmp_path / "out").glob("*.csv"):
+        csv.unlink()
+    forks = forked(monkeypatch)
+    assert cli.main(argv) == cli.EXIT_IO
+    assert forks and capsys.readouterr() == want and want.err.startswith("I/O error: [Errno 21]")
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("starts", [[11], [11, 0, 127], [11, 0, 127, 64]])
+@pytest.mark.parametrize("svg", [False, True])
+def test_each_process_builds_each_template_at_most_once(tmp_path, monkeypatch, starts, svg):
+    log, templates = tmp_path / "events", cli._templates
+
+    def counting(line, *cols):
+        note(log, "circle" if line.startswith("<circle") else "csv")
+        return templates(line, *cols)
+
+    monkeypatch.setattr(cli, "_templates", counting)
+    forks = forked(monkeypatch)
+    run_gamma(tmp_path, {**MULTI, "start_points": {"explicit": starts}}, *["--svg", "--no-timestamp"] * svg)
+    built = [tuple(event) for event in events(log)]
+    assert len(set(built)) == len(built)
+    assert {kind for _, kind in built} == ({"circle", "csv"} if svg else {"csv"})
+    assert len({pid for pid, _ in built}) == 1 + len(forks) == 1 + (len(starts) * (1 + svg) >= 2)
+
+
+@pytest.mark.parametrize("svg", [False, True])
+def test_each_process_holds_one_series_at_a_time(tmp_path, monkeypatch, svg):
+    # when a process sums a series, no series it summed or inherited is alive in it; the parent sums
+    # the first one before the fork, and every series a process writes a file of, each once
+    log, series, summed = tmp_path / "events", cli.gamma_series, []
+
+    def checking(F, T, y, *args):
+        note(log, y, [p for p, ref in summed if ref() is not None])
+        points, stride = series(F, T, y, *args)
+        summed.append((y, weakref.ref(points)))
+        return points, stride
+
+    monkeypatch.setattr(cli, "gamma_series", checking)
+    forks = forked(monkeypatch)
+    run_gamma(tmp_path, MULTI, *["--svg", "--no-timestamp"] * svg)
+    starts, by_pid = MULTI["start_points"]["explicit"], {}
+    for pid, y, alive in events(log):
+        assert alive == [], (pid, y, alive)
+        by_pid.setdefault(pid, []).append(y)
+    child = [pid for pid in by_pid if pid not in forks]
+    assert by_pid.pop(forks[0]) == (starts if svg else starts[0::2])
+    assert child == list(by_pid) and by_pid[child[0]] == (starts[1:] if svg else starts[1::2])
+
+
+def test_the_forked_parent_peaks_no_higher_than_the_serial_writer(tmp_path, monkeypatch):
+    # rotation-1e6-gamma, three start points of 100,000 rows: the forked parent writes the CSVs of
+    # the first and the third.  Each path holds one series at a time, so either peaks as one start
+    # point alone does; a series kept alive past its files would add its 2.4 MB.  tracemalloc peaks
+    # of one config differ by up to 8 KB of small Python objects run to run, under SLACK.
+    config, SLACK = golden.entries()["rotation-1e6-gamma"]["config"], 64 << 10
+
+    def peak(starts, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        argv = gamma_argv(tmp_path / f"{cpus}-{len(starts)}", {**config, "start_points": {"explicit": starts}})
+        code, peak = traced_peak(cli.main, argv)
+        assert code == 0
+        return peak
+
+    starts = config["start_points"]["explicit"]
+    alone, serial_peak, forked_peak = peak(starts[:1], 1), peak(starts, 1), peak(starts, 2)
+    assert forked_peak <= serial_peak + SLACK and forked_peak <= alone + SLACK, (alone, serial_peak, forked_peak)
+    assert_no_child_left()
