@@ -11,6 +11,7 @@ Exit codes: 0 ok, 1 invariant failure, 2 config error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -190,15 +191,30 @@ def _templates(line: str, *cols: np.ndarray) -> list[bytes]:
     return templates
 
 
+def _filled(templates: list[bytes], column: np.ndarray):
+    """The templates filled in with column, one bytes per WRITE_CHUNK_ROWS rows."""
+    for t, first in zip(templates, range(0, len(column), WRITE_CHUNK_ROWS), strict=True):
+        yield t % tuple(column[first : first + WRITE_CHUNK_ROWS].tolist())
+
+
 def _write_csv(path: Path, header: list[str], rows: tuple[list[bytes], np.ndarray]) -> None:
     """rows: (the _templates of the shared columns, the column that varies).  Bytes as _fmt
     writes each value; "%.12g" and format(x, ".12g") share one float-to-string routine."""
-    templates, column = rows
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-        for t, first in zip(templates, range(0, len(column), WRITE_CHUNK_ROWS), strict=True):
-            fh.write(t % tuple(column[first : first + WRITE_CHUNK_ROWS].tolist()))
+        fh.writelines(_filled(*rows))
+
+
+def _write_csv_rest(path: Path, rows: tuple[list[bytes], np.ndarray], pipe: int) -> None:
+    """rows as _write_csv takes them, formatted, then written into path from the offset read from pipe."""
+    chunks, offset = list(_filled(*rows)), int.from_bytes(os.read(pipe, 8), "little")
+    if not offset:  # EOF, as an 8-byte write to a pipe is atomic: the rows before them were not written
+        raise EOFError(f"no offset for {path}")
+    with open(os.open(path, os.O_WRONLY), "wb", buffering=0) as fh:  # opened by fd: not truncated
+        # more than IOV_MAX chunks, or 2 GiB, fails or is cut short: the CSVs are then written again
+        if os.pwritev(fh.fileno(), chunks, offset) < sum(map(len, chunks)):
+            raise OSError(f"short write to {path}")
 
 
 def _write_json(path: Path, obj) -> None:
@@ -267,45 +283,54 @@ def cmd_gamma(config: dict, args) -> int:
     used_stride = held[starts[0]][1]
     out.mkdir(parents=True, exist_ok=True)
 
-    def write(ys, csv: bool, svg: bool) -> None:
+    def write(csv: slice | None, svg: bool, pipe: int = -1) -> None:
         # each start point's files are written, and its series dropped, before the next series is
-        # summed, so one series is held at a time; every start point has the same stride and
-        # floor(k*M), so n and n/M are formatted once
+        # summed, so one series is held at a time.  csv: the CSV rows written, all, the first half (the
+        # offset each file ends at then sent through pipe) or the rest; n and n/M are formatted once
         rows = circles = None
-        for y in ys:
+        for y in starts:
             points = (held.pop(y) if y in held else gamma_series(F, T, y, k, stride))[0]
             base = f"gamma_{F.name.replace('/', '_')}_y{y}"  # a name may hold a '.'
-            if csv:
-                rows = rows or _templates("%d,%.12g,%%.12g\n", points[:, 0].astype(np.int64), points[:, 1])
-                _write_csv(out / f"{base}.csv", ["n", "n_over_M", "mean"], (rows, points[:, 2]))
+            if csv is not None:  # every start point has the same stride and floor(k*M)
+                rows = rows or _templates("%d,%.12g,%%.12g\n", points[csv, 0].astype(np.int64), points[csv, 1])
+                if csv.start:
+                    _write_csv_rest(out / f"{base}.csv", (rows, points[csv, 2]), pipe)
+                else:
+                    _write_csv(out / f"{base}.csv", ["n", "n_over_M", "mean"], (rows, points[csv, 2]))
+                    if csv.stop:
+                        with contextlib.suppress(BrokenPipeError):  # the child is gone; its status says so
+                            os.write(pipe, os.path.getsize(out / f"{base}.csv").to_bytes(8, "little"))
             if svg:
                 circles = circles or _circles(points[:, 1], k)
                 _write_svg(out / f"{base}.svg", (circles, points[:, 2]), k,
                            f"Gamma series, y={y}, stride={used_stride}", timestamp=not args.no_timestamp)
             del points
 
-    # the files in write order csv(y1), svg(y1), csv(y2), ... are dealt in turn to this process and
-    # a forked child where two CPUs can format them: with --svg the CSVs and the SVGs, else every
-    # other start point's CSV.  A short series is written faster than a process is forked.
+    # where two CPUs can, a forked child writes a part: with --svg the SVGs, else each CSV's rows from
+    # the middle one on, at the 8-byte offset this process sends once it has written the rows before.
+    # If the child fails, its part is written here again.  A short series is written faster than a fork.
     two_cpus = hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
-    if len(starts) * (1 + args.svg) < 2 or len(held[starts[0]][0]) <= WRITE_CHUNK_ROWS or not two_cpus:
-        write(starts, True, args.svg)
+    h = len(held[starts[0]][0]) // 2  # the row each CSV is cut at
+    if len(held[starts[0]][0]) <= WRITE_CHUNK_ROWS or not two_cpus:
+        write(slice(None), args.svg)
     else:
-        theirs = (starts, False, True) if args.svg else (starts[1::2], True, False)
+        mine, theirs = (slice(None), None) if args.svg else (slice(h), slice(h, None))
+        r, w = os.pipe()
         pid = os.fork()
         if pid == 0:  # never returns into the caller, flushes no buffer, runs no atexit hook, calls no BLAS
-            if not args.svg:  # the first CSV is the parent's
-                held.clear()
             try:
-                os._exit(write(*theirs) or 0)
+                os.close(w)
+                os._exit(write(theirs, args.svg, pipe=r) or 0)
             finally:  # write raised
                 os._exit(1)
+        os.close(r)
         try:
-            write(starts if args.svg else starts[0::2], True, False)
+            write(mine, False, pipe=w)
         finally:
+            os.close(w)
             status = os.waitpid(pid, 0)[1]
-        if status:  # the child failed: its files are written here, so an error is a serial run's
-            write(*theirs)
+        if status:  # the child failed: its SVGs, or every CSV whole, are written here, as a serial run would
+            write(None if args.svg else slice(None), args.svg)
     _write_json(out / "gamma_meta.json",
                 {**meta, "observable": F.name, "k": k, "stride": used_stride,
                  "start_points": starts, "seed": seed})

@@ -163,8 +163,9 @@ def forked(monkeypatch):
     return forks
 
 
-def contents(out: Path) -> dict[str, bytes]:
-    return {p.name: p.read_bytes() for p in out.iterdir()}
+def contents(out: Path) -> dict[str, bytes | None]:
+    """Each entry of out by name: a file's bytes, None for a directory."""
+    return {p.name: p.read_bytes() if p.is_file() else None for p in out.iterdir()}
 
 
 def note(log: Path, *event) -> None:
@@ -254,7 +255,7 @@ def test_each_start_points_files_are_written_before_the_next_series(tmp_path, mo
     assert written == [True] * len(starts)
 
 
-# ---- the files dealt to this process and one forked child ----------------
+# ---- the files written by this process and one forked child --------------
 
 
 @pytest.mark.parametrize("starts", [[11], [11, 0], [11, 0, 127]])
@@ -267,17 +268,17 @@ def test_the_forked_writer_writes_the_serial_bytes(tmp_path, monkeypatch, starts
     forks = forked(monkeypatch)
     assert contents(run_gamma(tmp_path / "forked", config, *flags)) == want
     assert len(want) == len(starts) * (1 + svg) + 1
-    assert forks == [os.getpid()] * (len(starts) * (1 + svg) >= 2)  # one file alone is not forked
+    assert forks == [os.getpid()]  # a single CSV is cut in halves too
     assert_no_child_left()
 
 
 @pytest.mark.parametrize("svg", [False, True])
 def test_a_failure_only_in_the_child_writes_the_serial_bytes(tmp_path, monkeypatch, svg):
-    # the child's writer raises; the parent reaps it and writes the child's files itself
+    # the child's writer raises; the parent reaps it and writes the child's files (or every CSV) itself
     flags = ["--svg", "--no-timestamp"] * svg
     serial(monkeypatch)
     want = contents(run_gamma(tmp_path / "serial", MULTI, *flags))
-    parent, writer = os.getpid(), cli._write_svg if svg else cli._write_csv
+    parent, writer = os.getpid(), cli._write_svg if svg else cli._write_csv_rest
 
     def failing(*args, **kwargs):
         if os.getpid() != parent:
@@ -307,6 +308,86 @@ def test_an_svg_target_that_is_a_directory_exits_3_as_a_serial_run(tmp_path, mon
     assert_no_child_left()
 
 
+@pytest.mark.parametrize("chunk, rows", [(1, 2), (1, 3), (7, 8), (7, 15), (7, 29)])
+def test_csv_halves_of_any_row_count_write_the_serial_bytes(tmp_path, monkeypatch, chunk, rows):
+    # R rows cut at R // 2: R = WRITE_CHUNK_ROWS + 1, so each half is shorter than a chunk at 7 rows
+    # per chunk, and odd R, the second half a row longer
+    config = {**MULTI, "gamma": {"k": 3.0, "stride": 384 // rows}}  # floor(k*M) = 384 means
+    monkeypatch.setattr(cli, "WRITE_CHUNK_ROWS", chunk)
+    serial(monkeypatch)
+    want = contents(run_gamma(tmp_path / "serial", config))
+    forks = forked(monkeypatch)
+    monkeypatch.setattr(cli, "WRITE_CHUNK_ROWS", chunk)
+    assert contents(run_gamma(tmp_path / "forked", config)) == want
+    assert forks == [os.getpid()] and len(want["gamma_chi0_y11.csv"].splitlines()) == 1 + rows
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("fails_at", [1, 2])
+def test_a_child_failing_before_its_first_write_or_after_its_first_file_writes_the_serial_bytes(
+        tmp_path, monkeypatch, fails_at):
+    # the child's first write of its fails_at-th CSV raises, once it has read the offset: before it
+    # wrote a byte, or with the first start point's file whole; the parent writes every CSV again
+    serial(monkeypatch)
+    want = contents(run_gamma(tmp_path / "serial", MULTI))
+    rest, pwritev, begun = cli._write_csv_rest, os.pwritev, []
+
+    def counting(path, *args):
+        begun.append(path.name)
+        return rest(path, *args)
+
+    def failing(fd, buffers, offset):
+        if len(begun) == fails_at:  # only the child writes by pwritev
+            note(tmp_path / "failed", begun[-1])
+            raise OSError("the child's write fails")
+        return pwritev(fd, buffers, offset)
+
+    monkeypatch.setattr(cli, "_write_csv_rest", counting)
+    monkeypatch.setattr(os, "pwritev", failing)
+    forks = forked(monkeypatch)
+    assert contents(run_gamma(tmp_path / "forked", MULTI)) == want
+    start = MULTI["start_points"]["explicit"][fails_at - 1]
+    assert forks and [name for _, name in events(tmp_path / "failed")] == [f"gamma_chi0_y{start}.csv"]
+    assert_no_child_left()
+
+
+def test_a_csv_target_that_is_a_directory_exits_3_as_a_serial_run(tmp_path, monkeypatch, capsys):
+    # y0's CSV, the second, cannot be opened: this process raises after sending y11's offset, and
+    # the child writes y11's second half, reads EOF for y0 and writes nothing more
+    argv, out = gamma_argv(tmp_path, MULTI), tmp_path / "out"
+    (out / "gamma_chi0_y0.csv").mkdir(parents=True)
+    serial(monkeypatch)
+    assert cli.main(argv) == cli.EXIT_IO
+    want, written = capsys.readouterr(), contents(out)
+    (out / "gamma_chi0_y11.csv").unlink()
+    forks = forked(monkeypatch)
+    assert cli.main(argv) == cli.EXIT_IO
+    assert forks and capsys.readouterr() == want and want.err.startswith("I/O error: [Errno 21]")
+    assert contents(out) == written and sorted(written) == ["gamma_chi0_y0.csv", "gamma_chi0_y11.csv"]
+    assert_no_child_left()
+
+
+def test_a_child_that_reads_eof_for_an_offset_writes_nothing(tmp_path, monkeypatch, capsys):
+    # this process writes y0's first half and raises before it sends the offset: the child reads EOF
+    # there and leaves the file as this process wrote it, the header and 96 of the 192 rows
+    serial(monkeypatch)
+    whole = contents(run_gamma(tmp_path / "serial", MULTI))["gamma_chi0_y0.csv"]
+    parent, write_csv = os.getpid(), cli._write_csv
+
+    def failing(path, *args):
+        write_csv(path, *args)
+        if os.getpid() == parent and path.name == "gamma_chi0_y0.csv":
+            raise OSError("the parent's write fails")
+
+    monkeypatch.setattr(cli, "_write_csv", failing)
+    forks = forked(monkeypatch)
+    assert cli.main(gamma_argv(tmp_path / "forked", MULTI)) == cli.EXIT_IO
+    half = b"".join(whole.splitlines(keepends=True)[: 1 + 96])
+    assert forks and (tmp_path / "forked" / "out" / "gamma_chi0_y0.csv").read_bytes() == half
+    assert capsys.readouterr().err == "I/O error: the parent's write fails\n"
+    assert_no_child_left()
+
+
 @pytest.mark.parametrize("starts", [[11], [11, 0, 127], [11, 0, 127, 64]])
 @pytest.mark.parametrize("svg", [False, True])
 def test_each_process_builds_each_template_at_most_once(tmp_path, monkeypatch, starts, svg):
@@ -322,13 +403,13 @@ def test_each_process_builds_each_template_at_most_once(tmp_path, monkeypatch, s
     built = [tuple(event) for event in events(log)]
     assert len(set(built)) == len(built)
     assert {kind for _, kind in built} == ({"circle", "csv"} if svg else {"csv"})
-    assert len({pid for pid, _ in built}) == 1 + len(forks) == 1 + (len(starts) * (1 + svg) >= 2)
+    assert len({pid for pid, _ in built}) == 1 + len(forks) == 2
 
 
 @pytest.mark.parametrize("svg", [False, True])
 def test_each_process_holds_one_series_at_a_time(tmp_path, monkeypatch, svg):
     # when a process sums a series, no series it summed or inherited is alive in it; the parent sums
-    # the first one before the fork, and every series a process writes a file of, each once
+    # the first one before the fork, and each process every later one, once each
     log, series, summed = tmp_path / "events", cli.gamma_series, []
 
     def checking(F, T, y, *args):
@@ -345,13 +426,13 @@ def test_each_process_holds_one_series_at_a_time(tmp_path, monkeypatch, svg):
         assert alive == [], (pid, y, alive)
         by_pid.setdefault(pid, []).append(y)
     child = [pid for pid in by_pid if pid not in forks]
-    assert by_pid.pop(forks[0]) == (starts if svg else starts[0::2])
-    assert child == list(by_pid) and by_pid[child[0]] == (starts[1:] if svg else starts[1::2])
+    assert by_pid.pop(forks[0]) == starts
+    assert child == list(by_pid) and by_pid[child[0]] == starts[1:]
 
 
 def test_the_forked_parent_peaks_no_higher_than_the_serial_writer(tmp_path, monkeypatch):
-    # rotation-1e6-gamma, three start points of 100,000 rows: the forked parent writes the CSVs of
-    # the first and the third.  Each path holds one series at a time, so either peaks as one start
+    # rotation-1e6-gamma, three start points of 100,000 rows: the forked parent writes the first
+    # half of each CSV.  Each path holds one series at a time, so either peaks as one start
     # point alone does; a series kept alive past its files would add its 2.4 MB.  tracemalloc peaks
     # of one config differ by up to 8 KB of small Python objects run to run, under SLACK.
     config, SLACK = golden.entries()["rotation-1e6-gamma"]["config"], 64 << 10
@@ -366,4 +447,31 @@ def test_the_forked_parent_peaks_no_higher_than_the_serial_writer(tmp_path, monk
     starts = config["start_points"]["explicit"]
     alone, serial_peak, forked_peak = peak(starts[:1], 1), peak(starts, 1), peak(starts, 2)
     assert forked_peak <= serial_peak + SLACK and forked_peak <= alone + SLACK, (alone, serial_peak, forked_peak)
+    assert_no_child_left()
+
+
+# the golden gamma RSS gates' traced twins: the config keys that take each to a quarter of its M,
+# and its bounds in traced bytes per point on the serial writer and in the forked parent
+TWINS = {
+    "drift-4e6-gamma": ({"system": {"name": "drift", "M": 10**6}, "start_points": {"explicit": [679570]}},
+                        (7.6, 6.2)),
+    "debruijn-21-gamma": ({"system": {"name": "bernoulli", "m": 2, "N": 9, "mode": "debruijn"},
+                           "observable": {"name": "chi0", "N": 9},
+                           "start_points": {"explicit": [1000, 17, 2**19 - 1]}}, (16.4, 12.9)),
+}
+
+
+@pytest.mark.parametrize("name", TWINS)
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_the_golden_gamma_rss_gates_have_traced_twins(tmp_path, monkeypatch, name, cpus):
+    # the entry's job at a quarter of its M, with as many rows per start point (100,000 and
+    # 104,857), in bytes per point: the serial writer and the forked parent each to its measured
+    # peak plus about 0.45 MB (7.15 and 5.72 bytes per point for the drift, 15.43 and 12.02 for the
+    # de Bruijn shift); one more series alive (2.4 MB) fails both
+    scaled, bounds = TWINS[name]
+    config = {**golden.entries()[name]["config"], **scaled}
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    code, peak = traced_peak(cli.main, gamma_argv(tmp_path, config))
+    M = json.loads((tmp_path / "out" / "gamma_meta.json").read_text(encoding="utf-8"))["M"]
+    assert code == 0 and peak <= bounds[cpus - 1] * M, peak / M
     assert_no_child_left()
