@@ -211,10 +211,9 @@ def _write_csv_rest(path: Path, rows: tuple[list[bytes], np.ndarray], pipe: int)
     chunks, offset = list(_filled(*rows)), int.from_bytes(os.read(pipe, 8), "little")
     if not offset:  # EOF, as an 8-byte write to a pipe is atomic: the rows before them were not written
         raise EOFError(f"no offset for {path}")
-    with open(os.open(path, os.O_WRONLY), "wb", buffering=0) as fh:  # opened by fd: not truncated
-        # more than IOV_MAX chunks, or 2 GiB, fails or is cut short: the CSVs are then written again
-        if os.pwritev(fh.fileno(), chunks, offset) < sum(map(len, chunks)):
-            raise OSError(f"short write to {path}")
+    with open(os.open(path, os.O_WRONLY), "wb") as fh:  # opened by fd: not truncated
+        fh.seek(offset)
+        fh.writelines(chunks)
 
 
 def _write_json(path: Path, obj) -> None:

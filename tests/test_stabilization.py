@@ -18,7 +18,7 @@ from ergodia.stabilization import (
     sup_discrepancy,
 )
 from ergodia.systems import build_bernoulli, build_drift_system, build_rotation, paper_observable
-from oracles import (band_end_loop, carried_sums_rowwise, common_segment_loop, discrepancy_arrays,
+from oracles import (band_end_loop, carried_sums_loop, common_segment_loop, discrepancy_arrays,
                      exceedance_fraction, permutation_from_cycles, proof_arrays, reference_psi,
                      sup_discrepancy_two_pass, traced_peak, trajectory)
 
@@ -282,12 +282,21 @@ def mixed_cycles(seed, zeros=False):
     return Observable(values), T
 
 
+def nan_cycles():
+    """mixed-zeros with one NaN on the longest cycle: its points' means are NaN."""
+    G, T = mixed_cycles(2, zeros=True)
+    values = G.values.copy()
+    values[T.cycles[0][3]] = np.nan
+    return Observable(values), T
+
+
 KERNEL_SYSTEMS = {
     "naive1": lambda: naive_system(1),
     "naive2": lambda: naive_system(2),
     "naive2-normal": lambda: naive_system(2, normal=True),
     "mixed": lambda: mixed_cycles(1),
     "mixed-zeros": lambda: mixed_cycles(2, zeros=True),
+    "mixed-nan": nan_cycles,  # a NaN witness gives a NaN common witness, as np.median
     "drift": lambda: (paper_observable("ex03", 60, K=4), build_drift_system(60)),
     "rotation": lambda: (paper_observable("tent", 61), build_rotation(61, 0.3)),
 }
@@ -351,19 +360,30 @@ def test_sup_discrepancy_bitwise_equals_two_pass_oracle(monkeypatch, chunk, name
     discrepancies_equal_two_pass(F, T, horizon_pairs(T)[:2] if name == "naive8" else horizon_pairs(T))
 
 
-def nan_cycles():
-    """mixed-zeros with one NaN on the longest cycle: its points' means are NaN."""
-    G, T = mixed_cycles(2, zeros=True)
-    values = G.values.copy()
-    values[T.cycles[0][3]] = np.nan
-    return Observable(values), T
-
-
 @pytest.mark.parametrize("chunk", [1, 7, 256, dynamics.CHUNK_POINTS])
 def test_a_nan_in_f_gives_a_nan_sup_and_the_oracle_exceedances(monkeypatch, chunk):
-    # a NaN is never >= eps
+    # a NaN is never >= eps; at 256 slots a chunk, both fills of the carried sums, rows copied by
+    # doubling and rows gathered, get a NaN and a carried -0.0, and the doubled rows a tile before
+    # column 0, and the discrepancy and segment kernels still equal their oracles
     monkeypatch.setattr(dynamics, "CHUNK_POINTS", chunk)
+    carried, cyclic_run, runs, seen = dynamics._carried_sums, dynamics._cyclic_run, [], set()
+
+    def recording(along, start, p, pos, lo, n, carry=None):
+        before = len(runs)
+        tile = carried(along, start, p, pos, lo, n, carry)
+        fill = "doubled" if len(runs) > before else "gathered"
+        if lo < 0:
+            seen.add((fill, "lo < 0"))
+        if np.isnan(tile).any():
+            seen.add((fill, "nan"))
+        if carry is not None and np.signbit(carry[carry == 0]).any():
+            seen.add((fill, "carried -0.0"))
+        return tile
+
+    monkeypatch.setattr(dynamics, "_cyclic_run", lambda *args: runs.append(1) or cyclic_run(*args))
+    monkeypatch.setattr(stabilization, "_carried_sums", recording)
     F, T = nan_cycles()
+    segments_equal_point_loop(F, T, "mixed-nan")
     for K, L in horizon_pairs(T):
         ((sup_disc, frac),) = sup_discrepancy(F, T, [(K, L)], EPSILONS)
         diffs, u, v = sup_discrepancy_two_pass(F, T, K, L)
@@ -374,6 +394,9 @@ def test_a_nan_in_f_gives_a_nan_sup_and_the_oracle_exceedances(monkeypatch, chun
         assert np.isnan(sup_disc) and bits(sup_disc) == bits(np.max(diffs))
         for eps in EPSILONS:
             assert bits(frac[eps]) == bits(np.mean(diffs >= eps))
+    if chunk == 256:
+        both = {(fill, case) for fill in ("doubled", "gathered") for case in ("nan", "carried -0.0")}
+        assert seen == both | {("doubled", "lo < 0")}
 
 
 # none, one, two and three pairs, the three repeating a pair and sharing a horizon; and (105, 15),
@@ -404,7 +427,7 @@ def fused_pairs_equal_two_pass(F, T):
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 64, 256, dynamics.CHUNK_POINTS])
-@pytest.mark.parametrize("name", ["naive2", "naive2-normal", "mixed-zeros", "drift", "rotation"])
+@pytest.mark.parametrize("name", list(KERNEL_SYSTEMS))
 def test_fused_pairs_bitwise_equal_two_pass_oracle(monkeypatch, chunk, name):
     # small chunks split a length class between chunks, and the four
     # horizons of two pairs split it at other rows than one horizon would
@@ -563,11 +586,13 @@ def test_the_tiles_serve_a_float_memo_a_long_cycle_and_a_wide_range(monkeypatch)
         for (sup_disc, frac), diffs in zip(reports, discrepancy_arrays(F, T, pairs), strict=True):
             assert bits(sup_disc) == bits(np.max(diffs)), name
             assert all(bits(frac[eps]) == bits(np.mean(diffs >= eps)) for eps in EPSILONS), name
-    # chi0 itself is counted by key, with no tile pass
-    passes.clear()
-    assert stabilization._key_counts(naive.along(chi0), naive.orbit_index, pairs) is not None
-    sup_discrepancy(chi0, naive, pairs, EPSILONS)
-    assert passes == []
+    # chi0 itself is counted by key, with no tile pass: on this shift and on cycles-many's N = 8
+    # and N = 9 shifts, whose tiles would be the tallest of any workload
+    for F, T in (chi0, naive), naive_system(8), naive_system(9):
+        passes.clear()
+        assert stabilization._key_counts(T.along(F), T.orbit_index, pairs) is not None
+        sup_discrepancy(F, T, pairs, EPSILONS)
+        assert passes == []
 
 
 @pytest.mark.parametrize("name", ["tent", "ex03"])
@@ -691,70 +716,26 @@ def test_segments_bitwise_equal_point_loop(monkeypatch, chunk, name):
     segments_equal_point_loop(*kernel_system(name), name)
 
 
-# -- column-major tiles against the row-major oracle ---------------------------
-
-
-@pytest.mark.parametrize("chunk", [7, 64, 256, dynamics.CHUNK_POINTS])
-@pytest.mark.parametrize("name", [*KERNEL_SYSTEMS, "mixed-nan"])
-def test_column_tiles_bitwise_equal_the_rowwise_oracle(monkeypatch, chunk, name):
-    # COLUMN_ROWS = 2 puts every tile of two rows or more on the column path (one-row tiles keep
-    # their cumsum): each tile is held to the row-major cumsum, and every kernel to its oracle
-    monkeypatch.setattr(dynamics, "CHUNK_POINTS", chunk)
-    monkeypatch.setattr(dynamics, "COLUMN_ROWS", 2)
-    carried, rows = dynamics._carried_sums, []
-
-    def checked(along, start, p, pos, lo, n, carry=None):
-        tile = carried(along, start, p, pos, lo, n, carry)
-        assert tile.tobytes() == carried_sums_rowwise(along, start, p, pos, lo, n, carry).tobytes()
-        assert tile.flags.f_contiguous or tile.shape[0] == 1
-        rows.append(tile.shape[0])
-        return tile
-
-    monkeypatch.setattr(stabilization, "_carried_sums", checked)
-    F, T = nan_cycles() if name == "mixed-nan" else kernel_system(name)
-    discrepancies_equal_two_pass(F, T, horizon_pairs(T))
-    fused_pairs_equal_two_pass(F, T)
-    segments_equal_point_loop(F, T, name)  # mixed-nan: a NaN witness gives a NaN common witness, as np.median
-    assert max(rows) >= 2 or chunk == 7  # a 7-slot chunk holds one row of most of these cycles
-
-
+@pytest.mark.parametrize("lo,n", [(-3, 8), (0, 1), (0, 17), (4, 23)])
+@pytest.mark.parametrize("fill", ["doubled", "gathered"])
 @pytest.mark.parametrize("dtype", [np.int8, np.float64])
-def test_column_tiles_of_both_fills_bitwise_equal_the_rowwise_oracle(monkeypatch, dtype):
+def test_carried_sums_of_both_fills_bitwise_equal_the_loop_oracle(monkeypatch, dtype, fill, lo, n):
     # rows end to end with one p and pos (copied by doubling), and rows of mixed p and pos
-    # (gathered); tiles before column 0, from it, and carried from a tile before
-    monkeypatch.setattr(dynamics, "COLUMN_ROWS", 2)
+    # (gathered); tiles before column 0, from it, and carried from a tile before, with no carry,
+    # a carried -0.0 and carried floats; the float runs hold -0.0 and a NaN
     rng = np.random.default_rng(7)
     along = rng.integers(-5, 6, 60).astype(dtype)
     if dtype == np.float64:
         along[::7], along[11] = -0.0, np.nan
-    runs = [(np.arange(0, 60, 5), 5, 3), (np.array([0, 5, 12, 30, 41]), np.array([5, 7, 9, 11, 3]),
-                                           np.array([0, 6, 2, 10, 1]))]
-    for start, p, pos in runs:
-        for lo, n in [(-3, 8), (0, 1), (0, 17), (4, 23)]:
-            for carry in (None, np.full(start.size, -0.0), rng.standard_normal(start.size)):
-                tile = dynamics._carried_sums(along, start, p, pos, lo, n, carry)
-                assert tile.flags.f_contiguous and not tile.flags.c_contiguous or n == 1
-                assert tile.tobytes() == carried_sums_rowwise(along, start, p, pos, lo, n, carry).tobytes()
-
-
-def test_a_naive_tile_takes_the_column_path_and_a_one_row_tile_does_not(monkeypatch):
-    # at the default COLUMN_ROWS: the 2^17 shift's 963-row tiles are column-major and never reach
-    # np.cumsum, and a one-row tile is summed by np.cumsum; chi0's key counts take no tiles, so
-    # the tile fold is read directly
-    F, T = naive_system(8)
-    along, carried, tiles, summed = T.along(F), dynamics._carried_sums, [], []
-    cumsum = np.cumsum
-    monkeypatch.setattr(np, "cumsum", lambda a, *args, **kw: summed.append(a.shape) or cumsum(a, *args, **kw))
-    monkeypatch.setattr(stabilization, "_carried_sums", lambda *a: tiles.append(carried(*a)) or tiles[-1])
-    for _ in stabilization._discrepancy_tiles(F, T, [(40, 20), (400, 200)]):
-        pass
-    big = [t for t in tiles if t.shape[0] >= dynamics.COLUMN_ROWS]
-    assert {t.shape[0] for t in big} >= {963} and all(t.flags.f_contiguous and not t.flags.c_contiguous
-                                                     for t in big)
-    assert not any(shape[0] >= dynamics.COLUMN_ROWS for shape in summed)
-    summed.clear()
-    tile = dynamics._carried_sums(along, 0, int(T.orbit_index.lengths[0]), 3, 0, 40)
-    assert summed == [(1, 40)] and tile.flags.c_contiguous
+    start, p, pos = {"doubled": (np.arange(0, 60, 5), 5, 3),
+                     "gathered": (np.array([0, 5, 12, 30, 41]), np.array([5, 7, 9, 11, 3]),
+                                  np.array([0, 6, 2, 10, 1]))}[fill]
+    cyclic_run, runs = dynamics._cyclic_run, []
+    monkeypatch.setattr(dynamics, "_cyclic_run", lambda *args: runs.append(1) or cyclic_run(*args))
+    for carry in (None, np.full(start.size, -0.0), rng.standard_normal(start.size)):
+        tile = dynamics._carried_sums(along, start, p, pos, lo, n, carry)
+        assert tile.tobytes() == carried_sums_loop(along, start, p, pos, lo, n, carry).tobytes()
+    assert bool(runs) == (fill == "doubled")
 
 
 def test_segment_start_point_out_of_range():

@@ -326,28 +326,44 @@ def test_csv_halves_of_any_row_count_write_the_serial_bytes(tmp_path, monkeypatc
 @pytest.mark.parametrize("fails_at", [1, 2])
 def test_a_child_failing_before_its_first_write_or_after_its_first_file_writes_the_serial_bytes(
         tmp_path, monkeypatch, fails_at):
-    # the child's first write of its fails_at-th CSV raises, once it has read the offset: before it
+    # the child's opening of its fails_at-th CSV raises, once it has read the offset: before it
     # wrote a byte, or with the first start point's file whole; the parent writes every CSV again
     serial(monkeypatch)
     want = contents(run_gamma(tmp_path / "serial", MULTI))
-    rest, pwritev, begun = cli._write_csv_rest, os.pwritev, []
+    rest, os_open, begun = cli._write_csv_rest, os.open, []
 
     def counting(path, *args):
         begun.append(path.name)
         return rest(path, *args)
 
-    def failing(fd, buffers, offset):
-        if len(begun) == fails_at:  # only the child writes by pwritev
+    def failing(path, *args, **kwargs):
+        if len(begun) == fails_at:  # only the child calls _write_csv_rest, which opens by os.open
             note(tmp_path / "failed", begun[-1])
-            raise OSError("the child's write fails")
-        return pwritev(fd, buffers, offset)
+            raise OSError("the child's open fails")
+        return os_open(path, *args, **kwargs)
 
     monkeypatch.setattr(cli, "_write_csv_rest", counting)
-    monkeypatch.setattr(os, "pwritev", failing)
+    monkeypatch.setattr(os, "open", failing)
     forks = forked(monkeypatch)
     assert contents(run_gamma(tmp_path / "forked", MULTI)) == want
     start = MULTI["start_points"]["explicit"][fails_at - 1]
     assert forks and [name for _, name in events(tmp_path / "failed")] == [f"gamma_chi0_y{start}.csv"]
+    assert_no_child_left()
+
+
+def test_a_csv_half_of_more_chunks_than_iov_max_is_written_by_the_child(tmp_path, monkeypatch):
+    # 2,560 rows at one row per chunk: the child's half of each CSV is 1,280 chunks, more than the
+    # 1,024 one writev takes on Linux; the child writes it and the parent writes each CSV once
+    config = {**MULTI, "gamma": {"k": 20.0, "stride": 1}, "start_points": {"explicit": [11, 0]}}
+    serial(monkeypatch)
+    want = contents(run_gamma(tmp_path / "serial", config))
+    assert len(want["gamma_chi0_y11.csv"].splitlines()) == 1 + 2560
+    whole, written = cli._write_csv, []
+    monkeypatch.setattr(cli, "_write_csv", lambda path, *args: written.append(path.name) or whole(path, *args))
+    forks = forked(monkeypatch)
+    monkeypatch.setattr(cli, "WRITE_CHUNK_ROWS", 1)
+    assert contents(run_gamma(tmp_path / "forked", config)) == want
+    assert forks == [os.getpid()] and written == ["gamma_chi0_y11.csv", "gamma_chi0_y0.csv"]
     assert_no_child_left()
 
 
